@@ -14,7 +14,7 @@
 use crate::adornment::{adorn_for, chain_violations, AdornError, Adornment};
 use crate::source::{ProbeSpace, VirtualSource};
 use crate::transform::{transform, BinaryProgram};
-use rq_common::{Const, FxHashSet, Pred};
+use rq_common::{Const, FxHashSet, Pred, Rows};
 use rq_datalog::{Database, Program, Query};
 use rq_engine::{CompiledPlan, EvalContext, EvalOptions, EvalOutcome, Evaluator};
 use rq_relalg::{lemma1_from_system, Lemma1Error, Lemma1Options};
@@ -136,14 +136,15 @@ fn plan_nary_inner(
 /// Run one compiled plan against one database: anchor the traversal at
 /// the tuple of bound constants (ascending position order; `t()` when
 /// nothing is bound), run the transformed machine, and decode the
-/// answer tuple constants back to rows over the free positions.
+/// answer tuple constants back to (flat, sorted) rows over the free
+/// positions.
 pub fn evaluate_nary(
     program: &Program,
     db: &Database,
     plan: &NaryPlan,
     bound: &[Const],
     options: &EvalOptions,
-) -> (Vec<Vec<Const>>, EvalOutcome) {
+) -> (Rows, EvalOutcome) {
     evaluate_nary_shared(
         program,
         db,
@@ -170,7 +171,7 @@ pub fn evaluate_nary_shared(
     options: &EvalOptions,
     space: &Arc<ProbeSpace>,
     ctx: Option<&EvalContext>,
-) -> (Vec<Vec<Const>>, EvalOutcome) {
+) -> (Rows, EvalOutcome) {
     debug_assert_eq!(bound.len(), plan.adornment.bound_positions().len());
     let source = VirtualSource::with_space(program, db, &plan.binary, Arc::clone(space));
     let mut evaluator = Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source);
@@ -185,13 +186,8 @@ pub fn evaluate_nary_shared(
         options.stop_on_answer = Some(source.intern_tuple(Vec::new()));
     }
     let outcome = evaluator.evaluate(plan.binary.query_bin, anchor, &options);
-    let mut rows: Vec<Vec<Const>> = outcome
-        .answers
-        .iter()
-        .map(|&c| source.decode_tuple(c))
-        .collect();
-    rows.sort();
-    rows.dedup();
+    let width = plan.adornment.free_positions().len();
+    let rows = source.decode_rows(width, outcome.answers.iter().copied());
     (rows, outcome)
 }
 
@@ -263,7 +259,7 @@ fn answer_query_inner(
         .collect();
     let (rows, outcome) = evaluate_nary(program, db, &plan, &bound, options);
     Ok(QueryAnswer {
-        rows,
+        rows: rows.to_vecs(),
         outcome,
         binary: plan.binary,
     })

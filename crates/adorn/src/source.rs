@@ -11,7 +11,7 @@
 //! deferred until bound), and interns the resulting output tuples.
 
 use crate::transform::{BinaryProgram, VirtualRel};
-use rq_common::{BoundedMemo, Const, Counters, FxHashMap, FxHashSet, Pred};
+use rq_common::{BoundedMemo, Const, Counters, FxHashMap, FxHashSet, Pred, Rows};
 use rq_datalog::{
     fire_seeded, Atom, Database, DeltaView, Literal, Program, Relation, Term, WholeDb,
 };
@@ -411,6 +411,17 @@ impl<'a> VirtualSource<'a> {
     /// Decode a tuple constant into its components.
     pub fn decode_tuple(&self, c: Const) -> Vec<Const> {
         self.space.tuples().components(c).to_vec()
+    }
+
+    /// Decode answer tuple constants of `width` components each into
+    /// sorted, deduplicated rows, under one lock of the tuple table.
+    pub fn decode_rows(&self, width: usize, answers: impl IntoIterator<Item = Const>) -> Rows {
+        let tuples = self.space.tuples();
+        let mut rows = Rows::builder(width);
+        for c in answers {
+            rows.push(tuples.components(c));
+        }
+        rows.finish()
     }
 
     /// Render a tuple constant (for tests and examples).  Components

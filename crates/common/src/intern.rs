@@ -7,7 +7,7 @@
 
 use crate::hash::FxHashMap;
 use crate::pshare::{PMap, PVec};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Declares a `u32` newtype id with the plumbing an interner needs.
 macro_rules! define_id {
@@ -151,12 +151,28 @@ impl ConstInterner {
 
     /// Render a constant for display, recursing into tuples.
     pub fn display(&self, id: Const) -> String {
+        let mut out = String::new();
+        self.display_into(id, &mut out);
+        out
+    }
+
+    /// Append [`ConstInterner::display`] of `id` to `out` — row
+    /// renderers print a whole answer into one buffer through this.
+    pub fn display_into(&self, id: Const, out: &mut String) {
         match self.value(id) {
-            ConstValue::Int(i) => i.to_string(),
-            ConstValue::Str(s) => s.clone(),
+            ConstValue::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            ConstValue::Str(s) => out.push_str(s),
             ConstValue::Tuple(parts) => {
-                let inner: Vec<String> = parts.iter().map(|&c| self.display(c)).collect();
-                format!("t({})", inner.join(","))
+                out.push_str("t(");
+                for (i, &part) in parts.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    self.display_into(part, out);
+                }
+                out.push(')');
             }
         }
     }

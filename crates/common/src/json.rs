@@ -8,10 +8,15 @@
 //! speaks: objects with string keys (insertion-ordered), arrays,
 //! strings, integers, floats, booleans, and `null`.
 //!
-//! Encoding is available compact ([`Json::encode`]) and pretty
+//! Encoding is available compact ([`Json::encode`], or
+//! [`Json::encode_into`] a byte buffer) and pretty
 //! ([`Json::encode_pretty`]); decoding ([`Json::parse`]) is a
 //! recursive-descent parser with a nesting-depth limit so untrusted
-//! network bodies cannot overflow the stack.
+//! network bodies cannot overflow the stack.  The encoder's leaf
+//! writers, [`escape_str_into`] and [`write_i64`], are public: the wire
+//! layer prints answer rows through them without building a [`Json`]
+//! node per cell, and stays byte-identical to [`Json::encode`] because
+//! both are the same code.
 //!
 //! ```
 //! use rq_common::json::Json;
@@ -24,7 +29,7 @@
 //! assert_eq!(round, value);
 //! ```
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Maximum nesting depth [`Json::parse`] accepts.  Deeper documents are
 /// rejected with [`JsonError::TooDeep`] — a recursive-descent parser
@@ -150,28 +155,31 @@ impl Json {
 
     /// Compact encoding (no whitespace).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        into_string(out)
+    }
+
+    /// Append the compact encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.write(out, None, 0);
     }
 
     /// Pretty encoding: two-space indentation, one element per line —
     /// the format of the committed `BENCH_<name>.json` files.
     pub fn encode_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        out.push(b'\n');
+        into_string(out)
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, level: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(i) => write_i64(*i, out),
             Json::Float(x) => {
                 if x.is_finite() {
                     // `{:?}` prints the shortest representation that
@@ -182,20 +190,22 @@ impl Json {
                 } else {
                     // JSON has no NaN/Infinity; `null` is the honest
                     // encoding of an unrepresentable measurement.
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
             Json::Str(s) => escape_str_into(s, out),
-            Json::Array(items) => write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, level + 1)
-            }),
+            Json::Array(items) => {
+                write_seq(out, indent, level, b'[', b']', items.len(), |out, i| {
+                    items[i].write(out, indent, level + 1)
+                })
+            }
             Json::Object(pairs) => {
-                write_seq(out, indent, level, '{', '}', pairs.len(), |out, i| {
+                write_seq(out, indent, level, b'{', b'}', pairs.len(), |out, i| {
                     let (key, value) = &pairs[i];
                     escape_str_into(key, out);
-                    out.push(':');
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     value.write(out, indent, level + 1)
                 })
@@ -216,65 +226,105 @@ impl Json {
     }
 }
 
+/// The encoder only ever appends whole `&str`s and ASCII, so its
+/// buffer is UTF-8 by construction.
+fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the JSON encoder writes UTF-8")
+}
+
 fn write_seq(
-    out: &mut String,
+    out: &mut Vec<u8>,
     indent: Option<usize>,
     level: usize,
-    open: char,
-    close: char,
+    open: u8,
+    close: u8,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
+    mut item: impl FnMut(&mut Vec<u8>, usize),
 ) {
+    let newline = |out: &mut Vec<u8>, level: usize| {
+        if let Some(width) = indent {
+            out.push(b'\n');
+            out.resize(out.len() + width * level, b' ');
+        }
+    };
     out.push(open);
     if len == 0 {
         out.push(close);
         return;
     }
     for i in 0..len {
-        if let Some(width) = indent {
-            out.push('\n');
-            for _ in 0..width * (level + 1) {
-                out.push(' ');
-            }
-        }
+        newline(out, level + 1);
         item(out, i);
         if i + 1 < len {
-            out.push(',');
+            out.push(b',');
         }
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
+    newline(out, level);
     out.push(close);
 }
 
-/// JSON-escape `s` (with the surrounding quotes) into `out`.
-fn escape_str_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// JSON-escape `s` (with the surrounding quotes) onto `out`.  Runs of
+/// bytes that need no escape — everything but `"`, `\` and the C0
+/// controls, so multi-byte UTF-8 passes through whole — are copied
+/// with one `extend_from_slice` each.
+pub fn escape_str_into(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ]),
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// JSON-escape `s`, returning the quoted string.
 pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = Vec::with_capacity(s.len() + 2);
     escape_str_into(s, &mut out);
-    out
+    into_string(out)
+}
+
+/// Append the decimal digits of `i` to `out` (what `{i}` formats,
+/// without the formatting machinery).
+pub fn write_i64(i: i64, out: &mut Vec<u8>) {
+    // 19 digits of `u64::MAX / 2 + 1` and a sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend_from_slice(&buf[at..]);
 }
 
 fn skip_ws(bytes: &[u8], at: &mut usize) {
@@ -452,12 +502,17 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, JsonError> {
             }
             0x00..=0x1f => return Err(JsonError::Unexpected(*at, b as char)),
             _ => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // encoding is already valid).
-                let rest = std::str::from_utf8(&bytes[*at..]).expect("valid UTF-8 tail");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *at += c.len_utf8();
+                // Copy the whole run up to the next byte that means
+                // something.  All three kinds are ASCII, so the run
+                // starts and ends on scalar boundaries of the `&str`
+                // the input came from; validating just the run keeps
+                // the parse linear in the string's length.
+                let run = bytes[*at..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |n| *at + n);
+                out.push_str(std::str::from_utf8(&bytes[*at..run]).expect("a run of a &str"));
+                *at = run;
             }
         }
     }
@@ -598,6 +653,51 @@ mod tests {
         );
         // An exponent forces float even for integral values.
         assert_eq!(Json::parse("5e0").unwrap(), Json::Float(5.0));
+    }
+
+    #[test]
+    fn leaf_writers_match_the_formatter() {
+        for i in [0, 7, -7, 10, -10, 1430, i64::MAX, i64::MIN] {
+            let mut out = Vec::new();
+            write_i64(i, &mut out);
+            assert_eq!(out, i.to_string().as_bytes());
+        }
+        // Escapes split the unescaped runs; DEL and multi-byte UTF-8
+        // are not escaped and stay inside their run.
+        let mut out = b"x".to_vec();
+        escape_str_into("a\"b\\\u{0}é\u{7f}\n😀", &mut out);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "x\"a\\\"b\\\\\\u0000é\u{7f}\\n😀\""
+        );
+    }
+
+    #[test]
+    fn string_parse_time_is_linear_in_length() {
+        // The parser used to re-validate the rest of the document for
+        // every character of a string: 16× the bytes cost 256× the
+        // time.  Linear, 16 small parses and one large one cost about
+        // the same; allow a factor 4 for caches and a noisy machine.
+        let body = |len: usize| format!("{{\"facts\":\"{}é\\n\"}}", "e(a,b). ".repeat(len / 8));
+        let best_of = |text: &str, parses: usize| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    for _ in 0..parses {
+                        assert!(Json::parse(text).is_ok());
+                    }
+                    start.elapsed()
+                })
+                .min()
+                .expect("five runs")
+        };
+        let (small, large) = (body(64 << 10), body(1 << 20));
+        let sixteen_small = best_of(&small, 16);
+        let one_large = best_of(&large, 1);
+        assert!(
+            one_large <= 4 * sixteen_small,
+            "1 MB: {one_large:?}, 16 x 64 KB: {sixteen_small:?}"
+        );
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! * [`pshare`] — persistent (structurally shared) chunked vectors and
 //!   hash tries, the storage substrate that makes snapshot epochs cost
 //!   O(delta) instead of O(database);
+//! * [`rows`] — flat answer rows: one sorted, deduplicated row-major
+//!   buffer per answer, the representation the serving stack keeps
+//!   from the engine to the socket;
 //! * [`threads`] — the `RQC_THREADS` thread-count cap every
 //!   parallelism-spawning layer resolves its worker count through.
 
@@ -34,6 +37,7 @@ pub mod json;
 pub mod memo;
 pub mod obs;
 pub mod pshare;
+pub mod rows;
 pub mod threads;
 
 pub use counters::Counters;
@@ -44,4 +48,5 @@ pub use json::{Json, JsonError};
 pub use memo::{BoundedMemo, MemoStats};
 pub use obs::{Counter, Gauge, Histogram, Registry};
 pub use pshare::{PMap, PVec};
+pub use rows::{Rows, RowsBuilder};
 pub use threads::{capped_threads, thread_cap};

@@ -29,7 +29,7 @@
 use crate::plan::CacheStats;
 use crate::spec::QuerySpec;
 use rq_common::obs::Counter;
-use rq_common::{Const, FxHashMap};
+use rq_common::{FxHashMap, Rows};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -67,7 +67,7 @@ pub struct CachedResult {
     /// positions, in ascending position order (`Arc`-shared with every
     /// consumer).  A fully bound query answers `[[]]` (yes) or `[]`
     /// (no).
-    pub rows: Arc<Vec<Vec<Const>>>,
+    pub rows: Arc<Rows>,
     /// Whether the evaluation converged (`false` = truncated by an
     /// iteration bound or node budget, answers sound but possibly
     /// partial).
@@ -80,12 +80,18 @@ struct Entry {
     bytes: u64,
 }
 
-/// Approximate heap footprint of one entry: key, row vectors, and map
-/// overhead.  `Const` is 4 bytes; each row carries a `Vec` header.
-fn approx_bytes(key: &ResultKey, rows: &[Vec<Const>]) -> u64 {
+/// Fixed bytes of one entry beside its key and cells: the `Arc<Rows>`
+/// allocation (two counts + the five-word `Rows`) and the entry's own
+/// tick, charge and flag.
+const ENTRY_OVERHEAD: usize = 16 + 40 + 24;
+
+/// Approximate heap footprint of one entry: key, the flat cell buffer
+/// (`Const` is 4 bytes; rows carry no header of their own), and the
+/// fixed overhead.
+fn approx_bytes(key: &ResultKey, rows: &Rows) -> u64 {
     let key_bytes = 64 + 8 * key.spec.args().len();
-    let row_bytes: usize = rows.iter().map(|r| 24 + 4 * r.len()).sum();
-    (key_bytes + row_bytes + 24) as u64
+    let cell_bytes = 4 * rows.width() * rows.len();
+    (key_bytes + cell_bytes + ENTRY_OVERHEAD) as u64
 }
 
 struct Inner {
@@ -194,27 +200,42 @@ impl ResultCache {
             return;
         }
         let bytes = approx_bytes(&key, &value.rows);
-        let mut inner = self.inner.write().expect("result cache lock poisoned");
         let entry = Entry {
             result: value,
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
             bytes,
         };
+        // Nothing this insert removes is freed under the write lock:
+        // the displaced and evicted entries move out of the critical
+        // section and drop here, after the guard.
+        let removed = {
+            let mut inner = self.inner.write().expect("result cache lock poisoned");
+            self.insert_locked(&mut inner, key, entry)
+        };
+        drop(removed);
+    }
+
+    /// The critical section of [`ResultCache::insert`]; returns what it
+    /// removed so the caller frees it outside the lock.
+    fn insert_locked(&self, inner: &mut Inner, key: ResultKey, entry: Entry) -> Vec<Entry> {
+        let bytes = entry.bytes;
+        let mut removed: Vec<Entry> = Vec::new();
         if let Some(old) = inner.map.insert(key, entry) {
             inner.bytes = inner.bytes.saturating_sub(old.bytes);
+            removed.push(old);
         }
         inner.bytes = inner.bytes.saturating_add(bytes);
         let over_entries = self.capacity.is_some_and(|cap| inner.map.len() > cap);
         let over_bytes = self.byte_budget.is_some_and(|b| inner.bytes > b);
         if !(over_entries || over_bytes) {
-            return;
+            return removed;
         }
         // Evict to 7/8 of each exceeded limit so overflow work is
         // amortized instead of re-running the selection on every
         // insert at the boundary.  Oldest ticks go first.  The
         // selection works on flat `(tick, bytes)` pairs — no key
         // clones — and the write lock's critical section stays short:
-        // one sort of 16-byte pairs plus one `retain` pass.
+        // one sort of 16-byte pairs plus one `extract_if` pass.
         let entry_target = self.capacity.map(|cap| cap - cap / 8);
         let byte_target = self.byte_budget.map(|b| b - b / 8);
         let mut ticks: Vec<(u64, u64)> = inner
@@ -240,13 +261,16 @@ impl ResultCache {
             remaining_bytes = remaining_bytes.saturating_sub(bytes);
             cutoff = tick + 1;
         }
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|_, e| e.last_used.load(Ordering::Relaxed) >= cutoff);
-        let evicted = (before - inner.map.len()) as u64;
+        let displaced = removed.len();
+        removed.extend(
+            inner
+                .map
+                .extract_if(|_, e| e.last_used.load(Ordering::Relaxed) < cutoff)
+                .map(|(_, entry)| entry),
+        );
         inner.bytes = remaining_bytes;
-        self.evictions.add(evicted);
+        self.evictions.add((removed.len() - displaced) as u64);
+        removed
     }
 
     /// Epoch-bump garbage collection with per-entry survival.  Entries
@@ -321,6 +345,8 @@ impl ResultCache {
         let mut inner = self.inner.write().expect("result cache lock poisoned");
         let mut evicted = 0u64;
         let mut repair = Vec::new();
+        // Removed entries, freed after the lock like `insert`'s.
+        let mut removed: Vec<Entry> = Vec::new();
         for (key, decision) in judged {
             let Some(entry) = inner.map.remove(&key) else {
                 continue;
@@ -340,19 +366,23 @@ impl ResultCache {
                         // replaced.
                         inner.bytes = inner.bytes.saturating_sub(d.bytes);
                         evicted += 1;
+                        removed.push(d);
                     }
                 }
                 SweepDecision::Repair => {
                     inner.bytes = inner.bytes.saturating_sub(entry.bytes);
                     repair.push(key.spec);
+                    removed.push(entry);
                 }
                 SweepDecision::Drop => {
                     inner.bytes = inner.bytes.saturating_sub(entry.bytes);
                     evicted += 1;
+                    removed.push(entry);
                 }
             }
         }
         drop(inner);
+        drop(removed);
         self.evictions.add(evicted);
         repair
     }
@@ -404,7 +434,7 @@ impl Default for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_common::Pred;
+    use rq_common::{Const, Pred};
 
     fn key(epoch: u64, c: u32) -> ResultKey {
         ResultKey {
@@ -413,9 +443,12 @@ mod tests {
         }
     }
 
+    /// One-column rows over `cs` (ascending).
     fn value(cs: &[u32]) -> CachedResult {
         CachedResult {
-            rows: Arc::new(cs.iter().map(|&c| vec![Const(c)]).collect()),
+            rows: Arc::new(Rows::from_sorted_column(
+                cs.iter().map(|&c| Const(c)).collect(),
+            )),
             converged: true,
         }
     }
@@ -426,7 +459,7 @@ mod tests {
         assert!(cache.get(&key(0, 1)).is_none());
         cache.insert(key(0, 1), value(&[7, 9]));
         let hit = cache.get(&key(0, 1)).unwrap();
-        assert_eq!(*hit.rows, vec![vec![Const(7)], vec![Const(9)]]);
+        assert_eq!(hit.rows.to_vecs(), vec![vec![Const(7)], vec![Const(9)]]);
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -460,7 +493,10 @@ mod tests {
         cache.carry_forward(1, |k| k.spec.bound_values() == vec![Const(1)]);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(0, 1)).is_none(), "old key is gone");
-        assert_eq!(*cache.get(&key(1, 1)).unwrap().rows, vec![vec![Const(1)]]);
+        assert_eq!(
+            cache.get(&key(1, 1)).unwrap().rows.to_vecs(),
+            vec![vec![Const(1)]]
+        );
         assert!(cache.get(&key(1, 2)).is_none());
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -507,9 +543,12 @@ mod tests {
         cache.insert(fb.clone(), value(&[4]));
         cache.insert(ap.clone(), value(&[8]));
         assert!(cache.get(&diag).is_none(), "diagonal ≠ all-pairs");
-        assert_eq!(*cache.get(&fb).unwrap().rows, vec![vec![Const(4)]]);
-        assert_eq!(*cache.get(&ap).unwrap().rows, vec![vec![Const(8)]]);
-        assert_eq!(*cache.get(&key(0, 1)).unwrap().rows, vec![vec![Const(1)]]);
+        assert_eq!(cache.get(&fb).unwrap().rows.to_vecs(), vec![vec![Const(4)]]);
+        assert_eq!(cache.get(&ap).unwrap().rows.to_vecs(), vec![vec![Const(8)]]);
+        assert_eq!(
+            cache.get(&key(0, 1)).unwrap().rows.to_vecs(),
+            vec![vec![Const(1)]]
+        );
     }
 
     #[test]
@@ -536,8 +575,8 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_on_size_not_count() {
-        // Entries are ~100 bytes each; a 1 KiB budget holds ~10, far
-        // below the (absent) entry cap.
+        // Entries are 172 bytes each (80 key + 80 fixed + 3 cells); a
+        // 1 KiB budget holds 5, far below the (absent) entry cap.
         let cache = ResultCache::with_limits(None, Some(1024));
         for i in 0..64 {
             cache.insert(key(0, i), value(&[i, i + 1, i + 2]));

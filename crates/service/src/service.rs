@@ -9,7 +9,7 @@ use crate::snapshot::{IngestError, Snapshot, SnapshotStore};
 use crate::spec::{Adornment, Arg, QuerySpec};
 use rq_adorn::{NaryPlan, VirtualSource};
 use rq_common::obs::{self, Counter, Histogram};
-use rq_common::{Const, ConstValue, Counters, FxHashMap, FxHashSet, Pred, Registry};
+use rq_common::{Const, ConstValue, Counters, FxHashMap, FxHashSet, Pred, Registry, Rows};
 use rq_datalog::{Program, Relation};
 use rq_engine::{
     all_pairs_min_side, candidate_sources, cyclic_iteration_bound, inverse_cyclic_iteration_bound,
@@ -113,7 +113,7 @@ pub struct ServiceAnswer {
     /// queries and diagonals, two for binary all-pairs, the free
     /// n-tuple for §4 queries.  A fully bound query answers `[[]]`
     /// (membership holds) or `[]` (it does not).
-    pub rows: Arc<Vec<Vec<Const>>>,
+    pub rows: Arc<Rows>,
     /// Whether the evaluation converged (guarded cyclic runs converge
     /// by the sufficiency of the `m·n` bound; budget-stopped runs
     /// honestly report `false`).
@@ -125,7 +125,7 @@ pub struct ServiceAnswer {
 impl ServiceAnswer {
     /// Whether a fully bound (membership) query holds.
     pub fn holds(&self) -> bool {
-        self.rows.iter().any(|r| r.is_empty())
+        self.rows.width() == 0 && !self.rows.is_empty()
     }
 
     /// The single-column view of a point/diagonal answer (first column
@@ -1142,7 +1142,7 @@ impl QueryService {
         snapshot: &Snapshot,
         spec: &QuerySpec,
         expand_threads: usize,
-    ) -> Result<(Vec<Vec<Const>>, bool), ServiceError> {
+    ) -> Result<(Rows, bool), ServiceError> {
         let arity = snapshot.program().arity(spec.pred);
         if spec.arity() != arity {
             // Specs from `parse_serve_query` are checked at parse time;
@@ -1167,8 +1167,7 @@ impl QueryService {
         // entry.
         if spec.has_repeats() {
             let base = self.query_on_with(snapshot, &spec.with_distinct_frees(), expand_threads)?;
-            let rows = spec.restrict_rows(base.rows.as_ref().clone());
-            return Ok((rows, base.converged));
+            return Ok((spec.restrict_rows(&base.rows), base.converged));
         }
         // Binary predicates of binary-chain programs take the §3 fast
         // path; binary predicates of programs outside that class (e.g.
@@ -1265,31 +1264,26 @@ impl QueryService {
         plan: &ProgramPlan,
         spec: &QuerySpec,
         expand_threads: usize,
-    ) -> Result<(Vec<Vec<Const>>, bool), ServiceError> {
+    ) -> Result<(Rows, bool), ServiceError> {
         let args = spec.args();
         debug_assert_eq!(args.len(), 2);
         match (args[0], args[1]) {
             (Arg::Bound(a), Arg::Free(_)) => {
                 let (answers, converged) =
                     self.traverse(snapshot, plan, spec.pred, a, false, None, expand_threads);
-                Ok((answers.into_iter().map(|y| vec![y]).collect(), converged))
+                Ok((Rows::from_sorted_column(answers), converged))
             }
             (Arg::Free(_), Arg::Bound(b)) => {
                 let (answers, converged) =
                     self.traverse(snapshot, plan, spec.pred, b, true, None, expand_threads);
-                Ok((answers.into_iter().map(|x| vec![x]).collect(), converged))
+                Ok((Rows::from_sorted_column(answers), converged))
             }
             (Arg::Bound(a), Arg::Bound(b)) => {
                 // Membership: traverse forward from `a`, stopping the
                 // moment `b` is emitted.
                 let (answers, converged) =
                     self.traverse(snapshot, plan, spec.pred, a, false, Some(b), expand_threads);
-                let rows = if answers.contains(&b) {
-                    vec![Vec::new()]
-                } else {
-                    Vec::new()
-                };
-                Ok((rows, converged))
+                Ok((Rows::membership(answers.contains(&b)), converged))
             }
             (Arg::Free(_), Arg::Free(_)) => {
                 // All pairs.  For a *regular* equation (no derived
@@ -1315,16 +1309,17 @@ impl QueryService {
                         all_pairs_min_side(&plan.system, &source, spec.pred, &options);
                     self.counters.engine_nodes.add(out.counters.nodes_inserted);
                     self.note_probes(&out.counters);
-                    let mut rows: Vec<Vec<Const>> =
-                        out.pairs.into_iter().map(|(x, y)| vec![x, y]).collect();
-                    rows.sort_unstable();
-                    return Ok((rows, out.converged));
+                    let mut rows = Rows::builder(2);
+                    for (x, y) in out.pairs {
+                        rows.push(&[x, y]);
+                    }
+                    return Ok((rows.finish(), out.converged));
                 }
                 let sources = {
                     let source = EdbSource::new(snapshot.db());
                     candidate_sources(&plan.system, &source, spec.pred)
                 };
-                let mut rows: Vec<Vec<Const>> = Vec::new();
+                let mut rows = Rows::builder(2);
                 let mut converged = true;
                 for a in sources {
                     let sub = self.query_on_with(
@@ -1333,11 +1328,11 @@ impl QueryService {
                         expand_threads,
                     )?;
                     converged &= sub.converged;
-                    rows.extend(sub.rows.iter().map(|r| vec![a, r[0]]));
+                    for y in sub.constants() {
+                        rows.push(&[a, y]);
+                    }
                 }
-                rows.sort_unstable();
-                rows.dedup();
-                Ok((rows, converged))
+                Ok((rows.finish(), converged))
             }
         }
     }
@@ -1626,7 +1621,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
             .query(&service.parse_query("tc(a, d)").unwrap())
             .unwrap();
         assert!(yes.holds());
-        assert_eq!(*yes.rows, vec![Vec::<Const>::new()]);
+        assert_eq!(yes.rows.to_vecs(), vec![Vec::<Const>::new()]);
         let no = service
             .query(&service.parse_query("tc(d, a)").unwrap())
             .unwrap();
@@ -1764,7 +1759,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
             .collect();
         expected.sort();
         expected.dedup();
-        assert_eq!(*out.rows, expected);
+        assert_eq!(out.rows.to_vecs(), expected);
         assert!(!out.rows.is_empty());
         // The distinct-variable base entry was warmed along the way.
         let base = service.query(&service.parse_query("walk(X, Y, T)").unwrap());
@@ -1928,11 +1923,23 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
                 ..ServiceConfig::default()
             },
         );
+        // An entry is charged 80 B of key (two arguments) + 80 B fixed
+        // + 4 B per cell: 172, 168 and 164 B for the three forward
+        // answers ({b,c,d}, {c,d}, {d}).  The third overflows 400 B and
+        // evicts the first (down to the 7/8 target, 350 B); the 6 x 2
+        // all-pairs answer (208 B) evicts the other two; `tc(X, b)` =
+        // {a} (164 B) then fits beside it.
         for text in ["tc(a, Y)", "tc(b, Y)", "tc(c, Y)", "tc(X, Y)", "tc(X, b)"] {
             service.query(&service.parse_query(text).unwrap()).unwrap();
         }
-        assert!(service.result_cache().bytes() <= 400);
-        assert!(service.result_cache().stats().evictions >= 1);
+        assert_eq!(service.result_cache().bytes(), 208 + 164);
+        assert_eq!(service.result_cache().len(), 2);
+        assert_eq!(service.result_cache().stats().evictions, 3);
+        // Every surface reports that same number.
+        assert_eq!(service.stats_report().result_bytes, 372);
+        assert!(service
+            .metrics_prometheus()
+            .contains("rq_result_cache_bytes 372\n"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! is derived from it and is the planning key: plans depend only on
 //! which positions are bound, never on the bound values.
 
-use rq_common::{Const, Pred};
+use rq_common::{Const, Pred, Rows};
 
 pub use rq_adorn::Adornment;
 
@@ -156,8 +156,8 @@ impl QuerySpec {
     /// Filter rows *over the free positions in order* (as every
     /// evaluation path produces them) down to those satisfying the
     /// repeated-slot constraints, projecting onto the first occurrence
-    /// of each slot.  No-op (modulo sort/dedup) without repeats.
-    pub fn restrict_rows(&self, rows: Vec<Vec<Const>>) -> Vec<Vec<Const>> {
+    /// of each slot.  The identity without repeats.
+    pub fn restrict_rows(&self, rows: &Rows) -> Rows {
         let slots: Vec<u8> = self
             .args
             .iter()
@@ -174,14 +174,16 @@ impl QuerySpec {
                 None => keep.push(i),
             }
         }
-        let mut out: Vec<Vec<Const>> = rows
-            .into_iter()
-            .filter(|row| repeats.iter().all(|&(a, b)| row[a] == row[b]))
-            .map(|row| keep.iter().map(|&i| row[i]).collect())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        let mut out = Rows::builder(keep.len());
+        let mut projected: Vec<Const> = Vec::with_capacity(keep.len());
+        for row in rows.iter() {
+            if repeats.iter().all(|&(a, b)| row[a] == row[b]) {
+                projected.clear();
+                projected.extend(keep.iter().map(|&i| row[i]));
+                out.push(&projected);
+            }
+        }
+        out.finish()
     }
 }
 
@@ -219,6 +221,14 @@ mod tests {
         assert_eq!(spec.with_distinct_frees().adornment(), spec.adornment());
     }
 
+    fn rows_of(width: usize, nested: &[Vec<Const>]) -> Rows {
+        let mut b = Rows::builder(width);
+        for row in nested {
+            b.push(row);
+        }
+        b.finish()
+    }
+
     #[test]
     fn restrict_rows_filters_repeats_and_projects() {
         // p(a, X, b, X): rows over frees are [x, y]; keep x == y,
@@ -238,8 +248,69 @@ mod tests {
             vec![Const(7), Const(7)],
         ];
         assert_eq!(
-            spec.restrict_rows(rows),
+            spec.restrict_rows(&rows_of(2, &rows)).to_vecs(),
             vec![vec![Const(5)], vec![Const(7)]]
         );
+    }
+
+    /// The nested-vector implementation `restrict_rows` replaced, kept
+    /// as the reference it must agree with.
+    fn restrict_rows_nested(spec: &QuerySpec, rows: Vec<Vec<Const>>) -> Vec<Vec<Const>> {
+        let slots: Vec<u8> = spec
+            .args
+            .iter()
+            .filter_map(|a| match a {
+                Arg::Free(s) => Some(*s),
+                Arg::Bound(_) => None,
+            })
+            .collect();
+        let mut keep: Vec<usize> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for (i, s) in slots.iter().enumerate() {
+            match slots[..i].iter().position(|t| t == s) {
+                Some(first) => repeats.push((first, i)),
+                None => keep.push(i),
+            }
+        }
+        let mut out: Vec<Vec<Const>> = rows
+            .into_iter()
+            .filter(|row| repeats.iter().all(|&(a, b)| row[a] == row[b]))
+            .map(|row| keep.iter().map(|&i| row[i]).collect())
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Flat `restrict_rows` == the nested reference, over random
+        /// binding patterns (bound / free / repeated slots, including
+        /// all-repeated and fully bound) and random row sets drawn
+        /// from a domain small enough to make repeats hit.
+        #[test]
+        fn restrict_rows_agrees_with_the_nested_reference(
+            pattern in proptest::collection::vec(0..4u8, 0..6),
+            cells in proptest::collection::vec(0..3u32, 0..120),
+        ) {
+            // 0 = bound, 1..=3 = free slot of that name.
+            let spec = QuerySpec::new(
+                Pred(0),
+                pattern.iter().map(|&k| match k {
+                    0 => Arg::Bound(Const(9)),
+                    slot => Arg::Free(slot),
+                }),
+            );
+            let width = spec.free_positions().len();
+            let mut nested: Vec<Vec<Const>> = match width {
+                0 => vec![Vec::new(); cells.len() % 2],
+                _ => cells.chunks_exact(width).map(|r| r.iter().map(|&c| Const(c)).collect()).collect(),
+            };
+            nested.sort();
+            nested.dedup();
+            let flat = spec.restrict_rows(&rows_of(width, &nested));
+            proptest::prop_assert_eq!(flat.to_vecs(), restrict_rows_nested(&spec, nested));
+        }
     }
 }

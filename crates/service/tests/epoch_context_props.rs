@@ -409,7 +409,7 @@ fn all_free_regular_queries_take_the_scc_path() {
         .map(|r| vec![r[0]])
         .collect();
     expected.sort();
-    assert_eq!(diag_rows.rows.as_ref(), &expected);
+    assert_eq!(diag_rows.rows.to_vecs(), expected);
 }
 
 #[test]

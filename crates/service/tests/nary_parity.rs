@@ -36,7 +36,8 @@ fn check_query(service: &QueryService, query_text: &str) {
             let answer = service.query(&spec).expect("service answers");
             assert!(answer.converged, "acyclic data must converge");
             assert_eq!(
-                *answer.rows, expected,
+                answer.rows.to_vecs(),
+                expected,
                 "service != baselines for `{query_text}`"
             );
         }
@@ -99,7 +100,7 @@ fn generated_flight_networks_match_baselines_through_batches() {
         for (text, result) in texts.iter().zip(service.query_batch(&specs)) {
             let answer = result.expect("service answers");
             assert_eq!(
-                *answer.rows,
+                answer.rows.to_vecs(),
                 baseline_rows(&program, text),
                 "flights(a={airports},f={per},seed={seed}): `{text}`"
             );
@@ -156,7 +157,7 @@ fn diagonal_equals_filtered_all_answers() {
         .collect();
     filtered.sort();
     filtered.dedup();
-    assert_eq!(*diag.rows, filtered);
+    assert_eq!(diag.rows.to_vecs(), filtered);
     assert!(!diag.rows.is_empty(), "cycles put members on the diagonal");
 
     // n-ary: random graded programs, q(A, A, G) vs q(A, B, G).
@@ -185,7 +186,8 @@ fn diagonal_equals_filtered_all_answers() {
             filtered.sort();
             filtered.dedup();
             assert_eq!(
-                *diag.rows, filtered,
+                diag.rows.to_vecs(),
+                filtered,
                 "seed {seed} {head}: diagonal != filtered all-answers"
             );
         }

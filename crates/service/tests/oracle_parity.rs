@@ -123,16 +123,20 @@ fn check_workload(workload: &Workload) {
         });
         let oracle = oracle_rows(&system, &snapshot, query);
         assert_eq!(
-            *answer.rows, oracle,
+            answer.rows.to_vecs(),
+            oracle,
             "{}: batch answer != single-threaded Evaluator oracle for {:?}",
-            workload.name, query
+            workload.name,
+            query
         );
         if answer.converged {
             let bottom_up = seminaive_rows(&snapshot, query);
             assert_eq!(
-                *answer.rows, bottom_up,
+                answer.rows.to_vecs(),
+                bottom_up,
                 "{}: converged answer != seminaive oracle for {:?}",
-                workload.name, query
+                workload.name,
+                query
             );
         }
     }
@@ -196,7 +200,7 @@ fn random_programs_match_oracles() {
                 for (query, result) in queries.iter().zip(service.query_batch(&queries)) {
                     let answer = result.unwrap();
                     assert_eq!(
-                        *answer.rows,
+                        answer.rows.to_vecs(),
                         oracle_rows(&system, &snapshot, query),
                         "randprog seed {seed} {name}: {:?}",
                         query
@@ -310,7 +314,7 @@ fn mixed_ingest_and_query_workload_matches_oracle_per_epoch() {
             .find(|s| s.epoch() == answer.epoch)
             .expect("answer from a published epoch");
         assert_eq!(
-            *answer.rows,
+            answer.rows.to_vecs(),
             oracle_rows(&system, snapshot, query),
             "epoch {} {:?}",
             answer.epoch,

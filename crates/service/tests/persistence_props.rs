@@ -96,7 +96,7 @@ proptest! {
         expected.sort_unstable();
         expected.dedup();
         if served.converged {
-            prop_assert_eq!(served.rows.as_ref().clone(), expected);
+            prop_assert_eq!(served.rows.to_vecs(), expected);
         }
     }
 
@@ -174,7 +174,7 @@ proptest! {
                 .collect();
             expected.sort();
             expected.dedup();
-            prop_assert_eq!(tc_after.rows.as_ref().clone(), expected);
+            prop_assert_eq!(tc_after.rows.to_vecs(), expected);
             let cnx = snap.program().pred_by_name("cnx").unwrap();
             let mut cnx_expected: Vec<Vec<rq_common::Const>> = oracle
                 .tuples(cnx)
@@ -187,7 +187,7 @@ proptest! {
                 .collect();
             cnx_expected.sort();
             cnx_expected.dedup();
-            prop_assert_eq!(cnx_after.rows.as_ref().clone(), cnx_expected);
+            prop_assert_eq!(cnx_after.rows.to_vecs(), cnx_expected);
             tc_rows = tc_after.rows;
             cnx_rows = cnx_after.rows;
         }
@@ -243,8 +243,8 @@ proptest! {
         let q_restarted = restarted.parse_query("tc(n0, Y)").unwrap();
         let q_oracle = oracle.parse_query("tc(n0, Y)").unwrap();
         prop_assert_eq!(
-            restarted.query(&q_restarted).unwrap().rows.as_ref().clone(),
-            oracle.query(&q_oracle).unwrap().rows.as_ref().clone()
+            restarted.query(&q_restarted).unwrap().rows,
+            oracle.query(&q_oracle).unwrap().rows
         );
     }
 

@@ -68,13 +68,21 @@ fn check_cached_equals_fresh(workload: &Workload, pred_name: &str) {
             let fresh = fresh_rows(workload, &spec);
             let first = service.query(&spec).unwrap();
             assert!(!first.from_cache);
-            assert_eq!(*first.rows, fresh, "{}: first {:?}", workload.name, spec);
+            assert_eq!(
+                first.rows.to_vecs(),
+                fresh,
+                "{}: first {:?}",
+                workload.name,
+                spec
+            );
             let memoized = service.query(&spec).unwrap();
             assert!(memoized.from_cache, "second ask must memoize");
             assert_eq!(
-                *memoized.rows, fresh,
+                memoized.rows.to_vecs(),
+                fresh,
                 "{}: memoized {:?}",
-                workload.name, spec
+                workload.name,
+                spec
             );
         }
     }

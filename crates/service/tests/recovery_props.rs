@@ -101,7 +101,7 @@ fn assert_snapshots_identical(a: &Snapshot, b: &Snapshot) {
 /// identical ids, so the rows compare with `==` directly.
 fn answer(service: &QueryService) -> Vec<Vec<rq_common::Const>> {
     let q = service.parse_query("tc(n0, Y)").unwrap();
-    service.query(&q).unwrap().rows.as_ref().clone()
+    service.query(&q).unwrap().rows.to_vecs()
 }
 
 proptest! {

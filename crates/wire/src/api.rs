@@ -1,120 +1,185 @@
 //! The JSON-over-HTTP API surface: pure request → response routing,
 //! testable without a socket.
 //!
-//! Every response body is JSON.  Endpoint semantics deliberately
-//! mirror the `rqc serve` REPL, so a query means the same thing
-//! whichever front end carries it; see the crate docs for verbatim
-//! request/response examples.
+//! Every response body is JSON (Prometheus text on `GET /metrics`).
+//! Endpoint semantics deliberately mirror the `rqc serve` REPL, so a
+//! query means the same thing whichever front end carries it; see the
+//! crate docs for verbatim request/response examples.
+//!
+//! There is one implementation of every endpoint: [`respond`] writes
+//! the body bytes straight into a caller-owned buffer — answer rows go
+//! from the service's flat [`Rows`] through the snapshot's interner to
+//! bytes, with no [`Json`] node and no `String` per constant.  The
+//! server calls it with a buffer it keeps per connection; [`handle`]
+//! wraps it for callers that want a parsed body.
 
-use rq_common::{obs, Json};
-use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceError, Snapshot};
+use rq_common::json::{escape_str_into, write_i64};
+use rq_common::{obs, ConstInterner, ConstValue, Json, Rows};
+use rq_service::{
+    parse_serve_query, Arg, QueryService, QuerySpec, ServiceAnswer, ServiceError, Snapshot,
+};
 use std::sync::Arc;
 
-/// A routed response: HTTP status plus body — JSON for every endpoint
-/// except `GET /metrics`, whose body is Prometheus text.
+const JSON: &str = "application/json";
+/// The Prometheus text exposition format's registered type.
+const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// What [`respond`] decided about a response whose body it wrote.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reply {
+    /// The HTTP status code.
+    pub status: u16,
+    /// The `content-type` the body must be served with.
+    pub content_type: &'static str,
+}
+
+/// A routed response with its body parsed back: the socket-free view
+/// of [`respond`] for tests, embedders and the benchmark's layer
+/// replay.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ApiResponse {
     /// The HTTP status code.
     pub status: u16,
-    /// The JSON response body (ignored when [`ApiResponse::text`] is
-    /// set).
+    /// The JSON response body, parsed from the served bytes
+    /// (`Json::Null` when [`ApiResponse::text`] is set).
     pub body: Json,
     /// A plain-text body; `Some` only for `GET /metrics`.
     pub text: Option<String>,
+    /// The served bytes of a JSON body.
+    json: String,
 }
 
 impl ApiResponse {
-    fn ok(body: Json) -> Self {
-        Self {
-            status: 200,
-            body,
-            text: None,
-        }
-    }
-
-    fn plain(text: String) -> Self {
-        Self {
-            status: 200,
-            body: Json::Null,
-            text: Some(text),
-        }
-    }
-
-    /// A `{"error": …}` body under `status`.
-    pub fn error(status: u16, message: impl Into<String>) -> Self {
-        Self {
-            status,
-            body: Json::object([("error", Json::Str(message.into()))]),
-            text: None,
-        }
-    }
-
     /// The `content-type` this response must be served with.
     pub fn content_type(&self) -> &'static str {
         if self.text.is_some() {
-            // The Prometheus text exposition format's registered type.
-            "text/plain; version=0.0.4; charset=utf-8"
+            PROMETHEUS_TEXT
         } else {
-            "application/json"
+            JSON
         }
     }
 
-    /// The encoded body bytes to put on the wire.
-    pub fn payload(&self) -> String {
-        match &self.text {
-            Some(text) => text.clone(),
-            None => self.body.encode(),
-        }
+    /// The encoded body, exactly as [`respond`] wrote it.
+    pub fn payload(&self) -> &str {
+        self.text.as_deref().unwrap_or(&self.json)
     }
 }
 
-/// Route one request to its endpoint.  `body` is the raw request body
-/// (decoded as JSON where the endpoint takes one).
+/// Route one request to its endpoint and parse the response back.
+/// `body` is the raw request body (decoded as JSON where the endpoint
+/// takes one).
 pub fn handle(service: &QueryService, method: &str, path: &str, body: &[u8]) -> ApiResponse {
-    match (method, path) {
-        ("GET", "/healthz") => ApiResponse::ok(Json::object([
-            ("status", Json::Str("ok".into())),
-            ("epoch", Json::Int(service.snapshot().epoch() as i64)),
-            (
-                "uptime_seconds",
-                Json::Int(service.uptime().as_secs().min(i64::MAX as u64) as i64),
-            ),
-        ])),
-        ("GET", "/stats") => ApiResponse::ok(service.stats_report().to_json()),
-        ("GET", "/metrics") => ApiResponse::plain(service.metrics_prometheus()),
-        ("POST", "/query") => match parse_json_body(body) {
-            Ok(json) => query_endpoint(service, &json),
-            Err(resp) => resp,
-        },
-        ("POST", "/batch") => match parse_json_body(body) {
-            Ok(json) => batch_endpoint(service, &json),
-            Err(resp) => resp,
-        },
-        ("POST", "/ingest") => match parse_json_body(body) {
-            Ok(json) => ingest_endpoint(service, &json),
-            Err(resp) => resp,
-        },
-        (_, "/healthz" | "/stats" | "/metrics") => ApiResponse::error(405, "use GET"),
-        (_, "/query" | "/batch" | "/ingest") => ApiResponse::error(405, "use POST"),
-        _ => ApiResponse::error(
-            404,
-            format!("no endpoint `{path}`; try /query /batch /ingest /stats /healthz /metrics"),
-        ),
+    let mut bytes = Vec::new();
+    let reply = respond(service, method, path, body, &mut bytes);
+    let served = String::from_utf8(bytes).expect("response bodies are UTF-8");
+    if reply.content_type == JSON {
+        ApiResponse {
+            status: reply.status,
+            body: Json::parse(&served).expect("a JSON endpoint wrote its body"),
+            text: None,
+            json: served,
+        }
+    } else {
+        ApiResponse {
+            status: reply.status,
+            body: Json::Null,
+            text: Some(served),
+            json: String::new(),
+        }
     }
 }
 
-fn parse_json_body(body: &[u8]) -> Result<Json, ApiResponse> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiResponse::error(400, "request body is not UTF-8"))?;
-    Json::parse(text).map_err(|e| ApiResponse::error(400, format!("request body is not JSON: {e}")))
+/// Route one request to its endpoint, writing the response body into
+/// `out` (cleared first, so a connection can reuse one buffer).
+pub fn respond(
+    service: &QueryService,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    out: &mut Vec<u8>,
+) -> Reply {
+    out.clear();
+    let status = match (method, path) {
+        ("GET", "/healthz") => write_json(
+            out,
+            &Json::object([
+                ("status", Json::Str("ok".into())),
+                ("epoch", Json::Int(service.snapshot().epoch() as i64)),
+                (
+                    "uptime_seconds",
+                    Json::Int(service.uptime().as_secs().min(i64::MAX as u64) as i64),
+                ),
+            ]),
+        ),
+        ("GET", "/stats") => write_json(out, &service.stats_report().to_json()),
+        ("GET", "/metrics") => {
+            out.extend_from_slice(service.metrics_prometheus().as_bytes());
+            return Reply {
+                status: 200,
+                content_type: PROMETHEUS_TEXT,
+            };
+        }
+        ("POST", "/query") => {
+            with_json_body(body, out, |json, out| query_endpoint(service, json, out))
+        }
+        ("POST", "/batch") => {
+            with_json_body(body, out, |json, out| batch_endpoint(service, json, out))
+        }
+        ("POST", "/ingest") => {
+            with_json_body(body, out, |json, out| ingest_endpoint(service, json, out))
+        }
+        (_, "/healthz" | "/stats" | "/metrics") => write_error(out, 405, "use GET"),
+        (_, "/query" | "/batch" | "/ingest") => write_error(out, 405, "use POST"),
+        _ => write_error(
+            out,
+            404,
+            &format!("no endpoint `{path}`; try /query /batch /ingest /stats /healthz /metrics"),
+        ),
+    };
+    Reply {
+        status,
+        content_type: JSON,
+    }
+}
+
+/// A `200` whose body is `json` (the small, row-free documents).
+fn write_json(out: &mut Vec<u8>, json: &Json) -> u16 {
+    json.encode_into(out);
+    200
+}
+
+/// A `{"error": …}` body under `status`, replacing whatever the
+/// endpoint had written.
+fn write_error(out: &mut Vec<u8>, status: u16, message: &str) -> u16 {
+    out.clear();
+    out.extend_from_slice(b"{\"error\":");
+    escape_str_into(message, out);
+    out.push(b'}');
+    status
+}
+
+/// Decode the request body and run `endpoint` on it; `400` if it is
+/// not a JSON document.
+fn with_json_body(
+    body: &[u8],
+    out: &mut Vec<u8>,
+    endpoint: impl FnOnce(&Json, &mut Vec<u8>) -> u16,
+) -> u16 {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return write_error(out, 400, "request body is not UTF-8");
+    };
+    match Json::parse(text) {
+        Ok(json) => endpoint(&json, out),
+        Err(e) => write_error(out, 400, &format!("request body is not JSON: {e}")),
+    }
 }
 
 /// `POST /query` — answer one query text on the current snapshot.
 /// `{"trace": true}` additionally records the evaluation's span tree
 /// and returns it under `"trace"`.
-fn query_endpoint(service: &QueryService, json: &Json) -> ApiResponse {
+fn query_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u16 {
     let Some(text) = json.get("query").and_then(Json::as_str) else {
-        return ApiResponse::error(400, "body must be {\"query\": \"pred(arg, …)\"}");
+        return write_error(out, 400, "body must be {\"query\": \"pred(arg, …)\"}");
     };
     let trace = json.get("trace").and_then(Json::as_bool).unwrap_or(false);
     let snapshot = service.snapshot();
@@ -123,185 +188,230 @@ fn query_endpoint(service: &QueryService, json: &Json) -> ApiResponse {
             // The server is already tracing this request (slow-query
             // log): take only our slice, leave the buffer running.
             let mark = obs::trace_mark();
-            let result = answer_one(service, &snapshot, text);
+            let result = evaluate_one(service, &snapshot, text);
             (result, obs::trace_since(mark))
         } else {
             obs::trace_start();
-            let result = answer_one(service, &snapshot, text);
+            let result = evaluate_one(service, &snapshot, text);
             (result, obs::trace_finish())
         }
     } else {
-        (answer_one(service, &snapshot, text), Vec::new())
+        (evaluate_one(service, &snapshot, text), Vec::new())
     };
     match result {
-        Ok(mut answer) => {
+        Ok(evaluated) => {
+            write_answer_fields(out, text, &snapshot, evaluated.as_ref());
             if trace {
-                if let Json::Object(pairs) = &mut answer {
-                    pairs.push(("trace".to_string(), obs::trace_to_json(&spans)));
-                }
+                out.extend_from_slice(b",\"trace\":");
+                obs::trace_to_json(&spans).encode_into(out);
             }
-            ApiResponse::ok(answer)
+            out.push(b'}');
+            200
         }
-        Err(e) => ApiResponse::error(400, e.to_string()),
+        Err(e) => write_error(out, 400, &e.to_string()),
     }
 }
 
 /// `POST /batch` — answer many query texts as one batch on one
 /// snapshot; per-query errors are reported inline so one bad query
 /// cannot fail its neighbors.
-fn batch_endpoint(service: &QueryService, json: &Json) -> ApiResponse {
-    let Some(texts) = json.get("queries").and_then(Json::as_array) else {
-        return ApiResponse::error(400, "body must be {\"queries\": [\"pred(arg, …)\", …]}");
+fn batch_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u16 {
+    let Some(items) = json.get("queries").and_then(Json::as_array) else {
+        return write_error(
+            out,
+            400,
+            "body must be {\"queries\": [\"pred(arg, …)\", …]}",
+        );
     };
-    let mut queries: Vec<String> = Vec::with_capacity(texts.len());
-    for (i, t) in texts.iter().enumerate() {
-        match t.as_str() {
-            Some(text) => queries.push(text.to_string()),
-            None => return ApiResponse::error(400, format!("queries[{i}] is not a string")),
+    let mut texts: Vec<&str> = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        match item.as_str() {
+            Some(text) => texts.push(text),
+            None => return write_error(out, 400, &format!("queries[{i}] is not a string")),
         }
     }
-    let snapshot = service.snapshot();
-    // Parse everything against one snapshot and evaluate pinned to
-    // that same snapshot (`query_batch_on`): a concurrent /ingest
-    // between capture and evaluation must not hand back rows whose
-    // constants this snapshot's interner has never seen.  Answers are
-    // routed back to their slot, mirroring the REPL's `a; b; c` line.
-    let parsed: Vec<Result<Option<QuerySpec>, ServiceError>> = queries
-        .iter()
-        .map(|text| match service.parse_query(text) {
-            Ok(spec) => Ok(Some(spec)),
-            // A query over a constant the program has never seen is
-            // semantically empty, not an error (same as the REPL).
-            Err(ServiceError::UnknownConstant(_)) => Ok(None),
-            Err(e) => Err(e),
-        })
-        .collect();
+    answer_batch(service, &service.snapshot(), &texts, out);
+    200
+}
+
+/// Answer `texts` on `snapshot` and write the `/batch` body.
+///
+/// Everything happens on the one pinned snapshot — parse, evaluate
+/// (`query_batch_on`) and decode: a concurrent /ingest between capture
+/// and any of the three must not hand back rows, or build specs, whose
+/// constants this snapshot's interner has never seen.  Answers are
+/// routed back to their slot, mirroring the REPL's `a; b; c` line.
+fn answer_batch(
+    service: &QueryService,
+    snapshot: &Arc<Snapshot>,
+    texts: &[&str],
+    out: &mut Vec<u8>,
+) {
+    let parsed: Vec<Result<Option<QuerySpec>, ServiceError>> =
+        texts.iter().map(|text| parse_on(snapshot, text)).collect();
     let specs: Vec<QuerySpec> = parsed
         .iter()
         .filter_map(|p| p.as_ref().ok().cloned().flatten())
         .collect();
-    let mut answers = service.query_batch_on(&snapshot, &specs).into_iter();
-    let items: Vec<Json> = queries
-        .iter()
-        .zip(&parsed)
-        .map(|(text, slot)| match slot {
-            Err(e) => Json::object([
-                ("query", Json::Str(text.clone())),
-                ("error", Json::Str(e.to_string())),
-            ]),
-            Ok(None) => empty_answer_json(text, &snapshot),
-            Ok(Some(spec)) => match answers.next().expect("one answer per parsed spec") {
-                Err(e) => Json::object([
-                    ("query", Json::Str(text.clone())),
-                    ("error", Json::Str(e.to_string())),
-                ]),
-                Ok(answer) => answer_json(text, spec, &answer, &snapshot),
-            },
-        })
-        .collect();
-    ApiResponse::ok(Json::object([
-        ("epoch", Json::Int(snapshot.epoch() as i64)),
-        ("answers", Json::Array(items)),
-    ]))
+    let mut answers = service.query_batch_on(snapshot, &specs).into_iter();
+    out.extend_from_slice(b"{\"epoch\":");
+    write_i64(snapshot.epoch() as i64, out);
+    out.extend_from_slice(b",\"answers\":[");
+    for (i, (text, slot)) in texts.iter().zip(parsed).enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        let evaluated = match slot {
+            Err(e) => Err(e),
+            Ok(None) => Ok(None),
+            Ok(Some(spec)) => answers
+                .next()
+                .expect("one answer per parsed spec")
+                .map(|answer| Some((spec, answer))),
+        };
+        match evaluated {
+            Ok(evaluated) => write_answer_fields(out, text, snapshot, evaluated.as_ref()),
+            Err(e) => {
+                out.extend_from_slice(b"{\"query\":");
+                escape_str_into(text, out);
+                out.extend_from_slice(b",\"error\":");
+                escape_str_into(&e.to_string(), out);
+            }
+        }
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"]}");
 }
 
 /// `POST /ingest` — publish fact clauses as the next epoch.  Bad
 /// batches are rejected by the service before any copy-on-write clone,
 /// so a failed ingest costs nothing and publishes nothing.
-fn ingest_endpoint(service: &QueryService, json: &Json) -> ApiResponse {
+fn ingest_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u16 {
     let Some(facts) = json.get("facts").and_then(Json::as_str) else {
-        return ApiResponse::error(400, "body must be {\"facts\": \"e(a,b). e(b,c).\"}");
+        return write_error(out, 400, "body must be {\"facts\": \"e(a,b). e(b,c).\"}");
     };
     match service.ingest(facts) {
-        Ok(snap) => ApiResponse::ok(Json::object([
-            ("epoch", Json::Int(snap.epoch() as i64)),
-            ("tuples", Json::Int(snap.db().total_tuples() as i64)),
-            // `true` means the epoch's write-ahead-log record was
-            // persisted (and, under `FsyncPolicy::Always`, fsynced)
-            // before this acknowledgement; `false` means the service
-            // is in-memory and the epoch dies with the process.
-            ("durable", Json::Bool(service.durable())),
-            (
-                "dirty",
-                Json::Array({
-                    let mut names: Vec<String> = snap
-                        .dirty_preds()
-                        .iter()
-                        .map(|&p| snap.program().pred_name(p).to_string())
-                        .collect();
-                    names.sort_unstable();
-                    names.into_iter().map(Json::Str).collect()
-                }),
-            ),
-        ])),
-        Err(e) => ApiResponse::error(400, e.to_string()),
+        Ok(snap) => write_json(
+            out,
+            &Json::object([
+                ("epoch", Json::Int(snap.epoch() as i64)),
+                ("tuples", Json::Int(snap.db().total_tuples() as i64)),
+                // `true` means the epoch's write-ahead-log record was
+                // persisted (and, under `FsyncPolicy::Always`, fsynced)
+                // before this acknowledgement; `false` means the service
+                // is in-memory and the epoch dies with the process.
+                ("durable", Json::Bool(service.durable())),
+                (
+                    "dirty",
+                    Json::Array({
+                        let mut names: Vec<String> = snap
+                            .dirty_preds()
+                            .iter()
+                            .map(|&p| snap.program().pred_name(p).to_string())
+                            .collect();
+                        names.sort_unstable();
+                        names.into_iter().map(Json::Str).collect()
+                    }),
+                ),
+            ]),
+        ),
+        Err(e) => write_error(out, 400, &e.to_string()),
     }
 }
 
-/// Answer a single query text, mapping unknown constants to the
-/// semantically empty answer (same contract as the REPL).
-fn answer_one(
-    service: &QueryService,
-    snapshot: &Arc<Snapshot>,
-    text: &str,
-) -> Result<Json, ServiceError> {
-    match service.parse_query(text) {
-        Ok(spec) => {
-            let answer = service.query_on(snapshot, &spec)?;
-            Ok(answer_json(text, &spec, &answer, snapshot))
-        }
-        Err(ServiceError::UnknownConstant(_)) => Ok(empty_answer_json(text, snapshot)),
+/// Parse a query text against `snapshot`'s own program — never the
+/// service's *current* one, which a concurrent ingest may have moved
+/// on.  `None` is a query over a constant this snapshot has never
+/// seen: semantically empty, not an error (same as the REPL).
+fn parse_on(snapshot: &Snapshot, text: &str) -> Result<Option<QuerySpec>, ServiceError> {
+    match parse_serve_query(snapshot.program(), text) {
+        Ok(spec) => Ok(Some(spec)),
+        Err(ServiceError::UnknownConstant(_)) => Ok(None),
         Err(e) => Err(e),
     }
 }
 
-/// The JSON shape of one served answer.
-fn answer_json(text: &str, spec: &QuerySpec, answer: &ServiceAnswer, snapshot: &Snapshot) -> Json {
-    let consts = &snapshot.program().consts;
-    let rows: Vec<Json> = answer
-        .rows
-        .iter()
-        .map(|row| {
-            Json::Array(
-                row.iter()
-                    .map(|&c| match consts.value(c) {
-                        rq_common::ConstValue::Int(i) => Json::Int(*i),
-                        _ => Json::Str(consts.display(c)),
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut pairs = vec![
-        ("query", Json::Str(text.to_string())),
-        ("epoch", Json::Int(answer.epoch as i64)),
-        ("rows", Json::Array(rows)),
-        ("converged", Json::Bool(answer.converged)),
-        ("from_cache", Json::Bool(answer.from_cache)),
-    ];
-    if spec.free_positions().is_empty() {
-        // Fully bound membership: make yes/no explicit rather than
-        // forcing clients to decode the `[[]]`-versus-`[]` encoding.
-        pairs.insert(2, ("holds", Json::Bool(answer.holds())));
-    }
-    Json::object(pairs)
+/// Parse and answer a single query text on `snapshot`; `None` is the
+/// answer that is empty by construction (see [`parse_on`]).
+fn evaluate_one(
+    service: &QueryService,
+    snapshot: &Snapshot,
+    text: &str,
+) -> Result<Option<(QuerySpec, ServiceAnswer)>, ServiceError> {
+    let Some(spec) = parse_on(snapshot, text)? else {
+        return Ok(None);
+    };
+    let answer = service.query_on(snapshot, &spec)?;
+    Ok(Some((spec, answer)))
 }
 
-/// The answer for a query that is empty by construction (it names a
-/// constant the program and data have never seen).
-fn empty_answer_json(text: &str, snapshot: &Snapshot) -> Json {
-    let fully_bound = query_text_has_no_free_args(text);
-    let mut pairs = vec![
-        ("query", Json::Str(text.to_string())),
-        ("epoch", Json::Int(snapshot.epoch() as i64)),
-        ("rows", Json::Array(Vec::new())),
-        ("converged", Json::Bool(true)),
-        ("from_cache", Json::Bool(false)),
-    ];
-    if fully_bound {
-        pairs.insert(2, ("holds", Json::Bool(false)));
+/// Write one answer object up to, not including, its closing brace
+/// (`/query` appends a trace there).  `evaluated` is `None` for the
+/// answer that is empty by construction.
+fn write_answer_fields(
+    out: &mut Vec<u8>,
+    text: &str,
+    snapshot: &Snapshot,
+    evaluated: Option<&(QuerySpec, ServiceAnswer)>,
+) {
+    let consts = &snapshot.program().consts;
+    match evaluated {
+        Some((spec, answer)) => {
+            // Fully bound membership: make yes/no explicit rather than
+            // forcing clients to decode the `[[]]`-versus-`[]` encoding.
+            let fully_bound = spec.args().iter().all(|a| matches!(a, Arg::Bound(_)));
+            write_answer(out, consts, text, fully_bound, answer);
+        }
+        None => {
+            let empty = ServiceAnswer {
+                epoch: snapshot.epoch(),
+                rows: Arc::new(Rows::empty()),
+                converged: true,
+                from_cache: false,
+            };
+            write_answer(out, consts, text, query_text_has_no_free_args(text), &empty);
+        }
     }
-    Json::object(pairs)
+}
+
+/// The JSON shape of one served answer, minus the closing brace:
+/// `{"query":…,"epoch":…[,"holds":…],"rows":[[…],…],"converged":…,"from_cache":…`
+/// (`holds` only for a `fully_bound` query).
+fn write_answer(
+    out: &mut Vec<u8>,
+    consts: &ConstInterner,
+    text: &str,
+    fully_bound: bool,
+    answer: &ServiceAnswer,
+) {
+    let bool_bytes = |b: bool| if b { &b"true"[..] } else { &b"false"[..] };
+    out.extend_from_slice(b"{\"query\":");
+    escape_str_into(text, out);
+    out.extend_from_slice(b",\"epoch\":");
+    write_i64(answer.epoch as i64, out);
+    if fully_bound {
+        out.extend_from_slice(b",\"holds\":");
+        out.extend_from_slice(bool_bytes(answer.holds()));
+    }
+    out.extend_from_slice(b",\"rows\":[");
+    for (i, row) in answer.rows.iter().enumerate() {
+        out.extend_from_slice(if i > 0 { b",[" } else { b"[" });
+        for (j, &c) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            match consts.value(c) {
+                ConstValue::Int(i) => write_i64(*i, out),
+                ConstValue::Str(s) => escape_str_into(s, out),
+                ConstValue::Tuple(_) => escape_str_into(&consts.display(c), out),
+            }
+        }
+        out.push(b']');
+    }
+    out.extend_from_slice(b"],\"converged\":");
+    out.extend_from_slice(bool_bytes(answer.converged));
+    out.extend_from_slice(b",\"from_cache\":");
+    out.extend_from_slice(bool_bytes(answer.from_cache));
 }
 
 /// Whether a query text binds every argument (no uppercase- or
@@ -321,6 +431,9 @@ fn query_text_has_no_free_args(text: &str) -> bool {
         )
     })
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -537,6 +650,237 @@ mod tests {
         assert_eq!(resp.body, s.stats_report().to_json());
         assert!(resp.body.get("result_cache").is_some());
         assert!(resp.body.get("epoch_context").is_some());
+    }
+
+    /// Everything the differential suite asks about: a cycle (so the
+    /// diagonal is non-empty), a chain, and the §4 flights program.
+    const DIFF: &str = "tc(X,Y) :- e(X,Y).\n\
+                        tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
+                        e(a,b). e(b,a). e(b,c). e(c,d).\n\
+                        cnx(S,DT,D,AT) :- flight(S,DT,D,AT).\n\
+                        cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
+                        flight(hel,540,ams,690). flight(ams,720,cdg,810). flight(cdg,840,nce,930).\n\
+                        is_deptime(540). is_deptime(720). is_deptime(840).";
+
+    /// `respond`'s bytes for one request.
+    fn direct(service: &QueryService, method: &str, path: &str, body: &[u8]) -> (u16, String) {
+        let mut out = b"stale bytes from the previous response".to_vec();
+        let reply = respond(service, method, path, body, &mut out);
+        assert_eq!(reply.content_type, "application/json");
+        (reply.status, String::from_utf8(out).unwrap())
+    }
+
+    /// Run `requests` in order against two identical fresh services —
+    /// one through the byte responder, one through the reference tree
+    /// — and demand the same status and the same bytes every time.
+    /// (Two services, so cache state and `from_cache` evolve alike.)
+    fn assert_byte_identical(requests: &[(&str, &str, &[u8])]) {
+        let ours = QueryService::from_source(DIFF).unwrap();
+        let theirs = QueryService::from_source(DIFF).unwrap();
+        for &(method, path, body) in requests {
+            let (status, bytes) = direct(&ours, method, path, body);
+            let (ref_status, tree) = reference::handle(&theirs, method, path, body);
+            let shown = String::from_utf8_lossy(body);
+            assert_eq!(status, ref_status, "{method} {path} {shown}");
+            assert_eq!(bytes, tree.encode(), "{method} {path} {shown}");
+            // And `handle` is the same bytes, parsed.
+            let adapted = handle(&theirs, method, path, body);
+            assert_eq!(adapted.body, Json::parse(adapted.payload()).unwrap());
+        }
+    }
+
+    const QUERY_TEXTS: [&str; 17] = [
+        "tc(a, Y)",                // forward point
+        "tc(X, c)",                // inverse point
+        "tc(a, c)",                // membership: yes
+        "tc(d, a)",                // membership: no
+        "tc(X, Y)",                // all pairs
+        "tc(X, X)",                // diagonal
+        "cnx(hel, 540, D, AT)",    // §4, integer cells
+        "cnx(hel, 540, nce, 930)", // §4 membership
+        "tc(zz, Y)",               // unknown constant, free
+        "tc(a, zz)",               // unknown constant, fully bound
+        "tc(a, Y, Z)",             // arity
+        "tc(a",                    // parse error
+        "zzz(a, Y)",               // unknown predicate
+        "e(a, Y)",                 // base predicate
+        "tc(\"a\\b\", \u{1}é)",    // escapes in the echoed text
+        "tc(a, Y)",                // again: from_cache
+        "tc( a , Y )",             // same spec, different text
+    ];
+
+    #[test]
+    fn query_bytes_match_the_reference_tree() {
+        let bodies: Vec<String> = QUERY_TEXTS
+            .iter()
+            .map(|q| Json::object([("query", Json::Str(q.to_string()))]).encode())
+            .collect();
+        let mut requests: Vec<(&str, &str, &[u8])> = bodies
+            .iter()
+            .map(|b| ("POST", "/query", b.as_bytes()))
+            .collect();
+        requests.extend([
+            ("POST", "/query", &br#"{"nope": 1}"#[..]),
+            ("POST", "/query", &br#"{"query": 7}"#[..]),
+            ("POST", "/query", &b"{"[..]),
+            ("POST", "/query", &b"\xff\xfe"[..]),
+            ("GET", "/query", &b""[..]),
+            ("POST", "/nope", &b""[..]),
+        ]);
+        assert_byte_identical(&requests);
+    }
+
+    #[test]
+    fn batch_bytes_match_the_reference_tree() {
+        let all = Json::object([(
+            "queries",
+            Json::Array(
+                QUERY_TEXTS
+                    .iter()
+                    .map(|q| Json::Str(q.to_string()))
+                    .collect(),
+            ),
+        )])
+        .encode();
+        assert_byte_identical(&[
+            ("POST", "/batch", all.as_bytes()),
+            // Again: every answer now comes from the cache.
+            ("POST", "/batch", all.as_bytes()),
+            ("POST", "/batch", br#"{"queries": []}"#),
+            ("POST", "/batch", br#"{"queries": ["zzz(a, Y)"]}"#),
+            ("POST", "/batch", br#"{"queries": ["tc(a, Y)", 7]}"#),
+            ("POST", "/batch", br#"{"queries": "tc(a, Y)"}"#),
+            ("POST", "/batch", b"[1,"),
+            ("PUT", "/batch", b""),
+        ]);
+    }
+
+    #[test]
+    fn traced_query_bytes_are_the_answer_plus_one_trailing_field() {
+        // Span timings differ run to run, so the trace itself cannot
+        // be compared across two evaluations; everything around it
+        // can.  The traced body is the untraced reference body with
+        // `,"trace":<tree>` spliced in before the closing brace, and
+        // the tree re-encodes to exactly the bytes it was served as.
+        let ours = QueryService::from_source(DIFF).unwrap();
+        let theirs = QueryService::from_source(DIFF).unwrap();
+        for text in ["tc(a, Y)", "tc(a, c)", "cnx(hel, 540, D, AT)", "tc(zz, Y)"] {
+            let traced = Json::object([
+                ("query", Json::Str(text.to_string())),
+                ("trace", Json::Bool(true)),
+            ])
+            .encode();
+            let (status, bytes) = direct(&ours, "POST", "/query", traced.as_bytes());
+            assert_eq!(status, 200);
+            let (_, tree) = reference::handle(&theirs, "POST", "/query", traced.as_bytes());
+            let Json::Object(mut pairs) = tree else {
+                panic!("an answer is an object")
+            };
+            assert_eq!(pairs.pop().unwrap().0, "trace", "trace is the last field");
+            let untraced = Json::Object(pairs).encode();
+            let prefix = format!("{},\"trace\":", untraced.strip_suffix('}').unwrap());
+            let served_trace = bytes
+                .strip_prefix(prefix.as_str())
+                .and_then(|rest| rest.strip_suffix('}'))
+                .unwrap_or_else(|| panic!("{bytes} does not extend {untraced}"));
+            assert_eq!(Json::parse(served_trace).unwrap().encode(), served_trace);
+        }
+        assert!(!obs::trace_active());
+    }
+
+    #[test]
+    fn queries_parse_on_the_pinned_snapshot() {
+        // A front end captures a snapshot, an /ingest publishes a new
+        // constant, and only then are the texts parsed: the parse must
+        // still run against the *captured* program.  `brand_new` does
+        // not exist at epoch 0, so both queries naming it are empty by
+        // construction — answered without an evaluation, never turned
+        // into specs carrying an id the pinned interner cannot decode.
+        let s = QueryService::from_source(DIFF).unwrap();
+        let pinned = s.snapshot();
+        post(&s, "/ingest", r#"{"facts": "e(d, brand_new)."}"#);
+        let mut out = Vec::new();
+        answer_batch(
+            &s,
+            &pinned,
+            &["tc(c, Y)", "tc(brand_new, Y)", "tc(c, brand_new)"],
+            &mut out,
+        );
+        let body = Json::parse(std::str::from_utf8(&out).unwrap()).unwrap();
+        assert_eq!(body.get("epoch").and_then(Json::as_i64), Some(0));
+        let answers = body.get("answers").and_then(Json::as_array).unwrap();
+        assert_eq!(answers[0].get("rows").unwrap().encode(), r#"[["d"]]"#);
+        assert_eq!(answers[1].get("rows").unwrap().encode(), "[]");
+        assert_eq!(answers[2].get("holds").and_then(Json::as_bool), Some(false));
+        // One evaluation — `tc(c, Y)` — reached the service.
+        assert_eq!(s.result_cache().stats().misses, 1);
+        assert_eq!(s.result_cache().len(), 1);
+        // The single-query path pins the same way.
+        assert!(evaluate_one(&s, &pinned, "tc(c, brand_new)")
+            .unwrap()
+            .is_none());
+        // On the current snapshot the constant exists and is reachable.
+        let now = post(&s, "/query", r#"{"query": "tc(c, brand_new)"}"#);
+        assert_eq!(now.body.get("holds").and_then(Json::as_bool), Some(true));
+    }
+
+    /// Characters a constant name can put through the escaper: plain,
+    /// the two escaped printables, named and `\u00XX` controls, DEL,
+    /// and 2-, 3- and 4-byte UTF-8.
+    const NAME_ALPHABET: [char; 14] = [
+        'a', 'Z', '7', ' ', '"', '\\', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€', '😀',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Direct encoder == reference tree over random answers: widths
+        /// 0–4, names drawn from [`NAME_ALPHABET`], integers including
+        /// both `i64` extremes, every flag combination.
+        #[test]
+        fn answer_bytes_match_the_reference_tree_on_random_rows(
+            names in proptest::collection::vec(
+                proptest::collection::vec(0..NAME_ALPHABET.len(), 0..6), 1..8),
+            ints in proptest::collection::vec(0..5usize, 0..4),
+            width in 0..5usize,
+            cells in proptest::collection::vec(0..64usize, 0..40),
+            text in proptest::collection::vec(0..NAME_ALPHABET.len(), 0..10),
+            flags in 0..8u8,
+            epoch in 0..3u64,
+        ) {
+            let mut consts = ConstInterner::new();
+            let mut ids = Vec::new();
+            for name in &names {
+                let name: String = name.iter().map(|&i| NAME_ALPHABET[i]).collect();
+                ids.push(consts.intern_str(&name));
+            }
+            for &i in &ints {
+                ids.push(consts.intern_int([i64::MIN, -1, 0, 1430, i64::MAX][i]));
+            }
+            let nested = consts.intern_tuple(vec![ids[0], ids[ids.len() - 1]]);
+            ids.push(nested);
+            let mut rows = Rows::builder(width);
+            match width {
+                0 => (0..cells.len() % 2).for_each(|_| rows.push(&[])),
+                _ => cells.chunks_exact(width).for_each(|row| {
+                    let row: Vec<_> = row.iter().map(|&i| ids[i % ids.len()]).collect();
+                    rows.push(&row);
+                }),
+            }
+            let answer = ServiceAnswer {
+                epoch,
+                rows: Arc::new(rows.finish()),
+                converged: flags & 1 != 0,
+                from_cache: flags & 2 != 0,
+            };
+            let fully_bound = flags & 4 != 0;
+            let text: String = text.iter().map(|&i| NAME_ALPHABET[i]).collect();
+            let mut out = Vec::new();
+            write_answer(&mut out, &consts, &text, fully_bound, &answer);
+            out.push(b'}');
+            let tree = reference::answer_json(&text, fully_bound, &answer, &consts);
+            proptest::prop_assert_eq!(String::from_utf8(out).unwrap(), tree.encode());
+        }
     }
 
     #[test]

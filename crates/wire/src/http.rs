@@ -18,6 +18,7 @@
 //!   `431`/`413`/`411` status codes, so an untrusted peer cannot make
 //!   the server buffer unbounded input.
 
+use rq_common::json::write_i64;
 use std::io::{BufRead, Read, Write};
 
 /// Size limits applied while reading one request.
@@ -262,10 +263,38 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one response.  `content_type` names the body's media type
-/// (JSON everywhere except the Prometheus `/metrics` exposition);
-/// `keep_alive` decides the `Connection` header; the caller closes the
-/// stream when it is `false`.
+/// Assemble one response — head and body — in `out` (cleared first).
+/// `content_type` names the body's media type (JSON everywhere except
+/// the Prometheus `/metrics` exposition); `keep_alive` decides the
+/// `Connection` header.  One buffer means one `write_all`: on a
+/// `TCP_NODELAY` socket a head written apart from its body is a
+/// segment, and a client wake-up, of its own.
+pub fn frame_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    keep_alive: bool,
+) {
+    out.clear();
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_i64(i64::from(status), out);
+    out.push(b' ');
+    out.extend_from_slice(reason(status).as_bytes());
+    out.extend_from_slice(b"\r\ncontent-type: ");
+    out.extend_from_slice(content_type.as_bytes());
+    out.extend_from_slice(b"\r\ncontent-length: ");
+    write_i64(body.len() as i64, out);
+    out.extend_from_slice(if keep_alive {
+        &b"\r\nconnection: keep-alive\r\n\r\n"[..]
+    } else {
+        &b"\r\nconnection: close\r\n\r\n"[..]
+    });
+    out.extend_from_slice(body);
+}
+
+/// Write one response ([`frame_response`]) with a single `write_all`;
+/// the caller closes the stream when `keep_alive` is `false`.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -273,16 +302,15 @@ pub fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
+    let mut frame = Vec::new();
+    frame_response(
+        &mut frame,
         status,
-        reason(status),
         content_type,
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
+        body.as_bytes(),
+        keep_alive,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -405,6 +433,49 @@ mod tests {
             }
         }
         assert_eq!(paths, vec!["/a", "/b", "/c"]);
+    }
+
+    /// Records each `write` call, accepting at most `cap` bytes of it.
+    struct Sink {
+        cap: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.writes.push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_as_one_buffer() {
+        // A sink that takes everything sees exactly one write: head
+        // and body leave together.
+        let mut whole = Sink {
+            cap: usize::MAX,
+            writes: Vec::new(),
+        };
+        write_response(&mut whole, 404, "application/json", "{}", false).unwrap();
+        assert_eq!(whole.writes.len(), 1, "head and body in one write");
+        assert_eq!(
+            whole.writes[0],
+            b"HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\n\
+              content-length: 2\r\nconnection: close\r\n\r\n{}"
+        );
+        // A short-writing sink still receives every byte, in order.
+        let mut short = Sink {
+            cap: 5,
+            writes: Vec::new(),
+        };
+        write_response(&mut short, 404, "application/json", "{}", false).unwrap();
+        assert!(short.writes.len() > 1);
+        assert_eq!(short.writes.concat(), whole.writes[0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::http::{self, Limits, RequestError};
 use rq_common::obs::{self, Counter, Gauge, Histogram};
 use rq_common::{Json, Registry};
 use rq_service::QueryService;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -246,9 +246,16 @@ impl ServerHandle {
     }
 }
 
+/// A connection's response buffers are reused across its requests,
+/// but one huge answer must not pin its size for the connection's
+/// life: beyond this they shrink back after the response is sent.
+const KEPT_BUFFER_BYTES: usize = 1 << 20;
+
 /// Serve one connection: read requests back-to-back (keep-alive and
 /// pipelining fall out of reading sequentially from one buffered
-/// stream), route each through the API, and write the response.
+/// stream), route each through the API, and write the response —
+/// body encoded into one reused buffer, framed into a second, sent
+/// with one `write_all`.
 fn serve_connection(
     service: &QueryService,
     metrics: &WireMetrics,
@@ -259,6 +266,8 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    let mut body: Vec<u8> = Vec::new();
+    let mut frame: Vec<u8> = Vec::new();
     for served in 0..config.max_requests_per_connection {
         let mut request = match http::read_head(&mut reader, &config.limits) {
             Ok(request) => request,
@@ -291,7 +300,13 @@ fn serve_connection(
             obs::trace_start();
         }
         let start = Instant::now();
-        let response = api::handle(service, &request.method, &request.path, &request.body);
+        let reply = api::respond(
+            service,
+            &request.method,
+            &request.path,
+            &request.body,
+            &mut body,
+        );
         let elapsed = start.elapsed();
         latency.observe(elapsed);
         requests.inc();
@@ -303,19 +318,22 @@ fn serve_connection(
                     request_id,
                     &request.method,
                     &request.path,
-                    &response,
+                    reply.status,
                     elapsed,
                     &spans,
                 );
             }
         }
-        http::write_response(
-            &mut writer,
-            response.status,
-            response.content_type(),
-            &response.payload(),
+        http::frame_response(
+            &mut frame,
+            reply.status,
+            reply.content_type,
+            &body,
             keep_alive,
-        )?;
+        );
+        writer.write_all(&frame)?;
+        body.shrink_to(KEPT_BUFFER_BYTES);
+        frame.shrink_to(KEPT_BUFFER_BYTES);
         if !keep_alive {
             return Ok(());
         }
@@ -331,7 +349,7 @@ fn log_slow_request(
     request_id: u64,
     method: &str,
     path: &str,
-    response: &api::ApiResponse,
+    status: u16,
     elapsed: Duration,
     spans: &[obs::SpanRec],
 ) {
@@ -355,7 +373,7 @@ fn log_slow_request(
         ),
         ("method", Json::Str(method.to_string())),
         ("path", Json::Str(path.to_string())),
-        ("status", Json::Int(response.status as i64)),
+        ("status", Json::Int(i64::from(status))),
         (
             "elapsed_ms",
             Json::Int(elapsed.as_millis().min(i64::MAX as u128) as i64),

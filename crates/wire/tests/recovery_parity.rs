@@ -28,7 +28,7 @@ fn config() -> ServiceConfig {
 /// The exact response bytes the HTTP layer would put on the wire.
 fn payload(service: &QueryService, method: &str, path: &str, body: &str) -> (u16, String) {
     let resp = rq_wire::handle(service, method, path, body.as_bytes());
-    (resp.status, resp.payload())
+    (resp.status, resp.payload().to_string())
 }
 
 const BATCHES: &[&str] = &[

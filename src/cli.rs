@@ -618,25 +618,27 @@ fn render_serve_answer(
     if answer.rows.is_empty() {
         return "(none)".to_string();
     }
-    let display = |c| program.consts.display(c);
-    answer
-        .rows
-        .iter()
-        .map(|row| {
-            if row.len() == 1 {
-                display(row[0])
-            } else {
-                format!(
-                    "({})",
-                    row.iter()
-                        .map(|&c| display(c))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )
+    // One buffer for the whole answer, straight from the flat rows.
+    let consts = &program.consts;
+    let mut out = String::new();
+    for (i, row) in answer.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        if let [c] = row {
+            consts.display_into(*c, &mut out);
+            continue;
+        }
+        out.push('(');
+        for (j, &c) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
             }
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+            consts.display_into(c, &mut out);
+        }
+        out.push(')');
+    }
+    out
 }
 
 fn pipeline_name(strategy: Strategy) -> &'static str {

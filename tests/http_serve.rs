@@ -121,7 +121,7 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, Json) {
 
 /// Encode one service answer's rows exactly as the wire does, so the
 /// comparison is byte-for-byte.
-fn rows_as_wire_json(program: &rq_datalog::Program, rows: &[Vec<rq_common::Const>]) -> Json {
+fn rows_as_wire_json(program: &rq_datalog::Program, rows: &rq_common::Rows) -> Json {
     Json::Array(
         rows.iter()
             .map(|row| {
@@ -181,10 +181,7 @@ fn healthz_answers_and_batch_matches_serve_session_byte_for_byte() {
         .collect();
     let direct = service.query_batch(&specs);
     for ((text, wire_answer), direct_answer) in texts.iter().zip(answers).zip(&direct) {
-        let expected = rows_as_wire_json(
-            snapshot.program(),
-            direct_answer.as_ref().unwrap().rows.as_ref(),
-        );
+        let expected = rows_as_wire_json(snapshot.program(), &direct_answer.as_ref().unwrap().rows);
         let got = wire_answer.get("rows").expect("rows field");
         assert_eq!(
             got.encode(),
