@@ -23,14 +23,15 @@
 //! Invalidation is wholesale by default: publishing a new epoch
 //! creates a new snapshot, which creates a new (empty) context; the
 //! old one dies with the last reader of the old snapshot.  The one
-//! deliberate exception is [`EpochContext::carry_from`]: the service's
-//! ingest path moves entries of **clean-read-set plans** — plans that
-//! read none of the shards the publish dirtied — into the new context,
-//! mirroring the result cache's `carry_forward`.  That keeps long-
-//! lived clients at warm-epoch throughput across unrelated ingests
-//! while preserving the invariant that no entry can outlive the data
-//! it was computed from (a carried entry's entire read-set is
-//! pointer-identical across the two epochs).
+//! deliberate exception is `EpochContext::install`: the publish pass
+//! ([`crate::publish`]) decides once per cached plan whether its state
+//! carries unchanged (the plan reads none of the shards the publish
+//! dirtied), is repaired against the delta, or is dropped, and installs
+//! what survives here.  That keeps long-lived clients at warm-epoch
+//! throughput across ingests while preserving the invariant that no
+//! entry can outlive the data it was computed from (a carried entry's
+//! entire read-set is pointer-identical across the two epochs; a
+//! repaired one is complete on the new database before it lands).
 
 use crate::spec::Adornment;
 use rq_adorn::ProbeSpace;
@@ -88,81 +89,59 @@ impl EpochContext {
         }
     }
 
-    /// Inherit from the previous epoch's context everything the caller
-    /// vouches survives the publish:
+    /// Install one plan's surviving state — the only way anything from
+    /// an earlier epoch enters this context.  The publish pass
+    /// ([`crate::publish`]) calls it once per plan it decided to keep:
     ///
-    /// * `chain_machines` — the §3 chain plan's id plus the machine
-    ///   indices whose predicate's read-set is disjoint from the
-    ///   publish's dirty shards: those machines' memo entries carry
-    ///   (their answers are real program constants, whose interned ids
-    ///   are stable across epochs);
-    /// * `nary_plans` — clean-read-set §4 plans, as `((pred,
-    ///   adornment), plan id)` pairs.  A §4 plan's probe space and its
-    ///   machine-memo entries travel **as a unit**, because the
-    ///   memoized answers are encoded in that probe space's tuple
-    ///   interner.  Probe spaces are therefore carried *first*, and a
-    ///   plan's memo entries are only carried when its previous-epoch
-    ///   probe space actually became this epoch's space — if a racing
-    ///   query already created a fresh space (fresh interner) on this
-    ///   epoch, the old entries are discarded rather than paired with
-    ///   an interner that numbers tuples differently.
+    /// * `space` — for a §4 plan, its `(pred, adornment)` key and the
+    ///   probe space to install: the previous epoch's `Arc` when the
+    ///   plan carries, the patched fork when it was repaired.  `None`
+    ///   for the §3 chain plan, whose memoized answers are real program
+    ///   constants (interned ids are stable across epochs) and need no
+    ///   space.
+    /// * `plan`, `from`, `machine` — the memo entries to bring along:
+    ///   those of plan id `plan` in `from` (the previous epoch's memo
+    ///   for a carry, the repair's scratch memo for a repair) whose
+    ///   machine index `machine` vouches for.
     ///
-    /// Everything else starts cold, exactly as before.  The carried
-    /// counts land in [`EpochContextStats::eval_carried`] /
-    /// [`EpochContextStats::probe_spaces_carried`].
-    pub fn carry_from(
+    /// **Vacant-only rule.**  A §4 plan's memoized answers are encoded
+    /// in its probe space's tuple interner, so the two travel as a unit
+    /// or not at all: the space is installed only into a vacant slot,
+    /// and the entries follow only if that install won.  An occupied
+    /// slot means a racing query already built a fresh space on this
+    /// epoch; its interner numbers tuples differently and may already
+    /// anchor new memo entries, so it is kept, `space` is discarded and
+    /// `false` comes back with nothing installed.  (A slot already
+    /// holding this very `Arc` — an idempotent re-run — counts as won.)
+    ///
+    /// Installed spaces and entries are counted in
+    /// [`EpochContextStats::probe_spaces_carried`] /
+    /// [`EpochContextStats::eval_carried`]: a repaired space *did*
+    /// travel from the previous epoch, patched en route.
+    pub(crate) fn install(
         &self,
-        prev: &EpochContext,
-        chain_machines: Option<&(u64, rq_common::FxHashSet<u32>)>,
-        nary_plans: &[((Pred, Adornment), u64)],
-    ) {
-        // Phase 1: probe spaces, collecting the plan ids whose old
-        // space (and so whose tuple interner) survives into this epoch.
-        let mut keep_nary: rq_common::FxHashSet<u64> = rq_common::FxHashSet::default();
-        if !nary_plans.is_empty() {
-            let survivors: Vec<((Pred, Adornment), u64, Arc<ProbeSpace>)> = {
-                let prev_map = prev.probes.read().expect("probe space map poisoned");
-                nary_plans
-                    .iter()
-                    .filter_map(|&(key, plan)| {
-                        prev_map
-                            .get(&key)
-                            .map(|space| (key, plan, Arc::clone(space)))
-                    })
-                    .collect()
-            };
+        space: Option<((Pred, Adornment), Arc<ProbeSpace>)>,
+        plan: u64,
+        from: &EvalContext,
+        mut machine: impl FnMut(u32) -> bool,
+    ) -> bool {
+        if let Some((key, space)) = space {
             let mut map = self.probes.write().expect("probe space map poisoned");
-            let mut carried_spaces = 0;
-            for (key, plan, space) in survivors {
-                match map.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(space);
-                        carried_spaces += 1;
-                        keep_nary.insert(plan);
-                    }
-                    std::collections::hash_map::Entry::Occupied(existing) => {
-                        if Arc::ptr_eq(existing.get(), &space) {
-                            // Already carried (idempotent re-run): the
-                            // interner matches, entries may carry too.
-                            keep_nary.insert(plan);
-                        }
-                        // Otherwise a racing query created a fresh
-                        // space: keep it (its interner may already
-                        // anchor new memo entries) and let this plan's
-                        // old entries die with the old epoch.
+            match map.entry(key) {
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert(space);
+                    self.probe_spaces_carried.fetch_add(1, Ordering::Relaxed);
+                }
+                std::collections::hash_map::Entry::Occupied(existing) => {
+                    if !Arc::ptr_eq(existing.get(), &space) {
+                        return false;
                     }
                 }
             }
-            self.probe_spaces_carried
-                .fetch_add(carried_spaces, Ordering::Relaxed);
         }
-        // Phase 2: machine-memo entries, gated on phase 1 for §4 plans.
-        let carried = self.eval.carry_from(&prev.eval, |plan, machine| {
-            keep_nary.contains(&plan)
-                || chain_machines
-                    .is_some_and(|(id, machines)| *id == plan && machines.contains(&machine))
-        }) as u64;
+        let carried = self.eval.carry_from(from, |p, m| p == plan && machine(m)) as u64;
         self.eval_carried.fetch_add(carried, Ordering::Relaxed);
+        true
     }
 
     /// The engine-level machine-traversal memo.
@@ -196,55 +175,15 @@ impl EpochContext {
     }
 
     /// The shared [`ProbeSpace`] for one §4 plan **if it already
-    /// exists**, without creating one.  The delta-repair path forks the
-    /// *previous* epoch's space; a `None` here means there is nothing
-    /// to repair.
+    /// exists**, without creating one.  The publish pass carries or
+    /// forks the *previous* epoch's space; a `None` here means the plan
+    /// had nothing warm.
     pub fn peek_probe_space(&self, pred: Pred, adornment: Adornment) -> Option<Arc<ProbeSpace>> {
         self.probes
             .read()
             .expect("probe space map poisoned")
             .get(&(pred, adornment))
             .cloned()
-    }
-
-    /// Install a repaired probe space for one §4 plan, vacant-only:
-    /// returns `false` (discarding `space`) when a racing query already
-    /// created a fresh space for the key — the racer's interner may
-    /// anchor new memo entries, so last-write-wins would corrupt them.
-    /// A successful adopt counts toward
-    /// [`EpochContextStats::probe_spaces_carried`] (the space *did*
-    /// travel from the previous epoch, repaired en route).
-    pub fn adopt_probe_space(
-        &self,
-        pred: Pred,
-        adornment: Adornment,
-        space: Arc<ProbeSpace>,
-    ) -> bool {
-        let mut map = self.probes.write().expect("probe space map poisoned");
-        match map.entry((pred, adornment)) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(space);
-                drop(map);
-                self.probe_spaces_carried.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            std::collections::hash_map::Entry::Occupied(_) => false,
-        }
-    }
-
-    /// Copy every machine-memo entry of plan `plan` from `src` (the
-    /// delta-repair scratch context) into this epoch's memo, counting
-    /// the copies toward [`EpochContextStats::eval_carried`].  Returns
-    /// how many entries were adopted.
-    ///
-    /// Repair runs against a detached scratch so racing queries on the
-    /// already-published snapshot never observe a half-patched memo;
-    /// entries land here only once they are complete on the new
-    /// database.
-    pub fn adopt_eval_entries(&self, src: &EvalContext, plan: u64) -> u64 {
-        let adopted = self.eval.carry_from(src, |p, _| p == plan) as u64;
-        self.eval_carried.fetch_add(adopted, Ordering::Relaxed);
-        adopted
     }
 
     /// Record one all-free query served through the shared-SCC path.
@@ -329,8 +268,13 @@ mod tests {
         // Vacant destination: the old space carries, same Arc.
         let prev = EpochContext::new();
         let old_space = prev.probe_space(key.0, key.1, &program);
+        let carry = |into: &EpochContext, from: &EpochContext| {
+            from.peek_probe_space(key.0, key.1).is_some_and(|space| {
+                into.install(Some((key, space)), plan_id, from.eval(), |_| true)
+            })
+        };
         let fresh = EpochContext::new();
-        fresh.carry_from(&prev, None, &[(key, plan_id)]);
+        assert!(carry(&fresh, &prev));
         assert_eq!(fresh.stats().probe_spaces_carried, 1);
         assert!(Arc::ptr_eq(
             &old_space,
@@ -338,7 +282,7 @@ mod tests {
         ));
         // Idempotent re-run: the already-carried space still counts as
         // paired (same interner), but is not carried twice.
-        fresh.carry_from(&prev, None, &[(key, plan_id)]);
+        assert!(carry(&fresh, &prev));
         assert_eq!(fresh.stats().probe_spaces_carried, 1);
 
         // A racing query created a fresh space first: the old space —
@@ -346,7 +290,7 @@ mod tests {
         // encoded in the old space's interner — must NOT carry.
         let racing = EpochContext::new();
         let racing_space = racing.probe_space(key.0, key.1, &program);
-        racing.carry_from(&prev, None, &[(key, plan_id)]);
+        assert!(!carry(&racing, &prev));
         assert_eq!(racing.stats().probe_spaces_carried, 0);
         assert!(Arc::ptr_eq(
             &racing_space,
@@ -357,7 +301,7 @@ mod tests {
         // nothing and counts nothing.
         let empty_prev = EpochContext::new();
         let target = EpochContext::new();
-        target.carry_from(&empty_prev, None, &[(key, plan_id)]);
+        assert!(!carry(&target, &empty_prev));
         assert_eq!(target.stats().probe_spaces_carried, 0);
         assert_eq!(target.stats().eval_carried, 0);
     }

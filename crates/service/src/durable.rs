@@ -30,7 +30,7 @@
 //!
 //! [`Delta`]: crate::snapshot::Delta
 
-use rq_common::{Const, ConstValue, FxHashMap, FxHashSet, Pred};
+use rq_common::{Const, ConstValue, FxHashMap, Pred};
 use rq_datalog::Program;
 use rq_store::{ByteReader, ByteWriter, CodecError, FsyncPolicy, StorageBackend};
 use std::sync::atomic::AtomicU64;
@@ -147,32 +147,13 @@ pub(crate) struct RecordPayload {
     pub(crate) rows: Vec<(String, usize, Vec<ConstValue>)>,
 }
 
-/// A checkpoint restored onto a freshly parsed program.
-#[derive(Debug)]
-pub(crate) struct RestoredState {
-    pub(crate) program: Program,
-    pub(crate) epoch: u64,
-    pub(crate) rev_low: u64,
-    pub(crate) rev_high: u64,
-    pub(crate) low_preds: FxHashSet<Pred>,
-}
-
 fn put_value(w: &mut ByteWriter, v: &ConstValue) -> Result<(), String> {
-    match v {
-        ConstValue::Int(i) => {
-            w.put_u8(0);
-            w.put_i64(*i);
-        }
-        ConstValue::Str(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        // The fact parser never produces tuple constants, so an ingest
-        // delta cannot contain one.
-        ConstValue::Tuple(_) => {
-            return Err("tuple constant in ingest delta cannot be persisted".into())
-        }
+    // The fact parser never produces tuple constants, so an ingest
+    // delta cannot contain one.
+    if matches!(v, ConstValue::Tuple(_)) {
+        return Err("tuple constant in ingest delta cannot be persisted".into());
     }
+    put_ckpt_value(w, v);
     Ok(())
 }
 
@@ -224,14 +205,17 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<RecordPayload, CodecError>
     let mut r = ByteReader::new(payload);
     let fingerprint = r.u64()?;
     let n_preds = r.u32()? as usize;
-    let mut table = Vec::with_capacity(n_preds.min(1024));
+    // Capacity hints never exceed what the bytes left could encode, so
+    // a hostile count cannot make the decoder allocate ahead of its
+    // input (here: 8 bytes per table entry and per row, 5 per value).
+    let mut table = Vec::with_capacity(n_preds.min(r.remaining() / 8));
     for _ in 0..n_preds {
         let name = r.str()?.to_string();
         let arity = r.u32()? as usize;
         table.push((name, arity));
     }
     let n_rows = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(65_536));
+    let mut rows = Vec::with_capacity(n_rows.min(r.remaining() / 8));
     for _ in 0..n_rows {
         let idx = r.u32()? as usize;
         let (name, arity) = table
@@ -243,7 +227,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<RecordPayload, CodecError>
                 "row for `{name}` carries {len} values, arity is {arity}"
             )));
         }
-        let mut values = Vec::with_capacity(len);
+        let mut values = Vec::with_capacity(len.min(r.remaining() / 5));
         for _ in 0..len {
             values.push(get_value(&mut r)?);
         }
@@ -287,7 +271,7 @@ fn get_ckpt_value(r: &mut ByteReader<'_>, known_consts: usize) -> Result<ConstVa
         1 => Ok(ConstValue::Str(r.str()?.to_string())),
         2 => {
             let n = r.u32()? as usize;
-            let mut parts = Vec::with_capacity(n.min(1024));
+            let mut parts = Vec::with_capacity(n.min(r.remaining() / 4));
             for _ in 0..n {
                 let id = r.u32()? as usize;
                 if id >= known_consts {
@@ -303,26 +287,29 @@ fn get_ckpt_value(r: &mut ByteReader<'_>, known_consts: usize) -> Result<ConstVa
     }
 }
 
-/// Encode one snapshot as a checkpoint payload: fingerprint, epoch and
-/// durability revisions, the base-profile watermarks, the
-/// low-durability predicate set, then the interner/fact extensions
-/// beyond the base program in id/insertion order.
+/// Encode one snapshot as a checkpoint payload: fingerprint, epoch, two
+/// reserved words, the base-profile watermarks, a reserved id set, then
+/// the interner/fact extensions beyond the base program in
+/// id/insertion order.
+///
+/// **Reserved fields.**  The two words and the id set used to carry the
+/// durability-tier revisions and low-durability predicate set, which
+/// no longer exist.  There is no payload version (only the store's
+/// `RQC1` frame magic), so the byte layout is frozen: this side writes
+/// `0`, `0` and an empty set, [`restore_checkpoint`] reads whatever is
+/// there with the same bounds checks and discards it, and a data
+/// directory written by either layout recovers under the other.
 pub(crate) fn encode_checkpoint(snap: &Snapshot, base: &BaseProfile) -> Vec<u8> {
     let program = snap.program();
     let mut w = ByteWriter::new();
     w.put_u64(snap.rules_fingerprint());
     w.put_u64(snap.epoch());
-    w.put_u64(snap.rev_low());
-    w.put_u64(snap.rev_high());
+    w.put_u64(0);
+    w.put_u64(0);
     w.put_u64(base.preds as u64);
     w.put_u64(base.consts as u64);
     w.put_u64(base.facts as u64);
-    let mut low: Vec<u32> = snap.low_preds().iter().map(|p| p.0).collect();
-    low.sort_unstable();
-    w.put_u32(low.len() as u32);
-    for id in low {
-        w.put_u32(id);
-    }
+    w.put_u32(0);
     w.put_u32((program.preds.len() - base.preds) as u32);
     for i in base.preds..program.preds.len() {
         let p = Pred::from_index(i);
@@ -345,7 +332,8 @@ pub(crate) fn encode_checkpoint(snap: &Snapshot, base: &BaseProfile) -> Vec<u8> 
     w.into_bytes()
 }
 
-/// Restore a checkpoint payload onto a freshly parsed `program`.
+/// Restore a checkpoint payload onto a freshly parsed `program`,
+/// returning the extended program and the checkpoint's epoch.
 ///
 /// Hard errors (the caller refuses to serve) when the checkpoint was
 /// written under a different rule set or base program — recovering
@@ -355,7 +343,7 @@ pub(crate) fn encode_checkpoint(snap: &Snapshot, base: &BaseProfile) -> Vec<u8> 
 pub(crate) fn restore_checkpoint(
     mut program: Program,
     payload: &[u8],
-) -> Result<RestoredState, String> {
+) -> Result<(Program, u64), String> {
     let mut r = ByteReader::new(payload);
     let dec = |e: CodecError| e.to_string();
     let fingerprint = r.u64().map_err(dec)?;
@@ -367,8 +355,9 @@ pub(crate) fn restore_checkpoint(
         ));
     }
     let epoch = r.u64().map_err(dec)?;
-    let rev_low = r.u64().map_err(dec)?;
-    let rev_high = r.u64().map_err(dec)?;
+    // Reserved (see `encode_checkpoint`): two words, read and dropped.
+    r.u64().map_err(dec)?;
+    r.u64().map_err(dec)?;
     let base_preds = r.u64().map_err(dec)? as usize;
     let base_consts = r.u64().map_err(dec)? as usize;
     let base_facts = r.u64().map_err(dec)? as usize;
@@ -385,10 +374,11 @@ pub(crate) fn restore_checkpoint(
             program.facts.len()
         ));
     }
-    let n_low = r.u32().map_err(dec)? as usize;
-    let mut low_raw = Vec::with_capacity(n_low.min(1024));
-    for _ in 0..n_low {
-        low_raw.push(r.u32().map_err(dec)?);
+    // Reserved id set: only its largest member is kept, for the range
+    // check below once the predicate table is complete.
+    let mut reserved_max: Option<u32> = None;
+    for _ in 0..r.u32().map_err(dec)? {
+        reserved_max = reserved_max.max(Some(r.u32().map_err(dec)?));
     }
     let n_ext_preds = r.u32().map_err(dec)? as usize;
     for i in 0..n_ext_preds {
@@ -404,16 +394,11 @@ pub(crate) fn restore_checkpoint(
             ));
         }
     }
-    let mut low_preds = FxHashSet::default();
-    for id in low_raw {
-        if id as usize >= program.preds.len() {
-            return Err(format!(
-                "checkpoint low-durability set references predicate {id}, \
-                 only {} known",
-                program.preds.len()
-            ));
-        }
-        low_preds.insert(Pred(id));
+    if let Some(id) = reserved_max.filter(|&id| id as usize >= program.preds.len()) {
+        return Err(format!(
+            "checkpoint reserved set references predicate {id}, only {} known",
+            program.preds.len()
+        ));
     }
     let n_ext_consts = r.u32().map_err(dec)? as usize;
     for i in 0..n_ext_consts {
@@ -447,7 +432,7 @@ pub(crate) fn restore_checkpoint(
                 program.arity(pred)
             ));
         }
-        let mut row = Vec::with_capacity(len);
+        let mut row = Vec::with_capacity(len.min(r.remaining() / 4));
         for _ in 0..len {
             let craw = r.u32().map_err(dec)?;
             if craw as usize >= program.consts.len() {
@@ -466,13 +451,7 @@ pub(crate) fn restore_checkpoint(
             r.remaining()
         ));
     }
-    Ok(RestoredState {
-        program,
-        epoch,
-        rev_low,
-        rev_high,
-        low_preds,
-    })
+    Ok((program, epoch))
 }
 
 #[cfg(test)]
@@ -526,21 +505,22 @@ mod tests {
         store.ingest("e(c,d). g(x,y,z).").unwrap();
         let snap = store.ingest("e(d,a).").unwrap();
         let payload = encode_checkpoint(&snap, &base);
-        let restored = restore_checkpoint(parse_program(SOURCE).unwrap(), &payload).unwrap();
-        assert_eq!(restored.epoch, 2);
-        assert_eq!(restored.rev_low, snap.rev_low());
-        assert_eq!(restored.rev_high, snap.rev_high());
-        assert_eq!(restored.low_preds, *snap.low_preds());
+        let (restored, epoch) =
+            restore_checkpoint(parse_program(SOURCE).unwrap(), &payload).unwrap();
+        assert_eq!(epoch, 2);
+        // The two former revision words (bytes 16..32) are reserved and
+        // written as zero.
+        assert_eq!(payload[16..32], [0u8; 16]);
         let orig = snap.program();
-        assert_eq!(restored.program.preds.len(), orig.preds.len());
-        assert_eq!(restored.program.consts.len(), orig.consts.len());
-        assert_eq!(restored.program.facts.len(), orig.facts.len());
+        assert_eq!(restored.preds.len(), orig.preds.len());
+        assert_eq!(restored.consts.len(), orig.consts.len());
+        assert_eq!(restored.facts.len(), orig.facts.len());
         // Identical ids, not just identical contents.
         for i in 0..orig.consts.len() {
             let c = Const::from_index(i);
-            assert_eq!(restored.program.consts.value(c), orig.consts.value(c));
+            assert_eq!(restored.consts.value(c), orig.consts.value(c));
         }
-        for (a, b) in restored.program.facts.iter().zip(orig.facts.iter()) {
+        for (a, b) in restored.facts.iter().zip(orig.facts.iter()) {
             assert_eq!(a, b);
         }
     }
@@ -572,5 +552,185 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    // --- the codecs under hostile bytes (generative) -------------------
+
+    use proptest::prelude::*;
+
+    /// Random fact batches over a binary relation of the program, a
+    /// fresh binary one and a fresh ternary one, mixing string and
+    /// integer constants so every tag and every extension table shows
+    /// up in the payloads.
+    fn batches() -> impl Strategy<Value = Vec<String>> {
+        let fact = (0usize..3, 0u32..6, 0u32..6, 0u32..2).prop_map(|(p, a, b, int)| {
+            let c = |i: u32| match int {
+                0 => format!("k{i}"),
+                _ => i.to_string(),
+            };
+            match p {
+                0 => format!("e({}, {}). ", c(a), c(b)),
+                1 => format!("f({}, {}). ", c(a), c(b)),
+                _ => format!("g({}, {}, {}). ", c(a), c(b), c(a + b)),
+            }
+        });
+        let batch = proptest::collection::vec(fact, 1..5).prop_map(|facts| facts.concat());
+        proptest::collection::vec(batch, 1..4)
+    }
+
+    /// Ingest `batches`; the last publish's record payload, the final
+    /// checkpoint payload and the snapshot they describe.
+    fn payloads(batches: &[String]) -> (Vec<u8>, Vec<u8>, Arc<Snapshot>) {
+        let program = parse_program(SOURCE).unwrap();
+        let base = BaseProfile::of(&program);
+        let store = SnapshotStore::new(program);
+        let snap = batches
+            .iter()
+            .map(|b| store.ingest(b).unwrap())
+            .last()
+            .expect("at least one batch");
+        let record = encode_record(&snap).unwrap();
+        (record, encode_checkpoint(&snap, &base), snap)
+    }
+
+    fn same_program(a: &Program, b: &Program) {
+        assert_eq!(a.preds.len(), b.preds.len());
+        assert_eq!(a.consts.len(), b.consts.len());
+        for i in 0..a.preds.len() {
+            let p = Pred::from_index(i);
+            assert_eq!((a.pred_name(p), a.arity(p)), (b.pred_name(p), b.arity(p)));
+        }
+        for i in 0..a.consts.len() {
+            let c = Const::from_index(i);
+            assert_eq!(a.consts.value(c), b.consts.value(c));
+        }
+        assert!(a.facts.iter().eq(b.facts.iter()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `encode → restore` / `encode → decode` round-trip, and every
+        /// truncation of either payload is an error.
+        #[test]
+        fn payloads_round_trip_and_every_truncation_is_refused(batches in batches()) {
+            let (record, checkpoint, snap) = payloads(&batches);
+            let (restored, epoch) =
+                restore_checkpoint(parse_program(SOURCE).unwrap(), &checkpoint).unwrap();
+            prop_assert_eq!(epoch, snap.epoch());
+            same_program(&restored, snap.program());
+            let decoded = decode_record(&record).unwrap();
+            prop_assert_eq!(decoded.fingerprint, snap.rules_fingerprint());
+            prop_assert_eq!(decoded.rows.len(), snap.delta().total_rows());
+            for cut in 0..record.len() {
+                prop_assert!(decode_record(&record[..cut]).is_err(), "record cut at {}", cut);
+            }
+            for cut in 0..checkpoint.len() {
+                let fresh = parse_program(SOURCE).unwrap();
+                prop_assert!(
+                    restore_checkpoint(fresh, &checkpoint[..cut]).is_err(),
+                    "checkpoint cut at {}",
+                    cut
+                );
+            }
+        }
+
+        /// A single flipped byte anywhere in a valid payload decodes or
+        /// is refused — never a panic, never a runaway allocation.  (In
+        /// production the frame CRC refuses it first.)
+        #[test]
+        fn single_byte_flips_never_panic(
+            batches in batches(),
+            at in 0usize..1 << 16,
+            flip in 1u8..=255,
+        ) {
+            let (mut record, mut checkpoint, _) = payloads(&batches);
+            let i = at % record.len();
+            record[i] ^= flip;
+            let _ = decode_record(&record);
+            let i = at % checkpoint.len();
+            checkpoint[i] ^= flip;
+            let _ = restore_checkpoint(parse_program(SOURCE).unwrap(), &checkpoint);
+        }
+
+        /// Arbitrary bytes — bare, and behind a valid header so the
+        /// fingerprint / base-profile gates do not shield the body.
+        #[test]
+        fn arbitrary_bytes_never_panic(junk in proptest::collection::vec(0u8..=255, 0..160)) {
+            let _ = decode_record(&junk);
+            let _ = restore_checkpoint(parse_program(SOURCE).unwrap(), &junk);
+            let (record, checkpoint, _) = payloads(&["e(c,d).".to_string()]);
+            let _ = decode_record(&[&record[..8], &junk[..]].concat());
+            let behind_header = [&checkpoint[..56], &junk[..]].concat();
+            let _ = restore_checkpoint(parse_program(SOURCE).unwrap(), &behind_header);
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_refused_without_allocating_for_them() {
+        // Every count field claims u32::MAX entries over a payload that
+        // ends right after it.  Capacity hints are capped by the bytes
+        // left, so these are cheap errors, not multi-gigabyte requests.
+        let (record, checkpoint, _) = payloads(&["e(c,d).".to_string()]);
+        let max = u32::MAX.to_le_bytes();
+        assert!(decode_record(&[&record[..8], &max[..]].concat()).is_err());
+        // One table entry of arity u32::MAX, then one row claiming it.
+        let mut w = ByteWriter::new();
+        w.put_u64(0);
+        w.put_u32(1);
+        w.put_str("p");
+        w.put_u32(u32::MAX);
+        w.put_u32(1);
+        w.put_u32(0);
+        w.put_u32(u32::MAX);
+        assert!(decode_record(&w.into_bytes()).is_err());
+        // The checkpoint's count fields: the reserved set (offset 56),
+        // then the predicate extension table behind an empty set.
+        for prefix in [&checkpoint[..56], &checkpoint[..60]] {
+            let hostile = [prefix, &max[..]].concat();
+            assert!(restore_checkpoint(parse_program(SOURCE).unwrap(), &hostile).is_err());
+        }
+    }
+
+    #[test]
+    fn parent_layout_checkpoint_restores_like_the_reserved_zero_one() {
+        // Before the durability tiers were removed, the two reserved
+        // words carried revision stamps and the reserved set the
+        // low-durability predicate ids.  A payload in that layout —
+        // non-zero words, non-empty set — must restore to the same
+        // program and epoch as what this tree writes.
+        let (_, checkpoint, snap) = payloads(&["e(c,d). g(x,y,z).".to_string(), "e(d,a).".into()]);
+        let e = snap.program().pred_by_name("e").unwrap();
+        let g = snap.program().pred_by_name("g").unwrap();
+        let mut w = ByteWriter::new();
+        w.put_u64(2); // the low-tier revision stamp
+        w.put_u64(1); // the high-tier revision stamp
+        let revisions = w.into_bytes();
+        let mut w = ByteWriter::new();
+        w.put_u32(2);
+        w.put_u32(e.0);
+        w.put_u32(g.0); // an extension predicate: checked after the table
+        let low_set = w.into_bytes();
+        let parent = [
+            &checkpoint[..16],
+            &revisions[..],
+            &checkpoint[32..56],
+            &low_set[..],
+            &checkpoint[60..],
+        ]
+        .concat();
+        assert_eq!(parent.len(), checkpoint.len() + 8);
+        let (ours, ours_epoch) =
+            restore_checkpoint(parse_program(SOURCE).unwrap(), &checkpoint).unwrap();
+        let (theirs, theirs_epoch) =
+            restore_checkpoint(parse_program(SOURCE).unwrap(), &parent).unwrap();
+        assert_eq!(ours_epoch, theirs_epoch);
+        same_program(&ours, &theirs);
+        same_program(&theirs, snap.program());
+        // The set's range check survives the fields' retirement.
+        let mut bad = parent.clone();
+        bad[64..68].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = restore_checkpoint(parse_program(SOURCE).unwrap(), &bad).unwrap_err();
+        assert!(err.contains("reserved set"), "{err}");
     }
 }

@@ -55,6 +55,7 @@
 pub mod context;
 pub mod durable;
 pub mod plan;
+pub mod publish;
 pub mod results;
 pub mod service;
 pub mod snapshot;
@@ -66,6 +67,6 @@ pub use durable::{DurabilityConfig, DurabilityStats, RecoveryReport};
 pub use plan::{rules_fingerprint, CacheStats, PlanCache, PlanKey};
 pub use results::{CachedResult, ResultCache, ResultKey, SweepDecision};
 pub use service::{parse_serve_query, QueryService, ServiceAnswer, ServiceConfig, ServiceError};
-pub use snapshot::{Delta, Durability, IngestError, Snapshot, SnapshotStore};
+pub use snapshot::{Delta, IngestError, Snapshot, SnapshotStore};
 pub use spec::{Adornment, Arg, QuerySpec};
 pub use stats::StatsReport;

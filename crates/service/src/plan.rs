@@ -239,9 +239,9 @@ impl PlanCache {
     }
 
     /// The already-compiled §3 plan for `fingerprint`, if one is cached
-    /// — never triggers compilation.  The ingest path uses this to
-    /// compute invalidation read-sets without paying a compile under
-    /// the writer lock.
+    /// — never triggers compilation.  The publish pass
+    /// ([`crate::publish`]) judges it once per ingest without paying a
+    /// compile under the writer lock.
     pub fn peek_program(&self, fingerprint: u64) -> Option<Arc<ProgramPlan>> {
         self.by_program
             .read()
@@ -250,30 +250,9 @@ impl PlanCache {
             .and_then(|o| o.clone().ok())
     }
 
-    /// The already-compiled §4 plan for a key, if one is cached —
-    /// never triggers compilation (ingest-path counterpart of
-    /// [`PlanCache::peek_program`]).
-    pub fn peek_nary(
-        &self,
-        fingerprint: u64,
-        pred: Pred,
-        adornment: Adornment,
-    ) -> Option<Arc<NaryPlan>> {
-        self.by_nary
-            .read()
-            .expect("plan cache lock poisoned")
-            .get(&PlanKey {
-                program: fingerprint,
-                pred,
-                adornment,
-            })
-            .and_then(|o| o.clone().ok())
-    }
-
     /// Every successfully compiled §4 plan of `fingerprint`'s program —
-    /// the ingest path walks these to decide which plans' epoch-context
-    /// state (machine memo + probe space) survives a publish.  Never
-    /// triggers compilation.
+    /// the publish pass walks these once per ingest to decide each
+    /// plan's fate.  Never triggers compilation.
     pub fn cached_nary_plans(&self, fingerprint: u64) -> Vec<(PlanKey, Arc<NaryPlan>)> {
         self.by_nary
             .read()

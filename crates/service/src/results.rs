@@ -12,12 +12,11 @@
 //!
 //! Three refinements over a plain epoch-keyed map:
 //!
-//! * **Per-adornment survival.**  [`ResultCache::carry_forward`] runs on
-//!   every epoch bump with an "is this entry still valid?" predicate
-//!   supplied by the service (its plan's read-set vs. the snapshot's
-//!   dirty shards — for §4 plans the *virtual* predicates resolved back
-//!   to the real base relations they join).  Surviving entries are
-//!   re-keyed to the new epoch instead of being dropped.
+//! * **Per-plan survival.**  [`ResultCache::sweep`] runs on every epoch
+//!   bump with a per-entry [`SweepDecision`] supplied by the service —
+//!   a lookup in the verdict table the publish pass computed once per
+//!   cached plan ([`crate::publish`]).  Carried entries are re-keyed to
+//!   the new epoch instead of being dropped.
 //! * **A bounded footprint.**  The cache caps its entry count and/or
 //!   its approximate payload bytes; overflow evicts least-recently-used
 //!   entries (approximate LRU via a monotone use tick) and counts them
@@ -192,6 +191,14 @@ impl ResultCache {
         hit
     }
 
+    /// [`ResultCache::get`] for maintenance reads: no hit/miss count, no
+    /// recency refresh — publish-time re-derivation must not look like
+    /// served traffic.
+    pub fn peek(&self, key: &ResultKey) -> Option<CachedResult> {
+        let inner = self.inner.read().expect("result cache lock poisoned");
+        inner.map.get(key).map(|e| e.result.clone())
+    }
+
     /// Memoize an answer.  Last write wins; concurrent writers compute
     /// identical values for identical keys (epochs are immutable).
     /// Overflow beyond either limit evicts least-recently-used entries.
@@ -273,27 +280,8 @@ impl ResultCache {
         removed
     }
 
-    /// Epoch-bump garbage collection with per-entry survival.  Entries
-    /// of epoch `new_epoch - 1` for which `survives` returns `true` are
-    /// **re-keyed** to `new_epoch` (their answers are still valid: the
-    /// publish touched none of the predicates their plan reads).  All
-    /// other entries older than `new_epoch` are dropped and counted as
-    /// evictions.  Entries at `new_epoch` or later are kept untouched,
-    /// so a straggler invoking this with a superseded epoch can never
-    /// evict entries of a newer one.
-    pub fn carry_forward(&self, new_epoch: u64, mut survives: impl FnMut(&ResultKey) -> bool) {
-        let _ = self.sweep(new_epoch, |k| {
-            if survives(k) {
-                SweepDecision::Carry
-            } else {
-                SweepDecision::Drop
-            }
-        });
-    }
-
-    /// Three-way epoch-bump garbage collection — the generalization of
-    /// [`ResultCache::carry_forward`] behind delta-driven maintenance.
-    /// Entries of epoch `new_epoch - 1` are judged one at a time:
+    /// Three-way epoch-bump garbage collection.  Entries of epoch
+    /// `new_epoch - 1` are judged one at a time:
     ///
     /// * [`SweepDecision::Carry`] re-keys the entry to `new_epoch`;
     /// * [`SweepDecision::Repair`] removes the entry (uncharging its
@@ -314,10 +302,8 @@ impl ResultCache {
         mut judge: impl FnMut(&ResultKey) -> SweepDecision,
     ) -> Vec<QuerySpec> {
         // Phase 1 (read lock): list the stale keys and judge survival.
-        // The judge walks plan read-sets against the new snapshot's
-        // dirty shards — real work that must not run under the write
-        // lock, or every concurrent query would stall behind the
-        // publish.
+        // The judge is the caller's code; keeping it out from under
+        // the write lock means no concurrent query can stall behind it.
         let judged: Vec<(ResultKey, SweepDecision)> = {
             let inner = self.inner.read().expect("result cache lock poisoned");
             inner
@@ -387,13 +373,6 @@ impl ResultCache {
         repair
     }
 
-    /// Drop every entry from epochs before `current`, with no survivors
-    /// — the blunt invalidation used when no dirty-predicate
-    /// information is available.
-    pub fn invalidate_stale(&self, current: u64) {
-        self.carry_forward(current, |_| false);
-    }
-
     /// Record `n` batch queries answered by sharing an identical spec's
     /// evaluation instead of running their own.
     pub fn note_deduped(&self, n: u64) {
@@ -453,6 +432,23 @@ mod tests {
         }
     }
 
+    /// A two-way sweep: carry what `survives` vouches for, drop the rest.
+    fn carry_if(cache: &ResultCache, epoch: u64, mut survives: impl FnMut(&ResultKey) -> bool) {
+        let repair = cache.sweep(epoch, |k| {
+            if survives(k) {
+                SweepDecision::Carry
+            } else {
+                SweepDecision::Drop
+            }
+        });
+        assert!(repair.is_empty());
+    }
+
+    /// The blunt sweep: no survivors.
+    fn drop_stale(cache: &ResultCache, epoch: u64) {
+        carry_if(cache, epoch, |_| false);
+    }
+
     #[test]
     fn get_insert_roundtrip_and_stats() {
         let cache = ResultCache::new();
@@ -477,7 +473,7 @@ mod tests {
         cache.insert(key(0, 1), value(&[1]));
         cache.insert(key(0, 2), value(&[2]));
         cache.insert(key(1, 1), value(&[1, 3]));
-        cache.invalidate_stale(1);
+        drop_stale(&cache, 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(0, 1)).is_none());
         assert!(cache.get(&key(1, 1)).is_some());
@@ -490,7 +486,7 @@ mod tests {
         cache.insert(key(0, 1), value(&[1]));
         cache.insert(key(0, 2), value(&[2]));
         // Entry for constant 1 survives the bump; entry 2 does not.
-        cache.carry_forward(1, |k| k.spec.bound_values() == vec![Const(1)]);
+        carry_if(&cache, 1, |k| k.spec.bound_values() == vec![Const(1)]);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(0, 1)).is_none(), "old key is gone");
         assert_eq!(
@@ -507,7 +503,7 @@ mod tests {
         // preceding epoch; anything older was already judged stale.
         let cache = ResultCache::new();
         cache.insert(key(0, 1), value(&[1]));
-        cache.carry_forward(2, |_| true);
+        carry_if(&cache, 2, |_| true);
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0, "evicted bytes are uncharged");
     }
@@ -518,7 +514,7 @@ mod tests {
         // call with the older epoch must be a no-op for newer entries.
         let cache = ResultCache::new();
         cache.insert(key(2, 1), value(&[5]));
-        cache.invalidate_stale(1);
+        drop_stale(&cache, 1);
         assert!(cache.get(&key(2, 1)).is_some());
     }
 
@@ -627,7 +623,7 @@ mod tests {
         cache.insert(key(1, 1), value(&[1]));
         let one_entry = approx_bytes(&key(0, 1), &value(&[1]).rows);
         assert_eq!(cache.bytes(), 2 * one_entry);
-        cache.carry_forward(1, |_| true);
+        carry_if(&cache, 1, |_| true);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), one_entry, "displaced bytes must not leak");
     }
@@ -643,7 +639,7 @@ mod tests {
         cache.insert(key(0, 2), value(&[2]));
         cache.insert(key(1, 3), value(&[3]));
         let mut asked = Vec::new();
-        cache.carry_forward(1, |k| {
+        carry_if(&cache, 1, |k| {
             asked.push(k.spec.bound_values()[0]);
             true
         });

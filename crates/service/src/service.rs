@@ -3,17 +3,16 @@
 //! generalized [`QuerySpec`].
 
 use crate::durable::{self, BaseProfile, DurabilityConfig, DurableStore, RecoveryReport};
-use crate::plan::{PlanCache, PlanKey, ProgramPlan};
-use crate::results::{CachedResult, ResultCache, ResultKey, SweepDecision};
+use crate::plan::{PlanCache, ProgramPlan};
+use crate::results::{CachedResult, ResultCache, ResultKey};
 use crate::snapshot::{IngestError, Snapshot, SnapshotStore};
-use crate::spec::{Adornment, Arg, QuerySpec};
-use rq_adorn::{NaryPlan, VirtualSource};
+use crate::spec::{Arg, QuerySpec};
 use rq_common::obs::{self, Counter, Histogram};
-use rq_common::{Const, ConstValue, Counters, FxHashMap, FxHashSet, Pred, Registry, Rows};
-use rq_datalog::{Program, Relation};
+use rq_common::{Const, ConstValue, Counters, FxHashMap, Pred, Registry, Rows};
+use rq_datalog::Program;
 use rq_engine::{
     all_pairs_min_side, candidate_sources, cyclic_iteration_bound, inverse_cyclic_iteration_bound,
-    EdbSource, EvalContext, EvalOptions, Evaluator,
+    EdbSource, EvalOptions, Evaluator,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -220,9 +219,9 @@ impl From<IngestError> for ServiceError {
 /// ```
 pub struct QueryService {
     store: SnapshotStore,
-    plans: PlanCache,
-    results: ResultCache,
-    config: ServiceConfig,
+    pub(crate) plans: PlanCache,
+    pub(crate) results: ResultCache,
+    pub(crate) config: ServiceConfig,
     /// Instance-scoped metrics registry: the caches' own counter cells
     /// are adopted into it at construction, so `:stats`, `GET /stats`
     /// and `GET /metrics` all read the same cells (no global state —
@@ -230,7 +229,7 @@ pub struct QueryService {
     metrics: Arc<Registry>,
     /// Pre-resolved handles for the hot path — no registry lookup per
     /// query.
-    counters: ServiceCounters,
+    pub(crate) counters: ServiceCounters,
     started: Instant,
     /// Serializes publish + cache carry-forward as one unit, so two
     /// concurrent ingests cannot run their epoch GC out of order (a
@@ -245,7 +244,7 @@ pub struct QueryService {
 /// Registry handles the service increments on its own hot paths (the
 /// cache hit/miss counters live inside the caches and are *adopted*
 /// into the registry instead).
-struct ServiceCounters {
+pub(crate) struct ServiceCounters {
     /// Queries evaluated through [`QueryService::query_on`] and the
     /// batch front end (internal re-entries — diagonal bases, per-source
     /// all-pairs sub-queries — count too: they are real evaluations).
@@ -271,12 +270,12 @@ struct ServiceCounters {
     /// Index probes that walked (or built) a hash-trie index.
     trie_probes: Counter,
     /// Dirty plans whose warm memos were repaired in place at publish.
-    delta_repairs: Counter,
+    pub(crate) delta_repairs: Counter,
     /// Memo/probe rows added by in-place delta repair.
-    delta_repaired_rows: Counter,
+    pub(crate) delta_repaired_rows: Counter,
     /// Dirty plans that fell back to cold re-derivation because the
     /// delta could not be propagated through their memos.
-    delta_fallback_cold: Counter,
+    pub(crate) delta_fallback_cold: Counter,
     /// Write-ahead-log records appended (one per published epoch, on
     /// durable services).
     wal_records: Counter,
@@ -391,19 +390,6 @@ impl ServiceCounters {
     }
 }
 
-/// What one publish's delta repair managed to patch in place (the
-/// carry passes skip these plans; the result sweep re-derives their
-/// entries warm instead of dropping them).
-#[derive(Debug, Default)]
-struct DeltaRepairOutcome {
-    /// The §3 chain plan's memos were repaired: every entry of the plan
-    /// now lives, complete on the new database, in the new snapshot's
-    /// context.
-    chain_repaired: bool,
-    /// §4 plans whose probe space + machine memos were repaired.
-    nary_repaired: FxHashSet<(Pred, Adornment)>,
-}
-
 impl QueryService {
     /// Serve `program` with default settings.
     pub fn new(program: Program) -> Self {
@@ -496,16 +482,10 @@ impl QueryService {
         };
         let store = match recovered.checkpoint {
             Some((_, payload)) => {
-                let restored = durable::restore_checkpoint(program, &payload)
+                let (program, epoch) = durable::restore_checkpoint(program, &payload)
                     .map_err(ServiceError::Recovery)?;
-                report.checkpoint_epoch = Some(restored.epoch);
-                SnapshotStore::with_restored(
-                    restored.program,
-                    restored.epoch,
-                    restored.rev_low,
-                    restored.rev_high,
-                    restored.low_preds,
-                )
+                report.checkpoint_epoch = Some(epoch);
+                SnapshotStore::with_restored(program, epoch)
             }
             None => SnapshotStore::new(program),
         };
@@ -643,20 +623,12 @@ impl QueryService {
     }
 
     /// Ingest fact clauses copy-on-write and publish the next epoch.
-    /// In-flight readers keep their snapshot.  Two caches then carry
-    /// forward **per plan read-set** instead of dying with the epoch:
-    ///
-    /// * result-cache entries survive (re-keyed to the new epoch) when
-    ///   their plan reads none of the shards the publish dirtied — for
-    ///   §4 entries the transformed program's virtual predicates are
-    ///   resolved back to the real base relations their joins consult;
-    /// * the epoch context's machine memo (and, for §4 plans, the
-    ///   shared probe space) migrates into the new snapshot's context
-    ///   for plans with the same clean-read-set property, so long-lived
-    ///   clients keep warm-epoch traversal throughput across unrelated
-    ///   ingests.
-    ///
-    /// An ingest into `e` therefore leaves both the answers *and* the
+    /// In-flight readers keep their snapshot.  Warm state does not die
+    /// with the epoch: the publish pass ([`crate::publish`]) gives every
+    /// cached plan one verdict — carry (its read-set is clean), repair
+    /// (dirty, but patched by the delta) or drop — and the plan's
+    /// machine memo, §4 probe space and result-cache entries all follow
+    /// it, so an ingest into `e` leaves both the answers *and* the
     /// traversal memos of plans over disjoint predicates hot.
     pub fn ingest(&self, facts_text: &str) -> Result<Arc<Snapshot>, ServiceError> {
         // Publish and carry-forward must happen atomically with respect
@@ -691,22 +663,14 @@ impl QueryService {
             span.note("epoch", snap.epoch());
             span.note("dirty_preds", snap.dirty_preds().len());
         }
-        // Semi-naive in-place repair of warm plan state, before the
-        // carry passes so they can keep what it patched alive.
-        let repaired = {
-            let _repair = obs::span("ingest.delta_repair");
-            self.delta_repair(&prev, &snap)
-        };
-        if self.config.share_epoch_context {
-            let _carry = obs::span("ingest.carry_context");
-            self.carry_context(&prev, &snap, &repaired);
-        }
+        let verdicts = self.transition(&prev, &snap);
         let to_rederive = {
             let _carry = obs::span("ingest.carry_results");
-            self.sweep_results(&prev, &snap, &repaired)
+            self.results.sweep(snap.epoch(), |key| {
+                verdicts.verdict(key.spec.pred, key.spec.adornment())
+            })
         };
-        // Re-derive repaired entries from the patched memos (warm:
-        // teleports, not traversals).  Not counted as served queries.
+        // Repair-swept entries come back through the patched memos.
         for spec in &to_rederive {
             self.rederive(&snap, spec);
         }
@@ -750,315 +714,12 @@ impl QueryService {
         }
     }
 
-    /// Three-way result-cache sweep for one publish: `Carry` entries
-    /// whose read-sets the publish cannot have touched, schedule
-    /// re-derivation (`Repair`) for entries whose plan state was
-    /// repaired in place, and `Drop` the rest.  Returns the specs to
-    /// re-derive.
-    fn sweep_results(
-        &self,
-        prev: &Snapshot,
-        snap: &Snapshot,
-        repaired: &DeltaRepairOutcome,
-    ) -> Vec<QuerySpec> {
-        let dirty = snap.dirty_preds();
-        let fingerprint = snap.rules_fingerprint();
-        let chain = self.plans.peek_program(fingerprint);
-        // Durability fast path (Salsa-style): when the publish left the
-        // high-durability revision untouched, a plan reading no
-        // low-durability predicate is vouched for by the stamp alone —
-        // `low_preds ⊇ dirty`, so no dirty-set comparison is needed.
-        let high_rev_stable = snap.rev_high() == prev.rev_high();
-        // One read-set walk per distinct (pred, adornment) in the
-        // cache, not per entry.
-        let mut decision_memo: FxHashMap<(Pred, Adornment), SweepDecision> = FxHashMap::default();
-        self.results.sweep(snap.epoch(), |key| {
-            let pred = key.spec.pred;
-            let adornment = key.spec.adornment();
-            *decision_memo.entry((pred, adornment)).or_insert_with(|| {
-                let (read_set, chain_pred) = if let Some(plan) =
-                    chain.as_ref().filter(|p| p.system.rhs.contains_key(&pred))
-                {
-                    (Some(plan.read_set(pred)), true)
-                } else {
-                    (
-                        self.plans
-                            .peek_nary(fingerprint, pred, adornment)
-                            .map(|p| p.read_set(snap.program())),
-                        false,
-                    )
-                };
-                let Some(read_set) = read_set else {
-                    return SweepDecision::Drop;
-                };
-                if high_rev_stable && read_set.is_disjoint(snap.low_preds()) {
-                    return SweepDecision::Carry;
-                }
-                if read_set.is_disjoint(dirty) {
-                    return SweepDecision::Carry;
-                }
-                let plan_repaired = if chain_pred {
-                    repaired.chain_repaired
-                } else {
-                    repaired.nary_repaired.contains(&(pred, adornment))
-                };
-                if plan_repaired {
-                    SweepDecision::Repair
-                } else {
-                    SweepDecision::Drop
-                }
-            })
-        })
-    }
-
-    /// Re-derive one swept-for-repair spec on the fresh snapshot and
-    /// re-insert it (fresh byte charge).  Internal maintenance — does
-    /// not bump the query counter or touch cache hit/miss stats.
-    fn rederive(&self, snap: &Snapshot, spec: &QuerySpec) {
-        let Ok((rows, converged)) = self.evaluate_spec(snap, spec, self.config.eval_threads) else {
-            return;
-        };
-        self.results.insert(
-            ResultKey {
-                epoch: snap.epoch(),
-                spec: spec.clone(),
-            },
-            CachedResult {
-                rows: Arc::new(rows),
-                converged,
-            },
-        );
-    }
-
     /// Fold one publish's compact-store build work into the registry.
     fn note_publish(&self, snap: &Snapshot) {
         self.counters.csr_builds.add(snap.csr_builds() as u64);
         self.counters
             .csr_build_seconds
             .observe(snap.csr_build_time());
-    }
-
-    /// Cross-epoch machine-memo carry-forward: move the previous
-    /// epoch's traversal memos into the fresh snapshot's context for
-    /// every cached plan whose read-set is disjoint from the publish's
-    /// dirty shards (the context-side mirror of the result cache's
-    /// `carry_forward`).
-    ///
-    /// Granularity follows what each memo key can vouch for:
-    ///
-    /// * the §3 chain plan is one compiled unit shared by every binary
-    ///   predicate of the program, so survival is decided **per
-    ///   machine** — machine `m` carries exactly when the read-set of
-    ///   `m`'s predicate is clean, so an ingest into `e` drops `tc`'s
-    ///   memos while `rc`-over-`f` memos survive;
-    /// * each §4 plan carries **wholesale or not at all**, and always
-    ///   together with its probe space — the memoized answer sets are
-    ///   encoded in that space's tuple interner, so the two are only
-    ///   meaningful as a unit.
-    ///
-    /// Plans already repaired in place by [`QueryService::delta_repair`]
-    /// are skipped: their patched state was adopted into the new
-    /// snapshot's context directly, so carrying the stale entries from
-    /// `prev` on top would clobber nothing but waste work.
-    fn carry_context(&self, prev: &Snapshot, snap: &Snapshot, repaired: &DeltaRepairOutcome) {
-        let dirty = snap.dirty_preds();
-        let chain_machines: Option<(u64, rq_common::FxHashSet<u32>)> = self
-            .plans
-            .peek_program(snap.rules_fingerprint())
-            .filter(|_| !repaired.chain_repaired)
-            .map(|plan| {
-                let mut clean: FxHashMap<Pred, bool> = FxHashMap::default();
-                let machines = plan
-                    .compiled
-                    .machine_preds()
-                    .into_iter()
-                    .filter(|&(_, pred)| {
-                        *clean
-                            .entry(pred)
-                            .or_insert_with(|| plan.read_set(pred).is_disjoint(dirty))
-                    })
-                    .map(|(machine, _)| machine)
-                    .collect();
-                (plan.compiled.id(), machines)
-            });
-        let nary_plans: Vec<((Pred, Adornment), u64)> = self
-            .plans
-            .cached_nary_plans(snap.rules_fingerprint())
-            .into_iter()
-            .filter(|(key, plan)| {
-                !repaired.nary_repaired.contains(&(key.pred, key.adornment))
-                    && plan.read_set(snap.program()).is_disjoint(dirty)
-            })
-            .map(|(key, plan)| ((key.pred, key.adornment), plan.compiled.id()))
-            .collect();
-        snap.context()
-            .carry_from(prev.context(), chain_machines.as_ref(), &nary_plans);
-    }
-
-    /// Try to repair every cached dirty plan's warm state in place by
-    /// propagating the publish delta semi-naively through it (§3
-    /// machine memos; §4 probe spaces and their machine memos).  Each
-    /// success is adopted into the fresh snapshot's context; each
-    /// failure is an honest cold fallback, counted and left for the
-    /// ordinary drop-and-re-derive path.
-    fn delta_repair(&self, prev: &Snapshot, snap: &Snapshot) -> DeltaRepairOutcome {
-        let mut out = DeltaRepairOutcome::default();
-        if !self.config.delta_repair || !self.config.share_epoch_context || snap.delta().is_empty()
-        {
-            return out;
-        }
-        let dirty = snap.dirty_preds();
-        let fingerprint = snap.rules_fingerprint();
-        if let Some(plan) = self.plans.peek_program(fingerprint) {
-            out.chain_repaired = self.repair_chain_plan(prev, snap, &plan);
-        }
-        for (key, plan) in self.plans.cached_nary_plans(fingerprint) {
-            if plan.read_set(snap.program()).is_disjoint(dirty) {
-                continue; // clean: the ordinary carry path keeps it warm
-            }
-            if self.repair_nary_plan(prev, snap, &key, &plan) {
-                out.nary_repaired.insert((key.pred, key.adornment));
-            }
-        }
-        out
-    }
-
-    /// Repair the §3 chain plan's machine memos against the new
-    /// database.  The repair runs on a detached scratch context and is
-    /// only adopted into the (already published) snapshot's context on
-    /// success, so racing queries never observe a half-patched memo.
-    fn repair_chain_plan(&self, prev: &Snapshot, snap: &Snapshot, plan: &ProgramPlan) -> bool {
-        let affected = plan.compiled.affected_machines(snap.dirty_preds());
-        if affected.is_empty() {
-            return false; // fully clean: per-machine carry keeps everything
-        }
-        // The delta as label pairs.  A non-binary delta predicate can
-        // never be a chain label, but guard anyway: if one somehow
-        // affects the plan, the delta is not expressible here.
-        let mut pairs: FxHashMap<Pred, Vec<(Const, Const)>> = FxHashMap::default();
-        let mut unpairable: FxHashSet<Pred> = FxHashSet::default();
-        for (&pred, rows) in snap.delta().added() {
-            if rows.iter().all(|r| r.len() == 2) {
-                pairs.insert(pred, rows.iter().map(|r| (r[0], r[1])).collect());
-            } else {
-                unpairable.insert(pred);
-            }
-        }
-        if !plan.compiled.affected_machines(&unpairable).is_empty() {
-            self.counters.delta_fallback_cold.inc();
-            return false;
-        }
-        let scratch = EvalContext::new();
-        let plan_id = plan.compiled.id();
-        if scratch.carry_from(prev.context().eval(), |p, _| p == plan_id) == 0 {
-            return false; // nothing was warm
-        }
-        let source = EdbSource::new(snap.db());
-        let evaluator =
-            Evaluator::with_plan(&plan.system, &plan.compiled, &source).with_context(&scratch);
-        let outcome = evaluator.repair(&pairs, &self.repair_options());
-        if outcome.repaired {
-            snap.context().adopt_eval_entries(&scratch, plan_id);
-            self.counters.delta_repairs.inc();
-            self.counters.delta_repaired_rows.add(outcome.added_rows);
-            true
-        } else {
-            self.counters.delta_fallback_cold.inc();
-            false
-        }
-    }
-
-    /// Repair one §4 plan: re-derive the delta's consequences on the
-    /// plan's virtual relations (semi-naive rule firings seeded by the
-    /// delta), patch them into a **fork** of the previous epoch's probe
-    /// space, then repair the machine memos over the patched virtual
-    /// pairs.  The fork is adopted only if the whole repair lands.
-    fn repair_nary_plan(
-        &self,
-        prev: &Snapshot,
-        snap: &Snapshot,
-        key: &PlanKey,
-        plan: &NaryPlan,
-    ) -> bool {
-        let Some(prev_space) = prev.context().peek_probe_space(key.pred, key.adornment) else {
-            return false; // nothing was warm
-        };
-        let fork = Arc::new(prev_space.fork());
-        let delta_rels: FxHashMap<Pred, Relation> = snap
-            .delta()
-            .added()
-            .iter()
-            .map(|(&pred, rows)| {
-                let arity = snap.program().arity(pred);
-                (
-                    pred,
-                    Relation::from_rows(arity, rows.iter().map(Vec::as_slice)),
-                )
-            })
-            .collect();
-        let mut counters = Counters::default();
-        let vpairs = rq_adorn::delta_pairs(
-            snap.program(),
-            snap.db(),
-            &plan.binary,
-            &fork,
-            &delta_rels,
-            &mut counters,
-        );
-        self.note_probes(&counters);
-        let Some(vpairs) = vpairs else {
-            self.counters.delta_fallback_cold.inc();
-            return false;
-        };
-        // Patch the probe memos first: the machine repair's closures
-        // read the virtual relations through them.
-        let mut patched_rows = 0u64;
-        for (&vpred, vp) in &vpairs {
-            patched_rows += fork.patch_pairs(vpred, vp);
-        }
-        let scratch = EvalContext::new();
-        let plan_id = plan.compiled.id();
-        scratch.carry_from(prev.context().eval(), |p, _| p == plan_id);
-        let source =
-            VirtualSource::with_space(snap.program(), snap.db(), &plan.binary, Arc::clone(&fork));
-        let evaluator = Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source)
-            .with_context(&scratch);
-        let outcome = evaluator.repair(&vpairs, &self.repair_options());
-        if !outcome.repaired {
-            self.counters.delta_fallback_cold.inc();
-            return false;
-        }
-        if !snap
-            .context()
-            .adopt_probe_space(key.pred, key.adornment, fork)
-        {
-            // A racing query already built a fresh space on the new
-            // epoch; its interner numbers tuples differently, so the
-            // repaired fork cannot be spliced under it.
-            self.counters.delta_fallback_cold.inc();
-            return false;
-        }
-        snap.context().adopt_eval_entries(&scratch, plan_id);
-        self.counters.delta_repairs.inc();
-        self.counters
-            .delta_repaired_rows
-            .add(outcome.added_rows + patched_rows);
-        true
-    }
-
-    /// [`QueryService::guarded_options`] for repair traversals, which
-    /// have no per-source `m·n` bound: rely on the fallback node budget
-    /// so cyclic data cannot hang the publish.  A budget-stopped repair
-    /// honestly reports failure and falls back cold.
-    fn repair_options(&self) -> EvalOptions {
-        let mut options = self.guarded_options(None, self.config.eval_threads);
-        if options.max_iterations.is_none()
-            && self.config.cyclic_guard
-            && options.node_budget.is_none()
-        {
-            options.node_budget = self.config.fallback_node_budget;
-        }
-        options
     }
 
     /// Parse a query — any arity, any mix of bound constants and free
@@ -1137,7 +798,7 @@ impl QueryService {
     }
 
     /// Route one spec to the right pipeline.
-    fn evaluate_spec(
+    pub(crate) fn evaluate_spec(
         &self,
         snapshot: &Snapshot,
         spec: &QuerySpec,
@@ -1189,15 +850,8 @@ impl QueryService {
                 .nary_plan_for(snapshot, spec.pred, spec.adornment())
                 .map_err(|e| ServiceError::Plan(e.to_string()))?
         };
-        let mut options = self.guarded_options(None, expand_threads);
-        // No m·n bound exists over virtual relations; rely on the
-        // fallback node budget for cyclic data.
-        if options.max_iterations.is_none()
-            && self.config.cyclic_guard
-            && options.node_budget.is_none()
-        {
-            options.node_budget = self.config.fallback_node_budget;
-        }
+        // No m·n bound exists over virtual relations.
+        let options = self.budgeted_options(expand_threads);
         // Epoch sharing: every query of this snapshot against this
         // plan shares one tuple interner + virtual-probe memo, and the
         // engine's machine memo, so a batch pays each probe once.
@@ -1250,7 +904,7 @@ impl QueryService {
 
     /// Fold one evaluation's probe-path split (compact store vs trie
     /// index) into the registry.
-    fn note_probes(&self, counters: &Counters) {
+    pub(crate) fn note_probes(&self, counters: &Counters) {
         self.counters.csr_probes.add(counters.csr_probes);
         self.counters.trie_probes.add(counters.trie_probes);
     }
@@ -1399,6 +1053,24 @@ impl QueryService {
         }
         if options.expand_threads == 0 {
             options.expand_threads = expand_threads.max(1);
+        }
+        options
+    }
+
+    /// [`QueryService::guarded_options`] for traversals with no
+    /// computable `m·n` bound — every §4 machine (the bound cannot
+    /// inspect virtual relations) and every publish-time repair (no
+    /// single source): rely on the fallback node budget so cyclic data
+    /// cannot hang the worker or the publish.  A budget-stopped run
+    /// honestly reports non-convergence; a budget-stopped repair
+    /// reports failure and falls back cold.
+    pub(crate) fn budgeted_options(&self, expand_threads: usize) -> EvalOptions {
+        let mut options = self.guarded_options(None, expand_threads);
+        if options.max_iterations.is_none()
+            && self.config.cyclic_guard
+            && options.node_budget.is_none()
+        {
+            options.node_budget = self.config.fallback_node_budget;
         }
         options
     }
@@ -1793,6 +1465,39 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let other = QueryService::from_source(TC).unwrap();
         assert!(other.metrics_prometheus().contains("rq_queries_total 0\n"));
         assert!(service.uptime() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn publish_time_rederivation_is_not_counted_as_traffic() {
+        // A diagonal filters its all-pairs base; re-deriving it at
+        // publish must not go through the counted query path.
+        let service = QueryService::from_source(
+            "tc(X,Y) :- e(X,Y).\n\
+             tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
+             e(a,b). e(b,a). e(b,c).",
+        )
+        .unwrap();
+        let point = service.parse_query("tc(a, Y)").unwrap();
+        let diag = service.parse_query("tc(X, X)").unwrap();
+        service.query(&point).unwrap();
+        service.query(&diag).unwrap();
+        let traffic = |s: &QueryService| (s.counters.queries.value(), s.results.stats());
+        let before = traffic(&service);
+        // One dirty fact closes a second cycle through c.
+        let snap = service.ingest("e(c,b).").unwrap();
+        assert_eq!(traffic(&service), before, "maintenance counted as traffic");
+        assert_eq!(service.stats_report().delta_repairs, 1);
+        // Every warmed entry — the diagonal, its base, the point query —
+        // is back on the new epoch with the new answers.
+        assert_eq!(service.results.len(), 3);
+        let key = ResultKey {
+            epoch: snap.epoch(),
+            spec: diag.clone(),
+        };
+        let entry = service.results.peek(&key).expect("diagonal re-derived");
+        let served = service.query(&diag).unwrap();
+        assert!(served.from_cache && Arc::ptr_eq(&served.rows, &entry.rows));
+        assert_eq!(rendered(&service, &served), vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -24,23 +24,6 @@ use rq_common::{Const, ConstValue, FxHashMap, FxHashSet, Pred};
 use rq_datalog::{parse_program, Database, Program};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Salsa-style durability tier of one base predicate.
-///
-/// Predicates start [`Durability::High`] — assumed stable across
-/// publishes — and are demoted to [`Durability::Low`] the first time an
-/// ingest dirties them.  The service's cache sweep uses the tiers as a
-/// fast path: when a publish touched only low-durability predicates
-/// (the high revision did not move), any plan whose read-set is
-/// entirely high-durability carries without walking the dirty set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Durability {
-    /// The predicate has been dirtied by some ingest; future publishes
-    /// are expected to touch it again.
-    Low,
-    /// The predicate has never been dirtied since service start.
-    High,
-}
-
 /// The typed delta of one publish: per-predicate tuples this epoch
 /// **added** relative to its parent (ingests are monotone — facts are
 /// only ever added — so additions are the whole delta).
@@ -109,13 +92,6 @@ pub struct Snapshot {
     /// repair path propagates through warm memos.  Empty at epoch 0
     /// (the initial load is the baseline, not a delta).
     delta: Delta,
-    /// Predicates ever demoted to [`Durability::Low`] by an ingest.
-    low_preds: FxHashSet<Pred>,
-    /// Revision stamp bumped by every publish that dirtied anything.
-    rev_low: u64,
-    /// Revision stamp bumped only by publishes that dirtied a
-    /// previously high-durability predicate.
-    rev_high: u64,
     /// The epoch's evaluation context: traversal/probe memos shared by
     /// every query of this epoch, invalidated wholesale by the next
     /// publish (each snapshot owns a fresh context).
@@ -128,35 +104,13 @@ pub struct Snapshot {
     csr_build_time: std::time::Duration,
 }
 
-/// Durability bookkeeping one publish hands to [`Snapshot::new`]: the
-/// typed delta plus the demotion set and revision stamps.
-struct PublishMeta {
-    delta: Delta,
-    low_preds: FxHashSet<Pred>,
-    rev_low: u64,
-    rev_high: u64,
-}
-
-impl PublishMeta {
-    /// Epoch 0: the initial load is the baseline, not a delta, and every
-    /// predicate starts high-durability.
-    fn baseline() -> Self {
-        Self {
-            delta: Delta::default(),
-            low_preds: FxHashSet::default(),
-            rev_low: 0,
-            rev_high: 0,
-        }
-    }
-}
-
 impl Snapshot {
     fn new(
         epoch: u64,
         program: Program,
         db: Database,
         dirty: FxHashSet<Pred>,
-        meta: PublishMeta,
+        delta: Delta,
     ) -> Self {
         db.prewarm_binary_indexes();
         // Compact stores are the publish-time counterpart of the index
@@ -173,10 +127,7 @@ impl Snapshot {
             program,
             db,
             dirty,
-            delta: meta.delta,
-            low_preds: meta.low_preds,
-            rev_low: meta.rev_low,
-            rev_high: meta.rev_high,
+            delta,
             context: EpochContext::new(),
             csr_builds,
             csr_build_time,
@@ -215,36 +166,6 @@ impl Snapshot {
     /// and after duplicate-only ingests.
     pub fn delta(&self) -> &Delta {
         &self.delta
-    }
-
-    /// Predicates ever demoted to [`Durability::Low`] since service
-    /// start (a superset of [`Snapshot::dirty_preds`] on every epoch
-    /// after 0).
-    pub fn low_preds(&self) -> &FxHashSet<Pred> {
-        &self.low_preds
-    }
-
-    /// Revision stamp of the low-durability tier: bumped by every
-    /// publish that dirtied anything.
-    pub fn rev_low(&self) -> u64 {
-        self.rev_low
-    }
-
-    /// Revision stamp of the high-durability tier: bumped only when a
-    /// publish dirties a predicate that was still [`Durability::High`].
-    /// A plan reading only high-durability predicates is untouched by
-    /// any publish that left this stamp alone.
-    pub fn rev_high(&self) -> u64 {
-        self.rev_high
-    }
-
-    /// The durability tier of `pred` as of this epoch.
-    pub fn durability(&self, pred: Pred) -> Durability {
-        if self.low_preds.contains(&pred) {
-            Durability::Low
-        } else {
-            Durability::High
-        }
     }
 
     /// The epoch's evaluation context (see [`EpochContext`]): memos
@@ -333,42 +254,23 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     /// Open a store at epoch 0 with the program's facts as the EDB.
     pub fn new(program: Program) -> Self {
-        Self::with_meta(program, 0, PublishMeta::baseline())
+        Self::with_restored(program, 0)
     }
 
     /// Open a store whose first snapshot is a **recovered** epoch: the
     /// program already carries every fact up to `epoch` (checkpoint
-    /// restore re-extends the interners and fact list), and the
-    /// durability bookkeeping resumes where the crashed service left
-    /// off.  Like epoch 0, every predicate reports dirty — there is no
-    /// parent epoch to be clean against.
-    pub fn with_restored(
-        program: Program,
-        epoch: u64,
-        rev_low: u64,
-        rev_high: u64,
-        low_preds: FxHashSet<Pred>,
-    ) -> Self {
-        Self::with_meta(
-            program,
-            epoch,
-            PublishMeta {
-                delta: Delta::default(),
-                low_preds,
-                rev_low,
-                rev_high,
-            },
-        )
-    }
-
-    fn with_meta(program: Program, epoch: u64, meta: PublishMeta) -> Self {
+    /// restore re-extends the interners and fact list).  Like epoch 0,
+    /// every predicate reports dirty and the delta is empty — there is
+    /// no parent epoch to be clean against.
+    pub fn with_restored(program: Program, epoch: u64) -> Self {
         let mut db = Database::from_program(&program);
         let dirty: FxHashSet<Pred> = program.preds.ids().collect();
         // The first snapshot owns every shard uniquely: trim the
         // tail-chunk over-allocation the initial load left behind.
         db.compact_shards(dirty.iter().copied());
+        let first = Snapshot::new(epoch, program, db, dirty, Delta::default());
         Self {
-            current: RwLock::new(Arc::new(Snapshot::new(epoch, program, db, dirty, meta))),
+            current: RwLock::new(Arc::new(first)),
             writer: Mutex::new(()),
         }
     }
@@ -436,8 +338,8 @@ impl SnapshotStore {
     /// `(pred name, arity, constant values)`.  Interning value-by-value
     /// in that order reproduces the original interner ids exactly, so
     /// the replayed epoch is structurally identical to the lost one —
-    /// same ids, same fact order, same durability stamps.  Rows are
-    /// values (not ids) precisely so this holds on a fresh process.
+    /// same ids, same fact order.  Rows are values (not ids) precisely
+    /// so this holds on a fresh process.
     ///
     /// Publishes `current epoch + 1`; the caller aligns record epochs.
     pub fn replay_rows(
@@ -453,41 +355,16 @@ impl SnapshotStore {
         for (name, arity, values) in rows {
             // The same schema checks `validate_facts` ran on the
             // original batch — a log that fails them is corrupt.
-            if let Some(existing) = program.pred_by_name(name) {
-                if program.is_derived(existing) {
-                    return Err(IngestError::DerivedPredicate(name.clone()));
-                }
-                if program.arity(existing) != *arity {
-                    return Err(IngestError::ArityMismatch {
-                        pred: name.clone(),
-                        expected: program.arity(existing),
-                        got: *arity,
-                    });
-                }
-            }
-            let fresh_pred = program.pred_by_name(name).is_none();
-            let target = program.pred(name, *arity);
-            let mapped: Vec<Const> = values
-                .iter()
-                .map(|v| program.consts.intern(v.clone()))
-                .collect();
-            if fresh_pred {
-                db.ensure_pred(target, *arity);
-                dirty.insert(target);
-            }
-            if !db.contains(target, &mapped) {
-                db.insert(target, &mapped);
-                delta.push(target, mapped.clone());
-                program.add_fact(target, mapped);
-                dirty.insert(target);
-            }
+            check_schema(&program, name, *arity)?;
+            let values = values.iter().cloned();
+            apply_fact(&mut program, &mut db, &mut dirty, &mut delta, name, values);
         }
         db.compact_shards(dirty.iter().copied());
         self.publish(&base, program, db, dirty, delta, |_| Ok(()))
     }
 
-    /// The shared publish tail: durability bookkeeping, snapshot
-    /// construction, the pre-publish hook, and the pointer swap.
+    /// The shared publish tail: snapshot construction, the pre-publish
+    /// hook, and the pointer swap.
     fn publish(
         &self,
         base: &Snapshot,
@@ -497,19 +374,7 @@ impl SnapshotStore {
         delta: Delta,
         pre_publish: impl FnOnce(&Snapshot) -> Result<(), IngestError>,
     ) -> Result<Arc<Snapshot>, IngestError> {
-        // Durability bookkeeping: a dirtied predicate is demoted to the
-        // low tier permanently; the high revision moves only when this
-        // publish is the demoting one.
-        let demoted = dirty.iter().any(|p| !base.low_preds.contains(p));
-        let mut low_preds = base.low_preds.clone();
-        low_preds.extend(dirty.iter().copied());
-        let meta = PublishMeta {
-            delta,
-            low_preds,
-            rev_low: base.rev_low + u64::from(!dirty.is_empty()),
-            rev_high: base.rev_high + u64::from(demoted && !dirty.is_empty()),
-        };
-        let next = Arc::new(Snapshot::new(base.epoch + 1, program, db, dirty, meta));
+        let next = Arc::new(Snapshot::new(base.epoch + 1, program, db, dirty, delta));
         pre_publish(&next)?;
         *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
         Ok(next)
@@ -525,30 +390,34 @@ fn validate_facts(program: &Program, text: &str) -> Result<Program, IngestError>
         return Err(IngestError::RulesNotAllowed);
     }
     for (pred, _) in &parsed.facts {
-        let name = parsed.pred_name(*pred);
-        let arity = parsed.arity(*pred);
-        if let Some(existing) = program.pred_by_name(name) {
-            if program.is_derived(existing) {
-                return Err(IngestError::DerivedPredicate(name.to_string()));
-            }
-            if program.arity(existing) != arity {
-                return Err(IngestError::ArityMismatch {
-                    pred: name.to_string(),
-                    expected: program.arity(existing),
-                    got: arity,
-                });
-            }
-        }
+        check_schema(program, parsed.pred_name(*pred), parsed.arity(*pred))?;
     }
     Ok(parsed)
+}
+
+/// A fact for `name` at `arity` must not target a derived predicate or
+/// contradict an arity `program` already registered.
+fn check_schema(program: &Program, name: &str, arity: usize) -> Result<(), IngestError> {
+    let Some(existing) = program.pred_by_name(name) else {
+        return Ok(());
+    };
+    if program.is_derived(existing) {
+        return Err(IngestError::DerivedPredicate(name.to_string()));
+    }
+    if program.arity(existing) != arity {
+        return Err(IngestError::ArityMismatch {
+            pred: name.to_string(),
+            expected: program.arity(existing),
+            got: arity,
+        });
+    }
+    Ok(())
 }
 
 /// Merge a validated fact batch into `program`/`db`, translating
 /// interned ids across programs.  Returns the set of predicates whose
 /// shard was actually touched plus the typed [`Delta`] of genuinely new
-/// tuples: duplicate facts are skipped *before* reaching the database
-/// so they cannot detach an otherwise-clean shard from its parent
-/// epoch — and never reach the delta either.
+/// tuples.
 fn apply_validated(
     program: &mut Program,
     db: &mut Database,
@@ -557,26 +426,41 @@ fn apply_validated(
     let mut dirty = FxHashSet::default();
     let mut delta = Delta::default();
     for (pred, tuple) in &parsed.facts {
+        let values = tuple.iter().map(|&c| parsed.consts.value(c).clone());
         let name = parsed.pred_name(*pred);
-        let arity = parsed.arity(*pred);
-        let fresh_pred = program.pred_by_name(name).is_none();
-        let target = program.pred(name, arity);
-        let mapped: Vec<_> = tuple
-            .iter()
-            .map(|&c| program.consts.intern(parsed.consts.value(c).clone()))
-            .collect();
-        if fresh_pred {
-            db.ensure_pred(target, arity);
-            dirty.insert(target);
-        }
-        if !db.contains(target, &mapped) {
-            db.insert(target, &mapped);
-            delta.push(target, mapped.clone());
-            program.add_fact(target, mapped);
-            dirty.insert(target);
-        }
+        apply_fact(program, db, &mut dirty, &mut delta, name, values);
     }
     (dirty, delta)
+}
+
+/// Apply one schema-checked fact — the step live ingest and log replay
+/// share, so a replayed epoch interns its predicate and values in
+/// exactly the order the original did.  Duplicate facts are skipped
+/// *before* reaching the database so they cannot detach an
+/// otherwise-clean shard from its parent epoch — and never reach the
+/// delta either.
+fn apply_fact(
+    program: &mut Program,
+    db: &mut Database,
+    dirty: &mut FxHashSet<Pred>,
+    delta: &mut Delta,
+    name: &str,
+    values: impl ExactSizeIterator<Item = ConstValue>,
+) {
+    let arity = values.len();
+    let fresh_pred = program.pred_by_name(name).is_none();
+    let target = program.pred(name, arity);
+    let mapped: Vec<Const> = values.map(|v| program.consts.intern(v)).collect();
+    if fresh_pred {
+        db.ensure_pred(target, arity);
+        dirty.insert(target);
+    }
+    if !db.contains(target, &mapped) {
+        db.insert(target, &mapped);
+        delta.push(target, mapped.clone());
+        program.add_fact(target, mapped);
+        dirty.insert(target);
+    }
 }
 
 #[cfg(test)]
@@ -802,41 +686,6 @@ mod tests {
         let snap = store.ingest("e(a,b).").unwrap();
         assert!(snap.delta().is_empty());
         assert!(snap.delta().rows(e).is_none());
-    }
-
-    #[test]
-    fn durability_demotes_on_first_dirty_and_stamps_revisions() {
-        let store = SnapshotStore::new(
-            parse_program(
-                "tc(X,Y) :- e(X,Y).\n\
-                 tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
-                 e(a,b). f(a,b).",
-            )
-            .unwrap(),
-        );
-        let base = store.snapshot();
-        let e = base.program().pred_by_name("e").unwrap();
-        let f = base.program().pred_by_name("f").unwrap();
-        // Epoch 0: everything is dirty but nothing is demoted yet.
-        assert_eq!(base.durability(e), Durability::High);
-        assert_eq!((base.rev_low(), base.rev_high()), (0, 0));
-        // First ingest into e: demotion moves both revisions.
-        let snap = store.ingest("e(b,c).").unwrap();
-        assert_eq!(snap.durability(e), Durability::Low);
-        assert_eq!(snap.durability(f), Durability::High);
-        assert_eq!((snap.rev_low(), snap.rev_high()), (1, 1));
-        // Second ingest into the already-low e: only rev_low moves.
-        let snap = store.ingest("e(c,d).").unwrap();
-        assert_eq!((snap.rev_low(), snap.rev_high()), (2, 1));
-        assert!(snap.low_preds().contains(&e));
-        assert!(!snap.low_preds().contains(&f));
-        // Duplicate-only ingest: neither revision moves.
-        let snap = store.ingest("e(c,d).").unwrap();
-        assert_eq!((snap.rev_low(), snap.rev_high()), (2, 1));
-        // Dirtying the still-high f moves rev_high again.
-        let snap = store.ingest("f(b,c).").unwrap();
-        assert_eq!((snap.rev_low(), snap.rev_high()), (3, 2));
-        assert_eq!(snap.durability(f), Durability::Low);
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //!   warm service that lives through random small ingests answers
 //!   exactly like a cold service rebuilt from scratch on the grown
 //!   program, whether each dirty plan was repaired in place or fell
-//!   back cold.
+//!   back cold;
+//! * **one fate per plan** — across a publish, a cached plan's
+//!   result-cache entries and its context state (machine memo / probe
+//!   space) are carried, repaired or dropped *together*.
 
 use proptest::prelude::*;
+use rq_common::{FxHashSet, Pred};
 use rq_engine::EvalOptions;
-use rq_service::{QueryService, ServiceConfig};
-use rq_workloads::randprog::{random_nary_program, NaryConfig};
+use rq_service::{QueryService, QuerySpec, ResultKey, ServiceConfig, Snapshot};
+use rq_workloads::randprog::{
+    random_nary_program, random_program, NaryConfig, RandProgConfig, RecursionStyle,
+};
 
 /// A service that shares nothing between queries: cold per-query
 /// re-derivation, single-threaded, no result memoization.
@@ -490,4 +496,227 @@ fn shared_context_respects_eval_options_overrides() {
     let q = service.parse_query("tc(a, Y)").unwrap();
     let out = service.query(&q).unwrap();
     assert_eq!(out.rows.len(), 2);
+}
+
+/// One cached plan as the fate property sees it.
+struct PlanProbe {
+    name: String,
+    /// The warmed specs this plan answers.
+    specs: Vec<QuerySpec>,
+    /// Every base predicate the plan's answers depend on.
+    read_set: FxHashSet<Pred>,
+    /// Whether the plan's state is present in a snapshot's context:
+    /// memo entries of the predicate's machines (§3), the probe space
+    /// (§4).
+    state: Box<dyn Fn(&Snapshot) -> bool>,
+}
+
+/// The plan cache of a warmed service, one probe per unit of fate: a
+/// derived predicate of the §3 chain plan, or a whole §4 plan.
+fn plan_probes(service: &QueryService, specs: &[QuerySpec]) -> Vec<PlanProbe> {
+    let snap = service.snapshot();
+    let fingerprint = snap.rules_fingerprint();
+    let name = |pred: Pred| snap.program().pred_name(pred).to_string();
+    let mut probes = Vec::new();
+    if let Some(plan) = service.plan_cache().peek_program(fingerprint) {
+        for &pred in &plan.system.lhs {
+            let machines: FxHashSet<u32> = plan
+                .compiled
+                .machine_preds()
+                .into_iter()
+                .filter(|&(_, p)| p == pred)
+                .map(|(machine, _)| machine)
+                .collect();
+            let id = plan.compiled.id();
+            probes.push(PlanProbe {
+                name: format!("chain {}", name(pred)),
+                specs: specs.iter().filter(|s| s.pred == pred).cloned().collect(),
+                read_set: plan.read_set(pred),
+                state: Box::new(move |snap| {
+                    !snap.context().eval().roots_for(id, &machines).is_empty()
+                }),
+            });
+        }
+    }
+    for (key, plan) in service.plan_cache().cached_nary_plans(fingerprint) {
+        probes.push(PlanProbe {
+            name: format!("§4 {}^{}", name(key.pred), key.adornment),
+            specs: specs
+                .iter()
+                .filter(|s| s.pred == key.pred && s.adornment() == key.adornment)
+                .cloned()
+                .collect(),
+            read_set: plan.read_set(snap.program()),
+            state: Box::new(move |snap| {
+                snap.context()
+                    .peek_probe_space(key.pred, key.adornment)
+                    .is_some()
+            }),
+        });
+    }
+    probes
+}
+
+/// How many plans met each fate, summed over a whole run — so the
+/// property cannot pass vacuously.
+#[derive(Debug, Default)]
+struct FateTally {
+    carried: u32,
+    repaired: u32,
+    dropped: u32,
+}
+
+/// Warm `specs` on a service over `text`, then live through three
+/// publishes — one disjoint from every read-set, two dirtying base
+/// relations — checking after each that every warm plan's cache entries
+/// and context state met **one** fate, and that every answer still
+/// equals a cold rebuild.
+fn check_one_fate_per_plan(
+    text: &str,
+    queries: &[String],
+    config: ServiceConfig,
+    seed: u64,
+    tally: &mut FateTally,
+) {
+    let service = QueryService::with_config(rq_datalog::parse_program(text).unwrap(), config);
+    // Constants the generator never drew make a query unparseable.
+    let specs: Vec<QuerySpec> = queries
+        .iter()
+        .filter_map(|t| service.parse_query(t).ok())
+        .collect();
+    service.query_batch(&specs);
+    let entry = |epoch: u64, spec: &QuerySpec| {
+        let spec = spec.clone();
+        service.result_cache().peek(&ResultKey { epoch, spec })
+    };
+    let batches = [
+        "fresh_rel(n0, n1).".to_string(),
+        format!("b{}(n{}, n{}).", seed % 3, seed % 4, 4 + seed % 5),
+        format!("b0(n1, n{}). b2(n0, n{}).", 2 + seed % 7, 1 + seed % 8),
+    ];
+    for facts in &batches {
+        let probes = plan_probes(&service, &specs);
+        let before = service.snapshot();
+        let was_warm: Vec<bool> = probes
+            .iter()
+            .map(|p| {
+                !p.specs.is_empty()
+                    && (p.state)(&before)
+                    && p.specs.iter().all(|s| entry(before.epoch(), s).is_some())
+            })
+            .collect();
+        let after = service.ingest(facts).unwrap();
+        for (probe, _) in probes.iter().zip(was_warm).filter(|(_, warm)| *warm) {
+            let context = format!("seed {seed}, `{facts}`, plan {}", probe.name);
+            let alive = probe
+                .specs
+                .iter()
+                .filter(|s| entry(after.epoch(), s).is_some())
+                .count();
+            assert!(
+                alive == 0 || alive == probe.specs.len(),
+                "{context}: {alive} of {} entries survived",
+                probe.specs.len()
+            );
+            assert_eq!(
+                alive > 0,
+                (probe.state)(&after),
+                "{context}: result entries and context state met different fates"
+            );
+            let clean = probe.read_set.is_disjoint(after.dirty_preds());
+            match (clean, alive > 0) {
+                (true, true) => tally.carried += 1,
+                (true, false) => panic!("{context}: a clean plan must carry"),
+                (false, true) => tally.repaired += 1,
+                (false, false) => tally.dropped += 1,
+            }
+        }
+        let cold = QueryService::with_config(after.program().clone(), cold_config());
+        for spec in &specs {
+            let served = service.query(spec).unwrap();
+            let oracle = cold.query(spec).unwrap();
+            let context = format!("seed {seed}, `{facts}`, spec {spec:?}");
+            if served.converged {
+                assert_eq!(served.rows.as_ref(), oracle.rows.as_ref(), "{context}");
+            } else {
+                // A budget-stopped answer is partial, but never wrong.
+                let complete = oracle.rows.to_vecs();
+                assert!(
+                    served.rows.iter().all(|r| complete.contains(&r.to_vec())),
+                    "{context}"
+                );
+            }
+        }
+        // Everything is warm again for the next publish.
+        service.query_batch(&specs);
+    }
+}
+
+#[test]
+fn plan_state_and_result_entries_share_one_fate() {
+    // No single service holds both kinds of plan: the §3 chain plan
+    // exists only when *every* rule is binary-chain, and then every
+    // derived predicate is served by it.  So each seed runs a pure
+    // chain program (per-predicate fates inside one plan) and a mixed
+    // program whose binary and ternary predicates all compile to §4
+    // plans — each under the default configuration and with repair off
+    // (every dirty plan drops).  The chain program also runs with a
+    // one-node fallback budget: its queries still converge under their
+    // m·n bound while every repair refuses.  (§4 queries have no such
+    // bound, so that budget would truncate the answers themselves.)
+    let base = ServiceConfig {
+        threads: 2,
+        eval_threads: 1,
+        ..ServiceConfig::default()
+    };
+    let no_repair = ServiceConfig {
+        delta_repair: false,
+        ..base.clone()
+    };
+    let refusing = ServiceConfig {
+        fallback_node_budget: Some(1),
+        ..base.clone()
+    };
+    let (mut chain, mut nary) = (FateTally::default(), FateTally::default());
+    for seed in 0..10u64 {
+        let rp = random_program(&RandProgConfig {
+            seed,
+            style: RecursionStyle::Mixed,
+            // Several derived body literals in one rule would fail the
+            // mixed program's adornment pass.
+            lower_ref_prob: 0.0,
+            ..RandProgConfig::default()
+        });
+        let np = random_nary_program(&NaryConfig {
+            seed,
+            ..NaryConfig::default()
+        });
+        let chain_queries: Vec<String> = rp
+            .derived
+            .iter()
+            .flat_map(|d| {
+                [
+                    format!("{d}(n{}, Y)", seed % 5),
+                    format!("{d}(n{}, Y)", 1 + seed % 3),
+                    format!("{d}(X, n{})", 6 + seed % 5),
+                ]
+            })
+            .collect();
+        let mixed_text = format!("{}{}", rp.text, np.text);
+        let mixed_queries = [chain_queries.clone(), np.queries.clone()].concat();
+        for config in [&base, &no_repair, &refusing] {
+            check_one_fate_per_plan(&rp.text, &chain_queries, config.clone(), seed, &mut chain);
+        }
+        for config in [&base, &no_repair] {
+            check_one_fate_per_plan(&mixed_text, &mixed_queries, config.clone(), seed, &mut nary);
+        }
+    }
+    assert!(
+        chain.carried > 0 && chain.repaired > 0 && chain.dropped > 0,
+        "chain fates not all exercised: {chain:?}"
+    );
+    assert!(
+        nary.carried > 0 && nary.repaired > 0 && nary.dropped > 0,
+        "§4 fates not all exercised: {nary:?}"
+    );
 }

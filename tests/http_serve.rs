@@ -41,13 +41,20 @@ fn spawn_server() -> Server {
 }
 
 fn spawn_server_with(data_dir: Option<&std::path::Path>) -> Server {
-    let dir = std::env::temp_dir().join(format!("rqc-http-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let program = dir.join("serve.dl");
-    std::fs::write(&program, PROGRAM).unwrap();
+    // Written once per test binary: the tests run on parallel threads,
+    // and re-writing the file (truncate, then write) while a sibling's
+    // server is parsing it could hand that server an empty program.
+    static PROGRAM_FILE: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    let program = PROGRAM_FILE.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("rqc-http-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.dl");
+        std::fs::write(&path, PROGRAM).unwrap();
+        path
+    });
     let mut cmd = Command::new(RQC);
     cmd.arg("serve")
-        .arg(&program)
+        .arg(program)
         .arg("--http")
         .arg("127.0.0.1:0")
         .arg("--threads")

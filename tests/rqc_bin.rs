@@ -11,24 +11,26 @@ const SG: &str = "sg(X,Y) :- flat(X,Y).\n\
                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
                   up(john, mary). flat(mary, lisa). down(lisa, erik).\n";
 
-fn write_program(dir: &std::path::Path) -> std::path::PathBuf {
-    let path = dir.join("family.dl");
-    std::fs::write(&path, SG).unwrap();
-    path
-}
-
-fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rqc-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// The fixture program file, written **once** per test binary.  The
+/// tests run on parallel threads and their `rqc` children read this
+/// file concurrently, so re-writing it per test (truncate, then write)
+/// could hand a sibling's child an empty program.
+fn program_file() -> &'static std::path::Path {
+    static PROGRAM: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PROGRAM.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("rqc-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("family.dl");
+        std::fs::write(&path, SG).unwrap();
+        path
+    })
 }
 
 #[test]
 fn one_shot_query_prints_answers_on_stdout() {
-    let dir = tempdir();
-    let program = write_program(&dir);
+    let program = program_file();
     let out = Command::new(RQC)
-        .arg(&program)
+        .arg(program)
         .arg("sg(john, Y)")
         .output()
         .unwrap();
@@ -38,10 +40,9 @@ fn one_shot_query_prints_answers_on_stdout() {
 
 #[test]
 fn plan_and_stats_go_to_stderr() {
-    let dir = tempdir();
-    let program = write_program(&dir);
+    let program = program_file();
     let out = Command::new(RQC)
-        .arg(&program)
+        .arg(program)
         .arg("sg(john, Y)")
         .arg("--plan")
         .arg("--stats")
@@ -74,10 +75,9 @@ fn missing_file_exits_nonzero() {
 
 #[test]
 fn bad_query_exits_nonzero() {
-    let dir = tempdir();
-    let program = write_program(&dir);
+    let program = program_file();
     let out = Command::new(RQC)
-        .arg(&program)
+        .arg(program)
         .arg("nosuch(a, Y)")
         .output()
         .unwrap();
@@ -87,11 +87,10 @@ fn bad_query_exits_nonzero() {
 
 #[test]
 fn repl_session_over_stdin() {
-    let dir = tempdir();
-    let program = write_program(&dir);
+    let program = program_file();
     let mut child = Command::new(RQC)
         .arg("repl")
-        .arg(&program)
+        .arg(program)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -116,11 +115,10 @@ fn repl_session_over_stdin() {
 
 #[test]
 fn serve_session_over_stdin() {
-    let dir = tempdir();
-    let program = write_program(&dir);
+    let program = program_file();
     let mut child = Command::new(RQC)
         .arg("serve")
-        .arg(&program)
+        .arg(program)
         .arg("--threads")
         .arg("2")
         .stdin(Stdio::piped())
