@@ -549,10 +549,11 @@ impl<'a> VirtualSource<'a> {
         counters.tuples_retrieved += retrieved;
     }
 
-    /// One memoized direction of a virtual relation.  A racing thread
-    /// may compute the same key concurrently; both produce identical
-    /// outputs (the interner dedups tuple constants under its lock),
-    /// so last-write-wins insertion is safe.
+    /// One memoized direction of a virtual relation, into `out`
+    /// (cleared first: a virtual relation has no stored row to lend).
+    /// A racing thread may compute the same key concurrently; both
+    /// produce identical outputs (the interner dedups tuple constants
+    /// under its lock), so last-write-wins insertion is safe.
     fn cached_probe(
         &self,
         r: Pred,
@@ -562,13 +563,13 @@ impl<'a> VirtualSource<'a> {
         counters: &mut Counters,
     ) {
         counters.index_probes += 1;
+        out.clear();
         let memo_key = (r, key, forward);
         if let Some(cached) = self.space.memo.get(&memo_key) {
             out.extend_from_slice(&cached);
             return;
         }
         let rel = &self.virtuals[&r];
-        let start = out.len();
         if forward {
             self.probe(rel, &rel.in_terms, &rel.out_terms, key, out, counters);
         } else {
@@ -577,20 +578,32 @@ impl<'a> VirtualSource<'a> {
         // Bounded: a full memo refuses new keys; the probe above
         // already produced the outputs either way.
         if !self.space.memo.would_refuse(&memo_key) {
-            self.space
-                .memo
-                .insert(memo_key, Arc::new(out[start..].to_vec()));
+            self.space.memo.insert(memo_key, Arc::new(out.clone()));
         }
     }
 }
 
 impl TupleSource for VirtualSource<'_> {
-    fn successors(&self, r: Pred, u: Const, out: &mut Vec<Const>, counters: &mut Counters) {
-        self.cached_probe(r, u, true, out, counters);
+    fn successors<'a>(
+        &'a self,
+        r: Pred,
+        u: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const] {
+        self.cached_probe(r, u, true, buf, counters);
+        buf
     }
 
-    fn predecessors(&self, r: Pred, v: Const, out: &mut Vec<Const>, counters: &mut Counters) {
-        self.cached_probe(r, v, false, out, counters);
+    fn predecessors<'a>(
+        &'a self,
+        r: Pred,
+        v: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const] {
+        self.cached_probe(r, v, false, buf, counters);
+        buf
     }
 
     /// Virtual relations cannot be enumerated without bindings; all-pairs

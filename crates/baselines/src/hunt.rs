@@ -197,7 +197,7 @@ mod tests {
         let source = EdbSource::new(&db);
         let ev = Evaluator::new(&sys, &source);
         let engine = ev.evaluate(tc, a, &EvalOptions::default());
-        assert_eq!(hunt_answers, engine.answers);
+        assert_eq!(hunt_answers, engine.answers.into_iter().collect());
     }
 
     #[test]
@@ -224,7 +224,10 @@ mod tests {
         assert!(engine.counters.tuples_retrieved <= 4);
         // Same answers regardless.
         let mut counters = Counters::new();
-        assert_eq!(graph.query(a, &mut counters), engine.answers);
+        assert_eq!(
+            graph.query(a, &mut counters),
+            engine.answers.into_iter().collect()
+        );
     }
 
     #[test]

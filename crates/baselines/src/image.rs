@@ -36,9 +36,7 @@ fn image_src(
             let mut out = FxHashSet::default();
             let mut buf = Vec::new();
             for &u in set {
-                buf.clear();
-                src.successors(*p, u, &mut buf, counters);
-                out.extend(buf.iter().copied());
+                out.extend(src.successors(*p, u, &mut buf, counters));
             }
             out
         }
@@ -46,9 +44,7 @@ fn image_src(
             let mut out = FxHashSet::default();
             let mut buf = Vec::new();
             for &u in set {
-                buf.clear();
-                src.predecessors(*p, u, &mut buf, counters);
-                out.extend(buf.iter().copied());
+                out.extend(src.predecessors(*p, u, &mut buf, counters));
             }
             out
         }

@@ -53,9 +53,12 @@ impl Rows {
 
     /// One-column rows over `column`, which must already be strictly
     /// ascending (what a sorted traversal answer is).  Takes the buffer
-    /// as is: no copy, no per-row allocation.
-    pub fn from_sorted_column(column: Vec<Const>) -> Self {
+    /// as is — no per-row allocation — minus its growth slack: rows
+    /// outlive the query in the result cache, and a pushed-to vector
+    /// can hold up to twice what it uses.
+    pub fn from_sorted_column(mut column: Vec<Const>) -> Self {
         debug_assert!(column.windows(2).all(|w| w[0] < w[1]));
+        column.shrink_to_fit();
         Self {
             width: 1,
             len: column.len(),
@@ -196,6 +199,17 @@ mod tests {
         assert_eq!((rows.len(), rows.width()), (3, 1));
         assert_eq!(rows.row(1), &c(&[5])[..]);
         assert_eq!(rows.to_vecs(), vec![c(&[2]), c(&[5]), c(&[9])]);
+    }
+
+    #[test]
+    fn a_pushed_to_column_sheds_its_growth_slack() {
+        let mut column = Vec::new();
+        for id in 0..1025 {
+            column.push(Const(id));
+        }
+        assert!(column.capacity() > column.len());
+        let rows = Rows::from_sorted_column(column);
+        assert_eq!(rows.data.capacity(), rows.len());
     }
 
     #[test]

@@ -580,15 +580,21 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
-    /// Build the first-column and second-column indexes of every binary
-    /// relation — the two probes the traversal engine makes.  The serving
-    /// layer calls this once when publishing an immutable snapshot so
-    /// concurrent readers never contend on index construction.  Shards
-    /// carried over from a previous epoch already have both indexes, so
-    /// for them this is O(1) per shard.
+    /// Build the first-column and second-column indexes — the two
+    /// probes the traversal engine makes — of every binary relation
+    /// that has no CSR to serve them: one whose compact store is not
+    /// built yet, or whose ids are too sparse for [`CompactStore`] to
+    /// carry adjacency.  The serving layer calls this when publishing
+    /// an immutable snapshot, right after
+    /// [`Self::build_compact_stores`], so concurrent readers never
+    /// contend on index construction and a shard served by CSR rows
+    /// never pays for two tries it would not probe.  Shards carried
+    /// over from a previous epoch keep what they had, so for them this
+    /// is O(1) per shard.
     pub fn prewarm_binary_indexes(&self) {
         for rel in self.relations.iter() {
-            if rel.arity() == 2 {
+            let has_csr = || rel.compact_store().is_some_and(|s| s.csr.is_some());
+            if rel.arity() == 2 && !has_csr() {
                 rel.build_index(mask_of([0]));
                 rel.build_index(mask_of([1]));
             }

@@ -29,6 +29,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod kernel_props;
+mod nodeset;
 pub mod query;
 pub mod source;
 pub mod traversal;

@@ -57,6 +57,7 @@ pub fn candidate_sources<S: TupleSource>(system: &EqSystem, source: &S, p: Pred)
     let mut out: Vec<Const> = Vec::new();
     let mut dedup: FxHashSet<Const> = FxHashSet::default();
     let mut buf = Vec::new();
+    let mut scratch = Vec::new();
     for (r, inv) in first {
         buf.clear();
         if inv {
@@ -68,7 +69,7 @@ pub fn candidate_sources<S: TupleSource>(system: &EqSystem, source: &S, p: Pred)
             let mut firsts = Vec::new();
             source.first_column(r, &mut firsts);
             for u in firsts {
-                source.successors(r, u, &mut buf, &mut counters);
+                buf.extend_from_slice(source.successors(r, u, &mut scratch, &mut counters));
             }
         } else {
             source.first_column(r, &mut buf);
@@ -179,13 +180,12 @@ pub fn all_pairs_scc<S: TupleSource>(
         let row: Vec<(Label, usize)> = nfa.trans[state as usize].clone();
         for (label, to) in row {
             counters.rule_firings += 1;
-            buf.clear();
-            match label {
-                Label::Id => buf.push(term),
+            let targets = match label {
+                Label::Id => std::slice::from_ref(&term),
                 Label::Sym(r) => source.successors(r, term, &mut buf, &mut counters),
                 Label::Inv(r) => source.predecessors(r, term, &mut buf, &mut counters),
-            }
-            for &v in buf.iter() {
+            };
+            for &v in targets {
                 let (nid, fresh) = intern((to as u32, v), &mut nodes, &mut succ, &mut node_id);
                 succ[id].push(nid);
                 if fresh {
@@ -365,7 +365,7 @@ pub fn query_bb<S: TupleSource>(
         ..options.clone()
     };
     let out = evaluator.evaluate(p, a, &options);
-    (out.answers.contains(&b), out)
+    (out.answers.binary_search(&b).is_ok(), out)
 }
 
 /// `p(X, X)`: all pairs, keeping the diagonal.

@@ -21,11 +21,26 @@ use std::sync::Arc;
 /// workers.  Sources needing interior mutability (e.g. the §4 virtual
 /// relations' probe memo) must use locks, not `Cell`/`RefCell`.
 pub trait TupleSource: Sync {
-    /// Append to `out` every `v` with `r(u, v)`.
-    fn successors(&self, r: Pred, u: Const, out: &mut Vec<Const>, counters: &mut Counters);
+    /// Every `v` with `r(u, v)`, borrowed: the source's own row where
+    /// it stores one contiguously (a CSR row is iterated in place,
+    /// never copied), and otherwise `buf`, cleared and filled.  `buf`
+    /// is scratch — only the returned slice is the answer.
+    fn successors<'a>(
+        &'a self,
+        r: Pred,
+        u: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const];
 
-    /// Append to `out` every `u` with `r(u, v)`.
-    fn predecessors(&self, r: Pred, v: Const, out: &mut Vec<Const>, counters: &mut Counters);
+    /// Every `u` with `r(u, v)`, borrowed like [`Self::successors`].
+    fn predecessors<'a>(
+        &'a self,
+        r: Pred,
+        v: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const];
 
     /// Append every constant in the first column of `r` (deduplicated).
     /// Used to seed all-pairs (`p(X,Y)`) queries.
@@ -76,44 +91,59 @@ impl<'a> EdbSource<'a> {
     fn store(&self, r: Pred) -> Option<&CompactStore> {
         self.compact.get(r.index()).and_then(|s| s.as_deref())
     }
-}
 
-impl TupleSource for EdbSource<'_> {
-    fn successors(&self, r: Pred, u: Const, out: &mut Vec<Const>, counters: &mut Counters) {
+    /// One probe with column `bound` fixed to `key`: the CSR `row` if
+    /// the shard has one, else the trie index's matches copied into
+    /// `buf`.
+    #[inline]
+    fn probe<'s>(
+        &'s self,
+        r: Pred,
+        row: Option<&'s [Const]>,
+        bound: usize,
+        key: Const,
+        buf: &'s mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'s [Const] {
         counters.index_probes += 1;
-        if let Some(row) = self.store(r).and_then(|s| s.successors(u)) {
+        if let Some(row) = row {
             counters.csr_probes += 1;
             counters.tuples_retrieved += row.len() as u64;
-            out.extend_from_slice(row);
-            return;
+            return row;
         }
         let rel = self.shard(r);
         debug_assert_eq!(rel.arity(), 2, "engine relations are binary");
         counters.trie_probes += 1;
         let mut ords = Vec::new();
-        rel.lookup(mask_of([0]), &[u], &mut ords);
-        for o in ords {
-            counters.tuples_retrieved += 1;
-            out.push(rel.tuple(o)[1]);
-        }
+        rel.lookup(mask_of([bound]), &[key], &mut ords);
+        counters.tuples_retrieved += ords.len() as u64;
+        buf.clear();
+        buf.extend(ords.iter().map(|&o| rel.tuple(o)[1 - bound]));
+        buf
+    }
+}
+
+impl TupleSource for EdbSource<'_> {
+    fn successors<'a>(
+        &'a self,
+        r: Pred,
+        u: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const] {
+        let row = self.store(r).and_then(|s| s.successors(u));
+        self.probe(r, row, 0, u, buf, counters)
     }
 
-    fn predecessors(&self, r: Pred, v: Const, out: &mut Vec<Const>, counters: &mut Counters) {
-        counters.index_probes += 1;
-        if let Some(row) = self.store(r).and_then(|s| s.predecessors(v)) {
-            counters.csr_probes += 1;
-            counters.tuples_retrieved += row.len() as u64;
-            out.extend_from_slice(row);
-            return;
-        }
-        let rel = self.shard(r);
-        counters.trie_probes += 1;
-        let mut ords = Vec::new();
-        rel.lookup(mask_of([1]), &[v], &mut ords);
-        for o in ords {
-            counters.tuples_retrieved += 1;
-            out.push(rel.tuple(o)[0]);
-        }
+    fn predecessors<'a>(
+        &'a self,
+        r: Pred,
+        v: Const,
+        buf: &'a mut Vec<Const>,
+        counters: &mut Counters,
+    ) -> &'a [Const] {
+        let row = self.store(r).and_then(|s| s.predecessors(v));
+        self.probe(r, row, 1, v, buf, counters)
     }
 
     fn first_column(&self, r: Pred, out: &mut Vec<Const>) {
@@ -152,11 +182,8 @@ mod tests {
         let src = EdbSource::new(&db);
         let mut counters = Counters::new();
         let mut out = Vec::new();
-        src.successors(e, a, &mut out, &mut counters);
-        assert_eq!(out.len(), 2);
-        out.clear();
-        src.predecessors(e, b, &mut out, &mut counters);
-        assert_eq!(out.len(), 2);
+        assert_eq!(src.successors(e, a, &mut out, &mut counters).len(), 2);
+        assert_eq!(src.predecessors(e, b, &mut out, &mut counters).len(), 2);
         assert_eq!(counters.index_probes, 2);
         assert_eq!(counters.tuples_retrieved, 4);
         out.clear();
@@ -177,12 +204,15 @@ mod tests {
             let x = Const::from_index(c);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             let (mut ca, mut cb) = (Counters::new(), Counters::new());
-            trie.successors(e, x, &mut a, &mut ca);
-            csr.successors(e, x, &mut b, &mut cb);
-            assert_eq!(a, b);
-            trie.predecessors(e, x, &mut a, &mut ca);
-            csr.predecessors(e, x, &mut b, &mut cb);
-            assert_eq!(a, b);
+            assert_eq!(
+                trie.successors(e, x, &mut a, &mut ca),
+                csr.successors(e, x, &mut b, &mut cb)
+            );
+            assert!(b.is_empty(), "a CSR row is borrowed, never copied");
+            assert_eq!(
+                trie.predecessors(e, x, &mut a, &mut ca),
+                csr.predecessors(e, x, &mut b, &mut cb)
+            );
             // Identical probe/tuple charges; only the csr/trie split
             // differs between the two paths.
             assert_eq!(ca.index_probes, cb.index_probes);
@@ -218,10 +248,11 @@ mod tests {
         ));
         let mut counters = Counters::new();
         let mut out = Vec::new();
-        EdbSource::new(&db).successors(e, a, &mut out, &mut counters);
-        assert_eq!(out.len(), 1, "old snapshot sees the old shard");
-        out.clear();
-        EdbSource::new(&next).successors(e, a, &mut out, &mut counters);
-        assert_eq!(out.len(), 2, "new snapshot sees the delta");
+        let old = EdbSource::new(&db);
+        let seen = old.successors(e, a, &mut out, &mut counters).len();
+        assert_eq!(seen, 1, "old snapshot sees the old shard");
+        let new = EdbSource::new(&next);
+        let seen = new.successors(e, a, &mut out, &mut counters).len();
+        assert_eq!(seen, 2, "new snapshot sees the delta");
     }
 }

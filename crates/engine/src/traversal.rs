@@ -23,12 +23,12 @@
 //!   deep databases cannot overflow the call stack.  The visit-once
 //!   discipline ("if (q', v) is not yet in G") is identical.
 
+use crate::nodeset::{Node, NodeSet, Touched};
 use crate::source::TupleSource;
 use rq_automata::{invert_nfa, thompson, Label, Nfa};
-use rq_common::{Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred};
+use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_relalg::EqSystem;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -50,9 +50,6 @@ struct Instance {
     /// answers).
     exit: Option<(u32, u32)>,
 }
-
-/// A node of `G(p, a, i)`.
-type Node = (u32, u32, Const);
 
 /// Monotone source of [`CompiledPlan`] identities: two plans compiled
 /// at different times never share machine-memo entries even if their
@@ -127,16 +124,17 @@ impl EvalContext {
         self.memo.get(&(plan, machine, from))
     }
 
-    fn record(&self, plan: u64, machine: u32, from: Const, answers: &FxHashSet<Const>) {
+    /// Memoize `answers`, which must be sorted and duplicate-free (what
+    /// a traversal returns).  One clone, at exact capacity: the entry
+    /// lives as long as the epoch.
+    fn record(&self, plan: u64, machine: u32, from: Const, answers: &[Const]) {
         let key = (plan, machine, from);
-        // Saturated memo: skip the clone + sort a refused insert would
-        // throw away (one read-lock probe instead).
+        // Saturated memo: skip the clone a refused insert would throw
+        // away (one read-lock probe instead).
         if self.memo.would_refuse(&key) {
             return;
         }
-        let mut sorted: Vec<Const> = answers.iter().copied().collect();
-        sorted.sort_unstable();
-        self.memo.insert(key, Arc::new(sorted));
+        self.memo.insert(key, Arc::new(answers.to_vec()));
     }
 
     /// Carry the entries of `prev` whose `(plan id, machine)` the
@@ -189,15 +187,16 @@ impl EvalContext {
         let Some(existing) = self.memo.peek(&key) else {
             return 0;
         };
-        let mut merged: Vec<Const> = existing
+        let fresh = additions
             .iter()
-            .copied()
-            .chain(additions.iter().copied())
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
+            .filter(|w| existing.binary_search(w).is_err());
+        let mut merged = Vec::with_capacity(existing.len() + additions.len());
+        merged.extend_from_slice(&existing);
+        merged.extend(fresh);
         let added = (merged.len() - existing.len()) as u64;
         if added > 0 {
+            merged.sort_unstable();
+            merged.shrink_to_fit();
             self.memo.insert(key, Arc::new(merged));
         }
         added
@@ -380,8 +379,9 @@ impl GraphDump {
 /// Result of an evaluation.
 #[derive(Clone, Debug)]
 pub struct EvalOutcome {
-    /// The answer set: all `v` with `(q_f, v)` in the final graph.
-    pub answers: FxHashSet<Const>,
+    /// The answer set: all `v` with `(q_f, v)` in the final graph,
+    /// strictly ascending.
+    pub answers: Vec<Const>,
     /// Unit-cost instrumentation.
     pub counters: Counters,
     /// Whether the algorithm stopped because `C` was empty (`true`) or
@@ -587,11 +587,6 @@ impl PlanRef<'_> {
     }
 }
 
-/// Shards of the concurrent visit-once node set used by parallel
-/// traversal phases.  Power of two; the shard is picked from the top
-/// hash bits so the intra-shard hash distribution stays intact.
-const GRAPH_SHARDS: usize = 64;
-
 /// Fewest start nodes for which a traversal phase fans out across
 /// scoped worker threads.  Spawning a thread costs tens of
 /// microseconds — more than a small phase's entire expansion — so
@@ -608,106 +603,9 @@ const PARALLEL_MIN_SEEDS: usize = 32;
 const MAX_REPAIR_ROUNDS: u32 = 64;
 
 /// Memoized repair-closure results: `(machine, seed state, seed term)` →
-/// complete answer set, or `None` when the traversal's budgets
+/// complete sorted answer set, or `None` when the traversal's budgets
 /// truncated that closure.
-type ClosureCache = FxHashMap<(u32, u32, Const), Option<Arc<FxHashSet<Const>>>>;
-
-/// The node set `G`, sharded behind mutexes so the traversal workers of
-/// one iteration can share the visit-once discipline: `insert` is
-/// atomic per node, so exactly one worker wins each node and expands
-/// it — work is partitioned, never duplicated.
-struct SharedNodes {
-    shards: Vec<Mutex<FxHashSet<Node>>>,
-}
-
-impl SharedNodes {
-    fn new() -> Self {
-        Self {
-            shards: (0..GRAPH_SHARDS)
-                .map(|_| Mutex::new(FxHashSet::default()))
-                .collect(),
-        }
-    }
-
-    fn insert(&self, node: Node) -> bool {
-        let mut h = FxHasher::default();
-        node.hash(&mut h);
-        let shard = (h.finish() >> 58) as usize % GRAPH_SHARDS;
-        self.shards[shard]
-            .lock()
-            .expect("graph shard lock poisoned")
-            .insert(node)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("graph shard lock poisoned").len())
-            .sum()
-    }
-}
-
-/// The node set `G` in whichever representation the traversal has
-/// needed so far: a plain set while every phase has run sequentially,
-/// upgraded in place to the sharded concurrent set the first time a
-/// phase fans out.  Starting sequential matters on the serving cold
-/// path — a point query whose graph holds a dozen nodes must not pay
-/// for [`GRAPH_SHARDS`] mutexes up front.
-enum Graph {
-    Seq(FxHashSet<Node>),
-    Par(SharedNodes),
-}
-
-impl Graph {
-    fn insert(&mut self, node: Node) -> bool {
-        match self {
-            Graph::Seq(set) => set.insert(node),
-            Graph::Par(nodes) => nodes.insert(node),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Graph::Seq(set) => set.len(),
-            Graph::Par(nodes) => nodes.len(),
-        }
-    }
-
-    /// Upgrade to the sharded representation (a no-op if already
-    /// there): every visited node is re-inserted once, O(|G|), paid
-    /// only by traversals that actually go parallel.
-    fn ensure_sharded(&mut self) {
-        if let Graph::Seq(set) = self {
-            let nodes = SharedNodes::new();
-            for node in set.drain() {
-                nodes.insert(node);
-            }
-            *self = Graph::Par(nodes);
-        }
-    }
-}
-
-/// Access to the visit-once node set from one traversal worker.
-trait NodeVisit {
-    /// Insert into `G`; `true` when the node is new (the caller owns
-    /// its expansion).
-    fn visit(&mut self, node: Node) -> bool;
-}
-
-impl NodeVisit for Graph {
-    fn visit(&mut self, node: Node) -> bool {
-        self.insert(node)
-    }
-}
-
-/// A parallel worker's handle on the shared node set.
-struct ParVisit<'a>(&'a SharedNodes);
-
-impl NodeVisit for ParVisit<'_> {
-    fn visit(&mut self, node: Node) -> bool {
-        self.0.insert(node)
-    }
-}
+type ClosureCache = FxHashMap<(u32, u32, Const), Option<Arc<Vec<Const>>>>;
 
 /// The read-only state one traversal phase runs against.  Machine
 /// instances and their expansion table are only mutated between
@@ -728,15 +626,16 @@ struct StepCtx<'p> {
 /// target was emitted (the caller stops the traversal).
 ///
 /// This is the single transition step both the sequential loop and
-/// every parallel worker run; only the node-set handle differs.
+/// every parallel worker run; only `visit` — the insert path into the
+/// [`NodeSet`], `true` when the node is new — differs.
 #[allow(clippy::too_many_arguments)]
-fn expand_node<S: TupleSource, V: NodeVisit>(
+fn expand_node<S: TupleSource>(
     step: &StepCtx<'_>,
     source: &S,
     node: Node,
-    graph: &mut V,
+    visit: &mut impl FnMut(Node) -> bool,
     stack: &mut Vec<Node>,
-    answers: &mut FxHashSet<Const>,
+    answers: &mut Vec<Const>,
     continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
     counters: &mut Counters,
     succ_buf: &mut Vec<Const>,
@@ -750,7 +649,9 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
     if state as usize == machine.finish {
         match instance.exit {
             None => {
-                answers.insert(term);
+                // Visit-once at `(0, finish, term)` makes this the only
+                // push of `term`.
+                answers.push(term);
                 if step.stop_on_answer == Some(term) {
                     // Membership established: the partial answer set
                     // already decides the query.
@@ -762,7 +663,7 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
                 if step.record_graph {
                     arcs.push((node, ArcKind::Exit, exit_node));
                 }
-                if graph.visit(exit_node) {
+                if visit(exit_node) {
                     counters.nodes_inserted += 1;
                     stack.push(exit_node);
                 }
@@ -777,7 +678,7 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
                 if step.record_graph {
                     arcs.push((node, ArcKind::Id, next));
                 }
-                if graph.visit(next) {
+                if visit(next) {
                     counters.nodes_inserted += 1;
                     stack.push(next);
                 }
@@ -794,7 +695,7 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
                         if step.record_graph {
                             arcs.push((node, ArcKind::Enter(r), next));
                         }
-                        if graph.visit(next) {
+                        if visit(next) {
                             counters.nodes_inserted += 1;
                             stack.push(next);
                         }
@@ -803,22 +704,24 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
                     }
                     continue;
                 }
-                succ_buf.clear();
-                match label {
-                    Label::Sym(_) => source.successors(r, term, succ_buf, counters),
-                    Label::Inv(_) => source.predecessors(r, term, succ_buf, counters),
-                    Label::Id => unreachable!(),
-                }
-                for &v in succ_buf.iter() {
+                // The source's own row where it has one (CSR), iterated
+                // in place.
+                let (row, kind) = match label {
+                    Label::Sym(_) => (
+                        source.successors(r, term, succ_buf, counters),
+                        ArcKind::Sym(r),
+                    ),
+                    _ => (
+                        source.predecessors(r, term, succ_buf, counters),
+                        ArcKind::Inv(r),
+                    ),
+                };
+                for &v in row {
                     let next = (inst, to as u32, v);
                     if step.record_graph {
-                        let kind = match label {
-                            Label::Sym(_) => ArcKind::Sym(r),
-                            _ => ArcKind::Inv(r),
-                        };
                         arcs.push((node, kind, next));
                     }
-                    if graph.visit(next) {
+                    if visit(next) {
                         counters.nodes_inserted += 1;
                         stack.push(next);
                     }
@@ -845,18 +748,19 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
 /// flight anywhere.
 ///
 /// Workers share the visit-once node set (so no node is expanded
-/// twice) and keep local answer/continuation sets that the caller
-/// merges.  The merge is deterministic: answers and continuations are
+/// twice) and keep local answers, continuation sets and insertion logs
+/// that the caller merges.  The merge is deterministic: answers are
+/// disjoint (visit-once) and sorted by the caller, continuations are
 /// sets (union is order-independent), counters are sums, and which
 /// worker expands a node never changes what the expansion produces.
 #[allow(clippy::too_many_arguments)]
 fn traverse_parallel<S: TupleSource>(
     step: &StepCtx<'_>,
     source: &S,
-    nodes: &SharedNodes,
+    graph: &mut NodeSet,
     seeds: Vec<Node>,
     workers: usize,
-    answers: &mut FxHashSet<Const>,
+    answers: &mut Vec<Const>,
     continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
     counters: &mut Counters,
 ) -> bool {
@@ -868,18 +772,21 @@ fn traverse_parallel<S: TupleSource>(
     }
     let stop = AtomicBool::new(false);
     type WorkerOutcome = (
-        FxHashSet<Const>,
+        Vec<Const>,
         FxHashMap<(u32, u32), FxHashSet<Const>>,
         Counters,
+        Vec<Touched>,
         bool,
     );
+    let nodes = graph.share();
     let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (stop, pending, deques) = (&stop, &pending, &deques);
                 scope.spawn(move || {
-                    let mut visit = ParVisit(nodes);
-                    let mut answers = FxHashSet::default();
+                    let _stop_on_unwind = StopOnUnwind(stop);
+                    let mut touched = Vec::new();
+                    let mut answers = Vec::new();
                     let mut continuations = FxHashMap::default();
                     let mut counters = Counters::new();
                     let mut succ_buf = Vec::new();
@@ -907,7 +814,7 @@ fn traverse_parallel<S: TupleSource>(
                             step,
                             source,
                             node,
-                            &mut visit,
+                            &mut |n| nodes.insert_shared(n, &mut touched),
                             &mut discovered,
                             &mut answers,
                             &mut continuations,
@@ -929,7 +836,7 @@ fn traverse_parallel<S: TupleSource>(
                         }
                         pending.fetch_sub(1, Ordering::Release);
                     }
-                    (answers, continuations, counters, found)
+                    (answers, continuations, counters, touched, found)
                 })
             })
             .collect();
@@ -939,15 +846,32 @@ fn traverse_parallel<S: TupleSource>(
             .collect()
     });
     let mut stopped = false;
-    for (worker_answers, worker_continuations, worker_counters, found) in outcomes {
+    let mut logs = Vec::with_capacity(workers);
+    for (worker_answers, worker_continuations, worker_counters, touched, found) in outcomes {
         answers.extend(worker_answers);
         for (key, terms) in worker_continuations {
             continuations.entry(key).or_default().extend(terms);
         }
         *counters += worker_counters;
+        logs.push(touched);
         stopped |= found;
     }
+    graph.absorb(logs);
     stopped
+}
+
+/// Raises the phase's stop flag if its worker unwinds (a panicking
+/// [`TupleSource`]): the node in flight is never retired, so without
+/// the flag the other workers would wait on `pending` forever and the
+/// scope could never join to propagate the panic.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Lock one worker's deque, recovering from poison: a panicked worker
@@ -1093,7 +1017,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 // already memoized for the epoch.
                 span.note("memo", "root_hit");
                 return EvalOutcome {
-                    answers: hit.iter().copied().collect(),
+                    answers: hit.as_ref().clone(),
                     counters: Counters::new(),
                     converged: true,
                     graph_nodes: 0,
@@ -1163,13 +1087,12 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         }];
         // (instance, state, transition ordinal) → child.
         let mut expansions: FxHashMap<(u32, u32, u32), u32> = FxHashMap::default();
-        // G: the node set.  Starts in the plain representation and is
-        // upgraded to the sharded one by the first phase that fans
-        // out, so small traversals never touch a mutex.
-        let mut graph = Graph::Seq(FxHashSet::default());
+        // G: the node set.  Its size is `counters.nodes_inserted` — the
+        // paper's unit cost is one per node that enters G.
+        let mut graph = NodeSet::new(plan.machines[root_machine as usize].trans.len());
         // C: continuation terms per (instance, state).
         let mut continuations: FxHashMap<(u32, u32), FxHashSet<Const>> = FxHashMap::default();
-        let mut answers: FxHashSet<Const> = FxHashSet::default();
+        let mut answers: Vec<Const> = Vec::new();
 
         // S: starting points of the current iteration.
         let root_start: Node = (0, seeds[0].0, seeds[0].1);
@@ -1183,7 +1106,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         let mut stopped_early = false;
         loop {
             counters.iterations += 1;
-            let nodes_before = graph.len() as u64;
+            let nodes_before = counters.nodes_inserted;
             // Seed this iteration's work-list with the unvisited
             // starts.
             let mut seeds: Vec<Node> = Vec::new();
@@ -1211,14 +1134,10 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 1
             };
             let stopped = if phase_workers > 1 {
-                graph.ensure_sharded();
-                let Graph::Par(nodes) = &graph else {
-                    unreachable!("parallel phases run on the sharded node set")
-                };
                 traverse_parallel(
                     &step,
                     self.source,
-                    nodes,
+                    &mut graph,
                     seeds,
                     phase_workers,
                     &mut answers,
@@ -1234,7 +1153,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                         &step,
                         self.source,
                         node,
-                        &mut graph,
+                        &mut |n| graph.insert(n),
                         &mut stack,
                         &mut answers,
                         &mut continuations,
@@ -1258,7 +1177,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
 
             if options.record_iterations {
                 iteration_stats.push(IterationStat {
-                    new_nodes: graph.len() as u64 - nodes_before,
+                    new_nodes: counters.nodes_inserted - nodes_before,
                     answers_so_far: answers.len() as u64,
                     continuations: continuations.values().map(|s| s.len() as u64).sum(),
                     worklist,
@@ -1275,7 +1194,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 }
             }
             if let Some(budget) = options.node_budget {
-                if graph.len() as u64 >= budget {
+                if counters.nodes_inserted >= budget {
                     break;
                 }
             }
@@ -1344,6 +1263,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                             machine: child_machine,
                             exit: Some((inst, to as u32)),
                         });
+                        graph.add_instance(plan.machines[child_machine as usize].trans.len());
                         id
                     });
                     let child_start =
@@ -1359,29 +1279,23 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             }
         }
 
+        // One sort: the walk pushed each root answer exactly once.
+        answers.sort_unstable();
+        debug_assert!(answers.windows(2).all(|w| w[0] < w[1]));
         let dump = options.record_graph.then(|| {
             arcs.extend(enter_arcs);
-            let Graph::Seq(node_set) = &graph else {
-                unreachable!("recorded graphs run sequentially")
-            };
-            let answer_nodes: Vec<Node> = node_set
-                .iter()
-                .copied()
-                .filter(|&(i, q, _)| {
-                    i == 0 && q as usize == plan.machines[root_machine as usize].finish
-                })
-                .collect();
+            let finish = plan.machines[root_machine as usize].finish as u32;
             GraphDump {
                 arcs,
                 start: root_start,
-                answer_nodes,
+                answer_nodes: answers.iter().map(|&v| (0, finish, v)).collect(),
             }
         });
         let outcome = EvalOutcome {
             answers,
+            graph_nodes: counters.nodes_inserted,
             counters,
             converged,
-            graph_nodes: graph.len() as u64,
             instances: instances.len() as u64,
             memo_teleports,
             iteration_stats,
@@ -1483,10 +1397,29 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             }
         }
 
-        // Closure answer sets are shared across frontier edges with the
-        // same (machine, state, term) seed; `None` marks a closure the
-        // budgets truncated.
+        // One repair closure: the complete answer set of `machine`
+        // seeded at `(state, term)`, shared across frontier edges with
+        // the same seed.  `None` marks a closure the budgets truncated
+        // (partial sets must never be patched into the memo).
         let mut closures = ClosureCache::default();
+        let mut closure_nodes = 0u64;
+        let mut closure = |machine: u32, state: u32, term: Const| {
+            if let Some(hit) = closures.get(&(machine, state, term)) {
+                return hit.clone();
+            }
+            let seeds = [(state, term)];
+            let (outcome, _) = self.traverse_from(
+                machine,
+                &seeds,
+                &closure_options,
+                Some(ctx),
+                Some(&affected),
+            );
+            closure_nodes += outcome.graph_nodes;
+            let result = outcome.converged.then(|| Arc::new(outcome.answers));
+            closures.insert((machine, state, term), result.clone());
+            result
+        };
         let mut failed = false;
         let mut rounds = 0u32;
         'rounds: while !frontier.is_empty() {
@@ -1495,63 +1428,52 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 failed = true;
                 break;
             }
-            let mut new_pairs: Vec<(u32, Const, Const)> = Vec::new();
             for (mi, s, t, tail, head) in std::mem::take(&mut frontier) {
                 // Entry terms that reach the edge's tail: forward
                 // closure in the partner machine (invert_nfa preserves
                 // state indices and collects at its finish = our start).
-                let Some(entries) = self.repair_closure(
-                    &mut closures,
-                    mi ^ 1,
-                    s,
-                    tail,
-                    &closure_options,
-                    ctx,
-                    &affected,
-                ) else {
+                let Some(entries) = closure(mi ^ 1, s, tail) else {
                     failed = true;
                     break 'rounds;
                 };
                 if entries.is_empty() {
                     continue;
                 }
-                let Some(finishes) = self.repair_closure(
-                    &mut closures,
-                    mi,
-                    t,
-                    head,
-                    &closure_options,
-                    ctx,
-                    &affected,
-                ) else {
+                let Some(finishes) = closure(mi, t, head) else {
                     failed = true;
                     break 'rounds;
                 };
+                // Lift: a new pair of machine `mi` becomes a frontier
+                // edge on every derived transition that splices `mi`.
+                let lifts = routes.get(&mi);
                 for &alpha in entries.iter() {
+                    let old = old_entries.get(&(mi, alpha));
+                    // `patch` leaves a missing entry missing, so a pair
+                    // matters only to a memoized root or to a parent
+                    // machine — of thousands of upstream terms, a few.
+                    if old.is_none() && lifts.is_none() {
+                        continue;
+                    }
                     for &w in finishes.iter() {
-                        let known = old_entries
-                            .get(&(mi, alpha))
-                            .is_some_and(|e| e.binary_search(&w).is_ok());
-                        if known {
+                        if old.is_some_and(|e| e.binary_search(&w).is_ok()) {
                             continue;
                         }
                         if additions.entry((mi, alpha)).or_default().insert(w) {
-                            new_pairs.push((mi, alpha, w));
+                            for &(parent, s, t) in lifts.into_iter().flatten() {
+                                frontier.push((parent, s, t, alpha, w));
+                            }
                         }
-                    }
-                }
-            }
-            // Lift: a new pair of machine `mc` becomes a frontier edge
-            // on every derived transition that splices `mc`.
-            for (mc, alpha, w) in new_pairs {
-                if let Some(rs) = routes.get(&mc) {
-                    for &(mi, s, t) in rs {
-                        frontier.push((mi, s, t, alpha, w));
                     }
                 }
             }
         }
 
+        // What the publish paid for, whether it patched or fell back.
+        if span.active() {
+            span.note("roots", roots.len());
+            span.note("closures", closures.len());
+            span.note("closure_nodes", closure_nodes);
+        }
         if failed {
             let purged = ctx.purge(plan.id, &affected) as u64;
             span.note("fallback", true);
@@ -1578,31 +1500,6 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             span.note("rows", out.added_rows);
         }
         out
-    }
-
-    /// One repair closure: the complete answer set of `machine` seeded
-    /// at `(state, term)`, memoized across frontier edges.  Returns
-    /// `None` when the traversal's budgets truncated it (partial sets
-    /// must never be patched into the memo).
-    #[allow(clippy::too_many_arguments)]
-    fn repair_closure(
-        &self,
-        cache: &mut ClosureCache,
-        machine: u32,
-        state: u32,
-        term: Const,
-        options: &EvalOptions,
-        ctx: &EvalContext,
-        banned: &FxHashSet<u32>,
-    ) -> Option<Arc<FxHashSet<Const>>> {
-        if let Some(hit) = cache.get(&(machine, state, term)) {
-            return hit.clone();
-        }
-        let (outcome, _) =
-            self.traverse_from(machine, &[(state, term)], options, Some(ctx), Some(banned));
-        let result = outcome.converged.then(|| Arc::new(outcome.answers));
-        cache.insert((machine, state, term), result.clone());
-        result
     }
 }
 
@@ -1643,7 +1540,7 @@ mod tests {
         (program, out)
     }
 
-    fn names(program: &rq_datalog::Program, set: &FxHashSet<Const>) -> Vec<String> {
+    fn names(program: &rq_datalog::Program, set: &[Const]) -> Vec<String> {
         let mut v: Vec<String> = set.iter().map(|&c| program.consts.display(c)).collect();
         v.sort();
         v
@@ -2129,6 +2026,108 @@ mod tests {
             post.answers.len() > before.answers.len(),
             "the delta must actually extend the answer set"
         );
+    }
+
+    #[test]
+    fn memo_payloads_carry_no_growth_slack() {
+        let mut src = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+        for i in 0..1030 {
+            src.push_str(&format!("e(n{}, n{}).\n", i, i + 1));
+        }
+        let (program, db_old, db_new, sys) = repair_fixture(&src, "e(n1030, n0).");
+        let plan = CompiledPlan::compile(&sys);
+        let ctx = EvalContext::new();
+        let tc = program.pred_by_name("tc").unwrap();
+        let e = program.pred_by_name("e").unwrap();
+        let get = |n: &str| {
+            program
+                .consts
+                .get(&rq_common::ConstValue::Str(n.into()))
+                .unwrap()
+        };
+        let (n0, n1030) = (get("n0"), get("n1030"));
+        let opts = EvalOptions::default();
+        let old_source = EdbSource::new(&db_old);
+        let out = Evaluator::with_plan(&sys, &plan, &old_source)
+            .with_context(&ctx)
+            .evaluate(tc, n0, &opts);
+        // The walk pushed 1,030 answers one by one; the memo holds them
+        // in a vector of exactly that size.
+        assert_eq!(out.answers.len(), 1030);
+        let machine = plan.machine_index[&MachineKey {
+            pred: tc,
+            inverted: false,
+        }];
+        let recorded = ctx.peek(plan.id(), machine, n0).unwrap();
+        assert_eq!(*recorded, out.answers);
+        assert_eq!(recorded.capacity(), 1030);
+        // So does a patched entry (the delta closes the chain into a
+        // ring: n0 now reaches itself).
+        let mut delta: FxHashMap<Pred, Vec<(Const, Const)>> = FxHashMap::default();
+        delta.insert(e, vec![(n1030, n0)]);
+        let new_source = EdbSource::new(&db_new);
+        let repaired = Evaluator::with_plan(&sys, &plan, &new_source)
+            .with_context(&ctx)
+            .repair(&delta, &opts);
+        assert_eq!(repaired.added_rows, 1);
+        let patched = ctx.peek(plan.id(), machine, n0).unwrap();
+        assert_eq!((patched.len(), patched.capacity()), (1031, 1031));
+    }
+
+    #[test]
+    fn repair_patches_memoized_roots_only() {
+        // A 1,000-node chain into `hub`, three memoized roots along it,
+        // and a delta edge leaving `hub`: the backward closure finds
+        // every chain node upstream of the new edge, but only the three
+        // memoized ones have an entry to patch — what the repair
+        // reports must not depend on how the other 997 are skipped.
+        let mut src = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+        for i in 0..999 {
+            src.push_str(&format!("e(n{}, n{}).\n", i, i + 1));
+        }
+        src.push_str("e(n999, hub). e(out, far). e(far, away).");
+        let (program, db_old, db_new, sys) = repair_fixture(&src, "e(hub, out).");
+        let plan = CompiledPlan::compile(&sys);
+        let ctx = EvalContext::new();
+        let tc = program.pred_by_name("tc").unwrap();
+        let e = program.pred_by_name("e").unwrap();
+        let get = |n: &str| {
+            program
+                .consts
+                .get(&rq_common::ConstValue::Str(n.into()))
+                .unwrap()
+        };
+        let opts = EvalOptions::default();
+        let old_source = EdbSource::new(&db_old);
+        let warm = Evaluator::with_plan(&sys, &plan, &old_source).with_context(&ctx);
+        let roots = [get("n0"), get("n500"), get("n999")];
+        for &root in &roots {
+            assert!(warm.evaluate(tc, root, &opts).converged);
+        }
+        assert_eq!(ctx.stats().entries, 3);
+
+        let mut delta: FxHashMap<Pred, Vec<(Const, Const)>> = FxHashMap::default();
+        delta.insert(e, vec![(get("hub"), get("out"))]);
+        let new_source = EdbSource::new(&db_new);
+        let new_eval = Evaluator::with_plan(&sys, &plan, &new_source).with_context(&ctx);
+        let repaired = new_eval.repair(&delta, &opts);
+        // Each root gains {out, far, away}.
+        assert_eq!(
+            repaired,
+            RepairOutcome {
+                patched_entries: 3,
+                added_rows: 9,
+                purged_entries: 0,
+                repaired: true,
+            }
+        );
+        assert_eq!(ctx.stats().entries, 3, "no entry appears for the other 997");
+        for &root in &roots {
+            let post = new_eval.evaluate(tc, root, &opts);
+            assert_eq!(post.memo_teleports, 1, "root memo hit");
+            let cold = Evaluator::with_plan(&sys, &plan, &new_source).evaluate(tc, root, &opts);
+            assert_eq!(post.answers, cold.answers);
+        }
     }
 
     #[test]

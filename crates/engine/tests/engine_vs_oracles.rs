@@ -87,7 +87,7 @@ proptest! {
             // middle-linear shapes nonterminating; use a generous bound
             // (identical answers require depth ≤ |D1|·|D2| ≤ 64 + 1).
             let out = ev.evaluate(p, a, &EvalOptions { max_iterations: Some(80), ..EvalOptions::default() });
-            let got: FxHashSet<Const> = out.answers;
+            let got: FxHashSet<Const> = out.answers.into_iter().collect();
             let want: FxHashSet<Const> = expected
                 .iter()
                 .filter(|(x, _)| *x == a)
@@ -109,7 +109,7 @@ proptest! {
                 continue;
             };
             let out = ev.evaluate_inverse(p, b, &EvalOptions { max_iterations: Some(80), ..EvalOptions::default() });
-            let got: FxHashSet<Const> = out.answers;
+            let got: FxHashSet<Const> = out.answers.into_iter().collect();
             let want: FxHashSet<Const> = expected
                 .iter()
                 .filter(|(_, y)| *y == b)
@@ -172,6 +172,7 @@ proptest! {
             .map(|(_, y)| y)
             .collect();
         let out = rq_engine::evaluate_with_cyclic_guard(&sys, &db, sg, a0, &EvalOptions::default());
-        prop_assert_eq!(&out.answers, &expected, "m={} n={}", m, n);
+        let got: FxHashSet<Const> = out.answers.into_iter().collect();
+        prop_assert_eq!(&got, &expected, "m={} n={}", m, n);
     }
 }

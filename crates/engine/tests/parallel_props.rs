@@ -16,10 +16,10 @@ use rq_engine::{EdbSource, EvalContext, EvalOptions, Evaluator};
 use rq_relalg::{lemma1, Lemma1Options};
 use rq_workloads::randprog::{seeded, RecursionStyle};
 
-fn sorted(answers: &rq_common::FxHashSet<Const>) -> Vec<Const> {
-    let mut v: Vec<Const> = answers.iter().copied().collect();
-    v.sort_unstable();
-    v
+/// Answers arrive sorted and duplicate-free; say so while comparing.
+fn sorted(answers: &[Const]) -> &[Const] {
+    assert!(answers.windows(2).all(|w| w[0] < w[1]));
+    answers
 }
 
 proptest! {

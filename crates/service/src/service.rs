@@ -1038,10 +1038,8 @@ impl QueryService {
             outcome.instances,
             &outcome.counters,
         );
-        let mut answers: Vec<Const> = outcome.answers.into_iter().collect();
-        answers.sort_unstable();
         // The m·n bound is sufficient, so hitting it is completion.
-        (answers, outcome.converged || guarded)
+        (outcome.answers, outcome.converged || guarded)
     }
 
     /// The configured base options with the membership target and

@@ -112,14 +112,17 @@ impl Snapshot {
         dirty: FxHashSet<Pred>,
         delta: Delta,
     ) -> Self {
-        db.prewarm_binary_indexes();
-        // Compact stores are the publish-time counterpart of the index
-        // prewarm: dirty shards dropped theirs on mutation and rebuild
-        // here; clean shards still hold the parent epoch's store via the
-        // copy-on-write clone, so the cost is O(dirty data).
+        // Dirty shards dropped their compact store on mutation and
+        // rebuild it here; clean shards still hold the parent epoch's
+        // store via the copy-on-write clone, so the cost is O(dirty
+        // data).
         let build_start = std::time::Instant::now();
         let csr_builds = db.build_compact_stores();
         let csr_build_time = build_start.elapsed();
+        // CSR or trie, never both: only a binary shard whose store has
+        // no adjacency (ids too sparse) gets its two trie indexes built
+        // here, so readers still never contend on index construction.
+        db.prewarm_binary_indexes();
         let rules_fingerprint = crate::plan::rules_fingerprint(&program);
         Self {
             epoch,
@@ -546,8 +549,13 @@ mod tests {
         let store = store();
         let before = store.snapshot();
         let e = before.program().pred_by_name("e").unwrap();
-        // Publication prewarms both binary indexes.
-        assert!(before.db().relation(e).has_index(rq_datalog::mask_of([0])));
+        // A CSR serves this shard's probes, so publication built no
+        // trie for it; warm both by hand.
+        let shard = before.db().relation(e);
+        assert!(shard.compact_store().unwrap().first_column().is_some());
+        assert!(!shard.has_index(rq_datalog::mask_of([0])));
+        shard.build_index(rq_datalog::mask_of([0]));
+        shard.build_index(rq_datalog::mask_of([1]));
         let after = store.ingest("e(c,d). x(p,q).").unwrap();
         // The dirty shard detached but kept its warm indexes (persistent
         // index maps travel with the clone).
@@ -564,6 +572,38 @@ mod tests {
             .relation(e)
             .lookup(rq_datalog::mask_of([0]), &[c], &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn publication_builds_tries_only_for_binary_shards_without_a_csr() {
+        // `far` holds one tuple over ids past 1,200: too sparse for an
+        // offset table, so its store carries no CSR.
+        let mut src = String::from(TC);
+        for i in 0..1200 {
+            src.push_str(&format!(" pad(p{i})."));
+        }
+        src.push_str(" far(p1198, p1199).");
+        let store = SnapshotStore::new(parse_program(&src).unwrap());
+        let snap = store.snapshot();
+        let pred = |n: &str| snap.program().pred_by_name(n).unwrap();
+        let (e, far) = (
+            snap.db().relation(pred("e")),
+            snap.db().relation(pred("far")),
+        );
+        let csr =
+            |rel: &rq_datalog::Relation| rel.compact_store().unwrap().first_column().is_some();
+        assert!(csr(e) && !csr(far));
+        for col in [0, 1] {
+            let mask = rq_datalog::mask_of([col]);
+            assert!(!e.has_index(mask), "CSR rows serve `e`: no trie");
+            assert!(far.has_index(mask), "no CSR: readers find the trie built");
+        }
+        // A dirty sparse shard is prewarmed again; a dirty dense one
+        // still is not.
+        let after = store.ingest("far(p0, p1199). e(c,a).").unwrap();
+        let mask = rq_datalog::mask_of([1]);
+        assert!(after.db().relation(pred("far")).has_index(mask));
+        assert!(!after.db().relation(pred("e")).has_index(mask));
     }
 
     #[test]
