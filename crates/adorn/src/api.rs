@@ -8,8 +8,9 @@
 //! machine compilation) and returns a reusable [`NaryPlan`];
 //! [`evaluate_nary`] runs one plan against one database and one bound
 //! tuple.  Serving layers cache plans per `(rules, predicate,
-//! adornment)` and pay only the traversal per query; [`answer_query`]
-//! composes the two for one-shot callers.
+//! adornment)` and pay only the traversal per query; there is no
+//! second, one-shot route — `rq-service` is the caller that turns a
+//! query text into a plan key and a bound tuple.
 
 use crate::adornment::{adorn_for, chain_violations, AdornError, Adornment};
 use crate::source::{ProbeSpace, VirtualSource};
@@ -28,8 +29,8 @@ pub enum QueryError {
     Adorn(AdornError),
     /// The adorned program is not a chain program (Lemma 6's condition);
     /// the offending rule indices are attached.  Evaluating anyway (see
-    /// [`answer_query_unchecked`]) may produce a strict superset of the
-    /// answer (Lemma 5).
+    /// [`plan_nary_query_unchecked`]) may produce a strict superset of
+    /// the answer (Lemma 5).
     NotChain(Vec<usize>),
     /// Equation rewriting failed.
     Lemma1(Lemma1Error),
@@ -96,8 +97,11 @@ pub fn plan_nary_query(
     plan_nary_inner(program, pred, adornment, true)
 }
 
-/// Like [`plan_nary_query`] but skipping the chain check (Lemma 5's
-/// overapproximating mode; see [`answer_query_unchecked`]).
+/// Like [`plan_nary_query`] but skipping the chain check.  For
+/// non-chain programs the transformed program may compute a *superset*
+/// of the true answer (Lemma 5 guarantees containment in one direction
+/// only) — this entry point exists to demonstrate exactly that failure
+/// mode.
 pub fn plan_nary_query_unchecked(
     program: &Program,
     pred: Pred,
@@ -191,80 +195,6 @@ pub fn evaluate_nary_shared(
     (rows, outcome)
 }
 
-/// The answer to an n-ary query.
-#[derive(Debug, Clone)]
-pub struct QueryAnswer {
-    /// One row per answer: the values of the free argument positions, in
-    /// ascending position order.  Sorted and deduplicated.
-    pub rows: Vec<Vec<Const>>,
-    /// The traversal outcome (counters, convergence, graph size).
-    pub outcome: EvalOutcome,
-    /// The transformed binary program (for inspection).
-    pub binary: BinaryProgram,
-}
-
-impl QueryAnswer {
-    /// Render the rows with the program's constant names.
-    pub fn display_rows(&self, program: &Program) -> Vec<String> {
-        self.rows
-            .iter()
-            .map(|row| {
-                let parts: Vec<String> = row.iter().map(|&c| program.consts.display(c)).collect();
-                parts.join(",")
-            })
-            .collect()
-    }
-}
-
-/// Evaluate an n-ary query with the full §4 pipeline, rejecting programs
-/// that fail the chain condition.
-pub fn answer_query(
-    program: &Program,
-    db: &Database,
-    query: &Query,
-    options: &EvalOptions,
-) -> Result<QueryAnswer, QueryError> {
-    answer_query_inner(program, db, query, options, true)
-}
-
-/// Like [`answer_query`] but skipping the chain check.  For non-chain
-/// programs the transformed program may compute a *superset* of the true
-/// answer (Lemma 5 guarantees containment in one direction only) — this
-/// entry point exists to demonstrate exactly that failure mode.
-pub fn answer_query_unchecked(
-    program: &Program,
-    db: &Database,
-    query: &Query,
-    options: &EvalOptions,
-) -> Result<QueryAnswer, QueryError> {
-    answer_query_inner(program, db, query, options, false)
-}
-
-fn answer_query_inner(
-    program: &Program,
-    db: &Database,
-    query: &Query,
-    options: &EvalOptions,
-    check_chain: bool,
-) -> Result<QueryAnswer, QueryError> {
-    let plan = plan_nary_inner(program, query.pred, Adornment::of_query(query), check_chain)?;
-    // Anchor: the tuple of bound constants, t() when nothing is bound.
-    let bound: Vec<Const> = query
-        .args
-        .iter()
-        .filter_map(|a| match a {
-            rq_datalog::QueryArg::Bound(c) => Some(*c),
-            rq_datalog::QueryArg::Free => None,
-        })
-        .collect();
-    let (rows, outcome) = evaluate_nary(program, db, &plan, &bound, options);
-    Ok(QueryAnswer {
-        rows: rows.to_vecs(),
-        outcome,
-        binary: plan.binary,
-    })
-}
-
 /// Oracle comparison helper: the answer rows a bottom-up evaluation
 /// produces for the same query.
 pub fn oracle_rows(program: &Program, query: &Query) -> Vec<Vec<Const>> {
@@ -292,11 +222,38 @@ mod tests {
     use rq_common::FxHashSet;
     use rq_datalog::parse_program;
 
-    fn run(src: &str, query: &str) -> (Program, QueryAnswer, Vec<Vec<Const>>) {
+    /// One evaluated query: nested rows (to compare with the oracle's)
+    /// and the traversal outcome.
+    struct Answer {
+        rows: Vec<Vec<Const>>,
+        outcome: EvalOutcome,
+    }
+
+    /// Plan (with or without the chain check) and evaluate `q` cold.
+    fn answer(program: &Program, q: &Query, check_chain: bool) -> Result<Answer, QueryError> {
+        let plan = if check_chain {
+            plan_nary_query(program, q.pred, Adornment::of_query(q))?
+        } else {
+            plan_nary_query_unchecked(program, q.pred, Adornment::of_query(q))?
+        };
+        let db = Database::from_program(program);
+        let (rows, outcome) = evaluate_nary(
+            program,
+            &db,
+            &plan,
+            &q.bound_values(),
+            &EvalOptions::default(),
+        );
+        Ok(Answer {
+            rows: rows.to_vecs(),
+            outcome,
+        })
+    }
+
+    fn run(src: &str, query: &str) -> (Program, Answer, Vec<Vec<Const>>) {
         let mut program = parse_program(src).unwrap();
         let q = Query::parse(&mut program, query).unwrap();
-        let db = Database::from_program(&program);
-        let ans = answer_query(&program, &db, &q, &EvalOptions::default()).unwrap();
+        let ans = answer(&program, &q, true).unwrap();
         let oracle = oracle_rows(&program, &q);
         (program, ans, oracle)
     }
@@ -415,11 +372,10 @@ is_deptime(900). is_deptime(1200). is_deptime(1100). is_deptime(1400). is_deptim
         )
         .unwrap();
         let q = Query::parse(&mut program, "p(a, Y)").unwrap();
-        let db = Database::from_program(&program);
-        let err = answer_query(&program, &db, &q, &EvalOptions::default()).unwrap_err();
+        let err = answer(&program, &q, true).err().expect("chain check");
         assert!(matches!(err, QueryError::NotChain(_)));
 
-        let forced = answer_query_unchecked(&program, &db, &q, &EvalOptions::default()).unwrap();
+        let forced = answer(&program, &q, false).unwrap();
         let oracle = oracle_rows(&program, &q);
         // Correct answer: {b}.
         assert_eq!(oracle.len(), 1);

@@ -8,7 +8,8 @@
 //!   constants;
 //! * [`mod@source`] — demand-driven retrieval of the virtual relations by
 //!   joining the original database with the query bindings instantiated;
-//! * [`mod@api`] — the end-to-end query entry points.
+//! * [`mod@api`] — planning and evaluation of one `(predicate,
+//!   adornment)`: [`plan_nary_query`] and [`evaluate_nary`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,8 +24,8 @@ pub use adornment::{
     AdornedBody, AdornedPred, AdornedProgram, AdornedRule, Adornment,
 };
 pub use api::{
-    answer_query, answer_query_unchecked, bottom_up_counters, evaluate_nary, evaluate_nary_shared,
-    oracle_rows, plan_nary_query, plan_nary_query_unchecked, NaryPlan, QueryAnswer, QueryError,
+    bottom_up_counters, evaluate_nary, evaluate_nary_shared, oracle_rows, plan_nary_query,
+    plan_nary_query_unchecked, NaryPlan, QueryError,
 };
 pub use source::{delta_pairs, ProbeSpace, ProbeStats, VirtualSource, DEFAULT_PROBE_ENTRIES};
 pub use transform::{transform, BinaryProgram, VirtualKind, VirtualRel};

@@ -7,9 +7,10 @@
 //! §3 evaluate-then-test-membership fallback when the second binding is
 //! selective.
 
-use rq_common::Counters;
+use rq_adorn::Adornment;
+use rq_common::{Counters, Rows};
 use rq_datalog::{parse_program, seminaive_eval, Database, Program, Query, QueryArg};
-use rq_engine::{EdbSource, EvalOptions, Evaluator};
+use rq_engine::{EdbSource, EvalOptions, EvalOutcome, Evaluator};
 use rq_relalg::{lemma1, Lemma1Options};
 
 const SG: &str = "sg(X,Y) :- flat(X,Y).\n\
@@ -73,11 +74,17 @@ fn section3_bb(program: &Program, qtext: &str) -> (bool, Counters) {
 fn section4_bb(program: &Program, qtext: &str) -> (bool, Counters) {
     let mut p = program.clone();
     let query = Query::parse(&mut p, qtext).unwrap();
-    let db = Database::from_program(&p);
-    let answer = rq_adorn::answer_query(&p, &db, &query, &EvalOptions::default())
-        .unwrap_or_else(|e| panic!("§4 failed on {qtext}: {e}"));
+    let (rows, outcome) = section4(&p, &query, &EvalOptions::default());
     // A bb query has no free positions: one empty row means "yes".
-    (!answer.rows.is_empty(), answer.outcome.counters)
+    (!rows.is_empty(), outcome.counters)
+}
+
+/// Plan and evaluate `query` cold through the §4 pipeline.
+fn section4(p: &Program, query: &Query, options: &EvalOptions) -> (Rows, EvalOutcome) {
+    let plan = rq_adorn::plan_nary_query(p, query.pred, Adornment::of_query(query))
+        .unwrap_or_else(|e| panic!("§4 failed to plan: {e}"));
+    let db = Database::from_program(p);
+    rq_adorn::evaluate_nary(p, &db, &plan, &query.bound_values(), options)
 }
 
 #[test]
@@ -139,12 +146,11 @@ fn bb_on_cyclic_up_terminates_via_section4() {
     let program = parse_program(&src).unwrap();
     let mut p = program.clone();
     let query = Query::parse(&mut p, "sg(a0, b0)").unwrap();
-    let db = Database::from_program(&p);
     let options = EvalOptions {
         max_iterations: Some(64),
         ..EvalOptions::default()
     };
-    let answer = rq_adorn::answer_query(&p, &db, &query, &options).unwrap();
-    let holds = !answer.rows.is_empty();
+    let (rows, _) = section4(&p, &query, &options);
+    let holds = !rows.is_empty();
     assert_eq!(holds, oracle_holds(&program, "a0", "b0"));
 }

@@ -1,9 +1,10 @@
 //! Property tests for the §4 pipeline: on randomized databases for a
-//! family of chain programs, `answer_query` must agree with bottom-up
-//! evaluation for every binding pattern that passes the chain check.
+//! family of chain programs, plan + `evaluate_nary` must agree with
+//! bottom-up evaluation for every binding pattern that passes the chain
+//! check.
 
 use proptest::prelude::*;
-use rq_adorn::{answer_query, oracle_rows, QueryError};
+use rq_adorn::{evaluate_nary, oracle_rows, plan_nary_query, Adornment, QueryError};
 use rq_datalog::{parse_program, Database, Query};
 use rq_engine::EvalOptions;
 
@@ -43,16 +44,17 @@ fn check_query(src: &str, query: &str) -> Result<(), TestCaseError> {
         max_iterations: Some(200),
         ..EvalOptions::default()
     };
-    match answer_query(&program, &db, &q, &options) {
-        Ok(ans) => {
+    match plan_nary_query(&program, q.pred, Adornment::of_query(&q)) {
+        Ok(plan) => {
+            let (rows, _) = evaluate_nary(&program, &db, &plan, &q.bound_values(), &options);
             let oracle = oracle_rows(&program, &q);
             prop_assert_eq!(
-                &ans.rows,
+                &rows.to_vecs(),
                 &oracle,
                 "query {} on\n{}\nsystem:\n{}",
                 query,
                 src,
-                ans.binary.display_system(&program)
+                plan.binary.display_system(&program)
             );
         }
         Err(QueryError::NotChain(_)) => {

@@ -160,9 +160,6 @@ pub fn run_strategy(
     }
 }
 
-pub mod summary;
-pub use summary::{best_of, BenchSummary, SummaryEntry};
-
 /// Least-squares slope of log(y) on log(x) — the growth exponent.
 pub fn loglog_slope(points: &[(usize, f64)]) -> f64 {
     let n = points.len() as f64;

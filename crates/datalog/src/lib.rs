@@ -134,6 +134,18 @@ impl Query {
             .collect()
     }
 
+    /// The bound constants, in ascending position order — the §4
+    /// anchor tuple.
+    pub fn bound_values(&self) -> Vec<rq_common::Const> {
+        self.args
+            .iter()
+            .filter_map(|a| match a {
+                QueryArg::Bound(c) => Some(*c),
+                QueryArg::Free => None,
+            })
+            .collect()
+    }
+
     /// The free argument positions.
     pub fn free_positions(&self) -> Vec<usize> {
         self.args
@@ -182,11 +194,6 @@ impl Query {
         out
     }
 
-    /// Whether any variable name occurs at more than one position.
-    pub fn has_repeated_vars(&self) -> bool {
-        !self.repeat_constraints().is_empty()
-    }
-
     /// Filter the full extension of the query predicate down to the
     /// tuples matching the bound arguments and repeated-variable
     /// constraints, projecting onto the distinct free positions.  Used
@@ -206,39 +213,6 @@ impl Query {
                 }) && repeats.iter().all(|&(a, b)| t[a] == t[b])
             })
             .map(|t| free.iter().map(|&i| t[i]).collect())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Filter rows given *over the free positions in order* (as the
-    /// evaluation pipelines produce them) down to those satisfying the
-    /// repeated-variable constraints, projecting onto the distinct free
-    /// positions.  No-op for queries without repeated variables.
-    pub fn restrict_free_rows(
-        &self,
-        rows: Vec<Vec<rq_common::Const>>,
-    ) -> Vec<Vec<rq_common::Const>> {
-        if !self.has_repeated_vars() {
-            return rows;
-        }
-        let free = self.free_positions();
-        let index_of = |pos: usize| free.iter().position(|&p| p == pos).expect("free position");
-        let repeats: Vec<(usize, usize)> = self
-            .repeat_constraints()
-            .into_iter()
-            .map(|(a, b)| (index_of(a), index_of(b)))
-            .collect();
-        let keep: Vec<usize> = self
-            .distinct_free_positions()
-            .into_iter()
-            .map(index_of)
-            .collect();
-        let mut out: Vec<Vec<rq_common::Const>> = rows
-            .into_iter()
-            .filter(|row| repeats.iter().all(|&(a, b)| row[a] == row[b]))
-            .map(|row| keep.iter().map(|&i| row[i]).collect())
             .collect();
         out.sort();
         out.dedup();

@@ -141,7 +141,7 @@ fn counters_match_reference_on_cyclic_data_under_the_guard() {
     let (program, db, system) = setup(&cyclic_fan());
     let sg = program.pred_by_name("sg").unwrap();
     let a1 = konst(&program, "a1");
-    let bound = crate::cyclic_iteration_bound(&system, &db, sg, a1).unwrap();
+    let bound = crate::cyclic_iteration_bound(&system, &db, sg, a1, false).unwrap();
     let source = EdbSource::new(&db);
     let evaluator = Evaluator::new(&system, &source);
     let options = EvalOptions {

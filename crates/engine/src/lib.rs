@@ -38,8 +38,8 @@ pub mod traversal;
 
 pub use query::{
     all_pairs_min_side, all_pairs_per_source, all_pairs_scc, candidate_sources,
-    cyclic_iteration_bound, evaluate_with_cyclic_guard, inverse_cyclic_iteration_bound, query_bb,
-    query_diagonal, AllPairsOutcome, EvalSide,
+    cyclic_iteration_bound, evaluate_guarded, evaluate_with_cyclic_guard, query_bb, query_diagonal,
+    AllPairsOutcome, EvalSide,
 };
 pub use source::{EdbSource, TupleSource};
 pub use traversal::{

@@ -387,28 +387,37 @@ pub fn query_diagonal<S: TupleSource>(
 
 /// The Marchetti-Spaccamela-style iteration bound for cyclic data (§3,
 /// Figure 8 discussion): for an equation `p = e0 ∪ e1·p·e2`, `m·n`
-/// iterations suffice, where `m` is the number of nodes accessible from
-/// the query constant through `e1` and `n` the number of nodes accessible
-/// on the `e2` side.  Returns `None` if the equation does not have the
-/// linear shape.
+/// iterations suffice for `p(a, Y)`, where `m` is the number of nodes
+/// accessible from the query constant through `e1` and `n` the number
+/// of nodes accessible on the `e2` side.  For the `inverse` query
+/// `p(X, a)` the traversal of the inverse machine walks `e2⁻¹` per
+/// level on the way in and `e1⁻¹` on the way out, so the two sides swap
+/// roles.  Returns `None` if the equation does not have the linear
+/// shape.
 pub fn cyclic_iteration_bound(
     system: &EqSystem,
     db: &rq_datalog::Database,
     p: Pred,
     a: Const,
+    inverse: bool,
 ) -> Option<u64> {
     let (e0, e1, e2) = linear_decomposition(p, &system.rhs[&p])?;
     let derived = system.derived();
     if e0.contains_any(&derived) || e1.contains_any(&derived) || e2.contains_any(&derived) {
         return None;
     }
+    let (e0, near, far) = if inverse {
+        (e0.inverse(), e2.inverse(), e1.inverse())
+    } else {
+        (e0, e1, e2)
+    };
     let mut ev = ImageEval::base_only(db);
-    // D1: nodes accessible from a via e1 (the "up" side).
-    let d1 = ev.image_of(&Expr::star(e1), a);
-    // D2: nodes accessible on the e2 side — everything reachable through
-    // e2* from the flat-images of D1.
+    // D1: nodes accessible from the query constant on its own side.
+    let d1 = ev.image_of(&Expr::star(near), a);
+    // D2: nodes accessible on the other side — everything reachable
+    // through its closure from the flat-images of D1.
     let mid = ev.image(&e0, &d1);
-    let d2 = ev.image(&Expr::star(e2), &mid);
+    let d2 = ev.image(&Expr::star(far), &mid);
     Some(
         (d1.len() as u64)
             .saturating_mul(d2.len().max(1) as u64)
@@ -416,37 +425,47 @@ pub fn cyclic_iteration_bound(
     )
 }
 
-/// The iteration bound for the *inverse* query `p(X, b)` on cyclic
-/// data.  Traversing the inverse machine from `b` walks `e2⁻¹` per
-/// level on the way in and `e1⁻¹` on the way out, so the two side
-/// counts swap roles: `m` is the number of nodes accessible from `b`
-/// through `e2⁻¹`, `n` the number accessible on the `e1⁻¹` side.
-/// Returns `None` if the equation does not have the linear shape.
-pub fn inverse_cyclic_iteration_bound(
-    system: &EqSystem,
+/// Evaluate `p(a, Y)` — or, with `inverse`, `p(X, a)` — so that cyclic
+/// data cannot hang the traversal: when `options` sets no iteration
+/// bound, the `m·n` bound of the query's direction is applied (the
+/// run then always terminates, and is complete whenever either the
+/// natural condition or the bound applies).  Where the equation has no
+/// such bound and `options` no node budget, `fallback_node_budget`
+/// caps the traversal instead; hitting it reports non-convergence.
+pub fn evaluate_guarded<S: TupleSource>(
+    evaluator: &Evaluator<'_, S>,
     db: &rq_datalog::Database,
     p: Pred,
-    b: Const,
-) -> Option<u64> {
-    let (e0, e1, e2) = linear_decomposition(p, &system.rhs[&p])?;
-    let derived = system.derived();
-    if e0.contains_any(&derived) || e1.contains_any(&derived) || e2.contains_any(&derived) {
-        return None;
+    a: Const,
+    inverse: bool,
+    options: &EvalOptions,
+    fallback_node_budget: Option<u64>,
+) -> EvalOutcome {
+    let mut opts = options.clone();
+    let mut guarded = false;
+    if opts.max_iterations.is_none() {
+        // +1: iteration i explores recursion depth i-1, and the bound
+        // counts recursion depths.
+        let bound = cyclic_iteration_bound(evaluator.system(), db, p, a, inverse);
+        opts.max_iterations = bound.map(|b| b + 1);
+        guarded = bound.is_some();
+        if !guarded && opts.node_budget.is_none() {
+            opts.node_budget = fallback_node_budget;
+        }
     }
-    let mut ev = ImageEval::base_only(db);
-    let d1 = ev.image_of(&Expr::star(e2.inverse()), b);
-    let mid = ev.image(&e0.inverse(), &d1);
-    let d2 = ev.image(&Expr::star(e1.inverse()), &mid);
-    Some(
-        (d1.len() as u64)
-            .saturating_mul(d2.len().max(1) as u64)
-            .max(1),
-    )
+    let mut out = if inverse {
+        evaluator.evaluate_inverse(p, a, &opts)
+    } else {
+        evaluator.evaluate(p, a, &opts)
+    };
+    // The m·n bound is sufficient (Marchetti-Spaccamela et al. [14]), so
+    // stopping at it is completion, not truncation.
+    out.converged |= guarded;
+    out
 }
 
-/// Convenience: evaluate `p(a, Y)` on a database with the cyclic bound
-/// applied automatically when the equation is linear (always terminates;
-/// complete whenever either the natural condition or the bound applies).
+/// Convenience: [`evaluate_guarded`] for `p(a, Y)` on a database, with
+/// a fresh evaluator and no fallback budget.
 pub fn evaluate_with_cyclic_guard(
     system: &EqSystem,
     db: &rq_datalog::Database,
@@ -454,23 +473,9 @@ pub fn evaluate_with_cyclic_guard(
     a: Const,
     options: &EvalOptions,
 ) -> EvalOutcome {
-    let mut opts = options.clone();
-    let mut guard_applied = false;
-    if opts.max_iterations.is_none() {
-        // +1: iteration i explores recursion depth i-1, and the bound
-        // counts recursion depths.
-        opts.max_iterations = cyclic_iteration_bound(system, db, p, a).map(|b| b + 1);
-        guard_applied = opts.max_iterations.is_some();
-    }
     let source = EdbSource::new(db);
     let ev = Evaluator::new(system, &source);
-    let mut out = ev.evaluate(p, a, &opts);
-    // The m·n bound is sufficient (Marchetti-Spaccamela et al. [14]), so
-    // stopping at it is completion, not truncation.
-    if guard_applied {
-        out.converged = true;
-    }
-    out
+    evaluate_guarded(&ev, db, p, a, false, options, None)
 }
 
 #[cfg(test)]
@@ -635,7 +640,7 @@ mod tests {
         let (program, db, sys) = setup(src);
         let sg = program.pred_by_name("sg").unwrap();
         let a1 = konst(&program, "a1");
-        let bound = cyclic_iteration_bound(&sys, &db, sg, a1).unwrap();
+        let bound = cyclic_iteration_bound(&sys, &db, sg, a1, false).unwrap();
         assert_eq!(bound, 6); // m=2 up nodes, n=3 down nodes.
         let out = evaluate_with_cyclic_guard(&sys, &db, sg, a1, &EvalOptions::default());
         let mut names: Vec<String> = out
@@ -659,7 +664,7 @@ mod tests {
         let b1 = konst(&program, "b1");
         // Sides swap for the inverse direction: m=3 down nodes from b1,
         // n=2 up nodes.
-        let bound = inverse_cyclic_iteration_bound(&sys, &db, sg, b1).unwrap();
+        let bound = cyclic_iteration_bound(&sys, &db, sg, b1, true).unwrap();
         assert_eq!(bound, 6);
         let source = EdbSource::new(&db);
         let ev = Evaluator::new(&sys, &source);
@@ -697,7 +702,7 @@ mod tests {
         // tc's equation is e*·e — no derived occurrence, so no linear
         // decomposition around tc.
         assert_eq!(
-            cyclic_iteration_bound(&sys, &db, tc, konst(&program, "a")),
+            cyclic_iteration_bound(&sys, &db, tc, konst(&program, "a"), false),
             None
         );
         // The guard still terminates (natural condition).

@@ -43,6 +43,9 @@
 //!   identical specs and fans the rest out across worker threads over
 //!   one shared snapshot, with per-traversal machine-instance
 //!   expansion parallelized inside each query.
+//!   [`QueryService::answer_text`] / [`QueryService::answer_texts`]
+//!   ([`text`]) are the one route from query *text* to answer rows that
+//!   every front end calls.
 //!
 //! Correctness is anchored by differential tests: every answer the
 //! service produces is compared against the single-threaded
@@ -61,12 +64,14 @@ pub mod service;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;
+pub mod text;
 
 pub use context::{EpochContext, EpochContextStats};
 pub use durable::{DurabilityConfig, DurabilityStats, RecoveryReport};
 pub use plan::{rules_fingerprint, CacheStats, PlanCache, PlanKey};
 pub use results::{CachedResult, ResultCache, ResultKey, SweepDecision};
-pub use service::{parse_serve_query, QueryService, ServiceAnswer, ServiceConfig, ServiceError};
+pub use service::{QueryService, Route, ServiceAnswer, ServiceConfig, ServiceError};
 pub use snapshot::{Delta, IngestError, Snapshot, SnapshotStore};
 pub use spec::{Adornment, Arg, QuerySpec};
 pub use stats::StatsReport;
+pub use text::{parse_serve_query, TextAnswer};

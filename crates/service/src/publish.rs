@@ -295,16 +295,16 @@ impl QueryService {
         if let Some(fresh) = self.results.peek(&key) {
             return Some(fresh);
         }
-        let (rows, converged) = if spec.has_repeats() {
+        let result = if spec.has_repeats() {
             let base = self.rederive(snap, &spec.with_distinct_frees())?;
-            (spec.restrict_rows(&base.rows), base.converged)
+            CachedResult {
+                rows: Arc::new(spec.restrict_rows(&base.rows)),
+                ..base
+            }
         } else {
             self.evaluate_spec(snap, spec, self.config.eval_threads)
                 .ok()?
-        };
-        let result = CachedResult {
-            rows: Arc::new(rows),
-            converged,
+                .0
         };
         self.results.insert(key, result.clone());
         Some(result)

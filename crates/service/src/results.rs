@@ -26,6 +26,7 @@
 //!   answer instead of evaluating ([`CacheStats::deduped`]).
 
 use crate::plan::CacheStats;
+use crate::service::Route;
 use crate::spec::QuerySpec;
 use rq_common::obs::Counter;
 use rq_common::{FxHashMap, Rows};
@@ -71,6 +72,9 @@ pub struct CachedResult {
     /// iteration bound or node budget, answers sound but possibly
     /// partial).
     pub converged: bool,
+    /// The pipeline that computed the rows, so a hit can still say
+    /// which route its answer took.
+    pub route: Route,
 }
 
 struct Entry {
@@ -429,6 +433,7 @@ mod tests {
                 cs.iter().map(|&c| Const(c)).collect(),
             )),
             converged: true,
+            route: Route::BinaryChain,
         }
     }
 

@@ -8,11 +8,10 @@ use crate::results::{CachedResult, ResultCache, ResultKey};
 use crate::snapshot::{IngestError, Snapshot, SnapshotStore};
 use crate::spec::{Arg, QuerySpec};
 use rq_common::obs::{self, Counter, Histogram};
-use rq_common::{Const, ConstValue, Counters, FxHashMap, Pred, Registry, Rows};
+use rq_common::{Const, Counters, FxHashMap, Pred, Registry, Rows};
 use rq_datalog::Program;
 use rq_engine::{
-    all_pairs_min_side, candidate_sources, cyclic_iteration_bound, inverse_cyclic_iteration_bound,
-    EdbSource, EvalOptions, Evaluator,
+    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,6 +118,26 @@ pub struct ServiceAnswer {
     pub converged: bool,
     /// Whether the answer came from the result cache.
     pub from_cache: bool,
+    /// Which pipeline computed the rows (on a cache hit: the run that
+    /// filled the entry).  `None` when none ran — the text entry's
+    /// empty-by-construction answer ([`crate::text`]).
+    pub route: Option<Route>,
+    /// The paper's unit-cost counters for the run that produced this
+    /// answer; zero when nothing ran for it (a result-cache hit, an
+    /// empty-by-construction answer).
+    pub counters: Counters,
+}
+
+/// Which evaluation pipeline answers a query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// §3 directly: a binary predicate of a binary-chain program,
+    /// answered by graph traversal over the Lemma 1 machines (forward,
+    /// inverse, membership or all-pairs).
+    BinaryChain,
+    /// §4: adornment + transformation to a binary-chain program over
+    /// tuple constants.
+    Section4,
 }
 
 impl ServiceAnswer {
@@ -726,7 +745,7 @@ impl QueryService {
     /// variables, repeated variables expressing diagonals — against the
     /// current snapshot's program.
     pub fn parse_query(&self, text: &str) -> Result<QuerySpec, ServiceError> {
-        parse_serve_query(self.snapshot().program(), text)
+        crate::text::parse_serve_query(self.snapshot().program(), text)
     }
 
     /// Answer one query on the current snapshot.
@@ -770,40 +789,39 @@ impl QueryService {
                     rows: hit.rows,
                     converged: hit.converged,
                     from_cache: true,
+                    route: Some(hit.route),
+                    counters: Counters::default(),
                 });
             }
             span.note("result_cache", "miss");
         }
-        let (rows, converged) = self.evaluate_spec(snapshot, spec, expand_threads)?;
+        let (result, counters) = self.evaluate_spec(snapshot, spec, expand_threads)?;
         if span.active() {
-            span.note("rows", rows.len());
-            span.note("converged", converged);
+            span.note("rows", result.rows.len());
+            span.note("converged", result.converged);
         }
-        let rows = Arc::new(rows);
         if self.config.memoize_results {
-            self.results.insert(
-                key,
-                CachedResult {
-                    rows: Arc::clone(&rows),
-                    converged,
-                },
-            );
+            self.results.insert(key, result.clone());
         }
         Ok(ServiceAnswer {
             epoch: snapshot.epoch(),
-            rows,
-            converged,
+            rows: result.rows,
+            converged: result.converged,
             from_cache: false,
+            route: Some(result.route),
+            counters,
         })
     }
 
-    /// Route one spec to the right pipeline.
+    /// Route one spec to the right pipeline: the answer as the result
+    /// cache stores it (rows, convergence, which route ran) and that
+    /// run's unit-cost counters.
     pub(crate) fn evaluate_spec(
         &self,
         snapshot: &Snapshot,
         spec: &QuerySpec,
         expand_threads: usize,
-    ) -> Result<(Rows, bool), ServiceError> {
+    ) -> Result<(CachedResult, Counters), ServiceError> {
         let arity = snapshot.program().arity(spec.pred);
         if spec.arity() != arity {
             // Specs from `parse_serve_query` are checked at parse time;
@@ -828,7 +846,12 @@ impl QueryService {
         // entry.
         if spec.has_repeats() {
             let base = self.query_on_with(snapshot, &spec.with_distinct_frees(), expand_threads)?;
-            return Ok((spec.restrict_rows(&base.rows), base.converged));
+            let result = CachedResult {
+                rows: Arc::new(spec.restrict_rows(&base.rows)),
+                converged: base.converged,
+                route: base.route.expect("an evaluated answer names its route"),
+            };
+            return Ok((result, base.counters));
         }
         // Binary predicates of binary-chain programs take the §3 fast
         // path; binary predicates of programs outside that class (e.g.
@@ -884,7 +907,12 @@ impl QueryService {
             outcome.instances,
             &outcome.counters,
         );
-        Ok((rows, outcome.converged))
+        let result = CachedResult {
+            rows: Arc::new(rows),
+            converged: outcome.converged,
+            route: Route::Section4,
+        };
+        Ok((result, outcome.counters))
     }
 
     /// Fold one traversal's engine-side work into the service's
@@ -918,26 +946,26 @@ impl QueryService {
         plan: &ProgramPlan,
         spec: &QuerySpec,
         expand_threads: usize,
-    ) -> Result<(Rows, bool), ServiceError> {
+    ) -> Result<(CachedResult, Counters), ServiceError> {
         let args = spec.args();
         debug_assert_eq!(args.len(), 2);
-        match (args[0], args[1]) {
+        let (rows, converged, counters) = match (args[0], args[1]) {
             (Arg::Bound(a), Arg::Free(_)) => {
-                let (answers, converged) =
+                let (answers, converged, counters) =
                     self.traverse(snapshot, plan, spec.pred, a, false, None, expand_threads);
-                Ok((Rows::from_sorted_column(answers), converged))
+                (Rows::from_sorted_column(answers), converged, counters)
             }
             (Arg::Free(_), Arg::Bound(b)) => {
-                let (answers, converged) =
+                let (answers, converged, counters) =
                     self.traverse(snapshot, plan, spec.pred, b, true, None, expand_threads);
-                Ok((Rows::from_sorted_column(answers), converged))
+                (Rows::from_sorted_column(answers), converged, counters)
             }
             (Arg::Bound(a), Arg::Bound(b)) => {
                 // Membership: traverse forward from `a`, stopping the
                 // moment `b` is emitted.
-                let (answers, converged) =
+                let (answers, converged, counters) =
                     self.traverse(snapshot, plan, spec.pred, a, false, Some(b), expand_threads);
-                Ok((Rows::membership(answers.contains(&b)), converged))
+                (Rows::membership(answers.contains(&b)), converged, counters)
             }
             (Arg::Free(_), Arg::Free(_)) => {
                 // All pairs.  For a *regular* equation (no derived
@@ -967,31 +995,43 @@ impl QueryService {
                     for (x, y) in out.pairs {
                         rows.push(&[x, y]);
                     }
-                    return Ok((rows.finish(), out.converged));
-                }
-                let sources = {
-                    let source = EdbSource::new(snapshot.db());
-                    candidate_sources(&plan.system, &source, spec.pred)
-                };
-                let mut rows = Rows::builder(2);
-                let mut converged = true;
-                for a in sources {
-                    let sub = self.query_on_with(
-                        snapshot,
-                        &QuerySpec::bound_free(spec.pred, a),
-                        expand_threads,
-                    )?;
-                    converged &= sub.converged;
-                    for y in sub.constants() {
-                        rows.push(&[a, y]);
+                    (rows.finish(), out.converged, out.counters)
+                } else {
+                    let sources = {
+                        let source = EdbSource::new(snapshot.db());
+                        candidate_sources(&plan.system, &source, spec.pred)
+                    };
+                    let mut rows = Rows::builder(2);
+                    let mut converged = true;
+                    let mut counters = Counters::default();
+                    for a in sources {
+                        let sub = self.query_on_with(
+                            snapshot,
+                            &QuerySpec::bound_free(spec.pred, a),
+                            expand_threads,
+                        )?;
+                        converged &= sub.converged;
+                        counters += sub.counters;
+                        for y in sub.constants() {
+                            rows.push(&[a, y]);
+                        }
                     }
+                    (rows.finish(), converged, counters)
                 }
-                Ok((rows.finish(), converged))
             }
-        }
+        };
+        let result = CachedResult {
+            rows: Arc::new(rows),
+            converged,
+            route: Route::BinaryChain,
+        };
+        Ok((result, counters))
     }
 
-    /// One guarded §3 traversal (forward or inverse), sorted answers.
+    /// One §3 traversal (forward or inverse) under the engine's cyclic
+    /// guard ([`evaluate_guarded`]: the `m·n` bound of the query's
+    /// direction, else the fallback node budget): sorted answers,
+    /// convergence, and the run's unit-cost counters.
     #[allow(clippy::too_many_arguments)]
     fn traverse(
         &self,
@@ -1002,32 +1042,18 @@ impl QueryService {
         inverse: bool,
         stop_on_answer: Option<Const>,
         expand_threads: usize,
-    ) -> (Vec<Const>, bool) {
-        let mut options = self.guarded_options(stop_on_answer, expand_threads);
-        let mut guarded = false;
-        if options.max_iterations.is_none() && self.config.cyclic_guard {
-            // +1 as in `evaluate_with_cyclic_guard`: iteration i explores
-            // recursion depth i-1.
-            let bound = if inverse {
-                inverse_cyclic_iteration_bound(&plan.system, snapshot.db(), pred, constant)
-            } else {
-                cyclic_iteration_bound(&plan.system, snapshot.db(), pred, constant)
-            };
-            options.max_iterations = bound.map(|b| b + 1);
-            guarded = options.max_iterations.is_some();
-            if !guarded && options.node_budget.is_none() {
-                // No m·n bound exists for this equation shape; fall
-                // back to a node budget so a divergent traversal cannot
-                // hang the worker.  Hitting it reports non-convergence.
-                options.node_budget = self.config.fallback_node_budget;
-            }
-        }
+    ) -> (Vec<Const>, bool, Counters) {
+        let options = self.guarded_options(stop_on_answer, expand_threads);
         let source = EdbSource::new(snapshot.db());
         let mut evaluator = Evaluator::with_plan(&plan.system, &plan.compiled, &source);
         if self.config.share_epoch_context {
             evaluator = evaluator.with_context(snapshot.context().eval());
         }
-        let outcome = if inverse {
+        let outcome = if self.config.cyclic_guard {
+            let fallback = self.config.fallback_node_budget;
+            let db = snapshot.db();
+            evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback)
+        } else if inverse {
             evaluator.evaluate_inverse(pred, constant, &options)
         } else {
             evaluator.evaluate(pred, constant, &options)
@@ -1038,8 +1064,7 @@ impl QueryService {
             outcome.instances,
             &outcome.counters,
         );
-        // The m·n bound is sufficient, so hitting it is completion.
-        (outcome.answers, outcome.converged || guarded)
+        (outcome.answers, outcome.converged, outcome.counters)
     }
 
     /// The configured base options with the membership target and
@@ -1153,93 +1178,7 @@ impl QueryService {
 }
 
 /// Widest predicate the `{b,f}` adornment bitmask can describe.
-const MAX_ADORNABLE_ARITY: usize = 32;
-
-/// Parse any served query form against `program`:
-///
-/// * any arity: `cnx(hel, 540, D, AT)` mixes bound and free positions;
-/// * lowercase/integer arguments are constants, uppercase or `_`-led
-///   arguments are free variables;
-/// * a variable name occurring at several positions constrains them to
-///   be equal (`p(X, X)` is the diagonal); `_` is anonymous and never
-///   constrains (`p(_, _)` stays all-pairs).
-pub fn parse_serve_query(program: &Program, text: &str) -> Result<QuerySpec, ServiceError> {
-    let trimmed = text.trim();
-    let malformed = || ServiceError::Malformed(trimmed.to_string());
-    let open = trimmed.find('(').ok_or_else(malformed)?;
-    let close = trimmed.rfind(')').ok_or_else(malformed)?;
-    if close != trimmed.len() - 1 || open == 0 || close < open {
-        return Err(malformed());
-    }
-    let name = trimmed[..open].trim();
-    let raw_args: Vec<&str> = trimmed[open + 1..close].split(',').map(str::trim).collect();
-    if raw_args
-        .iter()
-        .any(|a| a.is_empty() || a.contains(char::is_whitespace))
-    {
-        return Err(malformed());
-    }
-    let pred = program
-        .pred_by_name(name)
-        .ok_or_else(|| ServiceError::UnknownPredicate(name.to_string()))?;
-    if !program.is_derived(pred) {
-        return Err(ServiceError::NotDerived(name.to_string()));
-    }
-    if program.arity(pred) != raw_args.len() {
-        return Err(ServiceError::ArityMismatch {
-            pred: name.to_string(),
-            expected: program.arity(pred),
-            got: raw_args.len(),
-        });
-    }
-    if raw_args.len() > MAX_ADORNABLE_ARITY {
-        return Err(ServiceError::Plan(format!(
-            "`{name}` has arity {}; adornments support at most {MAX_ADORNABLE_ARITY} positions",
-            raw_args.len()
-        )));
-    }
-    let mut var_slots: Vec<&str> = Vec::new();
-    let mut next_anon: usize = 0;
-    let mut args: Vec<Arg> = Vec::with_capacity(raw_args.len());
-    for raw in raw_args {
-        if raw.is_empty() {
-            return Err(malformed());
-        }
-        let first = raw.chars().next().expect("non-empty");
-        if first.is_ascii_uppercase() || first == '_' {
-            let slot = if raw == "_" {
-                // Anonymous: a fresh slot every time (never constrains),
-                // drawn from the top so it cannot collide with named
-                // slots (arity is capped at 32 well below 200).
-                next_anon += 1;
-                255 - next_anon
-            } else {
-                match var_slots.iter().position(|&v| v == raw) {
-                    Some(i) => i,
-                    None => {
-                        var_slots.push(raw);
-                        var_slots.len() - 1
-                    }
-                }
-            };
-            args.push(Arg::Free(slot as u8));
-            continue;
-        }
-        let value = match raw.parse::<i64>() {
-            Ok(i) => ConstValue::Int(i),
-            Err(_) => ConstValue::Str(raw.to_string()),
-        };
-        let c = program.consts.get(&value).ok_or_else(|| {
-            ServiceError::UnknownConstant(match value {
-                ConstValue::Int(i) => i.to_string(),
-                ConstValue::Str(ref s) => s.clone(),
-                ConstValue::Tuple(_) => unreachable!("parser never yields tuples"),
-            })
-        })?;
-        args.push(Arg::Bound(c));
-    }
-    Ok(QuerySpec::new(pred, args))
-}
+pub(crate) const MAX_ADORNABLE_ARITY: usize = 32;
 
 #[cfg(test)]
 mod tests {

@@ -8,9 +8,7 @@
 
 use rq_common::Const;
 use rq_datalog::seminaive_eval;
-use rq_engine::{
-    cyclic_iteration_bound, inverse_cyclic_iteration_bound, EdbSource, EvalOptions, Evaluator,
-};
+use rq_engine::{cyclic_iteration_bound, EdbSource, EvalOptions, Evaluator};
 use rq_relalg::{lemma1, Lemma1Options};
 use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceConfig, ServiceError, Snapshot};
 use rq_workloads::randprog::{seeded, RecursionStyle};
@@ -57,12 +55,8 @@ fn oracle_rows(
     let evaluator = Evaluator::new(system, &source);
     let constant = spec.bound_values()[0];
     let inverse = spec.free_positions() == vec![0];
-    let max_iterations = if inverse {
-        inverse_cyclic_iteration_bound(system, snapshot.db(), spec.pred, constant)
-    } else {
-        cyclic_iteration_bound(system, snapshot.db(), spec.pred, constant)
-    }
-    .map(|b| b + 1);
+    let max_iterations =
+        cyclic_iteration_bound(system, snapshot.db(), spec.pred, constant, inverse).map(|b| b + 1);
     let options = EvalOptions {
         max_iterations,
         ..EvalOptions::default()

@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 use rq_common::Const;
-use rq_engine::{
-    cyclic_iteration_bound, inverse_cyclic_iteration_bound, EdbSource, EvalOptions, Evaluator,
-};
+use rq_engine::{cyclic_iteration_bound, EdbSource, EvalOptions, Evaluator};
 use rq_relalg::{lemma1, Lemma1Options};
 use rq_service::{QueryService, QuerySpec, ServiceConfig};
 use rq_workloads::randprog::{random_program, RandProgConfig, RecursionStyle};
@@ -24,12 +22,8 @@ fn fresh_rows(workload: &Workload, spec: &QuerySpec) -> Vec<Vec<Const>> {
     let evaluator = Evaluator::new(&system, &source);
     let constant = spec.bound_values()[0];
     let inverse = spec.free_positions() == vec![0];
-    let max_iterations = if inverse {
-        inverse_cyclic_iteration_bound(&system, &db, spec.pred, constant)
-    } else {
-        cyclic_iteration_bound(&system, &db, spec.pred, constant)
-    }
-    .map(|b| b + 1);
+    let max_iterations =
+        cyclic_iteration_bound(&system, &db, spec.pred, constant, inverse).map(|b| b + 1);
     let options = EvalOptions {
         max_iterations,
         ..EvalOptions::default()

@@ -2,22 +2,22 @@
 //! testable without a socket.
 //!
 //! Every response body is JSON (Prometheus text on `GET /metrics`).
-//! Endpoint semantics deliberately mirror the `rqc serve` REPL, so a
-//! query means the same thing whichever front end carries it; see the
-//! crate docs for verbatim request/response examples.
+//! Query texts go through the service's one text entry
+//! ([`QueryService::answer_text`] / [`QueryService::answer_texts`]),
+//! the same calls behind `rqc serve`, the REPL and `solve`, so a query
+//! means the same thing whichever front end carries it; see the crate
+//! docs for verbatim request/response examples.
 //!
 //! There is one implementation of every endpoint: [`respond`] writes
 //! the body bytes straight into a caller-owned buffer — answer rows go
-//! from the service's flat [`Rows`] through the snapshot's interner to
-//! bytes, with no [`Json`] node and no `String` per constant.  The
-//! server calls it with a buffer it keeps per connection; [`handle`]
-//! wraps it for callers that want a parsed body.
+//! from the service's flat [`rq_common::Rows`] through the snapshot's
+//! interner to bytes, with no [`Json`] node and no `String` per
+//! constant.  The server calls it with a buffer it keeps per
+//! connection; [`handle`] wraps it for callers that want a parsed body.
 
 use rq_common::json::{escape_str_into, write_i64};
-use rq_common::{obs, ConstInterner, ConstValue, Json, Rows};
-use rq_service::{
-    parse_serve_query, Arg, QueryService, QuerySpec, ServiceAnswer, ServiceError, Snapshot,
-};
+use rq_common::{obs, ConstInterner, ConstValue, Json};
+use rq_service::{QueryService, Snapshot, TextAnswer};
 use std::sync::Arc;
 
 const JSON: &str = "application/json";
@@ -188,19 +188,19 @@ fn query_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u16
             // The server is already tracing this request (slow-query
             // log): take only our slice, leave the buffer running.
             let mark = obs::trace_mark();
-            let result = evaluate_one(service, &snapshot, text);
+            let result = service.answer_text(&snapshot, text);
             (result, obs::trace_since(mark))
         } else {
             obs::trace_start();
-            let result = evaluate_one(service, &snapshot, text);
+            let result = service.answer_text(&snapshot, text);
             (result, obs::trace_finish())
         }
     } else {
-        (evaluate_one(service, &snapshot, text), Vec::new())
+        (service.answer_text(&snapshot, text), Vec::new())
     };
     match result {
-        Ok(evaluated) => {
-            write_answer_fields(out, text, &snapshot, evaluated.as_ref());
+        Ok(answered) => {
+            write_answer(out, &snapshot.program().consts, text, &answered);
             if trace {
                 out.extend_from_slice(b",\"trace\":");
                 obs::trace_to_json(&spans).encode_into(out);
@@ -234,43 +234,25 @@ fn batch_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u16
     200
 }
 
-/// Answer `texts` on `snapshot` and write the `/batch` body.
-///
-/// Everything happens on the one pinned snapshot — parse, evaluate
-/// (`query_batch_on`) and decode: a concurrent /ingest between capture
-/// and any of the three must not hand back rows, or build specs, whose
-/// constants this snapshot's interner has never seen.  Answers are
-/// routed back to their slot, mirroring the REPL's `a; b; c` line.
+/// Answer `texts` on `snapshot` ([`QueryService::answer_texts`]: one
+/// pinned snapshot from parse to decode) and write the `/batch` body,
+/// each answer in its text's slot, mirroring the REPL's `a; b; c` line.
 fn answer_batch(
     service: &QueryService,
     snapshot: &Arc<Snapshot>,
     texts: &[&str],
     out: &mut Vec<u8>,
 ) {
-    let parsed: Vec<Result<Option<QuerySpec>, ServiceError>> =
-        texts.iter().map(|text| parse_on(snapshot, text)).collect();
-    let specs: Vec<QuerySpec> = parsed
-        .iter()
-        .filter_map(|p| p.as_ref().ok().cloned().flatten())
-        .collect();
-    let mut answers = service.query_batch_on(snapshot, &specs).into_iter();
+    let answers = service.answer_texts(snapshot, texts);
     out.extend_from_slice(b"{\"epoch\":");
     write_i64(snapshot.epoch() as i64, out);
     out.extend_from_slice(b",\"answers\":[");
-    for (i, (text, slot)) in texts.iter().zip(parsed).enumerate() {
+    for (i, (text, answered)) in texts.iter().zip(answers).enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        let evaluated = match slot {
-            Err(e) => Err(e),
-            Ok(None) => Ok(None),
-            Ok(Some(spec)) => answers
-                .next()
-                .expect("one answer per parsed spec")
-                .map(|answer| Some((spec, answer))),
-        };
-        match evaluated {
-            Ok(evaluated) => write_answer_fields(out, text, snapshot, evaluated.as_ref()),
+        match answered {
+            Ok(answered) => write_answer(out, &snapshot.program().consts, text, &answered),
             Err(e) => {
                 out.extend_from_slice(b"{\"query\":");
                 escape_str_into(text, out);
@@ -319,77 +301,19 @@ fn ingest_endpoint(service: &QueryService, json: &Json, out: &mut Vec<u8>) -> u1
     }
 }
 
-/// Parse a query text against `snapshot`'s own program — never the
-/// service's *current* one, which a concurrent ingest may have moved
-/// on.  `None` is a query over a constant this snapshot has never
-/// seen: semantically empty, not an error (same as the REPL).
-fn parse_on(snapshot: &Snapshot, text: &str) -> Result<Option<QuerySpec>, ServiceError> {
-    match parse_serve_query(snapshot.program(), text) {
-        Ok(spec) => Ok(Some(spec)),
-        Err(ServiceError::UnknownConstant(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Parse and answer a single query text on `snapshot`; `None` is the
-/// answer that is empty by construction (see [`parse_on`]).
-fn evaluate_one(
-    service: &QueryService,
-    snapshot: &Snapshot,
-    text: &str,
-) -> Result<Option<(QuerySpec, ServiceAnswer)>, ServiceError> {
-    let Some(spec) = parse_on(snapshot, text)? else {
-        return Ok(None);
-    };
-    let answer = service.query_on(snapshot, &spec)?;
-    Ok(Some((spec, answer)))
-}
-
-/// Write one answer object up to, not including, its closing brace
-/// (`/query` appends a trace there).  `evaluated` is `None` for the
-/// answer that is empty by construction.
-fn write_answer_fields(
-    out: &mut Vec<u8>,
-    text: &str,
-    snapshot: &Snapshot,
-    evaluated: Option<&(QuerySpec, ServiceAnswer)>,
-) {
-    let consts = &snapshot.program().consts;
-    match evaluated {
-        Some((spec, answer)) => {
-            // Fully bound membership: make yes/no explicit rather than
-            // forcing clients to decode the `[[]]`-versus-`[]` encoding.
-            let fully_bound = spec.args().iter().all(|a| matches!(a, Arg::Bound(_)));
-            write_answer(out, consts, text, fully_bound, answer);
-        }
-        None => {
-            let empty = ServiceAnswer {
-                epoch: snapshot.epoch(),
-                rows: Arc::new(Rows::empty()),
-                converged: true,
-                from_cache: false,
-            };
-            write_answer(out, consts, text, query_text_has_no_free_args(text), &empty);
-        }
-    }
-}
-
 /// The JSON shape of one served answer, minus the closing brace:
 /// `{"query":…,"epoch":…[,"holds":…],"rows":[[…],…],"converged":…,"from_cache":…`
-/// (`holds` only for a `fully_bound` query).
-fn write_answer(
-    out: &mut Vec<u8>,
-    consts: &ConstInterner,
-    text: &str,
-    fully_bound: bool,
-    answer: &ServiceAnswer,
-) {
+/// (`holds` only for a fully bound query: yes/no made explicit rather
+/// than forcing clients to decode the `[[]]`-versus-`[]` encoding;
+/// `/query` appends a trace before closing).
+fn write_answer(out: &mut Vec<u8>, consts: &ConstInterner, text: &str, answered: &TextAnswer) {
+    let answer = &answered.answer;
     let bool_bytes = |b: bool| if b { &b"true"[..] } else { &b"false"[..] };
     out.extend_from_slice(b"{\"query\":");
     escape_str_into(text, out);
     out.extend_from_slice(b",\"epoch\":");
     write_i64(answer.epoch as i64, out);
-    if fully_bound {
+    if answered.fully_bound {
         out.extend_from_slice(b",\"holds\":");
         out.extend_from_slice(bool_bytes(answer.holds()));
     }
@@ -414,30 +338,14 @@ fn write_answer(
     out.extend_from_slice(bool_bytes(answer.from_cache));
 }
 
-/// Whether a query text binds every argument (no uppercase- or
-/// `_`-led argument) — the membership form, whose empty answer is the
-/// definitive `holds: false`.
-fn query_text_has_no_free_args(text: &str) -> bool {
-    let (Some(open), Some(close)) = (text.find('('), text.rfind(')')) else {
-        return false;
-    };
-    if open + 1 > close {
-        return false;
-    }
-    text[open + 1..close].split(',').all(|arg| {
-        !matches!(
-            arg.trim().chars().next(),
-            Some(c) if c.is_ascii_uppercase() || c == '_'
-        )
-    })
-}
-
 #[cfg(test)]
 mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_common::Rows;
+    use rq_service::ServiceAnswer;
 
     const TC: &str = "tc(X,Y) :- e(X,Y).\n\
                       tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
@@ -815,10 +723,11 @@ mod tests {
         // One evaluation — `tc(c, Y)` — reached the service.
         assert_eq!(s.result_cache().stats().misses, 1);
         assert_eq!(s.result_cache().len(), 1);
-        // The single-query path pins the same way.
-        assert!(evaluate_one(&s, &pinned, "tc(c, brand_new)")
-            .unwrap()
-            .is_none());
+        // The single-query path pins the same way: no pipeline ran.
+        let single = s.answer_text(&pinned, "tc(c, brand_new)").unwrap();
+        assert!(single.fully_bound && !single.answer.holds());
+        assert_eq!(single.answer.route, None);
+        assert_eq!(s.result_cache().stats().misses, 1);
         // On the current snapshot the constant exists and is reachable.
         let now = post(&s, "/query", r#"{"query": "tc(c, brand_new)"}"#);
         assert_eq!(now.body.get("holds").and_then(Json::as_bool), Some(true));
@@ -872,13 +781,16 @@ mod tests {
                 rows: Arc::new(rows.finish()),
                 converged: flags & 1 != 0,
                 from_cache: flags & 2 != 0,
+                route: None,
+                counters: Default::default(),
             };
             let fully_bound = flags & 4 != 0;
+            let answered = TextAnswer { fully_bound, answer };
             let text: String = text.iter().map(|&i| NAME_ALPHABET[i]).collect();
             let mut out = Vec::new();
-            write_answer(&mut out, &consts, &text, fully_bound, &answer);
+            write_answer(&mut out, &consts, &text, &answered);
             out.push(b'}');
-            let tree = reference::answer_json(&text, fully_bound, &answer, &consts);
+            let tree = reference::answer_json(&text, fully_bound, &answered.answer, &consts);
             proptest::prop_assert_eq!(String::from_utf8(out).unwrap(), tree.encode());
         }
     }

@@ -181,8 +181,27 @@ fn empty_answer_json(text: &str, snapshot: &Snapshot) -> Json {
         ("converged", Json::Bool(true)),
         ("from_cache", Json::Bool(false)),
     ];
-    if super::query_text_has_no_free_args(text) {
+    if binds_every_argument(text) {
         pairs.insert(2, ("holds", Json::Bool(false)));
     }
     Json::object(pairs)
+}
+
+/// Whether a query text binds every argument (no uppercase- or
+/// `_`-led argument) — the membership form, whose empty answer is the
+/// definitive `holds: false`.  The reference's own scan of the text:
+/// the served path learns this from the service's parse.
+fn binds_every_argument(text: &str) -> bool {
+    let (Some(open), Some(close)) = (text.find('('), text.rfind(')')) else {
+        return false;
+    };
+    if open + 1 > close {
+        return false;
+    }
+    text[open + 1..close].split(',').all(|arg| {
+        !matches!(
+            arg.trim().chars().next(),
+            Some(c) if c.is_ascii_uppercase() || c == '_'
+        )
+    })
 }

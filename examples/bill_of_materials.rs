@@ -10,9 +10,9 @@
 //!
 //! Run with `cargo run --release --example bill_of_materials [width]`.
 
-use rq_adorn::{adorn, answer_query, display_adorned};
-use rq_datalog::{parse_program, Database, Query};
-use rq_engine::EvalOptions;
+use recursive_queries::solve;
+use rq_adorn::{adorn, display_adorned};
+use rq_datalog::{parse_program, Query};
 use std::fmt::Write as _;
 
 const RULES: &str = "\
@@ -63,16 +63,15 @@ fn main() {
     println!("adorned program (query needs^bff):");
     println!("{}", display_adorned(&program, &adorned));
 
-    let db = Database::from_program(&program);
-    let answer = answer_query(&program, &db, &query, &EvalOptions::default()).unwrap();
+    let answer = solve(&program, "needs(car, P, T)").unwrap();
     println!(
         "parts the car contains, by supplier tier ({} rows):",
-        answer.rows.len()
+        answer.answers.len()
     );
-    for row in answer.display_rows(&program).iter().take(8) {
+    for row in answer.rows(&program).iter().take(8) {
         println!("  {row}");
     }
-    if answer.rows.len() > 8 {
+    if answer.answers.len() > 8 {
         println!("  …");
     }
 
@@ -80,7 +79,7 @@ fn main() {
     let bottom_up = rq_adorn::bottom_up_counters(&program);
     println!(
         "\nfacts consulted (ours, car only): {:>7}",
-        answer.outcome.counters.tuples_retrieved
+        answer.counters.tuples_retrieved
     );
     println!(
         "facts consulted (bottom-up, all) : {:>7}",
@@ -89,6 +88,6 @@ fn main() {
 
     // Cross-check against the bottom-up oracle.
     let expected = rq_adorn::oracle_rows(&program, &query);
-    assert_eq!(answer.rows, expected, "§4 must agree with the oracle");
+    assert_eq!(answer.answers, expected, "§4 must agree with the oracle");
     println!("verified against the seminaive oracle ✓");
 }

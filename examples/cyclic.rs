@@ -25,7 +25,7 @@ fn main() {
     let sg = program.pred_by_name("sg").unwrap();
     let a0 = program.consts.get(&ConstValue::Str("a0".into())).unwrap();
 
-    let bound = cyclic_iteration_bound(&system, &db, sg, a0).unwrap();
+    let bound = cyclic_iteration_bound(&system, &db, sg, a0, false).unwrap();
     println!("m·n iteration bound: {bound}");
 
     let out = evaluate_with_cyclic_guard(

@@ -4,9 +4,9 @@
 //!
 //! Run with `cargo run --release --example flights [airports]`.
 
-use rq_adorn::{adorn, answer_query, display_adorned};
-use rq_datalog::{Database, Query};
-use rq_engine::EvalOptions;
+use recursive_queries::{solve, Strategy};
+use rq_adorn::{adorn, display_adorned, plan_nary_query, Adornment};
+use rq_datalog::Query;
 use rq_workloads::flights;
 
 fn main() {
@@ -15,37 +15,38 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
 
-    // The paper's exact example first.
-    let mut w = flights::paper_example();
-    let q = Query::parse(&mut w.program, &w.query).unwrap();
+    // The paper's exact example first: the compile-time half of §4 …
+    let w = flights::paper_example();
+    let mut scratch = w.program.clone();
+    let q = Query::parse(&mut scratch, &w.query).unwrap();
     let adorned = adorn(&w.program, &q).unwrap();
     println!(
         "adorned program:\n{}",
         display_adorned(&w.program, &adorned)
     );
-    let db = Database::from_program(&w.program);
-    let ans = answer_query(&w.program, &db, &q, &EvalOptions::default()).unwrap();
+    let plan = plan_nary_query(&w.program, q.pred, Adornment::of_query(&q)).unwrap();
     println!(
         "transformed binary-chain system:\n{}",
-        ans.binary.display_system(&w.program)
+        plan.binary.display_system(&w.program)
     );
+    // … and the answer, through the pipeline `rqc serve` runs.
+    let solution = solve(&w.program, &w.query).unwrap();
+    assert_eq!(solution.strategy, Some(Strategy::Section4));
     println!("cnx(hel, 540, D, AT):");
-    for row in ans.display_rows(&w.program) {
+    for row in solution.rows(&w.program) {
         println!("  {row}");
     }
 
     // A larger random network: compare facts consulted with and without
     // binding propagation.
-    let mut w = flights::network(airports, 4, 7);
-    let q = Query::parse(&mut w.program, &w.query).unwrap();
-    let db = Database::from_program(&w.program);
-    let ans = answer_query(&w.program, &db, &q, &EvalOptions::default()).unwrap();
+    let w = flights::network(airports, 4, 7);
+    let solution = solve(&w.program, &w.query).unwrap();
     let bottom_up = rq_adorn::bottom_up_counters(&w.program);
     println!("\nnetwork with {airports} airports, 4 flights each:");
-    println!("  connections from p0@06:00: {}", ans.rows.len());
+    println!("  connections from p0@06:00: {}", solution.answers.len());
     println!(
         "  facts consulted   (ours, demand-driven): {:>8}",
-        ans.outcome.counters.tuples_retrieved
+        solution.counters.tuples_retrieved
     );
     println!(
         "  facts consulted (seminaive, bottom-up) : {:>8}",

@@ -21,7 +21,7 @@ flat(ann, ann).   flat(mary, lisa). flat(lisa, mary).
 down(ann, lisa).  down(lisa, erik).
 down(ann, mary).  down(mary, john).
 ";
-    let mut program = parse_program(src).expect("program parses");
+    let program = parse_program(src).expect("program parses");
 
     // 1. Classification (§2): sg is linearly recursive, binary-chain.
     let analysis = Analysis::of(&program);
@@ -40,16 +40,17 @@ down(ann, mary).  down(mary, john).
         .system;
     println!("\nequation system:\n{}", system.display(&program));
 
-    // 3. Evaluate sg(john, Y) with the graph-traversal engine.
-    let solution = solve(&mut program, "sg(john, Y)").expect("query evaluates");
-    assert_eq!(solution.strategy, Strategy::BinaryChain);
+    // 3. Evaluate sg(john, Y) with the graph-traversal engine — `solve`
+    //    asks a one-shot query service, the pipeline `rqc serve` runs.
+    let solution = solve(&program, "sg(john, Y)").expect("query evaluates");
+    assert_eq!(solution.strategy, Some(Strategy::BinaryChain));
     println!("sg(john, Y) = {:?}", solution.rows(&program));
     println!("cost: {}", solution.counters);
 
     // 4. Other query forms run through the same machinery.
-    let backwards = solve(&mut program, "sg(X, erik)").expect("inverse query");
+    let backwards = solve(&program, "sg(X, erik)").expect("inverse query");
     println!("sg(X, erik) = {:?}", backwards.rows(&program));
 
-    let check = solve(&mut program, "sg(john, erik)").expect("bb query");
+    let check = solve(&program, "sg(john, erik)").expect("bb query");
     println!("sg(john, erik)? {}", !check.answers.is_empty());
 }

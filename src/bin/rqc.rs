@@ -13,12 +13,13 @@
 //! with uppercase variables free.  `--plan` prints the pipeline chosen,
 //! the equation system, and (for §4) the adorned program; `--stats`
 //! prints the unit-cost counters.  All behavior lives in
-//! `recursive_queries::cli`; this binary is argument handling plus a
-//! stdin loop.
+//! `recursive_queries::cli`; this binary is argument handling plus one
+//! stdin loop shared by `repl` and `serve`.
 
-use recursive_queries::cli::{parse_command, Command, ServeSession, Session};
+use recursive_queries::cli::{parse_command, Command, CommandOutput, ServeSession, Session};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const DEMO: &str = "\
 sg(X,Y) :- flat(X,Y).
@@ -35,111 +36,93 @@ fn usage() {
     eprintln!("       rqc --demo");
 }
 
+/// The value following flag `name`, parsed; `Ok(None)` when the flag
+/// is absent.  A missing or unparsable value is a usage error (exit
+/// 2), never a silently ignored flag.
+fn flag_value<T: FromStr>(args: &[String], name: &str, needs: &str) -> Result<Option<T>, ExitCode> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let Some(value) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
+        eprintln!("`{name}` needs {needs}");
+        return Err(ExitCode::from(2));
+    };
+    value.parse().map(Some).map_err(|_| {
+        eprintln!("`{name}` needs {needs}, not `{value}`");
+        ExitCode::from(2)
+    })
+}
+
 fn main() -> ExitCode {
+    match run() {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+fn run() -> Result<ExitCode, ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
         usage();
-        return if args.is_empty() {
+        return Ok(if args.is_empty() {
             ExitCode::from(2)
         } else {
             ExitCode::SUCCESS
-        };
+        });
     }
 
     if args[0] == "repl" {
-        return repl(args.get(1).map(String::as_str));
+        return Ok(repl(args.get(1).map(String::as_str)));
     }
 
     if args[0] == "serve" {
-        let threads = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let http = args
-            .iter()
-            .position(|a| a == "--http")
-            .map(|i| match args.get(i + 1) {
-                Some(addr) if !addr.starts_with("--") => Ok(addr.clone()),
-                _ => Err(()),
-            });
-        let data_dir = args
-            .iter()
-            .position(|a| a == "--data-dir")
-            .map(|i| match args.get(i + 1) {
-                Some(dir) if !dir.starts_with("--") => Ok(std::path::PathBuf::from(dir)),
-                _ => Err(()),
-            });
+        let threads = flag_value(&args, "--threads", "a worker count, e.g. --threads 4")?;
+        let http: Option<String> = flag_value(
+            &args,
+            "--http",
+            "a bind address, e.g. --http 127.0.0.1:7474",
+        )?;
+        let data_dir: Option<std::path::PathBuf> = flag_value(
+            &args,
+            "--data-dir",
+            "a directory, e.g. --data-dir ./rq-data",
+        )?;
         let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
             eprintln!("`rqc serve` needs a program file");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         };
-        let data_dir = match data_dir {
-            Some(Ok(dir)) => Some(dir),
-            Some(Err(())) => {
-                eprintln!("`--data-dir` needs a directory, e.g. --data-dir ./rq-data");
-                return ExitCode::from(2);
-            }
-            None => None,
-        };
-        return match http {
-            Some(Ok(addr)) => serve_http(path, threads, &addr, data_dir.as_deref()),
-            Some(Err(())) => {
-                eprintln!("`--http` needs a bind address, e.g. --http 127.0.0.1:7474");
-                ExitCode::from(2)
-            }
-            None => serve(path, threads, data_dir.as_deref()),
-        };
+        return serve(
+            path,
+            threads.unwrap_or(0),
+            http.as_deref(),
+            data_dir.as_deref(),
+        );
     }
 
     let stats = args.iter().any(|a| a == "--stats");
     let plan = args.iter().any(|a| a == "--plan");
-    let max_iterations = args
-        .iter()
-        .position(|a| a == "--max-iterations")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok());
+    let max_iterations: Option<u64> = flag_value(
+        &args,
+        "--max-iterations",
+        "an iteration count, e.g. --max-iterations 50",
+    )?;
 
     let (src, query_text) = if args[0] == "--demo" {
         (DEMO.to_string(), "sg(john, Y)".to_string())
     } else {
-        let positional: Vec<&String> = {
-            let mut skip_next = false;
-            args.iter()
-                .filter(|a| {
-                    if skip_next {
-                        skip_next = false;
-                        return false;
-                    }
-                    if *a == "--max-iterations" {
-                        skip_next = true;
-                        return false;
-                    }
-                    !a.starts_with("--")
-                })
-                .collect()
-        };
+        // Everything that is neither a flag nor `--max-iterations`' value.
+        let positional: Vec<&String> = (0..args.len())
+            .filter(|&i| i == 0 || args[i - 1] != "--max-iterations")
+            .map(|i| &args[i])
+            .filter(|a| !a.starts_with("--"))
+            .collect();
         if positional.len() != 2 {
             eprintln!("expected a program file and a query");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
-        match std::fs::read_to_string(positional[0]) {
-            Ok(s) => (s, positional[1].clone()),
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", positional[0]);
-                return ExitCode::from(2);
-            }
-        }
+        (read_program(positional[0])?, positional[1].clone())
     };
 
-    let mut session = match Session::with_source(&src) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut session = Session::with_source(&src).map_err(fail)?;
 
     let mut commands: Vec<Command> = Vec::new();
     if max_iterations.is_some() {
@@ -154,85 +137,71 @@ fn main() -> ExitCode {
     commands.push(Command::Query(&query_text));
 
     for cmd in &commands {
-        match session.execute(cmd) {
-            Ok(out) => {
-                // Plans, settings, and diagnostics go to stderr;
-                // answers to stdout.
-                if matches!(cmd, Command::Query(_)) {
-                    println!("{}", out.text);
-                } else if !out.text.is_empty() {
-                    eprintln!("{}", out.text);
-                }
-                if !out.notes.is_empty() {
-                    eprintln!("{}", out.notes);
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+        let out = session.execute(cmd).map_err(fail)?;
+        // Plans, settings, and diagnostics go to stderr; answers to
+        // stdout.
+        if matches!(cmd, Command::Query(_)) {
+            println!("{}", out.text);
+        } else if !out.text.is_empty() {
+            eprintln!("{}", out.text);
+        }
+        if !out.notes.is_empty() {
+            eprintln!("{}", out.notes);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `rqc serve <program.dl> --http <addr>`: the same serving session as
-/// the stdin loop, exposed over the `rq-wire` HTTP/1.1 JSON API.
-/// Prints the bound address on stderr (one line, parseable by scripts
-/// that bind port 0) and serves until killed.
-fn serve_http(
+/// Report a failure on stderr; the exit code for "ran and failed".
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+fn read_program(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read {path}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// `rqc serve <program.dl>`: one serving session, answering batches
+/// from stdin or — with `--http <addr>` — over the `rq-wire` HTTP/1.1
+/// JSON API (the bound address goes to stderr on one line, parseable by
+/// scripts that bind port 0; serves until killed).
+fn serve(
     path: &str,
     threads: usize,
-    addr: &str,
+    http: Option<&str>,
     data_dir: Option<&std::path::Path>,
-) -> ExitCode {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let session = match ServeSession::with_data_dir(&source, threads, data_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+) -> Result<ExitCode, ExitCode> {
+    let source = read_program(path)?;
+    let mut session = ServeSession::with_data_dir(&source, threads, data_dir).map_err(fail)?;
+    print_recovery_banner(session.service());
+    let Some(addr) = http else {
+        eprintln!(
+            "rqc serve — {} worker thread(s), epoch {} — :help for commands",
+            session.service().config().threads,
+            session.service().snapshot().epoch()
+        );
+        return Ok(stdin_loop("rq-serve> ", |line| session.execute_line(line)));
     };
     let service = std::sync::Arc::new(session.into_service());
-    print_recovery_banner(&service);
     let wire_config = rq_wire::WireConfig {
         workers: threads,
         ..rq_wire::WireConfig::default()
     };
-    let server = match rq_wire::WireServer::bind(std::sync::Arc::clone(&service), addr, wire_config)
-    {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(bound) => eprintln!(
-            "rqc serve --http {bound} — {} wire worker(s), {} query thread(s), epoch {}",
-            server.workers(),
-            service.config().threads,
-            service.snapshot().epoch()
-        ),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    let server = rq_wire::WireServer::bind(std::sync::Arc::clone(&service), addr, wire_config)
+        .map_err(|e| fail(format!("cannot bind {addr}: {e}")))?;
+    eprintln!(
+        "rqc serve --http {} — {} wire worker(s), {} query thread(s), epoch {}",
+        server.local_addr().map_err(fail)?,
+        server.workers(),
+        service.config().threads,
+        service.snapshot().epoch()
+    );
+    server.run().map_err(fail)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One stderr line describing what boot-time recovery restored, only
@@ -253,55 +222,6 @@ fn print_recovery_banner(service: &rq_service::QueryService) {
     }
 }
 
-fn serve(path: &str, threads: usize, data_dir: Option<&std::path::Path>) -> ExitCode {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut session = match ServeSession::with_data_dir(&source, threads, data_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_recovery_banner(session.service());
-    eprintln!(
-        "rqc serve — {} worker thread(s), epoch {} — :help for commands",
-        session.service().config().threads,
-        session.service().snapshot().epoch()
-    );
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        eprint!("rq-serve> ");
-        let _ = std::io::stderr().flush();
-        line.clear();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => return ExitCode::SUCCESS, // EOF
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match session.execute_line(&line) {
-            Ok(out) => {
-                if !out.text.is_empty() {
-                    println!("{}", out.text);
-                }
-                if out.quit {
-                    return ExitCode::SUCCESS;
-                }
-            }
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
-}
-
 fn repl(initial: Option<&str>) -> ExitCode {
     let mut session = Session::new();
     if let Some(path) = initial {
@@ -314,10 +234,23 @@ fn repl(initial: Option<&str>) -> ExitCode {
         }
     }
     eprintln!("rqc repl — :help for commands, :quit to leave");
+    stdin_loop("rq> ", |line| match parse_command(line)? {
+        Some(cmd) => session.execute(&cmd),
+        None => Ok(CommandOutput::default()),
+    })
+}
+
+/// The interactive loop behind `repl` and `serve`: prompt on stderr,
+/// one line in, answers on stdout and diagnostics on stderr, until
+/// `:quit` or EOF.  A failed command is reported and the loop goes on.
+fn stdin_loop(
+    prompt: &str,
+    mut execute: impl FnMut(&str) -> Result<CommandOutput, String>,
+) -> ExitCode {
     let stdin = std::io::stdin();
     let mut line = String::new();
     loop {
-        eprint!("rq> ");
+        eprint!("{prompt}");
         let _ = std::io::stderr().flush();
         line.clear();
         match stdin.lock().read_line(&mut line) {
@@ -328,22 +261,18 @@ fn repl(initial: Option<&str>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        match parse_command(&line) {
-            Ok(None) => {}
-            Ok(Some(cmd)) => match session.execute(&cmd) {
-                Ok(out) => {
-                    if !out.text.is_empty() {
-                        println!("{}", out.text);
-                    }
-                    if !out.notes.is_empty() {
-                        eprintln!("{}", out.notes);
-                    }
-                    if out.quit {
-                        return ExitCode::SUCCESS;
-                    }
+        match execute(&line) {
+            Ok(out) => {
+                if !out.text.is_empty() {
+                    println!("{}", out.text);
                 }
-                Err(e) => eprintln!("error: {e}"),
-            },
+                if !out.notes.is_empty() {
+                    eprintln!("{}", out.notes);
+                }
+                if out.quit {
+                    return ExitCode::SUCCESS;
+                }
+            }
             Err(e) => eprintln!("error: {e}"),
         }
     }

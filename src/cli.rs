@@ -3,6 +3,11 @@
 //! Everything the REPL can do lives here, behind [`Session`] and
 //! [`Command`], so the command grammar and all behaviors are unit
 //! tested without a terminal; `rqc` itself is a thin stdin loop.
+//! Both sessions — the REPL's [`Session`] and `rqc serve`'s
+//! [`ServeSession`] — hold a [`rq_service::QueryService`] and answer
+//! query texts through its text entry ([`rq_service::text`]), the same
+//! entry the HTTP endpoints call: a query means, and is rejected
+//! with, the same thing whichever front end carries it.
 //!
 //! ```text
 //! rq> :load family.dl
@@ -13,12 +18,13 @@
 //! rq> :quit
 //! ```
 
-use crate::{solve_with, Strategy};
+use crate::{single_threaded, solve_on, Strategy};
 use rq_datalog::{
     binary_chain_violations, display_program, parse_program, program_is_regular, Analysis, Program,
     Query,
 };
 use rq_engine::EvalOptions;
+use rq_service::QueryService;
 
 /// One REPL command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +118,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command<'_>>, String> {
 }
 
 /// What a command produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommandOutput {
     /// Answer text (may be empty).  Goes to stdout in the binary.
     pub text: String,
@@ -127,8 +133,7 @@ impl CommandOutput {
     fn text(text: impl Into<String>) -> Self {
         Self {
             text: text.into(),
-            notes: String::new(),
-            quit: false,
+            ..Self::default()
         }
     }
 }
@@ -146,13 +151,21 @@ commands:
   :max-iterations N|off cap the traversal's main loop
   :help  :quit";
 
-/// An interactive evaluation session: a program (kept as re-parseable
-/// source text) plus evaluation settings.
-#[derive(Debug, Clone, Default)]
+/// An interactive evaluation session: a single-threaded
+/// [`QueryService`] over the current program, plus the program's
+/// re-parseable source text.  Facts added with `:add` go through the
+/// service's copy-on-write ingest; only a rule change or a new
+/// `:max-iterations` rebuilds the service.
 pub struct Session {
     source: String,
+    service: QueryService,
     stats: bool,
-    max_iterations: Option<u64>,
+}
+
+impl Default for Session {
+    fn default() -> Self {
+        Self::with_source("").expect("the empty program parses")
+    }
 }
 
 impl Session {
@@ -163,9 +176,12 @@ impl Session {
 
     /// Session preloaded with program text.
     pub fn with_source(source: &str) -> Result<Self, String> {
-        let mut s = Self::new();
-        s.replace_source(source)?;
-        Ok(s)
+        let program = parse_program(source).map_err(|e| e.to_string())?;
+        Ok(Self {
+            source: source.to_string(),
+            service: single_threaded(program, &EvalOptions::default()),
+            stats: false,
+        })
     }
 
     /// The current program source text.
@@ -173,21 +189,28 @@ impl Session {
         &self.source
     }
 
-    fn replace_source(&mut self, text: &str) -> Result<Program, String> {
+    /// Replace the program — and the service around it — keeping the
+    /// evaluation settings.  A parse error leaves the session untouched.
+    fn replace_source(&mut self, text: &str) -> Result<(), String> {
         let program = parse_program(text).map_err(|e| e.to_string())?;
+        self.service = single_threaded(program, &self.service.config().options);
         self.source = text.to_string();
-        Ok(program)
+        Ok(())
     }
 
-    fn program(&self) -> Result<Program, String> {
-        parse_program(&self.source).map_err(|e| e.to_string())
+    /// A scratch copy of the served program (query parsing for the
+    /// oracle and the plan views interns into it).
+    fn program(&self) -> Program {
+        self.service.snapshot().program().clone()
     }
 
-    fn options(&self) -> EvalOptions {
-        EvalOptions {
-            max_iterations: self.max_iterations,
-            ..EvalOptions::default()
-        }
+    fn size_line(&self, prefix: &str) -> String {
+        let snapshot = self.service.snapshot();
+        format!(
+            "{prefix}: {} rules, {} facts",
+            snapshot.program().rules.len(),
+            snapshot.program().facts.len()
+        )
     }
 
     /// Run one command.  I/O-free except for `:load`, which reads the
@@ -196,14 +219,12 @@ impl Session {
         match cmd {
             Command::Help => Ok(CommandOutput::text(HELP)),
             Command::Quit => Ok(CommandOutput {
-                text: String::new(),
-                notes: String::new(),
                 quit: true,
+                ..CommandOutput::default()
             }),
-            Command::Show => {
-                let program = self.program()?;
-                Ok(CommandOutput::text(display_program(&program)))
-            }
+            Command::Show => Ok(CommandOutput::text(display_program(
+                self.service.snapshot().program(),
+            ))),
             Command::Stats(on) => {
                 self.stats = *on;
                 Ok(CommandOutput::text(format!(
@@ -212,7 +233,11 @@ impl Session {
                 )))
             }
             Command::MaxIterations(n) => {
-                self.max_iterations = *n;
+                let options = EvalOptions {
+                    max_iterations: *n,
+                    ..EvalOptions::default()
+                };
+                self.service = single_threaded(self.program(), &options);
                 Ok(CommandOutput::text(match n {
                     Some(n) => format!("max iterations = {n}"),
                     None => "max iterations off".to_string(),
@@ -221,63 +246,50 @@ impl Session {
             Command::Load(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let program = self.replace_source(&text)?;
-                Ok(CommandOutput::text(format!(
-                    "loaded {path}: {} rules, {} facts",
-                    program.rules.len(),
-                    program.facts.len()
-                )))
+                self.replace_source(&text)?;
+                Ok(CommandOutput::text(
+                    self.size_line(&format!("loaded {path}")),
+                ))
             }
             Command::Add(clause) => {
-                let mut text = self.source.clone();
-                if !text.is_empty() && !text.ends_with('\n') {
-                    text.push('\n');
+                let clause = format!("{}.", clause.trim_end().trim_end_matches('.'));
+                let text = format!("{}\n{clause}\n", self.source.trim_end());
+                // Facts publish a new epoch copy-on-write.  Whatever the
+                // ingest refuses — a rule, a fact of a derived predicate,
+                // garbage — goes through a re-parse of the extended
+                // source, which rebuilds the service or reports the error.
+                match self.service.ingest(&clause) {
+                    Ok(_) => self.source = text,
+                    Err(_) => self.replace_source(&text)?,
                 }
-                text.push_str(clause);
-                if !clause.trim_end().ends_with('.') {
-                    text.push('.');
-                }
-                text.push('\n');
-                let program = self.replace_source(&text)?;
-                Ok(CommandOutput::text(format!(
-                    "ok: {} rules, {} facts",
-                    program.rules.len(),
-                    program.facts.len()
-                )))
+                Ok(CommandOutput::text(self.size_line("ok")))
             }
             Command::Plan(q) => self.plan(q).map(CommandOutput::text),
             Command::Dot(q) => self.dot(q).map(CommandOutput::text),
             Command::Oracle(q) => {
-                let mut program = self.program()?;
+                let mut program = self.program();
                 let query = Query::parse(&mut program, q).map_err(|e| e.to_string())?;
                 let result = rq_datalog::seminaive_eval(&program).map_err(|e| e.to_string())?;
-                let mut rows = query.answer_from_relation(&result.tuples(query.pred));
-                rows.sort();
-                rows.dedup();
+                let rows = query.answer_from_relation(&result.tuples(query.pred));
                 Ok(CommandOutput::text(render_rows(&program, &rows)))
             }
             Command::Query(q) => {
-                let mut program = self.program()?;
-                let options = self.options();
-                let solution = solve_with(&mut program, q, &options).map_err(|e| e.to_string())?;
-                let out = render_rows(&program, &solution.answers);
-                let mut notes = String::new();
+                let solution = solve_on(&self.service, q).map_err(|e| e.to_string())?;
+                let text = render_rows(self.service.snapshot().program(), &solution.answers);
+                let mut notes = Vec::new();
                 if !solution.converged {
-                    notes.push_str("warning: iteration bound hit; answers may be incomplete");
+                    notes.push("warning: iteration bound hit; answers may be incomplete".into());
                 }
                 if self.stats {
-                    if !notes.is_empty() {
-                        notes.push('\n');
-                    }
-                    notes.push_str(&format!(
+                    notes.push(format!(
                         "pipeline: {}\n{}",
                         pipeline_name(solution.strategy),
                         solution.counters
                     ));
                 }
                 Ok(CommandOutput {
-                    text: out,
-                    notes,
+                    text,
+                    notes: notes.join("\n"),
                     quit: false,
                 })
             }
@@ -287,7 +299,7 @@ impl Session {
     /// `:plan` — describe the pipeline, classification, equation system
     /// or adorned program, and machine sizes for a query.
     fn plan(&self, q: &str) -> Result<String, String> {
-        let mut program = self.program()?;
+        let mut program = self.program();
         let mut out = String::new();
         let analysis = Analysis::of(&program);
         let chain = binary_chain_violations(&program).is_empty();
@@ -344,7 +356,7 @@ impl Session {
 
     /// `:dot` — DOT source of `M(e_p)` for the query predicate.
     fn dot(&self, q: &str) -> Result<String, String> {
-        let mut program = self.program()?;
+        let mut program = self.program();
         let query = Query::parse(&mut program, q).map_err(|e| e.to_string())?;
         if !program.is_derived(query.pred) {
             return Err(format!(
@@ -477,9 +489,8 @@ impl ServeSession {
             return match word {
                 "help" | "h" => Ok(CommandOutput::text(SERVE_HELP)),
                 "quit" | "q" | "exit" => Ok(CommandOutput {
-                    text: String::new(),
-                    notes: String::new(),
                     quit: true,
+                    ..CommandOutput::default()
                 }),
                 "epoch" => Ok(CommandOutput::text(format!(
                     "epoch {}",
@@ -531,51 +542,27 @@ impl ServeSession {
         if texts.is_empty() {
             return Ok(CommandOutput::text(""));
         }
+        // One pinned snapshot from parse to rendering, so a concurrent
+        // publish cannot desynchronize rows from the interner that
+        // decodes them.  Spans are recorded per thread, so a `:trace`
+        // of a multi-query batch under several workers shows only the
+        // caller's spans; single-query lines (which run inline) always
+        // trace fully.
         let snapshot = self.service.snapshot();
-        // Parse everything first so one batch sees one epoch; a query
-        // over an unknown constant has a trivially empty answer.
-        let mut parsed: Vec<Result<Option<rq_service::QuerySpec>, String>> = Vec::new();
-        for text in &texts {
-            parsed.push(
-                match rq_service::parse_serve_query(snapshot.program(), text) {
-                    Ok(q) => Ok(Some(q)),
-                    Err(rq_service::ServiceError::UnknownConstant(_)) => Ok(None),
-                    Err(e) => Err(e.to_string()),
-                },
-            );
-        }
-        let queries: Vec<rq_service::QuerySpec> = parsed
-            .iter()
-            .filter_map(|p| p.as_ref().ok().cloned().flatten())
-            .collect();
-        // Evaluate pinned to the snapshot the queries were parsed (and
-        // will be rendered) against, so a concurrent publish cannot
-        // desynchronize rows from the interner that decodes them.
-        // Spans are recorded per thread, so a `:trace` of a multi-query
-        // batch under several workers shows only the caller's spans;
-        // single-query lines (which run inline) always trace fully.
         if self.trace {
             rq_common::obs::trace_start();
         }
-        let mut answers = self.service.query_batch_on(&snapshot, &queries).into_iter();
+        let answers = self.service.answer_texts(&snapshot, &texts);
         let spans = if self.trace {
             rq_common::obs::trace_finish()
         } else {
             Vec::new()
         };
         let mut out = Vec::new();
-        for (text, slot) in texts.iter().zip(&parsed) {
-            let rendered = match slot {
+        for (text, answered) in texts.iter().zip(answers) {
+            let rendered = match answered {
                 Err(e) => format!("error: {e}"),
-                // An unknown constant is semantically empty: a fully
-                // bound query renders the definitive `no`, a query
-                // with free positions the empty answer.
-                Ok(None) if query_text_is_fully_bound(text) => "no".to_string(),
-                Ok(None) => "(none)".to_string(),
-                Ok(Some(spec)) => match answers.next().expect("one answer per parsed query") {
-                    Err(e) => format!("error: {e}"),
-                    Ok(answer) => render_serve_answer(snapshot.program(), spec, &answer),
-                },
+                Ok(answered) => render_serve_answer(snapshot.program(), &answered),
             };
             out.push(format!("{text}: {rendered}"));
         }
@@ -586,33 +573,13 @@ impl ServeSession {
     }
 }
 
-/// Whether a query text binds every argument (no uppercase- or
-/// `_`-led argument) — used to render `no` instead of `(none)` for
-/// membership queries naming constants absent from the data.
-fn query_text_is_fully_bound(text: &str) -> bool {
-    let Some(open) = text.find('(') else {
-        return false;
-    };
-    let Some(close) = text.rfind(')') else {
-        return false;
-    };
-    text[open + 1..close].split(',').all(|arg| {
-        !matches!(
-            arg.trim().chars().next(),
-            Some(c) if c.is_ascii_uppercase() || c == '_'
-        )
-    })
-}
-
-/// Render one served answer: `yes`/`no` for fully bound queries,
+/// Render one served answer: `yes`/`no` for fully bound queries (a
+/// definitive `no` when one names a constant absent from the data),
 /// space-separated constants for one answer column, `(x,y)`-style
 /// tuples for wider rows.
-fn render_serve_answer(
-    program: &Program,
-    spec: &rq_service::QuerySpec,
-    answer: &rq_service::ServiceAnswer,
-) -> String {
-    if spec.free_positions().is_empty() {
+fn render_serve_answer(program: &Program, answered: &rq_service::TextAnswer) -> String {
+    let answer = &answered.answer;
+    if answered.fully_bound {
         return if answer.holds() { "yes" } else { "no" }.to_string();
     }
     if answer.rows.is_empty() {
@@ -641,10 +608,11 @@ fn render_serve_answer(
     out
 }
 
-fn pipeline_name(strategy: Strategy) -> &'static str {
+fn pipeline_name(strategy: Option<Strategy>) -> &'static str {
     match strategy {
-        Strategy::BinaryChain => "§3 binary-chain traversal",
-        Strategy::Section4 => "§4 adorned transformation",
+        Some(Strategy::BinaryChain) => "§3 binary-chain traversal",
+        Some(Strategy::Section4) => "§4 adorned transformation",
+        None => "none (empty by construction: a constant the data never mentions)",
     }
 }
 

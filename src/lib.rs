@@ -18,17 +18,21 @@
 //! Henschen–Naqvi, magic sets, counting, reverse counting, Hunt et al.
 //! here) and `rq-workloads` supporting the benchmark harness.
 //!
-//! The simplest entry point is [`solve`]:
+//! The simplest entry point is [`solve`]: a single-threaded
+//! [`rq_service::QueryService`] around the program, asked through the
+//! same text entry ([`rq_service::QueryService::answer_text`]) that
+//! `rqc`, the REPL and the HTTP server use — there is one route from
+//! query text to answer rows, and `solve` is its smallest client.
 //!
 //! ```
 //! use recursive_queries::solve;
 //!
-//! let mut program = rq_datalog::parse_program(
+//! let program = rq_datalog::parse_program(
 //!     "sg(X,Y) :- flat(X,Y).\n\
 //!      sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
 //!      up(a,a1). flat(a1,b1). down(b1,b). flat(a,z).",
 //! ).unwrap();
-//! let solution = solve(&mut program, "sg(a, Y)").unwrap();
+//! let solution = solve(&program, "sg(a, Y)").unwrap();
 //! assert_eq!(solution.rows(&program), vec!["b", "z"]);
 //! ```
 
@@ -48,35 +52,33 @@ pub use rq_service;
 pub use rq_workloads;
 
 use rq_common::{Const, Counters};
-use rq_datalog::{binary_chain_violations, Database, Program, Query, QueryArg};
-use rq_engine::{EdbSource, EvalOptions, Evaluator};
-use rq_relalg::{lemma1, Lemma1Options};
-use std::fmt;
+use rq_datalog::Program;
+use rq_engine::EvalOptions;
+use rq_service::{QueryService, ServiceConfig};
 
-/// Which pipeline answered the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// §3 directly: the program is a binary-chain program and the query
-    /// binds the first argument (or none, or is answered by the inverse
-    /// machine).
-    BinaryChain,
-    /// §4: adornment + transformation to a binary-chain program over
-    /// tuple constants.
-    Section4,
-}
+/// Which pipeline answered the query: §3 binary-chain traversal or the
+/// §4 transformation (the service's [`rq_service::Route`]).
+pub use rq_service::Route as Strategy;
+/// Errors from [`solve`]: the service's, so every front end rejects a
+/// query with the same message.
+pub use rq_service::ServiceError as SolveError;
 
 /// A solved query.
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// Answer rows over the query's free positions, sorted.
     pub answers: Vec<Vec<Const>>,
-    /// Unit-cost instrumentation.
+    /// Unit-cost instrumentation of the run that produced the answers
+    /// (zero when none ran: a result-cache hit, an answer that is empty
+    /// by construction).
     pub counters: Counters,
     /// Whether evaluation converged naturally (`false` means an
-    /// iteration bound cut it off).
+    /// iteration bound or node budget cut it off).
     pub converged: bool,
-    /// Which pipeline ran.
-    pub strategy: Strategy,
+    /// Which pipeline ran; `None` when the answer is empty by
+    /// construction (the query names a constant the data never
+    /// mentions), so nothing had to.
+    pub strategy: Option<Strategy>,
 }
 
 impl Solution {
@@ -94,115 +96,44 @@ impl Solution {
     }
 }
 
-/// Errors from [`solve`].
-#[derive(Debug)]
-pub enum SolveError {
-    /// The query text did not parse against the program.
-    Query(rq_datalog::ParseError),
-    /// The §4 pipeline rejected the program/query combination.
-    Section4(rq_adorn::QueryError),
-    /// The binary-chain pipeline failed in Lemma 1.
-    Lemma1(rq_relalg::Lemma1Error),
-}
-
-impl fmt::Display for SolveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolveError::Query(e) => write!(f, "{e}"),
-            SolveError::Section4(e) => write!(f, "{e}"),
-            SolveError::Lemma1(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SolveError {}
-
 /// Answer a query with the default options.
-pub fn solve(program: &mut Program, query_text: &str) -> Result<Solution, SolveError> {
+pub fn solve(program: &Program, query_text: &str) -> Result<Solution, SolveError> {
     solve_with(program, query_text, &EvalOptions::default())
 }
 
-/// Answer a query, choosing the §3 binary-chain pipeline when it
-/// applies and falling back to the §4 transformation otherwise.
+/// Answer a query through a one-shot service: the §3 binary-chain
+/// pipeline when it applies, the §4 transformation otherwise — the
+/// service's routing, cyclic guard and node budget, not a copy of them.
 pub fn solve_with(
-    program: &mut Program,
+    program: &Program,
     query_text: &str,
     options: &EvalOptions,
 ) -> Result<Solution, SolveError> {
-    let query = Query::parse(program, query_text).map_err(SolveError::Query)?;
-    let db = Database::from_program(program);
-
-    let is_chain = binary_chain_violations(program).is_empty();
-    if is_chain && program.is_derived(query.pred) {
-        return solve_binary_chain(program, &db, &query, options);
-    }
-    let answer =
-        rq_adorn::answer_query(program, &db, &query, options).map_err(SolveError::Section4)?;
-    Ok(Solution {
-        answers: query.restrict_free_rows(answer.rows),
-        counters: answer.outcome.counters,
-        converged: answer.outcome.converged,
-        strategy: Strategy::Section4,
-    })
+    solve_on(&single_threaded(program.clone(), options), query_text)
 }
 
-fn solve_binary_chain(
-    program: &Program,
-    db: &Database,
-    query: &Query,
-    options: &EvalOptions,
-) -> Result<Solution, SolveError> {
-    let system = lemma1(program, &Lemma1Options::default())
-        .map_err(SolveError::Lemma1)?
-        .system;
-    let source = EdbSource::new(db);
-    let evaluator = Evaluator::new(&system, &source);
-    let p = query.pred;
-    let (answers, counters, converged) = match (query.args[0], query.args[1]) {
-        (QueryArg::Bound(a), QueryArg::Free) => {
-            let out = if options.max_iterations.is_none() {
-                rq_engine::evaluate_with_cyclic_guard(&system, db, p, a, options)
-            } else {
-                evaluator.evaluate(p, a, options)
-            };
-            let mut rows: Vec<Vec<Const>> = out.answers.into_iter().map(|v| vec![v]).collect();
-            rows.sort();
-            (rows, out.counters, out.converged)
-        }
-        (QueryArg::Free, QueryArg::Bound(b)) => {
-            let out = evaluator.evaluate_inverse(p, b, options);
-            let mut rows: Vec<Vec<Const>> = out.answers.into_iter().map(|v| vec![v]).collect();
-            rows.sort();
-            (rows, out.counters, out.converged)
-        }
-        (QueryArg::Bound(a), QueryArg::Bound(b)) => {
-            let (holds, out) = rq_engine::query_bb(&evaluator, p, a, b, options);
-            let rows = if holds { vec![Vec::new()] } else { Vec::new() };
-            (rows, out.counters, out.converged)
-        }
-        (QueryArg::Free, QueryArg::Free) => {
-            // Regular equations qualify for the condensation evaluator,
-            // run from the cheaper side; otherwise fall back to
-            // per-source traversal.
-            let derived = system.derived();
-            let out = if system.rhs[&p].contains_any(&derived) {
-                rq_engine::all_pairs_per_source(&evaluator, &source, p, options)
-            } else {
-                rq_engine::all_pairs_min_side(&system, &source, p, options).0
-            };
-            let rows: Vec<Vec<Const>> = out.pairs.into_iter().map(|(x, y)| vec![x, y]).collect();
-            // `p(X, X)` and friends: repeated variables select the
-            // diagonal and collapse to one column.
-            let mut rows = query.restrict_free_rows(rows);
-            rows.sort();
-            (rows, out.counters, out.converged)
-        }
-    };
+/// A service that runs everything on the caller's thread, evaluating
+/// with `options` — what `solve` and the REPL ask their queries of.
+pub(crate) fn single_threaded(program: Program, options: &EvalOptions) -> QueryService {
+    QueryService::with_config(
+        program,
+        ServiceConfig {
+            threads: 1,
+            eval_threads: 1,
+            options: options.clone(),
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// Answer one query text on `service`'s current snapshot.
+pub(crate) fn solve_on(service: &QueryService, query_text: &str) -> Result<Solution, SolveError> {
+    let answer = service.answer_text(&service.snapshot(), query_text)?.answer;
     Ok(Solution {
-        answers,
-        counters,
-        converged,
-        strategy: Strategy::BinaryChain,
+        answers: answer.rows.to_vecs(),
+        counters: answer.counters,
+        converged: answer.converged,
+        strategy: answer.route,
     })
 }
 
@@ -213,27 +144,27 @@ mod tests {
 
     #[test]
     fn solve_picks_binary_chain_for_sg() {
-        let mut p = parse_program(
+        let p = parse_program(
             "sg(X,Y) :- flat(X,Y).\n\
              sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
              up(a,a1). flat(a1,b1). down(b1,b).",
         )
         .unwrap();
-        let s = solve(&mut p, "sg(a, Y)").unwrap();
-        assert_eq!(s.strategy, Strategy::BinaryChain);
+        let s = solve(&p, "sg(a, Y)").unwrap();
+        assert_eq!(s.strategy, Some(Strategy::BinaryChain));
         assert_eq!(s.rows(&p), vec!["b"]);
     }
 
     #[test]
     fn solve_picks_section4_for_nary() {
-        let mut p = parse_program(
+        let p = parse_program(
             "cnx(S,DT,D,AT) :- flight(S,DT,D,AT).\n\
              cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
              flight(hel,540,ams,690). flight(ams,720,cdg,810). is_deptime(540). is_deptime(720).",
         )
         .unwrap();
-        let s = solve(&mut p, "cnx(hel, 540, D, AT)").unwrap();
-        assert_eq!(s.strategy, Strategy::Section4);
+        let s = solve(&p, "cnx(hel, 540, D, AT)").unwrap();
+        assert_eq!(s.strategy, Some(Strategy::Section4));
         assert_eq!(s.rows(&p), vec!["ams,690", "cdg,810"]);
     }
 
@@ -242,30 +173,30 @@ mod tests {
         let src = "tc(X,Y) :- e(X,Y).\n\
                    tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
                    e(a,b). e(b,c).";
-        let mut p = parse_program(src).unwrap();
-        assert_eq!(solve(&mut p, "tc(a, Y)").unwrap().rows(&p), vec!["b", "c"]);
-        assert_eq!(solve(&mut p, "tc(X, c)").unwrap().rows(&p), vec!["a", "b"]);
-        assert_eq!(solve(&mut p, "tc(a, c)").unwrap().rows(&p), vec![""]);
-        assert!(solve(&mut p, "tc(c, a)").unwrap().rows(&p).is_empty());
-        assert_eq!(solve(&mut p, "tc(X, Y)").unwrap().answers.len(), 3);
+        let p = parse_program(src).unwrap();
+        assert_eq!(solve(&p, "tc(a, Y)").unwrap().rows(&p), vec!["b", "c"]);
+        assert_eq!(solve(&p, "tc(X, c)").unwrap().rows(&p), vec!["a", "b"]);
+        assert_eq!(solve(&p, "tc(a, c)").unwrap().rows(&p), vec![""]);
+        assert!(solve(&p, "tc(c, a)").unwrap().rows(&p).is_empty());
+        assert_eq!(solve(&p, "tc(X, Y)").unwrap().answers.len(), 3);
     }
 
     #[test]
     fn solve_diagonal_query() {
         // tc(X, X) is the diagonal — the members of cycles — with one
         // answer column, not all pairs.
-        let mut p = parse_program(
+        let p = parse_program(
             "tc(X,Y) :- e(X,Y).\n\
              tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
              e(a,b). e(b,a). e(b,c).",
         )
         .unwrap();
-        let s = solve(&mut p, "tc(X, X)").unwrap();
+        let s = solve(&p, "tc(X, X)").unwrap();
         assert_eq!(s.rows(&p), vec!["a", "b"]);
         // Distinct variables still mean all pairs.
-        assert_eq!(solve(&mut p, "tc(X, Y)").unwrap().answers.len(), 6);
+        assert_eq!(solve(&p, "tc(X, Y)").unwrap().answers.len(), 6);
         // The anonymous variable never constrains.
-        assert_eq!(solve(&mut p, "tc(_, _)").unwrap().answers.len(), 6);
+        assert_eq!(solve(&p, "tc(_, _)").unwrap().answers.len(), 6);
     }
 
     #[test]
@@ -275,7 +206,7 @@ mod tests {
         // what makes round trips exist), so the §4 traversal needs an
         // iteration bound — the paper's noted cyclic-data limitation.
         // The tick chain ends at t3, so depth 8 covers every answer.
-        let mut p = parse_program(
+        let p = parse_program(
             "walk(A,B,T) :- edge(A,B), t0(T).\n\
              walk(A,B,T) :- edge(A,C), walk(C,B,T1), tick(T1,T).\n\
              edge(a,b). edge(b,a). edge(b,c).\n\
@@ -286,12 +217,12 @@ mod tests {
             max_iterations: Some(8),
             ..EvalOptions::default()
         };
-        let s = solve_with(&mut p, "walk(a, a, T)", &options).unwrap();
+        let s = solve_with(&p, "walk(a, a, T)", &options).unwrap();
         // Bound-bound round trip from a: a→b→a at t1 (and longer at t3).
         assert_eq!(s.rows(&p), vec!["t1", "t3"]);
         // Repeated free variable: all round trips, projected to one
         // endpoint column plus the tick.
-        let s = solve_with(&mut p, "walk(X, X, T)", &options).unwrap();
+        let s = solve_with(&p, "walk(X, X, T)", &options).unwrap();
         let oracle = rq_datalog::seminaive_eval(&p).unwrap();
         let walk = p.pred_by_name("walk").unwrap();
         let mut expected: Vec<Vec<Const>> = oracle
@@ -311,7 +242,7 @@ mod tests {
         // Without a bound this query diverges (cyclic edge data through
         // §4 — the paper's noted limitation); the node budget turns the
         // divergence into a clean incomplete result.
-        let mut p = parse_program(
+        let p = parse_program(
             "walk(A,B,T) :- edge(A,B), t0(T).\n\
              walk(A,B,T) :- edge(A,C), walk(C,B,T1), tick(T1,T).\n\
              edge(a,b). edge(b,a).\n\
@@ -322,7 +253,7 @@ mod tests {
             node_budget: Some(10_000),
             ..EvalOptions::default()
         };
-        let s = solve_with(&mut p, "walk(a, a, T)", &options).unwrap();
+        let s = solve_with(&p, "walk(a, a, T)", &options).unwrap();
         assert!(!s.converged, "budget stop must report non-convergence");
         // The answers found within the budget are sound: a→b→a at t1.
         assert!(s.rows(&p).contains(&"t1".to_string()));
@@ -330,23 +261,32 @@ mod tests {
 
     #[test]
     fn solve_cyclic_terminates() {
-        let mut p = parse_program(
+        let p = parse_program(
             "sg(X,Y) :- flat(X,Y).\n\
              sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
              up(a0,a1). up(a1,a0). flat(a0,b0).\n\
              down(b0,b1). down(b1,b2). down(b2,b0).",
         )
         .unwrap();
-        let s = solve(&mut p, "sg(a0, Y)").unwrap();
+        let s = solve(&p, "sg(a0, Y)").unwrap();
         assert_eq!(s.rows(&p).len(), 3);
     }
 
     #[test]
     fn solve_reports_query_errors() {
-        let mut p = parse_program("e(a,b).").unwrap();
-        assert!(matches!(
-            solve(&mut p, "nosuch(a, Y)"),
-            Err(SolveError::Query(_))
-        ));
+        // The service's rules, not a second parser's: a base predicate
+        // has nothing to derive, and `a b` is not a constant.
+        let p = parse_program("tc(X,Y) :- e(X,Y).\ne(a,b).").unwrap();
+        for (query, kind) in [
+            ("nosuch(a, Y)", "unknown predicate"),
+            ("e(a, Y)", "base predicate"),
+            ("tc(a b, Y)", "malformed query"),
+        ] {
+            let message = solve(&p, query).unwrap_err().to_string();
+            assert!(message.contains(kind), "{query}: {message}");
+        }
+        // A constant the data never mentions: empty, and nothing ran.
+        let unseen = solve(&p, "tc(zz, Y)").unwrap();
+        assert!(unseen.answers.is_empty() && unseen.strategy.is_none());
     }
 }

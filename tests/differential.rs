@@ -6,17 +6,25 @@
 //! pairs, non-recursive cross-references) over random layered EDBs;
 //! every derived predicate is then queried in all four binding forms
 //! and the answers must agree with the oracle exactly.
+//!
+//! `solve_with` asks a one-shot `QueryService`, so what is checked here
+//! is the pipeline that is served; `front_ends_agree_*` additionally
+//! pins that the three front ends (`solve`, the `rqc serve` line, the
+//! HTTP API) say the same thing about every query.
 
-use recursive_queries::{solve_with, Strategy};
-use rq_datalog::{seminaive_eval, Query};
+use recursive_queries::cli::ServeSession;
+use recursive_queries::{solve, solve_with, Strategy};
+use rq_common::Json;
+use rq_datalog::{display_program, seminaive_eval, Program, Query};
 use rq_engine::EvalOptions;
+use rq_service::{QueryService, ServiceError};
 use rq_workloads::randprog::{random_program, seeded, RandProgConfig, RecursionStyle};
 
 /// Run one generated program through every query form on every derived
 /// predicate and compare with the bottom-up oracle.
 fn check_program(rp: &rq_workloads::randprog::RandProgram, label: &str) {
-    let mut program = rp.program.clone();
-    let oracle = seminaive_eval(&program).expect("generated programs have no builtins");
+    let program = &rp.program;
+    let oracle = seminaive_eval(program).expect("generated programs have no builtins");
     let options = EvalOptions {
         max_iterations: Some(rp.iteration_bound),
         ..EvalOptions::default()
@@ -60,11 +68,12 @@ fn check_program(rp: &rq_workloads::randprog::RandProgram, label: &str) {
         }
 
         for qtext in queries {
-            let solution = solve_with(&mut program, &qtext, &options)
+            let solution = solve_with(program, &qtext, &options)
                 .unwrap_or_else(|e| panic!("{label}: solve({qtext}) failed: {e}\n{}", rp.text));
-            assert_eq!(
+            // (`None`: a constant foreign to the data needs no pipeline.)
+            assert_ne!(
                 solution.strategy,
-                Strategy::BinaryChain,
+                Some(Strategy::Section4),
                 "{label}: {qtext} should take the §3 pipeline"
             );
             assert!(
@@ -72,7 +81,8 @@ fn check_program(rp: &rq_workloads::randprog::RandProgram, label: &str) {
                 "{label}: {qtext} hit the iteration bound {}\n{}",
                 rp.iteration_bound, rp.text
             );
-            let query = Query::parse(&mut program, &qtext).unwrap();
+            // The oracle's query may intern a foreign constant: scratch.
+            let query = Query::parse(&mut program.clone(), &qtext).unwrap();
             let mut expected = query.answer_from_relation(&full);
             expected.sort();
             expected.dedup();
@@ -83,6 +93,213 @@ fn check_program(rp: &rq_workloads::randprog::RandProgram, label: &str) {
             );
         }
     }
+}
+
+/// What a front end said about one query: its answer rows, constants
+/// rendered (`[[]]` / `[]` for a fully bound query that holds / does
+/// not), or its error message.
+type Verdict = Result<Vec<Vec<String>>, String>;
+
+fn render(program: &Program, rows: &[Vec<rq_common::Const>]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|row| row.iter().map(|&c| program.consts.display(c)).collect())
+        .collect()
+}
+
+/// One `rqc serve` output line, `<query>: <rendering>`, read back.
+fn serve_line_verdict(query: &str, line: &str) -> Verdict {
+    let rendered = line
+        .strip_prefix(query)
+        .and_then(|rest| rest.strip_prefix(": "))
+        .unwrap_or_else(|| panic!("`{line}` does not answer `{query}`"));
+    if let Some(message) = rendered.strip_prefix("error: ") {
+        return Err(message.to_string());
+    }
+    Ok(match rendered {
+        "yes" => vec![Vec::new()],
+        "no" | "(none)" => Vec::new(),
+        rows => rows
+            .split(' ')
+            .map(|row| {
+                let row = row.trim_start_matches('(').trim_end_matches(')');
+                row.split(',').map(str::to_string).collect()
+            })
+            .collect(),
+    })
+}
+
+/// One HTTP answer object (a `/query` body or a `/batch` item).
+fn http_verdict(answer: &Json) -> Verdict {
+    if let Some(message) = answer.get("error").and_then(Json::as_str) {
+        return Err(message.to_string());
+    }
+    let rows: Vec<Vec<String>> = answer
+        .get("rows")
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("no rows in {}", answer.encode()))
+        .iter()
+        .map(|row| {
+            let cells = row.as_array().expect("a row is an array").iter();
+            cells
+                .map(|cell| match cell.as_i64() {
+                    Some(i) => i.to_string(),
+                    None => cell.as_str().expect("a cell is a string").to_string(),
+                })
+                .collect()
+        })
+        .collect();
+    if let Some(holds) = answer.get("holds").and_then(Json::as_bool) {
+        assert_eq!(holds, rows == [Vec::<String>::new()], "{}", answer.encode());
+    }
+    Ok(rows)
+}
+
+fn post(service: &QueryService, path: &str, body: Json) -> Json {
+    let mut out = Vec::new();
+    rq_wire::api::respond(service, "POST", path, body.encode().as_bytes(), &mut out);
+    Json::parse(std::str::from_utf8(&out).unwrap()).unwrap()
+}
+
+/// Answer `queries` over the program `source` through `solve`, the
+/// `rqc serve` line and the HTTP API (`/query` and `/batch`): every
+/// front end must give the same verdict — for a query expected to fail,
+/// that error; otherwise the seminaive oracle's rows.  (All four parse
+/// the same text, so they intern — and order rows by — the same ids.)
+fn check_front_ends(source: &str, queries: &[(String, Option<ServiceError>)], label: &str) {
+    let program = &rq_datalog::parse_program(source).unwrap();
+    let oracle = seminaive_eval(program).expect("the oracle evaluates");
+    let mut session = ServeSession::new(source, 1).unwrap();
+    let service = QueryService::from_source(source).unwrap();
+    let texts: Vec<&str> = queries.iter().map(|(q, _)| q.as_str()).collect();
+    let line = session.execute_line(&texts.join("; ")).unwrap().text;
+    let batch = post(
+        &service,
+        "/batch",
+        Json::object([(
+            "queries",
+            Json::Array(texts.iter().map(|q| Json::Str(q.to_string())).collect()),
+        )]),
+    );
+    let batch = batch.get("answers").and_then(Json::as_array).unwrap();
+    for (i, ((query, error), line)) in queries.iter().zip(line.lines()).enumerate() {
+        let expected: Verdict = match error {
+            Some(error) => Err(error.to_string()),
+            None => {
+                let mut scratch = program.clone();
+                let q = Query::parse(&mut scratch, query).unwrap();
+                let rows = q.answer_from_relation(&oracle.tuples(q.pred));
+                Ok(render(&scratch, &rows))
+            }
+        };
+        let solved = solve(program, query)
+            .map(|s| render(program, &s.answers))
+            .map_err(|e| e.to_string());
+        assert_eq!(solved, expected, "{label}: solve({query})\n{source}");
+        let served = serve_line_verdict(query, line);
+        assert_eq!(served, expected, "{label}: rqc serve `{query}`\n{source}");
+        let single = post(
+            &service,
+            "/query",
+            Json::object([("query", Json::Str(query.clone()))]),
+        );
+        assert_eq!(
+            http_verdict(&single),
+            expected,
+            "{label}: /query {query}\n{source}"
+        );
+        assert_eq!(
+            http_verdict(&batch[i]),
+            expected,
+            "{label}: /batch {query}\n{source}"
+        );
+    }
+}
+
+fn arity_error(pred: &str, expected: usize, got: usize) -> Option<ServiceError> {
+    Some(ServiceError::ArityMismatch {
+        pred: pred.to_string(),
+        expected,
+        got,
+    })
+}
+
+/// Front-end parity on the random binary-chain programs: every binding
+/// form, the diagonal, `_`, a constant foreign to the data (in a
+/// free-bearing and in a fully bound query), and the three inputs every
+/// front end must reject alike — a base predicate, a wrong arity, and
+/// `p(a b, Y)`.
+#[test]
+fn front_ends_agree_on_random_programs() {
+    for style in [
+        RecursionStyle::Regular,
+        RecursionStyle::MiddleLinear,
+        RecursionStyle::Mixed,
+    ] {
+        for seed in 0..50 {
+            let rp = seeded(seed, style);
+            let program = &rp.program;
+            let oracle = seminaive_eval(program).unwrap();
+            let p = rp.derived.last().expect("a derived predicate");
+            let pred = program.pred_by_name(p).unwrap();
+            let (x, y) = match oracle.tuples(pred).first() {
+                Some(t) => (program.consts.display(t[0]), program.consts.display(t[1])),
+                None => ("n0".to_string(), "n1".to_string()),
+            };
+            let base = program.base_preds().next().expect("a base predicate");
+            let base = program.pred_name(base);
+            let malformed = format!("{p}({x} b, Y)");
+            let queries = vec![
+                (format!("{p}({x}, Y)"), None),
+                (format!("{p}(X, {y})"), None),
+                (format!("{p}({x}, {y})"), None),
+                (format!("{p}({y}, {x})"), None),
+                (format!("{p}(X, Y)"), None),
+                (format!("{p}(Z, Z)"), None),
+                (format!("{p}(_, {y})"), None),
+                (format!("{p}(unseen, Y)"), None),
+                (format!("{p}({x}, unseen)"), None),
+                (
+                    format!("{base}({x}, Y)"),
+                    Some(ServiceError::NotDerived(base.to_string())),
+                ),
+                (format!("{p}({x}, Y, Z)"), arity_error(p, 2, 3)),
+                (malformed.clone(), Some(ServiceError::Malformed(malformed))),
+            ];
+            check_front_ends(&rp.text, &queries, &format!("parity/{style:?}/{seed}"));
+        }
+    }
+}
+
+/// The same parity on the paper's §4 flights program.
+#[test]
+fn front_ends_agree_on_the_flights_program() {
+    let w = rq_workloads::flights::paper_example();
+    let text = |q: &str| q.to_string();
+    let malformed = text("cnx(hel 540, D, AT)");
+    let queries = vec![
+        (text("cnx(hel, 540, D, AT)"), None),
+        (text("cnx(hel, 540, nce, 930)"), None),
+        (text("cnx(hel, 540, nce, 690)"), None),
+        (text("cnx(S, DT, D, AT)"), None),
+        // Outside the §4 class: the `bfff` adornment fails Lemma 6's
+        // chain condition on the recursive rule.
+        (
+            text("cnx(ams, DT, D, AT)"),
+            Some(ServiceError::Plan(
+                rq_adorn::QueryError::NotChain(vec![1]).to_string(),
+            )),
+        ),
+        (text("cnx(hel, 540, _, AT)"), None),
+        (text("cnx(unseen, 540, D, AT)"), None),
+        (text("cnx(hel, 540, nce, 999)"), None),
+        (
+            text("flight(hel, 540, D, AT)"),
+            Some(ServiceError::NotDerived(text("flight"))),
+        ),
+        (text("cnx(hel, D)"), arity_error("cnx", 4, 2)),
+        (malformed.clone(), Some(ServiceError::Malformed(malformed))),
+    ];
+    check_front_ends(&display_program(&w.program), &queries, "parity/flights");
 }
 
 #[test]
@@ -205,8 +422,8 @@ fn truncated_evaluation_is_sound_on_cyclic_data() {
             facts_per_base: 14,
             ..RandProgConfig::default()
         });
-        let mut program = rp.program.clone();
-        let oracle = seminaive_eval(&program).unwrap();
+        let program = &rp.program;
+        let oracle = seminaive_eval(program).unwrap();
         for name in &rp.derived {
             let pred = program.pred_by_name(name).unwrap();
             let full = oracle.tuples(pred);
@@ -218,9 +435,9 @@ fn truncated_evaluation_is_sound_on_cyclic_data() {
                 };
                 for a in ["n0", "n4"] {
                     let qtext = format!("{name}({a}, Y)");
-                    let solution = solve_with(&mut program, &qtext, &options)
+                    let solution = solve_with(program, &qtext, &options)
                         .unwrap_or_else(|e| panic!("seed {seed} {qtext}: {e}\n{}", rp.text));
-                    let query = Query::parse(&mut program, &qtext).unwrap();
+                    let query = Query::parse(&mut program.clone(), &qtext).unwrap();
                     let expected = query.answer_from_relation(&full);
                     for row in &solution.answers {
                         assert!(

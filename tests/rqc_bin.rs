@@ -188,3 +188,32 @@ fn repl_survives_errors() {
         "help still works after errors"
     );
 }
+
+/// A flag whose value is missing or unparsable is a usage error (exit
+/// 2, one line on stderr) — never silently the default.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = Command::new(RQC).args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains(flag), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing was served or answered");
+}
+
+#[test]
+fn bad_threads_value_exits_2() {
+    let program = program_file().to_str().unwrap();
+    assert_usage_error(&["serve", program, "--threads", "x"], "--threads");
+    assert_usage_error(&["serve", program, "--threads"], "--threads");
+}
+
+#[test]
+fn bad_max_iterations_value_exits_2() {
+    let program = program_file().to_str().unwrap();
+    let query = "sg(john, Y)";
+    assert_usage_error(
+        &[program, query, "--max-iterations", "x"],
+        "--max-iterations",
+    );
+    assert_usage_error(&[program, query, "--max-iterations"], "--max-iterations");
+}
