@@ -9,14 +9,26 @@
 //! input terms, runs the defining join against the original database
 //! (reusing the Datalog backtracking-join machinery, with built-ins
 //! deferred until bound), and interns the resulting output tuples.
+//!
+//! The tuple interner and the probe memo are one flat table behind one
+//! `RwLock` ([`ProbeSpace`]), indexed by tuple id: tuple components sit
+//! back to back in one arena, and every (virtual relation, direction)
+//! has one dense column of slots, indexed by the probed tuple, pointing
+//! into one arena of output tuple ids.  A memo hit is a read lock, two
+//! array reads and a copy; a miss runs its join with no lock held and
+//! interns and records the result under one short write lock.
 
 use crate::transform::{BinaryProgram, VirtualRel};
-use rq_common::{BoundedMemo, Const, Counters, FxHashMap, FxHashSet, Pred, Rows};
+use rq_common::{Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred, Rows};
 use rq_datalog::{
     fire_seeded, Atom, Database, DeltaView, Literal, Program, Relation, Term, WholeDb,
 };
 use rq_engine::TupleSource;
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// First id handed out for tuple constants.  Tuple ids live in the top
 /// half of the `u32` id space so they can never collide with program
@@ -24,40 +36,186 @@ use std::sync::{Arc, Mutex};
 /// carried across an epoch whose ingest grew the program interner.
 const TUPLE_ID_BASE: u32 = 1 << 31;
 
-/// Interner for the tuple constants a probe space mints: a dense table
-/// of component slices plus a reverse map.  Private to the probe space
-/// — unlike the program's persistent interner it owns its storage
-/// outright, so a fresh space allocates nothing and the first intern of
-/// a query never pays a copy-on-write of shared interner chunks.
-#[derive(Clone, Default)]
-struct TupleTable {
-    /// Component slices, indexed by `id - TUPLE_ID_BASE`.
-    components: Vec<Box<[Const]>>,
-    /// Reverse map for dedup: components → id.
-    lookup: FxHashMap<Box<[Const]>, Const>,
+/// End of a dedup hash chain ([`FlatTable::chain`]).
+const NO_TUPLE: u32 = u32::MAX;
+
+/// One memo entry: `len` output tuple ids at `outputs[start..]`.
+#[derive(Clone, Copy)]
+struct Slot {
+    start: u32,
+    len: u32,
 }
 
-impl TupleTable {
-    fn intern(&mut self, components: &[Const]) -> Const {
-        if let Some(&id) = self.lookup.get(components) {
-            return id;
-        }
-        let next = u32::try_from(self.components.len())
-            .ok()
-            .and_then(|n| TUPLE_ID_BASE.checked_add(n))
-            .expect("tuple table exhausted the id space");
-        let id = Const::from_index(next as usize);
-        let boxed: Box<[Const]> = components.into();
-        self.components.push(boxed.clone());
-        self.lookup.insert(boxed, id);
-        id
+impl Slot {
+    /// A key with no entry.
+    const VACANT: Slot = Slot {
+        start: u32::MAX,
+        len: 0,
+    };
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// The tuple interner and probe memo of one [`ProbeSpace`], as flat
+/// vectors indexed by tuple index (`id - TUPLE_ID_BASE`).  Every
+/// mutation is append-or-overwrite after its checks, so a panic leaves
+/// the table merely smaller, never torn.
+#[derive(Clone, Default)]
+struct FlatTable {
+    /// Every tuple's components, back to back.
+    components: Vec<Const>,
+    /// Tuple `i` is `components[ends[i - 1]..ends[i]]` (from 0 for the
+    /// first).
+    ends: Vec<u32>,
+    /// Dedup index: a component hash → the newest tuple with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Tuple index → the next older tuple with the same hash.
+    chain: Vec<u32>,
+    /// Memo slots, `[backward, forward]` per virtual predicate index,
+    /// each column indexed by the probed tuple's index.
+    columns: Vec<[Vec<Slot>; 2]>,
+    /// Output tuple ids of every memo entry, back to back.  Stays below
+    /// `u32::MAX` long so no slot can look vacant.
+    outputs: Vec<Const>,
+    /// Recorded memo entries.
+    entries: usize,
+}
+
+impl FlatTable {
+    fn index(c: Const) -> usize {
+        c.0.checked_sub(TUPLE_ID_BASE)
+            .expect("expected a tuple constant") as usize
+    }
+
+    fn tuple(&self, i: usize) -> &[Const] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.components[start as usize..self.ends[i] as usize]
     }
 
     fn components(&self, c: Const) -> &[Const] {
-        let idx = (c.index() as u32)
-            .checked_sub(TUPLE_ID_BASE)
-            .expect("expected a tuple constant") as usize;
-        &self.components[idx]
+        self.tuple(Self::index(c))
+    }
+
+    fn hash(components: &[Const]) -> u64 {
+        let mut h = FxHasher::default();
+        components.hash(&mut h);
+        h.finish()
+    }
+
+    fn lookup(&self, components: &[Const], hash: u64) -> Option<Const> {
+        let mut i = *self.heads.get(&hash)?;
+        while i != NO_TUPLE {
+            if self.tuple(i as usize) == components {
+                return Some(Const(TUPLE_ID_BASE + i));
+            }
+            i = self.chain[i as usize];
+        }
+        None
+    }
+
+    fn intern(&mut self, components: &[Const]) -> Const {
+        self.intern_hashed(components, Self::hash(components))
+    }
+
+    fn intern_hashed(&mut self, components: &[Const], hash: u64) -> Const {
+        if let Some(id) = self.lookup(components, hash) {
+            return id;
+        }
+        let i = u32::try_from(self.chain.len())
+            .ok()
+            .filter(|&i| i < TUPLE_ID_BASE)
+            .expect("tuple table exhausted the id space");
+        let end = u32::try_from(self.components.len() + components.len())
+            .expect("tuple table exhausted its component arena");
+        self.components.extend_from_slice(components);
+        self.ends.push(end);
+        self.chain
+            .push(self.heads.insert(hash, i).unwrap_or(NO_TUPLE));
+        Const(TUPLE_ID_BASE + i)
+    }
+
+    /// The memo slot of `(r, key, forward)`, if that key has an entry.
+    fn slot(&self, r: Pred, key: Const, forward: bool) -> Option<Slot> {
+        let column = &self.columns.get(r.index())?[usize::from(forward)];
+        let slot = *column.get(Self::index(key))?;
+        (slot.start != Slot::VACANT.start).then_some(slot)
+    }
+
+    /// The memoized outputs of `(r, key, forward)`.
+    fn entry(&self, r: Pred, key: Const, forward: bool) -> Option<&[Const]> {
+        self.slot(r, key, forward).map(|s| &self.outputs[s.range()])
+    }
+
+    /// The slot of `(r, key, forward)`, growing its column to reach it.
+    fn slot_mut(&mut self, r: Pred, key: Const, forward: bool) -> &mut Slot {
+        if self.columns.len() <= r.index() {
+            self.columns.resize_with(r.index() + 1, Default::default);
+        }
+        let column = &mut self.columns[r.index()][usize::from(forward)];
+        let i = Self::index(key);
+        if column.len() <= i {
+            column.resize(i + 1, Slot::VACANT);
+        }
+        &mut column[i]
+    }
+
+    /// Whether the output arena can grow by `more` ids.
+    fn arena_fits(&self, more: usize) -> bool {
+        self.outputs.len() + more < u32::MAX as usize
+    }
+
+    /// Record `rows` as the entry of a key that has none, unless the
+    /// entry cap (or the arena's `u32` offsets) refuse it.
+    fn record(&mut self, r: Pred, key: Const, forward: bool, rows: &[Const], max_entries: usize) {
+        if self.entries >= max_entries
+            || !self.arena_fits(rows.len())
+            || self.slot(r, key, forward).is_some()
+        {
+            return;
+        }
+        let start = self.outputs.len() as u32;
+        self.outputs.extend_from_slice(rows);
+        *self.slot_mut(r, key, forward) = Slot {
+            start,
+            len: rows.len() as u32,
+        };
+        self.entries += 1;
+    }
+
+    /// Append `row` to the entry of `(r, key, forward)` if the entry
+    /// exists and lacks it, moving the entry's range to the end of the
+    /// output arena (in place when it already ends there); returns 1 if
+    /// a row was added.
+    fn patch(&mut self, r: Pred, key: Const, forward: bool, row: Const) -> u64 {
+        let Some(slot) = self.slot(r, key, forward) else {
+            return 0;
+        };
+        let range = slot.range();
+        if self.outputs[range.clone()].contains(&row) {
+            return 0;
+        }
+        let at_tail = range.end == self.outputs.len();
+        if !self.arena_fits(if at_tail { 1 } else { range.len() + 1 }) {
+            // Unpatchable: drop the entry, so the key recomputes.
+            *self.slot_mut(r, key, forward) = Slot::VACANT;
+            self.entries -= 1;
+            return 0;
+        }
+        let start = if at_tail {
+            slot.start
+        } else {
+            let start = self.outputs.len() as u32;
+            self.outputs.extend_from_within(range);
+            start
+        };
+        self.outputs.push(row);
+        *self.slot_mut(r, key, forward) = Slot {
+            start,
+            len: slot.len + 1,
+        };
+        1
     }
 }
 
@@ -97,28 +255,27 @@ impl ProbeStats {
 /// `VirtualSource` it builds for that plan, discarding the space
 /// wholesale when a new epoch is published.
 ///
-/// Thread-safe by construction (the interner sits behind a `Mutex`,
-/// the memo behind an `RwLock`), which is also what makes
-/// [`VirtualSource`] `Sync` — a requirement of the engine's parallel
-/// machine-instance expansion.  The memo is bounded by an entry cap:
-/// once full, further probe results are computed but not recorded —
-/// always sound, the memo is only an optimization — so a long-lived
+/// Both halves share one flat table behind one `RwLock` (see the module
+/// docs), which is also what makes [`VirtualSource`] `Sync` — a
+/// requirement of the engine's parallel machine-instance expansion.
+/// No lock is held across a join.  The memo is bounded by an entry
+/// cap: once full, further probe results are computed but not recorded
+/// — always sound, the memo is only an optimization — so a long-lived
 /// epoch cannot grow it without bound.
 pub struct ProbeSpace {
-    /// Interner for tuple constants.  Component ids are program
+    /// Tuple components and memo entries.  Component ids are program
     /// constants; tuple ids start at [`TUPLE_ID_BASE`], above every id
     /// the program interner can reach.
-    tuples: Mutex<TupleTable>,
-    /// Memo of completed probes: `(relation, key, forward?) → outputs`.
-    /// The traversal can reach the same virtual tuple from different
-    /// automaton states and different queries re-demand the same
-    /// tuples; re-running the join would re-consult the same base
-    /// facts.
-    memo: BoundedMemo<(Pred, Const, bool), Vec<Const>>,
+    table: RwLock<FlatTable>,
+    /// Entry cap of the memo.
+    max_entries: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-/// Default entry cap for [`ProbeSpace`].
-pub const DEFAULT_PROBE_ENTRIES: usize = 1 << 18;
+/// Default entry cap for [`ProbeSpace`]: an epoch's whole probe working
+/// set on the 240k-flight serving workload (480k keys) fits.
+pub const DEFAULT_PROBE_ENTRIES: usize = 1 << 20;
 
 impl ProbeSpace {
     /// Fresh space compatible with `program`'s constant ids, with the
@@ -135,24 +292,65 @@ impl ProbeSpace {
             "program interner overlaps the tuple id range"
         );
         Self {
-            tuples: Mutex::new(TupleTable::default()),
-            memo: BoundedMemo::new(max_entries),
+            table: RwLock::new(FlatTable::default()),
+            max_entries,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
-    /// Lock the tuple interner, recovering from poison.  A panicking
-    /// probe thread (propagated by its scope join) can leave the mutex
-    /// poisoned mid-batch; the table itself is append-only — an
-    /// interrupted intern leaves it merely smaller, never torn — so
-    /// serving the remaining queries of the batch from it is sound.
-    fn tuples(&self) -> std::sync::MutexGuard<'_, TupleTable> {
-        self.tuples
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Read-lock the table, recovering from poison: the table is never
+    /// torn by a panic (see [`FlatTable`]), so serving the remaining
+    /// queries of a batch from it is sound.
+    fn read(&self) -> RwLockReadGuard<'_, FlatTable> {
+        self.table.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Deep-copy this space: same tuple ids, same memo entries (values
-    /// `Arc`-shared), independent storage, fresh hit/miss counters.
+    /// Write-lock the table, recovering from poison (see [`Self::read`]).
+    fn write(&self) -> RwLockWriteGuard<'_, FlatTable> {
+        self.table.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The tuple id of `components`, interned on first sight.
+    fn intern(&self, components: &[Const]) -> Const {
+        let hash = FlatTable::hash(components);
+        if let Some(id) = self.read().lookup(components, hash) {
+            return id;
+        }
+        self.write().intern_hashed(components, hash)
+    }
+
+    /// Replace `out`'s first `matches` rows of `width` components each
+    /// by their tuple ids and record the ids as the entry of
+    /// `(r, key, forward)` — one write lock for the whole probe.
+    fn settle(
+        &self,
+        r: Pred,
+        key: Const,
+        forward: bool,
+        width: usize,
+        matches: usize,
+        out: &mut Vec<Const>,
+    ) {
+        let mut table = self.write();
+        if width == 0 {
+            out.clear();
+            if matches > 0 {
+                out.resize(matches, table.intern(&[]));
+            }
+        } else {
+            // Row `i` starts at `i * width >= i`, so writing id `i`
+            // never clobbers a row not yet interned.
+            for i in 0..matches {
+                out[i] = table.intern(&out[i * width..(i + 1) * width]);
+            }
+            out.truncate(matches);
+        }
+        table.record(r, key, forward, out, self.max_entries);
+    }
+
+    /// Deep-copy this space: same tuple ids, same memo entries,
+    /// independent storage, fresh hit/miss counters.
     ///
     /// The delta-repair path forks the previous epoch's space, patches
     /// the fork against the publish's delta, and hands the fork to the
@@ -162,12 +360,11 @@ impl ProbeSpace {
     /// with identical tuple ids, so carried machine-memo entries keep
     /// meaning the same tuples.
     pub fn fork(&self) -> Self {
-        let table = self.tuples().clone();
-        let memo = BoundedMemo::new(self.memo.capacity());
-        memo.carry_from(&self.memo, |_| true);
         Self {
-            tuples: Mutex::new(table),
-            memo,
+            table: RwLock::new(self.read().clone()),
+            max_entries: self.max_entries,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -179,36 +376,21 @@ impl ProbeSpace {
     /// really is the full delta of `r` (what [`delta_pairs`] computes),
     /// because ingests only ever add tuples.  Returns the rows added.
     pub fn patch_pairs(&self, r: Pred, pairs: &[(Const, Const)]) -> u64 {
+        let mut table = self.write();
         let mut added = 0u64;
         for &(input, output) in pairs {
-            added += self.patch_one((r, input, true), output);
-            added += self.patch_one((r, output, false), input);
+            added += table.patch(r, input, true, output);
+            added += table.patch(r, output, false, input);
         }
         added
     }
 
-    /// Append `row` to the memo entry at `key` if the entry exists and
-    /// lacks it; returns 1 if a row was added.
-    fn patch_one(&self, key: (Pred, Const, bool), row: Const) -> u64 {
-        let Some(existing) = self.memo.peek(&key) else {
-            return 0;
-        };
-        if existing.contains(&row) {
-            return 0;
-        }
-        let mut rows = existing.as_ref().clone();
-        rows.push(row);
-        self.memo.insert(key, Arc::new(rows));
-        1
-    }
-
     /// Hit/miss/entry counts.
     pub fn stats(&self) -> ProbeStats {
-        let stats = self.memo.stats();
         ProbeStats {
-            hits: stats.hits,
-            misses: stats.misses,
-            entries: stats.entries,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.read().entries,
         }
     }
 }
@@ -273,6 +455,7 @@ pub fn delta_pairs(
             Vec::with_capacity(rel.in_terms.len() + rel.out_terms.len());
         head_terms.extend(rel.in_terms.iter().copied());
         head_terms.extend(rel.out_terms.iter().copied());
+        let width = head_terms.len();
         let mut pairs: Vec<(Const, Const)> = Vec::new();
         for (pos, &li) in rel.literals.iter().enumerate() {
             let Some(atom) = rule.body[li].as_atom() else {
@@ -300,7 +483,8 @@ pub fn delta_pairs(
                 delta: delta_rel,
             };
             let mut env: Vec<Option<Const>> = vec![None; rule.num_vars()];
-            let mut tuples = space.tuples();
+            let mut rows: Vec<Const> = Vec::new();
+            let mut matches = 0usize;
             fire_seeded(
                 program,
                 body,
@@ -309,11 +493,16 @@ pub fn delta_pairs(
                 &view,
                 counters,
                 &mut |row| {
-                    let (ins, outs) = row.split_at(rel.in_terms.len());
-                    pairs.push((tuples.intern(ins), tuples.intern(outs)));
+                    matches += 1;
+                    rows.extend_from_slice(row);
                 },
             )
             .ok()?;
+            let mut table = space.write();
+            for i in 0..matches {
+                let (ins, outs) = rows[i * width..(i + 1) * width].split_at(rel.in_terms.len());
+                pairs.push((table.intern(ins), table.intern(outs)));
+            }
         }
         if !pairs.is_empty() {
             pairs.sort_unstable();
@@ -338,10 +527,10 @@ impl std::fmt::Debug for ProbeSpace {
 /// A [`TupleSource`] computing virtual relations on demand.
 pub struct VirtualSource<'a> {
     program: &'a Program,
-    /// The original EDB, possibly extended with a `__domain` unary
-    /// relation when some virtual relation has unbound output variables
-    /// (only in the unchecked/non-chain mode).
-    db: Database,
+    /// The original EDB — borrowed, or an owned copy extended with a
+    /// `__domain` unary relation when some virtual relation has unbound
+    /// output variables (only in the unchecked/non-chain mode).
+    db: Cow<'a, Database>,
     virtuals: &'a FxHashMap<Pred, VirtualRel>,
     /// The tuple interner + probe memo — private to this query, or
     /// shared with every query of one snapshot epoch
@@ -354,7 +543,7 @@ pub struct VirtualSource<'a> {
 impl<'a> VirtualSource<'a> {
     /// Build a source for a transformed program with a private
     /// [`ProbeSpace`] (per-query memoization only).
-    pub fn new(program: &'a Program, db: &Database, bin: &'a BinaryProgram) -> Self {
+    pub fn new(program: &'a Program, db: &'a Database, bin: &'a BinaryProgram) -> Self {
         Self::with_space(program, db, bin, Arc::new(ProbeSpace::new(program)))
     }
 
@@ -364,7 +553,7 @@ impl<'a> VirtualSource<'a> {
     /// database version and the **same** transformed program.
     pub fn with_space(
         program: &'a Program,
-        db: &Database,
+        db: &'a Database,
         bin: &'a BinaryProgram,
         space: Arc<ProbeSpace>,
     ) -> Self {
@@ -372,13 +561,14 @@ impl<'a> VirtualSource<'a> {
             .virtuals
             .values()
             .any(|v| !v.unbound_out_vars.is_empty());
-        let mut db = db.clone();
+        let mut db = Cow::Borrowed(db);
         let mut domain_pred = None;
         if needs_domain {
             // Materialize the active domain as a unary relation so
             // unbound output variables can range over it (reproducing
             // the overapproximation the paper warns about for non-chain
             // programs).
+            let db = db.to_mut();
             let max_virtual = bin.names.keys().map(|p| p.0).max().unwrap_or(0);
             let dp = Pred(max_virtual + 1);
             db.ensure_pred(dp, 1);
@@ -405,21 +595,21 @@ impl<'a> VirtualSource<'a> {
 
     /// Intern a tuple constant.
     pub fn intern_tuple(&self, components: Vec<Const>) -> Const {
-        self.space.tuples().intern(&components)
+        self.space.intern(&components)
     }
 
     /// Decode a tuple constant into its components.
     pub fn decode_tuple(&self, c: Const) -> Vec<Const> {
-        self.space.tuples().components(c).to_vec()
+        self.space.read().components(c).to_vec()
     }
 
     /// Decode answer tuple constants of `width` components each into
-    /// sorted, deduplicated rows, under one lock of the tuple table.
+    /// sorted, deduplicated rows, under one read lock of the table.
     pub fn decode_rows(&self, width: usize, answers: impl IntoIterator<Item = Const>) -> Rows {
-        let tuples = self.space.tuples();
+        let table = self.space.read();
         let mut rows = Rows::builder(width);
         for c in answers {
-            rows.push(tuples.components(c));
+            rows.push(table.components(c));
         }
         rows.finish()
     }
@@ -428,7 +618,7 @@ impl<'a> VirtualSource<'a> {
     /// below `TUPLE_ID_BASE` render through the program interner;
     /// nested tuple ids recurse.
     pub fn display_const(&self, c: Const) -> String {
-        if (c.index() as u32) < TUPLE_ID_BASE {
+        if c.0 < TUPLE_ID_BASE {
             return self.program.consts.display(c);
         }
         let parts = self.decode_tuple(c);
@@ -437,42 +627,28 @@ impl<'a> VirtualSource<'a> {
     }
 
     /// Evaluate one direction of a virtual relation: bind `bind_terms`
-    /// to `key`'s components, join `rel`'s literals, and emit the
-    /// instantiation of `emit_terms` for every match.
+    /// to the key's `components`, join `rel`'s literals, and append the
+    /// instantiation of `emit_terms` for every match to `out` — flat,
+    /// `emit_terms.len()` constants per match.  Returns the number of
+    /// matches.  Runs with no lock held.
     ///
     /// Chain programs (no unbound output variables) take the seeded
     /// fast path: the key's components are bound straight into the join
     /// environment and the rule's own literals are joined in place —
-    /// no substitution map, no cloned body, no synthetic rule.  This is
-    /// the cold §4 hot loop, where every query re-demands its probes;
-    /// the key components and the environment live in stack buffers
-    /// (heap fallback past 32 entries) and the tuple table is locked
-    /// once for the whole probe — decode and result interning share the
-    /// same guard.
-    fn probe(
+    /// no substitution map, no cloned body, no synthetic rule.  The
+    /// environment lives in a stack buffer (heap fallback past 32
+    /// variables).
+    fn join(
         &self,
         rel: &VirtualRel,
         bind_terms: &[Term],
         emit_terms: &[Term],
-        key: Const,
+        components: &[Const],
         out: &mut Vec<Const>,
         counters: &mut Counters,
-    ) {
-        let mut tuples = self.space.tuples();
-        let mut key_stack = [Const::from_index(0); 32];
-        let mut key_heap: Vec<Const> = Vec::new();
-        let components: &[Const] = {
-            let parts = tuples.components(key);
-            if parts.len() <= 32 {
-                key_stack[..parts.len()].copy_from_slice(parts);
-                &key_stack[..parts.len()]
-            } else {
-                key_heap.extend_from_slice(parts);
-                &key_heap
-            }
-        };
+    ) -> usize {
         if components.len() != bind_terms.len() {
-            return;
+            return 0;
         }
         let rule = &self.program.rules[rel.rule_idx];
         let num_vars = rule.num_vars();
@@ -491,69 +667,68 @@ impl<'a> VirtualSource<'a> {
                 Term::Var(v) => {
                     let slot = &mut env[v.0 as usize];
                     if slot.is_some_and(|prev| prev != c) {
-                        return;
+                        return 0;
                     }
                     *slot = Some(c);
                 }
                 Term::Const(k) => {
                     if *k != c {
-                        return;
+                        return 0;
                     }
                 }
             }
         }
-        let mut retrieved = 0u64;
+        let mut matches = 0usize;
+        let mut emit = |t: &[Const]| {
+            matches += 1;
+            out.extend_from_slice(t);
+        };
+        let body = rel.literals.iter().map(|&li| &rule.body[li]);
         if rel.unbound_out_vars.is_empty() {
             fire_seeded(
                 self.program,
-                rel.literals.iter().map(|&li| &rule.body[li]),
+                body,
                 emit_terms,
                 env,
                 &WholeDb(&self.db),
                 counters,
-                &mut |t| {
-                    retrieved += 1;
-                    out.push(tuples.intern(t));
-                },
+                &mut emit,
             )
             .expect("virtual-relation joins bind all built-ins");
-            counters.tuples_retrieved += retrieved;
-            return;
+        } else {
+            // Non-chain mode: unbound output variables range over the
+            // materialized active domain, appended as extra body atoms.
+            let dp = self
+                .domain_pred
+                .expect("domain relation materialized for non-chain programs");
+            let domain_atoms: Vec<Literal> = rel
+                .unbound_out_vars
+                .iter()
+                .filter(|&&v| !bind_terms.iter().any(|t| t.as_var() == Some(v)))
+                .map(|&v| Literal::Atom(Atom::new(dp, vec![Term::Var(v)])))
+                .collect();
+            fire_seeded(
+                self.program,
+                body.chain(domain_atoms.iter()),
+                emit_terms,
+                env,
+                &WholeDb(&self.db),
+                counters,
+                &mut emit,
+            )
+            .expect("virtual-relation joins bind all built-ins");
         }
-        // Non-chain mode: unbound output variables range over the
-        // materialized active domain, appended as extra body atoms.
-        let mut body: Vec<&Literal> = rel.literals.iter().map(|&li| &rule.body[li]).collect();
-        let dp = self
-            .domain_pred
-            .expect("domain relation materialized for non-chain programs");
-        let domain_atoms: Vec<Literal> = rel
-            .unbound_out_vars
-            .iter()
-            .filter(|&&v| !bind_terms.iter().any(|t| t.as_var() == Some(v)))
-            .map(|&v| Literal::Atom(Atom::new(dp, vec![Term::Var(v)])))
-            .collect();
-        body.extend(domain_atoms.iter());
-        fire_seeded(
-            self.program,
-            body.into_iter(),
-            emit_terms,
-            env,
-            &WholeDb(&self.db),
-            counters,
-            &mut |t| {
-                retrieved += 1;
-                out.push(tuples.intern(t));
-            },
-        )
-        .expect("virtual-relation joins bind all built-ins");
-        counters.tuples_retrieved += retrieved;
+        counters.tuples_retrieved += matches as u64;
+        matches
     }
 
     /// One memoized direction of a virtual relation, into `out`
     /// (cleared first: a virtual relation has no stored row to lend).
-    /// A racing thread may compute the same key concurrently; both
-    /// produce identical outputs (the interner dedups tuple constants
-    /// under its lock), so last-write-wins insertion is safe.
+    /// A hit copies the entry out under the read lock.  A miss copies
+    /// the key's components out, joins with no lock held, then interns
+    /// and records under one write lock; a racing thread computing the
+    /// same key produces identical outputs (the interner dedups tuple
+    /// constants), and whichever records first wins.
     fn cached_probe(
         &self,
         r: Pred,
@@ -564,22 +739,34 @@ impl<'a> VirtualSource<'a> {
     ) {
         counters.index_probes += 1;
         out.clear();
-        let memo_key = (r, key, forward);
-        if let Some(cached) = self.space.memo.get(&memo_key) {
-            out.extend_from_slice(&cached);
-            return;
-        }
+        let mut key_stack = [Const(0); 32];
+        let mut key_heap: Vec<Const> = Vec::new();
+        let components: &[Const] = {
+            let table = self.space.read();
+            if let Some(rows) = table.entry(r, key, forward) {
+                out.extend_from_slice(rows);
+                self.space.hits.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            let parts = table.components(key);
+            if parts.len() <= key_stack.len() {
+                key_stack[..parts.len()].copy_from_slice(parts);
+                &key_stack[..parts.len()]
+            } else {
+                key_heap.extend_from_slice(parts);
+                &key_heap
+            }
+        };
+        self.space.misses.fetch_add(1, Ordering::Relaxed);
         let rel = &self.virtuals[&r];
-        if forward {
-            self.probe(rel, &rel.in_terms, &rel.out_terms, key, out, counters);
+        let (bind_terms, emit_terms) = if forward {
+            (&rel.in_terms, &rel.out_terms)
         } else {
-            self.probe(rel, &rel.out_terms, &rel.in_terms, key, out, counters);
-        }
-        // Bounded: a full memo refuses new keys; the probe above
-        // already produced the outputs either way.
-        if !self.space.memo.would_refuse(&memo_key) {
-            self.space.memo.insert(memo_key, Arc::new(out.clone()));
-        }
+            (&rel.out_terms, &rel.in_terms)
+        };
+        let matches = self.join(rel, bind_terms, emit_terms, components, out, counters);
+        self.space
+            .settle(r, key, forward, emit_terms.len(), matches, out);
     }
 }
 

@@ -8,8 +8,8 @@
 //! * [`json`] — a tiny hand-rolled JSON value type with encoder and
 //!   decoder, shared by the `rq-wire` HTTP API and the bench-summary
 //!   writer (no registry access, so no serde);
-//! * [`memo`] — a bounded concurrent memo shared by the epoch-scoped
-//!   evaluation caches;
+//! * [`memo`] — a bounded concurrent memo behind the engine's
+//!   epoch-scoped machine-traversal memo;
 //! * [`counters`] — the unit-cost instrumentation counters that the
 //!   benchmark harness uses to reproduce the paper's complexity table;
 //! * [`obs`] — the observability substrate: a sharded metrics

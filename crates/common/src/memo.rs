@@ -1,6 +1,7 @@
-//! A bounded, thread-safe memo: the shared machinery behind the
-//! epoch-scoped evaluation caches (the engine's machine-traversal memo
-//! and the §4 virtual-probe memo).
+//! A bounded, thread-safe memo: the machinery behind the engine's
+//! epoch-scoped machine-traversal memo (`rq_engine::EvalContext`).
+//! (The §4 virtual-probe memo is not one: it keys by dense tuple id and
+//! lives in `rq_adorn::ProbeSpace`'s flat table.)
 //!
 //! Values are `Arc`-shared, lookups count hits/misses atomically, and
 //! the map carries an **entry cap**: once full, `insert` refuses new
@@ -139,11 +140,6 @@ impl<K: Eq + Hash, V> BoundedMemo<K, V> {
         let before = map.len();
         map.retain(|k, _| keep(k));
         before - map.len()
-    }
-
-    /// The entry cap this memo was built with.
-    pub fn capacity(&self) -> usize {
-        self.max_entries
     }
 
     /// Number of stored entries.

@@ -5,9 +5,11 @@
 //! seminaive oracle, across the flights workload and random n-ary
 //! linear programs.
 
+use rq_adorn::VirtualSource;
 use rq_baselines::{magic_sets, qsq};
-use rq_common::Const;
+use rq_common::{Const, Counters};
 use rq_datalog::{Program, Query};
+use rq_engine::TupleSource;
 use rq_service::{QueryService, QuerySpec, ServiceConfig, ServiceError};
 use rq_workloads::flights;
 use rq_workloads::randprog::{random_nary_program, NaryConfig};
@@ -109,6 +111,77 @@ fn generated_flight_networks_match_baselines_through_batches() {
         // query.
         assert_eq!(service.plan_cache().nary_plans(), 1);
     }
+}
+
+/// Each §4 defining join runs once per epoch: a single-threaded sweep of
+/// every (airport, departure) anchor of a 300-airport network pays one
+/// join per distinct probe key (`misses == entries`), answers every
+/// other virtual probe from the memo, and matches the oracle.
+#[test]
+fn flight_sweep_runs_each_defining_join_once_per_epoch() {
+    let (airports, per) = (300, 4);
+    let workload = flights::network(airports, per, 42);
+    let service = QueryService::with_config(
+        workload.program.clone(),
+        ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let texts = flights::serve_queries(airports, per);
+    let specs: Vec<QuerySpec> = texts
+        .iter()
+        .map(|t| service.parse_query(t).expect("generated anchors exist"))
+        .collect();
+    let snapshot = service.snapshot();
+    let mut program = snapshot.program().clone();
+    let cnx = program.pred_by_name("cnx").unwrap();
+    let fixpoint = rq_datalog::seminaive_eval(&program).expect("safe program");
+    let truth: Vec<Vec<Const>> = fixpoint
+        .db
+        .relation(cnx)
+        .iter()
+        .map(<[Const]>::to_vec)
+        .collect();
+    let mut sweep = Counters::default();
+    for (text, result) in texts.iter().zip(service.query_batch(&specs)) {
+        let answer = result.expect("service answers");
+        let query = Query::parse(&mut program, text).unwrap();
+        assert_eq!(
+            answer.rows.to_vecs(),
+            query.answer_from_relation(&truth),
+            "`{text}`"
+        );
+        sweep += answer.counters;
+    }
+    let adornment = specs[0].adornment();
+    let stats = snapshot
+        .context()
+        .peek_probe_space(cnx, adornment)
+        .expect("the sweep built the plan's probe space")
+        .stats();
+    assert_eq!(stats.misses as usize, stats.entries, "{stats:?}");
+
+    // Every anchor is a key of every virtual relation.  Probing each key
+    // once, cold, is what the sweep's joins should have cost in total;
+    // every other probe it counted must be a memo hit.
+    let plan = rq_adorn::plan_nary_query(&program, cnx, adornment).unwrap();
+    let cold = VirtualSource::new(&program, snapshot.db(), &plan.binary);
+    let (mut once, mut buf) = (Counters::default(), Vec::new());
+    for spec in &specs {
+        let key = cold.intern_tuple(spec.bound_values());
+        for &r in plan.binary.virtuals.keys() {
+            cold.successors(r, key, &mut buf, &mut once);
+        }
+    }
+    assert_eq!(
+        stats.entries,
+        specs.len() * plan.binary.virtuals.len(),
+        "{stats:?}"
+    );
+    assert_eq!(sweep.tuples_retrieved, once.tuples_retrieved);
+    assert_eq!(sweep.index_probes, stats.hits + once.index_probes);
+    assert!(stats.hits > 0, "{stats:?}");
 }
 
 #[test]
