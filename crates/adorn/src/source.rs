@@ -256,8 +256,8 @@ impl ProbeStats {
 /// wholesale when a new epoch is published.
 ///
 /// Both halves share one flat table behind one `RwLock` (see the module
-/// docs), which is also what makes [`VirtualSource`] `Sync` — a
-/// requirement of the engine's parallel machine-instance expansion.
+/// docs), which is also what makes [`VirtualSource`] `Sync` — the
+/// service's batch workers share one space.
 /// No lock is held across a join.  The memo is bounded by an entry
 /// cap: once full, further probe results are computed but not recorded
 /// — always sound, the memo is only an optimization — so a long-lived

@@ -1,12 +1,13 @@
 //! Workspace-wide thread-count policy.
 //!
-//! Every layer that spawns workers — the service's batch fan-out and
-//! the engine's parallel machine-instance expansion — resolves its
-//! requested parallelism through [`thread_cap`], so one environment
-//! variable (`RQC_THREADS`) can force the whole stack single-threaded.
-//! CI runs the test suite once with `RQC_THREADS=1` to catch
-//! parallelism-order nondeterminism: under the cap every code path
-//! must produce byte-identical answers to the concurrent run.
+//! Every layer that spawns workers — the wire's connection workers and
+//! the service's batch fan-out — resolves its requested parallelism
+//! through [`thread_cap`], so one environment variable (`RQC_THREADS`)
+//! can force the whole stack single-threaded.  (A traversal never
+//! spawns: it runs on the thread that asked.)  CI runs the service
+//! tests once with `RQC_THREADS=1` to catch parallelism-order
+//! nondeterminism: under the cap every code path must produce
+//! byte-identical answers to the concurrent run.
 
 use std::sync::OnceLock;
 

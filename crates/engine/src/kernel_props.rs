@@ -45,44 +45,60 @@ fn observed(out: &EvalOutcome) -> (&[Const], [u64; 6], bool) {
     )
 }
 
-/// Evaluate `p(a, Y)` and `p(X, a)` at 1 and 4 expansion threads, on
-/// the rows and on the reference, and demand identical observations.
+/// Evaluate `p(a, Y)` and `p(X, a)` on the rows and on the reference,
+/// and demand identical observations.
 fn assert_kernel_matches_reference<S: TupleSource>(
     evaluator: &Evaluator<'_, S>,
     p: Pred,
     a: Const,
     options: &EvalOptions,
 ) {
-    for expand_threads in [1, 4] {
-        let options = EvalOptions {
-            expand_threads,
-            ..options.clone()
-        };
-        for inverse in [false, true] {
-            let (dense, reference) = dense_and_reference(|| {
-                if inverse {
-                    evaluator.evaluate_inverse(p, a, &options)
-                } else {
-                    evaluator.evaluate(p, a, &options)
-                }
-            });
-            assert_eq!(
-                observed(&dense),
-                observed(&reference),
-                "pred {p:?} from {a:?}, inverse {inverse}, {expand_threads} threads"
-            );
-        }
+    for inverse in [false, true] {
+        let (dense, reference) = dense_and_reference(|| {
+            if inverse {
+                evaluator.evaluate_inverse(p, a, options)
+            } else {
+                evaluator.evaluate(p, a, options)
+            }
+        });
+        assert_eq!(
+            observed(&dense),
+            observed(&reference),
+            "pred {p:?} from {a:?}, inverse {inverse}"
+        );
     }
     assert!(pool_is_clean());
 }
 
 fn setup(src: &str) -> (Program, Database, EqSystem) {
-    let program = parse_program(src).unwrap();
+    on_route(parse_program(src).unwrap(), true)
+}
+
+/// `program` over a database read through CSR rows lent in place
+/// (`csr`, the publish-time compact stores) or through trie rows copied
+/// out, plus its equation system.
+fn on_route(program: Program, csr: bool) -> (Program, Database, EqSystem) {
     let db = Database::from_program(&program);
-    db.build_compact_stores();
+    if csr {
+        assert!(db.build_compact_stores() > 0);
+    }
     let system = lemma1(&program, &Lemma1Options::default()).unwrap().system;
     learn_width(program.consts.len());
     (program, db, system)
+}
+
+/// Every constant of `program`, from both orientations, on both probe
+/// routes.
+fn assert_every_constant_matches_reference(program: &Program, pred: &str, options: &EvalOptions) {
+    for csr in [false, true] {
+        let (program, db, system) = on_route(program.clone(), csr);
+        let p = program.pred_by_name(pred).unwrap();
+        let source = EdbSource::new(&db);
+        let evaluator = Evaluator::new(&system, &source);
+        for c in 0..program.consts.len() {
+            assert_kernel_matches_reference(&evaluator, p, Const::from_index(c), options);
+        }
+    }
 }
 
 fn konst(program: &Program, name: &str) -> Const {
@@ -120,7 +136,7 @@ proptest! {
 
 /// `sg` over a 40-wide fan whose `up` and `down` sides are both cyclic:
 /// the natural condition never holds, so the run ends on the `m·n`
-/// guard, and iteration 2 seeds 40 nodes — enough for a parallel phase.
+/// guard, and iteration 2 seeds 40 nodes.
 fn cyclic_fan() -> String {
     let mut src = String::from(
         "sg(X,Y) :- flat(X,Y).\n\
@@ -153,6 +169,85 @@ fn counters_match_reference_on_cyclic_data_under_the_guard() {
     }
     let out = evaluator.evaluate(sg, a1, &options);
     assert!(!out.converged && out.instances > 2);
+}
+
+/// `tc` over shapes that put almost every reachable node behind one
+/// edge: a star, a 12-clique feeding a 40-edge tail, and a two-level
+/// fan-out behind a single entry.
+fn skewed_graphs() -> [String; 3] {
+    let tc = || String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+    let mut star = tc();
+    for i in 0..120 {
+        star.push_str(&format!("e(hub, s{i}).\n"));
+    }
+    star.push_str("e(lone, hub).\n");
+    let mut lollipop = tc();
+    for i in 0..12 {
+        for j in (0..12).filter(|&j| j != i) {
+            lollipop.push_str(&format!("e(c{i}, c{j}).\n"));
+        }
+    }
+    for i in 0..40 {
+        lollipop.push_str(&format!("e(t{}, t{}).\n", i, i + 1));
+    }
+    lollipop.push_str("e(c0, t0).\n");
+    let mut heavy_hub = tc();
+    heavy_hub.push_str("e(root, hub).\n");
+    for i in 0..20 {
+        heavy_hub.push_str(&format!("e(hub, m{i}).\n"));
+        for j in 0..8 {
+            heavy_hub.push_str(&format!("e(m{i}, l{i}_{j}).\n"));
+        }
+    }
+    [star, lollipop, heavy_hub]
+}
+
+#[test]
+fn counters_match_reference_on_skewed_graphs() {
+    let options = EvalOptions {
+        max_iterations: Some(256),
+        ..EvalOptions::default()
+    };
+    for src in skewed_graphs() {
+        assert_every_constant_matches_reference(&parse_program(&src).unwrap(), "tc", &options);
+    }
+}
+
+#[test]
+fn counters_match_reference_on_cyclic_data_at_every_bound() {
+    // Figure 8's worst case: a bound below m·n truncates the run, and
+    // a truncated run must agree with the reference as exactly as a
+    // complete one.
+    let workload = rq_workloads::fig8::cyclic(5, 7);
+    for bound in [1, 3, 5 * 7 + 1] {
+        let options = EvalOptions {
+            max_iterations: Some(bound),
+            ..EvalOptions::default()
+        };
+        assert_every_constant_matches_reference(&workload.program, "sg", &options);
+    }
+}
+
+#[test]
+fn counters_match_reference_on_a_membership_stop() {
+    // `tc(a, v5)` over a 200-edge chain: the walk stops where it meets
+    // v5, or runs to completion where it never does.
+    let mut src = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+    for i in 0..200 {
+        src.push_str(&format!("e(v{}, v{}).\n", i, i + 1));
+    }
+    let (program, db, system) = setup(&src);
+    let v5 = konst(&program, "v5");
+    let options = EvalOptions {
+        stop_on_answer: Some(v5),
+        ..EvalOptions::default()
+    };
+    assert_every_constant_matches_reference(&program, "tc", &options);
+    let source = EdbSource::new(&db);
+    let tc = program.pred_by_name("tc").unwrap();
+    let out = Evaluator::new(&system, &source).evaluate(tc, konst(&program, "v0"), &options);
+    assert!(out.converged && out.answers.contains(&v5));
+    assert!(out.answers.len() < 200, "the walk stopped at v5");
 }
 
 /// What the kernel sees of a §4 run: every term is a tuple constant,
@@ -260,45 +355,38 @@ fn early_stops_leave_the_pool_clean() {
         let evaluator = Evaluator::new(&system, &source);
         let v0 = konst(&program, "v0");
         let full = evaluator.evaluate(tc, v0, &EvalOptions::default());
-        for expand_threads in [1, 4] {
-            let hit = evaluator.evaluate(
-                tc,
-                v0,
-                &EvalOptions {
-                    stop_on_answer: Some(konst(&program, "v3")),
-                    expand_threads,
-                    ..EvalOptions::default()
-                },
-            );
-            assert!(hit.converged && hit.graph_nodes < full.graph_nodes);
-        }
+        let hit = evaluator.evaluate(
+            tc,
+            v0,
+            &EvalOptions {
+                stop_on_answer: Some(konst(&program, "v3")),
+                ..EvalOptions::default()
+            },
+        );
+        assert!(hit.converged && hit.graph_nodes < full.graph_nodes);
         // Budgets are checked between iterations, so they need a
         // program that iterates.
         let sg_source = EdbSource::new(&sg_db);
         let sg_evaluator = Evaluator::new(&sg_system, &sg_source);
         let a1 = konst(&sg_program, "a1");
-        for expand_threads in [1, 4] {
-            let budgeted = sg_evaluator.evaluate(
-                sg,
-                a1,
-                &EvalOptions {
-                    node_budget: Some(10),
-                    expand_threads,
-                    ..EvalOptions::default()
-                },
-            );
-            assert!(!budgeted.converged);
-            let bounded = sg_evaluator.evaluate(
-                sg,
-                a1,
-                &EvalOptions {
-                    max_iterations: Some(2),
-                    expand_threads,
-                    ..EvalOptions::default()
-                },
-            );
-            assert!(!bounded.converged);
-        }
+        let budgeted = sg_evaluator.evaluate(
+            sg,
+            a1,
+            &EvalOptions {
+                node_budget: Some(10),
+                ..EvalOptions::default()
+            },
+        );
+        assert!(!budgeted.converged);
+        let bounded = sg_evaluator.evaluate(
+            sg,
+            a1,
+            &EvalOptions {
+                max_iterations: Some(2),
+                ..EvalOptions::default()
+            },
+        );
+        assert!(!bounded.converged);
     });
 }
 
@@ -337,12 +425,11 @@ impl<F: Fn() + Sync> TupleSource for Hooked<'_, F> {
 
 #[test]
 fn a_source_that_panics_mid_probe_leaves_the_pool_clean() {
-    // Sequential: the set unwinds on the caller's thread and clears
-    // through its log.  Parallel (iteration 2 of `sg` seeds 40 nodes):
-    // the panicking worker's log is lost, so the rows are freed.
-    for (src, pred, from, expand_threads, fuse) in [
-        (chain_with_fan(), "tc", "v0", 1, 50),
-        (cyclic_fan(), "sg", "a1", 4, 60),
+    // The set unwinds on the caller's thread and clears through its
+    // log — in the first iteration, and (`sg`) with spliced instances.
+    for (src, pred, from, fuse) in [
+        (chain_with_fan(), "tc", "v0", 50),
+        (cyclic_fan(), "sg", "a1", 60),
     ] {
         let (program, db, system) = setup(&src);
         let p = program.pred_by_name(pred).unwrap();
@@ -359,7 +446,6 @@ fn a_source_that_panics_mid_probe_leaves_the_pool_clean() {
             let evaluator = Evaluator::new(&system, &source);
             let options = EvalOptions {
                 max_iterations: Some(6),
-                expand_threads,
                 ..EvalOptions::default()
             };
             let blown = catch_unwind(AssertUnwindSafe(|| {

@@ -20,21 +20,17 @@
 //!   (the §4 tuple ids live at 2³¹ and up), fall back to a hash set of
 //!   whole nodes.  Which side a node lives on never changes during a
 //!   traversal, so visit-once holds across the two.
-//! * **Two insert paths**: the sequential loop owns the set and writes
-//!   plain words ([`NodeSet::insert`]); the workers of a parallel phase
-//!   share it and use `fetch_or` ([`NodeSet::insert_shared`]).
+//! * **One insert path**: the traversal loop owns the set and writes
+//!   plain words ([`NodeSet::insert`]).
 
 use rq_common::{Const, FxHashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A node of `G(p, a, i)`: `(instance, state, term)`.
 pub(crate) type Node = (u32, u32, Const);
 
-/// `(slot, word)` of a row word that went from zero to non-zero.
-pub(crate) type Touched = (u32, u32);
-
-type Row = Vec<AtomicU64>;
+type Row = Vec<u64>;
 
 /// Constants at or past this id are never given a bit: 4 Mi ids keep a
 /// row at 512 KiB, and the tuple constants of §4 sit far above.
@@ -93,13 +89,11 @@ pub(crate) struct NodeSet {
     base: Vec<u32>,
     /// One row per slot.
     rows: Vec<Row>,
-    /// The insertion log: what [`Drop`] must zero.
-    touched: Vec<Touched>,
-    /// Whole nodes with no bit to live in.  The mutex is for the shared
-    /// path only; the owning path goes through `get_mut`.
-    remainder: Mutex<FxHashSet<Node>>,
-    /// A shared phase is open: its workers' logs are not absorbed yet.
-    shared: bool,
+    /// The insertion log, `(slot, word)` of every row word that went
+    /// from zero to non-zero: what [`Drop`] must zero.
+    touched: Vec<(u32, u32)>,
+    /// Whole nodes with no bit to live in.
+    remainder: FxHashSet<Node>,
 }
 
 impl NodeSet {
@@ -115,8 +109,7 @@ impl NodeSet {
             base: Vec::new(),
             rows: Vec::new(),
             touched: Vec::new(),
-            remainder: Mutex::new(FxHashSet::default()),
-            shared: false,
+            remainder: FxHashSet::default(),
         };
         set.add_instance(states);
         set
@@ -147,7 +140,7 @@ impl NodeSet {
         // any fixed length at or past `words` keeps the set consistent.
         for row in &mut self.rows[first..] {
             if row.len() < self.words {
-                row.resize_with(self.words, AtomicU64::default);
+                row.resize(self.words, 0);
             }
         }
     }
@@ -161,19 +154,15 @@ impl NodeSet {
         (slot, term.index() >> 6, 1 << (term.index() & 63))
     }
 
-    /// Insert through the owning path: plain word writes.  `true` when
-    /// the node is new (the caller owns its expansion).
+    /// Insert `node`; `true` when it is new (the caller owns its
+    /// expansion).
     #[inline]
     pub(crate) fn insert(&mut self, node: Node) -> bool {
         let (slot, word, mask) = self.locate(node);
         let Some(bits) = self.rows.get_mut(slot).and_then(|row| row.get_mut(word)) else {
             note_miss(node.2);
-            let remainder = self.remainder.get_mut();
-            return remainder
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(node);
+            return self.remainder.insert(node);
         };
-        let bits = bits.get_mut();
         if *bits & mask != 0 {
             return false;
         }
@@ -182,50 +171,6 @@ impl NodeSet {
         }
         *bits |= mask;
         true
-    }
-
-    /// Open a shared phase: the workers of one parallel traversal phase
-    /// insert through the returned reference and
-    /// [`Self::insert_shared`], each keeping its own log, and the
-    /// caller hands those logs to [`Self::absorb`] once the workers are
-    /// joined.  If it never does — a worker panicked and took its log
-    /// with it — the rows are freed instead of pooled.
-    pub(crate) fn share(&mut self) -> &Self {
-        self.shared = true;
-        self
-    }
-
-    /// Insert through the shared path; `touched` is the calling
-    /// worker's log.  Exactly one of any number of racing workers gets
-    /// `true` for a node.
-    #[inline]
-    pub(crate) fn insert_shared(&self, node: Node, touched: &mut Vec<Touched>) -> bool {
-        let (slot, word, mask) = self.locate(node);
-        let Some(bits) = self.rows.get(slot).and_then(|row| row.get(word)) else {
-            note_miss(node.2);
-            let remainder = self.remainder.lock();
-            return remainder
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(node);
-        };
-        // Relaxed: the bit only decides which worker expands the node;
-        // nothing is published through it (nodes travel between workers
-        // through the deque mutexes, and the owning path resumes after
-        // the scope joined them).  The read-modify-write is atomic, so
-        // one worker sees the bit clear, and one sees the word zero.
-        let before = bits.fetch_or(mask, Ordering::Relaxed);
-        if before == 0 {
-            touched.push((slot as u32, word as u32));
-        }
-        before & mask == 0
-    }
-
-    /// Close the shared phase with every worker's log.
-    pub(crate) fn absorb(&mut self, logs: impl IntoIterator<Item = Vec<Touched>>) {
-        for log in logs {
-            self.touched.extend(log);
-        }
-        self.shared = false;
     }
 }
 
@@ -241,11 +186,8 @@ fn note_miss(term: Const) {
 
 impl Drop for NodeSet {
     fn drop(&mut self) {
-        if self.shared {
-            return;
-        }
         for &(slot, word) in &self.touched {
-            *self.rows[slot as usize][word as usize].get_mut() = 0;
+            self.rows[slot as usize][word as usize] = 0;
         }
         let mut rows = std::mem::take(&mut self.rows);
         let mut pool = pool();
@@ -274,11 +216,7 @@ pub(crate) fn pool_is_clean() -> bool {
     let pool = pool();
     pool.words == pool.rows.iter().map(Vec::len).sum::<usize>()
         && pool.words <= POOL_BYTES / 8
-        && pool
-            .rows
-            .iter()
-            .flatten()
-            .all(|w| w.load(Ordering::Relaxed) == 0)
+        && pool.rows.iter().flatten().all(|&w| w == 0)
 }
 
 #[cfg(test)]
@@ -326,49 +264,5 @@ mod tests {
         assert_eq!(set.touched.len(), 4);
         drop(set);
         assert!(pool_is_clean());
-    }
-
-    #[test]
-    fn racing_shared_inserts_elect_one_winner_per_node() {
-        learn_width(20_000);
-        let mut set = NodeSet::new(2);
-        assert!(set.insert((0, 0, c(6))));
-        let start = std::sync::Barrier::new(4);
-        let shared = set.share();
-        let (wins, logs): (Vec<usize>, Vec<Vec<Touched>>) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut log = Vec::new();
-                        start.wait();
-                        let wins = (0..20_000)
-                            .chain((1 << 31)..(1 << 31) + 500)
-                            .filter(|&i| shared.insert_shared((0, i as u32 % 2, c(i)), &mut log))
-                            .count();
-                        (wins, log)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).unzip()
-        });
-        // Every node was won exactly once — (0, 0, c(6)) by nobody.
-        assert_eq!(wins.iter().sum::<usize>(), 20_500 - 1);
-        set.absorb(logs);
-        assert!(!set.insert((0, 1, c(19_999))));
-        drop(set);
-        assert!(pool_is_clean());
-    }
-
-    #[test]
-    fn an_unabsorbed_shared_phase_frees_its_rows() {
-        learn_width(1000);
-        let mut set = NodeSet::new(2);
-        // A worker that panicked takes its log with it: these two bits
-        // are in no log the set will ever see.
-        let shared = set.share();
-        assert!(shared.insert_shared((0, 0, c(9)), &mut Vec::new()));
-        assert!(shared.insert_shared((0, 1, c(900)), &mut Vec::new()));
-        drop(set);
-        assert!(pool_is_clean(), "dirty rows must not reach the pool");
     }
 }

@@ -129,11 +129,14 @@ pub fn all_pairs_per_source<S: TupleSource>(
 /// 3. propagate answer sets (terms at `(q_f, ·)` nodes) backwards through
 ///    the condensation in one pass — every node of a component shares one
 ///    answer set, which is what kills the per-source duplication.
+///
+/// The run is always complete, so no option bounds it; `_options` keeps
+/// the signature of the other query forms.
 pub fn all_pairs_scc<S: TupleSource>(
     system: &EqSystem,
     source: &S,
     p: Pred,
-    options: &EvalOptions,
+    _options: &EvalOptions,
 ) -> AllPairsOutcome {
     let e = &system.rhs[&p];
     let derived = system.derived();
@@ -141,7 +144,6 @@ pub fn all_pairs_scc<S: TupleSource>(
         !e.contains_any(&derived),
         "all_pairs_scc requires a regular (derived-free) equation"
     );
-    let workers = rq_common::capped_threads(options.expand_threads.max(1));
     let mut counters = Counters::new();
     let nfa = thompson(e);
     let sources: Vec<Const> = candidate_sources(system, source, p);
@@ -216,79 +218,17 @@ pub fn all_pairs_scc<S: TupleSource>(
             comp_answers[comp[id]].insert(term);
         }
     }
-    // Propagation is level-scheduled over the condensation: `level[c]`
-    // is the longest successor chain below `c`, so every component at
-    // one level depends only on strictly lower levels.  Components
-    // within a level are therefore independent — their answer unions
-    // read finalized sets — and a level with several components fans
-    // out across scoped threads.  Computable in one ascending pass
-    // because Tarjan emits components in reverse topological order
-    // (every successor id is smaller).
-    let mut level: Vec<u32> = vec![0; ncomps];
-    for (c, csucc) in comp_succs.iter().enumerate() {
-        for &s in csucc {
+    // One ascending pass: every successor id is smaller, so each union
+    // reads an already final set.
+    for (c, succs) in comp_succs.iter().enumerate() {
+        let (done, rest) = comp_answers.split_at_mut(c);
+        for &s in succs {
             debug_assert!(s < c, "component order must be reverse topological");
-            level[c] = level[c].max(level[s] + 1);
-        }
-    }
-    let mut by_level: Vec<Vec<usize>> = Vec::new();
-    for c in 0..ncomps {
-        let l = level[c] as usize;
-        if by_level.len() <= l {
-            by_level.resize(l + 1, Vec::new());
-        }
-        if !comp_succs[c].is_empty() {
-            by_level[l].push(c);
-        }
-    }
-    for work in &by_level {
-        if workers > 1 && work.len() > 1 {
-            let chunk_len = work.len().div_ceil(workers);
-            let additions: Vec<(usize, FxHashSet<Const>, u64)> = std::thread::scope(|scope| {
-                let comp_answers = &comp_answers;
-                let comp_succs = &comp_succs;
-                let handles: Vec<_> = work
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&c| {
-                                    let mut add = FxHashSet::default();
-                                    let mut firings = 0u64;
-                                    for &s in &comp_succs[c] {
-                                        firings += comp_answers[s].len() as u64;
-                                        add.extend(comp_answers[s].iter().copied());
-                                    }
-                                    (c, add, firings)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("scc propagation worker panicked"))
-                    .collect()
-            });
-            for (c, add, firings) in additions {
-                // Propagation is the dominant cost of the condensation
-                // pass (the `t` of the O(tn) bound); one firing per
-                // element copied keeps side selection measurable and
-                // matches the sequential accounting exactly (the read
-                // sets are final either way).
-                counters.rule_firings += firings;
-                comp_answers[c].extend(add);
-            }
-        } else {
-            for &c in work {
-                let succs: Vec<usize> = comp_succs[c].iter().copied().collect();
-                for s in succs {
-                    let (left, right) = comp_answers.split_at_mut(c);
-                    counters.rule_firings += left[s].len() as u64;
-                    right[0].extend(left[s].iter().copied());
-                }
-            }
+            // Propagation is the dominant cost of the condensation
+            // pass (the `t` of the O(tn) bound); one firing per element
+            // copied keeps side selection measurable.
+            counters.rule_firings += done[s].len() as u64;
+            rest[0].extend(done[s].iter().copied());
         }
     }
 

@@ -23,14 +23,13 @@
 //!   deep databases cannot overflow the call stack.  The visit-once
 //!   discipline ("if (q', v) is not yet in G") is identical.
 
-use crate::nodeset::{Node, NodeSet, Touched};
+use crate::nodeset::{Node, NodeSet};
 use crate::source::TupleSource;
 use rq_automata::{invert_nfa, thompson, Label, Nfa};
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_relalg::EqSystem;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which machine an instance runs: the automaton of `pred`'s equation,
 /// possibly inverted (for transitions taken through an `Inv` label).
@@ -267,15 +266,8 @@ pub struct EvalOptions {
     /// reports `converged = true` — the membership question is fully
     /// answered — but its answer set is deliberately partial.
     pub stop_on_answer: Option<Const>,
-    /// Worker threads for the traversal phase of each iteration:
-    /// the iteration's work-list of start nodes is split across this
-    /// many scoped threads, which share the visit-once node set and
-    /// merge their answer/continuation sets deterministically (sets
-    /// union order-independently, and the expansion phase orders its
-    /// work-list, so instance numbering is schedule-independent).
-    /// `0` and `1` both mean sequential; the value is capped by the
-    /// `RQC_THREADS` environment variable
-    /// ([`rq_common::capped_threads`]).
+    /// Ignored — a traversal runs on its caller's thread; kept because
+    /// the benchmark harness (`bench/src/layers.rs`) still names it.
     pub expand_threads: usize,
     /// Record per-iteration statistics.
     pub record_iterations: bool,
@@ -587,15 +579,6 @@ impl PlanRef<'_> {
     }
 }
 
-/// Fewest start nodes for which a traversal phase fans out across
-/// scoped worker threads.  Spawning a thread costs tens of
-/// microseconds — more than a small phase's entire expansion — so
-/// phases below this stay on the caller thread regardless of the
-/// configured worker count.  Work stealing rebalances within a phase,
-/// so the seed count only has to justify the spawns, not predict the
-/// phase's final shape.
-const PARALLEL_MIN_SEEDS: usize = 32;
-
 /// Safety valve on [`Evaluator::repair`]'s lift rounds.  Each round
 /// peels one level of machine-splice nesting, so real repairs finish in
 /// a handful; tripping the cap means something pathological and the
@@ -609,8 +592,7 @@ type ClosureCache = FxHashMap<(u32, u32, Const), Option<Arc<Vec<Const>>>>;
 
 /// The read-only state one traversal phase runs against.  Machine
 /// instances and their expansion table are only mutated between
-/// iterations (in the expansion phase), which is what makes the
-/// traversal phase safely shareable across worker threads.
+/// iterations, in the expansion phase.
 struct StepCtx<'p> {
     plan: &'p CompiledPlan,
     instances: &'p [Instance],
@@ -622,18 +604,15 @@ struct StepCtx<'p> {
 /// Expand one node of `G`: emit answers or exit to the parent at final
 /// states, follow `id` and base-relation transitions, route derived
 /// transitions into already-spliced copies, and queue continuations
-/// for everything else.  Returns `true` when the `stop_on_answer`
-/// target was emitted (the caller stops the traversal).
-///
-/// This is the single transition step both the sequential loop and
-/// every parallel worker run; only `visit` — the insert path into the
-/// [`NodeSet`], `true` when the node is new — differs.
+/// for everything else.  Every node new to `graph` is pushed on
+/// `stack`.  Returns `true` when the `stop_on_answer` target was
+/// emitted (the caller stops the traversal).
 #[allow(clippy::too_many_arguments)]
 fn expand_node<S: TupleSource>(
     step: &StepCtx<'_>,
     source: &S,
     node: Node,
-    visit: &mut impl FnMut(Node) -> bool,
+    graph: &mut NodeSet,
     stack: &mut Vec<Node>,
     answers: &mut Vec<Const>,
     continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
@@ -663,7 +642,7 @@ fn expand_node<S: TupleSource>(
                 if step.record_graph {
                     arcs.push((node, ArcKind::Exit, exit_node));
                 }
-                if visit(exit_node) {
+                if graph.insert(exit_node) {
                     counters.nodes_inserted += 1;
                     stack.push(exit_node);
                 }
@@ -678,7 +657,7 @@ fn expand_node<S: TupleSource>(
                 if step.record_graph {
                     arcs.push((node, ArcKind::Id, next));
                 }
-                if visit(next) {
+                if graph.insert(next) {
                     counters.nodes_inserted += 1;
                     stack.push(next);
                 }
@@ -695,7 +674,7 @@ fn expand_node<S: TupleSource>(
                         if step.record_graph {
                             arcs.push((node, ArcKind::Enter(r), next));
                         }
-                        if visit(next) {
+                        if graph.insert(next) {
                             counters.nodes_inserted += 1;
                             stack.push(next);
                         }
@@ -721,7 +700,7 @@ fn expand_node<S: TupleSource>(
                     if step.record_graph {
                         arcs.push((node, kind, next));
                     }
-                    if visit(next) {
+                    if graph.insert(next) {
                         counters.nodes_inserted += 1;
                         stack.push(next);
                     }
@@ -730,183 +709,6 @@ fn expand_node<S: TupleSource>(
         }
     }
     false
-}
-
-/// One iteration's traversal phase across `workers` scoped threads,
-/// scheduled by work stealing: each worker owns a deque seeded with a
-/// round-robin share of the work-list, pops its own newest node
-/// (LIFO, cache-friendly), publishes every node it discovers back to
-/// its deque, and — when its deque runs dry — steals the oldest half
-/// of a victim's deque.  A static deal would strand a worker whose
-/// seed happens to sit in a small region of the graph while another
-/// worker expands a heavy hub alone; stealing rebalances at the
-/// granularity of individual expansions.
-///
-/// Termination: a shared pending-node count, incremented *before* a
-/// discovered node is published and decremented *after* its expansion
-/// completes, so it can only read zero when no node is queued or in
-/// flight anywhere.
-///
-/// Workers share the visit-once node set (so no node is expanded
-/// twice) and keep local answers, continuation sets and insertion logs
-/// that the caller merges.  The merge is deterministic: answers are
-/// disjoint (visit-once) and sorted by the caller, continuations are
-/// sets (union is order-independent), counters are sums, and which
-/// worker expands a node never changes what the expansion produces.
-#[allow(clippy::too_many_arguments)]
-fn traverse_parallel<S: TupleSource>(
-    step: &StepCtx<'_>,
-    source: &S,
-    graph: &mut NodeSet,
-    seeds: Vec<Node>,
-    workers: usize,
-    answers: &mut Vec<Const>,
-    continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
-    counters: &mut Counters,
-) -> bool {
-    let pending = AtomicUsize::new(seeds.len());
-    let deques: Vec<Mutex<VecDeque<Node>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, node) in seeds.into_iter().enumerate() {
-        lock_deque(&deques[i % workers]).push_back(node);
-    }
-    let stop = AtomicBool::new(false);
-    type WorkerOutcome = (
-        Vec<Const>,
-        FxHashMap<(u32, u32), FxHashSet<Const>>,
-        Counters,
-        Vec<Touched>,
-        bool,
-    );
-    let nodes = graph.share();
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (stop, pending, deques) = (&stop, &pending, &deques);
-                scope.spawn(move || {
-                    let _stop_on_unwind = StopOnUnwind(stop);
-                    let mut touched = Vec::new();
-                    let mut answers = Vec::new();
-                    let mut continuations = FxHashMap::default();
-                    let mut counters = Counters::new();
-                    let mut succ_buf = Vec::new();
-                    let mut arcs = Vec::new();
-                    let mut discovered: Vec<Node> = Vec::new();
-                    let mut found = false;
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Two statements on purpose: the `pop_back`
-                        // temporary guard must drop before stealing, or
-                        // the thief would re-lock (and deadlock on) its
-                        // own deque inside `steal_half`.
-                        let popped = lock_deque(&deques[w]).pop_back();
-                        let node = popped.or_else(|| steal_half(deques, w));
-                        let Some(node) = node else {
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        if expand_node(
-                            step,
-                            source,
-                            node,
-                            &mut |n| nodes.insert_shared(n, &mut touched),
-                            &mut discovered,
-                            &mut answers,
-                            &mut continuations,
-                            &mut counters,
-                            &mut succ_buf,
-                            &mut arcs,
-                        ) {
-                            found = true;
-                            stop.store(true, Ordering::Relaxed);
-                            pending.fetch_sub(1, Ordering::Release);
-                            break;
-                        }
-                        // Publish discoveries before retiring the
-                        // expanded node, so `pending` never dips to
-                        // zero while work exists.
-                        if !discovered.is_empty() {
-                            pending.fetch_add(discovered.len(), Ordering::Release);
-                            lock_deque(&deques[w]).extend(discovered.drain(..));
-                        }
-                        pending.fetch_sub(1, Ordering::Release);
-                    }
-                    (answers, continuations, counters, touched, found)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("traversal worker panicked"))
-            .collect()
-    });
-    let mut stopped = false;
-    let mut logs = Vec::with_capacity(workers);
-    for (worker_answers, worker_continuations, worker_counters, touched, found) in outcomes {
-        answers.extend(worker_answers);
-        for (key, terms) in worker_continuations {
-            continuations.entry(key).or_default().extend(terms);
-        }
-        *counters += worker_counters;
-        logs.push(touched);
-        stopped |= found;
-    }
-    graph.absorb(logs);
-    stopped
-}
-
-/// Raises the phase's stop flag if its worker unwinds (a panicking
-/// [`TupleSource`]): the node in flight is never retired, so without
-/// the flag the other workers would wait on `pending` forever and the
-/// scope could never join to propagate the panic.
-struct StopOnUnwind<'a>(&'a AtomicBool);
-
-impl Drop for StopOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Lock one worker's deque, recovering from poison: a panicked worker
-/// is already propagated by the scope join, and a deque of plain node
-/// tuples cannot be torn.
-fn lock_deque(dq: &Mutex<VecDeque<Node>>) -> std::sync::MutexGuard<'_, VecDeque<Node>> {
-    dq.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Steal the oldest half of the first non-empty victim deque into
-/// thief `w`'s own deque, returning one node to expand now.  Victims
-/// are probed in ring order starting after the thief; locks are never
-/// held pairwise (the loot is moved through a local buffer), so two
-/// thieves cannot deadlock.
-fn steal_half(deques: &[Mutex<VecDeque<Node>>], w: usize) -> Option<Node> {
-    let workers = deques.len();
-    for d in 1..workers {
-        let victim = (w + d) % workers;
-        let mut loot: VecDeque<Node> = {
-            let mut dq = lock_deque(&deques[victim]);
-            let take = dq.len().div_ceil(2);
-            if take == 0 {
-                continue;
-            }
-            dq.drain(..take).collect()
-        };
-        let node = loot.pop_back();
-        if !loot.is_empty() {
-            let mut own = lock_deque(&deques[w]);
-            debug_assert!(own.is_empty(), "thieves steal only when dry");
-            *own = loot;
-        }
-        return node;
-    }
-    None
 }
 
 /// The evaluator for one equation system over one tuple source.
@@ -932,8 +734,10 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
 
     /// Build an evaluator whose machines are ε-compacted
     /// ([`rq_automata::compact()`]).  Same answers; fewer `id` transitions
-    /// means fewer glue nodes in `G(p, a, i)` (measured by the
-    /// `compact` ablation bench).
+    /// mean fewer glue nodes in `G(p, a, i)` — but only on union-heavy
+    /// equations.  On the served plans' machines it removes nothing
+    /// (`tc = e*·e` keeps its 5 states and 4 `id` transitions), which
+    /// is why no plan is compiled this way.
     pub fn new_compacted(system: &'a EqSystem, source: &'a S) -> Self {
         Self {
             system,
@@ -1072,15 +876,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         let mut counters = Counters::new();
         let mut iteration_stats = Vec::new();
         let mut memo_teleports = 0u64;
-
-        // Parallelism applies per traversal phase; a recorded graph
-        // forces the sequential path (arc attribution is inherently
-        // ordered).
-        let workers = if options.record_graph {
-            1
-        } else {
-            rq_common::capped_threads(options.expand_threads.max(1))
-        };
+        let mut succ_buf: Vec<Const> = Vec::new();
         let mut instances: Vec<Instance> = vec![Instance {
             machine: root_machine,
             exit: None,
@@ -1116,10 +912,9 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                     seeds.push(node);
                 }
             }
-            // Traversal phase: depth-first expansion of the work-list,
-            // sequential or fanned out across scoped workers sharing
-            // the visit-once node set.  Instances and expansions are
-            // immutable for the whole phase.
+            // Traversal phase: depth-first expansion of the work-list.
+            // Instances and expansions are immutable for the whole
+            // phase.
             let step = StepCtx {
                 plan,
                 instances: &instances,
@@ -1128,45 +923,25 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 record_graph: options.record_graph,
             };
             let worklist = seeds.len() as u64;
-            let phase_workers = if seeds.len() >= PARALLEL_MIN_SEEDS {
-                workers.min(seeds.len())
-            } else {
-                1
-            };
-            let stopped = if phase_workers > 1 {
-                traverse_parallel(
+            let mut stack = seeds;
+            let mut stopped = false;
+            while let Some(node) = stack.pop() {
+                if expand_node(
                     &step,
                     self.source,
+                    node,
                     &mut graph,
-                    seeds,
-                    phase_workers,
+                    &mut stack,
                     &mut answers,
                     &mut continuations,
                     &mut counters,
-                )
-            } else {
-                let mut stack = seeds;
-                let mut succ_buf: Vec<Const> = Vec::new();
-                let mut stopped = false;
-                while let Some(node) = stack.pop() {
-                    if expand_node(
-                        &step,
-                        self.source,
-                        node,
-                        &mut |n| graph.insert(n),
-                        &mut stack,
-                        &mut answers,
-                        &mut continuations,
-                        &mut counters,
-                        &mut succ_buf,
-                        &mut arcs,
-                    ) {
-                        stopped = true;
-                        break;
-                    }
+                    &mut succ_buf,
+                    &mut arcs,
+                ) {
+                    stopped = true;
+                    break;
                 }
-                stopped
-            };
+            }
             if stopped {
                 // Membership established (`stop_on_answer`): the
                 // partial answer set already decides the query.
@@ -1203,7 +978,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             // every derived transition out of that state, splice a
             // fresh copy and seed S with its start nodes.  The
             // work-list is sorted so instance numbering is independent
-            // of hash-map and thread-schedule order.
+            // of hash-map order.
             let mut pending: Vec<((u32, u32), Vec<Const>)> = continuations
                 .drain()
                 .map(|(key, terms)| {

@@ -41,8 +41,8 @@
 //! * [`QueryService`] — the front end: parsing, single queries, fact
 //!   ingestion, and [`QueryService::query_batch`], which dedups
 //!   identical specs and fans the rest out across worker threads over
-//!   one shared snapshot, with per-traversal machine-instance
-//!   expansion parallelized inside each query.
+//!   one shared snapshot; each query's traversal runs on the worker
+//!   that took it.
 //!   [`QueryService::answer_text`] / [`QueryService::answer_texts`]
 //!   ([`text`]) are the one route from query *text* to answer rows that
 //!   every front end calls.

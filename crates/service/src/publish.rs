@@ -200,7 +200,7 @@ impl QueryService {
         let source = EdbSource::new(snap.db());
         let evaluator =
             Evaluator::with_plan(&plan.system, &plan.compiled, &source).with_context(&memo);
-        let outcome = evaluator.repair(&pairs, &self.budgeted_options(self.config.eval_threads));
+        let outcome = evaluator.repair(&pairs, &self.budgeted_options());
         if !outcome.repaired {
             return self.refuse_repair();
         }
@@ -264,7 +264,7 @@ impl QueryService {
             VirtualSource::with_space(snap.program(), snap.db(), &plan.binary, Arc::clone(&fork));
         let evaluator =
             Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source).with_context(&memo);
-        let outcome = evaluator.repair(&vpairs, &self.budgeted_options(self.config.eval_threads));
+        let outcome = evaluator.repair(&vpairs, &self.budgeted_options());
         if !outcome.repaired {
             return self.refuse_repair();
         }
@@ -282,7 +282,7 @@ impl QueryService {
     /// bumps neither the query counter nor the cache hit/miss stats, so
     /// a repeated-variable spec takes its distinct-variable base answer
     /// from here rather than through `evaluate_spec`'s counted
-    /// `query_on_with` — and an entry this publish already put back (as
+    /// `query_on` — and an entry this publish already put back (as
     /// some diagonal's base) is reused, not evaluated twice.  The one
     /// exception is a non-regular all-pairs entry, whose per-source
     /// point sub-queries are served — and counted — as the real
@@ -302,9 +302,7 @@ impl QueryService {
                 ..base
             }
         } else {
-            self.evaluate_spec(snap, spec, self.config.eval_threads)
-                .ok()?
-                .0
+            self.evaluate_spec(snap, spec).ok()?.0
         };
         self.results.insert(key, result.clone());
         Some(result)

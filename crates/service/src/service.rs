@@ -24,12 +24,8 @@ pub struct ServiceConfig {
     /// Worker threads for [`QueryService::query_batch`].  `1` means the
     /// batch runs inline on the caller's thread.
     pub threads: usize,
-    /// Worker threads for expanding machine instances *inside one
-    /// traversal* ([`EvalOptions::expand_threads`]).  Single queries
-    /// use the full count; a batch divides it by its own worker count
-    /// so the two levels of parallelism compose instead of multiplying.
-    /// Capped (like `threads`) by the `RQC_THREADS` environment
-    /// variable.
+    /// Ignored — a traversal runs on its caller's thread; kept because
+    /// the benchmark harness (`bench/src/layers.rs`) still names it.
     pub eval_threads: usize,
     /// Share the epoch-scoped evaluation context (machine-traversal
     /// memo + §4 virtual-probe memo + SCC routing) between the queries
@@ -87,7 +83,7 @@ impl Default for ServiceConfig {
         );
         Self {
             threads: parallelism,
-            eval_threads: parallelism,
+            eval_threads: 1,
             share_epoch_context: true,
             options: EvalOptions::default(),
             cyclic_guard: true,
@@ -760,18 +756,6 @@ impl QueryService {
         snapshot: &Snapshot,
         spec: &QuerySpec,
     ) -> Result<ServiceAnswer, ServiceError> {
-        self.query_on_with(snapshot, spec, self.config.eval_threads)
-    }
-
-    /// [`QueryService::query_on`] with an explicit per-traversal
-    /// expansion-thread count — the batch path divides the configured
-    /// [`ServiceConfig::eval_threads`] by its own worker count.
-    fn query_on_with(
-        &self,
-        snapshot: &Snapshot,
-        spec: &QuerySpec,
-        expand_threads: usize,
-    ) -> Result<ServiceAnswer, ServiceError> {
         self.counters.queries.inc();
         let span = obs::span("service.query");
         let key = ResultKey {
@@ -795,7 +779,7 @@ impl QueryService {
             }
             span.note("result_cache", "miss");
         }
-        let (result, counters) = self.evaluate_spec(snapshot, spec, expand_threads)?;
+        let (result, counters) = self.evaluate_spec(snapshot, spec)?;
         if span.active() {
             span.note("rows", result.rows.len());
             span.note("converged", result.converged);
@@ -820,7 +804,6 @@ impl QueryService {
         &self,
         snapshot: &Snapshot,
         spec: &QuerySpec,
-        expand_threads: usize,
     ) -> Result<(CachedResult, Counters), ServiceError> {
         let arity = snapshot.program().arity(spec.pred);
         if spec.arity() != arity {
@@ -842,10 +825,10 @@ impl QueryService {
         }
         // Repeated free variables (diagonals and their n-ary
         // generalizations) filter the distinct-variable base answer;
-        // going through `query_on_with` warms — and reuses — its cache
+        // going through `query_on` warms — and reuses — its cache
         // entry.
         if spec.has_repeats() {
-            let base = self.query_on_with(snapshot, &spec.with_distinct_frees(), expand_threads)?;
+            let base = self.query_on(snapshot, &spec.with_distinct_frees())?;
             let result = CachedResult {
                 rows: Arc::new(spec.restrict_rows(&base.rows)),
                 converged: base.converged,
@@ -864,7 +847,7 @@ impl QueryService {
                     .chain_plan_for(snapshot, spec.pred, spec.adornment())
             };
             if let Ok(plan) = chain {
-                return self.evaluate_chain(snapshot, &plan, spec, expand_threads);
+                return self.evaluate_chain(snapshot, &plan, spec);
             }
         }
         let plan = {
@@ -874,7 +857,7 @@ impl QueryService {
                 .map_err(|e| ServiceError::Plan(e.to_string()))?
         };
         // No m·n bound exists over virtual relations.
-        let options = self.budgeted_options(expand_threads);
+        let options = self.budgeted_options();
         // Epoch sharing: every query of this snapshot against this
         // plan shares one tuple interner + virtual-probe memo, and the
         // engine's machine memo, so a batch pays each probe once.
@@ -945,26 +928,25 @@ impl QueryService {
         snapshot: &Snapshot,
         plan: &ProgramPlan,
         spec: &QuerySpec,
-        expand_threads: usize,
     ) -> Result<(CachedResult, Counters), ServiceError> {
         let args = spec.args();
         debug_assert_eq!(args.len(), 2);
         let (rows, converged, counters) = match (args[0], args[1]) {
             (Arg::Bound(a), Arg::Free(_)) => {
                 let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, a, false, None, expand_threads);
+                    self.traverse(snapshot, plan, spec.pred, a, false, None);
                 (Rows::from_sorted_column(answers), converged, counters)
             }
             (Arg::Free(_), Arg::Bound(b)) => {
                 let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, b, true, None, expand_threads);
+                    self.traverse(snapshot, plan, spec.pred, b, true, None);
                 (Rows::from_sorted_column(answers), converged, counters)
             }
             (Arg::Bound(a), Arg::Bound(b)) => {
                 // Membership: traverse forward from `a`, stopping the
                 // moment `b` is emitted.
                 let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, a, false, Some(b), expand_threads);
+                    self.traverse(snapshot, plan, spec.pred, a, false, Some(b));
                 (Rows::membership(answers.contains(&b)), converged, counters)
             }
             (Arg::Free(_), Arg::Free(_)) => {
@@ -982,7 +964,7 @@ impl QueryService {
                     && !plan.system.rhs[&spec.pred].contains_any(&derived)
                 {
                     snapshot.context().note_scc_served();
-                    let options = self.guarded_options(None, expand_threads);
+                    let options = self.guarded_options(None);
                     let source = EdbSource::new(snapshot.db());
                     // Min-side: propagate per-component answer sets
                     // from whichever orientation makes them smaller
@@ -1005,11 +987,7 @@ impl QueryService {
                     let mut converged = true;
                     let mut counters = Counters::default();
                     for a in sources {
-                        let sub = self.query_on_with(
-                            snapshot,
-                            &QuerySpec::bound_free(spec.pred, a),
-                            expand_threads,
-                        )?;
+                        let sub = self.query_on(snapshot, &QuerySpec::bound_free(spec.pred, a))?;
                         converged &= sub.converged;
                         counters += sub.counters;
                         for y in sub.constants() {
@@ -1032,7 +1010,6 @@ impl QueryService {
     /// guard ([`evaluate_guarded`]: the `m·n` bound of the query's
     /// direction, else the fallback node budget): sorted answers,
     /// convergence, and the run's unit-cost counters.
-    #[allow(clippy::too_many_arguments)]
     fn traverse(
         &self,
         snapshot: &Snapshot,
@@ -1041,9 +1018,8 @@ impl QueryService {
         constant: Const,
         inverse: bool,
         stop_on_answer: Option<Const>,
-        expand_threads: usize,
     ) -> (Vec<Const>, bool, Counters) {
-        let options = self.guarded_options(stop_on_answer, expand_threads);
+        let options = self.guarded_options(stop_on_answer);
         let source = EdbSource::new(snapshot.db());
         let mut evaluator = Evaluator::with_plan(&plan.system, &plan.compiled, &source);
         if self.config.share_epoch_context {
@@ -1067,15 +1043,11 @@ impl QueryService {
         (outcome.answers, outcome.converged, outcome.counters)
     }
 
-    /// The configured base options with the membership target and
-    /// per-traversal expansion threads applied.
-    fn guarded_options(&self, stop_on_answer: Option<Const>, expand_threads: usize) -> EvalOptions {
+    /// The configured base options with the membership target applied.
+    fn guarded_options(&self, stop_on_answer: Option<Const>) -> EvalOptions {
         let mut options = self.config.options.clone();
         if options.stop_on_answer.is_none() {
             options.stop_on_answer = stop_on_answer;
-        }
-        if options.expand_threads == 0 {
-            options.expand_threads = expand_threads.max(1);
         }
         options
     }
@@ -1087,8 +1059,8 @@ impl QueryService {
     /// cannot hang the worker or the publish.  A budget-stopped run
     /// honestly reports non-convergence; a budget-stopped repair
     /// reports failure and falls back cold.
-    pub(crate) fn budgeted_options(&self, expand_threads: usize) -> EvalOptions {
-        let mut options = self.guarded_options(None, expand_threads);
+    pub(crate) fn budgeted_options(&self) -> EvalOptions {
+        let mut options = self.guarded_options(None);
         if options.max_iterations.is_none()
             && self.config.cyclic_guard
             && options.node_budget.is_none()
@@ -1142,18 +1114,8 @@ impl QueryService {
         // test configs), so `RQC_THREADS=1` really does force the
         // whole stack single-threaded.
         let workers = rq_common::capped_threads(self.config.threads).clamp(1, unique.len().max(1));
-        // Two composable levels of parallelism: `workers` across the
-        // batch, and the per-traversal expansion threads inside each
-        // query.  Dividing one by the other keeps the total roughly at
-        // the configured level — a batch of one big all-pairs query
-        // spends everything inside its traversal, a wide batch spends
-        // everything across queries.
-        let expand_threads = (self.config.eval_threads / workers).max(1);
         let answers: Vec<Result<ServiceAnswer, ServiceError>> = if workers <= 1 {
-            unique
-                .iter()
-                .map(|q| self.query_on_with(snapshot, q, self.config.eval_threads))
-                .collect()
+            unique.iter().map(|q| self.query_on(snapshot, q)).collect()
         } else {
             let slots: Vec<OnceLock<Result<ServiceAnswer, ServiceError>>> =
                 (0..unique.len()).map(|_| OnceLock::new()).collect();
@@ -1163,7 +1125,7 @@ impl QueryService {
                     scope.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(query) = unique.get(i) else { break };
-                        let answer = self.query_on_with(snapshot, query, expand_threads);
+                        let answer = self.query_on(snapshot, query);
                         slots[i].set(answer).expect("slot claimed twice");
                     });
                 }

@@ -141,7 +141,7 @@ proptest! {
     }
 
     /// Delta-repair equivalence: a warm service (repair on, parallel
-    /// work-stealing expansion) that absorbs N random small ingests
+    /// batch workers) that absorbs N random small ingests
     /// answers exactly like a cold service rebuilt from scratch on the
     /// grown program — with and without result memoization, so both
     /// the repaired context and the swept-and-re-derived result cache

@@ -6,8 +6,9 @@
 //!
 //! * request line + headers + `Content-Length`-framed bodies (no
 //!   chunked transfer encoding — requests carrying
-//!   `Transfer-Encoding` are rejected outright, which also closes the
-//!   classic request-smuggling ambiguity);
+//!   `Transfer-Encoding` are rejected outright, and every
+//!   `Content-Length` must be plain digits agreeing with every other
+//!   copy, which closes the classic request-smuggling ambiguities);
 //! * persistent connections (`keep-alive` is the HTTP/1.1 default;
 //!   `Connection: close` and HTTP/1.0 semantics are honored), which
 //!   makes pipelined requests work for free: requests are read
@@ -95,6 +96,20 @@ pub enum RequestError {
     /// A request with a body arrived without `Content-Length`.
     /// Respond `411`.
     LengthRequired,
+}
+
+impl RequestError {
+    /// The status a server answers this error with, or `None` when
+    /// there is nobody to answer (a clean close, a dead transport).
+    pub fn status(&self) -> Option<u16> {
+        match self {
+            RequestError::Closed | RequestError::Io(_) => None,
+            RequestError::Malformed(_) => Some(400),
+            RequestError::LengthRequired => Some(411),
+            RequestError::BodyTooLarge(_) => Some(413),
+            RequestError::HeadTooLarge => Some(431),
+        }
+    }
 }
 
 impl std::fmt::Display for RequestError {
@@ -193,11 +208,8 @@ pub fn read_body(
             "transfer-encoding is not supported; frame the body with content-length".into(),
         ));
     }
-    let length = match request.header("content-length") {
-        Some(text) => text
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| RequestError::Malformed(format!("bad content-length `{text}`")))?,
+    let length = match content_length(request)? {
+        Some(length) => length,
         None if matches!(request.method.as_str(), "POST" | "PUT" | "PATCH") => {
             return Err(RequestError::LengthRequired)
         }
@@ -207,9 +219,41 @@ pub fn read_body(
         return Err(RequestError::BodyTooLarge(length));
     }
     let mut body = vec![0u8; length as usize];
-    reader.read_exact(&mut body).map_err(RequestError::Io)?;
+    reader.read_exact(&mut body).map_err(|e| match e.kind() {
+        // Like a head cut short: the peer stopped sending mid-request.
+        std::io::ErrorKind::UnexpectedEof => {
+            RequestError::Malformed("connection closed mid-body".into())
+        }
+        _ => RequestError::Io(e),
+    })?;
     request.body = body;
     Ok(())
+}
+
+/// The body length `request` announces, if it announces one.  Every
+/// `Content-Length` copy must be `1*DIGIT` (so no sign, no list) and
+/// all copies must agree: framing by one of two different lengths is
+/// the CL/CL request-smuggling ambiguity.
+fn content_length(request: &Request) -> Result<Option<u64>, RequestError> {
+    let mut length = None;
+    for (_, text) in request
+        .headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+    {
+        let bad = || RequestError::Malformed(format!("bad content-length `{text}`"));
+        if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad());
+        }
+        let value = text.parse::<u64>().map_err(|_| bad())?;
+        if length.is_some_and(|first| first != value) {
+            return Err(RequestError::Malformed(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        length = Some(value);
+    }
+    Ok(length)
 }
 
 /// Read one CRLF-terminated line, charging its bytes against the head
@@ -323,7 +367,8 @@ pub fn write_continue(stream: &mut impl Write) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use proptest::prelude::*;
+    use std::io::{BufReader, Cursor};
 
     fn parse(bytes: &[u8]) -> Result<Request, RequestError> {
         let mut reader = BufReader::new(bytes);
@@ -397,6 +442,30 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(RequestError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        for head in [
+            "Content-Length: +5",
+            "Content-Length: -1",
+            "Content-Length: 5, 5",
+            "Content-Length: 0x5",
+            "Content-Length:",
+            "Content-Length: 5\r\nContent-Length: 100",
+            "Content-Length: 99999999999999999999999",
+        ] {
+            let text = format!("POST /query HTTP/1.1\r\n{head}\r\n\r\nhello");
+            assert!(
+                matches!(parse(text.as_bytes()), Err(RequestError::Malformed(_))),
+                "{head:?}"
+            );
+        }
+        // Agreeing copies frame the body like one.
+        let req =
+            parse(b"POST /q HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 005\r\n\r\nhello")
+                .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]
@@ -500,5 +569,120 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("content-type: text/plain; version=0.0.4; charset=utf-8\r\n"));
         assert!(text.contains("connection: close\r\n"));
+    }
+
+    /// Run `bytes` through the parser under `limits`, checking what must
+    /// hold of any input: the reads — and so every buffer — stay within
+    /// `max_head_bytes + 1` and `max_body_bytes`, and every error is one
+    /// a server answers (400, 411, 413, 431) or a clean close.
+    fn parse_bounded(bytes: &[u8], limits: &Limits) -> Result<Request, RequestError> {
+        let mut reader = Cursor::new(bytes);
+        let head = read_head(&mut reader, limits);
+        let head_read = reader.position() as usize;
+        assert!(
+            head_read <= limits.max_head_bytes + 1,
+            "head read {head_read} bytes"
+        );
+        let outcome = head
+            .and_then(|mut request| read_body(&mut reader, &mut request, limits).map(|()| request));
+        let body_read = reader.position() as usize - head_read;
+        assert!(
+            body_read <= limits.max_body_bytes,
+            "body read {body_read} bytes"
+        );
+        if let Err(e) = &outcome {
+            assert!(
+                matches!(e, RequestError::Closed)
+                    || matches!(e.status(), Some(400 | 411 | 413 | 431)),
+                "{e:?}"
+            );
+        }
+        outcome
+    }
+
+    /// Method, path, headers and body of one valid request.
+    type Parts = (String, String, Vec<(String, String)>, Vec<u8>);
+
+    fn valid_request() -> impl Strategy<Value = Parts> {
+        (
+            "[A-Z]{1,7}",
+            "/[a-z0-9/_.?=-]{0,16}",
+            prop::collection::vec(("x-[a-zA-Z0-9-]{1,10}", "[!-~][ -~]{0,16}"), 0..6),
+            prop::collection::vec(0u8..=255, 0..48),
+        )
+    }
+
+    /// `parts` on the wire; the body is framed by a trailing
+    /// `Content-Length` header.
+    fn frame_request((method, path, headers, body): &Parts) -> Vec<u8> {
+        let mut head = format!("{method} {path} HTTP/1.1\r\n");
+        for (name, value) in headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        [head.as_bytes(), body].concat()
+    }
+
+    /// Room for anything [`valid_request`] generates.
+    const ROOMY: Limits = Limits {
+        max_head_bytes: 1024,
+        max_body_bytes: 64,
+    };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_stay_bounded(
+            junk in prop::collection::vec(0u8..=255, 0..300),
+            max_head_bytes in 16usize..160,
+            max_body_bytes in 0usize..48,
+        ) {
+            let limits = Limits { max_head_bytes, max_body_bytes };
+            let _ = parse_bounded(&junk, &limits);
+            // Behind a valid request line, so the junk reaches headers.
+            let _ = parse_bounded(&[&b"POST / HTTP/1.1\r\n"[..], &junk].concat(), &limits);
+        }
+
+        #[test]
+        fn flipped_or_truncated_requests_stay_bounded(
+            parts in valid_request(),
+            at in 0usize..1 << 16,
+            flip in 1u8..=255,
+            max_head_bytes in 16usize..160,
+            max_body_bytes in 0usize..48,
+        ) {
+            let bytes = frame_request(&parts);
+            for limits in [ROOMY, Limits { max_head_bytes, max_body_bytes }] {
+                let mut flipped = bytes.clone();
+                flipped[at % bytes.len()] ^= flip;
+                let _ = parse_bounded(&flipped, &limits);
+                let _ = parse_bounded(&bytes[..at % bytes.len()], &limits);
+            }
+        }
+
+        #[test]
+        fn valid_requests_survive_reframing(parts in valid_request()) {
+            let parsed = parse_bounded(&frame_request(&parts), &ROOMY).unwrap();
+            let (method, path, headers, body) = &parts;
+            let mut expected: Vec<(String, String)> = headers
+                .iter()
+                .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
+                .collect();
+            expected.push(("content-length".into(), body.len().to_string()));
+            prop_assert_eq!(&parsed.method, method);
+            prop_assert_eq!(&parsed.path, path);
+            prop_assert_eq!(&parsed.headers, &expected);
+            prop_assert_eq!(&parsed.body, body);
+            // Framed again from what was parsed, it parses the same.
+            let (mut headers, body) = (parsed.headers.clone(), parsed.body.clone());
+            headers.pop();
+            let again = frame_request(&(parsed.method.clone(), parsed.path.clone(), headers, body));
+            let reparsed = parse_bounded(&again, &ROOMY).unwrap();
+            prop_assert_eq!(&reparsed.method, &parsed.method);
+            prop_assert_eq!(&reparsed.path, &parsed.path);
+            prop_assert_eq!(&reparsed.headers, &parsed.headers);
+            prop_assert_eq!(&reparsed.body, &parsed.body);
+        }
     }
 }

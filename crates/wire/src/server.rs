@@ -4,8 +4,7 @@
 //! The shape is deliberately simple — N OS threads, each blocked in
 //! `accept`, each serving one connection at a time with keep-alive —
 //! because the expensive work (traversal, joins) already parallelizes
-//! *inside* the service: `query_batch` fans across its own workers and
-//! each traversal can expand machine instances across threads.  The
+//! *inside* the service: `query_batch` fans across its own workers.  The
 //! wire workers only parse bytes and route; resolving their count
 //! through the same `RQC_THREADS` cap as every other layer keeps the
 //! process's total thread budget coherent.
@@ -387,13 +386,8 @@ fn log_slow_request(
 /// connection (after a framing error the stream position is
 /// untrustworthy, so keep-alive is never offered).
 fn refuse(writer: &mut TcpStream, error: RequestError) -> std::io::Result<()> {
-    let status = match &error {
-        RequestError::Closed => return Ok(()),
-        RequestError::Io(_) => return Ok(()), // peer is gone; nothing to say
-        RequestError::Malformed(_) => 400,
-        RequestError::LengthRequired => 411,
-        RequestError::BodyTooLarge(_) => 413,
-        RequestError::HeadTooLarge => 431,
+    let Some(status) = error.status() else {
+        return Ok(()); // peer is gone; nothing to say
     };
     let body = Json::object([("error", Json::Str(error.to_string()))]).encode();
     http::write_response(writer, status, "application/json", &body, false)

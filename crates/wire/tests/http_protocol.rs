@@ -257,6 +257,39 @@ fn raw_garbage_gets_400_not_a_hang() {
 }
 
 #[test]
+fn ambiguous_content_length_is_a_400_that_closes_like_any_other() {
+    // Each head is followed by a pipelined request that must never be
+    // answered: after a framing error the server trusts nothing more
+    // on the stream.  Garbage sets the bar the two framings must meet.
+    let (_service, handle) = start(TC, WireConfig::default());
+    for head in [
+        "NOT HTTP AT ALL\r\n\r\n",
+        "POST /query HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 100\r\n\r\n",
+        "POST /query HTTP/1.1\r\ncontent-length: +5\r\n\r\n",
+    ] {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut bytes = format!("{head}hello");
+        bytes.push_str(&request_bytes("GET", "/healthz", ""));
+        writer.write_all(bytes.as_bytes()).unwrap();
+        let response = read_response(&mut reader);
+        assert_eq!(response.status, 400, "{head:?}");
+        assert_eq!(response.connection, "close", "{head:?}");
+        // EOF or a reset (bytes left unread): either way, closed.
+        let mut rest = Vec::new();
+        let _ = reader.read_to_end(&mut rest);
+        assert!(
+            rest.is_empty(),
+            "{head:?}: the pipelined request got an answer"
+        );
+    }
+    // The server survives and keeps serving new connections.
+    assert_eq!(roundtrip(&handle, "GET", "/healthz", "").status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn concurrent_ingest_while_querying_over_sockets() {
     // Writers publish epochs over /ingest while readers hammer /query
     // and /batch on their own connections.  Every response must be

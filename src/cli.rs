@@ -443,11 +443,7 @@ impl ServeSession {
         let program = parse_program(source).map_err(|e| e.to_string())?;
         let mut config = rq_service::ServiceConfig::default();
         if threads > 0 {
-            // One knob for both levels: `--threads 1` really is a
-            // single-threaded service (batch workers *and* in-query
-            // machine expansion).
             config.threads = threads;
-            config.eval_threads = threads;
         }
         let service = match data_dir {
             None => rq_service::QueryService::with_config(program, config),

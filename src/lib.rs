@@ -119,7 +119,6 @@ pub(crate) fn single_threaded(program: Program, options: &EvalOptions) -> QueryS
         program,
         ServiceConfig {
             threads: 1,
-            eval_threads: 1,
             options: options.clone(),
             ..ServiceConfig::default()
         },
