@@ -40,9 +40,11 @@
 //!   publishing a new epoch invalidates wholesale by construction.
 //! * [`QueryService`] — the front end: parsing, single queries, fact
 //!   ingestion, and [`QueryService::query_batch`], which dedups
-//!   identical specs and fans the rest out across worker threads over
-//!   one shared snapshot; each query's traversal runs on the worker
-//!   that took it.
+//!   identical specs and answers the rest in order on the calling
+//!   thread over one pinned snapshot.  The service spawns no threads:
+//!   front ends get concurrency by answering concurrent requests on
+//!   their own threads (the `rq-wire` workers), all sharing one
+//!   service.
 //!   [`QueryService::answer_text`] / [`QueryService::answer_texts`]
 //!   ([`text`]) are the one route from query *text* to answer rows that
 //!   every front end calls.

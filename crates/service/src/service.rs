@@ -1,6 +1,6 @@
 //! The query service: snapshots + plan cache + result cache + a
-//! parallel, deduplicating batch front end, all keyed on the
-//! generalized [`QuerySpec`].
+//! deduplicating batch front end, all keyed on the generalized
+//! [`QuerySpec`].
 
 use crate::durable::{self, BaseProfile, DurabilityConfig, DurableStore, RecoveryReport};
 use crate::plan::{PlanCache, ProgramPlan};
@@ -14,15 +14,15 @@ use rq_engine::{
     all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
 };
 use rq_store::StorageBackend;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service-level settings.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads for [`QueryService::query_batch`].  `1` means the
-    /// batch runs inline on the caller's thread.
+    /// Ignored — a batch runs on its caller's thread; kept because the
+    /// benchmark harness (`bench/src/layers.rs`) still names it.
     pub threads: usize,
     /// Ignored — a traversal runs on its caller's thread; kept because
     /// the benchmark harness (`bench/src/layers.rs`) still names it.
@@ -76,13 +76,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let parallelism = rq_common::capped_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
         Self {
-            threads: parallelism,
+            threads: 1,
             eval_threads: 1,
             share_epoch_context: true,
             options: EvalOptions::default(),
@@ -1070,11 +1065,13 @@ impl QueryService {
         options
     }
 
-    /// Fan a batch of queries out across the configured worker
-    /// threads.  The whole batch is answered on **one** snapshot (the
-    /// current epoch at entry), so results are mutually consistent even
-    /// while ingestion runs concurrently.  Identical specs are
-    /// evaluated **once** and share their answer across the batch
+    /// Answer a batch of queries, in input order, on the calling
+    /// thread: concurrency lives one level up, in front ends that serve
+    /// concurrent requests on their own threads.  The whole batch is
+    /// answered on **one** snapshot (the current epoch at entry), so
+    /// results are mutually consistent even while ingestion runs
+    /// concurrently.  Identical specs are evaluated **once** and share
+    /// their answer across the batch
     /// ([`crate::plan::CacheStats::deduped`] counts the copies).
     /// Output order matches input order.
     pub fn query_batch(&self, queries: &[QuerySpec]) -> Vec<Result<ServiceAnswer, ServiceError>> {
@@ -1110,31 +1107,8 @@ impl QueryService {
         if deduped > 0 {
             self.results.note_deduped(deduped);
         }
-        // The cap applies to explicit settings too (`--threads N`,
-        // test configs), so `RQC_THREADS=1` really does force the
-        // whole stack single-threaded.
-        let workers = rq_common::capped_threads(self.config.threads).clamp(1, unique.len().max(1));
-        let answers: Vec<Result<ServiceAnswer, ServiceError>> = if workers <= 1 {
-            unique.iter().map(|q| self.query_on(snapshot, q)).collect()
-        } else {
-            let slots: Vec<OnceLock<Result<ServiceAnswer, ServiceError>>> =
-                (0..unique.len()).map(|_| OnceLock::new()).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(query) = unique.get(i) else { break };
-                        let answer = self.query_on(snapshot, query);
-                        slots[i].set(answer).expect("slot claimed twice");
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("worker left a slot empty"))
-                .collect()
-        };
+        let answers: Vec<Result<ServiceAnswer, ServiceError>> =
+            unique.iter().map(|q| self.query_on(snapshot, q)).collect();
         slot_of.into_iter().map(|i| answers[i].clone()).collect()
     }
 }
@@ -1309,7 +1283,6 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
             )
             .unwrap(),
             ServiceConfig {
-                threads: 1,
                 options: EvalOptions {
                     max_iterations: Some(8),
                     ..EvalOptions::default()
@@ -1440,7 +1413,6 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::with_config(
             rq_datalog::parse_program(TC).unwrap(),
             ServiceConfig {
-                threads: 1,
                 delta_repair: false,
                 ..ServiceConfig::default()
             },
@@ -1503,7 +1475,6 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::with_config(
             rq_datalog::parse_program(TC).unwrap(),
             ServiceConfig {
-                threads: 1,
                 result_cache_capacity: Some(2),
                 ..ServiceConfig::default()
             },
@@ -1521,7 +1492,6 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::with_config(
             rq_datalog::parse_program(TC).unwrap(),
             ServiceConfig {
-                threads: 1,
                 result_cache_capacity: None,
                 result_cache_bytes: Some(400),
                 ..ServiceConfig::default()
@@ -1652,7 +1622,6 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
             )
             .unwrap(),
             ServiceConfig {
-                threads: 1,
                 fallback_node_budget: Some(5_000),
                 ..ServiceConfig::default()
             },
@@ -1750,15 +1719,20 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::with_config(
             rq_datalog::parse_program(FLIGHTS).unwrap(),
             ServiceConfig {
-                threads: 4,
                 memoize_results: false,
                 ..ServiceConfig::default()
             },
         );
         let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
-        let batch = service.query_batch(&vec![q; 8]);
-        for out in batch {
-            assert_eq!(out.unwrap().rows.len(), 3);
-        }
+        let batch = vec![q; 8];
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for out in service.query_batch(&batch) {
+                        assert_eq!(out.unwrap().rows.len(), 3);
+                    }
+                });
+            }
+        });
     }
 }

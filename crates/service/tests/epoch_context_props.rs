@@ -1,8 +1,8 @@
 //! Soundness of the epoch-scoped evaluation context:
 //!
 //! * **memo soundness** — a warm-epoch batch (shared machine memo,
-//!   shared virtual-probe memo, shared-SCC all-free routing, parallel
-//!   expansion) answers exactly like a cold sequential service that
+//!   shared virtual-probe memo, shared-SCC all-free routing) answers
+//!   exactly like a cold service that
 //!   re-derives everything per query, on random n-ary programs;
 //! * **epoch isolation** — publishing a new epoch invalidates every
 //!   context entry whose plan reads a dirtied shard; entries may only
@@ -28,11 +28,9 @@ use rq_workloads::randprog::{
 };
 
 /// A service that shares nothing between queries: cold per-query
-/// re-derivation, single-threaded, no result memoization.
+/// re-derivation, no result memoization.
 fn cold_config() -> ServiceConfig {
     ServiceConfig {
-        threads: 1,
-        eval_threads: 1,
         share_epoch_context: false,
         memoize_results: false,
         ..ServiceConfig::default()
@@ -43,8 +41,6 @@ fn cold_config() -> ServiceConfig {
 /// so answers demonstrably come from evaluation through the context.
 fn warm_config() -> ServiceConfig {
     ServiceConfig {
-        threads: 4,
-        eval_threads: 4,
         share_epoch_context: true,
         memoize_results: false,
         ..ServiceConfig::default()
@@ -140,8 +136,8 @@ proptest! {
         }
     }
 
-    /// Delta-repair equivalence: a warm service (repair on, parallel
-    /// batch workers) that absorbs N random small ingests
+    /// Delta-repair equivalence: a warm service (repair on) that
+    /// absorbs N random small ingests
     /// answers exactly like a cold service rebuilt from scratch on the
     /// grown program — with and without result memoization, so both
     /// the repaired context and the swept-and-re-derived result cache
@@ -152,7 +148,7 @@ proptest! {
         let warm = QueryService::with_config(np.program.clone(), warm_config());
         let memoizing = QueryService::with_config(
             np.program.clone(),
-            ServiceConfig { threads: 4, eval_threads: 4, ..ServiceConfig::default() },
+            ServiceConfig::default(),
         );
         let specs: Vec<_> = np
             .queries
@@ -221,7 +217,6 @@ fn clean_read_set_machine_memo_survives_disjoint_publish() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            threads: 1,
             memoize_results: false,
             delta_repair: false,
             ..ServiceConfig::default()
@@ -272,7 +267,6 @@ fn clean_nary_probe_space_survives_disjoint_publish() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            threads: 1,
             memoize_results: false,
             delta_repair: false,
             ..ServiceConfig::default()
@@ -319,7 +313,6 @@ fn dirty_chain_memo_is_repaired_in_place() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            threads: 1,
             memoize_results: false,
             ..ServiceConfig::default()
         },
@@ -362,7 +355,6 @@ fn dirty_nary_probe_space_is_repaired_in_place() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            threads: 1,
             memoize_results: false,
             ..ServiceConfig::default()
         },
@@ -391,10 +383,7 @@ fn all_free_regular_queries_take_the_scc_path() {
                       e(a,b). e(b,c). e(c,a). e(c,d).";
     let shared = QueryService::with_config(
         rq_datalog::parse_program(TC).unwrap(),
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     );
     let per_source =
         QueryService::with_config(rq_datalog::parse_program(TC).unwrap(), cold_config());
@@ -428,10 +417,7 @@ fn non_regular_all_free_falls_back_to_per_source() {
                       up(a,a1). up(b,a1). flat(a1,c1). down(c1,d). flat(a,z).";
     let shared = QueryService::with_config(
         rq_datalog::parse_program(SG).unwrap(),
-        ServiceConfig {
-            threads: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     );
     let cold = QueryService::with_config(rq_datalog::parse_program(SG).unwrap(), cold_config());
     let all = shared.parse_query("sg(X, Y)").unwrap();
@@ -477,17 +463,15 @@ fn batched_flights_share_probe_work_within_one_epoch() {
 
 #[test]
 fn shared_context_respects_eval_options_overrides() {
-    // A service with an explicit expand_threads override in its base
-    // options keeps that override (the per-batch division only fills
-    // the default).
+    // A service with an explicit node budget in its base options keeps
+    // that override (the cyclic guard only fills the default), and a
+    // budget the traversal stays under still converges.
     const TC: &str = "tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\ne(a,b). e(b,c).";
     let service = QueryService::with_config(
         rq_datalog::parse_program(TC).unwrap(),
         ServiceConfig {
-            threads: 2,
-            eval_threads: 8,
             options: EvalOptions {
-                expand_threads: 1,
+                node_budget: Some(1_000),
                 ..EvalOptions::default()
             },
             ..ServiceConfig::default()
@@ -496,6 +480,7 @@ fn shared_context_respects_eval_options_overrides() {
     let q = service.parse_query("tc(a, Y)").unwrap();
     let out = service.query(&q).unwrap();
     assert_eq!(out.rows.len(), 2);
+    assert!(out.converged);
 }
 
 /// One cached plan as the fate property sees it.
@@ -664,11 +649,7 @@ fn plan_state_and_result_entries_share_one_fate() {
     // one-node fallback budget: its queries still converge under their
     // m·n bound while every repair refuses.  (§4 queries have no such
     // bound, so that budget would truncate the answers themselves.)
-    let base = ServiceConfig {
-        threads: 2,
-        eval_threads: 1,
-        ..ServiceConfig::default()
-    };
+    let base = ServiceConfig::default();
     let no_repair = ServiceConfig {
         delta_repair: false,
         ..base.clone()

@@ -84,13 +84,7 @@ fn paper_flights_database_matches_baselines_end_to_end() {
 fn generated_flight_networks_match_baselines_through_batches() {
     for (airports, per, seed) in [(4, 2, 7), (6, 3, 11)] {
         let workload = flights::network(airports, per, seed);
-        let service = QueryService::with_config(
-            workload.program.clone(),
-            ServiceConfig {
-                threads: 4,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = QueryService::with_config(workload.program.clone(), ServiceConfig::default());
         // The serving workload: every (airport, deptime) anchor, as one
         // deduped batch.
         let texts = flights::serve_queries(airports, per);
@@ -121,13 +115,7 @@ fn generated_flight_networks_match_baselines_through_batches() {
 fn flight_sweep_runs_each_defining_join_once_per_epoch() {
     let (airports, per) = (300, 4);
     let workload = flights::network(airports, per, 42);
-    let service = QueryService::with_config(
-        workload.program.clone(),
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::with_config(workload.program.clone(), ServiceConfig::default());
     let texts = flights::serve_queries(airports, per);
     let specs: Vec<QuerySpec> = texts
         .iter()
@@ -191,13 +179,7 @@ fn random_nary_programs_match_baselines() {
             seed,
             ..NaryConfig::default()
         });
-        let service = QueryService::with_config(
-            np.program.clone(),
-            ServiceConfig {
-                threads: 2,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = QueryService::with_config(np.program.clone(), ServiceConfig::default());
         for q in &np.queries {
             check_query(&service, q);
         }

@@ -92,16 +92,10 @@ fn seminaive_rows(snapshot: &Snapshot, spec: &QuerySpec) -> Vec<Vec<Const>> {
     rows
 }
 
-/// Run every (constant, adornment) point query of `workload` through a
-/// 4-worker batch and diff each answer against both oracles.
+/// Run every (constant, adornment) point query of `workload` through
+/// one batch and diff each answer against both oracles.
 fn check_workload(workload: &Workload) {
-    let service = QueryService::with_config(
-        workload.program.clone(),
-        ServiceConfig {
-            threads: 4,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::with_config(workload.program.clone(), ServiceConfig::default());
     let snapshot = service.snapshot();
     let pred = {
         let name = workload.query.split('(').next().unwrap().trim();
@@ -179,13 +173,7 @@ fn random_programs_match_oracles() {
             RecursionStyle::Mixed,
         ] {
             let rp = seeded(seed, style);
-            let service = QueryService::with_config(
-                rp.program.clone(),
-                ServiceConfig {
-                    threads: 3,
-                    ..ServiceConfig::default()
-                },
-            );
+            let service = QueryService::with_config(rp.program.clone(), ServiceConfig::default());
             let snapshot = service.snapshot();
             let system = oracle_system(&snapshot);
             for name in &rp.derived {
@@ -241,10 +229,7 @@ fn mixed_ingest_and_query_workload_matches_oracle_per_epoch() {
              e(n0,n1). e(n1,n2). e(n2,n3).",
         )
         .unwrap(),
-        ServiceConfig {
-            threads: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     ));
 
     // Recorded (query, answer) pairs from the readers, and every

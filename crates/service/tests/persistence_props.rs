@@ -114,7 +114,7 @@ proptest! {
     ) {
         let service = QueryService::with_config(
             rq_datalog::parse_program(MIXED_RULES).unwrap(),
-            ServiceConfig { threads: 1, ..ServiceConfig::default() },
+            ServiceConfig::default(),
         );
         let tc_q = service.parse_query("tc(n0, Y)").unwrap();
         let cnx_q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
@@ -197,7 +197,7 @@ proptest! {
     /// then a clean restart (write-ahead-log replay, no crash), must
     /// equal the never-restarted service exactly — same epoch, same
     /// interner ids, same database contents, same answers — memoizing
-    /// and non-memoizing, 4 worker threads.
+    /// and non-memoizing.
     #[test]
     fn restarted_service_equals_the_never_restarted_one(
         batches in prop::collection::vec(
@@ -207,7 +207,6 @@ proptest! {
         memoize_bit in 0..2u8,
     ) {
         let config = || ServiceConfig {
-            threads: 4,
             memoize_results: memoize_bit == 1,
             ..ServiceConfig::default()
         };
@@ -259,7 +258,7 @@ proptest! {
     ) {
         let service = QueryService::with_config(
             rq_datalog::parse_program(RULES).unwrap(),
-            ServiceConfig { threads: 1, ..ServiceConfig::default() },
+            ServiceConfig::default(),
         );
         let mut parent = service.snapshot();
         for batch in &batches {
@@ -298,7 +297,7 @@ proptest! {
     ) {
         let service = QueryService::with_config(
             rq_datalog::parse_program(RULES).unwrap(),
-            ServiceConfig { threads: 1, ..ServiceConfig::default() },
+            ServiceConfig::default(),
         );
         // The uncompacted twin: the same growth applied to a plain
         // database that never runs compaction.

@@ -42,13 +42,7 @@ fn fresh_rows(workload: &Workload, spec: &QuerySpec) -> Vec<Vec<Const>> {
 /// hit that also bypasses the result cache check by construction — and
 /// require both to equal the fresh run.
 fn check_cached_equals_fresh(workload: &Workload, pred_name: &str) {
-    let service = QueryService::with_config(
-        workload.program.clone(),
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::with_config(workload.program.clone(), ServiceConfig::default());
     let snapshot = service.snapshot();
     let pred = snapshot.program().pred_by_name(pred_name).unwrap();
     let constants: Vec<Const> = (0..snapshot.program().consts.len().min(12))

@@ -28,12 +28,10 @@ fn program() -> rq_datalog::Program {
     rq_datalog::parse_program(RULES).unwrap()
 }
 
-/// Durable test settings: 4 worker threads (the ISSUE's concurrency
-/// floor), a short checkpoint cadence so workloads cross checkpoint
-/// boundaries, and the memoization toggle under test.
+/// Durable test settings: a short checkpoint cadence so workloads
+/// cross checkpoint boundaries, and the memoization toggle under test.
 fn config(memoize: bool) -> ServiceConfig {
     let mut config = ServiceConfig {
-        threads: 4,
         memoize_results: memoize,
         ..ServiceConfig::default()
     };
@@ -111,7 +109,7 @@ proptest! {
     /// "restart" (clear the fault, reopen the backend), and compare
     /// the recovered service against the never-crashed oracle's
     /// prefix: same epoch, same interner ids, same database, same
-    /// answers.  Memoizing and non-memoizing, 4 worker threads.
+    /// answers.  Memoizing and non-memoizing.
     #[test]
     fn recovery_equals_the_never_crashed_prefix(
         batches in prop::collection::vec(

@@ -296,11 +296,7 @@ fn concurrent_ingest_while_querying_over_sockets() {
     // well-formed, every answer sound for *some* served epoch: the
     // rows are always a superset of epoch 0's answer and a subset of
     // the final epoch's.
-    let service_config = ServiceConfig {
-        threads: 2,
-        eval_threads: 1,
-        ..ServiceConfig::default()
-    };
+    let service_config = ServiceConfig::default();
     let service = Arc::new(QueryService::with_config(
         rq_datalog::parse_program(TC).unwrap(),
         service_config,

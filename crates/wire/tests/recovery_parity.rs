@@ -19,10 +19,7 @@ fn program() -> rq_datalog::Program {
 }
 
 fn config() -> ServiceConfig {
-    ServiceConfig {
-        threads: 2,
-        ..ServiceConfig::default()
-    }
+    ServiceConfig::default()
 }
 
 /// The exact response bytes the HTTP layer would put on the wire.

@@ -3,7 +3,7 @@
 //! ```text
 //! rqc <program.dl> <query> [--stats] [--plan] [--max-iterations N]
 //! rqc repl [program.dl]        interactive session (see :help)
-//! rqc serve <program.dl> [--threads N] [--data-dir <dir>]   stdin serving session
+//! rqc serve <program.dl> [--data-dir <dir>]   stdin serving session
 //! rqc serve <program.dl> --http <addr> [--threads N] [--data-dir <dir>]   HTTP serving (rq-wire)
 //! rqc --demo
 //! ```
@@ -32,7 +32,8 @@ down(lisa, erik). down(mary, john).
 fn usage() {
     eprintln!("usage: rqc <program.dl> <query> [--stats] [--plan] [--max-iterations N]");
     eprintln!("       rqc repl [program.dl]");
-    eprintln!("       rqc serve <program.dl> [--threads N] [--http <addr>] [--data-dir <dir>]");
+    eprintln!("       rqc serve <program.dl> [--data-dir <dir>]");
+    eprintln!("       rqc serve <program.dl> --http <addr> [--threads N] [--data-dir <dir>]");
     eprintln!("       rqc --demo");
 }
 
@@ -81,6 +82,10 @@ fn run() -> Result<ExitCode, ExitCode> {
             "--http",
             "a bind address, e.g. --http 127.0.0.1:7474",
         )?;
+        if threads.is_some() && http.is_none() {
+            eprintln!("`--threads` sizes the HTTP worker pool and needs `--http <addr>`");
+            return Err(ExitCode::from(2));
+        }
         let data_dir: Option<std::path::PathBuf> = flag_value(
             &args,
             "--data-dir",
@@ -176,12 +181,11 @@ fn serve(
     data_dir: Option<&std::path::Path>,
 ) -> Result<ExitCode, ExitCode> {
     let source = read_program(path)?;
-    let mut session = ServeSession::with_data_dir(&source, threads, data_dir).map_err(fail)?;
+    let mut session = ServeSession::with_data_dir(&source, data_dir).map_err(fail)?;
     print_recovery_banner(session.service());
     let Some(addr) = http else {
         eprintln!(
-            "rqc serve — {} worker thread(s), epoch {} — :help for commands",
-            session.service().config().threads,
+            "rqc serve — epoch {} — :help for commands",
             session.service().snapshot().epoch()
         );
         return Ok(stdin_loop("rq-serve> ", |line| session.execute_line(line)));
@@ -194,10 +198,9 @@ fn serve(
     let server = rq_wire::WireServer::bind(std::sync::Arc::clone(&service), addr, wire_config)
         .map_err(|e| fail(format!("cannot bind {addr}: {e}")))?;
     eprintln!(
-        "rqc serve --http {} — {} wire worker(s), {} query thread(s), epoch {}",
+        "rqc serve --http {} — {} wire worker(s), epoch {}",
         server.local_addr().map_err(fail)?,
         server.workers(),
-        service.config().threads,
         service.snapshot().epoch()
     );
     server.run().map_err(fail)?;

@@ -389,7 +389,6 @@ impl Session {
 ///     "tc(X,Y) :- e(X,Y).\n\
 ///      tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
 ///      e(a,b). e(b,c).",
-///     1, // worker threads
 /// ).unwrap();
 /// // One line = one batch on one snapshot; `;` separates queries.
 /// let out = session.execute_line("tc(a, Y); tc(a, c)").unwrap();
@@ -423,10 +422,9 @@ serve commands:
   :help  :quit";
 
 impl ServeSession {
-    /// Start serving `source` with `threads` batch workers (0 = the
-    /// machine's parallelism).
-    pub fn new(source: &str, threads: usize) -> Result<Self, String> {
-        Self::with_data_dir(source, threads, None)
+    /// Start serving `source`.
+    pub fn new(source: &str) -> Result<Self, String> {
+        Self::with_data_dir(source, None)
     }
 
     /// [`ServeSession::new`] with optional durability: when `data_dir`
@@ -435,16 +433,9 @@ impl ServeSession {
     /// [`rq_service::QueryService::open`]) and logs every subsequent
     /// ingest before acknowledging it — the `rqc serve --data-dir`
     /// path.
-    pub fn with_data_dir(
-        source: &str,
-        threads: usize,
-        data_dir: Option<&std::path::Path>,
-    ) -> Result<Self, String> {
+    pub fn with_data_dir(source: &str, data_dir: Option<&std::path::Path>) -> Result<Self, String> {
         let program = parse_program(source).map_err(|e| e.to_string())?;
-        let mut config = rq_service::ServiceConfig::default();
-        if threads > 0 {
-            config.threads = threads;
-        }
+        let config = rq_service::ServiceConfig::default();
         let service = match data_dir {
             None => rq_service::QueryService::with_config(program, config),
             Some(dir) => rq_service::QueryService::open_with_config(program, dir, config)
@@ -822,14 +813,14 @@ mod tests {
 
     #[test]
     fn serve_batches_queries_on_one_line() {
-        let mut s = ServeSession::new(TC, 2).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         let out = s.execute_line("tc(a, Y); tc(X, c); tc(c, Y)").unwrap();
         assert_eq!(out.text, "tc(a, Y): b c\ntc(X, c): a b\ntc(c, Y): (none)");
     }
 
     #[test]
     fn serve_add_publishes_epochs_and_refreshes_answers() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         assert_eq!(s.execute_line(":epoch").unwrap().text, "epoch 0");
         assert_eq!(s.execute_line("tc(a, Y)").unwrap().text, "tc(a, Y): b c");
         let out = s.execute_line(":add e(c,d)").unwrap();
@@ -841,7 +832,7 @@ mod tests {
 
     #[test]
     fn serve_trace_toggle_appends_span_tree() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         assert!(s.execute_line(":trace maybe").is_err());
         assert_eq!(s.execute_line(":trace on").unwrap().text, "trace on");
         let out = s.execute_line("tc(a, Y)").unwrap();
@@ -862,7 +853,6 @@ mod tests {
             "tc(X,Y) :- e(X,Y).\n\
              tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
              e(a,b). e(b,a).\n",
-            1,
         )
         .unwrap();
         let out = s.execute_line("tc(X, Y)").unwrap();
@@ -877,7 +867,7 @@ mod tests {
 
     #[test]
     fn serve_answers_membership_yes_no() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         let out = s.execute_line("tc(a, c); tc(c, a)").unwrap();
         assert_eq!(out.text, "tc(a, c): yes\ntc(c, a): no");
     }
@@ -889,7 +879,6 @@ mod tests {
              cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
              flight(hel,540,ams,690). flight(ams,720,cdg,810).\n\
              is_deptime(540). is_deptime(720).",
-            2,
         )
         .unwrap();
         let out = s.execute_line("cnx(hel, 540, D, AT)").unwrap();
@@ -914,7 +903,7 @@ mod tests {
 
     #[test]
     fn serve_dedups_identical_queries_in_a_batch() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         // `tc(a, Y)` and `tc(a, Z)` are one canonical spec.
         let out = s.execute_line("tc(a, Y); tc(a, Z); tc(a, Y)").unwrap();
         let lines: Vec<&str> = out.text.lines().collect();
@@ -925,7 +914,7 @@ mod tests {
 
     #[test]
     fn serve_reports_per_query_errors_inline() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         let out = s
             .execute_line("tc(a, Y); zzz(a, Y); tc(unseen, Y)")
             .unwrap();
@@ -945,7 +934,7 @@ mod tests {
 
     #[test]
     fn serve_stats_and_memoization() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         s.execute_line("tc(a, Y)").unwrap();
         s.execute_line("tc(a, Y)").unwrap();
         let stats = s.execute_line(":stats").unwrap().text;
@@ -967,8 +956,7 @@ mod tests {
                  cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
                  flight(hel,540,ams,690). flight(ams,720,cdg,810).\n\
                  is_deptime(540). is_deptime(720)."
-            ),
-            1,
+            )
         )
         .unwrap();
         s.execute_line("cnx(hel, 540, D, AT); cnx(ams, 720, D, AT)")
@@ -985,7 +973,7 @@ mod tests {
 
         // A pure binary-chain session: the all-free form takes the
         // shared-SCC path and the counter says so.
-        let mut chain = ServeSession::new(TC, 1).unwrap();
+        let mut chain = ServeSession::new(TC).unwrap();
         chain.execute_line("tc(X, Y)").unwrap();
         let chain_stats = chain.execute_line(":stats").unwrap().text;
         assert!(chain_stats.contains("1 scc-served"), "{chain_stats}");
@@ -1008,7 +996,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_rules_in_add_and_unknown_commands() {
-        let mut s = ServeSession::new(TC, 1).unwrap();
+        let mut s = ServeSession::new(TC).unwrap();
         assert!(s.execute_line(":add p(X,Y) :- e(X,Y)").is_err());
         assert!(s.execute_line(":nonsense").is_err());
         assert!(s.execute_line(":add").is_err());

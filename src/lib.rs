@@ -118,7 +118,6 @@ pub(crate) fn single_threaded(program: Program, options: &EvalOptions) -> QueryS
     QueryService::with_config(
         program,
         ServiceConfig {
-            threads: 1,
             options: options.clone(),
             ..ServiceConfig::default()
         },

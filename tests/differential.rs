@@ -168,7 +168,7 @@ fn post(service: &QueryService, path: &str, body: Json) -> Json {
 fn check_front_ends(source: &str, queries: &[(String, Option<ServiceError>)], label: &str) {
     let program = &rq_datalog::parse_program(source).unwrap();
     let oracle = seminaive_eval(program).expect("the oracle evaluates");
-    let mut session = ServeSession::new(source, 1).unwrap();
+    let mut session = ServeSession::new(source).unwrap();
     let service = QueryService::from_source(source).unwrap();
     let texts: Vec<&str> = queries.iter().map(|(q, _)| q.as_str()).collect();
     let line = session.execute_line(&texts.join("; ")).unwrap().text;

@@ -179,7 +179,7 @@ fn healthz_answers_and_batch_matches_serve_session_byte_for_byte() {
     let answers = batch.get("answers").and_then(Json::as_array).unwrap();
     assert_eq!(answers.len(), texts.len());
 
-    let session = ServeSession::new(PROGRAM, 2).unwrap();
+    let session = ServeSession::new(PROGRAM).unwrap();
     let service = session.service();
     let snapshot = service.snapshot();
     let specs: Vec<_> = texts

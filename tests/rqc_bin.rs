@@ -119,8 +119,6 @@ fn serve_session_over_stdin() {
     let mut child = Command::new(RQC)
         .arg("serve")
         .arg(program)
-        .arg("--threads")
-        .arg("2")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -205,6 +203,14 @@ fn bad_threads_value_exits_2() {
     let program = program_file().to_str().unwrap();
     assert_usage_error(&["serve", program, "--threads", "x"], "--threads");
     assert_usage_error(&["serve", program, "--threads"], "--threads");
+}
+
+/// `--threads` sizes the HTTP worker pool only; a stdin session has no
+/// pool, so the flag without `--http` is a usage error, not ignored.
+#[test]
+fn threads_without_http_exits_2() {
+    let program = program_file().to_str().unwrap();
+    assert_usage_error(&["serve", program, "--threads", "2"], "--threads");
 }
 
 #[test]
