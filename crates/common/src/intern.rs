@@ -6,7 +6,7 @@
 //! tuple storage compact (the perf guide's "smaller integers" advice).
 
 use crate::hash::FxHashMap;
-use crate::pshare::{PMap, PVec};
+use crate::pshare::{hash_of, PMap, PVec};
 use std::fmt::{self, Write as _};
 
 /// Declares a `u32` newtype id with the plumbing an interner needs.
@@ -88,10 +88,31 @@ impl ConstValue {
 /// layer's snapshot publication can clone a whole program in O(pointer
 /// bumps): an ingest that interns three new constants shares all prior
 /// interner structure with the parent epoch.
+///
+/// Each value is stored once, in `values`.  The lookup table files the
+/// bare id under the value's hash and compares candidates by reading
+/// `values` — the ids-into-existing-storage layout `ProbeSpace`'s tuple
+/// interner uses too — so a lookup of an already-interned name
+/// allocates nothing.
 #[derive(Default, Clone)]
 pub struct ConstInterner {
     values: PVec<ConstValue>,
-    lookup: PMap<ConstValue, Const>,
+    lookup: PMap<Const, ()>,
+}
+
+/// The hash a value is filed under: a kind tag, then the payload, so
+/// [`ConstInterner::intern_str`] hashes a borrowed `&str` exactly like
+/// the owned [`ConstValue::Str`].
+fn value_hash(value: &ConstValue) -> u64 {
+    match value {
+        ConstValue::Int(i) => hash_of(&(0u8, i)),
+        ConstValue::Str(s) => str_hash(s),
+        ConstValue::Tuple(parts) => hash_of(&(2u8, parts)),
+    }
+}
+
+fn str_hash(s: &str) -> u64 {
+    hash_of(&(1u8, s))
 }
 
 impl ConstInterner {
@@ -100,23 +121,45 @@ impl ConstInterner {
         Self::default()
     }
 
-    /// Intern a value, returning its id (stable across repeat calls).
-    pub fn intern(&mut self, value: ConstValue) -> Const {
-        if let Some(&id) = self.lookup.get(&value) {
-            return id;
-        }
-        let id = Const::from_index(self.values.len());
-        self.values.push(value.clone());
-        self.lookup.insert(value, id);
+    /// The id of the value filed under `hash` that satisfies `eq`.  A
+    /// read-only walk: a hit neither allocates nor path-copies a map
+    /// shared with another version.
+    fn find(&self, hash: u64, eq: impl Fn(&ConstValue) -> bool) -> Option<Const> {
+        let mut id = None;
+        self.lookup.get_hashed(hash, |&c| {
+            let hit = eq(&self.values[c.index()]);
+            if hit {
+                id = Some(c);
+            }
+            hit
+        });
         id
     }
 
-    /// Intern a symbolic constant.
-    pub fn intern_str(&mut self, s: &str) -> Const {
-        if let Some(&id) = self.lookup.get(&ConstValue::Str(s.to_owned())) {
-            return id;
+    /// Append a value [`Self::find`] just missed under the next dense id.
+    fn push(&mut self, hash: u64, value: ConstValue) -> Const {
+        let id = Const::from_index(self.values.len());
+        self.lookup.entry_hashed(hash, |_| false, || (id, ()));
+        self.values.push(value);
+        id
+    }
+
+    /// Intern a value, returning its id (stable across repeat calls).
+    pub fn intern(&mut self, value: ConstValue) -> Const {
+        let hash = value_hash(&value);
+        match self.find(hash, |v| *v == value) {
+            Some(id) => id,
+            None => self.push(hash, value),
         }
-        self.intern(ConstValue::Str(s.to_owned()))
+    }
+
+    /// Intern a symbolic constant.  Allocates only when `s` is new.
+    pub fn intern_str(&mut self, s: &str) -> Const {
+        let hash = str_hash(s);
+        match self.find(hash, |v| matches!(v, ConstValue::Str(t) if t == s)) {
+            Some(id) => id,
+            None => self.push(hash, ConstValue::Str(s.to_owned())),
+        }
     }
 
     /// Intern an integer constant.
@@ -136,7 +179,7 @@ impl ConstInterner {
 
     /// Look up an already-interned value without inserting.
     pub fn get(&self, value: &ConstValue) -> Option<Const> {
-        self.lookup.get(value).copied()
+        self.find(value_hash(value), |v| v == value)
     }
 
     /// Number of interned constants.
@@ -281,6 +324,53 @@ mod tests {
         let inner = i.intern_tuple(vec![a]);
         let outer = i.intern_tuple(vec![inner, a]);
         assert_eq!(i.display(outer), "t(t(a),a)");
+    }
+
+    #[test]
+    fn intern_str_agrees_with_intern_and_get() {
+        let mut i = ConstInterner::new();
+        let names: Vec<String> = (0..500).map(|k| format!("n{}", k % 300)).collect();
+        let mut first_seen: Vec<&str> = Vec::new();
+        for (k, name) in names.iter().enumerate() {
+            // Alternate the two entry points: they must share ids.
+            let id = if k % 2 == 0 {
+                i.intern_str(name)
+            } else {
+                i.intern(ConstValue::Str(name.clone()))
+            };
+            if !first_seen.contains(&name.as_str()) {
+                first_seen.push(name);
+            }
+            // Dense ids, in first-appearance order.
+            let pos = first_seen.iter().position(|s| s == name).unwrap();
+            assert_eq!(id, Const::from_index(pos));
+            assert_eq!(i.get(&ConstValue::Str(name.clone())), Some(id));
+        }
+        assert_eq!(i.len(), 300);
+        assert_eq!(i.intern_int(7), Const::from_index(300));
+        assert_eq!(i.get(&ConstValue::Int(7)), Some(Const::from_index(300)));
+        assert_eq!(i.get(&ConstValue::Str("7".into())), None);
+        assert_eq!(i.get(&ConstValue::Str("n300".into())), None);
+    }
+
+    #[test]
+    fn interner_clones_are_isolated() {
+        let mut base = ConstInterner::new();
+        let a = base.intern_str("a");
+        let mut left = base.clone();
+        let mut right = base.clone();
+        // The same next id goes to different values in each clone.
+        let l = left.intern_str("left");
+        let r = right.intern_int(9);
+        assert_eq!(l, r);
+        assert_eq!(left.value(l), &ConstValue::Str("left".into()));
+        assert_eq!(right.value(r), &ConstValue::Int(9));
+        assert_eq!(left.get(&ConstValue::Int(9)), None);
+        assert_eq!(right.get(&ConstValue::Str("left".into())), None);
+        assert_eq!(base.len(), 1);
+        assert_eq!(base.get(&ConstValue::Str("left".into())), None);
+        assert_eq!(left.intern_str("a"), a);
+        assert_eq!(right.intern_str("a"), a);
     }
 
     #[test]

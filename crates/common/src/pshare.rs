@@ -4,9 +4,8 @@
 //! current version and applying a small delta.  With ordinary `Vec` /
 //! `HashMap` storage that clone costs O(whole database); the two
 //! structures here make it cost O(pointer bumps) instead, in the mold
-//! of the `im` crate (swap these for `im::Vector` / `im::HashMap` when
-//! registry access is available — the API surface below is the subset
-//! the workspace uses):
+//! of the `im` crate (`im::Vector` / `im::HashMap` cover the keyed API
+//! below, but not the raw hashed API that lets callers file bare ids):
 //!
 //! * [`PVec`] — a chunked persistent vector.  Elements live in fixed-
 //!   capacity chunks behind `Arc`s; cloning bumps one refcount per
@@ -14,9 +13,22 @@
 //!   chunk** (copy-on-write), leaving every full chunk shared with the
 //!   parent.
 //! * [`PMap`] — a hash-array-mapped trie (32-way branching on 5-bit
-//!   hash slices).  Cloning bumps the root refcount; inserting into a
-//!   shared map path-copies the O(log₃₂ n) nodes from the root to the
-//!   touched leaf and shares everything else.
+//!   hash slices, Bagwell's "Ideal Hash Trees").  A branch stores its
+//!   entries inline with their full hash, so an entry costs no
+//!   allocation of its own; a child node appears only where two keys
+//!   share a slice, and a collision node only for equal 64-bit hashes.
+//!   Cloning bumps the root refcount; inserting into a shared map
+//!   path-copies the O(log₃₂ n) branches from the root to the touched
+//!   slot and shares everything else.
+//!
+//! [`PMap`] is the workspace's one persistent map.  Its raw
+//! [`PMap::get_hashed`] / [`PMap::entry_hashed`] pair files a key under
+//! a caller-supplied hash and compares through a caller closure, so a
+//! user whose key bytes already live elsewhere stores a bare id: the
+//! shard dedup table files tuple ordinals into its tuple store, and
+//! the constant interner files constant ids into its value vector —
+//! the ids-into-existing-storage layout `ProbeSpace`'s tuple interner
+//! uses too.
 //!
 //! Both structures detect unique ownership (`Arc::make_mut`), so the
 //! common single-owner case — bottom-up evaluation filling a fresh
@@ -24,6 +36,7 @@
 
 use crate::hash::FxHasher;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -254,21 +267,39 @@ const LEVEL_MASK: u64 = 0x1f;
 /// always differ in some 5-bit group at or before this shift.
 const MAX_SHIFT: u32 = 60;
 
-#[derive(Clone, Debug)]
-enum Node<K, V> {
-    /// Interior node: `bitmap` bit `i` set means a child exists for
-    /// 5-bit hash slice `i`; children are stored compressed, in
-    /// ascending slice order.
-    Branch {
-        bitmap: u32,
-        children: Vec<Arc<Node<K, V>>>,
-    },
-    /// All entries whose full 64-bit hash is `hash` (true collisions
-    /// share one leaf).
-    Leaf { hash: u64, entries: Vec<(K, V)> },
+/// The 5-bit slice of `hash` that picks a slot at depth `shift`, as a
+/// one-hot bitmap bit.
+#[inline]
+fn slice_bit(hash: u64, shift: u32) -> u32 {
+    1u32 << ((hash >> shift) & LEVEL_MASK)
 }
 
-/// A persistent hash map (hash-array-mapped trie).
+/// One occupied slot of a branch: an entry stored inline with its full
+/// hash (so it can be pushed one level down without rehashing its
+/// key), or a child node.
+#[derive(Clone, Debug)]
+enum Slot<K, V> {
+    Entry(u64, K, V),
+    Sub(Arc<Node<K, V>>),
+}
+
+#[derive(Clone, Debug)]
+enum Node<K, V> {
+    /// Interior node: `bitmap` bit `i` set means a slot exists for
+    /// 5-bit hash slice `i`; slots are stored compressed, in ascending
+    /// slice order.
+    Branch { bitmap: u32, slots: Vec<Slot<K, V>> },
+    /// Two or more entries whose full 64-bit hashes are all `hash`.
+    Collision { hash: u64, entries: Vec<(K, V)> },
+}
+
+/// A persistent hash map (hash-array-mapped trie, Bagwell's "Ideal
+/// Hash Trees", with entries stored inline in their branch).
+///
+/// Besides the usual keyed methods, the raw [`Self::get_hashed`] /
+/// [`Self::entry_hashed`] pair lets a caller file a bare id under the
+/// hash of data it already stores elsewhere, comparing through that
+/// storage — the map then holds no second copy of the key bytes.
 #[derive(Debug)]
 pub struct PMap<K, V> {
     root: Option<Arc<Node<K, V>>>,
@@ -290,10 +321,20 @@ impl<K, V> Default for PMap<K, V> {
     }
 }
 
-fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
+/// The hash [`PMap`]'s keyed methods file `key` under.  Callers of the
+/// raw API may use any 64-bit hash, as long as one map sees one
+/// hashing scheme.
+pub fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
     h.finish()
+}
+
+/// The walk's next move at one occupied branch slot.
+enum Step {
+    Found,
+    Split(u64),
+    Descend,
 }
 
 impl<K, V> PMap<K, V> {
@@ -324,9 +365,166 @@ impl<K, V> PMap<K, V> {
 
     /// Iterate all entries in unspecified order.
     pub fn iter(&self) -> PMapIter<'_, K, V> {
+        let mut stack = Vec::new();
+        if let Some(Node::Branch { slots, .. }) = self.root.as_deref() {
+            stack.push(slots.iter());
+        }
         PMapIter {
-            stack: self.root.as_deref().into_iter().collect(),
-            leaf: None,
+            stack,
+            collision: [].iter(),
+        }
+    }
+
+    /// The value of the entry filed under `hash` whose key satisfies
+    /// `eq`.  `eq` is only called on keys filed under `hash`.
+    pub fn get_hashed(&self, hash: u64, mut eq: impl FnMut(&K) -> bool) -> Option<&V> {
+        let mut node = self.root.as_deref()?;
+        let mut shift = 0u32;
+        loop {
+            match node {
+                Node::Collision { hash: h, entries } => {
+                    return if *h == hash {
+                        entries.iter().find(|(k, _)| eq(k)).map(|(_, v)| v)
+                    } else {
+                        None
+                    };
+                }
+                Node::Branch { bitmap, slots } => {
+                    let bit = slice_bit(hash, shift);
+                    if bitmap & bit == 0 {
+                        return None;
+                    }
+                    match &slots[(bitmap & (bit - 1)).count_ones() as usize] {
+                        Slot::Entry(h, k, v) => return (*h == hash && eq(k)).then_some(v),
+                        Slot::Sub(child) => node = child,
+                    }
+                    shift += BITS;
+                }
+            }
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> PMap<K, V> {
+    /// Mutable access to the entry filed under `hash` whose key
+    /// satisfies `eq`, inserting `make()` first if there is none.
+    /// Returns whether it inserted.  `eq` is only called on keys
+    /// already in the map, and only on those filed under `hash`.
+    /// Shares structure exactly like [`Self::entry_mut`].
+    pub fn entry_hashed(
+        &mut self,
+        hash: u64,
+        eq: impl FnMut(&K) -> bool,
+        make: impl FnOnce() -> (K, V),
+    ) -> (bool, &mut V) {
+        let root = self.root.get_or_insert_with(|| {
+            Arc::new(Node::Branch {
+                bitmap: 0,
+                slots: Vec::new(),
+            })
+        });
+        let (inserted, value) = Self::entry_in(root, hash, eq, make);
+        if inserted {
+            self.len += 1;
+        }
+        (inserted, value)
+    }
+
+    /// The insert-or-find walk.  Every node on the way is made unique
+    /// first (`Arc::make_mut`), which path-copies exactly the nodes
+    /// shared with another version and mutates the rest in place.
+    fn entry_in(
+        mut node_arc: &mut Arc<Node<K, V>>,
+        hash: u64,
+        mut eq: impl FnMut(&K) -> bool,
+        make: impl FnOnce() -> (K, V),
+    ) -> (bool, &mut V) {
+        let mut shift = 0u32;
+        loop {
+            let node = Arc::make_mut(node_arc);
+            // A collision node for another hash moves one level down,
+            // under a fresh branch the walk can descend past it from.
+            if let Node::Collision { hash: h, .. } = node {
+                if *h != hash {
+                    debug_assert!(shift <= MAX_SHIFT);
+                    let bitmap = slice_bit(*h, shift);
+                    let old = std::mem::replace(
+                        node,
+                        Node::Branch {
+                            bitmap,
+                            slots: Vec::with_capacity(2),
+                        },
+                    );
+                    if let Node::Branch { slots, .. } = node {
+                        slots.push(Slot::Sub(Arc::new(old)));
+                    }
+                }
+            }
+            let (slots, pos) = match node {
+                Node::Collision { entries, .. } => {
+                    if let Some(i) = entries.iter().position(|(k, _)| eq(k)) {
+                        return (false, &mut entries[i].1);
+                    }
+                    entries.push(make());
+                    let last = entries.len() - 1;
+                    return (true, &mut entries[last].1);
+                }
+                Node::Branch { bitmap, slots } => {
+                    let bit = slice_bit(hash, shift);
+                    let pos = (*bitmap & (bit - 1)).count_ones() as usize;
+                    if *bitmap & bit == 0 {
+                        *bitmap |= bit;
+                        let (k, v) = make();
+                        slots.insert(pos, Slot::Entry(hash, k, v));
+                        let Slot::Entry(_, _, v) = &mut slots[pos] else {
+                            unreachable!("just inserted an entry")
+                        };
+                        return (true, v);
+                    }
+                    (slots, pos)
+                }
+            };
+            let step = match &slots[pos] {
+                Slot::Entry(h, k, _) if *h == hash && eq(k) => Step::Found,
+                Slot::Entry(h, ..) => Step::Split(*h),
+                Slot::Sub(_) => Step::Descend,
+            };
+            match step {
+                Step::Found => {
+                    let Slot::Entry(_, _, v) = &mut slots[pos] else {
+                        unreachable!("matched an entry")
+                    };
+                    return (false, v);
+                }
+                Step::Split(old_hash) => {
+                    // Push the resident entry one level down, into a
+                    // collision node if the full hashes are equal;
+                    // the next turn of the loop files the new key.
+                    let Slot::Entry(_, k, v) = slots.remove(pos) else {
+                        unreachable!("split an entry")
+                    };
+                    let child = if old_hash == hash {
+                        let mut entries = Vec::with_capacity(2);
+                        entries.push((k, v));
+                        Node::Collision { hash, entries }
+                    } else {
+                        debug_assert!(shift < MAX_SHIFT);
+                        let mut slots = Vec::with_capacity(2);
+                        slots.push(Slot::Entry(old_hash, k, v));
+                        Node::Branch {
+                            bitmap: slice_bit(old_hash, shift + BITS),
+                            slots,
+                        }
+                    };
+                    slots.insert(pos, Slot::Sub(Arc::new(child)));
+                }
+                Step::Descend => {}
+            }
+            let Slot::Sub(child) = &mut slots[pos] else {
+                unreachable!("descending into a child")
+            };
+            node_arc = child;
+            shift += BITS;
         }
     }
 }
@@ -338,31 +536,7 @@ impl<K: Hash + Eq, V> PMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let h = hash_of(key);
-        let mut node = self.root.as_deref()?;
-        let mut shift = 0u32;
-        loop {
-            match node {
-                Node::Leaf { hash, entries } => {
-                    return if *hash == h {
-                        entries
-                            .iter()
-                            .find(|(k, _)| k.borrow() == key)
-                            .map(|(_, v)| v)
-                    } else {
-                        None
-                    };
-                }
-                Node::Branch { bitmap, children } => {
-                    let bit = 1u32 << ((h >> shift) & LEVEL_MASK);
-                    if bitmap & bit == 0 {
-                        return None;
-                    }
-                    node = &children[(bitmap & (bit - 1)).count_ones() as usize];
-                    shift += BITS;
-                }
-            }
-        }
+        self.get_hashed(hash_of(key), |k| k.borrow() == key)
     }
 
     /// Whether `key` is present.
@@ -378,82 +552,16 @@ impl<K: Hash + Eq, V> PMap<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
     /// Mutable access to the entry for `key`, inserting
     /// `default()` first if absent.  Path-copies only the nodes between
-    /// the root and the touched leaf that are shared with other
+    /// the root and the touched slot that are shared with other
     /// versions; uniquely owned nodes are mutated in place.
     pub fn entry_mut(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let h = hash_of(&key);
-        let root = self.root.get_or_insert_with(|| {
-            Arc::new(Node::Branch {
-                bitmap: 0,
-                children: Vec::new(),
-            })
-        });
-        let (inserted, slot) = Self::entry_in(root, h, key, default);
-        if inserted {
-            self.len += 1;
-        }
-        slot
-    }
-
-    fn entry_in(
-        mut node_arc: &mut Arc<Node<K, V>>,
-        h: u64,
-        key: K,
-        default: impl FnOnce() -> V,
-    ) -> (bool, &mut V) {
-        let mut shift = 0u32;
-        let mut default = Some(default);
-        loop {
-            // Normalize: a leaf whose hash differs from `h` becomes a
-            // one-child branch so the walk below can descend past it.
-            {
-                let node = Arc::make_mut(node_arc);
-                if let Node::Leaf { hash, .. } = node {
-                    if *hash != h {
-                        debug_assert!(shift <= MAX_SHIFT);
-                        let old_bit = 1u32 << ((*hash >> shift) & LEVEL_MASK);
-                        let old = std::mem::replace(
-                            node,
-                            Node::Branch {
-                                bitmap: old_bit,
-                                children: Vec::new(),
-                            },
-                        );
-                        if let Node::Branch { children, .. } = node {
-                            children.push(Arc::new(old));
-                        }
-                    }
-                }
-            }
-            let node = Arc::make_mut(node_arc);
-            match node {
-                Node::Leaf { entries, .. } => {
-                    if let Some(i) = entries.iter().position(|(k, _)| *k == key) {
-                        return (false, &mut entries[i].1);
-                    }
-                    let value = default.take().expect("default consumed once")();
-                    entries.push((key, value));
-                    let last = entries.len() - 1;
-                    return (true, &mut entries[last].1);
-                }
-                Node::Branch { bitmap, children } => {
-                    let bit = 1u32 << ((h >> shift) & LEVEL_MASK);
-                    let pos = (*bitmap & (bit - 1)).count_ones() as usize;
-                    if *bitmap & bit == 0 {
-                        *bitmap |= bit;
-                        children.insert(
-                            pos,
-                            Arc::new(Node::Leaf {
-                                hash: h,
-                                entries: Vec::new(),
-                            }),
-                        );
-                    }
-                    node_arc = &mut children[pos];
-                    shift += BITS;
-                }
-            }
-        }
+        let hash = hash_of(&key);
+        // `eq` borrows the key until `make` takes it: the walk calls
+        // `make` at most once, after its last `eq`.
+        let key = RefCell::new(Some(key));
+        let eq = |k: &K| key.borrow().as_ref() == Some(k);
+        let make = || (key.take().expect("make runs once"), default());
+        self.entry_hashed(hash, eq, make).1
     }
 
     /// Insert, returning the previous value if the key was present.
@@ -470,25 +578,26 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
 
 /// Iterator over [`PMap`] entries.
 pub struct PMapIter<'a, K, V> {
-    stack: Vec<&'a Node<K, V>>,
-    leaf: Option<std::slice::Iter<'a, (K, V)>>,
+    stack: Vec<std::slice::Iter<'a, Slot<K, V>>>,
+    collision: std::slice::Iter<'a, (K, V)>,
 }
 
 impl<'a, K, V> Iterator for PMapIter<'a, K, V> {
     type Item = (&'a K, &'a V);
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(leaf) = &mut self.leaf {
-                if let Some((k, v)) = leaf.next() {
-                    return Some((k, v));
-                }
-                self.leaf = None;
+            if let Some((k, v)) = self.collision.next() {
+                return Some((k, v));
             }
-            match self.stack.pop()? {
-                Node::Leaf { entries, .. } => self.leaf = Some(entries.iter()),
-                Node::Branch { children, .. } => {
-                    self.stack.extend(children.iter().map(|c| c.as_ref()));
+            match self.stack.last_mut()?.next() {
+                None => {
+                    self.stack.pop();
                 }
+                Some(Slot::Entry(_, k, v)) => return Some((k, v)),
+                Some(Slot::Sub(child)) => match child.as_ref() {
+                    Node::Branch { slots, .. } => self.stack.push(slots.iter()),
+                    Node::Collision { entries, .. } => self.collision = entries.iter(),
+                },
             }
         }
     }
@@ -598,7 +707,7 @@ mod tests {
     fn pmap_borrowed_key_lookup() {
         let mut m: PMap<Box<[u32]>, u32> = PMap::new();
         m.insert(vec![1, 2].into_boxed_slice(), 12);
-        // Probe with the unsized borrow, as Relation::contains does.
+        // Probe with the unsized borrow, as the column-index lookups do.
         let probe: &[u32] = &[1, 2];
         assert_eq!(m.get(probe), Some(&12));
         assert!(!m.contains_key::<[u32]>(&[2, 1]));
@@ -663,6 +772,127 @@ mod tests {
         for i in 0..2_000u64 {
             assert_eq!(m.get(&i.wrapping_mul(0x9e37_79b9_7f4a_7c15)), Some(&i));
         }
+    }
+
+    /// xorshift64*: a dependency-free, seeded generator for the model
+    /// tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    type Model = std::collections::HashMap<u64, u64>;
+
+    fn assert_matches_model(map: &PMap<u64, u64>, model: &Model, hash: fn(u64) -> u64) {
+        assert_eq!(map.len(), model.len());
+        let mut seen: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        seen.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(seen, want, "iter yields every entry exactly once");
+        for (&k, &v) in model {
+            assert_eq!(map.get_hashed(hash(k), |&x| x == k), Some(&v));
+        }
+        for k in (0..50).map(|i| 1_000_000 + i) {
+            assert_eq!(map.get_hashed(hash(k), |&x| x == k), None);
+        }
+    }
+
+    /// Random interleavings of every write path and `clone` against a
+    /// `HashMap` model; every retained version must stay as it was.
+    /// `keyed` mixes in the `Hash`-based methods, which is only sound
+    /// when `hash` is [`hash_of`].
+    fn model_run(seed: u64, keys: u64, hash: fn(u64) -> u64, keyed: bool) {
+        let mut rng = Rng(seed);
+        let mut map: PMap<u64, u64> = PMap::new();
+        let mut model = Model::new();
+        let mut retained: Vec<(PMap<u64, u64>, Model)> = Vec::new();
+        for step in 0..3_000u64 {
+            let k = rng.below(keys);
+            match rng.below(if keyed { 5 } else { 3 }) {
+                0 => {
+                    let (inserted, v) = map.entry_hashed(hash(k), |&x| x == k, || (k, step));
+                    assert_eq!(inserted, !model.contains_key(&k));
+                    *v += 1;
+                    *model.entry(k).or_insert(step) += 1;
+                }
+                1 => {
+                    let was = map.get_hashed(hash(k), |&x| x == k).copied();
+                    assert_eq!(was, model.get(&k).copied());
+                }
+                2 if rng.below(20) == 0 => retained.push((map.clone(), model.clone())),
+                2 => {}
+                3 => assert_eq!(map.insert(k, step), model.insert(k, step)),
+                _ => {
+                    *map.entry_mut(k, || step) += 2;
+                    *model.entry(k).or_insert(step) += 2;
+                }
+            }
+        }
+        assert_matches_model(&map, &model, hash);
+        for (version, model) in &retained {
+            assert_matches_model(version, model, hash);
+        }
+    }
+
+    #[test]
+    fn pmap_matches_a_hashmap_model_across_clones() {
+        for seed in 1..=8 {
+            model_run(seed, 64, |k| hash_of(&k), true);
+            model_run(seed, 4_000, |k| hash_of(&k), true);
+        }
+    }
+
+    #[test]
+    fn pmap_collision_nodes_match_the_model() {
+        // Every key shares one of two hashes that agree on all but the
+        // top bit: entries split down to the deepest level, collide
+        // there, and collision nodes get pushed below new branches.
+        const H: u64 = 0x0123_4567_89ab_cdef;
+        fn two_hashes(k: u64) -> u64 {
+            if k.is_multiple_of(3) {
+                H
+            } else {
+                H ^ (1 << 63)
+            }
+        }
+        for seed in 1..=8 {
+            model_run(seed, 40, |_| H, false);
+            model_run(seed, 40, two_hashes, false);
+        }
+    }
+
+    #[test]
+    fn entry_hashed_files_ids_into_outside_storage() {
+        // The dedup / interner pattern: the map holds indexes into a
+        // store it does not own, and equality reads that store.
+        let store = ["a", "b", "a", "c", "b"];
+        let mut map: PMap<u32, ()> = PMap::new();
+        let mut ids = Vec::new();
+        for (i, s) in store.iter().enumerate() {
+            let mut id = i as u32;
+            let (inserted, _) = map.entry_hashed(
+                hash_of(s),
+                |&j| {
+                    let hit = store[j as usize] == *s;
+                    if hit {
+                        id = j;
+                    }
+                    hit
+                },
+                || (i as u32, ()),
+            );
+            assert_eq!(inserted, id == i as u32);
+            ids.push(id);
+        }
+        assert_eq!(ids, [0, 1, 0, 3, 1]);
+        assert_eq!(map.len(), 3);
     }
 
     #[test]

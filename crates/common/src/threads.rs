@@ -1,13 +1,12 @@
 //! Workspace-wide thread-count policy.
 //!
-//! Every layer that spawns workers — the wire's connection workers and
-//! the service's batch fan-out — resolves its requested parallelism
-//! through [`thread_cap`], so one environment variable (`RQC_THREADS`)
-//! can force the whole stack single-threaded.  (A traversal never
-//! spawns: it runs on the thread that asked.)  CI runs the service
-//! tests once with `RQC_THREADS=1` to catch parallelism-order
-//! nondeterminism: under the cap every code path must produce
-//! byte-identical answers to the concurrent run.
+//! The one pool of workers in the stack — the wire's connection
+//! workers — resolves its requested size through [`thread_cap`], so one
+//! environment variable (`RQC_THREADS`) can force the server
+//! single-threaded.  Nothing else spawns: the service answers a batch
+//! on the thread that asked, and a traversal runs on the thread that
+//! asked.  CI runs the binary's tests once with `RQC_THREADS=1`, where
+//! the cap shrinks the HTTP server's pool to one worker.
 
 use std::sync::OnceLock;
 

@@ -13,7 +13,11 @@
 //! (`Arc::make_mut`).  Inside a shard, storage is persistent too: tuples
 //! live in a chunked [`PVec`] (appends copy only the tail chunk), and
 //! the dedup table and every built index are [`PMap`] hash tries (path
-//! copying).  The net effect is that publishing a new snapshot epoch
+//! copying).  Each tuple is stored once, in the `PVec`: the dedup table
+//! files bare tuple ordinals under the tuple's hash and compares by
+//! reading the tuple back from the store — the ids-into-existing-storage
+//! layout the constant interner and `ProbeSpace`'s tuple interner use
+//! too.  The net effect is that publishing a new snapshot epoch
 //! after ingesting a handful of facts costs O(delta), not O(database):
 //! untouched shards are shared wholesale (`Arc::ptr_eq` with the parent
 //! epoch), and the touched shard shares all of its full chunks and all
@@ -28,6 +32,7 @@
 //! maintains them incrementally for the delta, so even the dirty shard
 //! never rebuilds an index from scratch.
 
+use rq_common::pshare::hash_of;
 use rq_common::{Const, FxHashMap, IdVec, PMap, PVec, Pred};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -242,8 +247,10 @@ pub struct Relation {
     /// Tuples, stored back to back (`arity` constants each) in shared
     /// chunks.
     flat: PVec<Const>,
-    /// Tuple → ordinal, for deduplication and membership tests.
-    dedup: PMap<Box<[Const]>, u32>,
+    /// Tuple ordinals, filed under the tuple's hash, for deduplication
+    /// and membership tests.  Equality reads the tuple from `flat`, so
+    /// the table holds no second copy of any tuple.
+    dedup: PMap<u32, ()>,
     /// Lazily built indexes, one per bound-column mask.  Persistent
     /// values, so cloning the cache is cheap and clones keep their
     /// warmth.
@@ -302,11 +309,8 @@ impl Relation {
     /// The tuple with the given ordinal.
     #[inline]
     pub fn tuple(&self, ord: u32) -> &[Const] {
-        if self.arity == 0 {
-            debug_assert!((ord as usize) < self.len());
-            return &[];
-        }
-        self.flat.get_slice(ord as usize * self.arity, self.arity)
+        debug_assert!((ord as usize) < self.len());
+        tuple_at(&self.flat, self.arity, ord)
     }
 
     /// Iterate all tuples.  Correct for every arity, including 0: a
@@ -319,7 +323,9 @@ impl Relation {
     /// Membership test.
     pub fn contains(&self, tuple: &[Const]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        self.dedup.contains_key(tuple)
+        self.dedup
+            .get_hashed(hash_of(tuple), |&o| self.tuple(o) == tuple)
+            .is_some()
     }
 
     /// Insert a tuple; returns `true` if it was new.  Existing indexes
@@ -329,11 +335,16 @@ impl Relation {
     /// of rebuilding them.
     pub fn insert(&mut self, tuple: &[Const]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        if self.dedup.contains_key(tuple) {
+        let ord = self.len() as u32;
+        let (flat, arity) = (&self.flat, self.arity);
+        let (inserted, _) = self.dedup.entry_hashed(
+            hash_of(tuple),
+            |&o| tuple_at(flat, arity, o) == tuple,
+            || (ord, ()),
+        );
+        if !inserted {
             return false;
         }
-        let ord = self.len() as u32;
-        self.dedup.entry_mut(tuple.into(), || ord);
         self.flat.push_slice(tuple);
         // The compact store is a snapshot of the tuple set; a mutation
         // makes it stale.  The next publish rebuilds it.
@@ -493,6 +504,16 @@ impl Relation {
     pub fn excess_capacity(&self) -> usize {
         self.flat.tail_excess_capacity()
     }
+}
+
+/// Tuple `ord` of an arity-strided store.  A nullary relation holds
+/// at most the empty tuple, which has no storage.
+#[inline]
+fn tuple_at(flat: &PVec<Const>, arity: usize, ord: u32) -> &[Const] {
+    if arity == 0 {
+        return &[];
+    }
+    flat.get_slice(ord as usize * arity, arity)
 }
 
 impl Clone for Relation {
@@ -943,6 +964,54 @@ mod tests {
         r.lookup(mask_of([0]), &[c(1)], &mut out);
         assert_eq!(out.len(), 1);
         assert!(r.build_compact());
+    }
+
+    #[test]
+    fn relation_matches_a_set_model_across_clones() {
+        use std::collections::BTreeSet;
+        // Insertion-ordered tuples plus their set, per retained version.
+        type Model = (Vec<Vec<Const>>, BTreeSet<Vec<Const>>);
+        fn check(r: &Relation, (order, set): &Model) {
+            assert_eq!(r.len(), set.len());
+            for (ord, t) in order.iter().enumerate() {
+                assert_eq!(r.tuple(ord as u32), t.as_slice());
+                assert!(r.contains(t));
+            }
+            assert_eq!(r.iter().count(), order.len());
+            let absent = vec![c(99); r.arity()];
+            assert_eq!(r.contains(&absent), r.arity() == 0 && !set.is_empty());
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for arity in 0..=4usize {
+            let mut r = Relation::new(arity);
+            let mut model: Model = Default::default();
+            let mut retained: Vec<(Relation, Model)> = Vec::new();
+            for _ in 0..1_500 {
+                let t: Vec<Const> = (0..arity).map(|_| c(below(6) as u32)).collect();
+                if below(4) == 0 {
+                    assert_eq!(r.contains(&t), model.1.contains(&t));
+                    continue;
+                }
+                let new = model.1.insert(t.clone());
+                if new {
+                    model.0.push(t.clone());
+                }
+                assert_eq!(r.insert(&t), new, "arity {arity}, {t:?}");
+                if below(50) == 0 {
+                    retained.push((r.clone(), model.clone()));
+                }
+            }
+            check(&r, &model);
+            for (version, model) in &retained {
+                check(version, model);
+            }
+        }
     }
 
     #[test]

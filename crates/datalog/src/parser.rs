@@ -41,10 +41,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Variable(String),
+/// A token.  Identifier and variable text is borrowed from the source,
+/// so lexing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Variable(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -56,7 +58,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -65,7 +67,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Self {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -81,7 +83,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let b = *self.src.get(self.pos)?;
+        let b = *self.src.as_bytes().get(self.pos)?;
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
@@ -93,7 +95,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_trivia(&mut self) {
@@ -114,7 +116,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<(Tok, usize, usize), ParseError> {
+    fn next_token(&mut self) -> Result<(Tok<'a>, usize, usize), ParseError> {
         self.skip_trivia();
         let (line, col) = (self.line, self.col);
         let Some(b) = self.peek() else {
@@ -178,19 +180,14 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'-' | b'0'..=b'9' => {
-                let mut s = String::new();
+                let start = self.pos;
                 if b == b'-' {
-                    s.push('-');
                     self.bump();
                 }
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_digit() {
-                        s.push(d as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                while self.peek().is_some_and(|d| d.is_ascii_digit()) {
+                    self.bump();
                 }
+                let s = &self.src[start..self.pos];
                 if s == "-" {
                     return Err(self.error("lone `-`"));
                 }
@@ -200,15 +197,14 @@ impl<'a> Lexer<'a> {
                 Tok::Int(v)
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
-                let mut s = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' || c == b'\'' {
-                        s.push(c as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                let start = self.pos;
+                while self
+                    .peek()
+                    .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
+                {
+                    self.bump();
                 }
+                let s = &self.src[start..self.pos];
                 if s.starts_with(|c: char| c.is_ascii_uppercase() || c == '_') {
                     Tok::Variable(s)
                 } else {
@@ -225,7 +221,7 @@ impl<'a> Lexer<'a> {
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    tok: Tok,
+    tok: Tok<'a>,
     line: usize,
     col: usize,
     program: Program,
@@ -260,7 +256,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), ParseError> {
         if self.tok == tok {
             self.advance()
         } else {
@@ -277,7 +273,7 @@ impl<'a> Parser<'a> {
 
     /// One clause: either a fact or a rule.
     fn parse_clause(&mut self) -> Result<(), ParseError> {
-        let mut vars: FxHashMap<String, Var> = FxHashMap::default();
+        let mut vars: FxHashMap<&'a str, Var> = FxHashMap::default();
         let mut var_names: Vec<String> = Vec::new();
         let head = self.parse_atom(&mut vars, &mut var_names)?;
         if self.tok == Tok::Dot {
@@ -316,19 +312,19 @@ impl<'a> Parser<'a> {
 
     fn parse_literal(
         &mut self,
-        vars: &mut FxHashMap<String, Var>,
+        vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Literal, ParseError> {
         // Lookahead: `ident (` is an atom; otherwise it must be a comparison.
-        match self.tok.clone() {
+        match self.tok {
             Tok::Ident(name) => {
                 self.advance()?;
                 if self.tok == Tok::LParen {
-                    let atom = self.parse_atom_tail(&name, vars, var_names)?;
+                    let atom = self.parse_atom_tail(name, vars, var_names)?;
                     Ok(Literal::Atom(atom))
                 } else {
                     // A constant followed by a comparison operator.
-                    let lhs = Term::Const(self.program.consts.intern_str(&name));
+                    let lhs = Term::Const(self.program.consts.intern_str(name));
                     self.parse_cmp_tail(lhs, vars, var_names)
                 }
             }
@@ -343,7 +339,7 @@ impl<'a> Parser<'a> {
     fn parse_cmp_tail(
         &mut self,
         lhs: Term,
-        vars: &mut FxHashMap<String, Var>,
+        vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Literal, ParseError> {
         let op = match self.tok {
@@ -357,21 +353,21 @@ impl<'a> Parser<'a> {
 
     fn parse_atom(
         &mut self,
-        vars: &mut FxHashMap<String, Var>,
+        vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Atom, ParseError> {
-        let name = match self.tok.clone() {
+        let name = match self.tok {
             Tok::Ident(name) => name,
             other => return Err(self.error(format!("expected predicate name, found {other:?}"))),
         };
         self.advance()?;
-        self.parse_atom_tail(&name, vars, var_names)
+        self.parse_atom_tail(name, vars, var_names)
     }
 
     fn parse_atom_tail(
         &mut self,
         name: &str,
-        vars: &mut FxHashMap<String, Var>,
+        vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Atom, ParseError> {
         self.expect(Tok::LParen, "`(`")?;
@@ -398,19 +394,19 @@ impl<'a> Parser<'a> {
 
     fn parse_term(
         &mut self,
-        vars: &mut FxHashMap<String, Var>,
+        vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Term, ParseError> {
-        let term = match self.tok.clone() {
+        let term = match self.tok {
             Tok::Variable(name) => {
-                let v = *vars.entry(name.clone()).or_insert_with(|| {
+                let v = *vars.entry(name).or_insert_with(|| {
                     let v = Var(var_names.len() as u32);
-                    var_names.push(name.clone());
+                    var_names.push(name.to_owned());
                     v
                 });
                 Term::Var(v)
             }
-            Tok::Ident(name) => Term::Const(self.program.consts.intern_str(&name)),
+            Tok::Ident(name) => Term::Const(self.program.consts.intern_str(name)),
             Tok::Int(i) => Term::Const(self.program.consts.intern_int(i)),
             other => return Err(self.error(format!("expected term, found {other:?}"))),
         };

@@ -65,6 +65,12 @@ impl ProgramPlan {
 /// on purpose: plans survive ingestion.  Predicate ids are included
 /// because compiled expressions refer to predicates by id, so the same
 /// rule *text* under a different id assignment is a different plan.
+///
+/// The value is written into every checkpoint and WAL record and
+/// compared on recovery, so it must never change for a given program:
+/// it is the raw Fx mix state, undoing the rotation
+/// [`FxHasher::finish`] applies, which keeps every existing data
+/// directory recoverable.
 pub fn rules_fingerprint(program: &Program) -> u64 {
     let mut h = FxHasher::default();
     for rule in &program.rules {
@@ -74,7 +80,7 @@ pub fn rules_fingerprint(program: &Program) -> u64 {
             h.write_u32(atom.pred.0);
         }
     }
-    h.finish()
+    h.finish().rotate_right(26)
 }
 
 /// Hit/miss/eviction/dedup counts of one cache.
@@ -368,6 +374,14 @@ mod tests {
         assert!(Arc::ptr_eq(&p0, &p1), "ingest must not recompile");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.programs(), 1);
+    }
+
+    #[test]
+    fn rules_fingerprint_is_pinned() {
+        // Recorded on-disk value: checkpoints and WAL records written
+        // with it must keep recovering.
+        let tc = parse_program("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\ne(a,b).").unwrap();
+        assert_eq!(rules_fingerprint(&tc), 0x6c9a_68e4_6dfd_e21d);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //!
 //! The shape is deliberately simple — N OS threads, each blocked in
 //! `accept`, each serving one connection at a time with keep-alive —
-//! because the expensive work (traversal, joins) already parallelizes
-//! *inside* the service: `query_batch` fans across its own workers.  The
-//! wire workers only parse bytes and route; resolving their count
-//! through the same `RQC_THREADS` cap as every other layer keeps the
-//! process's total thread budget coherent.
+//! and it is the process's only parallelism: a request, a whole
+//! `/batch` included, is answered on the worker that read it (the
+//! service spawns no threads).  The worker count resolves through the
+//! `RQC_THREADS` cap ([`rq_common::thread_cap`]).
 
 use crate::api;
 use crate::http::{self, Limits, RequestError};

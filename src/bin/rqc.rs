@@ -180,8 +180,12 @@ fn serve(
     http: Option<&str>,
     data_dir: Option<&std::path::Path>,
 ) -> Result<ExitCode, ExitCode> {
-    let source = read_program(path)?;
-    let mut session = ServeSession::with_data_dir(&source, data_dir).map_err(fail)?;
+    // The program text is dead once parsed; a long-lived server must
+    // not hold it.
+    let mut session = {
+        let source = read_program(path)?;
+        ServeSession::with_data_dir(&source, data_dir).map_err(fail)?
+    };
     print_recovery_banner(session.service());
     let Some(addr) = http else {
         eprintln!(
