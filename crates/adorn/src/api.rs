@@ -72,9 +72,9 @@ pub struct NaryPlan {
     pub adornment: Adornment,
     /// The transformed binary program (after Lemma 1 rewriting).
     pub binary: BinaryProgram,
-    /// Thompson machines for the transformed equation system, both
-    /// orientations — immutable and `Sync`, so one compile serves
-    /// concurrent query threads.
+    /// The served (ε-free position) machines for the transformed
+    /// equation system, both orientations — immutable and `Sync`, so
+    /// one compile serves concurrent query threads.
     pub compiled: CompiledPlan,
 }
 

@@ -4,7 +4,8 @@
 //! `EM(p,i-1)` by replacing every transition `q --r--> q'` on a *derived*
 //! predicate `r` with a fresh copy of `M(e_r)`: the transition is removed
 //! and `q --id--> q_s'` and `q_f' --id--> q'` are added, where `q_s'`,
-//! `q_f'` are the copy's initial and final states (Figure 2).
+//! `q_f'` are the copy's initial and final states (Figure 2).  The
+//! machines here are the paper's Thompson machines.
 //!
 //! The traversal engine simulates this expansion lazily; this explicit
 //! version exists to validate the lazy encoding (the two must agree
@@ -51,8 +52,8 @@ impl MachineSet {
     pub fn expand_once(&self, nfa: &Nfa) -> Nfa {
         let mut out = Nfa {
             trans: vec![Vec::new(); nfa.num_states()],
-            start: nfa.start,
-            finish: nfa.finish,
+            starts: nfa.starts.clone(),
+            finals: nfa.finals.clone(),
         };
         for (q, row) in nfa.trans.iter().enumerate() {
             for &(label, to) in row {
@@ -73,7 +74,7 @@ impl MachineSet {
                     Label::Id => unreachable!(),
                 };
                 let copy = if invert {
-                    invert_nfa(&self.machines[&p])
+                    self.machines[&p].reverse()
                 } else {
                     self.machines[&p].clone()
                 };
@@ -82,34 +83,17 @@ impl MachineSet {
                     out.trans
                         .push(crow.iter().map(|&(l, t)| (l, t + offset)).collect());
                 }
-                out.trans[q].push((Label::Id, copy.start + offset));
-                out.trans[copy.finish + offset].push((Label::Id, to));
+                out.finals.resize(out.trans.len(), false);
+                for &s in &copy.starts {
+                    out.trans[q].push((Label::Id, s + offset));
+                }
+                for f in copy.final_states() {
+                    out.trans[f + offset].push((Label::Id, to));
+                }
             }
         }
         out
     }
-}
-
-/// Reverse an NFA: flip every transition (inverting its label) and swap
-/// start and final states.  Recognizes the reversed language with each
-/// letter inverted — the automaton of the inverse expression.
-pub fn invert_nfa(nfa: &Nfa) -> Nfa {
-    let mut out = Nfa {
-        trans: vec![Vec::new(); nfa.num_states()],
-        start: nfa.finish,
-        finish: nfa.start,
-    };
-    for (q, row) in nfa.trans.iter().enumerate() {
-        for &(label, to) in row {
-            let flipped = match label {
-                Label::Id => Label::Id,
-                Label::Sym(p) => Label::Inv(p),
-                Label::Inv(p) => Label::Sym(p),
-            };
-            out.trans[to].push((flipped, q));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -217,7 +201,7 @@ mod tests {
     fn invert_nfa_reverses_words() {
         let e = Expr::cat([Expr::Sym(Pred(1)), Expr::Sym(Pred(2))]);
         let nfa = thompson(&e);
-        let inv = invert_nfa(&nfa);
+        let inv = nfa.reverse();
         let words = inv.words_up_to(3);
         assert_eq!(words.len(), 1);
         assert!(words.contains(&vec![Label::Inv(Pred(2)), Label::Inv(Pred(1))]));

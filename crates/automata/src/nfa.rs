@@ -7,12 +7,20 @@
 //! predicate symbol (interpreted as the relation it denotes), an inverted
 //! predicate symbol, or `id` (interpreted as the identity relation, i.e.
 //! an ε-move of the traversal).
+//!
+//! [`thompson`] is that standard technique; it is the reference the
+//! served machines ([`crate::position()`]) are tested against, and the
+//! construction behind the paper's figures ([`crate::MachineSet`]).
 
-use rq_common::{FxHashSet, Pred};
+#[cfg(test)]
+use rq_common::FxHashSet;
+use rq_common::Pred;
 use rq_relalg::Expr;
 
-/// A transition label.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A transition label.  Labels order `id` first, then forward symbols,
+/// then inverse ones: a sorted row lists each label's transitions side
+/// by side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Label {
     /// The identity relation (ε).
     Id,
@@ -30,17 +38,35 @@ impl Label {
             Label::Sym(p) | Label::Inv(p) => Some(p),
         }
     }
+
+    /// `id`, `r` or `r^-1`, with predicate names from `name`.
+    pub fn display(self, name: &impl Fn(Pred) -> String) -> String {
+        match self {
+            Label::Id => "id".to_string(),
+            Label::Sym(p) => name(p),
+            Label::Inv(p) => format!("{}^-1", name(p)),
+        }
+    }
+
+    /// The label read backwards: `r` ↔ `r⁻¹`, `id` stays `id`.
+    pub fn inverse(self) -> Label {
+        match self {
+            Label::Id => Label::Id,
+            Label::Sym(p) => Label::Inv(p),
+            Label::Inv(p) => Label::Sym(p),
+        }
+    }
 }
 
-/// An ε-NFA with a single start and a single final state.
-#[derive(Clone, Debug, Default)]
+/// An ε-NFA with a set of start states and a set of final states.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Nfa {
     /// Outgoing transitions per state.
     pub trans: Vec<Vec<(Label, usize)>>,
-    /// The initial state `q_s`.
-    pub start: usize,
-    /// The final state `q_f`.
-    pub finish: usize,
+    /// The initial states, ascending.
+    pub starts: Vec<usize>,
+    /// `finals[q]`: whether state `q` is accepting.
+    pub finals: Vec<bool>,
 }
 
 impl Nfa {
@@ -63,124 +89,50 @@ impl Nfa {
         self.trans[from].push((label, to));
     }
 
-    /// The distinct predicates labeling transitions.
-    pub fn alphabet(&self) -> FxHashSet<Pred> {
-        let mut out = FxHashSet::default();
-        for row in &self.trans {
-            for (label, _) in row {
-                if let Some(p) = label.pred() {
-                    out.insert(p);
-                }
-            }
-        }
-        out
+    /// The accepting states, ascending.
+    pub fn final_states(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.finals.len()).filter(|&q| self.finals[q])
     }
 
-    /// States reachable from the start through any transitions.
-    pub fn reachable_states(&self) -> FxHashSet<usize> {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![self.start];
-        while let Some(q) = stack.pop() {
-            if !seen.insert(q) {
-                continue;
-            }
-            for &(_, to) in &self.trans[q] {
-                stack.push(to);
-            }
-        }
-        seen
-    }
-
-    /// ε-closure (closure under `id` transitions) of a set of states.
-    pub fn epsilon_closure(&self, states: impl IntoIterator<Item = usize>) -> FxHashSet<usize> {
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        let mut stack: Vec<usize> = states.into_iter().collect();
-        while let Some(q) = stack.pop() {
-            if !seen.insert(q) {
-                continue;
-            }
-            for &(label, to) in &self.trans[q] {
-                if label == Label::Id {
-                    stack.push(to);
-                }
+    /// The exact reversal: every transition flipped with its label
+    /// inverted, starts and finals swapped, state indices kept, rows
+    /// sorted.  Recognizes the reversed language with each letter
+    /// inverted — the automaton of the inverse expression — and, because
+    /// indices are kept, a walk from state `s` of the reversal retraces
+    /// the original's paths into `s` back to the original's starts.
+    pub fn reverse(&self) -> Nfa {
+        let mut trans = vec![Vec::new(); self.num_states()];
+        for (q, row) in self.trans.iter().enumerate() {
+            for &(label, to) in row {
+                trans[to].push((label.inverse(), q));
             }
         }
-        seen
-    }
-
-    /// Enumerate all label-words of length ≤ `max_len` accepted by the
-    /// automaton (ε-transitions contribute no letter).  Exponential; for
-    /// tests only.
-    pub fn words_up_to(&self, max_len: usize) -> FxHashSet<Vec<Label>> {
-        let mut out = FxHashSet::default();
-        // BFS over (state set, word) — since the automaton may have
-        // ε-cycles we work with closed state sets.
-        let mut layer: Vec<(FxHashSet<usize>, Vec<Label>)> =
-            vec![(self.epsilon_closure([self.start]), Vec::new())];
-        for _ in 0..=max_len {
-            let mut next: Vec<(FxHashSet<usize>, Vec<Label>)> = Vec::new();
-            let mut seen_words: FxHashSet<Vec<Label>> = FxHashSet::default();
-            for (states, word) in &layer {
-                if states.contains(&self.finish) {
-                    out.insert(word.clone());
-                }
-                if word.len() == max_len {
-                    continue;
-                }
-                // Group successor states by letter.
-                let mut by_letter: rq_common::FxHashMap<Label, FxHashSet<usize>> =
-                    rq_common::FxHashMap::default();
-                for &q in states {
-                    for &(label, to) in &self.trans[q] {
-                        if label != Label::Id {
-                            by_letter.entry(label).or_default().insert(to);
-                        }
-                    }
-                }
-                for (letter, tos) in by_letter {
-                    let mut w = word.clone();
-                    w.push(letter);
-                    if seen_words.insert(w.clone()) {
-                        next.push((self.epsilon_closure(tos), w));
-                    }
-                }
-            }
-            layer = next;
-            if layer.is_empty() {
-                break;
-            }
+        for row in &mut trans {
+            row.sort_unstable();
         }
-        out
-    }
-
-    /// Remove every transition labeled with one of `preds`, returning the
-    /// stripped automaton.  The paper's Lemma 2 proof considers exactly
-    /// this: `EM(p,i)` with derived-relation transitions removed.
-    pub fn strip_preds(&self, preds: &FxHashSet<Pred>) -> Nfa {
-        let mut out = self.clone();
-        for row in &mut out.trans {
-            row.retain(|(label, _)| match label.pred() {
-                Some(p) => !preds.contains(&p),
-                None => true,
-            });
+        let mut finals = vec![false; self.num_states()];
+        for &s in &self.starts {
+            finals[s] = true;
         }
-        out
+        Nfa {
+            trans,
+            starts: self.final_states().collect(),
+            finals,
+        }
     }
 
-    /// GraphViz DOT rendering (state ids; labels via `name`).
+    /// GraphViz DOT rendering (state ids; labels via `name`): start
+    /// states bold, final states double circles.
     pub fn to_dot(&self, name: &impl Fn(Pred) -> String) -> String {
         let mut out = String::from("digraph nfa {\n  rankdir=LR;\n");
-        out.push_str(&format!(
-            "  q{} [shape=circle, style=bold];\n  q{} [shape=doublecircle];\n",
-            self.start, self.finish
-        ));
+        for q in 0..self.num_states() {
+            let shape = ["circle", "doublecircle"][usize::from(self.finals[q])];
+            let bold = ["", ", style=bold"][usize::from(self.starts.contains(&q))];
+            out.push_str(&format!("  q{q} [shape={shape}{bold}];\n"));
+        }
         for (q, row) in self.trans.iter().enumerate() {
             for (label, to) in row {
-                let l = match label {
-                    Label::Id => "id".to_string(),
-                    Label::Sym(p) => name(*p),
-                    Label::Inv(p) => format!("{}^-1", name(*p)),
-                };
+                let l = label.display(name);
                 out.push_str(&format!("  q{q} -> q{to} [label=\"{l}\"];\n"));
             }
         }
@@ -189,16 +141,17 @@ impl Nfa {
     }
 }
 
-/// Thompson construction: build `M(e)` with one start and one final state.
+/// Thompson construction: build `M(e)` with one start and one final
+/// state, glued by `id` transitions.
 /// Derived predicates are ordinary letters here; the traversal engine (or
 /// [`crate::expand`]) gives them their recursive meaning.
 pub fn thompson(e: &Expr) -> Nfa {
     let mut nfa = Nfa::default();
     let start = nfa.add_state();
     let finish = nfa.add_state();
-    nfa.start = start;
-    nfa.finish = finish;
     build(&mut nfa, e, start, finish);
+    nfa.starts = vec![start];
+    nfa.finals = (0..nfa.num_states()).map(|q| q == finish).collect();
     nfa
 }
 
@@ -245,6 +198,105 @@ fn build(nfa: &mut Nfa, e: &Expr, from: usize, to: usize) {
     }
 }
 
+/// Test oracles: bounded language enumeration, exponential in the
+/// bound.
+#[cfg(test)]
+impl Nfa {
+    /// States reachable from a start through any transitions.
+    pub fn reachable_states(&self) -> FxHashSet<usize> {
+        let mut seen = FxHashSet::default();
+        let mut stack = self.starts.clone();
+        while let Some(q) = stack.pop() {
+            if !seen.insert(q) {
+                continue;
+            }
+            for &(_, to) in &self.trans[q] {
+                stack.push(to);
+            }
+        }
+        seen
+    }
+
+    /// ε-closure (closure under `id` transitions) of a set of states.
+    pub fn epsilon_closure(&self, states: impl IntoIterator<Item = usize>) -> FxHashSet<usize> {
+        let mut seen: FxHashSet<usize> = FxHashSet::default();
+        let mut stack: Vec<usize> = states.into_iter().collect();
+        while let Some(q) = stack.pop() {
+            if !seen.insert(q) {
+                continue;
+            }
+            for &(label, to) in &self.trans[q] {
+                if label == Label::Id {
+                    stack.push(to);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Enumerate all label-words of length ≤ `max_len` accepted by the
+    /// automaton (ε-transitions contribute no letter).  Exponential; for
+    /// tests only.
+    pub fn words_up_to(&self, max_len: usize) -> FxHashSet<Vec<Label>> {
+        let mut out = FxHashSet::default();
+        // BFS over (state set, word) — since the automaton may have
+        // ε-cycles we work with closed state sets.
+        let mut layer: Vec<(FxHashSet<usize>, Vec<Label>)> = vec![(
+            self.epsilon_closure(self.starts.iter().copied()),
+            Vec::new(),
+        )];
+        for _ in 0..=max_len {
+            let mut next: Vec<(FxHashSet<usize>, Vec<Label>)> = Vec::new();
+            let mut seen_words: FxHashSet<Vec<Label>> = FxHashSet::default();
+            for (states, word) in &layer {
+                if states.iter().any(|&q| self.finals[q]) {
+                    out.insert(word.clone());
+                }
+                if word.len() == max_len {
+                    continue;
+                }
+                // Group successor states by letter.
+                let mut by_letter: rq_common::FxHashMap<Label, FxHashSet<usize>> =
+                    rq_common::FxHashMap::default();
+                for &q in states {
+                    for &(label, to) in &self.trans[q] {
+                        if label != Label::Id {
+                            by_letter.entry(label).or_default().insert(to);
+                        }
+                    }
+                }
+                for (letter, tos) in by_letter {
+                    let mut w = word.clone();
+                    w.push(letter);
+                    if seen_words.insert(w.clone()) {
+                        next.push((self.epsilon_closure(tos), w));
+                    }
+                }
+            }
+            layer = next;
+            if layer.is_empty() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// Remove every transition labeled with one of `preds`, returning the
+    /// stripped automaton.  The paper's Lemma 2 proof considers exactly
+    /// this: `EM(p,i)` with derived-relation transitions removed.
+    pub fn strip_preds(&self, preds: &FxHashSet<Pred>) -> Nfa {
+        let mut out = self.clone();
+        for row in &mut out.trans {
+            row.retain(|(label, _)| match label.pred() {
+                Some(p) => !preds.contains(&p),
+                None => true,
+            });
+        }
+        out
+    }
+}
+
+#[cfg(test)]
 /// Enumerate the label-words of length ≤ `max_len` denoted by an
 /// expression, treating every symbol (base or derived) as a letter.
 /// The test oracle paired with [`Nfa::words_up_to`].
@@ -386,9 +438,9 @@ mod tests {
     fn epsilon_closure_follows_id_chains() {
         let e = Expr::star(p(1));
         let nfa = thompson(&e);
-        let closure = nfa.epsilon_closure([nfa.start]);
+        let closure = nfa.epsilon_closure(nfa.starts.iter().copied());
         // Start's closure must include the final state (ε-accept).
-        assert!(closure.contains(&nfa.finish));
+        assert!(closure.iter().any(|&q| nfa.finals[q]));
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl HuntGraph {
     /// `(q_s, a)`.  Charges per-query traversal costs to `counters`.
     pub fn query(&self, a: Const, counters: &mut Counters) -> FxHashSet<Const> {
         let mut answers = FxHashSet::default();
-        let Some(&start) = self.node_id.get(&(self.nfa.start as u32, a)) else {
+        let Some(&start) = self.node_id.get(&(self.nfa.starts[0] as u32, a)) else {
             return answers;
         };
         let mut seen: FxHashSet<u32> = FxHashSet::default();
@@ -161,7 +161,7 @@ impl HuntGraph {
             }
             counters.nodes_inserted += 1;
             let (state, c) = self.nodes[id as usize];
-            if state as usize == self.nfa.finish {
+            if self.nfa.finals[state as usize] {
                 answers.insert(c);
             }
             for &to in &self.succ[id as usize] {

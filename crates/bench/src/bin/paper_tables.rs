@@ -3,12 +3,12 @@
 //! a unit-cost tuple-retrieval model; we print the measured counts and
 //! the fitted growth exponents).
 //!
-//! Usage: `paper_tables [table1|fig8|horner|demand|flights|theorem3|theorem4|allpairs|duplication|binreach|compact|minside|all] [--json]`
+//! Usage: `paper_tables [table1|fig8|horner|demand|flights|theorem3|theorem4|allpairs|duplication|binreach|machines|minside|all] [--json]`
 
 use rq_bench::{loglog_slope, prepare, run_strategy, StrategyKind};
 use rq_common::ConstValue;
 use rq_datalog::Database;
-use rq_engine::{EdbSource, EvalOptions, Evaluator};
+use rq_engine::{CompiledPlan, EdbSource, EvalOptions, Evaluator};
 use rq_relalg::{lemma1, linear_decomposition, unroll, Lemma1Options};
 use rq_workloads::{fig7, fig8, flights, graphs, Workload};
 
@@ -433,10 +433,11 @@ fn binreach(r: &mut Report) {
     }
 }
 
-/// E17: ε-compaction ablation — graph nodes with plain vs compacted
-/// machines on a union-heavy regular program.
-fn compaction(r: &mut Report) {
-    r.section("ε-compaction ablation: G(p,a,1) nodes, plain vs compacted machines");
+/// E17: machine ablation — graph nodes of the served ε-free machines
+/// vs the Thompson reference on a union-heavy regular program, from
+/// the head of the `a` chain forward and from its tail backward.
+fn machines(r: &mut Report) {
+    r.section("Machine ablation: G(p,a,1) nodes, Thompson vs served (ε-free) machines");
     for &n in &[100usize, 400, 1600] {
         let mut src = String::from(
             "r(X,Y) :- a(X,Y).\n\
@@ -453,22 +454,31 @@ fn compaction(r: &mut Report) {
         let db = Database::from_program(&program);
         let system = lemma1(&program, &Lemma1Options::default()).unwrap().system;
         let p = program.pred_by_name("r").unwrap();
-        let v0 = program.consts.get(&ConstValue::Str("v0".into())).unwrap();
+        let konst = |name: String| program.consts.get(&ConstValue::Str(name)).unwrap();
+        let (head, tail) = (konst("v0".into()), konst(format!("v{n}")));
         let source = EdbSource::new(&db);
-        let plain = Evaluator::new(&system, &source).evaluate(p, v0, &EvalOptions::default());
-        let compacted =
-            Evaluator::new_compacted(&system, &source).evaluate(p, v0, &EvalOptions::default());
-        assert_eq!(plain.answers, compacted.answers);
+        let reference = CompiledPlan::compile_with(&system, rq_automata::thompson);
+        let thompson = Evaluator::with_plan(&system, &reference, &source);
+        let served = Evaluator::new(&system, &source);
+        let opts = EvalOptions::default();
+        let (t_fwd, s_fwd) = (
+            thompson.evaluate(p, head, &opts),
+            served.evaluate(p, head, &opts),
+        );
+        let (t_inv, s_inv) = (
+            thompson.evaluate_inverse(p, tail, &opts),
+            served.evaluate_inverse(p, tail, &opts),
+        );
+        assert_eq!(t_fwd.answers, s_fwd.answers);
+        assert_eq!(t_inv.answers, s_inv.answers);
         r.row(
-            "compact",
+            "machines",
             &format!("n={n}"),
             vec![
-                ("plain_nodes".into(), plain.graph_nodes as f64),
-                ("compacted_nodes".into(), compacted.graph_nodes as f64),
-                (
-                    "saved".into(),
-                    (plain.graph_nodes - compacted.graph_nodes) as f64,
-                ),
+                ("thompson_nodes".into(), t_fwd.graph_nodes as f64),
+                ("served_nodes".into(), s_fwd.graph_nodes as f64),
+                ("thompson_inverse_nodes".into(), t_inv.graph_nodes as f64),
+                ("served_inverse_nodes".into(), s_inv.graph_nodes as f64),
             ],
         );
     }
@@ -533,7 +543,7 @@ fn main() {
         "allpairs" => allpairs(&mut r),
         "duplication" => duplication(&mut r),
         "binreach" => binreach(&mut r),
-        "compact" => compaction(&mut r),
+        "machines" => machines(&mut r),
         "minside" => minside(&mut r),
         "all" => {
             table1(&mut r);
@@ -546,11 +556,11 @@ fn main() {
             allpairs(&mut r);
             duplication(&mut r);
             binreach(&mut r);
-            compaction(&mut r);
+            machines(&mut r);
             minside(&mut r);
         }
         other => {
-            eprintln!("unknown table `{other}`; expected table1|fig8|horner|demand|flights|theorem3|theorem4|allpairs|duplication|binreach|compact|minside|all");
+            eprintln!("unknown table `{other}`; expected table1|fig8|horner|demand|flights|theorem3|theorem4|allpairs|duplication|binreach|machines|minside|all");
             std::process::exit(2);
         }
     }

@@ -13,14 +13,14 @@
 
 use crate::source::{EdbSource, TupleSource};
 use crate::traversal::{EvalOptions, EvalOutcome, Evaluator};
-use rq_automata::{thompson, Label};
+use rq_automata::{position, Label};
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_datalog::tarjan_scc;
 use rq_relalg::{linear_decomposition, EqSystem, Expr, ImageEval};
 
-/// Candidate source constants for an all-pairs query: every constant with
-/// an outgoing transition from the start state's ε-closure — a superset
-/// of the domain of `p` that the machine can actually leave the start on.
+/// Candidate source constants for an all-pairs query: every constant
+/// with a tuple on a label the machine can leave its start on — a
+/// superset of the domain of `p`.
 pub fn candidate_sources<S: TupleSource>(system: &EqSystem, source: &S, p: Pred) -> Vec<Const> {
     // Collect the base predicates (forward or inverse) reachable as *first
     // letters* of e_p, unfolding derived predicates.
@@ -37,20 +37,18 @@ pub fn candidate_sources<S: TupleSource>(system: &EqSystem, source: &S, p: Pred)
         } else {
             system.rhs[&q].clone()
         };
-        let nfa = thompson(&e);
-        for state in nfa.epsilon_closure([nfa.start]) {
-            for &(label, _) in &nfa.trans[state] {
-                match label {
-                    Label::Sym(r) if derived.contains(&r) => stack.push((r, false)),
-                    Label::Inv(r) if derived.contains(&r) => stack.push((r, true)),
-                    Label::Sym(r) => {
-                        first.insert((r, false));
-                    }
-                    Label::Inv(r) => {
-                        first.insert((r, true));
-                    }
-                    Label::Id => {}
+        // State 0 is the position machine's only start.
+        for &(label, _) in &position(&e).trans[0] {
+            match label {
+                Label::Sym(r) if derived.contains(&r) => stack.push((r, false)),
+                Label::Inv(r) if derived.contains(&r) => stack.push((r, true)),
+                Label::Sym(r) => {
+                    first.insert((r, false));
                 }
+                Label::Inv(r) => {
+                    first.insert((r, true));
+                }
+                Label::Id => {}
             }
         }
     }
@@ -123,10 +121,10 @@ pub fn all_pairs_per_source<S: TupleSource>(
 /// `e_p`), sharing work between sources with Tarjan's strong-components
 /// algorithm, per the paper's reference to [19, 21]:
 ///
-/// 1. build the product graph with nodes `(state, term)` reachable from
-///    any `(q_s, a)`;
+/// 1. build the product graph with nodes `(state, term)` of the served
+///    machine reachable from any `(q_s, a)`;
 /// 2. condense it into strongly connected components;
-/// 3. propagate answer sets (terms at `(q_f, ·)` nodes) backwards through
+/// 3. propagate answer sets (terms at final-state nodes) backwards through
 ///    the condensation in one pass — every node of a component shares one
 ///    answer set, which is what kills the per-source duplication.
 ///
@@ -145,7 +143,7 @@ pub fn all_pairs_scc<S: TupleSource>(
         "all_pairs_scc requires a regular (derived-free) equation"
     );
     let mut counters = Counters::new();
-    let nfa = thompson(e);
+    let nfa = position(e);
     let sources: Vec<Const> = candidate_sources(system, source, p);
 
     // Phase 1: explicit product graph, nodes interned to dense ids.
@@ -169,7 +167,8 @@ pub fn all_pairs_scc<S: TupleSource>(
     let mut stack: Vec<usize> = Vec::new();
     let mut roots: Vec<(Const, usize)> = Vec::new();
     for &a in &sources {
-        let (id, fresh) = intern((nfa.start as u32, a), &mut nodes, &mut succ, &mut node_id);
+        // State 0 is the position machine's only start.
+        let (id, fresh) = intern((0, a), &mut nodes, &mut succ, &mut node_id);
         roots.push((a, id));
         if fresh {
             counters.nodes_inserted += 1;
@@ -179,20 +178,23 @@ pub fn all_pairs_scc<S: TupleSource>(
     let mut buf: Vec<Const> = Vec::new();
     while let Some(id) = stack.pop() {
         let (state, term) = nodes[id];
-        let row: Vec<(Label, usize)> = nfa.trans[state as usize].clone();
-        for (label, to) in row {
-            counters.rule_firings += 1;
-            let targets = match label {
+        // Rows are sorted by label: one read per run of transitions on
+        // one label.
+        for run in nfa.trans[state as usize].chunk_by(|x, y| x.0 == y.0) {
+            counters.rule_firings += run.len() as u64;
+            let targets = match run[0].0 {
                 Label::Id => std::slice::from_ref(&term),
                 Label::Sym(r) => source.successors(r, term, &mut buf, &mut counters),
                 Label::Inv(r) => source.predecessors(r, term, &mut buf, &mut counters),
             };
-            for &v in targets {
-                let (nid, fresh) = intern((to as u32, v), &mut nodes, &mut succ, &mut node_id);
-                succ[id].push(nid);
-                if fresh {
-                    counters.nodes_inserted += 1;
-                    stack.push(nid);
+            for &(_, to) in run {
+                for &v in targets {
+                    let (nid, fresh) = intern((to as u32, v), &mut nodes, &mut succ, &mut node_id);
+                    succ[id].push(nid);
+                    if fresh {
+                        counters.nodes_inserted += 1;
+                        stack.push(nid);
+                    }
                 }
             }
         }
@@ -214,7 +216,7 @@ pub fn all_pairs_scc<S: TupleSource>(
         }
     }
     for (id, &(state, term)) in nodes.iter().enumerate() {
-        if state as usize == nfa.finish {
+        if nfa.finals[state as usize] {
             comp_answers[comp[id]].insert(term);
         }
     }

@@ -4,18 +4,28 @@
 //!
 //! # Correspondence with the paper
 //!
+//! * The machines are the ε-free position automata of
+//!   [`rq_automata::position()`], not the paper's Thompson machines: a
+//!   walk pays one node per `(state, term)`, and a machine without glue
+//!   states pays it only where a letter was read (`tc` inserts one node
+//!   per reached term forward instead of four).  Inverse machines are
+//!   exact reversals, so a machine has a set of start states and a set
+//!   of final states.  Any construction runs here —
+//!   [`CompiledPlan::compile_with`] takes the Thompson reference too.
 //! * The paper's `EM` is built by physically splicing fresh copies of
 //!   `M(e_r)` over derived-predicate transitions.  We simulate the copies
 //!   with *instances*: a node is `(instance, state, term)` where
 //!   `instance` identifies one spliced copy and `state` a state of that
 //!   copy's machine.  The `id` bridges into and out of a copy become the
-//!   instance's entry (its machine's start state) and its `exit` link.
+//!   instance's entry (a node at every start state of its machine) and
+//!   its `exit` link (taken at every final state, into every target of
+//!   the splice it stands for).
 //! * `G` is the node set; arcs are never materialized ("the arcs of the
 //!   graph need not be stored at all").
 //! * `C` holds the continuation nodes: nodes whose state has an outgoing
 //!   transition on a not-yet-expanded derived predicate.
 //! * `S` holds the start nodes of the next iteration: `(q_s', u)` for the
-//!   fresh copies.
+//!   fresh copies, one per start state `q_s'`.
 //! * The main loop runs until `C` is empty — or until the caller's
 //!   iteration bound, which §3's cyclic-data discussion (Figure 8)
 //!   motivates, is reached.
@@ -25,9 +35,9 @@
 
 use crate::nodeset::{Node, NodeSet};
 use crate::source::TupleSource;
-use rq_automata::{invert_nfa, thompson, Label, Nfa};
+use rq_automata::{position, Label, Nfa};
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
-use rq_relalg::EqSystem;
+use rq_relalg::{EqSystem, Expr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,10 +54,67 @@ struct MachineKey {
 struct Instance {
     /// Index into [`CompiledPlan::machines`].
     machine: u32,
-    /// Where the copy's final state continues: `(instance, state)` of the
-    /// parent, or `None` for the root instance (whose final state emits
+    /// Where the copy's final states continue: the parent instance and
+    /// the splice (of the parent's machine) whose target states it
+    /// enters, or `None` for the root instance (whose final states emit
     /// answers).
     exit: Option<(u32, u32)>,
+}
+
+/// The derived-label transitions of one machine, grouped into
+/// *splices*: a state's run of transitions on one derived label is one
+/// splice, and runs with the same label and the same target states are
+/// the same splice.  One spliced copy serves a splice — entering it
+/// from any of its states and leaving it to all of its targets is what
+/// the transitions say — so a position machine, whose occurrence of
+/// `r` is entered from several states (and whose reversal leaves one
+/// state to several), splices no more copies than the Thompson machine.
+#[derive(Debug, Default)]
+struct Splices {
+    /// `at[offsets[q] + t]`: the splice of transition `t` of state `q`
+    /// (`u32::MAX` on base and `id` labels).  Both are empty when the
+    /// machine has no derived-label transition.
+    offsets: Vec<u32>,
+    at: Vec<u32>,
+    /// Label and target states per splice.
+    exits: Vec<(Label, Vec<u32>)>,
+}
+
+impl Splices {
+    fn of(machine: &Nfa, derived: &FxHashSet<Pred>) -> Self {
+        let is_derived = |label: Label| label.pred().is_some_and(|r| derived.contains(&r));
+        let mut out = Splices::default();
+        if !machine.trans.iter().flatten().any(|&(l, _)| is_derived(l)) {
+            return out;
+        }
+        for row in &machine.trans {
+            out.offsets.push(out.at.len() as u32);
+            for run in row.chunk_by(|x, y| x.0 == y.0) {
+                let mut id = u32::MAX;
+                if is_derived(run[0].0) {
+                    let exit = (run[0].0, run.iter().map(|&(_, to)| to as u32).collect());
+                    id = match out.exits.iter().position(|e| *e == exit) {
+                        Some(known) => known as u32,
+                        None => {
+                            out.exits.push(exit);
+                            out.exits.len() as u32 - 1
+                        }
+                    };
+                }
+                out.at.extend(std::iter::repeat_n(id, run.len()));
+            }
+        }
+        out
+    }
+
+    /// The splice of transition `t` of state `q`, or `u32::MAX`.
+    #[inline]
+    fn at(&self, q: u32, t: usize) -> u32 {
+        match self.offsets.get(q as usize) {
+            Some(&offset) => self.at[offset as usize + t],
+            None => u32::MAX,
+        }
+    }
 }
 
 /// Monotone source of [`CompiledPlan`] identities: two plans compiled
@@ -318,10 +385,11 @@ pub type DumpArc = (DumpNode, ArcKind, DumpNode);
 pub struct GraphDump {
     /// All arcs `(from, kind, to)`.  The node set is implied.
     pub arcs: Vec<DumpArc>,
-    /// The root start node.
-    pub start: (u32, u32, Const),
-    /// Final-state nodes (answers) of the root instance.
-    pub answer_nodes: Vec<(u32, u32, Const)>,
+    /// The root start nodes, one per start state of the root machine.
+    pub starts: Vec<DumpNode>,
+    /// The root instance's final-state nodes, sorted: each answer at
+    /// every final state it was reached at.
+    pub answer_nodes: Vec<DumpNode>,
 }
 
 impl GraphDump {
@@ -333,7 +401,9 @@ impl GraphDump {
     ) -> String {
         let mut out = String::from("digraph g {\n  rankdir=LR;\n");
         let node_id = |n: &(u32, u32, Const)| format!("\"i{}q{}_{}\"", n.0, n.1, show(n.2));
-        out.push_str(&format!("  {} [style=bold];\n", node_id(&self.start)));
+        for n in &self.starts {
+            out.push_str(&format!("  {} [style=bold];\n", node_id(n)));
+        }
         for n in &self.answer_nodes {
             out.push_str(&format!("  {} [shape=doublecircle];\n", node_id(n)));
         }
@@ -358,8 +428,7 @@ impl GraphDump {
 
     /// Number of distinct nodes mentioned.
     pub fn node_count(&self) -> usize {
-        let mut set: FxHashSet<(u32, u32, Const)> = FxHashSet::default();
-        set.insert(self.start);
+        let mut set: FxHashSet<(u32, u32, Const)> = self.starts.iter().copied().collect();
         for (a, _, b) in &self.arcs {
             set.insert(*a);
             set.insert(*b);
@@ -393,43 +462,43 @@ pub struct EvalOutcome {
     pub graph: Option<GraphDump>,
 }
 
-/// The compiled half of an evaluator: Thompson machines for every
-/// derived predicate of an equation system, in both orientations, plus
-/// the lookup tables the traversal needs.
+/// The compiled half of an evaluator: machines for every derived
+/// predicate of an equation system, in both orientations, plus the
+/// lookup tables the traversal needs.
 ///
-/// Compiling a plan runs the `thompson` (and optionally `compact`)
-/// constructions once; the plan is immutable afterwards and `Sync`, so
-/// a serving layer can compile once per program and share the plan
-/// across concurrent query threads ([`Evaluator::with_plan`]).
+/// The forward machine of `p` is the ε-free [`position()`] automaton of
+/// `e_p`; its partner, at the next index, is the exact reversal
+/// ([`Nfa::reverse`]), so forward state `s` and inverse state `s` are
+/// the same position read in opposite directions.  Compiling a plan
+/// runs the construction once; the plan is immutable afterwards and
+/// `Sync`, so a serving layer can compile once per program and share
+/// the plan across concurrent query threads ([`Evaluator::with_plan`]).
 pub struct CompiledPlan {
     id: u64,
     machines: Vec<Nfa>,
+    /// One per machine.
+    splices: Vec<Splices>,
     machine_index: FxHashMap<MachineKey, u32>,
     derived: FxHashSet<Pred>,
 }
 
 impl CompiledPlan {
-    /// Compile plain Thompson machines for `system`.
+    /// Compile the served machines for `system`.
     pub fn compile(system: &EqSystem) -> Self {
-        Self::build(system, false)
+        Self::compile_with(system, position)
     }
 
-    /// Compile ε-compacted machines ([`rq_automata::compact()`]): same
-    /// answers, fewer `id` transitions and so fewer glue nodes in
-    /// `G(p, a, i)`.
-    pub fn compile_compacted(system: &EqSystem) -> Self {
-        Self::build(system, true)
-    }
-
-    fn build(system: &EqSystem, compact_machines: bool) -> Self {
+    /// Compile with another construction of the forward machines —
+    /// [`rq_automata::thompson`] is the reference the served machines
+    /// are tested and ablated against.  Any construction works: the
+    /// traversal follows `id` transitions and enters and leaves a
+    /// machine through its start and final sets.
+    pub fn compile_with(system: &EqSystem, construct: fn(&Expr) -> Nfa) -> Self {
         let derived = system.derived();
         let mut machines = Vec::with_capacity(system.lhs.len() * 2);
         let mut machine_index = FxHashMap::default();
         for &p in &system.lhs {
-            let mut m = thompson(&system.rhs[&p]);
-            if compact_machines {
-                m = rq_automata::compact(&m).0;
-            }
+            let m = construct(&system.rhs[&p]);
             machine_index.insert(
                 MachineKey {
                     pred: p,
@@ -444,12 +513,15 @@ impl CompiledPlan {
                 },
                 machines.len() as u32,
             );
-            machines.push(m.clone());
-            machines.push(invert_nfa(&m));
+            let inverse = m.reverse();
+            machines.push(m);
+            machines.push(inverse);
         }
+        let splices = machines.iter().map(|m| Splices::of(m, &derived)).collect();
         Self {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             machines,
+            splices,
             machine_index,
             derived,
         }
@@ -480,11 +552,6 @@ impl CompiledPlan {
             .collect();
         out.sort_unstable_by_key(|&(machine, _)| machine);
         out
-    }
-
-    /// Total states across all compiled machines.
-    pub fn total_states(&self) -> usize {
-        self.machines.iter().map(|m| m.trans.len()).sum()
     }
 
     /// Machine indices whose traversals can consult any predicate in
@@ -596,7 +663,7 @@ type ClosureCache = FxHashMap<(u32, u32, Const), Option<Arc<Vec<Const>>>>;
 struct StepCtx<'p> {
     plan: &'p CompiledPlan,
     instances: &'p [Instance],
-    expansions: &'p FxHashMap<(u32, u32, u32), u32>,
+    expansions: &'p FxHashMap<(u32, u32), u32>,
     stop_on_answer: Option<Const>,
     record_graph: bool,
 }
@@ -604,8 +671,9 @@ struct StepCtx<'p> {
 /// Expand one node of `G`: emit answers or exit to the parent at final
 /// states, follow `id` and base-relation transitions, route derived
 /// transitions into already-spliced copies, and queue continuations
-/// for everything else.  Every node new to `graph` is pushed on
-/// `stack`.  Returns `true` when the `stop_on_answer` target was
+/// for everything else.  A state's transitions on one base label share
+/// one read of the relation row.  Every node new to `graph` is pushed
+/// on `stack`.  Returns `true` when the `stop_on_answer` target was
 /// emitted (the caller stops the traversal).
 #[allow(clippy::too_many_arguments)]
 fn expand_node<S: TupleSource>(
@@ -623,13 +691,22 @@ fn expand_node<S: TupleSource>(
     let (inst, state, term) = node;
     let instance = step.instances[inst as usize];
     let machine = &step.plan.machines[instance.machine as usize];
+    let mut visit = |from: Node, kind: ArcKind, next: Node, counters: &mut Counters| {
+        if step.record_graph {
+            arcs.push((from, kind, next));
+        }
+        if graph.insert(next) {
+            counters.nodes_inserted += 1;
+            stack.push(next);
+        }
+    };
     // Final state: exit to the parent (an implicit id arc) or emit an
     // answer at the root.
-    if state as usize == machine.finish {
+    if machine.finals[state as usize] {
         match instance.exit {
             None => {
-                // Visit-once at `(0, finish, term)` makes this the only
-                // push of `term`.
+                // A term reaching two final states is pushed twice; the
+                // caller sorts and dedups.
                 answers.push(term);
                 if step.stop_on_answer == Some(term) {
                     // Membership established: the partial answer set
@@ -637,72 +714,54 @@ fn expand_node<S: TupleSource>(
                     return true;
                 }
             }
-            Some((pi, pq)) => {
-                let exit_node = (pi, pq, term);
-                if step.record_graph {
-                    arcs.push((node, ArcKind::Exit, exit_node));
-                }
-                if graph.insert(exit_node) {
-                    counters.nodes_inserted += 1;
-                    stack.push(exit_node);
+            Some((pi, splice)) => {
+                let parent = step.instances[pi as usize].machine;
+                for &q in &step.plan.splices[parent as usize].exits[splice as usize].1 {
+                    visit(node, ArcKind::Exit, (pi, q, term), counters);
                 }
             }
         }
     }
-    for (t_idx, &(label, to)) in machine.trans[state as usize].iter().enumerate() {
-        counters.rule_firings += 1;
-        match label {
+    // Rows are sorted by label: the transitions on one label form a
+    // run, and a run on a base label shares one read of the source's
+    // row (CSR rows are iterated in place).
+    let mut first = 0;
+    for run in machine.trans[state as usize].chunk_by(|x, y| x.0 == y.0) {
+        let splice = step.plan.splices[instance.machine as usize].at(state, first);
+        first += run.len();
+        counters.rule_firings += run.len() as u64;
+        match run[0].0 {
             Label::Id => {
-                let next = (inst, to as u32, term);
-                if step.record_graph {
-                    arcs.push((node, ArcKind::Id, next));
-                }
-                if graph.insert(next) {
-                    counters.nodes_inserted += 1;
-                    stack.push(next);
+                for &(_, to) in run {
+                    visit(node, ArcKind::Id, (inst, to as u32, term), counters);
                 }
             }
-            Label::Sym(r) | Label::Inv(r) => {
-                if step.plan.derived.contains(&r) {
-                    // Already expanded? Route straight into the child
-                    // copy; otherwise queue in C.
-                    if let Some(&child) = step.expansions.get(&(inst, state, t_idx as u32)) {
-                        let child_start = step.plan.machines
-                            [step.instances[child as usize].machine as usize]
-                            .start as u32;
-                        let next = (child, child_start, term);
-                        if step.record_graph {
-                            arcs.push((node, ArcKind::Enter(r), next));
-                        }
-                        if graph.insert(next) {
-                            counters.nodes_inserted += 1;
-                            stack.push(next);
-                        }
-                    } else {
-                        continuations.entry((inst, state)).or_default().insert(term);
+            Label::Sym(r) | Label::Inv(r) if splice != u32::MAX => {
+                // Already expanded? Route straight into the child copy;
+                // otherwise queue in C.
+                if let Some(&child) = step.expansions.get(&(inst, splice)) {
+                    let child_machine =
+                        &step.plan.machines[step.instances[child as usize].machine as usize];
+                    for &s in &child_machine.starts {
+                        visit(node, ArcKind::Enter(r), (child, s as u32, term), counters);
                     }
-                    continue;
+                } else {
+                    continuations.entry((inst, state)).or_default().insert(term);
                 }
-                // The source's own row where it has one (CSR), iterated
-                // in place.
-                let (row, kind) = match label {
-                    Label::Sym(_) => (
-                        source.successors(r, term, succ_buf, counters),
-                        ArcKind::Sym(r),
-                    ),
-                    _ => (
-                        source.predecessors(r, term, succ_buf, counters),
-                        ArcKind::Inv(r),
-                    ),
-                };
-                for &v in row {
-                    let next = (inst, to as u32, v);
-                    if step.record_graph {
-                        arcs.push((node, kind, next));
+            }
+            Label::Sym(r) => {
+                let terms = source.successors(r, term, succ_buf, counters);
+                for &(_, to) in run {
+                    for &v in terms {
+                        visit(node, ArcKind::Sym(r), (inst, to as u32, v), counters);
                     }
-                    if graph.insert(next) {
-                        counters.nodes_inserted += 1;
-                        stack.push(next);
+                }
+            }
+            Label::Inv(r) => {
+                let terms = source.predecessors(r, term, succ_buf, counters);
+                for &(_, to) in run {
+                    for &v in terms {
+                        visit(node, ArcKind::Inv(r), (inst, to as u32, v), counters);
                     }
                 }
             }
@@ -728,21 +787,6 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             system,
             source,
             plan: PlanRef::Owned(Box::new(CompiledPlan::compile(system))),
-            ctx: None,
-        }
-    }
-
-    /// Build an evaluator whose machines are ε-compacted
-    /// ([`rq_automata::compact()`]).  Same answers; fewer `id` transitions
-    /// mean fewer glue nodes in `G(p, a, i)` — but only on union-heavy
-    /// equations.  On the served plans' machines it removes nothing
-    /// (`tc = e*·e` keeps its 5 states and 4 `id` transitions), which
-    /// is why no plan is compiled this way.
-    pub fn new_compacted(system: &'a EqSystem, source: &'a S) -> Self {
-        Self {
-            system,
-            source,
-            plan: PlanRef::Owned(Box::new(CompiledPlan::compile_compacted(system))),
             ctx: None,
         }
     }
@@ -832,9 +876,12 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 };
             }
         }
-        let start_state = plan.machines[root_machine as usize].start as u32;
-        let (outcome, stopped_early) =
-            self.traverse_from(root_machine, &[(start_state, a)], options, ctx, None);
+        let seeds: Vec<(u32, Const)> = plan.machines[root_machine as usize]
+            .starts
+            .iter()
+            .map(|&s| (s as u32, a))
+            .collect();
+        let (outcome, stopped_early) = self.traverse_from(root_machine, &seeds, options, ctx, None);
         if let Some(ctx) = ctx {
             // Record only naturally converged, untruncated runs: those
             // are complete fixpoint answer sets, the only thing the
@@ -857,7 +904,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
     /// The main loop of Figures 4–5, generalized over its entry points:
     /// seed the traversal at arbitrary `(state, term)` nodes of
     /// `root_machine` instead of only at `(start, a)`.  Point queries
-    /// seed the machine's start state; the delta-repair closures seed
+    /// seed every start state; the delta-repair closures seed
     /// the states a new tuple's transition touches (backward closures
     /// run the partner machine).  `banned` machines are excluded from
     /// memo teleports — during a repair their memo entries are the very
@@ -881,8 +928,8 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             machine: root_machine,
             exit: None,
         }];
-        // (instance, state, transition ordinal) → child.
-        let mut expansions: FxHashMap<(u32, u32, u32), u32> = FxHashMap::default();
+        // (instance, splice) → child.
+        let mut expansions: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         // G: the node set.  Its size is `counters.nodes_inserted` — the
         // paper's unit cost is one per node that enters G.
         let mut graph = NodeSet::new(plan.machines[root_machine as usize].trans.len());
@@ -891,8 +938,8 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         let mut answers: Vec<Const> = Vec::new();
 
         // S: starting points of the current iteration.
-        let root_start: Node = (0, seeds[0].0, seeds[0].1);
         let mut starts: Vec<Node> = seeds.iter().map(|&(q, c)| (0, q, c)).collect();
+        let root_starts = starts.clone();
         let mut arcs: Vec<DumpArc> = Vec::new();
         // Arcs from the expansion phase (enter edges), keyed by target
         // start node so they are attributed when the node is seeded.
@@ -951,6 +998,10 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             }
 
             if options.record_iterations {
+                // Count each answer once, however many final states it
+                // reached.
+                answers.sort_unstable();
+                answers.dedup();
                 iteration_stats.push(IterationStat {
                     new_nodes: counters.nodes_inserted - nodes_before,
                     answers_so_far: answers.len() as u64,
@@ -976,7 +1027,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
 
             // Expansion phase: for every pending (instance, state) and
             // every derived transition out of that state, splice a
-            // fresh copy and seed S with its start nodes.  The
+            // fresh copy and seed S with a node per start state of it.  The
             // work-list is sorted so instance numbering is independent
             // of hash-map order.
             let mut pending: Vec<((u32, u32), Vec<Const>)> = continuations
@@ -989,19 +1040,20 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 .collect();
             pending.sort_unstable_by_key(|&(key, _)| key);
             for ((inst, state), terms) in pending {
-                let machine_id = instances[inst as usize].machine;
-                let trans: Vec<(u32, Label, usize)> = plan.machines[machine_id as usize].trans
-                    [state as usize]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(l, t))| (i as u32, l, t))
-                    .collect();
-                for (t_idx, label, to) in trans {
-                    let (r, child_inverted) = match label {
-                        Label::Sym(r) if plan.derived.contains(&r) => (r, false),
-                        Label::Inv(r) if plan.derived.contains(&r) => (r, true),
+                let machine_id = instances[inst as usize].machine as usize;
+                let splices = &plan.splices[machine_id];
+                let mut first = 0;
+                for run in
+                    plan.machines[machine_id].trans[state as usize].chunk_by(|x, y| x.0 == y.0)
+                {
+                    let splice = splices.at(state, first);
+                    first += run.len();
+                    let (r, child_inverted) = match run[0].0 {
+                        Label::Sym(r) if splice != u32::MAX => (r, false),
+                        Label::Inv(r) if splice != u32::MAX => (r, true),
                         _ => continue,
                     };
+                    let exits = &splices.exits[splice as usize].1;
                     let child_machine = self.machine_id(r, child_inverted);
                     // Epoch memo: a term whose complete sub-answer set
                     // is already known routes those answers straight to
@@ -1023,7 +1075,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                         if let Some(sub) = hit {
                             memo_teleports += 1;
                             for &v in sub.iter() {
-                                starts.push((inst, to as u32, v));
+                                starts.extend(exits.iter().map(|&q| (inst, q, v)));
                             }
                             continue;
                         }
@@ -1032,38 +1084,50 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                     if fresh.is_empty() {
                         continue;
                     }
-                    let child = *expansions.entry((inst, state, t_idx)).or_insert_with(|| {
+                    let child = *expansions.entry((inst, splice)).or_insert_with(|| {
                         let id = instances.len() as u32;
                         instances.push(Instance {
                             machine: child_machine,
-                            exit: Some((inst, to as u32)),
+                            exit: Some((inst, splice)),
                         });
                         graph.add_instance(plan.machines[child_machine as usize].trans.len());
                         id
                     });
-                    let child_start =
-                        plan.machines[instances[child as usize].machine as usize].start as u32;
+                    let child_starts =
+                        &plan.machines[instances[child as usize].machine as usize].starts;
                     for u in fresh {
-                        let node = (child, child_start, u);
-                        if options.record_graph {
-                            enter_arcs.push(((inst, state, u), ArcKind::Enter(r), node));
+                        for &s in child_starts {
+                            let node = (child, s as u32, u);
+                            if options.record_graph {
+                                enter_arcs.push(((inst, state, u), ArcKind::Enter(r), node));
+                            }
+                            starts.push(node);
                         }
-                        starts.push(node);
                     }
                 }
             }
         }
 
-        // One sort: the walk pushed each root answer exactly once.
+        // The walk pushed a root answer once per final state it reached.
         answers.sort_unstable();
-        debug_assert!(answers.windows(2).all(|w| w[0] < w[1]));
+        answers.dedup();
         let dump = options.record_graph.then(|| {
             arcs.extend(enter_arcs);
-            let finish = plan.machines[root_machine as usize].finish as u32;
+            // The root's final-state nodes of G: every node of G is a
+            // seed or the head of a recorded arc.
+            let finals = &plan.machines[root_machine as usize].finals;
+            let mut answer_nodes: Vec<DumpNode> = root_starts
+                .iter()
+                .chain(arcs.iter().map(|(_, _, to)| to))
+                .filter(|&&(i, q, _)| i == 0 && finals[q as usize])
+                .copied()
+                .collect();
+            answer_nodes.sort_unstable();
+            answer_nodes.dedup();
             GraphDump {
                 arcs,
-                start: root_start,
-                answer_nodes: answers.iter().map(|&v| (0, finish, v)).collect(),
+                starts: root_starts,
+                answer_nodes,
             }
         });
         let outcome = EvalOutcome {
@@ -1204,9 +1268,9 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 break;
             }
             for (mi, s, t, tail, head) in std::mem::take(&mut frontier) {
-                // Entry terms that reach the edge's tail: forward
-                // closure in the partner machine (invert_nfa preserves
-                // state indices and collects at its finish = our start).
+                // Entry terms that reach the edge's tail: a closure in
+                // the partner machine, the exact reversal (same state
+                // indices; its finals are our starts).
                 let Some(entries) = closure(mi ^ 1, s, tail) else {
                     failed = true;
                     break 'rounds;
@@ -1358,6 +1422,48 @@ mod tests {
         });
     }
 
+    /// Every constant of `program`, both directions: the served plan
+    /// answers exactly like the Thompson reference plan and inserts no
+    /// more nodes.  Returns the summed nodes (served, reference) of the
+    /// forward runs.
+    fn assert_served_matches_thompson(
+        program: &rq_datalog::Program,
+        db: &Database,
+        pred: &str,
+    ) -> (u64, u64) {
+        let sys = lemma1(program, &Lemma1Options::default()).unwrap().system;
+        let p = program.pred_by_name(pred).unwrap();
+        let source = EdbSource::new(db);
+        let reference = CompiledPlan::compile_with(&sys, rq_automata::thompson);
+        let served = Evaluator::new(&sys, &source);
+        let thompson = Evaluator::with_plan(&sys, &reference, &source);
+        let opts = EvalOptions::default();
+        let mut forward_nodes = (0, 0);
+        for c in 0..program.consts.len() {
+            let a = Const::from_index(c);
+            let pairs = [
+                (served.evaluate(p, a, &opts), thompson.evaluate(p, a, &opts)),
+                (
+                    served.evaluate_inverse(p, a, &opts),
+                    thompson.evaluate_inverse(p, a, &opts),
+                ),
+            ];
+            for (inverse, (ours, theirs)) in pairs.iter().enumerate() {
+                assert_eq!(ours.answers, theirs.answers, "{a:?}, inverse {inverse}");
+                assert_eq!(ours.counters.iterations, theirs.counters.iterations);
+                assert!(
+                    ours.counters.nodes_inserted <= theirs.counters.nodes_inserted,
+                    "{a:?}, inverse {inverse}: served {} > Thompson {}",
+                    ours.counters.nodes_inserted,
+                    theirs.counters.nodes_inserted
+                );
+            }
+            forward_nodes.0 += pairs[0].0.counters.nodes_inserted;
+            forward_nodes.1 += pairs[0].1.counters.nodes_inserted;
+        }
+        forward_nodes
+    }
+
     #[test]
     fn compacted_machines_same_answers_fewer_nodes() {
         // A union-heavy program: Thompson glue states cost one graph
@@ -1375,48 +1481,98 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let db = Database::from_program(&program);
-        let sys = lemma1(&program, &Lemma1Options::default()).unwrap().system;
-        let r = program.pred_by_name("r").unwrap();
-        let v0 = program
-            .consts
-            .get(&rq_common::ConstValue::Str("v0".into()))
-            .unwrap();
-        let source = EdbSource::new(&db);
-        let plain = Evaluator::new(&sys, &source).evaluate(r, v0, &EvalOptions::default());
-        let compacted =
-            Evaluator::new_compacted(&sys, &source).evaluate(r, v0, &EvalOptions::default());
-        assert_eq!(plain.answers, compacted.answers);
+        let (served, reference) = assert_served_matches_thompson(&program, &db, "r");
         assert!(
-            compacted.graph_nodes < plain.graph_nodes,
-            "compacted {} !< plain {}",
-            compacted.graph_nodes,
-            plain.graph_nodes
+            served < reference,
+            "served {served} !< Thompson {reference}"
         );
     }
 
     #[test]
     fn compacted_machines_agree_on_linear_case() {
+        // sg splices a copy per recursion level: the served machines
+        // must keep the iteration structure (checked per run) while
+        // entering and leaving copies through start and final sets.
         let src = "sg(X,Y) :- flat(X,Y).\n\
                    sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
                    up(a,a1). up(a1,a2). flat(a2,b2). flat(a,z).\n\
                    down(b2,b1). down(b1,b).";
         let program = parse_program(src).unwrap();
         let db = Database::from_program(&program);
+        let (served, reference) = assert_served_matches_thompson(&program, &db, "sg");
+        assert!(
+            served < reference,
+            "served {served} !< Thompson {reference}"
+        );
+    }
+
+    #[test]
+    fn a_derived_occurrence_entered_from_two_states_splices_once() {
+        // p = e*·q: the occurrence of q follows both the start and the
+        // e-state, and the e-cycle puts `a` at both.  One copy of q
+        // serves both runs; a copy per run would walk q from `a` twice.
+        let src = "p(X,Y) :- q(X,Y).\n\
+                   p(X,Y) :- e(X,Z), p(Z,Y).\n\
+                   q(X,Y) :- flat(X,Y).\n\
+                   q(X,Y) :- up(X,Z), q(Z,W), down(W,Y).\n\
+                   e(a,b). e(b,a). flat(a,z). flat(b,y). up(a,b). down(y,x).";
+        let program = parse_program(src).unwrap();
+        let db = Database::from_program(&program);
         let sys = lemma1(&program, &Lemma1Options::default()).unwrap().system;
-        let sg = program.pred_by_name("sg").unwrap();
+        let p = program.pred_by_name("p").unwrap();
         let a = program
             .consts
             .get(&rq_common::ConstValue::Str("a".into()))
             .unwrap();
         let source = EdbSource::new(&db);
-        let plain = Evaluator::new(&sys, &source).evaluate(sg, a, &EvalOptions::default());
-        let compacted =
-            Evaluator::new_compacted(&sys, &source).evaluate(sg, a, &EvalOptions::default());
-        assert_eq!(plain.answers, compacted.answers);
-        assert_eq!(
-            plain.counters.iterations, compacted.counters.iterations,
-            "compaction must not change the iteration structure"
-        );
+        let reference = CompiledPlan::compile_with(&sys, rq_automata::thompson);
+        let opts = EvalOptions::default();
+        let served = Evaluator::new(&sys, &source).evaluate(p, a, &opts);
+        let thompson = Evaluator::with_plan(&sys, &reference, &source).evaluate(p, a, &opts);
+        assert_eq!(names(&program, &served.answers), vec!["x", "y", "z"]);
+        assert_eq!(served.answers, thompson.answers);
+        assert_eq!(served.instances, thompson.instances);
+        assert!(served.graph_nodes < thompson.graph_nodes);
+    }
+
+    #[test]
+    fn tc_node_counts_are_pinned_on_a_chain() {
+        // tc = e*·e serves as e⁺: one node per reached term forward,
+        // two per term backward (the reversal keeps both positions),
+        // where the Thompson machine's glue states cost four.
+        for n in [1usize, 5, 40] {
+            let mut src = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+            for i in 0..n {
+                src.push_str(&format!("e(n{}, n{}).\n", i, i + 1));
+            }
+            let program = parse_program(&src).unwrap();
+            let db = Database::from_program(&program);
+            let sys = lemma1(&program, &Lemma1Options::default()).unwrap().system;
+            let tc = program.pred_by_name("tc").unwrap();
+            let get = |name: String| {
+                program
+                    .consts
+                    .get(&rq_common::ConstValue::Str(name))
+                    .unwrap()
+            };
+            let (head, tail) = (get("n0".into()), get(format!("n{n}")));
+            let source = EdbSource::new(&db);
+            let reference = CompiledPlan::compile_with(&sys, rq_automata::thompson);
+            let served = Evaluator::new(&sys, &source);
+            let thompson = Evaluator::with_plan(&sys, &reference, &source);
+            let opts = EvalOptions::default();
+            let nodes = |out: EvalOutcome| {
+                assert!(out.converged);
+                out.counters.nodes_inserted as usize
+            };
+            assert_eq!(nodes(served.evaluate(tc, head, &opts)), n + 1);
+            assert_eq!(nodes(served.evaluate_inverse(tc, tail, &opts)), 2 * n + 1);
+            assert_eq!(nodes(thompson.evaluate(tc, head, &opts)), 4 * n + 3);
+            assert_eq!(nodes(thompson.evaluate_inverse(tc, tail, &opts)), 3 * n + 1);
+            // One read of e per reached term forward.
+            let out = served.evaluate(tc, head, &opts);
+            assert_eq!(out.counters.tuples_retrieved as usize, n);
+        }
     }
 
     #[test]
@@ -1656,6 +1812,44 @@ mod tests {
         assert!(answers.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*answers.last().unwrap() as usize, out.answers.len());
         assert_eq!(names(&program, &out.answers), vec!["b0", "c1", "c2", "c3"]);
+    }
+
+    #[test]
+    fn an_answer_reached_at_two_finals_counts_once() {
+        // sg = flat ∪ up·sg·down has two final states: z is reached at
+        // the flat one in iteration 1 and at the down one in iteration 2.
+        let src = "sg(X,Y) :- flat(X,Y).\n\
+                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
+                   flat(a,z). up(a,a1). flat(a1,b1). down(b1,z).";
+        let program = parse_program(src).unwrap();
+        let db = Database::from_program(&program);
+        let sys = lemma1(&program, &Lemma1Options::default()).unwrap().system;
+        let sg = program.pred_by_name("sg").unwrap();
+        let a = program
+            .consts
+            .get(&rq_common::ConstValue::Str("a".into()))
+            .unwrap();
+        let source = EdbSource::new(&db);
+        let opts = EvalOptions {
+            record_iterations: true,
+            record_graph: true,
+            ..EvalOptions::default()
+        };
+        let out = Evaluator::new(&sys, &source).evaluate(sg, a, &opts);
+        assert_eq!(names(&program, &out.answers), vec!["z"]);
+        let so_far: Vec<u64> = out
+            .iteration_stats
+            .iter()
+            .map(|s| s.answers_so_far)
+            .collect();
+        assert_eq!(so_far, vec![1, 1]);
+        // The dump shows z at both final states of the root.
+        let dump = out.graph.unwrap();
+        assert_eq!(dump.answer_nodes.len(), 2);
+        assert!(dump
+            .answer_nodes
+            .iter()
+            .all(|&(i, _, v)| i == 0 && v == out.answers[0]));
     }
 
     /// Shared fixture for the repair tests: compile one plan for `src`,

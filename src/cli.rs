@@ -321,19 +321,22 @@ impl Session {
                 lemma.passes,
                 lemma.system.display(&program)
             ));
-            let e = lemma.system.get(query.pred);
-            let machine = rq_automata::thompson(e);
-            let (_, stats) = rq_automata::compact(&machine);
+            let machine = rq_automata::position(lemma.system.get(query.pred));
+            let name = |p| program.pred_name(p).to_string();
+            let finals: Vec<String> = machine.final_states().map(|q| format!("q{q}")).collect();
             out.push_str(&format!(
-                "machine M(e_{}): {} states, {} transitions ({} id); compacted: {} states, {} transitions ({} id)\n",
-                program.pred_name(query.pred),
-                stats.states_before,
-                stats.trans_before,
-                stats.id_before,
-                stats.states_after,
-                stats.trans_after,
-                stats.id_after,
+                "machine M(e_{}): {} states, {} transitions; start q{}, finals {{{}}}\n",
+                name(query.pred),
+                machine.num_states(),
+                machine.num_transitions(),
+                machine.starts[0],
+                finals.join(", "),
             ));
+            for (q, row) in machine.trans.iter().enumerate() {
+                for &(label, to) in row {
+                    out.push_str(&format!("  q{q} -{}-> q{to}\n", label.display(&name)));
+                }
+            }
         } else {
             out.push_str("pipeline: §4 adorned transformation\n");
             let adorned = rq_adorn::adorn(&program, &query).map_err(|e| e.to_string())?;
@@ -354,7 +357,8 @@ impl Session {
         Ok(out)
     }
 
-    /// `:dot` — DOT source of `M(e_p)` for the query predicate.
+    /// `:dot` — DOT source of the served machine `M(e_p)` for the query
+    /// predicate.
     fn dot(&self, q: &str) -> Result<String, String> {
         let mut program = self.program();
         let query = Query::parse(&mut program, q).map_err(|e| e.to_string())?;
@@ -366,7 +370,7 @@ impl Session {
         }
         let lemma = rq_relalg::lemma1(&program, &rq_relalg::Lemma1Options::default())
             .map_err(|e| e.to_string())?;
-        let machine = rq_automata::thompson(lemma.system.get(query.pred));
+        let machine = rq_automata::position(lemma.system.get(query.pred));
         Ok(machine.to_dot(&|p| program.pred_name(p).to_string()))
     }
 }
@@ -715,8 +719,14 @@ mod tests {
         let out = run(&mut s, ":plan sg(john, Y)").unwrap();
         assert!(out.text.contains("§3"), "{}", out.text);
         assert!(out.text.contains("equation system"));
-        assert!(out.text.contains("machine M(e_sg)"));
-        assert!(out.text.contains("compacted"));
+        // sg = flat ∪ up·sg·down: one state per occurrence, two finals.
+        assert!(
+            out.text
+                .contains("machine M(e_sg): 5 states, 4 transitions; start q0, finals {q1, q4}"),
+            "{}",
+            out.text
+        );
+        assert!(out.text.contains("  q0 -up-> q2\n"), "{}", out.text);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The crates compose as a pipeline:
 //!
 //! ```text
-//! rq-datalog  →  rq-relalg (Lemma 1)  →  rq-automata (M(e), EM(p,i))
+//! rq-datalog  →  rq-relalg (Lemma 1)  →  rq-automata (M(e): ε-free, EM(p,i))
 //!            →  rq-engine (Figures 4–5)   ← rq-adorn (§4, n-ary queries)
 //! ```
 //!

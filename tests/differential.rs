@@ -362,11 +362,12 @@ fn sparse_and_dense_data_match_oracle() {
     }
 }
 
-/// ε-compacted machines answer exactly like plain Thompson machines on
-/// random programs (every query form that goes through the Evaluator).
+/// The served ε-free machines answer exactly like the Thompson
+/// reference machines on random programs, in both directions, and never
+/// insert more nodes.
 #[test]
 fn compacted_machines_match_plain_on_random_programs() {
-    use rq_engine::{EdbSource, Evaluator};
+    use rq_engine::{CompiledPlan, EdbSource, Evaluator};
     use rq_relalg::{lemma1, Lemma1Options};
 
     for seed in 0..30 {
@@ -375,8 +376,9 @@ fn compacted_machines_match_plain_on_random_programs() {
         let db = rq_datalog::Database::from_program(&program);
         let system = lemma1(&program, &Lemma1Options::default()).unwrap().system;
         let source = EdbSource::new(&db);
-        let plain = Evaluator::new(&system, &source);
-        let compacted = Evaluator::new_compacted(&system, &source);
+        let reference = CompiledPlan::compile_with(&system, rq_automata::thompson);
+        let plain = Evaluator::with_plan(&system, &reference, &source);
+        let compacted = Evaluator::new(&system, &source);
         let options = EvalOptions {
             max_iterations: Some(rp.iteration_bound),
             ..EvalOptions::default()
@@ -402,6 +404,15 @@ fn compacted_machines_match_plain_on_random_programs() {
                     "seed {seed} {name}(X,{a}) inverse\n{}",
                     rp.text
                 );
+                for (served, reference) in [(&c_out, &p_out), (&c_inv, &p_inv)] {
+                    assert!(
+                        served.counters.nodes_inserted <= reference.counters.nodes_inserted,
+                        "seed {seed} {name}, {a}: served {} > Thompson {}\n{}",
+                        served.counters.nodes_inserted,
+                        reference.counters.nodes_inserted,
+                        rp.text
+                    );
+                }
             }
         }
     }
