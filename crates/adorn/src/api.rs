@@ -20,7 +20,6 @@ use rq_datalog::{Database, Program, Query};
 use rq_engine::{CompiledPlan, EvalContext, EvalOptions, EvalOutcome, Evaluator};
 use rq_relalg::{lemma1_from_system, Lemma1Error, Lemma1Options};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why an n-ary query could not be evaluated.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +154,7 @@ pub fn evaluate_nary(
         plan,
         bound,
         options,
-        &Arc::new(ProbeSpace::new(program)),
+        &ProbeSpace::new(program),
         None,
     )
 }
@@ -173,11 +172,11 @@ pub fn evaluate_nary_shared(
     plan: &NaryPlan,
     bound: &[Const],
     options: &EvalOptions,
-    space: &Arc<ProbeSpace>,
+    space: &ProbeSpace,
     ctx: Option<&EvalContext>,
 ) -> (Rows, EvalOutcome) {
     debug_assert_eq!(bound.len(), plan.adornment.bound_positions().len());
-    let source = VirtualSource::with_space(program, db, &plan.binary, Arc::clone(space));
+    let source = VirtualSource::with_space(program, db, &plan.binary, space);
     let mut evaluator = Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source);
     if let Some(ctx) = ctx {
         evaluator = evaluator.with_context(ctx);

@@ -16,6 +16,7 @@
 
 pub mod adornment;
 pub mod api;
+mod arena;
 pub mod source;
 pub mod transform;
 

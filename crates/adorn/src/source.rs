@@ -10,15 +10,19 @@
 //! (reusing the Datalog backtracking-join machinery, with built-ins
 //! deferred until bound), and interns the resulting output tuples.
 //!
-//! The tuple interner and the probe memo are one flat table behind one
-//! `RwLock` ([`ProbeSpace`]), indexed by tuple id: tuple components sit
-//! back to back in one arena, and every (virtual relation, direction)
-//! has one dense column of slots, indexed by the probed tuple, pointing
-//! into one arena of output tuple ids.  A memo hit is a read lock, two
-//! array reads and a copy; a miss runs its join with no lock held and
-//! interns and records the result under one short write lock.
+//! The tuple interner and the probe memo of a [`ProbeSpace`] live in
+//! append-only arenas of atomic words, indexed by tuple id: tuple
+//! components sit back to back in one arena, and every (virtual
+//! relation, direction) has one column of slots, indexed by the probed
+//! tuple, pointing into one arena of output tuple ids.  A memo hit is
+//! an `Acquire` load of the slot and a copy of its outputs, with no
+//! lock and no store to shared memory; a miss runs its join with no
+//! lock held, then interns and records the result under the space's
+//! one writer mutex.
 
+use crate::arena::Arena;
 use crate::transform::{BinaryProgram, VirtualRel};
+use rq_common::obs::Counter;
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred, Rows};
 use rq_datalog::{
     fire_seeded, Atom, Database, DeltaView, Literal, Program, Relation, Term, WholeDb,
@@ -27,8 +31,8 @@ use rq_engine::TupleSource;
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// First id handed out for tuple constants.  Tuple ids live in the top
 /// half of the `u32` id space so they can never collide with program
@@ -36,186 +40,92 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// carried across an epoch whose ingest grew the program interner.
 const TUPLE_ID_BASE: u32 = 1 << 31;
 
-/// End of a dedup hash chain ([`FlatTable::chain`]).
+/// End of a dedup hash chain ([`Writer::chain`]).
 const NO_TUPLE: u32 = u32::MAX;
 
-/// One memo entry: `len` output tuple ids at `outputs[start..]`.
-#[derive(Clone, Copy)]
-struct Slot {
-    start: u32,
-    len: u32,
+/// A memo slot word: `(start + 1) << 32 | len` for the `len` output
+/// ids at `outputs[start..]`; 0 is a key with no entry.
+fn pack(range: Range<usize>) -> u64 {
+    (range.start as u64 + 1) << 32 | range.len() as u64
 }
 
-impl Slot {
-    /// A key with no entry.
-    const VACANT: Slot = Slot {
-        start: u32::MAX,
-        len: 0,
-    };
+/// The output range of a slot word, `None` when vacant.
+fn unpack(slot: u64) -> Option<Range<usize>> {
+    let start = (slot >> 32).checked_sub(1)? as usize;
+    Some(start..start + (slot as u32) as usize)
+}
 
-    fn range(self) -> Range<usize> {
-        self.start as usize..self.start as usize + self.len as usize
+/// Index of tuple constant `c` in the tuple arenas.
+fn tuple_index(c: Const) -> usize {
+    c.0.checked_sub(TUPLE_ID_BASE)
+        .expect("expected a tuple constant") as usize
+}
+
+/// The memo columns of one space, `[backward, forward]` per predicate
+/// id in `first..`, covering its plan's virtual relations.
+struct Columns {
+    first: u32,
+    columns: Box<[[Arena<AtomicU64>; 2]]>,
+}
+
+impl Columns {
+    fn new(virtuals: impl Iterator<Item = Pred> + Clone) -> Self {
+        let first = virtuals.clone().map(|p| p.0).min().unwrap_or(0);
+        let end = virtuals.map(|p| p.0 + 1).max().unwrap_or(first);
+        Self {
+            first,
+            columns: (first..end).map(|_| Default::default()).collect(),
+        }
+    }
+
+    fn get(&self, r: Pred, forward: bool) -> Option<&Arena<AtomicU64>> {
+        let column = self.columns.get(r.0.checked_sub(self.first)? as usize)?;
+        Some(&column[usize::from(forward)])
+    }
+
+    fn copy(&self) -> Self {
+        Self {
+            first: self.first,
+            columns: self
+                .columns
+                .iter()
+                .map(|[back, fwd]| [back.copy(), fwd.copy()])
+                .collect(),
+        }
     }
 }
 
-/// The tuple interner and probe memo of one [`ProbeSpace`], as flat
-/// vectors indexed by tuple index (`id - TUPLE_ID_BASE`).  Every
-/// mutation is append-or-overwrite after its checks, so a panic leaves
-/// the table merely smaller, never torn.
+/// What the writers of one [`ProbeSpace`] share, behind its mutex: the
+/// dedup index and how far each arena is filled.  Every mutation
+/// stores into the arenas, then advances these lengths, then publishes
+/// (returns the interned id, stores the slot), so a panic leaves the
+/// space merely smaller, never torn.
 #[derive(Clone, Default)]
-struct FlatTable {
-    /// Every tuple's components, back to back.
-    components: Vec<Const>,
-    /// Tuple `i` is `components[ends[i - 1]..ends[i]]` (from 0 for the
-    /// first).
-    ends: Vec<u32>,
+struct Writer {
     /// Dedup index: a component hash → the newest tuple with that hash.
     heads: FxHashMap<u64, u32>,
-    /// Tuple index → the next older tuple with the same hash.
+    /// Tuple index → the next older tuple with the same hash; its
+    /// length is the number of interned tuples.
     chain: Vec<u32>,
-    /// Memo slots, `[backward, forward]` per virtual predicate index,
-    /// each column indexed by the probed tuple's index.
-    columns: Vec<[Vec<Slot>; 2]>,
-    /// Output tuple ids of every memo entry, back to back.  Stays below
-    /// `u32::MAX` long so no slot can look vacant.
-    outputs: Vec<Const>,
+    /// Filled length of the component arena.
+    components: usize,
+    /// Filled length of the output arena.  Stays below `u32::MAX` so
+    /// every slot's `start + 1` fits its half of the word.
+    outputs: usize,
     /// Recorded memo entries.
     entries: usize,
 }
 
-impl FlatTable {
-    fn index(c: Const) -> usize {
-        c.0.checked_sub(TUPLE_ID_BASE)
-            .expect("expected a tuple constant") as usize
-    }
-
-    fn tuple(&self, i: usize) -> &[Const] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.components[start as usize..self.ends[i] as usize]
-    }
-
-    fn components(&self, c: Const) -> &[Const] {
-        self.tuple(Self::index(c))
-    }
-
+impl Writer {
     fn hash(components: &[Const]) -> u64 {
         let mut h = FxHasher::default();
         components.hash(&mut h);
         h.finish()
     }
 
-    fn lookup(&self, components: &[Const], hash: u64) -> Option<Const> {
-        let mut i = *self.heads.get(&hash)?;
-        while i != NO_TUPLE {
-            if self.tuple(i as usize) == components {
-                return Some(Const(TUPLE_ID_BASE + i));
-            }
-            i = self.chain[i as usize];
-        }
-        None
-    }
-
-    fn intern(&mut self, components: &[Const]) -> Const {
-        self.intern_hashed(components, Self::hash(components))
-    }
-
-    fn intern_hashed(&mut self, components: &[Const], hash: u64) -> Const {
-        if let Some(id) = self.lookup(components, hash) {
-            return id;
-        }
-        let i = u32::try_from(self.chain.len())
-            .ok()
-            .filter(|&i| i < TUPLE_ID_BASE)
-            .expect("tuple table exhausted the id space");
-        let end = u32::try_from(self.components.len() + components.len())
-            .expect("tuple table exhausted its component arena");
-        self.components.extend_from_slice(components);
-        self.ends.push(end);
-        self.chain
-            .push(self.heads.insert(hash, i).unwrap_or(NO_TUPLE));
-        Const(TUPLE_ID_BASE + i)
-    }
-
-    /// The memo slot of `(r, key, forward)`, if that key has an entry.
-    fn slot(&self, r: Pred, key: Const, forward: bool) -> Option<Slot> {
-        let column = &self.columns.get(r.index())?[usize::from(forward)];
-        let slot = *column.get(Self::index(key))?;
-        (slot.start != Slot::VACANT.start).then_some(slot)
-    }
-
-    /// The memoized outputs of `(r, key, forward)`.
-    fn entry(&self, r: Pred, key: Const, forward: bool) -> Option<&[Const]> {
-        self.slot(r, key, forward).map(|s| &self.outputs[s.range()])
-    }
-
-    /// The slot of `(r, key, forward)`, growing its column to reach it.
-    fn slot_mut(&mut self, r: Pred, key: Const, forward: bool) -> &mut Slot {
-        if self.columns.len() <= r.index() {
-            self.columns.resize_with(r.index() + 1, Default::default);
-        }
-        let column = &mut self.columns[r.index()][usize::from(forward)];
-        let i = Self::index(key);
-        if column.len() <= i {
-            column.resize(i + 1, Slot::VACANT);
-        }
-        &mut column[i]
-    }
-
     /// Whether the output arena can grow by `more` ids.
-    fn arena_fits(&self, more: usize) -> bool {
-        self.outputs.len() + more < u32::MAX as usize
-    }
-
-    /// Record `rows` as the entry of a key that has none, unless the
-    /// entry cap (or the arena's `u32` offsets) refuse it.
-    fn record(&mut self, r: Pred, key: Const, forward: bool, rows: &[Const], max_entries: usize) {
-        if self.entries >= max_entries
-            || !self.arena_fits(rows.len())
-            || self.slot(r, key, forward).is_some()
-        {
-            return;
-        }
-        let start = self.outputs.len() as u32;
-        self.outputs.extend_from_slice(rows);
-        *self.slot_mut(r, key, forward) = Slot {
-            start,
-            len: rows.len() as u32,
-        };
-        self.entries += 1;
-    }
-
-    /// Append `row` to the entry of `(r, key, forward)` if the entry
-    /// exists and lacks it, moving the entry's range to the end of the
-    /// output arena (in place when it already ends there); returns 1 if
-    /// a row was added.
-    fn patch(&mut self, r: Pred, key: Const, forward: bool, row: Const) -> u64 {
-        let Some(slot) = self.slot(r, key, forward) else {
-            return 0;
-        };
-        let range = slot.range();
-        if self.outputs[range.clone()].contains(&row) {
-            return 0;
-        }
-        let at_tail = range.end == self.outputs.len();
-        if !self.arena_fits(if at_tail { 1 } else { range.len() + 1 }) {
-            // Unpatchable: drop the entry, so the key recomputes.
-            *self.slot_mut(r, key, forward) = Slot::VACANT;
-            self.entries -= 1;
-            return 0;
-        }
-        let start = if at_tail {
-            slot.start
-        } else {
-            let start = self.outputs.len() as u32;
-            self.outputs.extend_from_within(range);
-            start
-        };
-        self.outputs.push(row);
-        *self.slot_mut(r, key, forward) = Slot {
-            start,
-            len: slot.len + 1,
-        };
-        1
+    fn outputs_fit(&self, more: usize) -> bool {
+        self.outputs + more < u32::MAX as usize
     }
 }
 
@@ -255,22 +165,45 @@ impl ProbeStats {
 /// `VirtualSource` it builds for that plan, discarding the space
 /// wholesale when a new epoch is published.
 ///
-/// Both halves share one flat table behind one `RwLock` (see the module
-/// docs), which is also what makes [`VirtualSource`] `Sync` — the
-/// service's batch workers share one space.
-/// No lock is held across a join.  The memo is bounded by an entry
-/// cap: once full, further probe results are computed but not recorded
-/// — always sound, the memo is only an optimization — so a long-lived
-/// epoch cannot grow it without bound.
+/// The storage is append-only chunked arenas of atomics (see the module
+/// docs): a word never moves once written, so the wire workers that
+/// share one space read tuples and memo entries with no lock, and a
+/// probe's hit or miss lands in a per-thread counter shard.  Writers —
+/// [`VirtualSource::intern_tuple`], a miss recording its result,
+/// [`Self::patch_pairs`], [`delta_pairs`] and [`Self::fork`] — take one
+/// mutex, which owns the dedup index and the arena lengths; a writer
+/// stores a slot with `Release` after its outputs, and a reader loads
+/// it with `Acquire` before reading them.  Every other word is stored
+/// and loaded `Relaxed`: a tuple id reaches a reader only from its own
+/// thread's intern, from a slot it loaded with `Acquire`, or through a
+/// lock (the machine memo's), and each of those orders the tuple's
+/// components before the read.  No lock is held across a join.
+///
+/// The memo columns are fixed when the space first meets its plan
+/// ([`VirtualSource::with_space`]), one per virtual relation and
+/// direction.  The memo is bounded by an entry cap: once full, further
+/// probe results are computed but not recorded — always sound, the
+/// memo is only an optimization — so a long-lived epoch cannot grow it
+/// without bound.
 pub struct ProbeSpace {
-    /// Tuple components and memo entries.  Component ids are program
-    /// constants; tuple ids start at [`TUPLE_ID_BASE`], above every id
-    /// the program interner can reach.
-    table: RwLock<FlatTable>,
+    /// Every tuple's components, back to back.  Component ids are
+    /// program constants; tuple ids start at [`TUPLE_ID_BASE`], above
+    /// every id the program interner can reach.
+    components: Arena<AtomicU32>,
+    /// Tuple `i` is `components[ends[i - 1]..ends[i]]` (from 0 for the
+    /// first).
+    ends: Arena<AtomicU32>,
+    /// Memo slots ([`pack`]), set once from the plan's virtual
+    /// relations.
+    columns: OnceLock<Columns>,
+    /// Output tuple ids of every memo entry, back to back.
+    outputs: Arena<AtomicU32>,
+    /// The writers' mutex.
+    writer: Mutex<Writer>,
     /// Entry cap of the memo.
     max_entries: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 /// Default entry cap for [`ProbeSpace`]: an epoch's whole probe working
@@ -285,44 +218,184 @@ impl ProbeSpace {
     }
 
     /// Fresh space holding at most `max_entries` memoized probe
-    /// results; overflow stops recording (probes still compute).
+    /// results; overflow stops recording (probes still compute).  It
+    /// allocates no arena chunk until its first write.
     pub fn with_capacity(program: &Program, max_entries: usize) -> Self {
         debug_assert!(
             program.consts.len() < TUPLE_ID_BASE as usize,
             "program interner overlaps the tuple id range"
         );
         Self {
-            table: RwLock::new(FlatTable::default()),
+            components: Arena::default(),
+            ends: Arena::default(),
+            columns: OnceLock::new(),
+            outputs: Arena::default(),
+            writer: Mutex::default(),
             max_entries,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
-    /// Read-lock the table, recovering from poison: the table is never
-    /// torn by a panic (see [`FlatTable`]), so serving the remaining
-    /// queries of a batch from it is sound.
-    fn read(&self) -> RwLockReadGuard<'_, FlatTable> {
-        self.table.read().unwrap_or_else(PoisonError::into_inner)
+    /// Lock the writers' mutex, recovering from poison: the arenas are
+    /// never torn by a panic (see [`Writer`]), so serving the remaining
+    /// queries from the space is sound.
+    fn write(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Write-lock the table, recovering from poison (see [`Self::read`]).
-    fn write(&self) -> RwLockWriteGuard<'_, FlatTable> {
-        self.table.write().unwrap_or_else(PoisonError::into_inner)
+    /// Fix the memo columns to `bin`'s virtual relations, unless an
+    /// earlier source already did.
+    fn bind(&self, bin: &BinaryProgram) {
+        self.columns
+            .get_or_init(|| Columns::new(bin.virtuals.keys().copied()));
+    }
+
+    /// The slot column of `(r, forward)`, if the plan memoizes `r`.
+    fn column(&self, r: Pred, forward: bool) -> Option<&Arena<AtomicU64>> {
+        self.columns.get()?.get(r, forward)
+    }
+
+    /// The component range of tuple `i` in the component arena.
+    fn span(&self, i: usize) -> Range<usize> {
+        let end = |i: usize| {
+            self.ends
+                .load(i, Ordering::Relaxed)
+                .expect("tuple was interned") as usize
+        };
+        if i == 0 {
+            0..end(0)
+        } else {
+            end(i - 1)..end(i)
+        }
+    }
+
+    /// The components of tuple constant `c`.
+    fn components(&self, c: Const) -> impl Iterator<Item = Const> + '_ {
+        self.components
+            .segments(self.span(tuple_index(c)))
+            .flatten()
+            .map(|w| Const(w.load(Ordering::Relaxed)))
+    }
+
+    /// The memoized output range of `(r, key, forward)`, if recorded.
+    fn entry(&self, r: Pred, key: Const, forward: bool) -> Option<Range<usize>> {
+        let slot = self
+            .column(r, forward)?
+            .load(tuple_index(key), Ordering::Acquire)?;
+        unpack(slot)
+    }
+
+    /// Append the output ids at `range` to `out`.
+    fn copy_outputs(&self, range: Range<usize>, out: &mut Vec<Const>) {
+        for segment in self.outputs.segments(range) {
+            out.extend(segment.iter().map(|w| Const(w.load(Ordering::Relaxed))));
+        }
+    }
+
+    /// The tuple id of `components`, if interned.
+    fn lookup(&self, w: &Writer, components: &[Const], hash: u64) -> Option<Const> {
+        let mut i = *w.heads.get(&hash)?;
+        while i != NO_TUPLE {
+            let id = Const(TUPLE_ID_BASE + i);
+            if self.components(id).eq(components.iter().copied()) {
+                return Some(id);
+            }
+            i = w.chain[i as usize];
+        }
+        None
+    }
+
+    /// The tuple id of `components`, interned on first sight.
+    fn intern_locked(&self, w: &mut Writer, components: &[Const]) -> Const {
+        let hash = Writer::hash(components);
+        if let Some(id) = self.lookup(w, components, hash) {
+            return id;
+        }
+        let i = u32::try_from(w.chain.len())
+            .ok()
+            .filter(|&i| i < TUPLE_ID_BASE)
+            .expect("tuple table exhausted the id space");
+        let end = u32::try_from(w.components + components.len())
+            .expect("tuple table exhausted its component arena");
+        for (at, c) in (w.components..).zip(components) {
+            self.components.store(at, c.0, Ordering::Relaxed);
+        }
+        self.ends.store(i as usize, end, Ordering::Relaxed);
+        w.components = end as usize;
+        w.chain.push(w.heads.insert(hash, i).unwrap_or(NO_TUPLE));
+        Const(TUPLE_ID_BASE + i)
     }
 
     /// The tuple id of `components`, interned on first sight.
     fn intern(&self, components: &[Const]) -> Const {
-        let hash = FlatTable::hash(components);
-        if let Some(id) = self.read().lookup(components, hash) {
-            return id;
+        self.intern_locked(&mut self.write(), components)
+    }
+
+    /// Record `rows` as the entry of a key that has none, unless the
+    /// entry cap (or the output arena's `u32` offsets) refuse it.
+    fn record(&self, w: &mut Writer, r: Pred, key: Const, forward: bool, rows: &[Const]) {
+        let Some(column) = self.column(r, forward) else {
+            return;
+        };
+        let i = tuple_index(key);
+        if w.entries >= self.max_entries
+            || !w.outputs_fit(rows.len())
+            || column.load(i, Ordering::Relaxed).unwrap_or(0) != 0
+        {
+            return;
         }
-        self.write().intern_hashed(components, hash)
+        let start = w.outputs;
+        for (at, c) in (start..).zip(rows) {
+            self.outputs.store(at, c.0, Ordering::Relaxed);
+        }
+        w.outputs += rows.len();
+        column.store(i, pack(start..w.outputs), Ordering::Release);
+        w.entries += 1;
+    }
+
+    /// Append `row` to the entry of `(r, key, forward)` if the entry
+    /// exists and lacks it: the entry's outputs are copied to the end
+    /// of the output arena (extended in place when they already end
+    /// there), then the slot is re-pointed, so a reader of the old
+    /// slot still reads the old outputs.  Returns 1 if a row was added.
+    fn patch(&self, w: &mut Writer, r: Pred, key: Const, forward: bool, row: Const) -> u64 {
+        let Some(column) = self.column(r, forward) else {
+            return 0;
+        };
+        let i = tuple_index(key);
+        let Some(range) = column.load(i, Ordering::Relaxed).and_then(unpack) else {
+            return 0;
+        };
+        let mut old = Vec::with_capacity(range.len() + 1);
+        self.copy_outputs(range.clone(), &mut old);
+        if old.contains(&row) {
+            return 0;
+        }
+        let at_tail = range.end == w.outputs;
+        if !w.outputs_fit(if at_tail { 1 } else { old.len() + 1 }) {
+            // Unpatchable: drop the entry, so the key recomputes.
+            column.store(i, 0, Ordering::Release);
+            w.entries -= 1;
+            return 0;
+        }
+        let start = if at_tail { range.start } else { w.outputs };
+        old.push(row);
+        for (at, c) in (start..)
+            .zip(&old)
+            .skip(if at_tail { range.len() } else { 0 })
+        {
+            self.outputs.store(at, c.0, Ordering::Relaxed);
+        }
+        w.outputs = start + old.len();
+        column.store(i, pack(start..w.outputs), Ordering::Release);
+        1
     }
 
     /// Replace `out`'s first `matches` rows of `width` components each
     /// by their tuple ids and record the ids as the entry of
-    /// `(r, key, forward)` — one write lock for the whole probe.
+    /// `(r, key, forward)` — one lock of the writers' mutex for the
+    /// whole probe.
     fn settle(
         &self,
         r: Pred,
@@ -332,25 +405,27 @@ impl ProbeSpace {
         matches: usize,
         out: &mut Vec<Const>,
     ) {
-        let mut table = self.write();
+        let mut w = self.write();
         if width == 0 {
             out.clear();
             if matches > 0 {
-                out.resize(matches, table.intern(&[]));
+                out.resize(matches, self.intern_locked(&mut w, &[]));
             }
         } else {
             // Row `i` starts at `i * width >= i`, so writing id `i`
             // never clobbers a row not yet interned.
             for i in 0..matches {
-                out[i] = table.intern(&out[i * width..(i + 1) * width]);
+                out[i] = self.intern_locked(&mut w, &out[i * width..(i + 1) * width]);
             }
             out.truncate(matches);
         }
-        table.record(r, key, forward, out, self.max_entries);
+        self.record(&mut w, r, key, forward, out);
     }
 
     /// Deep-copy this space: same tuple ids, same memo entries,
-    /// independent storage, fresh hit/miss counters.
+    /// independent storage, fresh hit/miss counters.  The chunks are
+    /// copied under the writers' mutex; readers of this space never
+    /// block on it.
     ///
     /// The delta-repair path forks the previous epoch's space, patches
     /// the fork against the publish's delta, and hands the fork to the
@@ -360,11 +435,20 @@ impl ProbeSpace {
     /// with identical tuple ids, so carried machine-memo entries keep
     /// meaning the same tuples.
     pub fn fork(&self) -> Self {
+        let w = self.write();
+        let columns = OnceLock::new();
+        if let Some(parent) = self.columns.get() {
+            let _ = columns.set(parent.copy());
+        }
         Self {
-            table: RwLock::new(self.read().clone()),
+            components: self.components.copy(),
+            ends: self.ends.copy(),
+            columns,
+            outputs: self.outputs.copy(),
+            writer: Mutex::new(w.clone()),
             max_entries: self.max_entries,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
@@ -376,11 +460,11 @@ impl ProbeSpace {
     /// really is the full delta of `r` (what [`delta_pairs`] computes),
     /// because ingests only ever add tuples.  Returns the rows added.
     pub fn patch_pairs(&self, r: Pred, pairs: &[(Const, Const)]) -> u64 {
-        let mut table = self.write();
+        let mut w = self.write();
         let mut added = 0u64;
         for &(input, output) in pairs {
-            added += table.patch(r, input, true, output);
-            added += table.patch(r, output, false, input);
+            added += self.patch(&mut w, r, input, true, output);
+            added += self.patch(&mut w, r, output, false, input);
         }
         added
     }
@@ -388,9 +472,9 @@ impl ProbeSpace {
     /// Hit/miss/entry counts.
     pub fn stats(&self) -> ProbeStats {
         ProbeStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.read().entries,
+            hits: self.hits.value(),
+            misses: self.misses.value(),
+            entries: self.write().entries,
         }
     }
 }
@@ -498,10 +582,13 @@ pub fn delta_pairs(
                 },
             )
             .ok()?;
-            let mut table = space.write();
+            let mut w = space.write();
             for i in 0..matches {
                 let (ins, outs) = rows[i * width..(i + 1) * width].split_at(rel.in_terms.len());
-                pairs.push((table.intern(ins), table.intern(outs)));
+                pairs.push((
+                    space.intern_locked(&mut w, ins),
+                    space.intern_locked(&mut w, outs),
+                ));
             }
         }
         if !pairs.is_empty() {
@@ -524,6 +611,13 @@ impl std::fmt::Debug for ProbeSpace {
     }
 }
 
+/// How a [`VirtualSource`] holds its [`ProbeSpace`]: built for this
+/// source, or borrowed from the serving layer's epoch.
+enum SpaceRef<'a> {
+    Owned(Box<ProbeSpace>),
+    Shared(&'a ProbeSpace),
+}
+
 /// A [`TupleSource`] computing virtual relations on demand.
 pub struct VirtualSource<'a> {
     program: &'a Program,
@@ -535,7 +629,7 @@ pub struct VirtualSource<'a> {
     /// The tuple interner + probe memo — private to this query, or
     /// shared with every query of one snapshot epoch
     /// ([`VirtualSource::with_space`]).
-    space: Arc<ProbeSpace>,
+    space: SpaceRef<'a>,
     /// The `__domain` predicate, if materialized.
     domain_pred: Option<Pred>,
 }
@@ -544,7 +638,8 @@ impl<'a> VirtualSource<'a> {
     /// Build a source for a transformed program with a private
     /// [`ProbeSpace`] (per-query memoization only).
     pub fn new(program: &'a Program, db: &'a Database, bin: &'a BinaryProgram) -> Self {
-        Self::with_space(program, db, bin, Arc::new(ProbeSpace::new(program)))
+        let space = SpaceRef::Owned(Box::new(ProbeSpace::new(program)));
+        Self::build(program, db, bin, space)
     }
 
     /// Build a source whose probes read and feed a shared
@@ -555,7 +650,16 @@ impl<'a> VirtualSource<'a> {
         program: &'a Program,
         db: &'a Database,
         bin: &'a BinaryProgram,
-        space: Arc<ProbeSpace>,
+        space: &'a ProbeSpace,
+    ) -> Self {
+        Self::build(program, db, bin, SpaceRef::Shared(space))
+    }
+
+    fn build(
+        program: &'a Program,
+        db: &'a Database,
+        bin: &'a BinaryProgram,
+        space: SpaceRef<'a>,
     ) -> Self {
         let needs_domain = bin
             .virtuals
@@ -584,32 +688,45 @@ impl<'a> VirtualSource<'a> {
             }
             domain_pred = Some(dp);
         }
-        Self {
+        let source = Self {
             program,
             db,
             virtuals: &bin.virtuals,
             space,
             domain_pred,
+        };
+        source.space().bind(bin);
+        source
+    }
+
+    #[inline]
+    fn space(&self) -> &ProbeSpace {
+        match &self.space {
+            SpaceRef::Owned(space) => space,
+            SpaceRef::Shared(space) => space,
         }
     }
 
     /// Intern a tuple constant.
     pub fn intern_tuple(&self, components: Vec<Const>) -> Const {
-        self.space.intern(&components)
+        self.space().intern(&components)
     }
 
     /// Decode a tuple constant into its components.
     pub fn decode_tuple(&self, c: Const) -> Vec<Const> {
-        self.space.read().components(c).to_vec()
+        self.space().components(c).collect()
     }
 
     /// Decode answer tuple constants of `width` components each into
-    /// sorted, deduplicated rows, under one read lock of the table.
+    /// sorted, deduplicated rows, with no lock taken.
     pub fn decode_rows(&self, width: usize, answers: impl IntoIterator<Item = Const>) -> Rows {
-        let table = self.space.read();
+        let space = self.space();
         let mut rows = Rows::builder(width);
+        let mut row = Vec::with_capacity(width);
         for c in answers {
-            rows.push(table.components(c));
+            row.clear();
+            row.extend(space.components(c));
+            rows.push(&row);
         }
         rows.finish()
     }
@@ -724,11 +841,11 @@ impl<'a> VirtualSource<'a> {
 
     /// One memoized direction of a virtual relation, into `out`
     /// (cleared first: a virtual relation has no stored row to lend).
-    /// A hit copies the entry out under the read lock.  A miss copies
+    /// A hit copies the entry out with no lock taken.  A miss copies
     /// the key's components out, joins with no lock held, then interns
-    /// and records under one write lock; a racing thread computing the
-    /// same key produces identical outputs (the interner dedups tuple
-    /// constants), and whichever records first wins.
+    /// and records under the writers' mutex; a racing thread computing
+    /// the same key produces identical outputs (the interner dedups
+    /// tuple constants), and whichever records first wins.
     fn cached_probe(
         &self,
         r: Pred,
@@ -739,25 +856,25 @@ impl<'a> VirtualSource<'a> {
     ) {
         counters.index_probes += 1;
         out.clear();
+        let space = self.space();
+        if let Some(range) = space.entry(r, key, forward) {
+            space.copy_outputs(range, out);
+            space.hits.inc();
+            return;
+        }
+        space.misses.inc();
         let mut key_stack = [Const(0); 32];
         let mut key_heap: Vec<Const> = Vec::new();
-        let components: &[Const] = {
-            let table = self.space.read();
-            if let Some(rows) = table.entry(r, key, forward) {
-                out.extend_from_slice(rows);
-                self.space.hits.fetch_add(1, Ordering::Relaxed);
-                return;
+        let len = space.span(tuple_index(key)).len();
+        let components: &[Const] = if len <= key_stack.len() {
+            for (slot, c) in key_stack.iter_mut().zip(space.components(key)) {
+                *slot = c;
             }
-            let parts = table.components(key);
-            if parts.len() <= key_stack.len() {
-                key_stack[..parts.len()].copy_from_slice(parts);
-                &key_stack[..parts.len()]
-            } else {
-                key_heap.extend_from_slice(parts);
-                &key_heap
-            }
+            &key_stack[..len]
+        } else {
+            key_heap.extend(space.components(key));
+            &key_heap
         };
-        self.space.misses.fetch_add(1, Ordering::Relaxed);
         let rel = &self.virtuals[&r];
         let (bind_terms, emit_terms) = if forward {
             (&rel.in_terms, &rel.out_terms)
@@ -765,8 +882,7 @@ impl<'a> VirtualSource<'a> {
             (&rel.out_terms, &rel.in_terms)
         };
         let matches = self.join(rel, bind_terms, emit_terms, components, out, counters);
-        self.space
-            .settle(r, key, forward, emit_terms.len(), matches, out);
+        space.settle(r, key, forward, emit_terms.len(), matches, out);
     }
 }
 
@@ -895,7 +1011,7 @@ mod tests {
         let adorned = adorn(&program, &q).unwrap();
         let bin = transform(&program, &adorned);
         let db = Database::from_program(&program);
-        let space = std::sync::Arc::new(ProbeSpace::new(&program));
+        let space = ProbeSpace::new(&program);
         let base = *bin
             .names
             .iter()
@@ -904,7 +1020,7 @@ mod tests {
             .unwrap();
         let a = program.consts.get(&ConstValue::Str("a".into())).unwrap();
 
-        let first_source = VirtualSource::with_space(&program, &db, &bin, Arc::clone(&space));
+        let first_source = VirtualSource::with_space(&program, &db, &bin, &space);
         let anchor = first_source.intern_tuple(vec![a]);
         let mut out = Vec::new();
         let mut c1 = Counters::new();
@@ -913,7 +1029,7 @@ mod tests {
         let first = out.clone();
         drop(first_source);
 
-        let second_source = VirtualSource::with_space(&program, &db, &bin, Arc::clone(&space));
+        let second_source = VirtualSource::with_space(&program, &db, &bin, &space);
         let anchor_again = second_source.intern_tuple(vec![a]);
         assert_eq!(anchor, anchor_again, "shared interner keeps ids stable");
         out.clear();
@@ -938,8 +1054,8 @@ mod tests {
         let adorned = adorn(&program, &q).unwrap();
         let bin = transform(&program, &adorned);
         let db = Database::from_program(&program);
-        let space = Arc::new(ProbeSpace::with_capacity(&program, 1));
-        let src = VirtualSource::with_space(&program, &db, &bin, Arc::clone(&space));
+        let space = ProbeSpace::with_capacity(&program, 1);
+        let src = VirtualSource::with_space(&program, &db, &bin, &space);
         let base = *bin
             .names
             .iter()
@@ -978,8 +1094,8 @@ mod tests {
         let adorned = adorn(&program, &q).unwrap();
         let bin = transform(&program, &adorned);
         let db = Database::from_program(&program);
-        let space = Arc::new(ProbeSpace::new(&program));
-        let src = VirtualSource::with_space(&program, &db, &bin, Arc::clone(&space));
+        let space = ProbeSpace::new(&program);
+        let src = VirtualSource::with_space(&program, &db, &bin, &space);
 
         let in_pred = *bin
             .names
@@ -1023,8 +1139,7 @@ mod tests {
 
         // The patched fork serves the repaired row from its memo and
         // matches a cold recomputation over the new database exactly.
-        let fork = Arc::new(fork);
-        let repaired_src = VirtualSource::with_space(&extended, &db_new, &bin, Arc::clone(&fork));
+        let repaired_src = VirtualSource::with_space(&extended, &db_new, &bin, &fork);
         let mut patched = Vec::new();
         let mut c_patched = Counters::new();
         repaired_src.successors(in_pred, anchor, &mut patched, &mut c_patched);
@@ -1046,6 +1161,106 @@ mod tests {
         let mut old = Vec::new();
         src.successors(in_pred, anchor, &mut old, &mut Counters::new());
         assert_eq!(old, warm);
+    }
+
+    #[test]
+    fn fork_under_live_readers_patches_only_the_fork() {
+        // One thread keeps probing and interning into the parent while
+        // the main thread forks, delta-enumerates and patches, again
+        // and again: every fork matches a cold recomputation over the
+        // new database, and the parent never shows the patched row.
+        const OLD: &str = "cnx(S,DT,D,AT) :- flight(S,DT,D,AT).\n\
+             cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
+             flight(hel,900,ams,1130).\n\
+             flight(ams,1200,cdg,1330).\n\
+             flight(ams,1300,nce,1430).\n\
+             is_deptime(900). is_deptime(1200).";
+        let mut program = parse_program(OLD).unwrap();
+        let q = Query::parse(&mut program, "cnx(hel, 900, D, AT)").unwrap();
+        let adorned = adorn(&program, &q).unwrap();
+        let bin = transform(&program, &adorned);
+        let db = Database::from_program(&program);
+        let extended = parse_program(&format!("{OLD}\nis_deptime(1300).")).unwrap();
+        assert_eq!(program.preds.len(), extended.preds.len());
+        let db_new = Database::from_program(&extended);
+        let dep = extended.pred_by_name("is_deptime").unwrap();
+        let t1300 = extended.consts.get(&ConstValue::Int(1300)).unwrap();
+        let mut delta: FxHashMap<Pred, Relation> = FxHashMap::default();
+        delta.insert(dep, Relation::from_rows(1, [&[t1300][..]]));
+        let in_pred = *bin
+            .names
+            .iter()
+            .find(|(_, n)| n.as_str() == "in-r1")
+            .map(|(p, _)| p)
+            .unwrap();
+        let constant = |name: &str| program.consts.get(&ConstValue::Str(name.into())).unwrap();
+        let (hel, ams) = (constant("hel"), constant("ams"));
+        let t900 = program.consts.get(&ConstValue::Int(900)).unwrap();
+
+        let space = ProbeSpace::new(&program);
+        let src = VirtualSource::with_space(&program, &db, &bin, &space);
+        let anchor = src.intern_tuple(vec![hel, t900]);
+        let mut warm = Vec::new();
+        src.successors(in_pred, anchor, &mut warm, &mut Counters::new());
+        let warm = src.decode_tuple(warm[0]);
+
+        let cold_src = VirtualSource::new(&extended, &db_new, &bin);
+        let cold_anchor = cold_src.intern_tuple(vec![hel, t900]);
+        let mut cold = Vec::new();
+        cold_src.successors(in_pred, cold_anchor, &mut cold, &mut Counters::new());
+        let mut cold: Vec<Vec<Const>> = cold.iter().map(|&c| cold_src.decode_tuple(c)).collect();
+        cold.sort();
+        assert_eq!(cold.len(), 2, "the new departure time adds one connection");
+
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let progress = AtomicU32::new(0);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut rounds = 0u32;
+                while !stop.load(Ordering::Relaxed) || rounds < 100 {
+                    let mut out = Vec::new();
+                    src.successors(in_pred, anchor, &mut out, &mut Counters::new());
+                    let rows: Vec<Vec<Const>> = out.iter().map(|&c| src.decode_tuple(c)).collect();
+                    assert_eq!(rows, vec![warm.clone()], "the parent never shows a patch");
+                    // New keys keep the parent's writers busy (of the
+                    // wrong width, so their joins match nothing).
+                    let fresh = src.intern_tuple(vec![ams, Const(100_000 + rounds), ams]);
+                    src.successors(in_pred, fresh, &mut out, &mut Counters::new());
+                    src.predecessors(in_pred, fresh, &mut out, &mut Counters::new());
+                    rounds += 1;
+                    progress.store(rounds, Ordering::Relaxed);
+                }
+                rounds
+            });
+            for i in 0..50 {
+                // Fork only once the reader is mid-stream.
+                while progress.load(Ordering::Relaxed) <= i {
+                    std::thread::yield_now();
+                }
+                let fork = space.fork();
+                let mut counters = Counters::new();
+                let pairs = delta_pairs(&extended, &db_new, &bin, &fork, &delta, &mut counters)
+                    .expect("chain program is delta-enumerable");
+                assert_eq!(fork.patch_pairs(in_pred, &pairs[&in_pred]), 1);
+                let patched_src = VirtualSource::with_space(&extended, &db_new, &bin, &fork);
+                let mut patched = Vec::new();
+                let mut c_patched = Counters::new();
+                patched_src.successors(in_pred, anchor, &mut patched, &mut c_patched);
+                assert_eq!(c_patched.tuples_retrieved, 0, "served from the memo");
+                let mut patched: Vec<Vec<Const>> = patched
+                    .iter()
+                    .map(|&c| patched_src.decode_tuple(c))
+                    .collect();
+                patched.sort();
+                assert_eq!(patched, cold);
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(reader.join().unwrap() >= 100);
+        });
+        let mut old = Vec::new();
+        src.successors(in_pred, anchor, &mut old, &mut Counters::new());
+        assert_eq!(old.len(), 1);
+        assert_eq!(src.decode_tuple(old[0]), warm);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rq_adorn::{
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_datalog::{parse_program, seminaive_eval, Database, Program, Query, Relation};
 use rq_engine::{EvalOptions, Evaluator, TupleSource};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Facts over a small constant pool for the given binary predicates.
 fn facts_strategy(preds: &'static [&'static str]) -> impl Strategy<Value = String> {
@@ -224,10 +224,10 @@ fn recorded(
     plan: &NaryPlan,
     bound: &[Const],
     options: &EvalOptions,
-    space: &Arc<ProbeSpace>,
+    space: &ProbeSpace,
 ) -> (Vec<Vec<Const>>, Vec<Probe>) {
     let source = Recording {
-        inner: VirtualSource::with_space(program, db, &plan.binary, Arc::clone(space)),
+        inner: VirtualSource::with_space(program, db, &plan.binary, space),
         probes: Mutex::default(),
     };
     let anchor = source.inner.intern_tuple(bound.to_vec());
@@ -316,9 +316,9 @@ fn check_layouts(
             Err(QueryError::NotChain(_)) => continue,
             Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
         };
-        let shared = Arc::new(ProbeSpace::new(&old));
-        let single = Arc::new(ProbeSpace::with_capacity(&old, 1));
-        let small = Arc::new(ProbeSpace::with_capacity(&old, 4));
+        let shared = ProbeSpace::new(&old);
+        let single = ProbeSpace::with_capacity(&old, 1);
+        let small = ProbeSpace::with_capacity(&old, 4);
         let mut probed: Vec<Probe> = Vec::new();
         for q in &queries {
             let (bound, expected) = (q.bound_values(), q.answer_from_relation(&truth_old));
@@ -337,7 +337,7 @@ fn check_layouts(
         prop_assert!(shared.stats().hits > 0);
         prop_assert!(small.stats().entries <= 4 && single.stats().entries <= 1);
 
-        let warm = VirtualSource::with_space(&old, &db_old, &plan.binary, Arc::clone(&shared));
+        let warm = VirtualSource::with_space(&old, &db_old, &plan.binary, &shared);
         let fresh = VirtualSource::new(&old, &db_old, &plan.binary);
         let mut memo: FxHashMap<Probe, Vec<Vec<Const>>> = FxHashMap::default();
         for (r, key, forward) in &probed {
@@ -362,7 +362,6 @@ fn check_layouts(
             for (&vpred, vp) in &pairs {
                 fork.patch_pairs(vpred, vp);
             }
-            let fork = Arc::new(fork);
             for q in &queries {
                 let (rows, _) = evaluate_nary_shared(
                     &new,
@@ -380,7 +379,7 @@ fn check_layouts(
                     q
                 );
             }
-            let patched = VirtualSource::with_space(&new, &db_new, &plan.binary, fork);
+            let patched = VirtualSource::with_space(&new, &db_new, &plan.binary, &fork);
             let cold = VirtualSource::new(&new, &db_new, &plan.binary);
             for (r, key, forward) in &probed {
                 let set = |rows: Vec<Vec<Const>>| rows.into_iter().collect::<FxHashSet<_>>();
@@ -396,8 +395,8 @@ fn check_layouts(
         // entry stays as it was.
         let forward_keys: Vec<&Probe> = probed.iter().filter(|p| p.2).take(2).collect();
         if let Some(&(r, ref key, _)) = forward_keys.first().copied() {
-            let twice = Arc::new(shared.fork());
-            let src = VirtualSource::with_space(&old, &db_old, &plan.binary, Arc::clone(&twice));
+            let twice = shared.fork();
+            let src = VirtualSource::with_space(&old, &db_old, &plan.binary, &twice);
             let extra = [vec![Const(0); 5], vec![Const(1); 5]];
             let ids = extra.clone().map(|t| src.intern_tuple(t));
             let key_id = src.intern_tuple(key.clone());

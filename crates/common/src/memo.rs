@@ -1,18 +1,20 @@
 //! A bounded, thread-safe memo: the machinery behind the engine's
 //! epoch-scoped machine-traversal memo (`rq_engine::EvalContext`).
 //! (The §4 virtual-probe memo is not one: it keys by dense tuple id and
-//! lives in `rq_adorn::ProbeSpace`'s flat table.)
+//! lives in `rq_adorn::ProbeSpace`'s append-only arenas.)
 //!
-//! Values are `Arc`-shared, lookups count hits/misses atomically, and
-//! the map carries an **entry cap**: once full, `insert` refuses new
-//! keys instead of evicting.  Refusal is always sound for a memo — a
-//! miss just re-derives — and keeps the steady-state cost of a
-//! saturated memo at one read-lock probe ([`BoundedMemo::would_refuse`]
-//! lets callers skip preparing a value that would be thrown away).
+//! Values are `Arc`-shared, lookups count hits/misses in per-thread
+//! counter shards ([`Counter`], so two threads looking up in one memo
+//! do not write one shared cache line), and the map carries an **entry
+//! cap**: once full, `insert` refuses new keys instead of evicting.
+//! Refusal is always sound for a memo — a miss just re-derives — and
+//! keeps the steady-state cost of a saturated memo at one read-lock
+//! probe ([`BoundedMemo::would_refuse`] lets callers skip preparing a
+//! value that would be thrown away).
 
 use crate::hash::FxHashMap;
+use crate::obs::Counter;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Hit/miss/entry counts of one [`BoundedMemo`].
@@ -30,8 +32,8 @@ pub struct MemoStats {
 pub struct BoundedMemo<K, V> {
     map: RwLock<FxHashMap<K, Arc<V>>>,
     max_entries: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl<K: Eq + Hash, V> BoundedMemo<K, V> {
@@ -40,8 +42,8 @@ impl<K: Eq + Hash, V> BoundedMemo<K, V> {
         Self {
             map: RwLock::new(FxHashMap::default()),
             max_entries,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
@@ -54,9 +56,9 @@ impl<K: Eq + Hash, V> BoundedMemo<K, V> {
             .get(key)
             .cloned();
         match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         hit
     }
 
@@ -155,8 +157,8 @@ impl<K: Eq + Hash, V> BoundedMemo<K, V> {
     /// Hit/miss/entry counts.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.value(),
+            misses: self.misses.value(),
             entries: self.len(),
         }
     }
@@ -170,8 +172,8 @@ impl<K, V> std::fmt::Debug for BoundedMemo<K, V> {
                 &self.map.read().expect("memo lock poisoned").len(),
             )
             .field("max_entries", &self.max_entries)
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
+            .field("hits", &self.hits.value())
+            .field("misses", &self.misses.value())
             .finish()
     }
 }

@@ -15,11 +15,12 @@ use std::sync::Arc;
 
 /// Demand-driven access to binary relations.
 ///
-/// `Sync` is a supertrait: the engine's parallel machine-instance
-/// expansion shares one source across the scoped worker threads of a
-/// traversal phase, and the serving layer shares sources across batch
-/// workers.  Sources needing interior mutability (e.g. the §4 virtual
-/// relations' probe memo) must use locks, not `Cell`/`RefCell`.
+/// `Sync` is a supertrait: a traversal runs on the thread that asked,
+/// but the serving layer's wire workers answer concurrently over one
+/// snapshot, sharing its sources' state — the EDB, and the §4 virtual
+/// relations' probe memo, which every worker's `VirtualSource` over
+/// one plan reads and feeds.  Sources needing interior mutability must
+/// use atomics or locks, not `Cell`/`RefCell`.
 pub trait TupleSource: Sync {
     /// Every `v` with `r(u, v)`, borrowed: the source's own row where
     /// it stores one contiguously (a CSR row is iterated in place,

@@ -158,7 +158,7 @@ pub struct EvalContextStats {
 ///   construction.
 ///
 /// The memo is concurrency-safe ([`rq_common::BoundedMemo`]): one
-/// context serves every worker thread of a batch.  It is bounded by an
+/// context serves every wire worker answering on the epoch.  It is bounded by an
 /// entry cap: once full, new results simply are not recorded — always
 /// sound, because the memo is an optimization, never the source of
 /// truth — so a long-lived epoch serving a diverse query stream cannot

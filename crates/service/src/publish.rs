@@ -260,8 +260,7 @@ impl QueryService {
         let memo = EvalContext::new();
         let plan_id = plan.compiled.id();
         memo.carry_from(prev.context().eval(), |p, _| p == plan_id);
-        let source =
-            VirtualSource::with_space(snap.program(), snap.db(), &plan.binary, Arc::clone(&fork));
+        let source = VirtualSource::with_space(snap.program(), snap.db(), &plan.binary, &fork);
         let evaluator =
             Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source).with_context(&memo);
         let outcome = evaluator.repair(&vpairs, &self.budgeted_options());
