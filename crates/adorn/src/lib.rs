@@ -16,7 +16,6 @@
 
 pub mod adornment;
 pub mod api;
-mod arena;
 pub mod source;
 pub mod transform;
 
@@ -28,5 +27,5 @@ pub use api::{
     bottom_up_counters, evaluate_nary, evaluate_nary_shared, oracle_rows, plan_nary_query,
     plan_nary_query_unchecked, NaryPlan, QueryError,
 };
-pub use source::{delta_pairs, ProbeSpace, ProbeStats, VirtualSource, DEFAULT_PROBE_ENTRIES};
+pub use source::{delta_pairs, ProbeSpace, VirtualSource, DEFAULT_PROBE_ENTRIES};
 pub use transform::{transform, BinaryProgram, VirtualKind, VirtualRel};

@@ -11,19 +11,19 @@
 //! deferred until bound), and interns the resulting output tuples.
 //!
 //! The tuple interner and the probe memo of a [`ProbeSpace`] live in
-//! append-only arenas of atomic words, indexed by tuple id: tuple
-//! components sit back to back in one arena, and every (virtual
-//! relation, direction) has one column of slots, indexed by the probed
-//! tuple, pointing into one arena of output tuple ids.  A memo hit is
-//! an `Acquire` load of the slot and a copy of its outputs, with no
-//! lock and no store to shared memory; a miss runs its join with no
-//! lock held, then interns and records the result under the space's
-//! one writer mutex.
+//! append-only arenas of atomic words ([`rq_common::arena`]), indexed
+//! by tuple id: tuple components sit back to back in one arena, and the
+//! memo is an [`AnswerStore`] with one column of slots per (virtual
+//! relation, direction), indexed by the probed tuple.  A memo hit is an
+//! `Acquire` load of the slot and a copy of its outputs, with no lock
+//! and no store to shared memory; a miss runs its join with no lock
+//! held, then interns the result under the interner's mutex and
+//! records it under the memo's.
 
-use crate::arena::Arena;
 use crate::transform::{BinaryProgram, VirtualRel};
-use rq_common::obs::Counter;
-use rq_common::{Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred, Rows};
+use rq_common::{
+    AnswerStats, AnswerStore, Arena, Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred, Rows,
+};
 use rq_datalog::{
     fire_seeded, Atom, Database, DeltaView, Literal, Program, Relation, Term, WholeDb,
 };
@@ -31,7 +31,7 @@ use rq_engine::TupleSource;
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// First id handed out for tuple constants.  Tuple ids live in the top
@@ -43,63 +43,16 @@ const TUPLE_ID_BASE: u32 = 1 << 31;
 /// End of a dedup hash chain ([`Writer::chain`]).
 const NO_TUPLE: u32 = u32::MAX;
 
-/// A memo slot word: `(start + 1) << 32 | len` for the `len` output
-/// ids at `outputs[start..]`; 0 is a key with no entry.
-fn pack(range: Range<usize>) -> u64 {
-    (range.start as u64 + 1) << 32 | range.len() as u64
-}
-
-/// The output range of a slot word, `None` when vacant.
-fn unpack(slot: u64) -> Option<Range<usize>> {
-    let start = (slot >> 32).checked_sub(1)? as usize;
-    Some(start..start + (slot as u32) as usize)
-}
-
 /// Index of tuple constant `c` in the tuple arenas.
 fn tuple_index(c: Const) -> usize {
     c.0.checked_sub(TUPLE_ID_BASE)
         .expect("expected a tuple constant") as usize
 }
 
-/// The memo columns of one space, `[backward, forward]` per predicate
-/// id in `first..`, covering its plan's virtual relations.
-struct Columns {
-    first: u32,
-    columns: Box<[[Arena<AtomicU64>; 2]]>,
-}
-
-impl Columns {
-    fn new(virtuals: impl Iterator<Item = Pred> + Clone) -> Self {
-        let first = virtuals.clone().map(|p| p.0).min().unwrap_or(0);
-        let end = virtuals.map(|p| p.0 + 1).max().unwrap_or(first);
-        Self {
-            first,
-            columns: (first..end).map(|_| Default::default()).collect(),
-        }
-    }
-
-    fn get(&self, r: Pred, forward: bool) -> Option<&Arena<AtomicU64>> {
-        let column = self.columns.get(r.0.checked_sub(self.first)? as usize)?;
-        Some(&column[usize::from(forward)])
-    }
-
-    fn copy(&self) -> Self {
-        Self {
-            first: self.first,
-            columns: self
-                .columns
-                .iter()
-                .map(|[back, fwd]| [back.copy(), fwd.copy()])
-                .collect(),
-        }
-    }
-}
-
-/// What the writers of one [`ProbeSpace`] share, behind its mutex: the
-/// dedup index and how far each arena is filled.  Every mutation
-/// stores into the arenas, then advances these lengths, then publishes
-/// (returns the interned id, stores the slot), so a panic leaves the
-/// space merely smaller, never torn.
+/// What the interner's writers share, behind its mutex: the dedup
+/// index and how far the component arena is filled.  Interning stores
+/// into the arenas, then advances these lengths, then returns the id,
+/// so a panic leaves the space merely smaller, never torn.
 #[derive(Clone, Default)]
 struct Writer {
     /// Dedup index: a component hash → the newest tuple with that hash.
@@ -109,11 +62,6 @@ struct Writer {
     chain: Vec<u32>,
     /// Filled length of the component arena.
     components: usize,
-    /// Filled length of the output arena.  Stays below `u32::MAX` so
-    /// every slot's `start + 1` fits its half of the word.
-    outputs: usize,
-    /// Recorded memo entries.
-    entries: usize,
 }
 
 impl Writer {
@@ -121,34 +69,6 @@ impl Writer {
         let mut h = FxHasher::default();
         components.hash(&mut h);
         h.finish()
-    }
-
-    /// Whether the output arena can grow by `more` ids.
-    fn outputs_fit(&self, more: usize) -> bool {
-        self.outputs + more < u32::MAX as usize
-    }
-}
-
-/// Hit/miss/entry counts of one [`ProbeSpace`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Probes answered from the memo.
-    pub hits: u64,
-    /// Probes that ran the defining join.
-    pub misses: u64,
-    /// Memoized `(relation, key, direction)` probe results.
-    pub entries: usize,
-}
-
-impl ProbeStats {
-    /// Fold `other` into `self` with saturating arithmetic — the
-    /// aggregation an epoch context runs over all of its probe spaces,
-    /// safe even if a counter has (pathologically) reached the top of
-    /// its range.
-    pub fn merge(&mut self, other: &ProbeStats) {
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.entries = self.entries.saturating_add(other.entries);
     }
 }
 
@@ -165,26 +85,16 @@ impl ProbeStats {
 /// `VirtualSource` it builds for that plan, discarding the space
 /// wholesale when a new epoch is published.
 ///
-/// The storage is append-only chunked arenas of atomics (see the module
-/// docs): a word never moves once written, so the wire workers that
-/// share one space read tuples and memo entries with no lock, and a
-/// probe's hit or miss lands in a per-thread counter shard.  Writers —
-/// [`VirtualSource::intern_tuple`], a miss recording its result,
-/// [`Self::patch_pairs`], [`delta_pairs`] and [`Self::fork`] — take one
-/// mutex, which owns the dedup index and the arena lengths; a writer
-/// stores a slot with `Release` after its outputs, and a reader loads
-/// it with `Acquire` before reading them.  Every other word is stored
-/// and loaded `Relaxed`: a tuple id reaches a reader only from its own
-/// thread's intern, from a slot it loaded with `Acquire`, or through a
-/// lock (the machine memo's), and each of those orders the tuple's
-/// components before the read.  No lock is held across a join.
-///
-/// The memo columns are fixed when the space first meets its plan
-/// ([`VirtualSource::with_space`]), one per virtual relation and
-/// direction.  The memo is bounded by an entry cap: once full, further
-/// probe results are computed but not recorded — always sound, the
-/// memo is only an optimization — so a long-lived epoch cannot grow it
-/// without bound.
+/// The storage is append-only arenas (see the module docs), so the
+/// wire workers sharing one space read tuples and memo entries with no
+/// lock.  Interning ([`VirtualSource::intern_tuple`], a miss,
+/// [`delta_pairs`]) takes the interner's mutex; recording and
+/// [`Self::patch_pairs`] take the memo's, and [`Self::fork`] both, in
+/// that order.  Tuple words are stored and loaded `Relaxed`: a tuple id
+/// reaches a reader only from its own thread's intern, from a memo slot
+/// loaded with `Acquire`, or through a lock, and each orders the
+/// tuple's components before the read.  No lock is held across a join,
+/// and the memo's entry cap stops recording, never probing.
 pub struct ProbeSpace {
     /// Every tuple's components, back to back.  Component ids are
     /// program constants; tuple ids start at [`TUPLE_ID_BASE`], above
@@ -193,17 +103,13 @@ pub struct ProbeSpace {
     /// Tuple `i` is `components[ends[i - 1]..ends[i]]` (from 0 for the
     /// first).
     ends: Arena<AtomicU32>,
-    /// Memo slots ([`pack`]), set once from the plan's virtual
-    /// relations.
-    columns: OnceLock<Columns>,
-    /// Output tuple ids of every memo entry, back to back.
-    outputs: Arena<AtomicU32>,
-    /// The writers' mutex.
+    /// The plan's virtual relations `first..end`, set once: `(r,
+    /// forward)` is memo column `2 · (r − first) + forward`.
+    relations: OnceLock<Range<u32>>,
+    /// Output tuple ids per column and probed tuple index.
+    memo: AnswerStore,
+    /// The interner's mutex.
     writer: Mutex<Writer>,
-    /// Entry cap of the memo.
-    max_entries: usize,
-    hits: Counter,
-    misses: Counter,
 }
 
 /// Default entry cap for [`ProbeSpace`]: an epoch's whole probe working
@@ -228,16 +134,13 @@ impl ProbeSpace {
         Self {
             components: Arena::default(),
             ends: Arena::default(),
-            columns: OnceLock::new(),
-            outputs: Arena::default(),
+            relations: OnceLock::new(),
+            memo: AnswerStore::new(max_entries),
             writer: Mutex::default(),
-            max_entries,
-            hits: Counter::new(),
-            misses: Counter::new(),
         }
     }
 
-    /// Lock the writers' mutex, recovering from poison: the arenas are
+    /// Lock the interner's mutex, recovering from poison: the arenas are
     /// never torn by a panic (see [`Writer`]), so serving the remaining
     /// queries from the space is sound.
     fn write(&self) -> MutexGuard<'_, Writer> {
@@ -247,21 +150,28 @@ impl ProbeSpace {
     /// Fix the memo columns to `bin`'s virtual relations, unless an
     /// earlier source already did.
     fn bind(&self, bin: &BinaryProgram) {
-        self.columns
-            .get_or_init(|| Columns::new(bin.virtuals.keys().copied()));
+        self.relations.get_or_init(|| {
+            let first = bin.virtuals.keys().map(|p| p.0).min().unwrap_or(0);
+            let end = bin.virtuals.keys().map(|p| p.0 + 1).max().unwrap_or(first);
+            first..end
+        });
     }
 
-    /// The slot column of `(r, forward)`, if the plan memoizes `r`.
-    fn column(&self, r: Pred, forward: bool) -> Option<&Arena<AtomicU64>> {
-        self.columns.get()?.get(r, forward)
+    /// The memo column of `(r, forward)`, if the plan memoizes `r`.
+    fn column(&self, r: Pred, forward: bool) -> Option<usize> {
+        let relations = self.relations.get()?;
+        relations
+            .contains(&r.0)
+            .then(|| 2 * (r.0 - relations.start) as usize + usize::from(forward))
     }
 
     /// The component range of tuple `i` in the component arena.
     fn span(&self, i: usize) -> Range<usize> {
         let end = |i: usize| {
             self.ends
-                .load(i, Ordering::Relaxed)
-                .expect("tuple was interned") as usize
+                .get(i)
+                .expect("tuple was interned")
+                .load(Ordering::Relaxed) as usize
         };
         if i == 0 {
             0..end(0)
@@ -276,21 +186,6 @@ impl ProbeSpace {
             .segments(self.span(tuple_index(c)))
             .flatten()
             .map(|w| Const(w.load(Ordering::Relaxed)))
-    }
-
-    /// The memoized output range of `(r, key, forward)`, if recorded.
-    fn entry(&self, r: Pred, key: Const, forward: bool) -> Option<Range<usize>> {
-        let slot = self
-            .column(r, forward)?
-            .load(tuple_index(key), Ordering::Acquire)?;
-        unpack(slot)
-    }
-
-    /// Append the output ids at `range` to `out`.
-    fn copy_outputs(&self, range: Range<usize>, out: &mut Vec<Const>) {
-        for segment in self.outputs.segments(range) {
-            out.extend(segment.iter().map(|w| Const(w.load(Ordering::Relaxed))));
-        }
     }
 
     /// The tuple id of `components`, if interned.
@@ -319,9 +214,9 @@ impl ProbeSpace {
         let end = u32::try_from(w.components + components.len())
             .expect("tuple table exhausted its component arena");
         for (at, c) in (w.components..).zip(components) {
-            self.components.store(at, c.0, Ordering::Relaxed);
+            self.components.slot(at).store(c.0, Ordering::Relaxed);
         }
-        self.ends.store(i as usize, end, Ordering::Relaxed);
+        self.ends.slot(i as usize).store(end, Ordering::Relaxed);
         w.components = end as usize;
         w.chain.push(w.heads.insert(hash, i).unwrap_or(NO_TUPLE));
         Const(TUPLE_ID_BASE + i)
@@ -332,70 +227,10 @@ impl ProbeSpace {
         self.intern_locked(&mut self.write(), components)
     }
 
-    /// Record `rows` as the entry of a key that has none, unless the
-    /// entry cap (or the output arena's `u32` offsets) refuse it.
-    fn record(&self, w: &mut Writer, r: Pred, key: Const, forward: bool, rows: &[Const]) {
-        let Some(column) = self.column(r, forward) else {
-            return;
-        };
-        let i = tuple_index(key);
-        if w.entries >= self.max_entries
-            || !w.outputs_fit(rows.len())
-            || column.load(i, Ordering::Relaxed).unwrap_or(0) != 0
-        {
-            return;
-        }
-        let start = w.outputs;
-        for (at, c) in (start..).zip(rows) {
-            self.outputs.store(at, c.0, Ordering::Relaxed);
-        }
-        w.outputs += rows.len();
-        column.store(i, pack(start..w.outputs), Ordering::Release);
-        w.entries += 1;
-    }
-
-    /// Append `row` to the entry of `(r, key, forward)` if the entry
-    /// exists and lacks it: the entry's outputs are copied to the end
-    /// of the output arena (extended in place when they already end
-    /// there), then the slot is re-pointed, so a reader of the old
-    /// slot still reads the old outputs.  Returns 1 if a row was added.
-    fn patch(&self, w: &mut Writer, r: Pred, key: Const, forward: bool, row: Const) -> u64 {
-        let Some(column) = self.column(r, forward) else {
-            return 0;
-        };
-        let i = tuple_index(key);
-        let Some(range) = column.load(i, Ordering::Relaxed).and_then(unpack) else {
-            return 0;
-        };
-        let mut old = Vec::with_capacity(range.len() + 1);
-        self.copy_outputs(range.clone(), &mut old);
-        if old.contains(&row) {
-            return 0;
-        }
-        let at_tail = range.end == w.outputs;
-        if !w.outputs_fit(if at_tail { 1 } else { old.len() + 1 }) {
-            // Unpatchable: drop the entry, so the key recomputes.
-            column.store(i, 0, Ordering::Release);
-            w.entries -= 1;
-            return 0;
-        }
-        let start = if at_tail { range.start } else { w.outputs };
-        old.push(row);
-        for (at, c) in (start..)
-            .zip(&old)
-            .skip(if at_tail { range.len() } else { 0 })
-        {
-            self.outputs.store(at, c.0, Ordering::Relaxed);
-        }
-        w.outputs = start + old.len();
-        column.store(i, pack(start..w.outputs), Ordering::Release);
-        1
-    }
-
     /// Replace `out`'s first `matches` rows of `width` components each
-    /// by their tuple ids and record the ids as the entry of
-    /// `(r, key, forward)` — one lock of the writers' mutex for the
-    /// whole probe.
+    /// by their tuple ids — one lock of the interner for the whole
+    /// probe — and record the ids as the entry of `(r, key, forward)`,
+    /// unless the memo refuses it.
     fn settle(
         &self,
         r: Pred,
@@ -419,13 +254,16 @@ impl ProbeSpace {
             }
             out.truncate(matches);
         }
-        self.record(&mut w, r, key, forward, out);
+        drop(w);
+        if let Some(column) = self.column(r, forward) {
+            self.memo.record(column, tuple_index(key), out);
+        }
     }
 
     /// Deep-copy this space: same tuple ids, same memo entries,
     /// independent storage, fresh hit/miss counters.  The chunks are
-    /// copied under the writers' mutex; readers of this space never
-    /// block on it.
+    /// copied under the writers' mutexes; readers of this space never
+    /// block on them.
     ///
     /// The delta-repair path forks the previous epoch's space, patches
     /// the fork against the publish's delta, and hands the fork to the
@@ -436,19 +274,13 @@ impl ProbeSpace {
     /// meaning the same tuples.
     pub fn fork(&self) -> Self {
         let w = self.write();
-        let columns = OnceLock::new();
-        if let Some(parent) = self.columns.get() {
-            let _ = columns.set(parent.copy());
-        }
+        let word = |w: &AtomicU32| AtomicU32::new(w.load(Ordering::Relaxed));
         Self {
-            components: self.components.copy(),
-            ends: self.ends.copy(),
-            columns,
-            outputs: self.outputs.copy(),
+            components: self.components.copy_with(word),
+            ends: self.ends.copy_with(word),
+            relations: self.relations.clone(),
+            memo: self.memo.fork(),
             writer: Mutex::new(w.clone()),
-            max_entries: self.max_entries,
-            hits: Counter::new(),
-            misses: Counter::new(),
         }
     }
 
@@ -459,23 +291,27 @@ impl ProbeSpace {
     /// database.  Patched entries are complete again provided `pairs`
     /// really is the full delta of `r` (what [`delta_pairs`] computes),
     /// because ingests only ever add tuples.  Returns the rows added.
+    /// An entry gains a row it lacks with [`AnswerStore::patch`]: a
+    /// reader of the old slot still reads the old outputs.
     pub fn patch_pairs(&self, r: Pred, pairs: &[(Const, Const)]) -> u64 {
-        let mut w = self.write();
-        let mut added = 0u64;
-        for &(input, output) in pairs {
-            added += self.patch(&mut w, r, input, true, output);
-            added += self.patch(&mut w, r, output, false, input);
-        }
-        added
+        let directions = pairs
+            .iter()
+            .flat_map(|&(i, o)| [(i, o, true), (o, i, false)]);
+        let patch = |(key, row, forward)| match self.column(r, forward) {
+            Some(column) => self.memo.patch(column, tuple_index(key), |rows| {
+                if !rows.contains(&row) {
+                    rows.push(row);
+                }
+            }),
+            None => 0,
+        };
+        directions.map(patch).sum()
     }
 
-    /// Hit/miss/entry counts.
-    pub fn stats(&self) -> ProbeStats {
-        ProbeStats {
-            hits: self.hits.value(),
-            misses: self.misses.value(),
-            entries: self.write().entries,
-        }
+    /// Probes answered from the memo, probes that ran their join, and
+    /// memoized `(relation, key, direction)` results.
+    pub fn stats(&self) -> AnswerStats {
+        self.memo.stats()
     }
 }
 
@@ -602,12 +438,7 @@ pub fn delta_pairs(
 
 impl std::fmt::Debug for ProbeSpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("ProbeSpace")
-            .field("entries", &stats.entries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
+        f.debug_tuple("ProbeSpace").field(&self.stats()).finish()
     }
 }
 
@@ -843,7 +674,7 @@ impl<'a> VirtualSource<'a> {
     /// (cleared first: a virtual relation has no stored row to lend).
     /// A hit copies the entry out with no lock taken.  A miss copies
     /// the key's components out, joins with no lock held, then interns
-    /// and records under the writers' mutex; a racing thread computing
+    /// and records under the writers' mutexes; a racing thread computing
     /// the same key produces identical outputs (the interner dedups
     /// tuple constants), and whichever records first wins.
     fn cached_probe(
@@ -857,12 +688,10 @@ impl<'a> VirtualSource<'a> {
         counters.index_probes += 1;
         out.clear();
         let space = self.space();
-        if let Some(range) = space.entry(r, key, forward) {
-            space.copy_outputs(range, out);
-            space.hits.inc();
+        let at = space.column(r, forward).map(|c| (c, tuple_index(key)));
+        if space.memo.lookup(at, out) {
             return;
         }
-        space.misses.inc();
         let mut key_stack = [Const(0); 32];
         let mut key_heap: Vec<Const> = Vec::new();
         let len = space.span(tuple_index(key)).len();

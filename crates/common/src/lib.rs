@@ -2,14 +2,15 @@
 //!
 //! This crate holds the cross-cutting pieces every other crate builds on:
 //!
+//! * [`arena`] — append-only chunked arenas and the lock-free answer
+//!   store both epoch memos (machine traversals, §4 probes) keep their
+//!   answer sets in;
 //! * [`hash`] — an FxHash-style fast hasher and map/set aliases;
 //! * [`intern`] — interned constants, predicates, and variables;
 //! * [`idvec`] — dense tables indexed by interned ids;
 //! * [`json`] — a tiny hand-rolled JSON value type with encoder and
 //!   decoder, shared by the `rq-wire` HTTP API and the bench-summary
 //!   writer (no registry access, so no serde);
-//! * [`memo`] — a bounded concurrent memo behind the engine's
-//!   epoch-scoped machine-traversal memo;
 //! * [`counters`] — the unit-cost instrumentation counters that the
 //!   benchmark harness uses to reproduce the paper's complexity table;
 //! * [`obs`] — the observability substrate: a sharded metrics
@@ -29,23 +30,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod counters;
 pub mod hash;
 pub mod idvec;
 pub mod intern;
 pub mod json;
-pub mod memo;
 pub mod obs;
 pub mod pshare;
 pub mod rows;
 pub mod threads;
 
+pub use arena::{AnswerStats, AnswerStore, Arena};
 pub use counters::Counters;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use idvec::{IdLike, IdVec};
 pub use intern::{Const, ConstInterner, ConstValue, NameInterner, Pred, Var};
 pub use json::{Json, JsonError};
-pub use memo::{BoundedMemo, MemoStats};
 pub use obs::{Counter, Gauge, Histogram, Registry};
 pub use pshare::{PMap, PVec};
 pub use rows::{Rows, RowsBuilder};

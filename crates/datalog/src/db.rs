@@ -478,13 +478,6 @@ impl Relation {
         recover(self.compact.read()).clone()
     }
 
-    /// Count of tuples matching the binding pattern, without materializing.
-    pub fn count_matching(&self, mask: ColMask, key: &[Const]) -> usize {
-        let mut tmp = Vec::new();
-        self.lookup(mask, key, &mut tmp);
-        tmp.len()
-    }
-
     /// How many tuple-storage chunks this relation physically shares
     /// with `other` — the structural-sharing test hook.
     pub fn shared_chunks_with(&self, other: &Self) -> usize {

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod context;
 #[cfg(test)]
 mod kernel_props;
 mod nodeset;
@@ -36,6 +37,7 @@ pub mod query;
 pub mod source;
 pub mod traversal;
 
+pub use context::{EvalContext, EvalContextStats, DEFAULT_CONTEXT_ENTRIES};
 pub use query::{
     all_pairs_min_side, all_pairs_per_source, all_pairs_scc, candidate_sources,
     cyclic_iteration_bound, evaluate_guarded, evaluate_with_cyclic_guard, query_bb, query_diagonal,
@@ -43,6 +45,5 @@ pub use query::{
 };
 pub use source::{EdbSource, TupleSource};
 pub use traversal::{
-    CompiledPlan, EvalContext, EvalContextStats, EvalOptions, EvalOutcome, Evaluator,
-    IterationStat, RepairOutcome,
+    CompiledPlan, EvalOptions, EvalOutcome, Evaluator, IterationStat, RepairOutcome,
 };

@@ -33,6 +33,7 @@
 //!   deep databases cannot overflow the call stack.  The visit-once
 //!   discipline ("if (q', v) is not yet in G") is identical.
 
+use crate::context::{EvalContext, PlanMemo};
 use crate::nodeset::{Node, NodeSet};
 use crate::source::TupleSource;
 use rq_automata::{position, Label, Nfa};
@@ -121,194 +122,6 @@ impl Splices {
 /// at different times never share machine-memo entries even if their
 /// equation systems coincide.
 static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Statistics of one [`EvalContext`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EvalContextStats {
-    /// Memo lookups answered from the context.
-    pub hits: u64,
-    /// Memo lookups that found nothing.
-    pub misses: u64,
-    /// Memoized `(plan, machine, constant)` answer sets.
-    pub entries: usize,
-}
-
-/// An epoch-scoped memo of completed machine traversals, shared by
-/// every query evaluated against one immutable database snapshot.
-///
-/// The key is `(plan id, machine, source constant)`; the value is the
-/// complete, converged answer set of traversing that machine from that
-/// constant — exactly the answer set of the point query the machine
-/// encodes.  Per-source runs over one equation system traverse
-/// overlapping state, which is what makes the sharing worthwhile: the
-/// evaluator consults the memo both at the **root** (a repeated point
-/// query returns instantly) and at **machine-instance expansion time**
-/// (a continuation about to splice a fresh copy of machine `m` for
-/// term `u` routes `m`'s memoized answers straight to the parent state
-/// instead of re-traversing the sub-machine).
-///
-/// Soundness rests on two invariants the evaluator maintains:
-///
-/// * only *naturally converged* runs record (never runs truncated by an
-///   iteration bound, a node budget, or a `stop_on_answer` early exit),
-///   so every entry is a complete fixpoint answer set; and
-/// * the context must never outlive the database version it was
-///   computed on — the serving layer keys one context per snapshot
-///   epoch, so publishing a new epoch invalidates wholesale by
-///   construction.
-///
-/// The memo is concurrency-safe ([`rq_common::BoundedMemo`]): one
-/// context serves every wire worker answering on the epoch.  It is bounded by an
-/// entry cap: once full, new results simply are not recorded — always
-/// sound, because the memo is an optimization, never the source of
-/// truth — so a long-lived epoch serving a diverse query stream cannot
-/// grow without bound.
-pub struct EvalContext {
-    /// `(plan id, machine, source constant) → complete answer set`.
-    memo: rq_common::BoundedMemo<(u64, u32, Const), Vec<Const>>,
-}
-
-/// Default entry cap for [`EvalContext`].
-pub const DEFAULT_CONTEXT_ENTRIES: usize = 1 << 16;
-
-impl EvalContext {
-    /// Fresh, empty context with the default entry cap
-    /// ([`DEFAULT_CONTEXT_ENTRIES`]).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CONTEXT_ENTRIES)
-    }
-
-    /// Fresh, empty context holding at most `max_entries` memoized
-    /// answer sets; overflow stops recording (never lookups).
-    pub fn with_capacity(max_entries: usize) -> Self {
-        Self {
-            memo: rq_common::BoundedMemo::new(max_entries),
-        }
-    }
-
-    fn lookup(&self, plan: u64, machine: u32, from: Const) -> Option<Arc<Vec<Const>>> {
-        self.memo.get(&(plan, machine, from))
-    }
-
-    /// Memoize `answers`, which must be sorted and duplicate-free (what
-    /// a traversal returns).  One clone, at exact capacity: the entry
-    /// lives as long as the epoch.
-    fn record(&self, plan: u64, machine: u32, from: Const, answers: &[Const]) {
-        let key = (plan, machine, from);
-        // Saturated memo: skip the clone a refused insert would throw
-        // away (one read-lock probe instead).
-        if self.memo.would_refuse(&key) {
-            return;
-        }
-        self.memo.insert(key, Arc::new(answers.to_vec()));
-    }
-
-    /// Carry the entries of `prev` whose `(plan id, machine)` the
-    /// caller vouches for into this context (answer sets are
-    /// `Arc`-shared, never cloned).  Returns how many entries carried.
-    ///
-    /// This is the cross-epoch half of the memo story: a memoized
-    /// answer set stays valid across a database publish as long as the
-    /// relations its machine (transitively) reads were untouched.  The
-    /// serving layer resolves that from plan read-sets vs. the
-    /// publish's dirty shards ([`CompiledPlan::machine_preds`] maps
-    /// each machine index back to its predicate); the engine only
-    /// moves the vouched-for entries.
-    pub fn carry_from(&self, prev: &EvalContext, mut keep: impl FnMut(u64, u32) -> bool) -> usize {
-        self.memo
-            .carry_from(&prev.memo, |&(plan, machine, _)| keep(plan, machine))
-    }
-
-    /// Every memoized `(machine, root constant)` of `plan` whose
-    /// machine is in `machines`, sorted — the work-list of a delta
-    /// repair ([`Evaluator::repair`]).
-    pub fn roots_for(&self, plan: u64, machines: &FxHashSet<u32>) -> Vec<(u32, Const)> {
-        let mut out = Vec::new();
-        self.memo.for_each(|&(p, m, c), _| {
-            if p == plan && machines.contains(&m) {
-                out.push((m, c));
-            }
-        });
-        out.sort_unstable();
-        out
-    }
-
-    /// The memoized answer set for one key, without counting a hit or
-    /// a miss (maintenance reads must not skew serving stats).
-    pub fn peek(&self, plan: u64, machine: u32, from: Const) -> Option<Arc<Vec<Const>>> {
-        self.memo.peek(&(plan, machine, from))
-    }
-
-    /// Merge `additions` into an existing memoized answer set, keeping
-    /// it sorted and deduplicated.  Returns how many answers were
-    /// genuinely new.  A missing entry is left missing: an absent memo
-    /// key re-derives on demand, so there is nothing to repair.
-    ///
-    /// Soundness: the caller vouches that after the additions the entry
-    /// is the **complete** fixpoint answer set over the *new* database
-    /// version — this is the semi-naive repair contract (monotone
-    /// additions only; deletions invalidate wholesale instead).
-    pub fn patch(&self, plan: u64, machine: u32, from: Const, additions: &FxHashSet<Const>) -> u64 {
-        let key = (plan, machine, from);
-        let Some(existing) = self.memo.peek(&key) else {
-            return 0;
-        };
-        let fresh = additions
-            .iter()
-            .filter(|w| existing.binary_search(w).is_err());
-        let mut merged = Vec::with_capacity(existing.len() + additions.len());
-        merged.extend_from_slice(&existing);
-        merged.extend(fresh);
-        let added = (merged.len() - existing.len()) as u64;
-        if added > 0 {
-            merged.sort_unstable();
-            merged.shrink_to_fit();
-            self.memo.insert(key, Arc::new(merged));
-        }
-        added
-    }
-
-    /// Drop every entry of `plan` whose machine is in `machines` — the
-    /// fallback when a repair cannot complete (truncated closure):
-    /// stale entries must not serve, so queries re-derive cold.
-    /// Returns how many entries were purged.
-    pub fn purge(&self, plan: u64, machines: &FxHashSet<u32>) -> usize {
-        self.memo
-            .retain(|&(p, m, _)| p != plan || !machines.contains(&m))
-    }
-
-    /// Number of memoized answer sets.
-    pub fn entries(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Hit/miss/entry counts.
-    pub fn stats(&self) -> EvalContextStats {
-        let stats = self.memo.stats();
-        EvalContextStats {
-            hits: stats.hits,
-            misses: stats.misses,
-            entries: stats.entries,
-        }
-    }
-}
-
-impl Default for EvalContext {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for EvalContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("EvalContext")
-            .field("entries", &stats.entries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
-    }
-}
 
 /// Options controlling an evaluation.
 #[derive(Clone, Debug, Default)]
@@ -438,7 +251,7 @@ impl GraphDump {
 }
 
 /// Result of an evaluation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EvalOutcome {
     /// The answer set: all `v` with `(q_f, v)` in the final graph,
     /// strictly ascending.
@@ -854,25 +667,22 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         // Introspection runs (recorded graphs, per-iteration stats)
         // bypass the epoch memo: they exist to observe the plain
         // algorithm, and memo shortcuts would skew what they record.
-        let ctx = if options.record_graph || options.record_iterations {
+        let memo = if options.record_graph || options.record_iterations {
             None
         } else {
-            self.ctx
+            self.ctx.map(|ctx| ctx.view(plan.id))
         };
-        if let Some(ctx) = ctx {
-            if let Some(hit) = ctx.lookup(plan.id, root_machine, a) {
+        if let Some(memo) = memo {
+            let mut answers = Vec::new();
+            if memo.lookup(root_machine, a, &mut answers) {
                 // The complete answer set of this exact traversal is
                 // already memoized for the epoch.
                 span.note("memo", "root_hit");
                 return EvalOutcome {
-                    answers: hit.as_ref().clone(),
-                    counters: Counters::new(),
+                    answers,
                     converged: true,
-                    graph_nodes: 0,
-                    instances: 0,
                     memo_teleports: 1,
-                    iteration_stats: Vec::new(),
-                    graph: None,
+                    ..EvalOutcome::default()
                 };
             }
         }
@@ -881,13 +691,14 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             .iter()
             .map(|&s| (s as u32, a))
             .collect();
-        let (outcome, stopped_early) = self.traverse_from(root_machine, &seeds, options, ctx, None);
-        if let Some(ctx) = ctx {
-            // Record only naturally converged, untruncated runs: those
-            // are complete fixpoint answer sets, the only thing the
-            // epoch memo may hold.
+        let (outcome, stopped_early) =
+            self.traverse_from(root_machine, &seeds, options, memo, None);
+        // Record only naturally converged, untruncated runs: those are
+        // complete fixpoint answer sets, the only thing the memo may hold.
+        if let (Some(ctx), Some(_)) = (self.ctx, memo) {
             if outcome.converged && !stopped_early {
-                ctx.record(plan.id, root_machine, a, &outcome.answers);
+                let machines = plan.machines.len() as u32;
+                ctx.record(plan.id, machines, root_machine, a, &outcome.answers);
             }
         }
         if span.active() {
@@ -916,7 +727,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         root_machine: u32,
         seeds: &[(u32, Const)],
         options: &EvalOptions,
-        ctx: Option<&EvalContext>,
+        memo: Option<PlanMemo<'_>>,
         banned: Option<&FxHashSet<u32>>,
     ) -> (EvalOutcome, bool) {
         let plan = self.plan.get();
@@ -1067,14 +878,12 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                     let teleportable = banned.is_none_or(|b| !b.contains(&child_machine));
                     let mut fresh: Vec<Const> = Vec::with_capacity(terms.len());
                     for &u in &terms {
-                        let hit = if teleportable {
-                            ctx.and_then(|ctx| ctx.lookup(plan.id, child_machine, u))
-                        } else {
-                            None
-                        };
-                        if let Some(sub) = hit {
+                        succ_buf.clear();
+                        let hit = teleportable
+                            && memo.is_some_and(|m| m.lookup(child_machine, u, &mut succ_buf));
+                        if hit {
                             memo_teleports += 1;
-                            for &v in sub.iter() {
+                            for &v in &succ_buf {
                                 starts.extend(exits.iter().map(|&q| (inst, q, v)));
                             }
                             continue;
@@ -1196,7 +1005,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         // Snapshot the pre-repair entries: a pair already present was
         // propagated by the old fixpoint (parents reflect all its
         // consequences), so it neither re-frontiers nor needs patching.
-        let mut old_entries: FxHashMap<(u32, Const), Arc<Vec<Const>>> = FxHashMap::default();
+        let mut old_entries: FxHashMap<(u32, Const), Vec<Const>> = FxHashMap::default();
         for &(m, c) in &roots {
             if let Some(entry) = ctx.peek(plan.id, m, c) {
                 old_entries.insert((m, c), entry);
@@ -1209,6 +1018,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             ..options.clone()
         };
         let routes = plan.derived_routes();
+        let memo = ctx.view(plan.id);
 
         // (machine, entry term) → new finish terms accumulated so far.
         let mut additions: FxHashMap<(u32, Const), FxHashSet<Const>> = FxHashMap::default();
@@ -1251,7 +1061,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 machine,
                 &seeds,
                 &closure_options,
-                Some(ctx),
+                Some(memo),
                 Some(&affected),
             );
             closure_nodes += outcome.graph_nodes;
@@ -2020,18 +1830,19 @@ mod tests {
         let out = Evaluator::with_plan(&sys, &plan, &old_source)
             .with_context(&ctx)
             .evaluate(tc, n0, &opts);
-        // The walk pushed 1,030 answers one by one; the memo holds them
-        // in a vector of exactly that size.
+        // The walk pushed 1,030 answers one by one; the memo holds
+        // exactly those 1,030 words.
         assert_eq!(out.answers.len(), 1030);
         let machine = plan.machine_index[&MachineKey {
             pred: tc,
             inverted: false,
         }];
         let recorded = ctx.peek(plan.id(), machine, n0).unwrap();
-        assert_eq!(*recorded, out.answers);
-        assert_eq!(recorded.capacity(), 1030);
+        assert_eq!(recorded, out.answers);
+        assert_eq!(ctx.store.words(), 1030);
         // So does a patched entry (the delta closes the chain into a
-        // ring: n0 now reaches itself).
+        // ring: n0 now reaches itself, sorting first): one exact copy
+        // of 1,031 words beside the superseded 1,030.
         let mut delta: FxHashMap<Pred, Vec<(Const, Const)>> = FxHashMap::default();
         delta.insert(e, vec![(n1030, n0)]);
         let new_source = EdbSource::new(&db_new);
@@ -2040,7 +1851,8 @@ mod tests {
             .repair(&delta, &opts);
         assert_eq!(repaired.added_rows, 1);
         let patched = ctx.peek(plan.id(), machine, n0).unwrap();
-        assert_eq!((patched.len(), patched.capacity()), (1031, 1031));
+        assert_eq!(patched.len(), 1031);
+        assert_eq!(ctx.store.words(), 1030 + 1031);
     }
 
     #[test]

@@ -205,9 +205,9 @@ impl EpochContext {
             ..EpochContextStats::default()
         };
         // Aggregate the probe spaces with the saturating
-        // `ProbeStats::merge`, outside any write lock (the map is only
+        // `AnswerStats::merge`, outside any write lock (the map is only
         // read-locked; each space reads its own atomics).
-        let mut probes = rq_adorn::ProbeStats::default();
+        let mut probes = rq_common::AnswerStats::default();
         for space in self
             .probes
             .read()

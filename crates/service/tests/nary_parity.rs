@@ -1,9 +1,14 @@
 //! §4 end-to-end acceptance: n-ary queries served through the
 //! generalized `QuerySpec` pipeline must agree with the QSQ and
-//! magic-sets baselines (two entirely independent top-down/bottom-up
-//! evaluators over the *original* n-ary program) and with the
-//! seminaive oracle, across the flights workload and random n-ary
-//! linear programs.
+//! magic-sets baselines (a top-down and a bottom-up evaluator over the
+//! *original* n-ary program) and with the seminaive oracle, across the
+//! flights workload and random n-ary linear programs.  The two
+//! baselines are independent of the traversal but not of the §4
+//! rewrite: both take their binding patterns from `rq_adorn::adorn`,
+//! the adornment pass the served plans use, so an adornment that is
+//! too weak (still correct, but demanding more than sideways passing
+//! does) goes unnoticed here; the seminaive oracle shares no part of
+//! the pipeline and catches wrong answers only.
 
 use rq_adorn::VirtualSource;
 use rq_baselines::{magic_sets, qsq};

@@ -8,6 +8,7 @@ use rq_service::{QueryService, ServiceConfig};
 use rq_wire::{ServerHandle, WireConfig, WireServer};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 const TC: &str = "tc(X,Y) :- e(X,Y).\n\
@@ -291,11 +292,13 @@ fn ambiguous_content_length_is_a_400_that_closes_like_any_other() {
 
 #[test]
 fn concurrent_ingest_while_querying_over_sockets() {
-    // Writers publish epochs over /ingest while readers hammer /query
-    // and /batch on their own connections.  Every response must be
-    // well-formed, every answer sound for *some* served epoch: the
-    // rows are always a superset of epoch 0's answer and a subset of
-    // the final epoch's.
+    // A writer publishes epochs over /ingest while readers hammer
+    // /query on their own connections.  Every response must be
+    // well-formed and exact for the epoch it names: ingest `i` adds
+    // one `tc(a, Y)` answer, so epoch `e` answers `2 + e` rows (a stale
+    // carried memo would answer fewer).  No connection's epochs go
+    // backwards, and a read issued after an ingest was acknowledged at
+    // epoch `e` answers at an epoch >= `e`.
     let service_config = ServiceConfig::default();
     let service = Arc::new(QueryService::with_config(
         rq_datalog::parse_program(TC).unwrap(),
@@ -314,6 +317,9 @@ fn concurrent_ingest_while_querying_over_sockets() {
     let addr = handle.addr();
 
     const INGESTS: usize = 8;
+    // The highest epoch an /ingest acknowledged so far.
+    let acked = Arc::new(AtomicI64::new(0));
+    let writer_acked = Arc::clone(&acked);
     let writer = std::thread::spawn(move || {
         for i in 0..INGESTS {
             let stream = TcpStream::connect(addr).unwrap();
@@ -325,26 +331,33 @@ fn concurrent_ingest_while_querying_over_sockets() {
                 .unwrap();
             let response = read_response(&mut r);
             assert_eq!(response.status, 200);
+            let epoch = response.body.get("epoch").and_then(Json::as_i64).unwrap();
+            writer_acked.fetch_max(epoch, Ordering::SeqCst);
         }
     });
 
     let mut readers = Vec::new();
     for _ in 0..3 {
+        let acked = Arc::clone(&acked);
         readers.push(std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).unwrap();
             let mut w = stream.try_clone().unwrap();
             let mut r = BufReader::new(stream);
+            let mut last = 0;
             for _ in 0..20 {
+                let floor = acked.load(Ordering::SeqCst);
                 w.write_all(request_bytes("POST", "/query", r#"{"query": "tc(a, Y)"}"#).as_bytes())
                     .unwrap();
                 let response = read_response(&mut r);
                 assert_eq!(response.status, 200);
                 let rows = response.body.get("rows").and_then(Json::as_array).unwrap();
-                // Epoch 0 answers {b, c}; every ingest only adds.
-                assert!(rows.len() >= 2, "rows shrank: {:?}", response.body);
-                assert!(rows.len() <= 2 + INGESTS);
                 let epoch = response.body.get("epoch").and_then(Json::as_i64).unwrap();
                 assert!((0..=INGESTS as i64).contains(&epoch));
+                // Epoch 0 answers {b, c}; ingest `i` adds `x{i}`.
+                assert_eq!(rows.len() as i64, 2 + epoch, "{:?}", response.body);
+                assert!(epoch >= last, "epoch went back: {last} -> {epoch}");
+                assert!(epoch >= floor, "read after ack {floor} served {epoch}");
+                last = epoch;
             }
         }));
     }
