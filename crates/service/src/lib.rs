@@ -20,12 +20,13 @@
 //!   epoch costs O(delta): untouched shards are pointer-shared with
 //!   the parent epoch and each snapshot records exactly which shards
 //!   its ingest dirtied.
-//! * [`PlanCache`] — compilation memoized per `(rules fingerprint,
-//!   predicate, adornment)`: the `lemma1 → automata` pipeline for
-//!   binary-chain queries (one [`plan::ProgramPlan`] per program) and
-//!   the §4 `adorn → transform → lemma1 → automata` pipeline for
-//!   everything else (one `NaryPlan` per key); compiles once per
-//!   pattern instead of once per query, and survives fact ingestion.
+//! * [`PlanCache`] — compilation memoized per `(predicate,
+//!   adornment)`, with the rules fixed per service: the `lemma1 →
+//!   automata` pipeline for binary-chain queries (one
+//!   [`plan::ProgramPlan`] shared by every binary predicate) and the §4
+//!   `adorn → transform → lemma1 → automata` pipeline for everything
+//!   else (one `NaryPlan` per key); compiles once per pattern instead
+//!   of once per query, and survives fact ingestion.
 //! * [`ResultCache`] — `(epoch, spec) → answer rows` memoization in the
 //!   salsa mold: keys embed the revision, so an epoch bump invalidates
 //!   by construction — except that entries whose plan reads only
@@ -70,7 +71,7 @@ pub mod text;
 
 pub use context::{EpochContext, EpochContextStats};
 pub use durable::{DurabilityConfig, DurabilityStats, RecoveryReport};
-pub use plan::{rules_fingerprint, CacheStats, PlanCache, PlanKey};
+pub use plan::{rules_fingerprint, CacheStats, PlanCache};
 pub use results::{CachedResult, ResultCache, ResultKey, SweepDecision};
 pub use service::{QueryService, Route, ServiceAnswer, ServiceConfig, ServiceError};
 pub use snapshot::{Delta, IngestError, Snapshot, SnapshotStore};

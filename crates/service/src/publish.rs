@@ -95,11 +95,10 @@ impl QueryService {
     /// so the reference configurations keep their meaning.
     pub(crate) fn transition(&self, prev: &Snapshot, snap: &Snapshot) -> PublishVerdicts {
         let dirty = snap.dirty_preds();
-        let fingerprint = snap.rules_fingerprint();
         let share = self.config.share_epoch_context;
         let repair = share && self.config.delta_repair && !snap.delta().is_empty();
         let mut verdicts = PublishVerdicts::default();
-        if let Some(plan) = self.plans.peek_program(fingerprint) {
+        if let Some(plan) = self.plans.peek_program() {
             let id = plan.compiled.id();
             let clean: FxHashMap<Pred, bool> = plan
                 .system
@@ -109,7 +108,7 @@ impl QueryService {
                 .collect();
             let repaired = repair && clean.values().any(|&c| !c) && {
                 let _repair = obs::span("ingest.delta_repair");
-                self.repair_chain_plan(prev, snap, &plan)
+                self.repair_chain_plan(prev, snap, plan)
                     .is_some_and(|patched| self.adopt(snap, patched))
             };
             // A repair's scratch memo held the whole plan — clean
@@ -131,8 +130,7 @@ impl QueryService {
                 verdicts.chain.insert(pred, fate(clean, repaired));
             }
         }
-        for (key, plan) in self.plans.cached_nary_plans(fingerprint) {
-            let slot = (key.pred, key.adornment);
+        for (slot, plan) in self.plans.cached_nary_plans() {
             let id = plan.compiled.id();
             let clean = plan.read_set(snap.program()).is_disjoint(dirty);
             let repaired = repair && !clean && {

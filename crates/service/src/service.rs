@@ -29,31 +29,24 @@ pub struct ServiceConfig {
     pub eval_threads: usize,
     /// Share the epoch-scoped evaluation context (machine-traversal
     /// memo + §4 virtual-probe memo + SCC routing) between the queries
-    /// of one snapshot.  On by default; benches turn it off to measure
-    /// cold-epoch per-query re-derivation.
+    /// of one snapshot.  On by default; off is the tests' cold
+    /// reference, re-deriving every query from scratch.
     pub share_epoch_context: bool,
     /// Base evaluation options applied to every query.
     pub options: EvalOptions,
-    /// When `options.max_iterations` is `None`, bound each binary-chain
-    /// traversal by the Marchetti-Spaccamela `m·n` bound (§3, Figure 8)
-    /// so cyclic data cannot hang the service.  The bound is
-    /// sufficient, so guarded runs still report `converged`.
-    pub cyclic_guard: bool,
     /// Safety valve for traversals with no computable `m·n` bound
     /// (non-linear §3 shapes and every §4 transformed machine, whose
-    /// virtual relations the bound cannot inspect): when the cyclic
-    /// guard is requested but yields no bound and no explicit
-    /// `node_budget` is set, cap the traversal at this many graph
-    /// nodes.  A capped run honestly reports `converged = false`.
+    /// virtual relations the bound cannot inspect): when
+    /// `options.max_iterations` is `None`, the bound is unavailable and
+    /// no explicit `node_budget` is set, cap the traversal at this many
+    /// graph nodes.  A capped run honestly reports `converged = false`.
     /// `None` disables the valve (a divergent query then hangs its
     /// worker).
     pub fallback_node_budget: Option<u64>,
-    /// Memoize answers in the result cache.  Off is useful for
-    /// benchmarking raw traversal throughput.
-    pub memoize_results: bool,
-    /// Entry cap for the result cache (`None` = unbounded).  Overflow
-    /// evicts least-recently-used entries; see
-    /// [`crate::ResultCache::stats`] for the eviction counter.
+    /// Entry cap for the result cache (`None` = unbounded; `Some(0)`
+    /// turns answer memoization off).  Overflow evicts
+    /// least-recently-used entries; see [`crate::ResultCache::stats`]
+    /// for the eviction counter.
     pub result_cache_capacity: Option<usize>,
     /// Byte budget for the result cache over approximate answer
     /// footprints (`None` = unbounded), complementing the entry cap:
@@ -81,9 +74,7 @@ impl Default for ServiceConfig {
             eval_threads: 1,
             share_epoch_context: true,
             options: EvalOptions::default(),
-            cyclic_guard: true,
             fallback_node_budget: Some(2_000_000),
-            memoize_results: true,
             result_cache_capacity: Some(1 << 16),
             result_cache_bytes: Some(256 << 20),
             delta_repair: true,
@@ -757,31 +748,27 @@ impl QueryService {
             epoch: snapshot.epoch(),
             spec: spec.clone(),
         };
-        if self.config.memoize_results {
-            if let Some(hit) = self.results.get(&key) {
-                if span.active() {
-                    span.note("result_cache", "hit");
-                    span.note("rows", hit.rows.len());
-                }
-                return Ok(ServiceAnswer {
-                    epoch: snapshot.epoch(),
-                    rows: hit.rows,
-                    converged: hit.converged,
-                    from_cache: true,
-                    route: Some(hit.route),
-                    counters: Counters::default(),
-                });
+        if let Some(hit) = self.results.get(&key) {
+            if span.active() {
+                span.note("result_cache", "hit");
+                span.note("rows", hit.rows.len());
             }
-            span.note("result_cache", "miss");
+            return Ok(ServiceAnswer {
+                epoch: snapshot.epoch(),
+                rows: hit.rows,
+                converged: hit.converged,
+                from_cache: true,
+                route: Some(hit.route),
+                counters: Counters::default(),
+            });
         }
+        span.note("result_cache", "miss");
         let (result, counters) = self.evaluate_spec(snapshot, spec)?;
         if span.active() {
             span.note("rows", result.rows.len());
             span.note("converged", result.converged);
         }
-        if self.config.memoize_results {
-            self.results.insert(key, result.clone());
-        }
+        self.results.insert(key, result.clone());
         Ok(ServiceAnswer {
             epoch: snapshot.epoch(),
             rows: result.rows,
@@ -838,11 +825,10 @@ impl QueryService {
         if arity == 2 {
             let chain = {
                 let _plan = obs::span("service.plan");
-                self.plans
-                    .chain_plan_for(snapshot, spec.pred, spec.adornment())
+                self.plans.chain_plan_for(snapshot)
             };
             if let Ok(plan) = chain {
-                return self.evaluate_chain(snapshot, &plan, spec);
+                return self.evaluate_chain(snapshot, plan, spec);
             }
         }
         let plan = {
@@ -1020,15 +1006,8 @@ impl QueryService {
         if self.config.share_epoch_context {
             evaluator = evaluator.with_context(snapshot.context().eval());
         }
-        let outcome = if self.config.cyclic_guard {
-            let fallback = self.config.fallback_node_budget;
-            let db = snapshot.db();
-            evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback)
-        } else if inverse {
-            evaluator.evaluate_inverse(pred, constant, &options)
-        } else {
-            evaluator.evaluate(pred, constant, &options)
-        };
+        let (db, fallback) = (snapshot.db(), self.config.fallback_node_budget);
+        let outcome = evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback);
         self.note_outcome(
             outcome.graph_nodes,
             outcome.memo_teleports,
@@ -1056,10 +1035,7 @@ impl QueryService {
     /// reports failure and falls back cold.
     pub(crate) fn budgeted_options(&self) -> EvalOptions {
         let mut options = self.guarded_options(None);
-        if options.max_iterations.is_none()
-            && self.config.cyclic_guard
-            && options.node_budget.is_none()
-        {
+        if options.max_iterations.is_none() && options.node_budget.is_none() {
             options.node_budget = self.config.fallback_node_budget;
         }
         options
@@ -1719,7 +1695,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::with_config(
             rq_datalog::parse_program(FLIGHTS).unwrap(),
             ServiceConfig {
-                memoize_results: false,
+                result_cache_capacity: Some(0),
                 ..ServiceConfig::default()
             },
         );

@@ -143,7 +143,8 @@ impl Snapshot {
     }
 
     /// Hash of the rules and their predicate-id binding (not the facts),
-    /// computed once at publication — the plan-cache key component.
+    /// computed once at publication — what every WAL record and
+    /// checkpoint is checked against on recovery.
     pub fn rules_fingerprint(&self) -> u64 {
         self.rules_fingerprint
     }

@@ -5,8 +5,11 @@
 //! text, the HTTP API's `GET /stats` serializes
 //! [`StatsReport::to_json`], and `GET /metrics` renders
 //! [`StatsReport::export_prometheus`] — the same counters in
-//! Prometheus text exposition format.  Adding a counter here adds it
-//! to all three at once — the surfaces can never drift apart.
+//! Prometheus text exposition format.  The three surfaces agree
+//! because they render one report, but a new counter is still written
+//! out by hand six times: its cell in `ServiceCounters`, its field
+//! here, its read in [`crate::QueryService::stats_report`], and one
+//! line each in `to_json`, `export_prometheus` and `Display`.
 
 use crate::context::EpochContextStats;
 use crate::durable::DurabilityStats;
@@ -24,7 +27,7 @@ pub struct StatsReport {
     pub epoch: u64,
     /// Plan-cache hit/miss counters.
     pub plans: CacheStats,
-    /// Distinct §3 binary-chain programs compiled.
+    /// 1 once the service's §3 binary-chain plan is compiled, else 0.
     pub chain_programs: usize,
     /// Distinct §4 `(pred, adornment)` plans compiled.
     pub nary_plans: usize,

@@ -32,10 +32,11 @@ fn outcome(answer: Result<ServiceAnswer, ServiceError>) -> Outcome {
 }
 
 fn config(memoize: bool) -> ServiceConfig {
-    ServiceConfig {
-        memoize_results: memoize,
-        ..ServiceConfig::default()
+    let mut config = ServiceConfig::default();
+    if !memoize {
+        config.result_cache_capacity = Some(0);
     }
+    config
 }
 
 /// Answer `batches` from [`THREADS`] threads at once, all on the one
@@ -201,4 +202,55 @@ proptest! {
         let stats = snapshot.context().stats();
         prop_assert!(stats.probe_entries > 0 && stats.eval_entries > 0, "{:?}", stats);
     }
+}
+
+/// Racing first queries compile the chain plan once: four threads
+/// released together by a barrier ask a cold `tc` service for a forward
+/// (`bf`) and an inverse (`fb`) query, in opposite orders, and all of
+/// them get the answers a single-threaded service gives.
+#[test]
+fn concurrent_first_queries_compile_once() {
+    const TC: &str = "tc(X,Y) :- e(X,Y).\n\
+                      tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
+                      e(a,b). e(b,c). e(c,a). e(c,d).";
+    let program = rq_datalog::parse_program(TC).unwrap();
+    let texts = ["tc(a, Y)", "tc(X, d)"];
+    let reference = QueryService::new(program.clone());
+    let expected: Vec<Outcome> = texts
+        .iter()
+        .map(|t| outcome(reference.query(&reference.parse_query(t).unwrap())))
+        .collect();
+    let shared = QueryService::new(program);
+    let specs: Vec<QuerySpec> = texts
+        .iter()
+        .map(|t| shared.parse_query(t).unwrap())
+        .collect();
+    let barrier = std::sync::Barrier::new(THREADS);
+    let answers: Vec<Vec<Outcome>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, specs, barrier) = (&shared, &specs, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Thread `t` starts at spec `t`; the rotation puts
+                    // its answers back in spec order.
+                    let mut out: Vec<Outcome> = (0..specs.len())
+                        .map(|k| (k + t) % specs.len())
+                        .map(|i| outcome(shared.query(&specs[i])))
+                        .collect();
+                    out.rotate_right(t % specs.len());
+                    out
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("a request thread panicked"))
+            .collect()
+    });
+    for (t, got) in answers.iter().enumerate() {
+        assert_eq!(got, &expected, "thread {t}");
+    }
+    assert_eq!(shared.plan_cache().programs(), 1);
+    assert_eq!(shared.plan_cache().stats().misses, 1);
 }

@@ -32,7 +32,7 @@ use rq_workloads::randprog::{
 fn cold_config() -> ServiceConfig {
     ServiceConfig {
         share_epoch_context: false,
-        memoize_results: false,
+        result_cache_capacity: Some(0),
         ..ServiceConfig::default()
     }
 }
@@ -42,7 +42,7 @@ fn cold_config() -> ServiceConfig {
 fn warm_config() -> ServiceConfig {
     ServiceConfig {
         share_epoch_context: true,
-        memoize_results: false,
+        result_cache_capacity: Some(0),
         ..ServiceConfig::default()
     }
 }
@@ -119,7 +119,7 @@ proptest! {
         let stats = fresh.context().stats();
         let any_clean_plan = warm
             .plan_cache()
-            .cached_nary_plans(fresh.rules_fingerprint())
+            .cached_nary_plans()
             .iter()
             .any(|(_, plan)| plan.read_set(fresh.program()).is_disjoint(dirty));
         if !any_clean_plan {
@@ -217,7 +217,7 @@ fn clean_read_set_machine_memo_survives_disjoint_publish() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            memoize_results: false,
+            result_cache_capacity: Some(0),
             delta_repair: false,
             ..ServiceConfig::default()
         },
@@ -267,7 +267,7 @@ fn clean_nary_probe_space_survives_disjoint_publish() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            memoize_results: false,
+            result_cache_capacity: Some(0),
             delta_repair: false,
             ..ServiceConfig::default()
         },
@@ -313,7 +313,7 @@ fn dirty_chain_memo_is_repaired_in_place() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            memoize_results: false,
+            result_cache_capacity: Some(0),
             ..ServiceConfig::default()
         },
     );
@@ -355,7 +355,7 @@ fn dirty_nary_probe_space_is_repaired_in_place() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            memoize_results: false,
+            result_cache_capacity: Some(0),
             ..ServiceConfig::default()
         },
     );
@@ -500,10 +500,9 @@ struct PlanProbe {
 /// derived predicate of the §3 chain plan, or a whole §4 plan.
 fn plan_probes(service: &QueryService, specs: &[QuerySpec]) -> Vec<PlanProbe> {
     let snap = service.snapshot();
-    let fingerprint = snap.rules_fingerprint();
     let name = |pred: Pred| snap.program().pred_name(pred).to_string();
     let mut probes = Vec::new();
-    if let Some(plan) = service.plan_cache().peek_program(fingerprint) {
+    if let Some(plan) = service.plan_cache().peek_program() {
         for &pred in &plan.system.lhs {
             let machines: FxHashSet<u32> = plan
                 .compiled
@@ -523,20 +522,16 @@ fn plan_probes(service: &QueryService, specs: &[QuerySpec]) -> Vec<PlanProbe> {
             });
         }
     }
-    for (key, plan) in service.plan_cache().cached_nary_plans(fingerprint) {
+    for ((pred, adornment), plan) in service.plan_cache().cached_nary_plans() {
         probes.push(PlanProbe {
-            name: format!("§4 {}^{}", name(key.pred), key.adornment),
+            name: format!("§4 {}^{}", name(pred), adornment),
             specs: specs
                 .iter()
-                .filter(|s| s.pred == key.pred && s.adornment() == key.adornment)
+                .filter(|s| s.pred == pred && s.adornment() == adornment)
                 .cloned()
                 .collect(),
             read_set: plan.read_set(snap.program()),
-            state: Box::new(move |snap| {
-                snap.context()
-                    .peek_probe_space(key.pred, key.adornment)
-                    .is_some()
-            }),
+            state: Box::new(move |snap| snap.context().peek_probe_space(pred, adornment).is_some()),
         });
     }
     probes

@@ -207,7 +207,11 @@ proptest! {
         memoize_bit in 0..2u8,
     ) {
         let config = || ServiceConfig {
-            memoize_results: memoize_bit == 1,
+            result_cache_capacity: if memoize_bit == 1 {
+                ServiceConfig::default().result_cache_capacity
+            } else {
+                Some(0)
+            },
             ..ServiceConfig::default()
         };
         let parse = || rq_datalog::parse_program(RULES).unwrap();

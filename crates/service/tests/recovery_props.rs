@@ -31,10 +31,10 @@ fn program() -> rq_datalog::Program {
 /// Durable test settings: a short checkpoint cadence so workloads
 /// cross checkpoint boundaries, and the memoization toggle under test.
 fn config(memoize: bool) -> ServiceConfig {
-    let mut config = ServiceConfig {
-        memoize_results: memoize,
-        ..ServiceConfig::default()
-    };
+    let mut config = ServiceConfig::default();
+    if !memoize {
+        config.result_cache_capacity = Some(0);
+    }
     config.durability.checkpoint_interval = 2;
     config
 }
