@@ -6,8 +6,10 @@
 //! tuple storage compact (the perf guide's "smaller integers" advice).
 
 use crate::hash::FxHashMap;
+use crate::json::{escape_str_into, write_i64};
 use crate::pshare::{hash_of, PMap, PVec};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Declares a `u32` newtype id with the plumbing an interner needs.
 macro_rules! define_id {
@@ -94,21 +96,95 @@ impl ConstValue {
 /// `values` — the ids-into-existing-storage layout `ProbeSpace`'s tuple
 /// interner uses too — so a lookup of an already-interned name
 /// allocates nothing.
+///
+/// Beside `values` sits the text store: every constant's JSON
+/// encoding ([`Self::json_text`]), rendered once when the constant is
+/// interned — an integer's digits, a string's quoted and escaped form,
+/// a tuple's escaped [`Self::display`] — so answer rows go to the wire
+/// as one slice copy per cell.  The store is a list of `Arc`-shared
+/// chunks of 256 constants each: one byte buffer holding the texts back
+/// to back plus 257 `u32` offsets, found by shift and mask.  A clone
+/// shares every chunk; a publish that interns k constants appends k
+/// texts and copies at most the tail chunk; a full chunk is trimmed to
+/// its length.  A constant costs its text plus 4 bytes: on the
+/// benchmark's `cold_reach` program (208,895 constants, seed 42) that
+/// is 8.5 B of text and 12.8 B in all, 2.7 MB.
 #[derive(Default, Clone)]
 pub struct ConstInterner {
     values: PVec<ConstValue>,
     lookup: PMap<Const, ()>,
+    texts: TextStore,
+}
+
+/// log₂ of the constants per [`TextChunk`].
+const TEXT_SHIFT: usize = 8;
+/// Constants per [`TextChunk`].
+const TEXT_CHUNK: usize = 1 << TEXT_SHIFT;
+
+/// The JSON texts of up to [`TEXT_CHUNK`] consecutive constants, back
+/// to back: text `k` is `bytes[bounds[k]..bounds[k + 1]]`.
+#[derive(Clone)]
+struct TextChunk {
+    /// `bounds[0] == 0`; one more entry per text.
+    bounds: Vec<u32>,
+    bytes: Vec<u8>,
+}
+
+/// The append-only, chunk-shared store behind [`ConstInterner::json_text`].
+#[derive(Default, Clone)]
+struct TextStore {
+    chunks: Vec<Arc<TextChunk>>,
+}
+
+impl TextStore {
+    /// Text `i`: two offset loads and a slice, no division.
+    #[inline]
+    fn get(&self, i: usize) -> &[u8] {
+        let chunk = &self.chunks[i >> TEXT_SHIFT];
+        let k = i & (TEXT_CHUNK - 1);
+        &chunk.bytes[chunk.bounds[k] as usize..chunk.bounds[k + 1] as usize]
+    }
+
+    /// Append the next text, written by `render`.  A tail chunk shared
+    /// with another clone is copied first; a chunk that fills is
+    /// trimmed to its length.
+    fn push(&mut self, render: impl FnOnce(&mut Vec<u8>)) {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.bounds.len() > TEXT_CHUNK)
+        {
+            let mut bounds = Vec::with_capacity(TEXT_CHUNK + 1);
+            bounds.push(0);
+            self.chunks.push(Arc::new(TextChunk {
+                bounds,
+                bytes: Vec::new(),
+            }));
+        }
+        let tail = Arc::make_mut(self.chunks.last_mut().expect("a tail chunk"));
+        render(&mut tail.bytes);
+        let end = u32::try_from(tail.bytes.len()).expect("a text chunk stays under 4 GiB");
+        tail.bounds.push(end);
+        if tail.bounds.len() > TEXT_CHUNK {
+            tail.bounds.shrink_to_fit();
+            tail.bytes.shrink_to_fit();
+        }
+    }
 }
 
 /// The hash a value is filed under: a kind tag, then the payload, so
-/// [`ConstInterner::intern_str`] hashes a borrowed `&str` exactly like
-/// the owned [`ConstValue::Str`].
+/// [`ConstInterner::get_str`] and [`ConstInterner::get_int`] hash a
+/// borrowed `&str` or a bare `i64` exactly like the owned value.
 fn value_hash(value: &ConstValue) -> u64 {
     match value {
-        ConstValue::Int(i) => hash_of(&(0u8, i)),
+        ConstValue::Int(i) => int_hash(*i),
         ConstValue::Str(s) => str_hash(s),
         ConstValue::Tuple(parts) => hash_of(&(2u8, parts)),
     }
+}
+
+fn int_hash(i: i64) -> u64 {
+    hash_of(&(0u8, i))
 }
 
 fn str_hash(s: &str) -> u64 {
@@ -136,11 +212,20 @@ impl ConstInterner {
         id
     }
 
-    /// Append a value [`Self::find`] just missed under the next dense id.
+    /// Append a value [`Self::find`] just missed under the next dense id,
+    /// rendering its JSON text.  Every constant is born here.
     fn push(&mut self, hash: u64, value: ConstValue) -> Const {
         let id = Const::from_index(self.values.len());
         self.lookup.entry_hashed(hash, |_| false, || (id, ()));
         self.values.push(value);
+        match &self.values[id.index()] {
+            ConstValue::Int(i) => self.texts.push(|out| write_i64(*i, out)),
+            ConstValue::Str(s) => self.texts.push(|out| escape_str_into(s, out)),
+            ConstValue::Tuple(_) => {
+                let shown = self.display(id);
+                self.texts.push(|out| escape_str_into(&shown, out));
+            }
+        }
         id
     }
 
@@ -155,16 +240,18 @@ impl ConstInterner {
 
     /// Intern a symbolic constant.  Allocates only when `s` is new.
     pub fn intern_str(&mut self, s: &str) -> Const {
-        let hash = str_hash(s);
-        match self.find(hash, |v| matches!(v, ConstValue::Str(t) if t == s)) {
+        match self.get_str(s) {
             Some(id) => id,
-            None => self.push(hash, ConstValue::Str(s.to_owned())),
+            None => self.push(str_hash(s), ConstValue::Str(s.to_owned())),
         }
     }
 
     /// Intern an integer constant.
     pub fn intern_int(&mut self, i: i64) -> Const {
-        self.intern(ConstValue::Int(i))
+        match self.get_int(i) {
+            Some(id) => id,
+            None => self.push(int_hash(i), ConstValue::Int(i)),
+        }
     }
 
     /// Intern a tuple constant (used by the §4 transformation).
@@ -177,9 +264,27 @@ impl ConstInterner {
         self.values.get(id.index()).expect("unknown constant id")
     }
 
+    /// The constant's JSON encoding, exactly as [`crate::json`] writes
+    /// the value (a tuple as its escaped [`Self::display`]), rendered
+    /// when it was interned.
+    #[inline]
+    pub fn json_text(&self, id: Const) -> &[u8] {
+        self.texts.get(id.index())
+    }
+
     /// Look up an already-interned value without inserting.
     pub fn get(&self, value: &ConstValue) -> Option<Const> {
         self.find(value_hash(value), |v| v == value)
+    }
+
+    /// [`Self::get`] of a symbolic constant, from a borrowed name.
+    pub fn get_str(&self, s: &str) -> Option<Const> {
+        self.find(str_hash(s), |v| matches!(v, ConstValue::Str(t) if t == s))
+    }
+
+    /// [`Self::get`] of an integer constant.
+    pub fn get_int(&self, i: i64) -> Option<Const> {
+        self.find(int_hash(i), |v| *v == ConstValue::Int(i))
     }
 
     /// Number of interned constants.
@@ -345,12 +450,19 @@ mod tests {
             let pos = first_seen.iter().position(|s| s == name).unwrap();
             assert_eq!(id, Const::from_index(pos));
             assert_eq!(i.get(&ConstValue::Str(name.clone())), Some(id));
+            assert_eq!(i.get_str(name), Some(id));
         }
         assert_eq!(i.len(), 300);
         assert_eq!(i.intern_int(7), Const::from_index(300));
         assert_eq!(i.get(&ConstValue::Int(7)), Some(Const::from_index(300)));
+        assert_eq!(i.get_int(7), Some(Const::from_index(300)));
+        assert_eq!(i.intern(ConstValue::Int(-7)), i.intern_int(-7));
+        assert_eq!(i.get_int(-7), Some(Const::from_index(301)));
         assert_eq!(i.get(&ConstValue::Str("7".into())), None);
+        assert_eq!(i.get_str("7"), None);
+        assert_eq!(i.get_int(8), None);
         assert_eq!(i.get(&ConstValue::Str("n300".into())), None);
+        assert_eq!(i.get_str("n300"), None);
     }
 
     #[test]
@@ -371,6 +483,109 @@ mod tests {
         assert_eq!(base.get(&ConstValue::Str("left".into())), None);
         assert_eq!(left.intern_str("a"), a);
         assert_eq!(right.intern_str("a"), a);
+    }
+
+    /// The encoding `json_text` must reproduce: the [`Json`] encoder's
+    /// bytes for the value (a tuple as its display string).
+    ///
+    /// [`Json`]: crate::json::Json
+    fn reference_text(consts: &ConstInterner, c: Const) -> String {
+        use crate::json::Json;
+        match consts.value(c) {
+            ConstValue::Int(i) => Json::Int(*i).encode(),
+            ConstValue::Str(s) => Json::Str(s.clone()).encode(),
+            ConstValue::Tuple(_) => Json::Str(consts.display(c)).encode(),
+        }
+    }
+
+    fn assert_texts_match(consts: &ConstInterner) {
+        for i in 0..consts.len() {
+            let c = Const::from_index(i);
+            assert_eq!(
+                std::str::from_utf8(consts.json_text(c)).unwrap(),
+                reference_text(consts, c),
+                "text of {c:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn json_texts_match_the_encoder_across_chunks() {
+        let mut i = ConstInterner::new();
+        let names = [
+            "a",
+            "q\"x",
+            "back\\slash",
+            "tab\t",
+            "\u{1}",
+            "é€😀",
+            "",
+            "x'",
+        ];
+        let mut ids = Vec::new();
+        for k in 0..3 * TEXT_CHUNK + 5 {
+            ids.push(match k % 4 {
+                0 => i.intern_str(&format!("{}{k}", names[k % names.len()])),
+                1 => i.intern_int(
+                    [i64::MIN, -1, 0, 1430, i64::MAX][k % 5].wrapping_sub(k as i64 % 7),
+                ),
+                2 => i.intern_tuple(vec![ids[k / 2], ids[k - 1]]),
+                _ => i.intern_str(names[k % names.len()]),
+            });
+        }
+        assert_texts_match(&i);
+        let quoted = i.intern_str("q\"x0");
+        assert_eq!(i.json_text(quoted), br#""q\"x0""#);
+        let minus = i.intern_int(-5);
+        assert_eq!(i.json_text(minus), b"-5");
+        let parts = vec![i.intern_str("a\"b"), i.intern_int(-2)];
+        let t = i.intern_tuple(parts);
+        assert_eq!(i.json_text(t), br#""t(a\"b,-2)""#);
+        // Full chunks hold no slack.
+        for chunk in &i.texts.chunks[..i.texts.chunks.len() - 1] {
+            assert_eq!(chunk.bounds.len(), TEXT_CHUNK + 1);
+            assert_eq!(chunk.bytes.capacity(), chunk.bytes.len());
+            assert_eq!(chunk.bounds.capacity(), chunk.bounds.len());
+        }
+    }
+
+    #[test]
+    fn text_store_clones_render_their_own_constant_at_a_shared_id() {
+        // Two forks of one epoch (say a publish and a failed ingest)
+        // intern different values at the same next id: each must read
+        // its own text, and the parent must read neither.
+        let mut base = ConstInterner::new();
+        for k in 0..TEXT_CHUNK + 3 {
+            base.intern_str(&format!("n{k}"));
+        }
+        let before: Vec<Vec<u8>> = (0..base.len())
+            .map(|k| base.json_text(Const::from_index(k)).to_vec())
+            .collect();
+        let mut left = base.clone();
+        let mut right = base.clone();
+        let l = left.intern_str("say \"hi\"");
+        let r = right.intern_int(-42);
+        assert_eq!(l, r);
+        assert_eq!(left.json_text(l), br#""say \"hi\"""#);
+        assert_eq!(right.json_text(r), b"-42");
+        assert_texts_match(&left);
+        assert_texts_match(&right);
+        assert_eq!(base.len(), TEXT_CHUNK + 3);
+        for (k, text) in before.iter().enumerate() {
+            assert_eq!(base.json_text(Const::from_index(k)), &text[..]);
+        }
+        // The clones share the full chunk and copied only the tail.
+        for fork in [&left, &right] {
+            assert!(Arc::ptr_eq(&fork.texts.chunks[0], &base.texts.chunks[0]));
+            assert!(!Arc::ptr_eq(&fork.texts.chunks[1], &base.texts.chunks[1]));
+        }
+        // Filling the tail and starting a new chunk leaves base alone.
+        for k in 0..TEXT_CHUNK {
+            left.intern_int(k as i64);
+        }
+        assert_texts_match(&left);
+        assert_eq!(base.texts.chunks.len(), 2);
+        assert_eq!(base.texts.chunks[1].bounds.len(), 4);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! ([`Json::encode_pretty`]); decoding ([`Json::parse`]) is a
 //! recursive-descent parser with a nesting-depth limit so untrusted
 //! network bodies cannot overflow the stack.  The encoder's leaf
-//! writers, [`escape_str_into`] and [`write_i64`], are public: the wire
-//! layer prints answer rows through them without building a [`Json`]
-//! node per cell, and stays byte-identical to [`Json::encode`] because
-//! both are the same code.
+//! writers, [`escape_str_into`] and [`write_i64`], are public: the
+//! constant interner renders each constant's JSON text through them
+//! when the constant is interned
+//! ([`crate::ConstInterner::json_text`]), which the wire layer copies
+//! into answer rows without building a [`Json`] node per cell, and
+//! stays byte-identical to [`Json::encode`] because both are the same
+//! code.
 //!
 //! ```
 //! use rq_common::json::Json;

@@ -12,7 +12,7 @@
 use crate::service::{QueryService, ServiceAnswer, ServiceError, MAX_ADORNABLE_ARITY};
 use crate::snapshot::Snapshot;
 use crate::spec::{Arg, QuerySpec};
-use rq_common::{ConstValue, Counters, Pred, Rows};
+use rq_common::{Counters, Pred, Rows};
 use rq_datalog::Program;
 use std::sync::Arc;
 
@@ -196,14 +196,11 @@ impl<'a> QueryShape<'a> {
                 args.push(Arg::Free(slot as u8));
                 continue;
             }
-            let value = match raw.parse::<i64>() {
-                Ok(i) => ConstValue::Int(i),
-                Err(_) => ConstValue::Str(raw.to_string()),
-            };
-            let c = program
-                .consts
-                .get(&value)
-                .ok_or_else(|| ServiceError::UnknownConstant(raw.to_string()))?;
+            let c = match raw.parse::<i64>() {
+                Ok(i) => program.consts.get_int(i),
+                Err(_) => program.consts.get_str(raw),
+            }
+            .ok_or_else(|| ServiceError::UnknownConstant(raw.to_string()))?;
             args.push(Arg::Bound(c));
         }
         Ok(QuerySpec::new(self.pred, args))

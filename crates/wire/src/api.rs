@@ -10,13 +10,15 @@
 //!
 //! There is one implementation of every endpoint: [`respond`] writes
 //! the body bytes straight into a caller-owned buffer — answer rows go
-//! from the service's flat [`rq_common::Rows`] through the snapshot's
-//! interner to bytes, with no [`Json`] node and no `String` per
-//! constant.  The server calls it with a buffer it keeps per
-//! connection; [`handle`] wraps it for callers that want a parsed body.
+//! from the service's flat [`rq_common::Rows`] to bytes as one copy of
+//! each cell's JSON text, which the snapshot's interner rendered when
+//! the constant was interned ([`ConstInterner::json_text`]): no [`Json`]
+//! node, no `String` and no escape scan per cell.  The server calls it
+//! with a buffer it keeps per connection; [`handle`] wraps it for
+//! callers that want a parsed body.
 
 use rq_common::json::{escape_str_into, write_i64};
-use rq_common::{obs, ConstInterner, ConstValue, Json};
+use rq_common::{obs, ConstInterner, Json};
 use rq_service::{QueryService, Snapshot, TextAnswer};
 use std::sync::Arc;
 
@@ -324,11 +326,7 @@ fn write_answer(out: &mut Vec<u8>, consts: &ConstInterner, text: &str, answered:
             if j > 0 {
                 out.push(b',');
             }
-            match consts.value(c) {
-                ConstValue::Int(i) => write_i64(*i, out),
-                ConstValue::Str(s) => escape_str_into(s, out),
-                ConstValue::Tuple(_) => escape_str_into(&consts.display(c), out),
-            }
+            out.extend_from_slice(consts.json_text(c));
         }
         out.push(b']');
     }

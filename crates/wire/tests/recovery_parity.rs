@@ -151,3 +151,78 @@ fn ingest_ack_reports_durability_and_stats_report_recovery() {
     );
     assert!(metrics.contains("rq_wal_records_total"), "{metrics}");
 }
+
+/// The bytes the JSON encoder writes for constant `c`'s value (a tuple
+/// as its display string): what the interner's stored text must be.
+fn reference_text(consts: &rq_common::ConstInterner, c: rq_common::Const) -> String {
+    use rq_common::{ConstValue, Json};
+    match consts.value(c) {
+        ConstValue::Int(i) => Json::Int(*i).encode(),
+        ConstValue::Str(s) => Json::Str(s.clone()).encode(),
+        ConstValue::Tuple(_) => Json::Str(consts.display(c)).encode(),
+    }
+}
+
+fn assert_stored_texts(service: &QueryService) -> usize {
+    let snapshot = service.snapshot();
+    let consts = &snapshot.program().consts;
+    for i in 0..consts.len() {
+        let c = rq_common::Const::from_index(i);
+        assert_eq!(
+            std::str::from_utf8(consts.json_text(c)).unwrap(),
+            reference_text(consts, c),
+            "constant id {i} at epoch {}",
+            snapshot.epoch()
+        );
+    }
+    consts.len()
+}
+
+#[test]
+fn stored_constant_texts_survive_ingest_checkpoint_and_recovery() {
+    let config = || {
+        let mut config = config();
+        config.durability.checkpoint_interval = 2;
+        config
+    };
+    let backend = Arc::new(MemBackend::new());
+    let svc = QueryService::open_backend(
+        program(),
+        backend.clone() as Arc<dyn StorageBackend>,
+        config(),
+    )
+    .unwrap();
+    assert_stored_texts(&svc);
+    let batches = [
+        "e(n1, -5). e(-5, 0). e(0, n1'').",
+        "w(-9223372036854775808, x_1). e(n2, 9223372036854775807).",
+        "e(n1'', -1). w(-5, 42). e(fresh, n0).",
+    ];
+    for facts in batches {
+        let body = rq_common::Json::object([("facts", rq_common::Json::Str(facts.into()))]);
+        let (status, bytes) = payload(&svc, "POST", "/ingest", &body.encode());
+        assert_eq!(status, 200, "{bytes}");
+        assert_stored_texts(&svc);
+    }
+    let live = assert_stored_texts(&svc);
+    let (_, live_rows) = payload(&svc, "POST", "/query", r#"{"query": "tc(n1, Y)"}"#);
+    assert!(
+        live_rows.contains(r#""rows":[[-5],[0],["n1''"],[-1]]"#),
+        "{live_rows}"
+    );
+    drop(svc);
+
+    // Checkpoint at epoch 2, epoch 3 in the log tail.
+    let recovered = QueryService::open_backend(
+        program(),
+        backend.clone() as Arc<dyn StorageBackend>,
+        config(),
+    )
+    .unwrap();
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.checkpoint_epoch, Some(2));
+    assert_eq!(report.replayed_records, 1);
+    assert_eq!(assert_stored_texts(&recovered), live);
+    let (_, rows) = payload(&recovered, "POST", "/query", r#"{"query": "tc(n1, Y)"}"#);
+    assert_eq!(rows, live_rows);
+}
