@@ -23,7 +23,7 @@ pub struct Adornment {
 impl Adornment {
     /// Build from bound positions.
     pub fn from_bound(arity: usize, bound: impl IntoIterator<Item = usize>) -> Self {
-        debug_assert!(arity <= 32);
+        debug_assert!(arity <= rq_datalog::MAX_ARITY);
         let mut mask = 0;
         for b in bound {
             debug_assert!(b < arity);

@@ -475,10 +475,19 @@ fn machines(r: &mut Report) {
             "machines",
             &format!("n={n}"),
             vec![
-                ("thompson_nodes".into(), t_fwd.graph_nodes as f64),
-                ("served_nodes".into(), s_fwd.graph_nodes as f64),
-                ("thompson_inverse_nodes".into(), t_inv.graph_nodes as f64),
-                ("served_inverse_nodes".into(), s_inv.graph_nodes as f64),
+                (
+                    "thompson_nodes".into(),
+                    t_fwd.counters.nodes_inserted as f64,
+                ),
+                ("served_nodes".into(), s_fwd.counters.nodes_inserted as f64),
+                (
+                    "thompson_inverse_nodes".into(),
+                    t_inv.counters.nodes_inserted as f64,
+                ),
+                (
+                    "served_inverse_nodes".into(),
+                    s_inv.counters.nodes_inserted as f64,
+                ),
             ],
         );
     }

@@ -24,8 +24,8 @@ pub struct Counters {
     /// Index probes made against the extensional database.
     pub index_probes: u64,
     /// Of the index probes, those served by a publish-time compact
-    /// store (CSR slice or columnar scan) — contiguous reads, no trie
-    /// walk.
+    /// store (CSR slice, or a scan of a shard of at most 64 tuples) —
+    /// no trie walk.
     pub csr_probes: u64,
     /// Of the index probes, those that walked a hash-trie index (or
     /// built one on the spot).

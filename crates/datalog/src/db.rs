@@ -14,14 +14,16 @@
 //! live in a chunked [`PVec`] (appends copy only the tail chunk), and
 //! the dedup table and every built index are [`PMap`] hash tries (path
 //! copying).  Each tuple is stored once, in the `PVec`: the dedup table
-//! files bare tuple ordinals under the tuple's hash and compares by
-//! reading the tuple back from the store — the ids-into-existing-storage
-//! layout the constant interner and `ProbeSpace`'s tuple interner use
-//! too.  The net effect is that publishing a new snapshot epoch
-//! after ingesting a handful of facts costs O(delta), not O(database):
-//! untouched shards are shared wholesale (`Arc::ptr_eq` with the parent
-//! epoch), and the touched shard shares all of its full chunks and all
-//! untouched index regions with its predecessor.
+//! files bare tuple ordinals under the tuple's hash, each index files
+//! its posting lists under the hash of their bound columns keyed by
+//! their first ordinal, and both compare by reading the tuple back from
+//! the store — the ids-into-existing-storage layout the constant
+//! interner and `ProbeSpace`'s tuple interner use too.  The net effect
+//! is that publishing a new snapshot epoch after ingesting a handful of
+//! facts costs O(delta), not O(database): untouched shards are shared
+//! wholesale (`Arc::ptr_eq` with the parent epoch), and the touched
+//! shard shares all of its full chunks and all untouched index regions
+//! with its predecessor.
 //!
 //! **Index warmth.**  The index cache lives *inside* the shard, behind
 //! an [`RwLock`] so a fully built relation is `Sync`: the serving layer
@@ -30,26 +32,34 @@
 //! their warm indexes survive epoch publication for free; a touched
 //! shard clones its index *maps* cheaply (persistent tries) and then
 //! maintains them incrementally for the delta, so even the dirty shard
-//! never rebuilds an index from scratch.
+//! never rebuilds an index from scratch.  The publish-time
+//! [`CompactStore`] sits in a [`OnceLock`]: built once, then read with
+//! no lock at all.
 
 use rq_common::pshare::hash_of;
 use rq_common::{Const, FxHashMap, IdVec, PMap, PVec, Pred};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// A bitmask of bound columns; bit `i` set means column `i` is bound.
 pub type ColMask = u32;
+
+/// Widest atom a program may use: one bit of [`ColMask`] per column.
+/// The parser rejects longer atoms, so every relation, binding pattern
+/// and adornment fits the mask.
+pub const MAX_ARITY: usize = ColMask::BITS as usize;
 
 /// Tuples per storage chunk; the chunk byte-capacity scales with arity
 /// so a tuple never straddles a chunk boundary.
 const TUPLES_PER_CHUNK: usize = 256;
 
-/// Largest relation served by a columnar scan when no hash index for
-/// the binding pattern exists yet.  Shards are shared by `Arc` across
+/// Largest relation served by a scan when no hash index for the
+/// binding pattern exists yet.  Shards are shared by `Arc` across
 /// every reader of a snapshot, so a trie index built by one query is
 /// amortized over all of them; repeated O(n) scans only beat that for
 /// relations small enough that a scan costs about as much as one hash
 /// probe.
 const COLUMNAR_SCAN_MAX: usize = 64;
+const _: () = assert!(COLUMNAR_SCAN_MAX <= TUPLES_PER_CHUNK);
 
 /// Recover the guard from a poisoned lock.  Every structure behind the
 /// relation locks is persistent (mutation happens under `&mut self` or
@@ -61,10 +71,10 @@ fn recover<G>(result: Result<G, PoisonError<G>>) -> G {
 }
 
 /// Build a mask from an iterator of bound column positions.
-pub fn mask_of(cols: impl IntoIterator<Item = usize>) -> ColMask {
+pub fn mask_of(columns: impl IntoIterator<Item = usize>) -> ColMask {
     let mut m = 0;
-    for c in cols {
-        debug_assert!(c < 32);
+    for c in columns {
+        debug_assert!(c < MAX_ARITY);
         m |= 1 << c;
     }
     m
@@ -72,17 +82,47 @@ pub fn mask_of(cols: impl IntoIterator<Item = usize>) -> ColMask {
 
 /// Columns set in a mask, in ascending order.
 pub fn mask_cols(mask: ColMask) -> impl Iterator<Item = usize> {
-    (0..32).filter(move |c| mask & (1 << c) != 0)
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let c = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (c < MAX_ARITY).then_some(c)
+    })
 }
 
-type Index = PMap<Box<[Const]>, Vec<u32>>;
+/// Whether `tuple`'s columns under `mask` equal `key`.
+#[inline]
+fn matches(tuple: &[Const], mask: ColMask, key: &[Const]) -> bool {
+    mask_cols(mask).zip(key).all(|(c, &k)| tuple[c] == k)
+}
 
-/// Read-optimized storage built once per publish
-/// ([`Relation::build_compact`]): a column-major copy of the tuple
-/// store so bound-column probes scan contiguous buffers instead of
-/// walking hash tries, plus forward/reverse CSR adjacency for binary
-/// relations so the traversal engine reads successor sets as plain
-/// slices.
+/// One trie index: each posting list (tuple ordinals, ascending) is
+/// filed under the hash of its bound columns with its first ordinal as
+/// key; equality reads that tuple back from the store.
+type Index = PMap<u32, Vec<u32>>;
+
+/// File tuple `ord` of an arity-strided store in the posting list of
+/// its `mask` columns.
+fn file_ordinal(index: &mut Index, flat: &PVec<Const>, arity: usize, mask: ColMask, ord: u32) {
+    let tuple = tuple_at(flat, arity, ord);
+    let mut key = [Const::from_index(0); MAX_ARITY];
+    for (slot, c) in key.iter_mut().zip(mask_cols(mask)) {
+        *slot = tuple[c];
+    }
+    let key = &key[..mask.count_ones() as usize];
+    let (_, posting) = index.entry_hashed(
+        hash_of(key),
+        |&first| matches(tuple_at(flat, arity, first), mask, key),
+        || (ord, Vec::new()),
+    );
+    posting.push(ord);
+}
+
+/// Read-optimized adjacency built once per publish
+/// ([`Relation::build_compact`]): forward/reverse CSR rows for binary
+/// relations, so the traversal engine reads successor sets as plain
+/// slices.  Its presence also lets small shards answer probes by
+/// scanning the tuple store instead of building a trie index.
 ///
 /// The store is immutable once built.  [`Relation::insert`] drops it
 /// (the shard is being mutated, so the snapshot is stale);
@@ -91,9 +131,8 @@ type Index = PMap<Box<[Const]>, Vec<u32>>;
 /// free.
 #[derive(Debug)]
 pub struct CompactStore {
-    /// Column-major tuples: `cols[c][ord]` is column `c` of tuple
-    /// `ord`.
-    cols: Vec<Vec<Const>>,
+    /// Tuples covered: the shard's length when the store was built.
+    len: usize,
     /// CSR adjacency, present for binary relations whose constant ids
     /// are dense enough for the offset table to pay off.
     csr: Option<Csr>,
@@ -116,26 +155,23 @@ struct Csr {
 impl Csr {
     /// Dense offset tables stop paying off when the id space is much
     /// larger than the relation; fall back to the trie indexes then.
-    fn build(col0: &[Const], col1: &[Const]) -> Option<Self> {
-        let width = col0
+    fn build(rel: &Relation) -> Option<Self> {
+        let width = rel
             .iter()
-            .chain(col1)
-            .map(|c| c.index() + 1)
+            .map(|t| t[0].index().max(t[1].index()) + 1)
             .max()
             .unwrap_or(0);
-        if width > 8 * col0.len() + 1024 {
+        if width > 8 * rel.len() + 1024 {
             return None;
         }
-        let (fwd_offsets, fwd_targets) = Self::direction(col0, col1, width);
-        let (rev_offsets, rev_targets) = Self::direction(col1, col0, width);
+        let (fwd_offsets, fwd_targets) = Self::direction(rel, 0, width);
+        let (rev_offsets, rev_targets) = Self::direction(rel, 1, width);
         let mut seen = vec![false; width];
-        let mut sources = Vec::new();
-        for &u in col0 {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                sources.push(u);
-            }
-        }
+        let sources = rel
+            .iter()
+            .map(|t| t[0])
+            .filter(|u| !std::mem::replace(&mut seen[u.index()], true))
+            .collect();
         Some(Self {
             fwd_offsets,
             fwd_targets,
@@ -145,22 +181,23 @@ impl Csr {
         })
     }
 
-    /// One orientation by counting sort: targets of a key stay in
-    /// tuple-ordinal order, matching what the trie-index probe yields.
-    fn direction(keys: &[Const], vals: &[Const], width: usize) -> (Vec<u32>, Vec<Const>) {
+    /// The orientation keyed by column `key`, by counting sort: targets
+    /// of a key stay in tuple-ordinal order, matching what the
+    /// trie-index probe yields.
+    fn direction(rel: &Relation, key: usize, width: usize) -> (Vec<u32>, Vec<Const>) {
         let mut offsets = vec![0u32; width + 1];
-        for k in keys {
-            offsets[k.index() + 1] += 1;
+        for t in rel.iter() {
+            offsets[t[key].index() + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut targets = vec![Const::from_index(0); keys.len()];
+        let mut targets = vec![Const::from_index(0); rel.len()];
         let mut cursor: Vec<u32> = offsets.clone();
-        for (k, &v) in keys.iter().zip(vals) {
-            let slot = cursor[k.index()] as usize;
-            targets[slot] = v;
-            cursor[k.index()] += 1;
+        for t in rel.iter() {
+            let k = t[key].index();
+            targets[cursor[k] as usize] = t[1 - key];
+            cursor[k] += 1;
         }
         (offsets, targets)
     }
@@ -175,14 +212,14 @@ impl Csr {
 }
 
 impl CompactStore {
-    /// Number of tuples covered.
+    /// Number of tuples in the shard the store was built over.
     pub fn len(&self) -> usize {
-        self.cols.first().map_or(0, Vec::len)
+        self.len
     }
 
-    /// Whether the store covers no tuples.
+    /// Whether the store was built over an empty shard.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// All `v` with `r(u, v)`, as one contiguous slice in tuple-ordinal
@@ -207,36 +244,6 @@ impl CompactStore {
     pub fn first_column(&self) -> Option<&[Const]> {
         self.csr.as_ref().map(|c| c.sources.as_slice())
     }
-
-    /// Whether every column of `mask` exists in this store.
-    fn covers(&self, mask: ColMask) -> bool {
-        mask_cols(mask).all(|c| c < self.cols.len())
-    }
-
-    /// Append the ordinals of all tuples whose `mask` columns equal
-    /// `key`, by scanning the bound columns contiguously.  Ordinals
-    /// come out ascending — the same order the trie-index path yields.
-    fn scan(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) {
-        let mut bound: Vec<(&[Const], Const)> = Vec::with_capacity(key.len());
-        for (ki, c) in mask_cols(mask).enumerate() {
-            bound.push((&self.cols[c], key[ki]));
-        }
-        let Some(&(first_col, first_key)) = bound.first() else {
-            out.extend(0..self.len() as u32);
-            return;
-        };
-        'tuples: for ord in 0..self.len() {
-            if first_col[ord] != first_key {
-                continue;
-            }
-            for &(col, k) in &bound[1..] {
-                if col[ord] != k {
-                    continue 'tuples;
-                }
-            }
-            out.push(ord as u32);
-        }
-    }
 }
 
 /// A stored relation: a set of tuples of a fixed arity, persistent in
@@ -255,9 +262,9 @@ pub struct Relation {
     /// values, so cloning the cache is cheap and clones keep their
     /// warmth.
     indexes: RwLock<FxHashMap<ColMask, Index>>,
-    /// The publish-time compact store ([`CompactStore`]); `None` until
-    /// built, dropped again by [`Self::insert`].
-    compact: RwLock<Option<Arc<CompactStore>>>,
+    /// The publish-time compact store ([`CompactStore`]); empty until
+    /// built, reset by [`Self::insert`].
+    compact: OnceLock<Arc<CompactStore>>,
 }
 
 impl Default for Relation {
@@ -274,7 +281,7 @@ impl Relation {
             flat: PVec::with_chunk_capacity(arity.max(1) * TUPLES_PER_CHUNK),
             dedup: PMap::new(),
             indexes: RwLock::new(FxHashMap::default()),
-            compact: RwLock::new(None),
+            compact: OnceLock::new(),
         }
     }
 
@@ -348,67 +355,64 @@ impl Relation {
         self.flat.push_slice(tuple);
         // The compact store is a snapshot of the tuple set; a mutation
         // makes it stale.  The next publish rebuilds it.
-        *recover(self.compact.get_mut()) = None;
-        let indexes = recover(self.indexes.get_mut());
-        for (&mask, index) in indexes.iter_mut() {
-            let key = Self::key_for(tuple, mask);
-            index.entry_mut(key, Vec::new).push(ord);
+        self.compact.take();
+        for (&mask, index) in recover(self.indexes.get_mut()).iter_mut() {
+            file_ordinal(index, &self.flat, self.arity, mask, ord);
         }
         true
     }
 
-    fn key_for(tuple: &[Const], mask: ColMask) -> Box<[Const]> {
-        mask_cols(mask)
-            .filter(|&c| c < tuple.len())
-            .map(|c| tuple[c])
-            .collect()
-    }
-
     /// Append to `out` the ordinals of all tuples whose columns in `mask`
-    /// equal `key` (the bound values, in ascending column order).  Builds
-    /// the index for `mask` on first use.
-    pub fn lookup(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) {
-        self.lookup_tracked(mask, key, out);
-    }
-
-    /// [`Self::lookup`], reporting how the probe was served: `true`
-    /// when the publish-time [`CompactStore`] answered it by columnar
-    /// scan, `false` for the full-scan and trie-index paths.
+    /// equal `key` (the bound values, in ascending column order), in
+    /// ascending order.  Returns `true` when a small shard answered by
+    /// scan rather than through a trie index.
     ///
     /// Probe routing: an already-built trie index wins (O(1) to the
-    /// posting list); otherwise a small relation with a compact store
-    /// is scanned column-wise — contiguous reads, no index
-    /// construction, identical ordinal order; only when neither
-    /// applies is the trie index built on the spot.
-    pub fn lookup_tracked(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) -> bool {
+    /// posting list); otherwise a shard of at most
+    /// `COLUMNAR_SCAN_MAX` tuples that has a compact store is scanned —
+    /// no index construction, identical ordinal order; only when
+    /// neither applies is the trie index built on the spot.
+    pub fn lookup(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) -> bool {
+        debug_assert_eq!(key.len(), mask.count_ones() as usize);
+        debug_assert!(mask_cols(mask).all(|c| c < self.arity));
         if mask == 0 {
             out.extend(0..self.len() as u32);
             return false;
         }
-        {
-            let indexes = recover(self.indexes.read());
-            if let Some(index) = indexes.get(&mask) {
-                if let Some(ords) = index.get(key) {
-                    out.extend_from_slice(ords);
-                }
-                return false;
-            }
+        if self.read_posting(mask, key, out) {
+            return false;
         }
-        if self.len() <= COLUMNAR_SCAN_MAX {
-            let compact = recover(self.compact.read());
-            if let Some(store) = compact.as_deref() {
-                if store.covers(mask) {
-                    store.scan(mask, key, out);
-                    return true;
-                }
+        if self.len() <= COLUMNAR_SCAN_MAX && self.compact.get().is_some() {
+            // A shard this small sits in its first storage chunk, so
+            // its tuples are one contiguous slice; the first bound
+            // column rejects most rows on its own.
+            if !self.is_empty() {
+                let rows = self.flat.get_slice(0, self.len() * self.arity);
+                let first = mask.trailing_zeros() as usize;
+                let hits = rows
+                    .chunks_exact(self.arity)
+                    .map(|t| t[first] == key[0] && matches(t, mask, key));
+                out.extend((0..).zip(hits).filter_map(|(o, hit)| hit.then_some(o)));
             }
+            return true;
         }
         self.build_index(mask);
+        self.read_posting(mask, key, out);
+        false
+    }
+
+    /// Append the posting list of `key` in the index for `mask` to
+    /// `out`; `false` when that index is not built.
+    fn read_posting(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) -> bool {
         let indexes = recover(self.indexes.read());
-        if let Some(ords) = indexes[&mask].get(key) {
+        let Some(index) = indexes.get(&mask) else {
+            return false;
+        };
+        let same_key = |&first: &u32| matches(self.tuple(first), mask, key);
+        if let Some(ords) = index.get_hashed(hash_of(key), same_key) {
             out.extend_from_slice(ords);
         }
-        false
+        true
     }
 
     /// Build (if absent) the index for `mask`, so later [`Self::lookup`]s
@@ -422,12 +426,11 @@ impl Relation {
         }
         let mut indexes = recover(self.indexes.write());
         indexes.entry(mask).or_insert_with(|| {
-            let mut idx: Index = PMap::new();
+            let mut index = Index::new();
             for ord in 0..self.len() as u32 {
-                let key = Self::key_for(self.tuple(ord), mask);
-                idx.entry_mut(key, Vec::new).push(ord);
+                file_ordinal(&mut index, &self.flat, self.arity, mask, ord);
             }
-            idx
+            index
         });
     }
 
@@ -446,36 +449,33 @@ impl Relation {
         if self.arity == 0 {
             return false;
         }
-        let mut slot = recover(self.compact.write());
-        if slot.is_some() {
-            return false;
-        }
-        let n = self.len();
-        let mut cols: Vec<Vec<Const>> = vec![Vec::with_capacity(n); self.arity];
-        for ord in 0..n {
-            for (c, &v) in self.tuple(ord as u32).iter().enumerate() {
-                cols[c].push(v);
-            }
-        }
-        let csr = if self.arity == 2 {
-            Csr::build(&cols[0], &cols[1])
-        } else {
-            None
-        };
-        *slot = Some(Arc::new(CompactStore { cols, csr }));
-        true
+        let mut built = false;
+        self.compact.get_or_init(|| {
+            built = true;
+            let csr = if self.arity == 2 {
+                Csr::build(self)
+            } else {
+                None
+            };
+            Arc::new(CompactStore {
+                len: self.len(),
+                csr,
+            })
+        });
+        built
     }
 
     /// Whether the compact store is built — the warmth probe used by
     /// tests and the serving layer.
     pub fn has_compact(&self) -> bool {
-        recover(self.compact.read()).is_some()
+        self.compact.get().is_some()
     }
 
-    /// The compact store, if built.  The `Arc` lets callers (e.g. the
-    /// traversal engine's source) pin it once and probe lock-free.
-    pub fn compact_store(&self) -> Option<Arc<CompactStore>> {
-        recover(self.compact.read()).clone()
+    /// The compact store, if built.  Reading it takes no lock, so the
+    /// traversal engine's source asks for it on every probe.
+    #[inline]
+    pub fn compact_store(&self) -> Option<&CompactStore> {
+        self.compact.get().map(Arc::as_ref)
     }
 
     /// How many tuple-storage chunks this relation physically shares
@@ -498,7 +498,6 @@ impl Relation {
         self.flat.tail_excess_capacity()
     }
 }
-
 /// Tuple `ord` of an arity-strided store.  A nullary relation holds
 /// at most the empty tuple, which has no storage.
 #[inline]
@@ -519,7 +518,7 @@ impl Clone for Relation {
             // over at the cost of one refcount bump per built mask.
             indexes: RwLock::new(recover(self.indexes.read()).clone()),
             // The compact store is immutable; carry it by refcount.
-            compact: RwLock::new(recover(self.compact.read()).clone()),
+            compact: self.compact.clone(),
         }
     }
 }
@@ -883,8 +882,8 @@ mod tests {
             (mask_of([0, 1, 2]), vec![c(9), c(9), c(9)]),
         ] {
             let (mut scanned, mut indexed) = (Vec::new(), Vec::new());
-            assert!(with_store.lookup_tracked(mask, &key, &mut scanned));
-            assert!(!with_index.lookup_tracked(mask, &key, &mut indexed));
+            assert!(with_store.lookup(mask, &key, &mut scanned));
+            assert!(!with_index.lookup(mask, &key, &mut indexed));
             assert_eq!(scanned, indexed, "mask {mask:#b}");
         }
     }
@@ -964,6 +963,11 @@ mod tests {
         use std::collections::BTreeSet;
         // Insertion-ordered tuples plus their set, per retained version.
         type Model = (Vec<Vec<Const>>, BTreeSet<Vec<Const>>);
+        // Every single- and two-column binding pattern of an arity.
+        fn index_columns(arity: usize) -> Vec<Vec<usize>> {
+            let pairs = (0..arity).flat_map(|a| (a + 1..arity).map(move |b| vec![a, b]));
+            (0..arity).map(|a| vec![a]).chain(pairs).collect()
+        }
         fn check(r: &Relation, (order, set): &Model) {
             assert_eq!(r.len(), set.len());
             for (ord, t) in order.iter().enumerate() {
@@ -973,6 +977,31 @@ mod tests {
             assert_eq!(r.iter().count(), order.len());
             let absent = vec![c(99); r.arity()];
             assert_eq!(r.contains(&absent), r.arity() == 0 && !set.is_empty());
+            // The indexes were built before the first insert, so each
+            // lookup reads a trie every insert maintained (and, for a
+            // retained clone, one path-copied away from its successor).
+            // Keys range over the constant pool plus one absent value.
+            for columns in index_columns(r.arity()) {
+                let mask = mask_of(columns.iter().copied());
+                assert!(r.has_index(mask));
+                for k in 0..7u32.pow(columns.len() as u32) {
+                    let key: Vec<Const> = [k % 7, k / 7][..columns.len()]
+                        .iter()
+                        .map(|&i| c(i))
+                        .collect();
+                    let expected: Vec<u32> = (0..order.len() as u32)
+                        .filter(|&o| {
+                            columns
+                                .iter()
+                                .zip(&key)
+                                .all(|(&col, &v)| order[o as usize][col] == v)
+                        })
+                        .collect();
+                    let mut got = Vec::new();
+                    assert!(!r.lookup(mask, &key, &mut got), "answered by the trie");
+                    assert_eq!(got, expected, "mask {mask:#b}, key {key:?}");
+                }
+            }
         }
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
         let mut below = |n: u64| {
@@ -983,6 +1012,9 @@ mod tests {
         };
         for arity in 0..=4usize {
             let mut r = Relation::new(arity);
+            for columns in index_columns(arity) {
+                r.build_index(mask_of(columns));
+            }
             let mut model: Model = Default::default();
             let mut retained: Vec<(Relation, Model)> = Vec::new();
             for _ in 0..1_500 {

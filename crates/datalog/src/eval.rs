@@ -9,7 +9,7 @@
 //! evaluation must be deferred, not positional).
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
-use crate::db::{mask_of, Database};
+use crate::db::{mask_of, Database, MAX_ARITY};
 use rq_common::{Const, Counters, Pred};
 
 /// A variable environment for one rule firing.
@@ -192,29 +192,23 @@ fn join_rec<V: RelView>(
         if !builtins_all_bound(builtins, env) {
             return Err(UnsafeBuiltin);
         }
-        // Typical heads fit the same 32-column bound as probe keys;
-        // resolving into a stack buffer keeps firing allocation-free,
-        // with a heap fallback for wider heads.
+        // Heads fit the same `MAX_ARITY` bound as probe keys (the
+        // parser rejects wider atoms); resolving into a stack buffer
+        // keeps firing allocation-free.
         counters.rule_firings += 1;
-        let bind = |&t: &Term| resolve(env, t).expect("safe rule binds head vars");
-        if head_terms.len() <= 32 {
-            let mut head = [Const::from_index(0); 32];
-            for (slot, t) in head.iter_mut().zip(head_terms) {
-                *slot = bind(t);
-            }
-            emit(&head[..head_terms.len()]);
-        } else {
-            let head: Vec<Const> = head_terms.iter().map(bind).collect();
-            emit(&head);
+        let mut head = [Const::from_index(0); MAX_ARITY];
+        for (slot, &t) in head.iter_mut().zip(head_terms) {
+            *slot = resolve(env, t).expect("safe rule binds head vars");
         }
+        emit(&head[..head_terms.len()]);
         return Ok(());
     }
     let (occurrence, atom) = atoms[depth];
     let rel = view.relation(atom.pred, occurrence);
     // Binding pattern: columns whose term is a constant or a bound var.
-    // Column masks cap arity at 32, so the key fits a stack buffer —
+    // Column masks cap arity at `MAX_ARITY`, so the key fits a stack buffer —
     // this loop is the §4 cold path and must not allocate per probe.
-    let mut key = [Const::from_index(0); 32];
+    let mut key = [Const::from_index(0); MAX_ARITY];
     let mut key_len = 0usize;
     let mask = mask_of(atom.args.iter().enumerate().filter_map(|(i, &t)| {
         resolve(env, t).map(|c| {
@@ -225,7 +219,7 @@ fn join_rec<V: RelView>(
     }));
     let start = scratch.len();
     counters.index_probes += 1;
-    if rel.lookup_tracked(mask, &key[..key_len], scratch) {
+    if rel.lookup(mask, &key[..key_len], scratch) {
         counters.csr_probes += 1;
     } else if mask != 0 {
         counters.trie_probes += 1;
@@ -239,7 +233,7 @@ fn join_rec<V: RelView>(
         // storage); `bound_here` stays on the stack for the same
         // no-allocation reason as `key`.
         let tuple: &[Const] = rel.tuple(ord);
-        let mut bound_here = [0u32; 32];
+        let mut bound_here = [0u32; MAX_ARITY];
         let mut num_bound = 0usize;
         let mut ok = true;
         for (i, &t) in atom.args.iter().enumerate() {

@@ -23,7 +23,7 @@ pub use analysis::{
     tarjan_scc, unsafe_rules, Analysis, ChainViolation, Regularity,
 };
 pub use ast::{Atom, CmpOp, Literal, PredInfo, Program, Rule, Term};
-pub use db::{mask_cols, mask_of, ColMask, CompactStore, Database, Relation};
+pub use db::{mask_cols, mask_of, ColMask, CompactStore, Database, Relation, MAX_ARITY};
 pub use eval::{fire_rule, fire_seeded, DeltaView, Env, RelView, UnsafeBuiltin, WholeDb};
 pub use naive::{naive_eval, EvalResult};
 pub use parser::{parse_program, ParseError};

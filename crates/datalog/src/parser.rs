@@ -19,6 +19,7 @@
 //! `sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).`
 
 use crate::ast::{Atom, CmpOp, Literal, Program, Rule, Term};
+use crate::db::MAX_ARITY;
 use rq_common::{FxHashMap, Var};
 use std::fmt;
 
@@ -373,6 +374,13 @@ impl<'a> Parser<'a> {
         self.expect(Tok::LParen, "`(`")?;
         let mut args = Vec::new();
         loop {
+            if args.len() == MAX_ARITY {
+                // Binding patterns are one-bit-per-column masks; a wider
+                // atom would alias its columns.
+                return Err(self.error(format!(
+                    "`{name}` has more than {MAX_ARITY} arguments, the most an atom may have"
+                )));
+            }
             args.push(self.parse_term(vars, var_names)?);
             if self.tok == Tok::Comma {
                 self.advance()?;
@@ -477,6 +485,29 @@ mod tests {
     fn rejects_arity_mismatch() {
         let err = parse_program("p(a,b). p(a).").unwrap_err();
         assert!(err.msg.contains("arity"));
+    }
+
+    #[test]
+    fn atoms_wider_than_max_arity_are_rejected() {
+        let atom = |name: &str, arg: &str, n: usize| {
+            let args: Vec<String> = (0..n).map(|i| format!("{arg}{i}")).collect();
+            format!("{name}({})", args.join(","))
+        };
+        // A 33-column body atom: its column 32 has no bit in a
+        // `ColMask`, so binding it would alias column 0.
+        let rule = format!("p(X32,X0) :- {}.", atom("wide", "X", 33));
+        let err = parse_program(&rule).unwrap_err();
+        assert!(err.msg.contains("more than 32 arguments"), "{}", err.msg);
+        // Facts go through the same check (ingest parses them too).
+        assert!(parse_program(&format!("{}.", atom("wide", "c", 33))).is_err());
+        // Exactly `MAX_ARITY` columns is fine.
+        let src = format!(
+            "p(X31,X0) :- {}. {}.",
+            atom("w", "X", 32),
+            atom("w", "c", 32)
+        );
+        let p = parse_program(&src).unwrap();
+        assert_eq!(p.arity(p.pred_by_name("w").unwrap()), MAX_ARITY);
     }
 
     #[test]

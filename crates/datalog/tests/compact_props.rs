@@ -1,7 +1,8 @@
 //! Property tests for the publish-time compact stores.
 //!
-//! The compact store (columnar buffers + CSR adjacency for binary
-//! shards) is a read-path alternative to the lazy hash-trie indexes —
+//! The compact store (CSR adjacency for binary shards; on shards of at
+//! most 64 tuples, a scan of the tuple store) is a read-path
+//! alternative to the lazy hash-trie indexes —
 //! it must be *observationally identical*: for any relation, any
 //! binding mask, and any key, `lookup` over a compacted relation
 //! returns the same ordinals, in the same order, as over the same

@@ -38,7 +38,7 @@ fn observed(out: &EvalOutcome) -> (&[Const], [u64; 6], bool) {
             out.counters.tuples_retrieved,
             out.counters.rule_firings,
             out.counters.iterations,
-            out.graph_nodes,
+            out.counters.nodes_inserted,
             out.instances,
         ],
         out.converged,
@@ -363,7 +363,7 @@ fn early_stops_leave_the_pool_clean() {
                 ..EvalOptions::default()
             },
         );
-        assert!(hit.converged && hit.graph_nodes < full.graph_nodes);
+        assert!(hit.converged && hit.counters.nodes_inserted < full.counters.nodes_inserted);
         // Budgets are checked between iterations, so they need a
         // program that iterates.
         let sg_source = EdbSource::new(&sg_db);

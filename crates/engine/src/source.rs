@@ -11,7 +11,6 @@
 
 use rq_common::{Const, Counters, Pred};
 use rq_datalog::{mask_of, CompactStore, Database, Relation};
-use std::sync::Arc;
 
 /// Demand-driven access to binary relations.
 ///
@@ -53,26 +52,18 @@ pub trait TupleSource: Sync {
 /// All reads go through *shard views* (`EdbSource::shard`): the
 /// database hands out per-predicate `Arc`-shared [`Relation`] shards,
 /// so a source over an epoch snapshot reads exactly the shard versions
-/// that epoch published — including their warm indexes, which persist
-/// across epochs for every untouched shard.  The traversal itself is
-/// oblivious to the sharding; behavior matches a monolithic database.
+/// that epoch published — including their warm indexes and compact
+/// stores, which persist across epochs for every untouched shard, and
+/// which a probe reads with no lock.  The traversal itself is oblivious
+/// to the sharding; behavior matches a monolithic database.
 pub struct EdbSource<'a> {
     db: &'a Database,
-    /// Per-predicate compact stores pinned at construction (one `Arc`
-    /// bump each).  Probes read CSR slices through these without
-    /// touching the shard's locks; predicates whose shard has no store
-    /// (mutated since the last publish, or never published) fall back
-    /// to the trie-index path.
-    compact: Vec<Option<Arc<CompactStore>>>,
 }
 
 impl<'a> EdbSource<'a> {
     /// Wrap a database.
     pub fn new(db: &'a Database) -> Self {
-        let compact = (0..db.num_preds())
-            .map(|i| db.relation(Pred::from_index(i)).compact_store())
-            .collect();
-        Self { db, compact }
+        Self { db }
     }
 
     /// The wrapped database.
@@ -83,14 +74,16 @@ impl<'a> EdbSource<'a> {
     /// The shard view for `r` — the relation version this source's
     /// snapshot pinned.
     #[inline]
-    fn shard(&self, r: Pred) -> &Relation {
+    fn shard(&self, r: Pred) -> &'a Relation {
         self.db.relation(r)
     }
 
-    /// The pinned compact store for `r`, if its shard had one.
+    /// The compact store of `r`'s shard, if it has one (shards mutated
+    /// since the last publish, or never published, have none and fall
+    /// back to the trie-index path).
     #[inline]
-    fn store(&self, r: Pred) -> Option<&CompactStore> {
-        self.compact.get(r.index()).and_then(|s| s.as_deref())
+    fn store(&self, r: Pred) -> Option<&'a CompactStore> {
+        self.db.shard(r).and_then(|s| s.compact_store())
     }
 
     /// One probe with column `bound` fixed to `key`: the CSR `row` if

@@ -256,13 +256,12 @@ pub struct EvalOutcome {
     /// The answer set: all `v` with `(q_f, v)` in the final graph,
     /// strictly ascending.
     pub answers: Vec<Const>,
-    /// Unit-cost instrumentation.
+    /// Unit-cost instrumentation; `counters.nodes_inserted` is the
+    /// number of nodes in the final graph `G`.
     pub counters: Counters,
     /// Whether the algorithm stopped because `C` was empty (`true`) or
     /// because the iteration bound was hit (`false`).
     pub converged: bool,
-    /// Number of nodes in the final graph `G`.
-    pub graph_nodes: u64,
     /// Number of machine copies spliced (≥ 1 for the root).
     pub instances: u64,
     /// Epoch-memo teleports: sub-traversals skipped because the
@@ -702,7 +701,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             }
         }
         if span.active() {
-            span.note("nodes", outcome.graph_nodes);
+            span.note("nodes", outcome.counters.nodes_inserted);
             span.note("instances", outcome.instances);
             span.note("iterations", outcome.counters.iterations);
             span.note("memo_teleports", outcome.memo_teleports);
@@ -941,7 +940,6 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         });
         let outcome = EvalOutcome {
             answers,
-            graph_nodes: counters.nodes_inserted,
             counters,
             converged,
             instances: instances.len() as u64,
@@ -1064,7 +1062,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 Some(memo),
                 Some(&affected),
             );
-            closure_nodes += outcome.graph_nodes;
+            closure_nodes += outcome.counters.nodes_inserted;
             let result = outcome.converged.then(|| Arc::new(outcome.answers));
             closures.insert((machine, state, term), result.clone());
             result
@@ -1226,7 +1224,7 @@ mod tests {
                     let shared = Evaluator::with_plan(&sys, &plan, &source);
                     let out = shared.evaluate(sg, a, &EvalOptions::default());
                     assert_eq!(out.answers, owned.answers);
-                    assert_eq!(out.graph_nodes, owned.graph_nodes);
+                    assert_eq!(out.counters.nodes_inserted, owned.counters.nodes_inserted);
                 });
             }
         });
@@ -1342,7 +1340,7 @@ mod tests {
         assert_eq!(names(&program, &served.answers), vec!["x", "y", "z"]);
         assert_eq!(served.answers, thompson.answers);
         assert_eq!(served.instances, thompson.instances);
-        assert!(served.graph_nodes < thompson.graph_nodes);
+        assert!(served.counters.nodes_inserted < thompson.counters.nodes_inserted);
     }
 
     #[test]
@@ -1574,7 +1572,7 @@ mod tests {
         let dump = out.graph.expect("recorded");
         // Every node of G appears in the dump (the dump also sees the
         // start node even if isolated).
-        assert_eq!(dump.node_count() as u64, out.graph_nodes);
+        assert_eq!(dump.node_count() as u64, out.counters.nodes_inserted);
         // Answers appear as final-state nodes of the root instance.
         assert_eq!(dump.answer_nodes.len(), out.answers.len());
         let dot = dump.to_dot(&|c| program.consts.display(c), &|q| {
@@ -1726,7 +1724,7 @@ mod tests {
             .with_context(&ctx)
             .evaluate(tc, a, &opts);
         assert_eq!(post.memo_teleports, 1, "root memo hit");
-        assert_eq!(post.graph_nodes, 0);
+        assert_eq!(post.counters.nodes_inserted, 0);
         let cold = Evaluator::with_plan(&sys, &plan, &new_source).evaluate(tc, a, &opts);
         assert_eq!(
             names(&program, &post.answers),
@@ -1795,7 +1793,7 @@ mod tests {
             .with_context(&ctx)
             .evaluate(q1, s, &opts);
         assert_eq!(post.memo_teleports, 1, "root memo hit");
-        assert_eq!(post.graph_nodes, 0);
+        assert_eq!(post.counters.nodes_inserted, 0);
         let cold = Evaluator::with_plan(&sys, &plan, &new_source).evaluate(q1, s, &opts);
         assert_eq!(
             names(&program, &post.answers),

@@ -47,16 +47,19 @@ fn context_reuses_whole_traversals_and_sub_traversals() {
     // Root-level reuse: the repeat costs nothing.
     let a1_again = warm.evaluate(sg, konst("a1"), &EvalOptions::default());
     assert_eq!(sorted(&a1_again.answers), sorted(&a1_first.answers));
-    assert_eq!(a1_again.graph_nodes, 0, "root memo hit builds no graph");
+    assert_eq!(
+        a1_again.counters.nodes_inserted, 0,
+        "root memo hit builds no graph"
+    );
     // Sub-traversal reuse: sg(a0, Y) teleports through the memoized
     // sg(a1, ·) answers instead of splicing that child's sub-machine.
     let warm_a0 = warm.evaluate(sg, konst("a0"), &EvalOptions::default());
     assert_eq!(sorted(&warm_a0.answers), sorted(&cold_a0.answers));
     assert!(
-        warm_a0.graph_nodes < cold_a0.graph_nodes,
+        warm_a0.counters.nodes_inserted < cold_a0.counters.nodes_inserted,
         "warm {} !< cold {}",
-        warm_a0.graph_nodes,
-        cold_a0.graph_nodes
+        warm_a0.counters.nodes_inserted,
+        cold_a0.counters.nodes_inserted
     );
     assert!(ctx.stats().hits >= 2);
 }

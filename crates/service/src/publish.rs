@@ -245,7 +245,7 @@ impl QueryService {
             &delta_rels,
             &mut counters,
         );
-        self.note_probes(&counters);
+        self.note_counters(&counters);
         let Some(vpairs) = vpairs else {
             return self.refuse_repair();
         };

@@ -9,7 +9,7 @@ use crate::snapshot::{IngestError, Snapshot, SnapshotStore};
 use crate::spec::{Arg, QuerySpec};
 use rq_common::obs::{self, Counter, Histogram};
 use rq_common::{Const, Counters, FxHashMap, Pred, Registry, Rows};
-use rq_datalog::Program;
+use rq_datalog::{Program, MAX_ARITY};
 use rq_engine::{
     all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
 };
@@ -252,21 +252,29 @@ pub(crate) struct ServiceCounters {
     queries: Counter,
     /// Successful fact publishes.
     ingests: Counter,
+    /// Base tuples retrieved (the paper's unit-cost `t`).
+    engine_tuples: Counter,
     /// Graph nodes materialized by §3/§4 traversals on behalf of this
     /// service (the engine's `G`).
     engine_nodes: Counter,
+    /// Arcs followed and rule instantiations fired.
+    engine_firings: Counter,
+    /// Iterations of the traversal loop (the paper's `h`).
+    engine_iterations: Counter,
+    /// Index probes against the extensional database.
+    engine_probes: Counter,
     /// Traversals (or machine expansions) answered wholesale from the
     /// epoch context's machine memo.
     engine_teleports: Counter,
     /// Machine copies spliced during traversals.
     engine_instances: Counter,
-    /// Compact stores (columnar + CSR) built at publish time.
+    /// Compact stores (CSR adjacency) built at publish time.
     csr_builds: Counter,
     /// Wall time spent building compact stores, one observation per
     /// publish.
     csr_build_seconds: Histogram,
-    /// Index probes served by a compact store (CSR slice or columnar
-    /// scan).
+    /// Index probes served by a compact store (CSR slice or
+    /// small-shard scan).
     csr_probes: Counter,
     /// Index probes that walked (or built) a hash-trie index.
     trie_probes: Counter,
@@ -331,9 +339,25 @@ impl ServiceCounters {
         Self {
             queries: registry.counter("rq_queries_total", "Queries evaluated by the service."),
             ingests: registry.counter("rq_ingests_total", "Fact batches published as new epochs."),
+            engine_tuples: registry.counter(
+                "rq_engine_tuples_retrieved_total",
+                "Base tuples retrieved by evaluations (the unit-cost t).",
+            ),
             engine_nodes: registry.counter(
                 "rq_engine_graph_nodes_total",
                 "Nodes materialized in traversal graphs.",
+            ),
+            engine_firings: registry.counter(
+                "rq_engine_rule_firings_total",
+                "Arcs followed and rule instantiations fired by evaluations.",
+            ),
+            engine_iterations: registry.counter(
+                "rq_engine_iterations_total",
+                "Iterations of the traversal loop (the unit-cost h).",
+            ),
+            engine_probes: registry.counter(
+                "rq_engine_index_probes_total",
+                "Index probes made against the extensional database.",
             ),
             engine_teleports: registry.counter(
                 "rq_engine_memo_teleports_total",
@@ -345,7 +369,7 @@ impl ServiceCounters {
             ),
             csr_builds: registry.counter(
                 "rq_csr_builds_total",
-                "Compact stores (columnar buffers + CSR adjacency) built at publish time.",
+                "Compact stores (CSR adjacency) built at publish time.",
             ),
             csr_build_seconds: registry.histogram(
                 "rq_csr_build_seconds",
@@ -797,11 +821,13 @@ impl QueryService {
                 got: spec.arity(),
             });
         }
-        if arity > MAX_ADORNABLE_ARITY {
+        if arity > MAX_ARITY {
             // `Adornment` is a 32-bit position mask; wider predicates
-            // would alias positions silently in release builds.
+            // would alias positions silently in release builds.  The
+            // parser refuses them, so only a program built by hand
+            // gets here.
             return Err(ServiceError::Plan(format!(
-                "`{}` has arity {arity}; adornments support at most {MAX_ADORNABLE_ARITY} positions",
+                "`{}` has arity {arity}; adornments support at most {MAX_ARITY} positions",
                 snapshot.program().pred_name(spec.pred)
             )));
         }
@@ -865,12 +891,7 @@ impl QueryService {
                 &options,
             )
         };
-        self.note_outcome(
-            outcome.graph_nodes,
-            outcome.memo_teleports,
-            outcome.instances,
-            &outcome.counters,
-        );
+        self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
         let result = CachedResult {
             rows: Arc::new(rows),
             converged: outcome.converged,
@@ -881,24 +902,33 @@ impl QueryService {
 
     /// Fold one traversal's engine-side work into the service's
     /// registry counters.
-    fn note_outcome(
-        &self,
-        graph_nodes: u64,
-        memo_teleports: u64,
-        instances: u64,
-        counters: &Counters,
-    ) {
-        self.counters.engine_nodes.add(graph_nodes);
+    fn note_outcome(&self, memo_teleports: u64, instances: u64, counters: &Counters) {
         self.counters.engine_teleports.add(memo_teleports);
         self.counters.engine_instances.add(instances);
-        self.note_probes(counters);
+        self.note_counters(counters);
     }
 
-    /// Fold one evaluation's probe-path split (compact store vs trie
-    /// index) into the registry.
-    pub(crate) fn note_probes(&self, counters: &Counters) {
-        self.counters.csr_probes.add(counters.csr_probes);
-        self.counters.trie_probes.add(counters.trie_probes);
+    /// Fold one evaluation's unit-cost [`Counters`] into the registry.
+    /// The destructuring names every field, so a new one fails to
+    /// compile until it is exported here.
+    pub(crate) fn note_counters(&self, counters: &Counters) {
+        let Counters {
+            tuples_retrieved,
+            nodes_inserted,
+            rule_firings,
+            iterations,
+            index_probes,
+            csr_probes,
+            trie_probes,
+        } = *counters;
+        let c = &self.counters;
+        c.engine_tuples.add(tuples_retrieved);
+        c.engine_nodes.add(nodes_inserted);
+        c.engine_firings.add(rule_firings);
+        c.engine_iterations.add(iterations);
+        c.engine_probes.add(index_probes);
+        c.csr_probes.add(csr_probes);
+        c.trie_probes.add(trie_probes);
     }
 
     /// §3 binary-chain evaluation: forward/inverse point traversals,
@@ -952,8 +982,7 @@ impl QueryService {
                     // (the paper's O(tn), t = min{|domain|, |range|}).
                     let (out, _side) =
                         all_pairs_min_side(&plan.system, &source, spec.pred, &options);
-                    self.counters.engine_nodes.add(out.counters.nodes_inserted);
-                    self.note_probes(&out.counters);
+                    self.note_counters(&out.counters);
                     let mut rows = Rows::builder(2);
                     for (x, y) in out.pairs {
                         rows.push(&[x, y]);
@@ -1008,12 +1037,7 @@ impl QueryService {
         }
         let (db, fallback) = (snapshot.db(), self.config.fallback_node_budget);
         let outcome = evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback);
-        self.note_outcome(
-            outcome.graph_nodes,
-            outcome.memo_teleports,
-            outcome.instances,
-            &outcome.counters,
-        );
+        self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
         (outcome.answers, outcome.converged, outcome.counters)
     }
 
@@ -1088,9 +1112,6 @@ impl QueryService {
         slot_of.into_iter().map(|i| answers[i].clone()).collect()
     }
 }
-
-/// Widest predicate the `{b,f}` adornment bitmask can describe.
-pub(crate) const MAX_ADORNABLE_ARITY: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -1657,19 +1678,42 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
 
     #[test]
     fn over_wide_predicates_are_rejected_cleanly() {
-        // 33 positions exceed the adornment bitmask; the query must be
-        // refused at parse time, not silently alias positions.
+        // 33 positions exceed the column and adornment bitmasks; the
+        // program must be refused when it is loaded, not silently
+        // alias positions.
         let args: Vec<String> = (0..33).map(|i| format!("X{i}")).collect();
         let src = format!(
             "wide({a}) :- base({a}).\nbase({c}).",
             a = args.join(","),
             c = vec!["k"; 33].join(",")
         );
+        let err = QueryService::from_source(&src).err().expect("refused");
+        assert!(matches!(err, ServiceError::Ingest(_)), "{err}");
+        assert!(err.to_string().contains("more than 32 arguments"), "{err}");
+    }
+
+    #[test]
+    fn thirty_two_columns_bind_every_position() {
+        // The widest atom: binding its last column (bit 31 of the
+        // mask) must select on that column, not on column 0.
+        let xs: Vec<String> = (0..32).map(|i| format!("X{i}")).collect();
+        let row = |tag: &str| {
+            let cs: Vec<String> = (0..32).map(|i| format!("{tag}{i}")).collect();
+            format!("wide({}).", cs.join(","))
+        };
+        let src = format!(
+            "p(X31,X0) :- wide({}).\n{}\n{}",
+            xs.join(","),
+            row("a"),
+            row("b")
+        );
         let service = QueryService::from_source(&src).unwrap();
-        let err = service
-            .parse_query(&format!("wide({})", args.join(",")))
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::Plan(_)), "{err}");
+        let snapshot = service.snapshot();
+        let rows = |q: &str| service.answer_text(&snapshot, q).unwrap().answer.rows.len();
+        assert_eq!(rows("p(a31, Y)"), 1);
+        assert_eq!(rows("p(X, Y)"), 2);
+        assert_eq!(rows("p(b31, a0)"), 0);
+        assert_eq!(rows("p(b31, b0)"), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! an error, whether the query is the fully bound membership form) is
 //! therefore decided here, once.
 
-use crate::service::{QueryService, ServiceAnswer, ServiceError, MAX_ADORNABLE_ARITY};
+use crate::service::{QueryService, ServiceAnswer, ServiceError};
 use crate::snapshot::Snapshot;
 use crate::spec::{Arg, QuerySpec};
 use rq_common::{Counters, Pred, Rows};
@@ -156,12 +156,6 @@ impl<'a> QueryShape<'a> {
                 got: args.len(),
             });
         }
-        if args.len() > MAX_ADORNABLE_ARITY {
-            return Err(ServiceError::Plan(format!(
-                "`{name}` has arity {}; adornments support at most {MAX_ADORNABLE_ARITY} positions",
-                args.len()
-            )));
-        }
         Ok(Self { pred, args })
     }
 
@@ -181,7 +175,7 @@ impl<'a> QueryShape<'a> {
                 let slot = if raw == "_" {
                     // Anonymous: a fresh slot every time (never constrains),
                     // drawn from the top so it cannot collide with named
-                    // slots (arity is capped at 32 well below 200).
+                    // slots (arity is capped at `MAX_ARITY` = 32, well below 200).
                     next_anon += 1;
                     255 - next_anon
                 } else {

@@ -95,6 +95,10 @@ for needle in \
   'rq_queries_total 2' \
   'rq_ingests_total 1' \
   '# TYPE rq_engine_graph_nodes_total counter' \
+  '# TYPE rq_engine_tuples_retrieved_total counter' \
+  '# TYPE rq_engine_rule_firings_total counter' \
+  '# TYPE rq_engine_iterations_total counter' \
+  '# TYPE rq_engine_index_probes_total counter' \
   'rq_epoch 1' \
   '# TYPE rq_http_in_flight gauge' \
   '# TYPE rq_csr_builds_total counter' \
@@ -115,5 +119,11 @@ done
 csr_probes="$(grep -E '^rq_csr_probes_total [0-9]+$' "$scrape" | awk '{print $2}')"
 [ -n "$csr_probes" ] && [ "$csr_probes" -gt 0 ] \
   || fail "rq_csr_probes_total not positive (got: ${csr_probes:-missing})"
+
+# Every `Counters` field is exported; the two `tc(a, Y)` queries
+# retrieve base tuples, so the paper's unit-cost `t` must have moved.
+tuples="$(grep -E '^rq_engine_tuples_retrieved_total [0-9]+$' "$scrape" | awk '{print $2}')"
+[ -n "$tuples" ] && [ "$tuples" -gt 0 ] \
+  || fail "rq_engine_tuples_retrieved_total not positive (got: ${tuples:-missing})"
 
 echo "metrics smoke OK ($addr, $(grep -c '^# TYPE' "$scrape") families)"
