@@ -19,9 +19,9 @@
 //! otherwise (the Marchetti-Spaccamela m·n bound makes them complete on
 //! cyclic data too, at the usual cost).
 
-use crate::image::image;
 use rq_common::{Const, Counters, FxHashSet, Pred};
 use rq_datalog::Database;
+use rq_engine::image;
 use rq_relalg::{linear_decomposition, EqSystem, Expr};
 
 /// Result of a counting-family evaluation.

@@ -9,9 +9,9 @@
 //! remember already-traversed paths, which is exactly the difference
 //! sample (c) of Figure 7 exposes (O(n²) vs O(n)).
 
-use crate::image::image;
 use rq_common::{Const, Counters, FxHashSet};
 use rq_datalog::Database;
+use rq_engine::image;
 use rq_relalg::{linear_decomposition, EqSystem};
 
 /// Result of a Henschen–Naqvi evaluation.

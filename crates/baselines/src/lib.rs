@@ -8,8 +8,7 @@
 //!   evaluator \[8\] that the paper's demand-driven algorithm improves on;
 //! * [`mod@qsq`] — the query/subquery method \[24\] (memoized top-down);
 //! * [`mod@sld`] — Prolog-style SLD resolution (unmemoized top-down, the
-//!   paper's "duplication of work" exemplar);
-//! * [`mod@image`] — the shared instrumented image primitive.
+//!   paper's "duplication of work" exemplar).
 //!
 //! Naive and seminaive evaluation live in `rq-datalog`; the paper's own
 //! algorithm lives in `rq-engine`.  All strategies charge the same
@@ -22,7 +21,6 @@ pub mod binreach;
 pub mod counting;
 pub mod hn;
 pub mod hunt;
-pub mod image;
 pub mod magic;
 pub mod qsq;
 pub mod sld;
@@ -31,7 +29,6 @@ pub use binreach::{bin_reach, BinReachError, BinReachOutcome};
 pub use counting::{counting, reverse_counting, CountingOutcome};
 pub use hn::{henschen_naqvi, HnOutcome};
 pub use hunt::HuntGraph;
-pub use image::{image, image_of};
 pub use magic::{magic_sets, MagicOutcome};
 pub use qsq::{qsq, QsqOutcome};
 pub use sld::{sld, SldOutcome};

@@ -68,17 +68,12 @@ pub enum ConstValue {
     Int(i64),
     /// A symbolic constant such as `john`.
     Str(String),
-    /// A tuple of other constants.  Produced by the §4 transformation, whose
-    /// binary relations range over tuples `t(X^b)` / `t(X^f)` of original
-    /// constants.  Never produced by the parser.
-    Tuple(Vec<Const>),
 }
 
 impl ConstValue {
     /// Orders two values the way the built-in comparison predicates do:
-    /// integers numerically, strings lexicographically, tuples
-    /// lexicographically by component id.  Mixed kinds order by kind
-    /// (Int < Str < Tuple) so that comparisons are total.
+    /// integers numerically, strings lexicographically.  Mixed kinds
+    /// order by kind (Int < Str) so that comparisons are total.
     pub fn builtin_cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.cmp(other)
     }
@@ -99,8 +94,8 @@ impl ConstValue {
 ///
 /// Beside `values` sits the text store: every constant's JSON
 /// encoding ([`Self::json_text`]), rendered once when the constant is
-/// interned — an integer's digits, a string's quoted and escaped form,
-/// a tuple's escaped [`Self::display`] — so answer rows go to the wire
+/// interned — an integer's digits, a string's quoted and escaped form
+/// — so answer rows go to the wire
 /// as one slice copy per cell.  The store is a list of `Arc`-shared
 /// chunks of 256 constants each: one byte buffer holding the texts back
 /// to back plus 257 `u32` offsets, found by shift and mask.  A clone
@@ -179,7 +174,6 @@ fn value_hash(value: &ConstValue) -> u64 {
     match value {
         ConstValue::Int(i) => int_hash(*i),
         ConstValue::Str(s) => str_hash(s),
-        ConstValue::Tuple(parts) => hash_of(&(2u8, parts)),
     }
 }
 
@@ -221,10 +215,6 @@ impl ConstInterner {
         match &self.values[id.index()] {
             ConstValue::Int(i) => self.texts.push(|out| write_i64(*i, out)),
             ConstValue::Str(s) => self.texts.push(|out| escape_str_into(s, out)),
-            ConstValue::Tuple(_) => {
-                let shown = self.display(id);
-                self.texts.push(|out| escape_str_into(&shown, out));
-            }
         }
         id
     }
@@ -254,19 +244,13 @@ impl ConstInterner {
         }
     }
 
-    /// Intern a tuple constant (used by the §4 transformation).
-    pub fn intern_tuple(&mut self, components: Vec<Const>) -> Const {
-        self.intern(ConstValue::Tuple(components))
-    }
-
     /// The value behind an id.
     pub fn value(&self, id: Const) -> &ConstValue {
         self.values.get(id.index()).expect("unknown constant id")
     }
 
     /// The constant's JSON encoding, exactly as [`crate::json`] writes
-    /// the value (a tuple as its escaped [`Self::display`]), rendered
-    /// when it was interned.
+    /// the value, rendered when it was interned.
     #[inline]
     pub fn json_text(&self, id: Const) -> &[u8] {
         self.texts.get(id.index())
@@ -297,7 +281,7 @@ impl ConstInterner {
         self.values.is_empty()
     }
 
-    /// Render a constant for display, recursing into tuples.
+    /// Render a constant for display.
     pub fn display(&self, id: Const) -> String {
         let mut out = String::new();
         self.display_into(id, &mut out);
@@ -312,16 +296,6 @@ impl ConstInterner {
                 let _ = write!(out, "{i}");
             }
             ConstValue::Str(s) => out.push_str(s),
-            ConstValue::Tuple(parts) => {
-                out.push_str("t(");
-                for (i, &part) in parts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    self.display_into(part, out);
-                }
-                out.push(')');
-            }
         }
     }
 }
@@ -410,28 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn tuple_interning() {
-        let mut i = ConstInterner::new();
-        let a = i.intern_str("a");
-        let b = i.intern_str("b");
-        let t1 = i.intern_tuple(vec![a, b]);
-        let t2 = i.intern_tuple(vec![a, b]);
-        let t3 = i.intern_tuple(vec![b, a]);
-        assert_eq!(t1, t2);
-        assert_ne!(t1, t3);
-        assert_eq!(i.display(t1), "t(a,b)");
-    }
-
-    #[test]
-    fn nested_tuple_display() {
-        let mut i = ConstInterner::new();
-        let a = i.intern_str("a");
-        let inner = i.intern_tuple(vec![a]);
-        let outer = i.intern_tuple(vec![inner, a]);
-        assert_eq!(i.display(outer), "t(t(a),a)");
-    }
-
-    #[test]
     fn intern_str_agrees_with_intern_and_get() {
         let mut i = ConstInterner::new();
         let names: Vec<String> = (0..500).map(|k| format!("n{}", k % 300)).collect();
@@ -486,7 +438,7 @@ mod tests {
     }
 
     /// The encoding `json_text` must reproduce: the [`Json`] encoder's
-    /// bytes for the value (a tuple as its display string).
+    /// bytes for the value.
     ///
     /// [`Json`]: crate::json::Json
     fn reference_text(consts: &ConstInterner, c: Const) -> String {
@@ -494,7 +446,6 @@ mod tests {
         match consts.value(c) {
             ConstValue::Int(i) => Json::Int(*i).encode(),
             ConstValue::Str(s) => Json::Str(s.clone()).encode(),
-            ConstValue::Tuple(_) => Json::Str(consts.display(c)).encode(),
         }
     }
 
@@ -522,25 +473,20 @@ mod tests {
             "",
             "x'",
         ];
-        let mut ids = Vec::new();
         for k in 0..3 * TEXT_CHUNK + 5 {
-            ids.push(match k % 4 {
+            match k % 4 {
                 0 => i.intern_str(&format!("{}{k}", names[k % names.len()])),
                 1 => i.intern_int(
                     [i64::MIN, -1, 0, 1430, i64::MAX][k % 5].wrapping_sub(k as i64 % 7),
                 ),
-                2 => i.intern_tuple(vec![ids[k / 2], ids[k - 1]]),
                 _ => i.intern_str(names[k % names.len()]),
-            });
+            };
         }
         assert_texts_match(&i);
         let quoted = i.intern_str("q\"x0");
         assert_eq!(i.json_text(quoted), br#""q\"x0""#);
         let minus = i.intern_int(-5);
         assert_eq!(i.json_text(minus), b"-5");
-        let parts = vec![i.intern_str("a\"b"), i.intern_int(-2)];
-        let t = i.intern_tuple(parts);
-        assert_eq!(i.json_text(t), br#""t(a\"b,-2)""#);
         // Full chunks hold no slack.
         for chunk in &i.texts.chunks[..i.texts.chunks.len() - 1] {
             assert_eq!(chunk.bounds.len(), TEXT_CHUNK + 1);

@@ -163,9 +163,8 @@ impl EvalContext {
     /// vouches for into this context, sharing their answers
     /// ([`AnswerStore::carry`]); returns how many carried (a full
     /// context stops the carry).  An answer set stays valid across a
-    /// publish while the relations its machine reads are untouched: the
-    /// serving layer decides that from read-sets and dirty shards
-    /// ([`crate::CompiledPlan::machine_preds`]).
+    /// publish while the relations its machine reads are untouched:
+    /// [`crate::CompiledPlan::stale_machines`] names the others.
     pub fn carry_from(&self, prev: &EvalContext, mut keep: impl FnMut(u64, u32) -> bool) -> usize {
         let mut carried = 0;
         for (plan, home) in prev.directory() {

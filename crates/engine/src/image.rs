@@ -1,14 +1,16 @@
 //! Instrumented image computation over derived-free expressions.
 //!
-//! Every strategy in this crate is an "image of a node set under a
-//! relational expression" method (the paper's phrase for Henschen–Naqvi
-//! and, by extension, counting).  This helper charges the shared
-//! [`Counters`] for every tuple retrieved, so strategy costs are
-//! comparable with the traversal engine's.
+//! The image of a node set under a relational expression, read through
+//! [`EdbSource`] — CSR rows where a shard has them, as a traversal
+//! reads — and charged to [`Counters`] for every tuple retrieved.  The
+//! `m·n` bound ([`crate::cyclic_iteration_bound`]) measures its two
+//! closures with it, and the Henschen–Naqvi and counting baselines
+//! (the paper's "image of a node set" methods) step with it, so their
+//! costs are comparable with the traversal's.
 
+use crate::source::{EdbSource, TupleSource};
 use rq_common::{Const, Counters, FxHashSet};
 use rq_datalog::Database;
-use rq_engine::{EdbSource, TupleSource};
 use rq_relalg::Expr;
 
 /// The image of `set` under a derived-free expression, charging

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod context;
+mod image;
 #[cfg(test)]
 mod kernel_props;
 mod nodeset;
@@ -38,6 +39,7 @@ pub mod source;
 pub mod traversal;
 
 pub use context::{EvalContext, EvalContextStats, DEFAULT_CONTEXT_ENTRIES};
+pub use image::{image, image_of};
 pub use query::{
     all_pairs_min_side, all_pairs_per_source, all_pairs_scc, candidate_sources,
     cyclic_iteration_bound, evaluate_guarded, evaluate_with_cyclic_guard, query_bb, query_diagonal,

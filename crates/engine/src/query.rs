@@ -11,12 +11,13 @@
 //!   the second argument cannot be used without the §4 transformation).
 //! * `p(X, X)` — evaluate all pairs and keep the diagonal.
 
+use crate::image::{image, image_of};
 use crate::source::{EdbSource, TupleSource};
 use crate::traversal::{EvalOptions, EvalOutcome, Evaluator};
 use rq_automata::{position, Label};
 use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_datalog::tarjan_scc;
-use rq_relalg::{linear_decomposition, EqSystem, Expr, ImageEval};
+use rq_relalg::{linear_decomposition, EqSystem, Expr};
 
 /// Candidate source constants for an all-pairs query: every constant
 /// with a tuple on a label the machine can leave its start on — a
@@ -353,13 +354,15 @@ pub fn cyclic_iteration_bound(
     } else {
         (e0, e1, e2)
     };
-    let mut ev = ImageEval::base_only(db);
+    // The closures read CSR rows like the traversal does; their probes
+    // are not the query's, so they charge scratch counters.
+    let mut scratch = Counters::new();
     // D1: nodes accessible from the query constant on its own side.
-    let d1 = ev.image_of(&Expr::star(near), a);
+    let d1 = image_of(db, &Expr::star(near), a, &mut scratch);
     // D2: nodes accessible on the other side — everything reachable
     // through its closure from the flat-images of D1.
-    let mid = ev.image(&e0, &d1);
-    let d2 = ev.image(&Expr::star(far), &mid);
+    let mid = image(db, &e0, &d1, &mut scratch);
+    let d2 = image(db, &Expr::star(far), &mid, &mut scratch);
     Some(
         (d1.len() as u64)
             .saturating_mul(d2.len().max(1) as u64)

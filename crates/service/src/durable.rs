@@ -147,14 +147,19 @@ pub(crate) struct RecordPayload {
     pub(crate) rows: Vec<(String, usize, Vec<ConstValue>)>,
 }
 
-fn put_value(w: &mut ByteWriter, v: &ConstValue) -> Result<(), String> {
-    // The fact parser never produces tuple constants, so an ingest
-    // delta cannot contain one.
-    if matches!(v, ConstValue::Tuple(_)) {
-        return Err("tuple constant in ingest delta cannot be persisted".into());
+/// One tagged constant value, as log records and checkpoints write it:
+/// tag `0` and an `i64`, or tag `1` and a string.
+fn put_value(w: &mut ByteWriter, v: &ConstValue) {
+    match v {
+        ConstValue::Int(i) => {
+            w.put_u8(0);
+            w.put_i64(*i);
+        }
+        ConstValue::Str(s) => {
+            w.put_u8(1);
+            w.put_str(s);
+        }
     }
-    put_ckpt_value(w, v);
-    Ok(())
 }
 
 fn get_value(r: &mut ByteReader<'_>) -> Result<ConstValue, CodecError> {
@@ -169,7 +174,7 @@ fn get_value(r: &mut ByteReader<'_>) -> Result<ConstValue, CodecError> {
 /// payload.  Layout: `fingerprint u64; n_preds u32; (name, arity u32)
 /// per pred in first-appearance order; n_rows u32; (pred_idx u32,
 /// arity u32, tagged values) per row in insertion order`.
-pub(crate) fn encode_record(snap: &Snapshot) -> Result<Vec<u8>, String> {
+pub(crate) fn encode_record(snap: &Snapshot) -> Vec<u8> {
     let program = snap.program();
     let rows = snap.delta().ordered_rows();
     let mut table: Vec<Pred> = Vec::new();
@@ -192,10 +197,10 @@ pub(crate) fn encode_record(snap: &Snapshot) -> Result<Vec<u8>, String> {
         w.put_u32(index[pred]);
         w.put_u32(row.len() as u32);
         for &c in row {
-            put_value(&mut w, program.consts.value(c))?;
+            put_value(&mut w, program.consts.value(c));
         }
     }
-    Ok(w.into_bytes())
+    w.into_bytes()
 }
 
 /// Decode one log-record payload.  The payload already passed the
@@ -242,51 +247,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<RecordPayload, CodecError>
     Ok(RecordPayload { fingerprint, rows })
 }
 
-/// Checkpoint constants may be tuples (interned by §4 transforms),
-/// whose components reference *earlier* constant ids — safe because
-/// extensions are encoded and restored in id order.
-fn put_ckpt_value(w: &mut ByteWriter, v: &ConstValue) {
-    match v {
-        ConstValue::Int(i) => {
-            w.put_u8(0);
-            w.put_i64(*i);
-        }
-        ConstValue::Str(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        ConstValue::Tuple(parts) => {
-            w.put_u8(2);
-            w.put_u32(parts.len() as u32);
-            for c in parts {
-                w.put_u32(c.0);
-            }
-        }
-    }
-}
-
-fn get_ckpt_value(r: &mut ByteReader<'_>, known_consts: usize) -> Result<ConstValue, CodecError> {
-    match r.u8()? {
-        0 => Ok(ConstValue::Int(r.i64()?)),
-        1 => Ok(ConstValue::Str(r.str()?.to_string())),
-        2 => {
-            let n = r.u32()? as usize;
-            let mut parts = Vec::with_capacity(n.min(r.remaining() / 4));
-            for _ in 0..n {
-                let id = r.u32()? as usize;
-                if id >= known_consts {
-                    return Err(CodecError(format!(
-                        "tuple component references constant {id}, only {known_consts} known"
-                    )));
-                }
-                parts.push(Const::from_index(id));
-            }
-            Ok(ConstValue::Tuple(parts))
-        }
-        t => Err(CodecError(format!("unknown checkpoint constant tag {t}"))),
-    }
-}
-
 /// Encode one snapshot as a checkpoint payload: fingerprint, epoch, two
 /// reserved words, the base-profile watermarks, a reserved id set, then
 /// the interner/fact extensions beyond the base program in
@@ -318,7 +278,7 @@ pub(crate) fn encode_checkpoint(snap: &Snapshot, base: &BaseProfile) -> Vec<u8> 
     }
     w.put_u32((program.consts.len() - base.consts) as u32);
     for i in base.consts..program.consts.len() {
-        put_ckpt_value(&mut w, program.consts.value(Const::from_index(i)));
+        put_value(&mut w, program.consts.value(Const::from_index(i)));
     }
     w.put_u32((program.facts.len() - base.facts) as u32);
     for i in base.facts..program.facts.len() {
@@ -402,8 +362,7 @@ pub(crate) fn restore_checkpoint(
     }
     let n_ext_consts = r.u32().map_err(dec)? as usize;
     for i in 0..n_ext_consts {
-        let known = program.consts.len();
-        let v = get_ckpt_value(&mut r, known).map_err(dec)?;
+        let v = get_value(&mut r).map_err(dec)?;
         let c = program.consts.intern(v);
         if c.index() != base_consts + i {
             return Err(format!(
@@ -469,7 +428,7 @@ mod tests {
         let program = parse_program(SOURCE).unwrap();
         let store = SnapshotStore::new(program);
         let snap = store.ingest("e(c,d). f(x). e(a,b).").unwrap();
-        let payload = encode_record(&snap).unwrap();
+        let payload = encode_record(&snap);
         let decoded = decode_record(&payload).unwrap();
         assert_eq!(decoded.fingerprint, snap.rules_fingerprint());
         // `e(a,b)` is a duplicate: not part of the delta.
@@ -491,7 +450,7 @@ mod tests {
         let program = parse_program(SOURCE).unwrap();
         let store = SnapshotStore::new(program);
         let snap = store.ingest("e(c,d).").unwrap();
-        let payload = encode_record(&snap).unwrap();
+        let payload = encode_record(&snap);
         for cut in 0..payload.len() {
             assert!(decode_record(&payload[..cut]).is_err(), "cut at {cut}");
         }
@@ -554,6 +513,28 @@ mod tests {
         }
     }
 
+    /// Checkpoints write constants with the log record's codec, so a
+    /// constant tag the record refuses is refused on restore too.
+    #[test]
+    fn checkpoint_constant_with_an_unknown_tag_is_refused() {
+        let program = parse_program(SOURCE).unwrap();
+        let base = BaseProfile::of(&program);
+        let store = SnapshotStore::new(program);
+        let snap = store.ingest("e(c, zz_new).").unwrap();
+        let mut payload = encode_checkpoint(&snap, &base);
+        let mut needle = vec![1u8];
+        needle.extend_from_slice(&6u32.to_le_bytes());
+        needle.extend_from_slice(b"zz_new");
+        let at = payload
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("the new constant is a checkpoint extension");
+        restore_checkpoint(parse_program(SOURCE).unwrap(), &payload).unwrap();
+        payload[at] = 2;
+        let err = restore_checkpoint(parse_program(SOURCE).unwrap(), &payload).unwrap_err();
+        assert!(err.contains("unknown constant tag 2"), "{err}");
+    }
+
     // --- the codecs under hostile bytes (generative) -------------------
 
     use proptest::prelude::*;
@@ -589,7 +570,7 @@ mod tests {
             .map(|b| store.ingest(b).unwrap())
             .last()
             .expect("at least one batch");
-        let record = encode_record(&snap).unwrap();
+        let record = encode_record(&snap);
         (record, encode_checkpoint(&snap, &base), snap)
     }
 

@@ -34,7 +34,7 @@ use crate::service::QueryService;
 use crate::snapshot::Snapshot;
 use crate::spec::{Adornment, QuerySpec};
 use rq_adorn::{NaryPlan, ProbeSpace, VirtualSource};
-use rq_common::{obs, Const, Counters, FxHashMap, FxHashSet, Pred};
+use rq_common::{obs, Const, Counters, FxHashMap, Pred};
 use rq_datalog::Relation;
 use rq_engine::{EdbSource, EvalContext, Evaluator};
 use std::sync::Arc;
@@ -100,13 +100,8 @@ impl QueryService {
         let mut verdicts = PublishVerdicts::default();
         if let Some(plan) = self.plans.peek_program() {
             let id = plan.compiled.id();
-            let clean: FxHashMap<Pred, bool> = plan
-                .system
-                .lhs
-                .iter()
-                .map(|&pred| (pred, plan.read_set(pred).is_disjoint(dirty)))
-                .collect();
-            let repaired = repair && clean.values().any(|&c| !c) && {
+            let stale = plan.compiled.stale_machines(&plan.system, dirty);
+            let repaired = repair && !stale.is_empty() && {
                 let _repair = obs::span("ingest.delta_repair");
                 self.repair_chain_plan(prev, snap, plan)
                     .is_some_and(|patched| self.adopt(snap, patched))
@@ -116,17 +111,12 @@ impl QueryService {
             // unrepaired plan carries its clean machines from `prev`.
             if share && !repaired {
                 let _carry = obs::span("ingest.carry_context");
-                let machines: FxHashSet<u32> = plan
-                    .compiled
-                    .machine_preds()
-                    .into_iter()
-                    .filter(|(_, pred)| clean[pred])
-                    .map(|(machine, _)| machine)
-                    .collect();
                 snap.context()
-                    .install(None, id, prev.context().eval(), |m| machines.contains(&m));
+                    .install(None, id, prev.context().eval(), |m| !stale.contains(&m));
             }
-            for (pred, clean) in clean {
+            // Both orientations of a predicate are stale or clean together.
+            for (machine, pred) in plan.compiled.machine_preds() {
+                let clean = !stale.contains(&machine);
                 verdicts.chain.insert(pred, fate(clean, repaired));
             }
         }
@@ -190,20 +180,18 @@ impl QueryService {
             .filter(|(_, rows)| rows.iter().all(|r| r.len() == 2))
             .map(|(&pred, rows)| (pred, rows.iter().map(|r| (r[0], r[1])).collect()))
             .collect();
-        let memo = EvalContext::new();
-        let plan_id = plan.compiled.id();
-        if memo.carry_from(prev.context().eval(), |p, _| p == plan_id) == 0 {
-            return None;
-        }
         let source = EdbSource::new(snap.db());
-        let evaluator =
-            Evaluator::with_plan(&plan.system, &plan.compiled, &source).with_context(&memo);
-        let outcome = evaluator.repair(&pairs, &self.budgeted_options());
+        let (memo, outcome) = Evaluator::with_plan(&plan.system, &plan.compiled, &source)
+            .repair_detached(prev.context().eval(), &pairs, &self.budgeted_options());
         if !outcome.repaired {
             return self.refuse_repair();
         }
+        // Nothing of this plan was warm: nothing to install or count.
+        if memo.entries() == 0 {
+            return None;
+        }
         Some(Patched {
-            plan: plan_id,
+            plan: plan.compiled.id(),
             space: None,
             memo,
             rows: outcome.added_rows,
@@ -255,18 +243,14 @@ impl QueryService {
         for (&vpred, vp) in &vpairs {
             patched_rows += fork.patch_pairs(vpred, vp);
         }
-        let memo = EvalContext::new();
-        let plan_id = plan.compiled.id();
-        memo.carry_from(prev.context().eval(), |p, _| p == plan_id);
         let source = VirtualSource::with_space(snap.program(), snap.db(), &plan.binary, &fork);
-        let evaluator =
-            Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source).with_context(&memo);
-        let outcome = evaluator.repair(&vpairs, &self.budgeted_options());
+        let (memo, outcome) = Evaluator::with_plan(&plan.binary.system, &plan.compiled, &source)
+            .repair_detached(prev.context().eval(), &vpairs, &self.budgeted_options());
         if !outcome.repaired {
             return self.refuse_repair();
         }
         Some(Patched {
-            plan: plan_id,
+            plan: plan.compiled.id(),
             space: Some((slot, fork)),
             memo,
             rows: outcome.added_rows + patched_rows,

@@ -672,7 +672,7 @@ impl QueryService {
             None => self.store.ingest(facts_text)?,
             Some(durable) => self.store.ingest_with(facts_text, |next| {
                 let _wal = obs::span("ingest.wal_append");
-                let payload = durable::encode_record(next).map_err(IngestError::Durability)?;
+                let payload = durable::encode_record(next);
                 durable
                     .backend
                     .append(next.epoch(), &payload)
@@ -1754,5 +1754,53 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
                 });
             }
         });
+    }
+
+    /// The `m·n` guard of a cold `sg` point query measures its two
+    /// closures over the shards' CSR rows.  Each relation holds more
+    /// than the small-shard scan's 64 tuples, so a closure that probed
+    /// through the trie route would build a trie on it.
+    #[test]
+    fn the_cyclic_guard_reads_csr_rows_and_builds_no_trie() {
+        let mut src =
+            String::from("sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n");
+        for i in 0..70 {
+            let j = i + 1;
+            src.push_str(&format!(
+                "up(a{i}, a{j}). flat(a{i}, b{i}). down(b{j}, b{i}).\n"
+            ));
+        }
+        let service = QueryService::from_source(&src).unwrap();
+        let mut program = service.snapshot().program().clone();
+        let sg = program.pred_by_name("sg").unwrap();
+        let fixpoint = rq_datalog::seminaive_eval(&program).unwrap();
+        let truth: Vec<Vec<Const>> = fixpoint
+            .db
+            .relation(sg)
+            .iter()
+            .map(<[Const]>::to_vec)
+            .collect();
+        for text in ["sg(a0, Y)", "sg(X, b0)"] {
+            let answer = service.query(&service.parse_query(text).unwrap()).unwrap();
+            let query = rq_datalog::Query::parse(&mut program, text).unwrap();
+            assert_eq!(
+                answer.rows.to_vecs(),
+                query.answer_from_relation(&truth),
+                "{text}"
+            );
+            assert!(!answer.rows.is_empty(), "{text}");
+        }
+        let snapshot = service.snapshot();
+        for name in ["up", "flat", "down"] {
+            let shard = snapshot.db().relation(program.pred_by_name(name).unwrap());
+            assert!(shard.len() > 64);
+            for column in [0, 1] {
+                let mask = rq_datalog::mask_of([column]);
+                assert!(
+                    !shard.has_index(mask),
+                    "{name} built a trie on column {column}"
+                );
+            }
+        }
     }
 }

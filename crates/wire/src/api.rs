@@ -764,8 +764,6 @@ mod tests {
             for &i in &ints {
                 ids.push(consts.intern_int([i64::MIN, -1, 0, 1430, i64::MAX][i]));
             }
-            let nested = consts.intern_tuple(vec![ids[0], ids[ids.len() - 1]]);
-            ids.push(nested);
             let mut rows = Rows::builder(width);
             match width {
                 0 => (0..cells.len() % 2).for_each(|_| rows.push(&[])),

@@ -152,14 +152,13 @@ fn ingest_ack_reports_durability_and_stats_report_recovery() {
     assert!(metrics.contains("rq_wal_records_total"), "{metrics}");
 }
 
-/// The bytes the JSON encoder writes for constant `c`'s value (a tuple
-/// as its display string): what the interner's stored text must be.
+/// The bytes the JSON encoder writes for constant `c`'s value: what
+/// the interner's stored text must be.
 fn reference_text(consts: &rq_common::ConstInterner, c: rq_common::Const) -> String {
     use rq_common::{ConstValue, Json};
     match consts.value(c) {
         ConstValue::Int(i) => Json::Int(*i).encode(),
         ConstValue::Str(s) => Json::Str(s.clone()).encode(),
-        ConstValue::Tuple(_) => Json::Str(consts.display(c)).encode(),
     }
 }
 
