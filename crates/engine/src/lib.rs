@@ -46,6 +46,5 @@ pub use query::{
     AllPairsOutcome, EvalSide,
 };
 pub use source::{EdbSource, TupleSource};
-pub use traversal::{
-    CompiledPlan, EvalOptions, EvalOutcome, Evaluator, IterationStat, RepairOutcome,
-};
+pub use traversal::repair::RepairOutcome;
+pub use traversal::{CompiledPlan, EvalOptions, EvalOutcome, Evaluator, IterationStat};

@@ -44,9 +44,7 @@ use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_relalg::{EqSystem, Expr};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-mod repair;
-
-pub use repair::RepairOutcome;
+pub(crate) mod repair;
 
 /// Which machine an instance runs: the automaton of `pred`'s equation,
 /// possibly inverted (for transitions taken through an `Inv` label).
