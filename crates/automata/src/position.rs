@@ -22,10 +22,14 @@
 //! relation row once.
 
 use crate::nfa::{Label, Nfa};
+use rq_common::FxHashMap;
 use rq_relalg::Expr;
 
 /// A state's transitions (`Nfa::trans` rows).
 type Row = Vec<(Label, usize)>;
+
+/// A transition as `(target, source, label)`.
+type Entry = (usize, usize, Label);
 
 /// First and last positions of a subexpression, and whether it accepts
 /// the empty word.
@@ -42,6 +46,13 @@ struct Fragment {
 /// states and no `id` transition.  Derived predicates are ordinary
 /// letters here, as in [`crate::thompson`].
 pub fn position(e: &Expr) -> Nfa {
+    let mut nfa = positions(e);
+    merge_same_entry(&mut nfa);
+    reachable_part(&nfa)
+}
+
+/// The unmerged position automaton of `e`.
+fn positions(e: &Expr) -> Nfa {
     // Positions are numbered from 1: state 0 is the start, and
     // `trans[q]` collects the transitions into the positions that may
     // follow `q`.
@@ -54,13 +65,11 @@ pub fn position(e: &Expr) -> Nfa {
     for &q in &whole.last {
         finals[q] = true;
     }
-    let mut nfa = Nfa {
+    Nfa {
         trans,
         starts: vec![0],
         finals,
-    };
-    merge_same_entry(&mut nfa);
-    reachable_part(&nfa)
+    }
 }
 
 /// First, last and follow sets of `e`, allocating its positions; `None`
@@ -142,23 +151,35 @@ fn fragment(e: &Expr, labels: &mut Vec<Label>, trans: &mut Vec<Row>) -> Option<F
 /// outgoing rows and is final if either was; the other is left without
 /// rows and incoming transitions, and drops out of later rounds.
 fn merge_same_entry(nfa: &mut Nfa) {
+    merge_with(nfa, first_same_entry);
+}
+
+/// For each group of a round, in order, the state of the first group
+/// with the same `(source, label)` list: one hash lookup per group.
+fn first_same_entry(groups: &[&[Entry]]) -> Vec<usize> {
+    let mut first: FxHashMap<Vec<(usize, Label)>, usize> = FxHashMap::default();
+    let signature = |g: &[Entry]| g.iter().map(|&(_, q, label)| (q, label)).collect();
+    groups
+        .iter()
+        .map(|g| *first.entry(signature(g)).or_insert(g[0].0))
+        .collect()
+}
+
+/// [`merge_same_entry`] with the representative of each group chosen
+/// by `representatives`.
+fn merge_with(nfa: &mut Nfa, representatives: fn(&[&[Entry]]) -> Vec<usize>) {
     loop {
-        // Every transition as (target, source, label), grouped by target.
-        let mut entries: Vec<(usize, usize, Label)> = Vec::new();
+        // Every transition, grouped by target.
+        let mut entries: Vec<Entry> = Vec::new();
         for (q, row) in nfa.trans.iter().enumerate() {
             entries.extend(row.iter().map(|&(label, to)| (to, q, label)));
         }
         entries.sort_unstable();
         entries.dedup();
-        let groups: Vec<&[(usize, usize, Label)]> = entries.chunk_by(|x, y| x.0 == y.0).collect();
-        let same_entry = |g: &[(usize, usize, Label)], h: &[(usize, usize, Label)]| {
-            g.len() == h.len() && g.iter().zip(h).all(|(x, y)| (x.1, x.2) == (y.1, y.2))
-        };
+        let groups: Vec<&[Entry]> = entries.chunk_by(|x, y| x.0 == y.0).collect();
         let mut target: Vec<usize> = (0..nfa.num_states()).collect();
-        for (i, g) in groups.iter().enumerate() {
-            if let Some(h) = groups[..i].iter().find(|h| same_entry(g, h)) {
-                target[g[0].0] = h[0].0;
-            }
+        for (g, into) in groups.iter().zip(representatives(&groups)) {
+            target[g[0].0] = into;
         }
         if target.iter().enumerate().all(|(q, &into)| into == q) {
             return;
@@ -300,6 +321,65 @@ mod tests {
         assert!(id_transitions(&reference) > 0);
     }
 
+    /// The quadratic scan [`first_same_entry`] replaced: each group
+    /// against every earlier one.
+    fn scanned_same_entry(groups: &[&[Entry]]) -> Vec<usize> {
+        let same_entry = |g: &[Entry], h: &[Entry]| {
+            g.len() == h.len() && g.iter().zip(h).all(|(x, y)| (x.1, x.2) == (y.1, y.2))
+        };
+        let first = |i: usize| groups[..i].iter().find(|h| same_entry(groups[i], h));
+        (0..groups.len())
+            .map(|i| first(i).unwrap_or(&groups[i])[0].0)
+            .collect()
+    }
+
+    /// [`position`] with the scan picking the representatives.
+    fn scanned_position(e: &Expr) -> Nfa {
+        let mut nfa = positions(e);
+        merge_with(&mut nfa, scanned_same_entry);
+        reachable_part(&nfa)
+    }
+
+    #[test]
+    fn hashed_signatures_build_the_scanned_machines_on_random_programs() {
+        use rq_relalg::{lemma1, Lemma1Options};
+        use rq_workloads::randprog::{random_program, seeded, RandProgConfig, RecursionStyle};
+        let styles = [
+            RecursionStyle::Regular,
+            RecursionStyle::MiddleLinear,
+            RecursionStyle::Mixed,
+        ];
+        let shallow = (0..8).flat_map(|seed| styles.map(|style| seeded(seed, style)));
+        // `differential`'s mutual-recursion programs: seeds 7 and 14
+        // solve to systems of ≈ 90k characters.
+        let deep = (0..16).map(|seed| {
+            random_program(&RandProgConfig {
+                seed,
+                groups: 3,
+                mutual_prob: 0.6,
+                style: RecursionStyle::Mixed,
+                base_preds: 4,
+                rules_per_pred: 3,
+                max_body: 4,
+                lower_ref_prob: 0.35,
+                domain: 14,
+                facts_per_base: 24,
+                cyclic: false,
+            })
+        });
+        let mut machines = 0;
+        for rp in shallow.chain(deep) {
+            let system = lemma1(&rp.program, &Lemma1Options::default())
+                .expect("linear programs solve")
+                .system;
+            for e in system.rhs.values() {
+                assert_eq!(position(e), scanned_position(e), "{e:?}");
+                machines += 1;
+            }
+        }
+        assert!(machines > 60, "{machines} machines compared");
+    }
+
     #[test]
     fn merging_reaches_a_fixpoint() {
         let e = Expr::star(Expr::union([p(1), Expr::cat([p(2), Expr::star(p(3))])]));
@@ -395,6 +475,11 @@ mod tests {
                 let mut again = once.clone();
                 merge_same_entry(&mut again);
                 prop_assert_eq!(reachable_part(&again), once);
+            }
+
+            #[test]
+            fn hashed_signatures_build_the_scanned_machines(e in arb_expr()) {
+                prop_assert_eq!(position(&e), scanned_position(&e));
             }
 
             #[test]

@@ -24,14 +24,31 @@
 //! * **Batch dedup accounting.**  [`ResultCache::note_deduped`] counts
 //!   queries a batch answered by sharing another identical spec's
 //!   answer instead of evaluating ([`CacheStats::deduped`]).
+//! * **Admission on second sight.**  Once the cache holds
+//!   [`ADMISSION_ALLOWANCE`] entries, [`ResultCache::admit`] lets a
+//!   spec in only if it was refused before (TinyLFU's doorkeeper:
+//!   Einziger, Friedman & Manes, ACM ToS 2017), so a stream that never
+//!   repeats stops filling the cache with answers nobody reads again.
+//!   A smaller cap would not do: a working set of 8k–65k keys that does
+//!   repeat would thrash in it.
 
 use crate::plan::CacheStats;
 use crate::service::Route;
 use crate::spec::QuerySpec;
 use rq_common::obs::Counter;
-use rq_common::{FxHashMap, Rows};
+use rq_common::{FxBuildHasher, FxHashMap, FxHashSet, Rows};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+
+/// Entries the cache admits on first sight: one eighth of the default
+/// cap (`ServiceConfig::result_cache_capacity`, 65,536).  Past them a
+/// spec is admitted on its second sight ([`ResultCache::admit`]).
+pub const ADMISSION_ALLOWANCE: usize = 1 << 13;
+
+/// Refused spec hashes the doorkeeper holds before it starts over
+/// (TinyLFU's reset), bounding its memory.
+const DOORKEEPER_RESET: usize = 1 << 16;
 
 /// What an epoch sweep does with one surviving-candidate entry — the
 /// three-way policy behind delta-driven maintenance.
@@ -102,16 +119,29 @@ struct Inner {
     bytes: u64,
 }
 
+/// The entry map's lock and the use tick.  Every lookup writes both (a
+/// read lock is an atomic add on its state), so they share one cache
+/// line: a lookup on another core then moves one line, not two.
+#[repr(C, align(64))]
+struct Hot {
+    inner: RwLock<Inner>,
+    tick: AtomicU64,
+}
+
+const _: () = assert!(std::mem::size_of::<Hot>() == 64, "one cache line");
+
 /// Thread-safe memoization of query results, optionally bounded by
 /// entry count and/or approximate payload bytes.
 pub struct ResultCache {
-    inner: RwLock<Inner>,
+    hot: Hot,
     /// Entry cap; `None` = unbounded.
     capacity: Option<usize>,
     /// Byte budget over the approximate entry footprints; `None` =
     /// unbounded.
     byte_budget: Option<u64>,
-    tick: AtomicU64,
+    /// Hashes of the specs [`ResultCache::admit`] refused, epoch left
+    /// out, so a repeat in a later epoch counts as a second sight.
+    doorkeeper: Mutex<FxHashSet<u64>>,
     /// Shareable counters ([`rq_common::obs::Counter`]): the service
     /// adopts clones into its metrics registry, so `/metrics` reads
     /// the very cells the cache increments.
@@ -119,6 +149,7 @@ pub struct ResultCache {
     misses: Counter,
     evictions: Counter,
     deduped: Counter,
+    refused: Counter,
 }
 
 impl ResultCache {
@@ -138,29 +169,34 @@ impl ResultCache {
     /// disables memoization entirely.
     pub fn with_limits(capacity: Option<usize>, byte_budget: Option<u64>) -> Self {
         Self {
-            inner: RwLock::new(Inner {
-                map: FxHashMap::default(),
-                bytes: 0,
-            }),
+            hot: Hot {
+                inner: RwLock::new(Inner {
+                    map: FxHashMap::default(),
+                    bytes: 0,
+                }),
+                tick: AtomicU64::new(0),
+            },
             capacity,
             byte_budget,
-            tick: AtomicU64::new(0),
+            doorkeeper: Mutex::default(),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
             deduped: Counter::new(),
+            refused: Counter::new(),
         }
     }
 
-    /// Handles to the hit/miss/eviction/dedup counters, in that order
-    /// (each shares the underlying cells) — what the service registers
-    /// under the `rq_result_cache_*` metric names.
-    pub fn counters(&self) -> (Counter, Counter, Counter, Counter) {
+    /// Handles to the hit/miss/eviction/dedup/refusal counters, in that
+    /// order (each shares the underlying cells) — what the service
+    /// registers under the `rq_result_cache_*` metric names.
+    pub fn counters(&self) -> (Counter, Counter, Counter, Counter, Counter) {
         (
             self.hits.clone(),
             self.misses.clone(),
             self.evictions.clone(),
             self.deduped.clone(),
+            self.refused.clone(),
         )
     }
 
@@ -176,15 +212,21 @@ impl ResultCache {
 
     /// Approximate bytes currently charged to memoized answers.
     pub fn bytes(&self) -> u64 {
-        self.inner.read().expect("result cache lock poisoned").bytes
+        self.hot
+            .inner
+            .read()
+            .expect("result cache lock poisoned")
+            .bytes
     }
 
     /// Look up a memoized answer, refreshing its recency.
     pub fn get(&self, key: &ResultKey) -> Option<CachedResult> {
-        let inner = self.inner.read().expect("result cache lock poisoned");
+        let inner = self.hot.inner.read().expect("result cache lock poisoned");
         let hit = inner.map.get(key).map(|e| {
-            e.last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+            e.last_used.store(
+                self.hot.tick.fetch_add(1, Ordering::Relaxed),
+                Ordering::Relaxed,
+            );
             e.result.clone()
         });
         drop(inner);
@@ -199,8 +241,40 @@ impl ResultCache {
     /// recency refresh — publish-time re-derivation must not look like
     /// served traffic.
     pub fn peek(&self, key: &ResultKey) -> Option<CachedResult> {
-        let inner = self.inner.read().expect("result cache lock poisoned");
+        let inner = self.hot.inner.read().expect("result cache lock poisoned");
         inner.map.get(key).map(|e| e.result.clone())
+    }
+
+    /// Whether a freshly evaluated `spec` should be memoized: always
+    /// while the cache holds fewer than [`ADMISSION_ALLOWANCE`] entries,
+    /// and past that only on the spec's second sight.  A refusal
+    /// remembers the spec's hash and counts in [`Self::refused`]; the
+    /// doorkeeper forgets everything once it holds `DOORKEEPER_RESET`
+    /// hashes.  [`Self::insert`] does not ask: the service asks on a
+    /// miss, and maintenance re-inserts what the cache already held.
+    pub fn admit(&self, spec: &QuerySpec) -> bool {
+        if self.len() < ADMISSION_ALLOWANCE {
+            return true;
+        }
+        let hash = FxBuildHasher::default().hash_one(spec);
+        let mut seen = self
+            .doorkeeper
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if seen.contains(&hash) {
+            return true;
+        }
+        if seen.len() >= DOORKEEPER_RESET {
+            seen.clear();
+        }
+        seen.insert(hash);
+        self.refused.inc();
+        false
+    }
+
+    /// Specs [`Self::admit`] has refused.
+    pub fn refused(&self) -> u64 {
+        self.refused.value()
     }
 
     /// Memoize an answer.  Last write wins; concurrent writers compute
@@ -213,14 +287,14 @@ impl ResultCache {
         let bytes = approx_bytes(&key, &value.rows);
         let entry = Entry {
             result: value,
-            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+            last_used: AtomicU64::new(self.hot.tick.fetch_add(1, Ordering::Relaxed)),
             bytes,
         };
         // Nothing this insert removes is freed under the write lock:
         // the displaced and evicted entries move out of the critical
         // section and drop here, after the guard.
         let removed = {
-            let mut inner = self.inner.write().expect("result cache lock poisoned");
+            let mut inner = self.hot.inner.write().expect("result cache lock poisoned");
             self.insert_locked(&mut inner, key, entry)
         };
         drop(removed);
@@ -309,7 +383,7 @@ impl ResultCache {
         // The judge is the caller's code; keeping it out from under
         // the write lock means no concurrent query can stall behind it.
         let judged: Vec<(ResultKey, SweepDecision)> = {
-            let inner = self.inner.read().expect("result cache lock poisoned");
+            let inner = self.hot.inner.read().expect("result cache lock poisoned");
             inner
                 .map
                 .keys()
@@ -332,7 +406,7 @@ impl ResultCache {
         // phases is skipped; a stale key inserted between them is
         // caught by the next sweep (the same window exists for inserts
         // racing the old single-lock version).
-        let mut inner = self.inner.write().expect("result cache lock poisoned");
+        let mut inner = self.hot.inner.write().expect("result cache lock poisoned");
         let mut evicted = 0u64;
         let mut repair = Vec::new();
         // Removed entries, freed after the lock like `insert`'s.
@@ -385,7 +459,8 @@ impl ResultCache {
 
     /// Number of memoized answers.
     pub fn len(&self) -> usize {
-        self.inner
+        self.hot
+            .inner
             .read()
             .expect("result cache lock poisoned")
             .map
@@ -692,6 +767,29 @@ mod tests {
         assert!(repair.is_empty(), "too-old entries are dropped, not judged");
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn past_the_allowance_specs_are_admitted_on_second_sight() {
+        let cache = ResultCache::new();
+        for c in 0..ADMISSION_ALLOWANCE as u32 {
+            assert!(cache.admit(&key(0, c).spec));
+            cache.insert(key(0, c), value(&[c]));
+        }
+        let fresh = key(0, u32::MAX).spec;
+        assert!(!cache.admit(&fresh), "first sight refused");
+        assert!(
+            cache.admit(&key(1, u32::MAX).spec),
+            "a repeat in a later epoch counts"
+        );
+        assert_eq!(cache.refused(), 1);
+        // The doorkeeper forgets everything once it is full.
+        for c in 0..DOORKEEPER_RESET as u32 {
+            assert!(!cache.admit(&key(0, 1 << 20 | c).spec));
+        }
+        assert!(!cache.admit(&fresh), "forgotten at the reset");
+        assert_eq!(cache.refused(), 2 + DOORKEEPER_RESET as u64);
+        assert_eq!(cache.len(), ADMISSION_ALLOWANCE, "admit never inserts");
     }
 
     #[test]

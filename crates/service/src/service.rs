@@ -11,7 +11,8 @@ use rq_common::obs::{self, Counter, Histogram};
 use rq_common::{Const, Counters, FxHashMap, Pred, Registry, Rows};
 use rq_datalog::{Program, MAX_ARITY};
 use rq_engine::{
-    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
+    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalContext, EvalOptions,
+    Evaluator,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,7 +299,12 @@ pub(crate) struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    fn register(registry: &Registry, plans: &PlanCache, results: &ResultCache) -> Self {
+    fn register(
+        registry: &Registry,
+        plans: &PlanCache,
+        results: &ResultCache,
+        memo: &EvalContext,
+    ) -> Self {
         registry.adopt_counter(
             "rq_plan_cache_hits_total",
             "Plan-cache lookups answered from the cache.",
@@ -311,7 +317,7 @@ impl ServiceCounters {
             &[],
             &plans.misses_counter(),
         );
-        let (hits, misses, evictions, deduped) = results.counters();
+        let (hits, misses, evictions, deduped, refused) = results.counters();
         registry.adopt_counter(
             "rq_result_cache_hits_total",
             "Result-cache lookups answered from the cache.",
@@ -335,6 +341,18 @@ impl ServiceCounters {
             "Duplicate batch queries served from a sibling's answer.",
             &[],
             &deduped,
+        );
+        registry.adopt_counter(
+            "rq_result_cache_refused_total",
+            "Evaluated answers not memoized: first sights past the admission allowance.",
+            &[],
+            &refused,
+        );
+        registry.adopt_counter(
+            "rq_epoch_context_machine_refused_total",
+            "Completed traversals the machine memo did not record: first sights past its allowance.",
+            &[],
+            &memo.refused_counter(),
         );
         Self {
             queries: registry.counter("rq_queries_total", "Queries evaluated by the service."),
@@ -431,7 +449,9 @@ impl QueryService {
         let results =
             ResultCache::with_limits(config.result_cache_capacity, config.result_cache_bytes);
         let metrics = Arc::new(Registry::new());
-        let counters = ServiceCounters::register(&metrics, &plans, &results);
+        let first = store.snapshot();
+        let counters =
+            ServiceCounters::register(&metrics, &plans, &results, first.context().eval());
         let service = Self {
             store,
             plans,
@@ -605,6 +625,7 @@ impl QueryService {
             results: self.results.stats(),
             result_entries: self.results.len(),
             result_bytes: self.results.bytes(),
+            result_refused: self.results.refused(),
             context: snapshot.context().stats(),
             csr_builds: self.counters.csr_builds.value(),
             csr_build_micros: (self.counters.csr_build_seconds.snapshot().sum_seconds * 1e6).round()
@@ -792,7 +813,9 @@ impl QueryService {
             span.note("rows", result.rows.len());
             span.note("converged", result.converged);
         }
-        self.results.insert(key, result.clone());
+        if self.results.admit(spec) {
+            self.results.insert(key, result.clone());
+        }
         Ok(ServiceAnswer {
             epoch: snapshot.epoch(),
             rows: result.rows,

@@ -111,6 +111,7 @@ impl Snapshot {
         db: Database,
         dirty: FxHashSet<Pred>,
         delta: Delta,
+        context: EpochContext,
     ) -> Self {
         // Dirty shards dropped their compact store on mutation and
         // rebuild it here; clean shards still hold the parent epoch's
@@ -131,7 +132,7 @@ impl Snapshot {
             db,
             dirty,
             delta,
-            context: EpochContext::new(),
+            context,
             csr_builds,
             csr_build_time,
         }
@@ -272,7 +273,8 @@ impl SnapshotStore {
         // The first snapshot owns every shard uniquely: trim the
         // tail-chunk over-allocation the initial load left behind.
         db.compact_shards(dirty.iter().copied());
-        let first = Snapshot::new(epoch, program, db, dirty, Delta::default());
+        let context = EpochContext::new();
+        let first = Snapshot::new(epoch, program, db, dirty, Delta::default(), context);
         Self {
             current: RwLock::new(Arc::new(first)),
             writer: Mutex::new(()),
@@ -378,7 +380,9 @@ impl SnapshotStore {
         delta: Delta,
         pre_publish: impl FnOnce(&Snapshot) -> Result<(), IngestError>,
     ) -> Result<Arc<Snapshot>, IngestError> {
-        let next = Arc::new(Snapshot::new(base.epoch + 1, program, db, dirty, delta));
+        let context = EpochContext::continuing(base.context());
+        let next = Snapshot::new(base.epoch + 1, program, db, dirty, delta, context);
+        let next = Arc::new(next);
         pre_publish(&next)?;
         *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
         Ok(next)

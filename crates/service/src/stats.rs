@@ -37,6 +37,9 @@ pub struct StatsReport {
     pub result_entries: usize,
     /// Approximate bytes charged to memoized results.
     pub result_bytes: u64,
+    /// Evaluated answers the result cache did not admit (first sights
+    /// past its admission allowance), service lifetime.
+    pub result_refused: u64,
     /// The current epoch context's counters (machine memo, §4 probe
     /// memo, SCC routing, cross-epoch carries).
     pub context: EpochContextStats,
@@ -70,12 +73,19 @@ impl StatsReport {
     pub fn to_json(&self) -> Json {
         let int = |n: u64| Json::Int(n as i64);
         let memo = |hits: u64, misses: u64, entries: usize| {
-            Json::object([
+            [
                 ("hits", int(hits)),
                 ("misses", int(misses)),
                 ("entries", int(entries as u64)),
-            ])
+            ]
         };
+        let machine_memo = memo(
+            self.context.eval_hits,
+            self.context.eval_misses,
+            self.context.eval_entries,
+        )
+        .into_iter()
+        .chain([("refused", int(self.context.eval_refused))]);
         Json::object([
             ("epoch", int(self.epoch)),
             (
@@ -96,6 +106,7 @@ impl StatsReport {
                     ("deduped", int(self.results.deduped)),
                     ("entries", int(self.result_entries as u64)),
                     ("bytes", int(self.result_bytes)),
+                    ("refused", int(self.result_refused)),
                 ]),
             ),
             (
@@ -103,20 +114,13 @@ impl StatsReport {
                 Json::object([
                     (
                         "probe_memo",
-                        memo(
+                        Json::object(memo(
                             self.context.probe_hits,
                             self.context.probe_misses,
                             self.context.probe_entries,
-                        ),
+                        )),
                     ),
-                    (
-                        "machine_memo",
-                        memo(
-                            self.context.eval_hits,
-                            self.context.eval_misses,
-                            self.context.eval_entries,
-                        ),
-                    ),
+                    ("machine_memo", Json::object(machine_memo)),
                     ("scc_served", int(self.context.scc_served)),
                     (
                         "carried",
@@ -190,7 +194,9 @@ impl StatsReport {
     /// here — the service adopted the caches' own
     /// [`rq_common::obs::Counter`] cells into the registry at
     /// construction (`rq_plan_cache_*_total`,
-    /// `rq_result_cache_*_total`), so those families export live
+    /// `rq_result_cache_*_total`, and the machine memo's
+    /// `rq_epoch_context_machine_refused_total`, which every epoch's
+    /// context shares), so those families export live
     /// values with no transcription step.  Only point-in-time values
     /// (sizes, epoch, per-epoch memo counters that reset on publish)
     /// travel through this report as gauges.
@@ -317,23 +323,25 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "result cache: {} hits / {} misses / {} evictions / {} deduped ({} entr(ies), ~{} bytes)",
+            "result cache: {} hits / {} misses / {} evictions / {} deduped ({} entr(ies), ~{} bytes), {} refused",
             self.results.hits,
             self.results.misses,
             self.results.evictions,
             self.results.deduped,
             self.result_entries,
             self.result_bytes,
+            self.result_refused,
         )?;
         writeln!(
             f,
-            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
+            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)) / {} refused, {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
             self.context.probe_hits,
             self.context.probe_misses,
             self.context.probe_entries,
             self.context.eval_hits,
             self.context.eval_misses,
             self.context.eval_entries,
+            self.context.eval_refused,
             self.context.scc_served,
             self.context.eval_carried,
             self.context.probe_spaces_carried,
@@ -388,10 +396,12 @@ mod tests {
             },
             result_entries: 7,
             result_bytes: 1234,
+            result_refused: 11,
             context: EpochContextStats {
                 eval_hits: 6,
                 eval_misses: 2,
                 eval_entries: 4,
+                eval_refused: 13,
                 probe_hits: 9,
                 probe_misses: 3,
                 probe_entries: 5,
@@ -532,5 +542,46 @@ mod tests {
         // duplicating families.
         let again = report().export_prometheus(&registry);
         assert_eq!(again.matches("\nrq_epoch 3\n").count(), 1);
+    }
+
+    #[test]
+    fn refusals_rise_past_the_allowance_and_stay_zero_on_repeats() {
+        let sources = crate::results::ADMISSION_ALLOWANCE + 100;
+        let mut text = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
+        for i in 0..sources {
+            text.push_str(&format!("e(s{i}, t{i}).\n"));
+        }
+        let query = |service: &crate::QueryService, i: usize| {
+            let spec = service.parse_query(&format!("tc(s{i}, Y)")).unwrap();
+            assert_eq!(service.query(&spec).unwrap().rows.len(), 1);
+        };
+        let repeated = crate::QueryService::from_source(&text).unwrap();
+        for _ in 0..3 {
+            for i in 0..100 {
+                query(&repeated, i);
+            }
+        }
+        let report = repeated.stats_report();
+        assert_eq!((report.result_refused, report.context.eval_refused), (0, 0));
+        let one_shot = crate::QueryService::from_source(&text).unwrap();
+        for i in 0..sources {
+            query(&one_shot, i);
+        }
+        let report = one_shot.stats_report();
+        assert_eq!(
+            (report.result_refused, report.context.eval_refused),
+            (100, 100)
+        );
+        let results = report.to_json().get("result_cache").unwrap().clone();
+        assert_eq!(results.get("refused").and_then(Json::as_i64), Some(100));
+        let text = one_shot.metrics_prometheus();
+        assert!(
+            text.contains("rq_result_cache_refused_total 100\n"),
+            "{text}"
+        );
+        assert!(text.contains("rq_epoch_context_machine_refused_total 100\n"));
+        one_shot.ingest("e(z0, z1).").unwrap();
+        let report = one_shot.stats_report();
+        assert_eq!(report.context.eval_refused, 100, "runs on across a publish");
     }
 }

@@ -38,9 +38,15 @@ fn main() {
             ..EvalOptions::default()
         },
     );
+    // On cyclic data the natural condition never fires: the run stops
+    // at the m·n bound, which is complete by the Marchetti-Spaccamela
+    // argument, so `converged` reads true.  The bound counts recursion
+    // depths, and iteration i explores depth i - 1.
+    let iterations = out.counters.iterations;
     println!(
-        "converged naturally: {} (expected false for cyclic data)",
-        out.converged
+        "complete under the m·n guard: {} ({iterations} iterations run = recursion depths 0..={}, bound {bound})",
+        out.converged,
+        iterations.saturating_sub(1)
     );
     let mut names: Vec<String> = out
         .answers
