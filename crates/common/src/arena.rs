@@ -158,11 +158,6 @@ fn pack(range: Range<usize>) -> u64 {
     (range.start as u64 + 1) << 32 | range.len() as u64
 }
 
-/// A slot word [`unpack`] reads as vacant (its start half is 0): it
-/// marks a key whose first record [`AnswerStore::record_on_second_sight`]
-/// refused, and costs nothing beyond its slot.
-const SEEN: u64 = 1;
-
 /// The answer range of a slot word, `None` when vacant.
 fn unpack(slot: u64) -> Option<Range<usize>> {
     let start = (slot >> 32).checked_sub(1)? as usize;
@@ -316,35 +311,6 @@ impl AnswerStore {
     /// keeps it (racing writers record identical answers).
     pub fn record(&self, column: usize, key: usize, answers: &[Const]) -> bool {
         let mut fill = self.lock();
-        self.record_locked(&mut fill, column, key, answers)
-    }
-
-    /// [`Self::record`] behind a doorkeeper: while the store holds fewer
-    /// than `allowance` entries it records at once; past that, a key's
-    /// first record only marks its vacant slot and returns `None`, and
-    /// its next record stores the answers.  Every reader ([`Self::get`],
-    /// [`Self::keys`], carries, forks, patches) takes the mark for a
-    /// vacant slot.
-    pub fn record_on_second_sight(
-        &self,
-        column: usize,
-        key: usize,
-        answers: &[Const],
-        allowance: usize,
-    ) -> Option<bool> {
-        let mut fill = self.lock();
-        if fill.entries >= allowance && self.get(column, key).is_none() {
-            // The mark publishes nothing: readers take it for vacant.
-            let slot = self.columns.slot(column).slot(key);
-            if slot.swap(SEEN, Ordering::Relaxed) != SEEN {
-                return None;
-            }
-        }
-        Some(self.record_locked(&mut fill, column, key, answers))
-    }
-
-    /// The critical section of [`Self::record`].
-    fn record_locked(&self, fill: &mut Fill, column: usize, key: usize, answers: &[Const]) -> bool {
         if self.get(column, key).is_some() {
             return true;
         }
@@ -355,7 +321,7 @@ impl AnswerStore {
             return false;
         };
         fill.entries += 1;
-        self.point(fill, column, key, range);
+        self.point(&mut fill, column, key, range);
         true
     }
 
@@ -604,48 +570,6 @@ mod tests {
         assert_eq!(out, consts(&[7]));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 2));
-    }
-
-    #[test]
-    fn past_the_allowance_a_key_records_on_its_second_sight() {
-        let store = AnswerStore::new(8);
-        assert_eq!(
-            store.record_on_second_sight(0, 1, &consts(&[1]), 1),
-            Some(true)
-        );
-        assert_eq!(store.record_on_second_sight(0, 2, &consts(&[2]), 1), None);
-        // The mark reads as vacant everywhere.
-        assert_eq!(answers(&store, 0, 2), None);
-        assert_eq!(
-            store.keys(0).map(|(key, _)| key).collect::<Vec<_>>(),
-            vec![1]
-        );
-        assert_eq!(store.patch(0, 2, |a| a.push(Const(3))), 0);
-        assert!(!store.remove(0, 2));
-        let fork = store.fork();
-        assert_eq!(answers(&fork, 0, 2), None);
-        assert_eq!((store.stats().entries, store.words()), (1, 1));
-        assert_eq!(
-            store.record_on_second_sight(0, 2, &consts(&[2]), 1),
-            Some(true)
-        );
-        assert_eq!(answers(&store, 0, 2), Some(vec![2]));
-        assert_eq!(
-            store.record_on_second_sight(0, 2, &consts(&[9]), 1),
-            Some(true),
-            "a held key keeps its entry"
-        );
-        // The fork kept the mark, so its next sight records.
-        assert_eq!(
-            fork.record_on_second_sight(0, 2, &consts(&[2]), 1),
-            Some(true)
-        );
-        // Below the allowance nothing is marked, whatever came before.
-        assert_eq!(
-            store.record_on_second_sight(0, 3, &consts(&[3]), 8),
-            Some(true)
-        );
-        assert_eq!(store.stats().entries, 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! there a root hit or a memo teleport is one `Acquire` slot load plus
 //! a copy of the answers, with no lock.
 
-use rq_common::{AnswerStats, AnswerStore, Arena, Const, Counter, FxHashSet};
+use rq_common::{AnswerStats, AnswerStore, Arena, Const, FxHashSet};
 use std::sync::OnceLock;
 
 /// Statistics of one [`EvalContext`]: memo lookups answered and
@@ -59,28 +59,19 @@ impl Home {
 /// computed on: the serving layer keys one per snapshot epoch.  It is
 /// bounded by an entry cap: once full, new results are not recorded —
 /// always sound, because the memo is never the source of truth.
-///
-/// Past [`ADMISSION_ALLOWANCE`] entries a root is recorded only on its
-/// second completed traversal (TinyLFU's doorkeeper: Einziger,
-/// Friedman & Manes, ACM ToS 2017): the first marks its vacant slot
-/// ([`AnswerStore::record_on_second_sight`]).  A memo that cannot
-/// evict would otherwise fill its cap with the first roots of an epoch
-/// whether or not anyone asks for them again.
 pub struct EvalContext {
     pub(crate) store: AnswerStore,
     /// The directory: registered plans' ids and homes, in order.
     plans: Arena<OnceLock<(u64, Home)>>,
-    /// Roots whose first sight past the allowance was not recorded,
-    /// shared by the contexts that continue this one.
-    refused: Counter,
 }
 
-/// Default entry cap for [`EvalContext`].
-pub const DEFAULT_CONTEXT_ENTRIES: usize = 1 << 16;
-
-/// Entries an [`EvalContext`] records on first sight, one eighth of
-/// [`DEFAULT_CONTEXT_ENTRIES`]; past them a root records on its second.
-pub const ADMISSION_ALLOWANCE: usize = DEFAULT_CONTEXT_ENTRIES / 8;
+/// Default entry cap for [`EvalContext`].  The memo cannot evict, so
+/// on a stream that never repeats it holds the first roots of the epoch
+/// until the cap; 8,192 bounds what that costs (a 65,536 cap held
+/// ≈ 48k one-shot roots on the benchmark's `cold_reach`).  Keeping the
+/// 65,536 cap and recording a root past 8,192 only on its second
+/// traversal held ≈ 29 MB more server RSS there.
+pub const DEFAULT_CONTEXT_ENTRIES: usize = 1 << 13;
 
 /// One plan's view of an [`EvalContext`], resolved with one directory
 /// lookup per evaluation.  A plan the context had not met then misses
@@ -114,16 +105,6 @@ impl EvalContext {
         Self {
             store: AnswerStore::new(max_entries),
             plans: Arena::default(),
-            refused: Counter::new(),
-        }
-    }
-
-    /// A fresh context with the default cap whose refusals count on in
-    /// `prev`'s counter, so one count spans a lineage of epochs.
-    pub fn continuing(prev: &EvalContext) -> Self {
-        Self {
-            refused: prev.refused.clone(),
-            ..Self::new()
         }
     }
 
@@ -150,8 +131,7 @@ impl EvalContext {
     /// Memoize `answers` (sorted and duplicate-free, what a traversal
     /// returns) for `(machine, from)` of `plan`, which has `machines`
     /// machines.  Returns whether the key now holds an entry (`false`:
-    /// the cap refused it, or it was a first sight past
-    /// [`ADMISSION_ALLOWANCE`], counted in [`Self::refused`]).
+    /// the cap refused it).
     pub(crate) fn record(
         &self,
         plan: u64,
@@ -160,19 +140,9 @@ impl EvalContext {
         from: Const,
         answers: &[Const],
     ) -> bool {
-        let Some((column, key)) = self.register(plan, machines).locate(machine, from) else {
-            return false;
-        };
-        let admitted = self
-            .store
-            .record_on_second_sight(column, key, answers, ADMISSION_ALLOWANCE);
-        match admitted {
-            Some(held) => held,
-            None => {
-                self.refused.inc();
-                false
-            }
-        }
+        self.register(plan, machines)
+            .locate(machine, from)
+            .is_some_and(|(column, key)| self.store.record(column, key, answers))
     }
 
     /// The home of `plan`, registered on first sight with `machines`
@@ -294,19 +264,6 @@ impl EvalContext {
     /// Hit/miss/entry counts.
     pub fn stats(&self) -> EvalContextStats {
         self.store.stats()
-    }
-
-    /// Roots not recorded because they were first sights past
-    /// [`ADMISSION_ALLOWANCE`], in this context and every one of its
-    /// lineage ([`Self::continuing`]).
-    pub fn refused(&self) -> u64 {
-        self.refused.value()
-    }
-
-    /// A handle on the cell behind [`Self::refused`], for a metrics
-    /// registry to adopt.
-    pub fn refused_counter(&self) -> Counter {
-        self.refused.clone()
     }
 }
 
@@ -431,26 +388,6 @@ mod tests {
             Some(vec![Const(1), Const(3), Const(5)])
         );
         assert_eq!(fork.entries(), 2);
-    }
-
-    #[test]
-    fn past_the_allowance_a_root_records_on_its_second_sight() {
-        let ctx = EvalContext::new();
-        for from in 0..ADMISSION_ALLOWANCE as u32 {
-            assert!(record(&ctx, PLAN, 0, from, &[from]));
-        }
-        let next = ADMISSION_ALLOWANCE as u32;
-        assert!(!record(&ctx, PLAN, 0, next, &[1]), "first sight refused");
-        assert_eq!(lookup(&ctx, PLAN, 0, next), None);
-        assert_eq!(ctx.peek(PLAN, 0, Const(next)), None);
-        let all: FxHashSet<u32> = [0].into_iter().collect();
-        assert_eq!(ctx.roots_for(PLAN, &all).len(), ADMISSION_ALLOWANCE);
-        let carried = EvalContext::new();
-        assert_eq!(carried.carry_from(&ctx, |_, _| true), ADMISSION_ALLOWANCE);
-        assert!(record(&ctx, PLAN, 0, next, &[1]), "second sight records");
-        assert_eq!(lookup(&ctx, PLAN, 0, next), Some(vec![1]));
-        assert!(!record(&ctx, PLAN, 1, next, &[2]), "machines count apart");
-        assert_eq!((ctx.entries(), ctx.refused()), (ADMISSION_ALLOWANCE + 1, 2));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod query;
 pub mod source;
 pub mod traversal;
 
-pub use context::{EvalContext, EvalContextStats, ADMISSION_ALLOWANCE, DEFAULT_CONTEXT_ENTRIES};
+pub use context::{EvalContext, EvalContextStats, DEFAULT_CONTEXT_ENTRIES};
 pub use image::{image, image_of};
 pub use query::{
     all_pairs_min_side, all_pairs_per_source, all_pairs_scc, candidate_sources,

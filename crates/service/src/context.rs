@@ -50,11 +50,6 @@ pub struct EpochContextStats {
     pub eval_misses: u64,
     /// Memoized machine-traversal answer sets.
     pub eval_entries: usize,
-    /// Completed traversals the machine memo did not record: first
-    /// sights of a root past [`rq_engine::ADMISSION_ALLOWANCE`].  Unlike
-    /// the other counts this one runs on across publishes
-    /// ([`EvalContext::continuing`]).
-    pub eval_refused: u64,
     /// §4 virtual-relation probes answered from a shared memo.
     pub probe_hits: u64,
     /// §4 virtual-relation probes that ran their defining join.
@@ -91,15 +86,6 @@ impl EpochContext {
             scc_served: AtomicU64::new(0),
             eval_carried: AtomicU64::new(0),
             probe_spaces_carried: AtomicU64::new(0),
-        }
-    }
-
-    /// A fresh context for the epoch after `prev`'s: empty, but its
-    /// machine-memo refusals count on in `prev`'s counter.
-    pub(crate) fn continuing(prev: &EpochContext) -> Self {
-        Self {
-            eval: EvalContext::continuing(&prev.eval),
-            ..Self::new()
         }
     }
 
@@ -213,7 +199,6 @@ impl EpochContext {
             eval_hits: eval.hits,
             eval_misses: eval.misses,
             eval_entries: eval.entries,
-            eval_refused: self.eval.refused(),
             scc_served: self.scc_served.load(Ordering::Relaxed),
             eval_carried: self.eval_carried.load(Ordering::Relaxed),
             probe_spaces_carried: self.probe_spaces_carried.load(Ordering::Relaxed),

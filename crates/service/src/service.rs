@@ -11,8 +11,7 @@ use rq_common::obs::{self, Counter, Histogram};
 use rq_common::{Const, Counters, FxHashMap, Pred, Registry, Rows};
 use rq_datalog::{Program, MAX_ARITY};
 use rq_engine::{
-    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalContext, EvalOptions,
-    Evaluator,
+    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +75,7 @@ impl Default for ServiceConfig {
             share_epoch_context: true,
             options: EvalOptions::default(),
             fallback_node_budget: Some(2_000_000),
-            result_cache_capacity: Some(1 << 16),
+            result_cache_capacity: Some(crate::results::DEFAULT_CAPACITY),
             result_cache_bytes: Some(256 << 20),
             delta_repair: true,
             durability: DurabilityConfig::default(),
@@ -299,12 +298,7 @@ pub(crate) struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    fn register(
-        registry: &Registry,
-        plans: &PlanCache,
-        results: &ResultCache,
-        memo: &EvalContext,
-    ) -> Self {
+    fn register(registry: &Registry, plans: &PlanCache, results: &ResultCache) -> Self {
         registry.adopt_counter(
             "rq_plan_cache_hits_total",
             "Plan-cache lookups answered from the cache.",
@@ -347,12 +341,6 @@ impl ServiceCounters {
             "Evaluated answers not memoized: first sights past the admission allowance.",
             &[],
             &refused,
-        );
-        registry.adopt_counter(
-            "rq_epoch_context_machine_refused_total",
-            "Completed traversals the machine memo did not record: first sights past its allowance.",
-            &[],
-            &memo.refused_counter(),
         );
         Self {
             queries: registry.counter("rq_queries_total", "Queries evaluated by the service."),
@@ -449,9 +437,7 @@ impl QueryService {
         let results =
             ResultCache::with_limits(config.result_cache_capacity, config.result_cache_bytes);
         let metrics = Arc::new(Registry::new());
-        let first = store.snapshot();
-        let counters =
-            ServiceCounters::register(&metrics, &plans, &results, first.context().eval());
+        let counters = ServiceCounters::register(&metrics, &plans, &results);
         let service = Self {
             store,
             plans,

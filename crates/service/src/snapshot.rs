@@ -111,7 +111,6 @@ impl Snapshot {
         db: Database,
         dirty: FxHashSet<Pred>,
         delta: Delta,
-        context: EpochContext,
     ) -> Self {
         // Dirty shards dropped their compact store on mutation and
         // rebuild it here; clean shards still hold the parent epoch's
@@ -132,7 +131,7 @@ impl Snapshot {
             db,
             dirty,
             delta,
-            context,
+            context: EpochContext::new(),
             csr_builds,
             csr_build_time,
         }
@@ -273,8 +272,7 @@ impl SnapshotStore {
         // The first snapshot owns every shard uniquely: trim the
         // tail-chunk over-allocation the initial load left behind.
         db.compact_shards(dirty.iter().copied());
-        let context = EpochContext::new();
-        let first = Snapshot::new(epoch, program, db, dirty, Delta::default(), context);
+        let first = Snapshot::new(epoch, program, db, dirty, Delta::default());
         Self {
             current: RwLock::new(Arc::new(first)),
             writer: Mutex::new(()),
@@ -380,9 +378,7 @@ impl SnapshotStore {
         delta: Delta,
         pre_publish: impl FnOnce(&Snapshot) -> Result<(), IngestError>,
     ) -> Result<Arc<Snapshot>, IngestError> {
-        let context = EpochContext::continuing(base.context());
-        let next = Snapshot::new(base.epoch + 1, program, db, dirty, delta, context);
-        let next = Arc::new(next);
+        let next = Arc::new(Snapshot::new(base.epoch + 1, program, db, dirty, delta));
         pre_publish(&next)?;
         *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
         Ok(next)

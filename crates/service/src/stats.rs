@@ -73,19 +73,12 @@ impl StatsReport {
     pub fn to_json(&self) -> Json {
         let int = |n: u64| Json::Int(n as i64);
         let memo = |hits: u64, misses: u64, entries: usize| {
-            [
+            Json::object([
                 ("hits", int(hits)),
                 ("misses", int(misses)),
                 ("entries", int(entries as u64)),
-            ]
+            ])
         };
-        let machine_memo = memo(
-            self.context.eval_hits,
-            self.context.eval_misses,
-            self.context.eval_entries,
-        )
-        .into_iter()
-        .chain([("refused", int(self.context.eval_refused))]);
         Json::object([
             ("epoch", int(self.epoch)),
             (
@@ -114,13 +107,20 @@ impl StatsReport {
                 Json::object([
                     (
                         "probe_memo",
-                        Json::object(memo(
+                        memo(
                             self.context.probe_hits,
                             self.context.probe_misses,
                             self.context.probe_entries,
-                        )),
+                        ),
                     ),
-                    ("machine_memo", Json::object(machine_memo)),
+                    (
+                        "machine_memo",
+                        memo(
+                            self.context.eval_hits,
+                            self.context.eval_misses,
+                            self.context.eval_entries,
+                        ),
+                    ),
                     ("scc_served", int(self.context.scc_served)),
                     (
                         "carried",
@@ -194,9 +194,7 @@ impl StatsReport {
     /// here — the service adopted the caches' own
     /// [`rq_common::obs::Counter`] cells into the registry at
     /// construction (`rq_plan_cache_*_total`,
-    /// `rq_result_cache_*_total`, and the machine memo's
-    /// `rq_epoch_context_machine_refused_total`, which every epoch's
-    /// context shares), so those families export live
+    /// `rq_result_cache_*_total`), so those families export live
     /// values with no transcription step.  Only point-in-time values
     /// (sizes, epoch, per-epoch memo counters that reset on publish)
     /// travel through this report as gauges.
@@ -334,14 +332,13 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)) / {} refused, {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
+            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
             self.context.probe_hits,
             self.context.probe_misses,
             self.context.probe_entries,
             self.context.eval_hits,
             self.context.eval_misses,
             self.context.eval_entries,
-            self.context.eval_refused,
             self.context.scc_served,
             self.context.eval_carried,
             self.context.probe_spaces_carried,
@@ -401,7 +398,6 @@ mod tests {
                 eval_hits: 6,
                 eval_misses: 2,
                 eval_entries: 4,
-                eval_refused: 13,
                 probe_hits: 9,
                 probe_misses: 3,
                 probe_entries: 5,
@@ -561,17 +557,13 @@ mod tests {
                 query(&repeated, i);
             }
         }
-        let report = repeated.stats_report();
-        assert_eq!((report.result_refused, report.context.eval_refused), (0, 0));
+        assert_eq!(repeated.stats_report().result_refused, 0);
         let one_shot = crate::QueryService::from_source(&text).unwrap();
         for i in 0..sources {
             query(&one_shot, i);
         }
         let report = one_shot.stats_report();
-        assert_eq!(
-            (report.result_refused, report.context.eval_refused),
-            (100, 100)
-        );
+        assert_eq!(report.result_refused, 100);
         let results = report.to_json().get("result_cache").unwrap().clone();
         assert_eq!(results.get("refused").and_then(Json::as_i64), Some(100));
         let text = one_shot.metrics_prometheus();
@@ -579,9 +571,8 @@ mod tests {
             text.contains("rq_result_cache_refused_total 100\n"),
             "{text}"
         );
-        assert!(text.contains("rq_epoch_context_machine_refused_total 100\n"));
         one_shot.ingest("e(z0, z1).").unwrap();
         let report = one_shot.stats_report();
-        assert_eq!(report.context.eval_refused, 100, "runs on across a publish");
+        assert_eq!(report.result_refused, 100, "runs on across a publish");
     }
 }

@@ -1,22 +1,23 @@
 //! Admission on second sight, end to end through [`QueryService`].
 //!
-//! Past its allowance of 8,192 entries, each answer cache keeps a cold
-//! answer only when it is seen a second time: the result cache admits a
-//! spec on its second miss, and the machine memo records a root on its
-//! second completed traversal.  These properties pin what that may and
-//! may not change:
+//! Past its allowance of 8,192 entries, the result cache keeps a cold
+//! answer only when it is seen a second time: it admits a spec on its
+//! second miss.  The machine memo, which cannot evict, holds the first
+//! 8,192 completed roots of an epoch (its cap) and records nothing
+//! after.  These properties pin what that may and may not change:
 //!
 //! * **answers** — identical to a service that caches nothing, on
-//!   random streams mixing repeats and one-shots, and across ingests
-//!   that repair the memo;
+//!   random streams mixing repeats and one-shots past both limits, and
+//!   across ingests that repair a full memo;
 //! * **when a spec is cached** — on its third request past the
 //!   allowance, never before;
-//! * **memory** — a stream that never repeats leaves at most the
-//!   allowance in each cache;
+//! * **memory** — a stream that never repeats leaves 8,192 entries in
+//!   each cache;
 //! * **hit ratio** — a repeating working set twice the allowance is
 //!   served from the cache once it has been seen twice.
 
 use rq_datalog::{parse_program, Program};
+use rq_engine::DEFAULT_CONTEXT_ENTRIES;
 use rq_service::results::ADMISSION_ALLOWANCE;
 use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceConfig};
 
@@ -80,7 +81,7 @@ fn answers_match_a_cacheless_reference_on_mixed_streams() {
         let oracle = reference(program.clone());
         let mut next = rng(seed);
         // A hot set small enough to repeat often, and one-shots that
-        // carry both caches past their allowance.  The memo's entries
+        // carry both caches past 8,192 entries.  The memo's entries
         // split over two machines and membership queries that stop
         // early record nothing, so it needs the longer stream.
         for step in 0..2 * ADMISSION_ALLOWANCE + 6_000 {
@@ -104,7 +105,8 @@ fn answers_match_a_cacheless_reference_on_mixed_streams() {
             served.result_cache().refused() > 0,
             "seed {seed} passed the allowance"
         );
-        assert!(served.snapshot().context().stats().eval_refused > 0);
+        let memo = served.snapshot().context().stats();
+        assert_eq!(memo.eval_entries, DEFAULT_CONTEXT_ENTRIES, "memo full");
     }
 }
 
@@ -125,7 +127,7 @@ fn past_the_allowance_a_spec_is_cached_on_its_third_request() {
 }
 
 #[test]
-fn a_one_shot_stream_leaves_at_most_the_allowance_in_each_cache() {
+fn a_one_shot_stream_leaves_8192_entries_in_each_cache() {
     let service = QueryService::new(program());
     for i in 0..SOURCES {
         let answer = ask(&service, &format!("tc(s{i}, Y)"));
@@ -133,10 +135,9 @@ fn a_one_shot_stream_leaves_at_most_the_allowance_in_each_cache() {
     }
     let context = service.snapshot().context().stats();
     assert_eq!(service.result_cache().len(), ADMISSION_ALLOWANCE);
-    assert_eq!(context.eval_entries, rq_engine::ADMISSION_ALLOWANCE);
+    assert_eq!(context.eval_entries, DEFAULT_CONTEXT_ENTRIES);
     let refused = (SOURCES - ADMISSION_ALLOWANCE) as u64;
     assert_eq!(service.result_cache().refused(), refused);
-    assert_eq!(context.eval_refused, refused);
 }
 
 #[test]
@@ -159,9 +160,10 @@ fn a_working_set_twice_the_allowance_hits_by_its_fourth_pass() {
     assert_eq!(service.result_cache().len(), keys.len());
 }
 
-/// The repair property past the allowance: memos holding admitted and
-/// marked roots absorb ingests that chain sources together, and answer
-/// like a service rebuilt cold on the grown program.
+/// The repair property past the allowance: full memos, beside a result
+/// cache holding admitted answers, absorb ingests that chain sources
+/// together, and answer like a service rebuilt cold on the grown
+/// program.
 #[test]
 fn repairing_past_the_allowance_equals_cold_rebuild() {
     let program = program();
@@ -175,8 +177,8 @@ fn repairing_past_the_allowance_equals_cold_rebuild() {
             },
         );
         let mut next = rng(seed + 100);
-        // Past the allowance in both caches, with some late keys asked
-        // twice so they hold entries and others only marked.
+        // Past the allowance and the memo's cap, with some late keys
+        // asked twice so the result cache admits them.
         let mut asked: Vec<String> = (0..ADMISSION_ALLOWANCE + 2_000)
             .map(|i| query_text(next(), i, (next() % SOURCES as u64) as usize))
             .collect();
@@ -189,7 +191,8 @@ fn repairing_past_the_allowance_equals_cold_rebuild() {
         };
         warm(&asked);
         assert!(memoizing.result_cache().refused() > 0);
-        assert!(uncached.snapshot().context().stats().eval_refused > 0);
+        let memo = uncached.snapshot().context().stats();
+        assert_eq!(memo.eval_entries, DEFAULT_CONTEXT_ENTRIES);
         for round in 0..3 {
             let facts: String = (0..4)
                 .map(|_| {
@@ -201,7 +204,8 @@ fn repairing_past_the_allowance_equals_cold_rebuild() {
             memoizing.ingest(&facts).unwrap();
             uncached.ingest(&facts).unwrap();
             let oracle = reference(memoizing.snapshot().program().clone());
-            // Every marked and held key near the allowance, plus a sample.
+            // Every refused and admitted key near the allowance, plus a
+            // sample.
             let sample = (ADMISSION_ALLOWANCE - 50..ADMISSION_ALLOWANCE + 550)
                 .chain((0..300).map(|_| (next() % asked.len() as u64) as usize));
             for at in sample {

@@ -103,9 +103,9 @@
 //! `:stats` prints as text): plan-cache hits/misses and compiled-plan
 //! counts, result-cache hits/misses/evictions/dedup with entry and
 //! byte footprints, and the epoch context's probe/machine-memo
-//! counters including what the last publish carried forward.  Each
-//! cache's `refused` counts answers it did not keep: first sights once
-//! it holds its admission allowance of 8,192 entries.
+//! counters including what the last publish carried forward.  The
+//! result cache's `refused` counts answers it did not keep: first
+//! sights once it holds its admission allowance of 8,192 entries.
 //!
 //! ```text
 //! GET /stats
@@ -116,7 +116,7 @@
 //!  "result_cache":{"hits":2,"misses":2,"evictions":0,"deduped":0,"entries":2,"bytes":208,
 //!                  "refused":0},
 //!  "epoch_context":{"probe_memo":{"hits":0,"misses":0,"entries":0},
-//!                   "machine_memo":{"hits":1,"misses":2,"entries":2,"refused":0},
+//!                   "machine_memo":{"hits":1,"misses":2,"entries":2},
 //!                   "scc_served":0,
 //!                   "carried":{"machine_entries":2,"probe_spaces":0}}}
 //! ```

@@ -83,9 +83,9 @@ awk '
 ' "$scrape" || fail "exposition format violation"
 
 # Core families: per-endpoint latency histograms, cache hit/miss
-# counters, service counters, and report-derived gauges.  The two
-# refusal counters stay 0: three requests are far below either cache's
-# admission allowance.
+# counters, service counters, and report-derived gauges.  The
+# result cache's refusal counter stays 0: three requests are far below
+# its admission allowance.
 for needle in \
   '# TYPE rq_http_request_seconds histogram' \
   'rq_http_request_seconds_bucket{endpoint="/query",le="+Inf"} 2' \
@@ -95,8 +95,6 @@ for needle in \
   'rq_result_cache_misses_total 1' \
   '# TYPE rq_result_cache_refused_total counter' \
   'rq_result_cache_refused_total 0' \
-  '# TYPE rq_epoch_context_machine_refused_total counter' \
-  'rq_epoch_context_machine_refused_total 0' \
   '# TYPE rq_plan_cache_hits_total counter' \
   'rq_queries_total 2' \
   'rq_ingests_total 1' \
