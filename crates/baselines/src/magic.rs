@@ -72,7 +72,7 @@ fn rewrite(program: &Program, query: &Query, adorned: &AdornedProgram) -> Progra
         pred_map.insert(p, np);
     }
     for (p, tuple) in &program.facts {
-        out.add_fact(pred_map[p], tuple.clone());
+        out.add_fact(pred_map[p], tuple);
     }
 
     // Adorned and magic predicates.
@@ -212,7 +212,7 @@ fn rewrite(program: &Program, query: &Query, adorned: &AdornedProgram) -> Progra
             pred: adorned.query.pred,
             adornment: adorned.query.adornment,
         };
-        out.add_fact(magic_pred[&root], bound);
+        out.add_fact(magic_pred[&root], &bound);
     }
     out
 }

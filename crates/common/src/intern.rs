@@ -90,7 +90,10 @@ impl ConstValue {
 /// bare id under the value's hash and compares candidates by reading
 /// `values` — the ids-into-existing-storage layout `ProbeSpace`'s tuple
 /// interner uses too — so a lookup of an already-interned name
-/// allocates nothing.
+/// allocates nothing.  A program's constants are interned at parse time
+/// by [`SourceInterner`], which builds this table in one pass when the
+/// parse ends; later interns (ingest, recovery) file one value at a
+/// time into the same trie.
 ///
 /// Beside `values` sits the text store: every constant's JSON
 /// encoding ([`Self::json_text`]), rendered once when the constant is
@@ -207,10 +210,17 @@ impl ConstInterner {
     }
 
     /// Append a value [`Self::find`] just missed under the next dense id,
-    /// rendering its JSON text.  Every constant is born here.
+    /// filing it in the lookup trie.
     fn push(&mut self, hash: u64, value: ConstValue) -> Const {
-        let id = Const::from_index(self.values.len());
+        let id = self.append(value);
         self.lookup.entry_hashed(hash, |_| false, || (id, ()));
+        id
+    }
+
+    /// Store a value and render its JSON text under the next dense id.
+    /// Every constant is born here; the caller files it for lookup.
+    fn append(&mut self, value: ConstValue) -> Const {
+        let id = Const::from_index(self.values.len());
         self.values.push(value);
         match &self.values[id.index()] {
             ConstValue::Int(i) => self.texts.push(|out| write_i64(*i, out)),
@@ -297,6 +307,61 @@ impl ConstInterner {
             }
             ConstValue::Str(s) => out.push_str(s),
         }
+    }
+}
+
+/// The constants of one source text, interned while it is parsed.
+///
+/// A plain [`FxHashMap`] keyed by the borrowed source slice (or the
+/// integer) finds repeats, so an occurrence costs one hash probe and
+/// no trie walk; ids are dense in first-occurrence order, exactly as
+/// [`ConstInterner::intern`] would hand them out.  [`Self::finish`]
+/// then builds the persistent [`ConstInterner`], its lookup trie in one
+/// pass ([`PMap::from_hashed`]).
+#[derive(Default)]
+pub struct SourceInterner<'src> {
+    strs: FxHashMap<&'src str, Const>,
+    ints: FxHashMap<i64, Const>,
+    /// Values and texts so far; `lookup` stays empty until `finish`.
+    consts: ConstInterner,
+}
+
+impl<'src> SourceInterner<'src> {
+    /// New, empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Intern a symbolic constant borrowed from the source.
+    pub fn intern_str(&mut self, s: &'src str) -> Const {
+        let consts = &mut self.consts;
+        *self
+            .strs
+            .entry(s)
+            .or_insert_with(|| consts.append(ConstValue::Str(s.to_owned())))
+    }
+
+    /// Intern an integer constant.
+    pub fn intern_int(&mut self, i: i64) -> Const {
+        let consts = &mut self.consts;
+        *self
+            .ints
+            .entry(i)
+            .or_insert_with(|| consts.append(ConstValue::Int(i)))
+    }
+
+    /// The persistent interner holding every constant seen, under the
+    /// same ids.
+    pub fn finish(self) -> ConstInterner {
+        let mut consts = self.consts;
+        let entries = consts
+            .values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (value_hash(v), Const::from_index(i), ()))
+            .collect();
+        consts.lookup = PMap::from_hashed(entries);
+        consts
     }
 }
 

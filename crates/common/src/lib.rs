@@ -45,7 +45,7 @@ pub use arena::{AnswerStats, AnswerStore, Arena};
 pub use counters::Counters;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use idvec::{IdLike, IdVec};
-pub use intern::{Const, ConstInterner, ConstValue, NameInterner, Pred, Var};
+pub use intern::{Const, ConstInterner, ConstValue, NameInterner, Pred, SourceInterner, Var};
 pub use json::{Json, JsonError};
 pub use obs::{Counter, Gauge, Histogram, Registry};
 pub use pshare::{PMap, PVec};

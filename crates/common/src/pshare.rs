@@ -28,7 +28,10 @@
 //! shard dedup table files tuple ordinals into its tuple store, and
 //! the constant interner files constant ids into its value vector —
 //! the ids-into-existing-storage layout `ProbeSpace`'s tuple interner
-//! uses too.
+//! uses too.  [`PMap::from_hashed`] builds a whole map in one pass —
+//! the same trie as filing its entries one at a time — for the
+//! interner at the end of a parse and for a shard's dedup table and
+//! column indexes.
 //!
 //! Both structures detect unique ownership (`Arc::make_mut`), so the
 //! common single-owner case — bottom-up evaluation filling a fresh
@@ -330,6 +333,61 @@ pub fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
     h.finish()
 }
 
+/// `hash` with its 5-bit slices reversed: the slice the root branches
+/// on becomes the most significant, so sorting by this key lists
+/// entries in trie (depth-first, ascending slot) order and puts every
+/// subtree's entries next to each other.
+fn trie_order(hash: u64) -> u64 {
+    let mut key = 0u64;
+    let mut shift = 0u32;
+    while shift < MAX_SHIFT {
+        key = (key << BITS) | ((hash >> shift) & LEVEL_MASK);
+        shift += BITS;
+    }
+    // The last slice holds only the top 64 - MAX_SHIFT bits.
+    (key << (64 - MAX_SHIFT)) | (hash >> MAX_SHIFT)
+}
+
+/// The branch at depth `shift` over `hashes`, which are in
+/// [`trie_order`] and share every slice above `shift`; `items` yields
+/// their keys and values in the same order.
+fn build_branch<K, V>(
+    hashes: &[u64],
+    items: &mut impl Iterator<Item = (K, V)>,
+    shift: u32,
+) -> Node<K, V> {
+    let width = 1 + hashes
+        .windows(2)
+        .filter(|w| slice_bit(w[0], shift) != slice_bit(w[1], shift))
+        .count();
+    let mut bitmap = 0u32;
+    let mut slots = Vec::with_capacity(width);
+    let mut rest = hashes;
+    while let Some(&hash) = rest.first() {
+        let bit = slice_bit(hash, shift);
+        let n = rest
+            .iter()
+            .take_while(|&&h| slice_bit(h, shift) == bit)
+            .count();
+        let (group, tail) = rest.split_at(n);
+        bitmap |= bit;
+        slots.push(if n == 1 {
+            let (k, v) = items.next().expect("one item per hash");
+            Slot::Entry(hash, k, v)
+        } else if group[n - 1] == hash {
+            // Sorted, so equal ends mean equal throughout.
+            let entries: Vec<(K, V)> = items.by_ref().take(n).collect();
+            assert_eq!(entries.len(), n, "one item per hash");
+            Slot::Sub(Arc::new(Node::Collision { hash, entries }))
+        } else {
+            debug_assert!(shift < MAX_SHIFT);
+            Slot::Sub(Arc::new(build_branch(group, items, shift + BITS)))
+        });
+        rest = tail;
+    }
+    Node::Branch { bitmap, slots }
+}
+
 /// The walk's next move at one occupied branch slot.
 enum Step {
     Found,
@@ -372,6 +430,34 @@ impl<K, V> PMap<K, V> {
         PMapIter {
             stack,
             collision: [].iter(),
+        }
+    }
+
+    /// A map holding `entries`, each filed under its hash, built in one
+    /// pass: one stable sort, then each node allocated once at its final
+    /// size.  The keys must be pairwise distinct (under whatever
+    /// equality the caller's lookups use).
+    ///
+    /// The result is exactly the trie that filing the entries one by
+    /// one, in the given order, through [`Self::entry_hashed`] builds.
+    /// An insert-only trie depends only on its hash set, up to the
+    /// order inside a collision node: a branch slot holds an entry when
+    /// one hash falls under its prefix, a collision node when two or
+    /// more equal hashes do, and a child branch otherwise — and inside
+    /// a collision node both builds keep the entries in the given order.
+    pub fn from_hashed(mut entries: Vec<(u64, K, V)>) -> Self {
+        let len = entries.len();
+        if len == 0 {
+            return Self::new();
+        }
+        // Stable: equal hashes keep the given order.
+        entries.sort_by_cached_key(|&(hash, ..)| trie_order(hash));
+        let hashes: Vec<u64> = entries.iter().map(|&(hash, ..)| hash).collect();
+        let mut items = entries.into_iter().map(|(_, k, v)| (k, v));
+        let root = build_branch(&hashes, &mut items, 0);
+        Self {
+            root: Some(Arc::new(root)),
+            len,
         }
     }
 
@@ -865,6 +951,118 @@ mod tests {
         for seed in 1..=8 {
             model_run(seed, 40, |_| H, false);
             model_run(seed, 40, two_hashes, false);
+        }
+    }
+
+    /// Node-for-node equality: same bitmaps, slot kinds, hashes, keys
+    /// and values, and the same order inside collision nodes.
+    fn same_node(a: &Node<u64, u64>, b: &Node<u64, u64>) -> bool {
+        match (a, b) {
+            (
+                Node::Branch { bitmap, slots },
+                Node::Branch {
+                    bitmap: other_bitmap,
+                    slots: other_slots,
+                },
+            ) => {
+                bitmap == other_bitmap
+                    && slots.len() == other_slots.len()
+                    && slots.iter().zip(other_slots).all(|pair| match pair {
+                        (Slot::Entry(h, k, v), Slot::Entry(g, j, w)) => (h, k, v) == (g, j, w),
+                        (Slot::Sub(x), Slot::Sub(y)) => same_node(x, y),
+                        _ => false,
+                    })
+            }
+            (
+                Node::Collision { hash, entries },
+                Node::Collision {
+                    hash: other_hash,
+                    entries: other_entries,
+                },
+            ) => hash == other_hash && entries == other_entries,
+            _ => false,
+        }
+    }
+
+    fn same_trie(a: &PMap<u64, u64>, b: &PMap<u64, u64>) -> bool {
+        a.len() == b.len()
+            && match (&a.root, &b.root) {
+                (None, None) => true,
+                (Some(x), Some(y)) => same_node(x, y),
+                _ => false,
+            }
+    }
+
+    /// Entries for the bulk-build property: up to 5,000 distinct keys in
+    /// random order, hashed either at random, onto one of a few shared
+    /// hashes (full 64-bit collisions), or one bit away from a shared
+    /// hash (splits down to the deepest levels).
+    fn bulk_entries(rng: &mut Rng, pool: &[u64]) -> Vec<(u64, u64, u64)> {
+        let n = rng.below(5_001);
+        let mut keys: Vec<u64> = (0..n).map(|k| k * 7 + 3).collect();
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        keys.into_iter()
+            .map(|k| {
+                let shared = pool[rng.below(pool.len() as u64) as usize];
+                let hash = match rng.below(4) {
+                    0 => shared,
+                    1 => shared ^ (1 << rng.below(64)),
+                    _ => rng.below(u64::MAX),
+                };
+                (hash, k, k ^ 0xff)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_build_equals_incremental_inserts() {
+        let mut rng = Rng(0x005e_ed0f_b01c);
+        for round in 0..48 {
+            let pool: Vec<u64> = (0..1 + round % 6).map(|_| rng.below(u64::MAX)).collect();
+            let entries = bulk_entries(&mut rng, &pool);
+            let hash_of_key: std::collections::HashMap<u64, u64> =
+                entries.iter().map(|&(h, k, _)| (k, h)).collect();
+            let mut incremental: PMap<u64, u64> = PMap::new();
+            for &(h, k, v) in &entries {
+                let (inserted, _) = incremental.entry_hashed(h, |&x| x == k, || (k, v));
+                assert!(inserted);
+            }
+            let mut bulk = PMap::from_hashed(entries.clone());
+            assert_eq!(bulk.len(), entries.len());
+            assert!(same_trie(&bulk, &incremental), "round {round}");
+            let order: Vec<(u64, u64)> = bulk.iter().map(|(&k, &v)| (k, v)).collect();
+            let want: Vec<(u64, u64)> = incremental.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(order, want, "iteration order, round {round}");
+            for &(h, k, v) in &entries {
+                assert_eq!(bulk.get_hashed(h, |&x| x == k), Some(&v));
+            }
+            // Absent keys, filed under shared, near and random hashes.
+            for j in 0..64u64 {
+                let k = 1_000_000 + j;
+                let h = match j % 3 {
+                    0 => pool[j as usize % pool.len()],
+                    1 => pool[j as usize % pool.len()] ^ (1 << (j % 64)),
+                    _ => rng.below(u64::MAX),
+                };
+                assert_eq!(bulk.get_hashed(h, |&x| x == k), None);
+            }
+            // One more insert, of a new key or an existing one, lands
+            // both maps on the same trie again.
+            let (h, k) = match (rng.below(3), entries.first()) {
+                (0, Some(&(h, k, _))) => (h, k),
+                (1, _) => (pool[0], 2_000_000 + round),
+                _ => (rng.below(u64::MAX), 3_000_000 + round),
+            };
+            let fresh = !hash_of_key.contains_key(&k);
+            let left = bulk.entry_hashed(h, |&x| x == k, || (k, 1)).0;
+            let right = incremental.entry_hashed(h, |&x| x == k, || (k, 1)).0;
+            assert_eq!((left, right), (fresh, fresh));
+            assert!(
+                same_trie(&bulk, &incremental),
+                "after an insert, round {round}"
+            );
         }
     }
 

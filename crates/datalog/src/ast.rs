@@ -6,6 +6,7 @@
 //! intensional database (IDB).  Base predicates (appearing only in facts)
 //! and derived predicates (appearing in rule heads) are disjoint.
 
+use crate::db::TUPLES_PER_CHUNK;
 use rq_common::{Const, ConstInterner, IdVec, NameInterner, PVec, Pred, Var};
 use std::fmt;
 
@@ -191,11 +192,8 @@ pub struct Program {
     pub preds: IdVec<Pred, PredInfo>,
     /// The intensional database.
     pub rules: Vec<Rule>,
-    /// The extensional database, as listed in the source.  Persistent
-    /// (chunk-shared) storage: cloning a program for the next snapshot
-    /// epoch shares all prior facts with the parent, so ingest-time
-    /// program clones cost O(delta), not O(all facts ever ingested).
-    pub facts: PVec<(Pred, Vec<Const>)>,
+    /// The extensional database, as listed in the source ([`Facts`]).
+    pub facts: Facts,
     /// Name-index → predicate id, for O(1) lookup.
     by_name: Vec<Option<Pred>>,
 }
@@ -272,14 +270,184 @@ impl Program {
     }
 
     /// Add a ground fact.
-    pub fn add_fact(&mut self, pred: Pred, tuple: Vec<Const>) {
+    pub fn add_fact(&mut self, pred: Pred, tuple: &[Const]) {
         debug_assert_eq!(tuple.len(), self.arity(pred));
-        self.facts.push((pred, tuple));
+        self.facts.push(pred, tuple);
     }
 
     /// Rules whose head is `p`.
     pub fn rules_for(&self, p: Pred) -> impl Iterator<Item = &Rule> {
         self.rules.iter().filter(move |r| r.head.pred == p)
+    }
+}
+
+/// One predicate's facts in source order: their constants back to
+/// back, `arity` each, in chunk-shared storage laid out like a
+/// relation shard's, so a shard of distinct facts can share the chunks.
+#[derive(Clone, Debug)]
+pub(crate) struct PredFacts {
+    pub(crate) arity: usize,
+    pub(crate) len: usize,
+    pub(crate) flat: PVec<Const>,
+}
+
+impl PredFacts {
+    fn new(arity: usize) -> Self {
+        Self {
+            arity,
+            len: 0,
+            flat: PVec::with_chunk_capacity(arity.max(1) * TUPLES_PER_CHUNK),
+        }
+    }
+
+    /// Fact `ord` of this predicate.  A nullary fact has no storage.
+    pub(crate) fn tuple(&self, ord: usize) -> &[Const] {
+        if self.arity == 0 {
+            return &[];
+        }
+        self.flat.get_slice(ord * self.arity, self.arity)
+    }
+}
+
+/// A maximal run of consecutive source facts of one predicate.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    pred: Pred,
+    /// Source position of the run's first fact.
+    start: u32,
+    /// That fact's ordinal among its predicate's facts.
+    first: u32,
+}
+
+/// The extensional database as listed in the source, duplicates
+/// included: each predicate's facts stored flat (`PredFacts`), plus
+/// the runs of one predicate that put them back in source order.  A
+/// fact costs its constants and nothing else — no allocation of its
+/// own — and a source that lists each predicate's facts together costs
+/// one run per predicate.
+///
+/// All storage is persistent (chunk-shared): cloning a program for the
+/// next snapshot epoch shares every prior fact with the parent, so an
+/// ingest-time clone costs O(chunks), and appending copies at most the
+/// tail chunks it writes.
+#[derive(Clone, Default)]
+pub struct Facts {
+    by_pred: Vec<PredFacts>,
+    runs: PVec<Run>,
+    len: usize,
+}
+
+impl Facts {
+    /// Number of facts, duplicates included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no facts.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append a fact.  A predicate's arity is fixed by its first fact.
+    pub fn push(&mut self, pred: Pred, tuple: &[Const]) {
+        if self.by_pred.len() <= pred.index() {
+            self.by_pred
+                .resize_with(pred.index() + 1, || PredFacts::new(0));
+        }
+        let facts = &mut self.by_pred[pred.index()];
+        if facts.len == 0 && facts.arity != tuple.len() {
+            *facts = PredFacts::new(tuple.len());
+        }
+        assert_eq!(facts.arity, tuple.len(), "a fact of the wrong arity");
+        let ord = facts.len;
+        facts.flat.push_slice(tuple);
+        facts.len += 1;
+        let last = self.runs.len().checked_sub(1).map(|i| self.runs[i].pred);
+        if last != Some(pred) {
+            let narrow = |n: usize| u32::try_from(n).expect("fewer than 2^32 facts");
+            self.runs.push(Run {
+                pred,
+                start: narrow(self.len),
+                first: narrow(ord),
+            });
+        }
+        self.len += 1;
+    }
+
+    /// The facts in source order.
+    pub fn iter(&self) -> FactsIter<'_> {
+        self.iter_from(0)
+    }
+
+    /// The facts from source position `start` on, in source order.
+    pub fn iter_from(&self, start: usize) -> FactsIter<'_> {
+        // The run holding `start`: the last one starting at or before it.
+        let (mut lo, mut hi) = (0, self.runs.len());
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if self.runs[mid].start as usize <= start {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        FactsIter {
+            facts: self,
+            run: lo,
+            pos: start.min(self.len),
+        }
+    }
+
+    /// The fact at source position `i`.
+    pub fn get(&self, i: usize) -> Option<(&Pred, &[Const])> {
+        self.iter_from(i).next()
+    }
+
+    /// One predicate's facts, if it has any.
+    pub(crate) fn of(&self, pred: Pred) -> Option<&PredFacts> {
+        self.by_pred.get(pred.index()).filter(|f| f.len > 0)
+    }
+}
+
+/// Iterator over [`Facts`] in source order.
+pub struct FactsIter<'a> {
+    facts: &'a Facts,
+    run: usize,
+    pos: usize,
+}
+
+impl<'a> Iterator for FactsIter<'a> {
+    type Item = (&'a Pred, &'a [Const]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let facts = self.facts;
+        if self.pos >= facts.len {
+            return None;
+        }
+        let runs = &facts.runs;
+        if self.run + 1 < runs.len() && runs[self.run + 1].start as usize <= self.pos {
+            self.run += 1;
+        }
+        let run = &runs[self.run];
+        let ord = run.first as usize + (self.pos - run.start as usize);
+        self.pos += 1;
+        Some((&run.pred, facts.by_pred[run.pred.index()].tuple(ord)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.facts.len - self.pos;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for FactsIter<'_> {}
+
+impl<'a> IntoIterator for &'a Facts {
+    type Item = (&'a Pred, &'a [Const]);
+    type IntoIter = FactsIter<'a>;
+
+    fn into_iter(self) -> FactsIter<'a> {
+        self.iter()
     }
 }
 

@@ -18,7 +18,20 @@
 //! its posting lists under the hash of their bound columns keyed by
 //! their first ordinal, and both compare by reading the tuple back from
 //! the store — the ids-into-existing-storage layout the constant
-//! interner and `ProbeSpace`'s tuple interner use too.  The net effect
+//! interner and `ProbeSpace`'s tuple interner use too.  A shard loaded
+//! from a program's distinct facts shares their chunks with
+//! `Program::facts`, so a loaded fact is stored once across the two.
+//!
+//! **Bulk builds.**  Loading, the dedup table and every index are
+//! built in one pass each: [`Database::from_program`] drops source
+//! duplicates with a transient hash set and hands each predicate's fact
+//! storage to its shard, the dedup table is built on a shard's first
+//! [`Relation::insert`] or [`Relation::contains`] (a shard that is only
+//! read never has one), and [`Relation::build_index`] groups ordinals
+//! by key before filing them.  Both tries come from
+//! [`PMap::from_hashed`], which builds exactly the trie filing the
+//! same entries one at a time would, so every probe and every later
+//! insert behaves as if the structure had grown incrementally.  The net effect
 //! is that publishing a new snapshot epoch after ingesting a handful of
 //! facts costs O(delta), not O(database): untouched shards are shared
 //! wholesale (`Arc::ptr_eq` with the parent epoch), and the touched
@@ -36,8 +49,10 @@
 //! [`CompactStore`] sits in a [`OnceLock`]: built once, then read with
 //! no lock at all.
 
+use crate::ast::{PredFacts, Program};
 use rq_common::pshare::hash_of;
-use rq_common::{Const, FxHashMap, IdVec, PMap, PVec, Pred};
+use rq_common::{Const, FxHashMap, FxHashSet, IdVec, PMap, PVec, Pred};
+use std::collections::hash_map::Entry;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// A bitmask of bound columns; bit `i` set means column `i` is bound.
@@ -49,8 +64,9 @@ pub type ColMask = u32;
 pub const MAX_ARITY: usize = ColMask::BITS as usize;
 
 /// Tuples per storage chunk; the chunk byte-capacity scales with arity
-/// so a tuple never straddles a chunk boundary.
-const TUPLES_PER_CHUNK: usize = 256;
+/// so a tuple never straddles a chunk boundary.  A program's fact
+/// storage uses the same layout, so a shard can share its chunks.
+pub(crate) const TUPLES_PER_CHUNK: usize = 256;
 
 /// Largest relation served by a scan when no hash index for the
 /// binding pattern exists yet.  Shards are shared by `Arc` across
@@ -96,6 +112,17 @@ fn matches(tuple: &[Const], mask: ColMask, key: &[Const]) -> bool {
     mask_cols(mask).zip(key).all(|(c, &k)| tuple[c] == k)
 }
 
+/// `tuple`'s columns under `mask`, in ascending column order, and how
+/// many there are.
+#[inline]
+fn key_of(tuple: &[Const], mask: ColMask) -> ([Const; MAX_ARITY], usize) {
+    let mut key = [Const::from_index(0); MAX_ARITY];
+    for (slot, c) in key.iter_mut().zip(mask_cols(mask)) {
+        *slot = tuple[c];
+    }
+    (key, mask.count_ones() as usize)
+}
+
 /// One trie index: each posting list (tuple ordinals, ascending) is
 /// filed under the hash of its bound columns with its first ordinal as
 /// key; equality reads that tuple back from the store.
@@ -104,12 +131,8 @@ type Index = PMap<u32, Vec<u32>>;
 /// File tuple `ord` of an arity-strided store in the posting list of
 /// its `mask` columns.
 fn file_ordinal(index: &mut Index, flat: &PVec<Const>, arity: usize, mask: ColMask, ord: u32) {
-    let tuple = tuple_at(flat, arity, ord);
-    let mut key = [Const::from_index(0); MAX_ARITY];
-    for (slot, c) in key.iter_mut().zip(mask_cols(mask)) {
-        *slot = tuple[c];
-    }
-    let key = &key[..mask.count_ones() as usize];
+    let (key, width) = key_of(tuple_at(flat, arity, ord), mask);
+    let key = &key[..width];
     let (_, posting) = index.entry_hashed(
         hash_of(key),
         |&first| matches(tuple_at(flat, arity, first), mask, key),
@@ -251,13 +274,17 @@ impl CompactStore {
 #[derive(Debug)]
 pub struct Relation {
     arity: usize,
+    /// Number of tuples (a nullary relation's one tuple has no storage).
+    len: usize,
     /// Tuples, stored back to back (`arity` constants each) in shared
     /// chunks.
     flat: PVec<Const>,
     /// Tuple ordinals, filed under the tuple's hash, for deduplication
     /// and membership tests.  Equality reads the tuple from `flat`, so
-    /// the table holds no second copy of any tuple.
-    dedup: PMap<u32, ()>,
+    /// the table holds no second copy of any tuple.  An index like the
+    /// others: built in one pass on the first [`Self::insert`] or
+    /// [`Self::contains`], so a shard that is only read never has one.
+    dedup: OnceLock<PMap<u32, ()>>,
     /// Lazily built indexes, one per bound-column mask.  Persistent
     /// values, so cloning the cache is cheap and clones keep their
     /// warmth.
@@ -278,11 +305,37 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Self {
             arity,
+            len: 0,
             flat: PVec::with_chunk_capacity(arity.max(1) * TUPLES_PER_CHUNK),
-            dedup: PMap::new(),
+            dedup: OnceLock::new(),
             indexes: RwLock::new(FxHashMap::default()),
             compact: OnceLock::new(),
         }
+    }
+
+    /// The shard holding one predicate's facts, source duplicates
+    /// dropped, tuples at their first-occurrence ordinals — what
+    /// inserting them one by one builds.  When the facts are already
+    /// distinct the shard shares their storage chunks outright;
+    /// otherwise it copies the first occurrences.
+    fn from_facts(facts: &PredFacts) -> Self {
+        let mut seen = FxHashSet::with_capacity_and_hasher(facts.len, Default::default());
+        let distinct = (0..facts.len)
+            .filter(|&o| seen.insert(facts.tuple(o)))
+            .count();
+        let mut rel = Self::new(facts.arity);
+        if distinct == facts.len {
+            rel.flat = facts.flat.clone();
+        } else {
+            seen.clear();
+            for tuple in (0..facts.len).map(|o| facts.tuple(o)) {
+                if seen.insert(tuple) {
+                    rel.flat.push_slice(tuple);
+                }
+            }
+        }
+        rel.len = distinct;
+        rel
     }
 
     /// Build a relation of the given arity from an iterator of rows
@@ -305,12 +358,20 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.dedup.len()
+        self.len
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.dedup.is_empty()
+        self.len == 0
+    }
+
+    /// The dedup index, built in one pass if this is its first use.
+    fn dedup(&self) -> &PMap<u32, ()> {
+        self.dedup.get_or_init(|| {
+            let ords = (0..self.len as u32).map(|o| (hash_of(self.tuple(o)), o, ()));
+            PMap::from_hashed(ords.collect())
+        })
     }
 
     /// The tuple with the given ordinal.
@@ -330,7 +391,7 @@ impl Relation {
     /// Membership test.
     pub fn contains(&self, tuple: &[Const]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        self.dedup
+        self.dedup()
             .get_hashed(hash_of(tuple), |&o| self.tuple(o) == tuple)
             .is_some()
     }
@@ -343,8 +404,10 @@ impl Relation {
     pub fn insert(&mut self, tuple: &[Const]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
         let ord = self.len() as u32;
+        self.dedup();
         let (flat, arity) = (&self.flat, self.arity);
-        let (inserted, _) = self.dedup.entry_hashed(
+        let dedup = self.dedup.get_mut().expect("built above");
+        let (inserted, _) = dedup.entry_hashed(
             hash_of(tuple),
             |&o| tuple_at(flat, arity, o) == tuple,
             || (ord, ()),
@@ -353,6 +416,7 @@ impl Relation {
             return false;
         }
         self.flat.push_slice(tuple);
+        self.len += 1;
         // The compact store is a snapshot of the tuple set; a mutation
         // makes it stale.  The next publish rebuilds it.
         self.compact.take();
@@ -425,13 +489,49 @@ impl Relation {
             return;
         }
         let mut indexes = recover(self.indexes.write());
-        indexes.entry(mask).or_insert_with(|| {
-            let mut index = Index::new();
-            for ord in 0..self.len() as u32 {
-                file_ordinal(&mut index, &self.flat, self.arity, mask, ord);
+        indexes
+            .entry(mask)
+            .or_insert_with(|| self.index_in_one_pass(mask));
+    }
+
+    /// The index for `mask`, built in one pass: ordinals are grouped by
+    /// key in a transient map, then the trie is built in bulk
+    /// ([`PMap::from_hashed`]) — the same trie filing them one at a
+    /// time builds, since groups are listed in first-ordinal order and
+    /// each posting list is ascending.
+    fn index_in_one_pass(&self, mask: ColMask) -> Index {
+        /// No further group under the same hash.
+        const END: u32 = u32::MAX;
+        // Each group: its key's hash, first ordinal, posting list, and
+        // the next group whose key has the same 64-bit hash.
+        let mut groups: Vec<(u64, u32, Vec<u32>)> = Vec::new();
+        let mut chain: Vec<u32> = Vec::new();
+        let mut by_hash: FxHashMap<u64, u32> = FxHashMap::default();
+        for ord in 0..self.len as u32 {
+            let (key, width) = key_of(self.tuple(ord), mask);
+            let key = &key[..width];
+            let hash = hash_of(key);
+            let next = groups.len() as u32;
+            let mut g = match by_hash.entry(hash) {
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    next
+                }
+                Entry::Occupied(slot) => *slot.get(),
+            };
+            while g != next && !matches(self.tuple(groups[g as usize].1), mask, key) {
+                if chain[g as usize] == END {
+                    chain[g as usize] = next;
+                }
+                g = chain[g as usize];
             }
-            index
-        });
+            if g == next {
+                groups.push((hash, ord, Vec::new()));
+                chain.push(END);
+            }
+            groups[g as usize].2.push(ord);
+        }
+        Index::from_hashed(groups)
     }
 
     /// Whether the index for `mask` has been built — the warmth probe
@@ -512,8 +612,9 @@ impl Clone for Relation {
     fn clone(&self) -> Self {
         Self {
             arity: self.arity,
+            len: self.len,
             flat: self.flat.clone(),   // chunk refcount bumps
-            dedup: self.dedup.clone(), // root refcount bump
+            dedup: self.dedup.clone(), // root refcount bump, if built
             // Indexes are persistent tries too: carry the warm cache
             // over at the cost of one refcount bump per built mask.
             indexes: RwLock::new(recover(self.indexes.read()).clone()),
@@ -548,13 +649,19 @@ impl Database {
         }
     }
 
-    /// Build a database holding the facts of a program (the EDB).
-    pub fn from_program(program: &crate::ast::Program) -> Self {
-        let mut db = Self::with_preds(program.preds.iter().map(|i| i.arity));
-        for (pred, tuple) in &program.facts {
-            db.insert(*pred, tuple);
+    /// Build a database holding the facts of a program (the EDB), one
+    /// shard per predicate in bulk ([`Relation`]'s `from_facts`): the
+    /// tuples and ordinals inserting the facts in source order gives.
+    pub fn from_program(program: &Program) -> Self {
+        let relations = program.preds.iter_enumerated().map(|(pred, info)| {
+            Arc::new(match program.facts.of(pred) {
+                Some(facts) => Relation::from_facts(facts),
+                None => Relation::new(info.arity),
+            })
+        });
+        Self {
+            relations: relations.collect(),
         }
-        db
     }
 
     /// Ensure a relation exists for `pred` (growing the table if needed).

@@ -16,6 +16,8 @@ pub mod eval;
 pub mod naive;
 pub mod parser;
 pub mod pretty;
+#[cfg(test)]
+mod reference;
 pub mod seminaive;
 
 pub use analysis::{

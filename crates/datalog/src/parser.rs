@@ -20,7 +20,7 @@
 
 use crate::ast::{Atom, CmpOp, Literal, Program, Rule, Term};
 use crate::db::MAX_ARITY;
-use rq_common::{FxHashMap, Var};
+use rq_common::{Const, FxHashMap, Pred, SourceInterner, Var};
 use std::fmt;
 
 /// A parse error with line/column information.
@@ -45,7 +45,7 @@ impl std::error::Error for ParseError {}
 /// A token.  Identifier and variable text is borrowed from the source,
 /// so lexing allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tok<'a> {
+pub(crate) enum Tok<'a> {
     Ident(&'a str),
     Variable(&'a str),
     Int(i64),
@@ -58,7 +58,7 @@ enum Tok<'a> {
     Eof,
 }
 
-struct Lexer<'a> {
+pub(crate) struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
@@ -66,7 +66,7 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Self {
             src,
             pos: 0,
@@ -117,7 +117,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<(Tok<'a>, usize, usize), ParseError> {
+    pub(crate) fn next_token(&mut self) -> Result<(Tok<'a>, usize, usize), ParseError> {
         self.skip_trivia();
         let (line, col) = (self.line, self.col);
         let Some(b) = self.peek() else {
@@ -212,8 +212,13 @@ impl<'a> Lexer<'a> {
                     Tok::Ident(s)
                 }
             }
-            other => {
-                return Err(self.error(format!("unexpected character `{}`", other as char)));
+            _ => {
+                // Every token so far was ASCII, so `pos` starts a character.
+                let c = self.src[self.pos..]
+                    .chars()
+                    .next()
+                    .expect("a byte was peeked");
+                return Err(self.error(format!("unexpected character `{c}`")));
             }
         };
         Ok((tok, line, col))
@@ -226,6 +231,12 @@ struct Parser<'a> {
     line: usize,
     col: usize,
     program: Program,
+    /// Constants, interned by source slice; they become
+    /// `program.consts` when the parse ends.
+    consts: SourceInterner<'a>,
+    /// The arguments of the atom being parsed.  A fact's go straight
+    /// into `program.facts`, so a fact allocates nothing of its own.
+    args: Vec<Term>,
 }
 
 impl<'a> Parser<'a> {
@@ -238,6 +249,8 @@ impl<'a> Parser<'a> {
             line,
             col,
             program: Program::new(),
+            consts: SourceInterner::new(),
+            args: Vec::new(),
         })
     }
 
@@ -269,6 +282,7 @@ impl<'a> Parser<'a> {
         while self.tok != Tok::Eof {
             self.parse_clause()?;
         }
+        self.program.consts = self.consts.finish();
         Ok(self.program)
     }
 
@@ -276,22 +290,28 @@ impl<'a> Parser<'a> {
     fn parse_clause(&mut self) -> Result<(), ParseError> {
         let mut vars: FxHashMap<&'a str, Var> = FxHashMap::default();
         let mut var_names: Vec<String> = Vec::new();
-        let head = self.parse_atom(&mut vars, &mut var_names)?;
+        let name = match self.tok {
+            Tok::Ident(name) => name,
+            other => return Err(self.error(format!("expected predicate name, found {other:?}"))),
+        };
+        self.advance()?;
+        let pred = self.parse_args(name, &mut vars, &mut var_names)?;
         if self.tok == Tok::Dot {
             self.advance()?;
             // A fact: all arguments must be constants.
-            let mut tuple = Vec::with_capacity(head.args.len());
-            for t in &head.args {
+            let mut tuple = [Const::from_index(0); MAX_ARITY];
+            for (slot, t) in tuple.iter_mut().zip(&self.args) {
                 match t {
-                    Term::Const(c) => tuple.push(*c),
+                    Term::Const(c) => *slot = *c,
                     Term::Var(_) => {
                         return Err(self.error("facts must be ground (no variables)"));
                     }
                 }
             }
-            self.program.add_fact(head.pred, tuple);
+            self.program.add_fact(pred, &tuple[..self.args.len()]);
             return Ok(());
         }
+        let head = Atom::new(pred, self.args.clone());
         self.expect(Tok::Turnstile, "`:-` or `.`")?;
         let mut body = Vec::new();
         loop {
@@ -325,7 +345,7 @@ impl<'a> Parser<'a> {
                     Ok(Literal::Atom(atom))
                 } else {
                     // A constant followed by a comparison operator.
-                    let lhs = Term::Const(self.program.consts.intern_str(name));
+                    let lhs = Term::Const(self.consts.intern_str(name));
                     self.parse_cmp_tail(lhs, vars, var_names)
                 }
             }
@@ -352,36 +372,36 @@ impl<'a> Parser<'a> {
         Ok(Literal::Cmp { op, lhs, rhs })
     }
 
-    fn parse_atom(
-        &mut self,
-        vars: &mut FxHashMap<&'a str, Var>,
-        var_names: &mut Vec<String>,
-    ) -> Result<Atom, ParseError> {
-        let name = match self.tok {
-            Tok::Ident(name) => name,
-            other => return Err(self.error(format!("expected predicate name, found {other:?}"))),
-        };
-        self.advance()?;
-        self.parse_atom_tail(name, vars, var_names)
-    }
-
     fn parse_atom_tail(
         &mut self,
         name: &str,
         vars: &mut FxHashMap<&'a str, Var>,
         var_names: &mut Vec<String>,
     ) -> Result<Atom, ParseError> {
+        let pred = self.parse_args(name, vars, var_names)?;
+        Ok(Atom::new(pred, self.args.clone()))
+    }
+
+    /// `( term, ... )` after predicate `name`, into `self.args`;
+    /// returns the predicate.
+    fn parse_args(
+        &mut self,
+        name: &str,
+        vars: &mut FxHashMap<&'a str, Var>,
+        var_names: &mut Vec<String>,
+    ) -> Result<Pred, ParseError> {
         self.expect(Tok::LParen, "`(`")?;
-        let mut args = Vec::new();
+        self.args.clear();
         loop {
-            if args.len() == MAX_ARITY {
+            if self.args.len() == MAX_ARITY {
                 // Binding patterns are one-bit-per-column masks; a wider
                 // atom would alias its columns.
                 return Err(self.error(format!(
                     "`{name}` has more than {MAX_ARITY} arguments, the most an atom may have"
                 )));
             }
-            args.push(self.parse_term(vars, var_names)?);
+            let term = self.parse_term(vars, var_names)?;
+            self.args.push(term);
             if self.tok == Tok::Comma {
                 self.advance()?;
             } else {
@@ -389,15 +409,15 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(Tok::RParen, "`)`")?;
-        let pred = self.program.pred(name, args.len());
-        if self.program.arity(pred) != args.len() {
+        let pred = self.program.pred(name, self.args.len());
+        if self.program.arity(pred) != self.args.len() {
             return Err(self.error(format!(
                 "predicate `{name}` used with arity {} but declared with {}",
-                args.len(),
+                self.args.len(),
                 self.program.arity(pred)
             )));
         }
-        Ok(Atom::new(pred, args))
+        Ok(pred)
     }
 
     fn parse_term(
@@ -414,8 +434,8 @@ impl<'a> Parser<'a> {
                 });
                 Term::Var(v)
             }
-            Tok::Ident(name) => Term::Const(self.program.consts.intern_str(name)),
-            Tok::Int(i) => Term::Const(self.program.consts.intern_int(i)),
+            Tok::Ident(name) => Term::Const(self.consts.intern_str(name)),
+            Tok::Int(i) => Term::Const(self.consts.intern_int(i)),
             other => return Err(self.error(format!("expected term, found {other:?}"))),
         };
         self.advance()?;
@@ -471,7 +491,7 @@ mod tests {
         assert_eq!(p.rules.len(), 2);
         let rule = &p.rules[1];
         assert!(matches!(rule.body[1], Literal::Cmp { op: CmpOp::Lt, .. }));
-        let (_, tuple) = &p.facts[0];
+        let (_, tuple) = p.facts.get(0).unwrap();
         assert_eq!(p.consts.value(tuple[1]), &ConstValue::Int(900));
     }
 
@@ -532,8 +552,17 @@ mod tests {
     #[test]
     fn negative_integers() {
         let p = parse_program("t(-5).").unwrap();
-        let (_, tuple) = &p.facts[0];
+        let (_, tuple) = p.facts.get(0).unwrap();
         assert_eq!(p.consts.value(tuple[0]), &ConstValue::Int(-5));
+    }
+
+    #[test]
+    fn reports_the_whole_unexpected_character() {
+        let err = parse_program("e(a, café).").unwrap_err();
+        assert_eq!(err.msg, "unexpected character `é`");
+        assert_eq!((err.line, err.col), (1, 9));
+        let err = parse_program("% ünïcode in a comment\ne(😀).").unwrap_err();
+        assert_eq!(err.msg, "unexpected character `😀`");
     }
 
     #[test]

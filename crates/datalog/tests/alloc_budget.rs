@@ -95,19 +95,22 @@ fn loading_stays_within_its_allocation_budget() {
 
     let per_fact = |n: u64| n as f64 / edges as f64;
     eprintln!(
-        "allocations per fact: parse_program {:.2}, Database::from_program {:.2}",
-        per_fact(parse),
-        per_fact(build)
+        "allocations: parse_program {parse} ({:.2} per fact), Database::from_program {build}",
+        per_fact(parse)
     );
+    // Parsing allocates per distinct constant (its value, and the
+    // lookup trie's nodes) and per storage chunk, not per fact: 25,359
+    // allocations here, for 10,201 constants and 20,200 facts.
     assert!(
-        per_fact(parse) <= 6.0,
+        per_fact(parse) <= 1.55,
         "parse_program: {:.2} allocations per fact",
         per_fact(parse)
     );
+    // Distinct facts: each shard shares its predicate's fact chunks, so
+    // the build allocates per predicate only (5 here).
     assert!(
-        per_fact(build) <= 2.0,
-        "Database::from_program: {:.2} allocations per fact",
-        per_fact(build)
+        build <= 6,
+        "Database::from_program: {build} allocations for {edges} facts"
     );
 
     let mut consts = program.consts.clone();

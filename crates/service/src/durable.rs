@@ -281,8 +281,7 @@ pub(crate) fn encode_checkpoint(snap: &Snapshot, base: &BaseProfile) -> Vec<u8> 
         put_value(&mut w, program.consts.value(Const::from_index(i)));
     }
     w.put_u32((program.facts.len() - base.facts) as u32);
-    for i in base.facts..program.facts.len() {
-        let (pred, row) = program.facts.get(i).expect("fact index in range");
+    for (pred, row) in program.facts.iter_from(base.facts) {
         w.put_u32(pred.0);
         w.put_u32(row.len() as u32);
         for c in row {
@@ -402,7 +401,7 @@ pub(crate) fn restore_checkpoint(
             }
             row.push(Const(craw));
         }
-        program.add_fact(pred, row);
+        program.add_fact(pred, &row);
     }
     if !r.is_exhausted() {
         return Err(format!(

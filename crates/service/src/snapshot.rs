@@ -461,8 +461,8 @@ fn apply_fact(
     }
     if !db.contains(target, &mapped) {
         db.insert(target, &mapped);
-        delta.push(target, mapped.clone());
-        program.add_fact(target, mapped);
+        program.add_fact(target, &mapped);
+        delta.push(target, mapped);
         dirty.insert(target);
     }
 }

@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
 # Recovery smoke test: start `rqc serve --http --data-dir` on an
-# OS-assigned port, ingest a couple of batches, SIGKILL the server,
-# restart it on the same data dir, and assert (a) the recovery banner
-# reports the pre-crash epoch, (b) queries answer identically to the
-# pre-crash service, and (c) /metrics carries the rq_recovery_* and
-# rq_wal_* families with the right values.  Run from the repo root:
+# OS-assigned port, make 18 durable ingests (so a checkpoint is written
+# at epoch 16, the default interval, and two records follow it),
+# SIGKILL the server, restart it on the same data dir, and assert (a)
+# the recovery banner reports the pre-crash epoch, restored from the
+# epoch-16 checkpoint plus 2 replayed records, (b) queries answer
+# identically to the pre-crash service, and (c) /metrics carries the
+# rq_recovery_* and rq_wal_* families with the right values.  The
+# ingests interleave `e` with a predicate the program does not have,
+# carry integer constants, and include a duplicate fact, so the
+# checkpoint holds new predicates, constants and facts.  Run from the
+# repo root:
 #
 #   scripts/recovery_smoke.sh [path/to/rqc]
 #
@@ -48,20 +54,39 @@ spawn() {
 
 fail() { echo "FAIL: $1" >&2; echo "--- stderr ---" >&2; cat "$workdir/stderr.log" >&2; exit 1; }
 
-# First life: two durable ingests, a reference answer, then SIGKILL.
+# The k-th ingest (1..18): odd ones extend the `e` chain from `d`, even
+# ones add a `w` fact with an integer; the 9th also repeats `e(a,b)`.
+facts() {
+  local k=$1
+  if [ $((k % 2)) -eq 1 ]; then
+    local from=d
+    [ "$k" -gt 1 ] && from="n$((k - 2))"
+    local extra=""
+    [ "$k" -eq 9 ] && extra=" e(a, b)."
+    echo "e($from, n$k).$extra"
+  else
+    echo "w(n$((k - 1)), $((k * 100)))."
+  fi
+}
+
+# First life: 18 durable ingests, a reference answer, then SIGKILL.
 spawn
-curl -sf -d '{"facts": "e(d, p). e(p, q)."}' "http://$addr/ingest" \
-  | grep -qF '"durable":true' || fail "ingest ack not durable"
-curl -sf -d '{"facts": "e(q, r)."}' "http://$addr/ingest" > /dev/null
+for k in $(seq 1 18); do
+  curl -sf -d "{\"facts\": \"$(facts "$k")\"}" "http://$addr/ingest" \
+    | grep -qF '"durable":true' || fail "ingest $k ack not durable"
+done
 curl -sf -d '{"query": "tc(a, Y)"}' "http://$addr/query" > "$workdir/before.json"
-grep -qF '"epoch":2' "$workdir/before.json" || fail "pre-crash epoch is not 2"
+grep -qF '"epoch":18' "$workdir/before.json" || fail "pre-crash epoch is not 18"
+curl -sf "http://$addr/metrics" | grep -qF 'rq_wal_checkpoints_total 1' \
+  || fail "no checkpoint written before the crash"
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 
 # Second life, same data dir: banner + byte-identical answer.
 spawn
-grep -qF 'recovered to epoch 2' "$workdir/stderr.log" || fail "missing recovery banner"
+grep -qF 'recovered to epoch 18 (epoch 16 checkpoint, 2 replayed' "$workdir/stderr.log" \
+  || fail "missing recovery banner, or not from the epoch-16 checkpoint plus 2 records"
 curl -sf -d '{"query": "tc(a, Y)"}' "http://$addr/query" > "$workdir/after.json"
 cmp -s "$workdir/before.json" "$workdir/after.json" \
   || fail "post-recovery answer differs from pre-crash answer"
@@ -71,8 +96,9 @@ scrape="$workdir/metrics.txt"
 curl -sf "http://$addr/metrics" > "$scrape"
 for needle in \
   '# TYPE rq_recovery_epoch gauge' \
-  'rq_recovery_epoch 2' \
+  'rq_recovery_epoch 18' \
   'rq_recovery_replayed_records 2' \
+  'rq_recovery_checkpoint_epoch 16' \
   'rq_recovery_dropped_records 0' \
   'rq_recovery_checkpoint_dropped 0' \
   '# TYPE rq_wal_records_total counter' \
@@ -83,4 +109,4 @@ do
     || { echo "FAIL: missing: $needle" >&2; echo "--- scrape ---" >&2; cat "$scrape" >&2; exit 1; }
 done
 
-echo "recovery smoke OK ($addr, recovered to epoch 2)"
+echo "recovery smoke OK ($addr, recovered to epoch 18 from the epoch-16 checkpoint)"
