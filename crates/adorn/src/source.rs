@@ -19,17 +19,25 @@
 //! and no store to shared memory; a miss runs its join with no lock
 //! held, then interns the result under the interner's mutex and
 //! records it under the memo's.
+//!
+//! The interner's dedup table is an [`IdTable`] of tuple indexes: it
+//! stores no key and no hash, compares a candidate by reading its
+//! components back from the arena (one slice, unless the tuple
+//! straddles a chunk boundary) and rehashes through the arena when it
+//! grows, so interning allocates nothing per tuple and ids are handed
+//! out in first-sight order.
 
 use crate::transform::{BinaryProgram, VirtualRel};
 use rq_common::{
-    AnswerStats, AnswerStore, Arena, Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred, Rows,
+    AnswerStats, AnswerStore, Arena, Const, Counters, FxHashMap, FxHashSet, FxHasher, IdTable,
+    Pred, Rows,
 };
 use rq_datalog::{
     fire_seeded, Atom, Database, DeltaView, Literal, Program, Relation, Term, WholeDb,
 };
 use rq_engine::TupleSource;
 use std::borrow::Cow;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -40,36 +48,32 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 /// carried across an epoch whose ingest grew the program interner.
 const TUPLE_ID_BASE: u32 = 1 << 31;
 
-/// End of a dedup hash chain ([`Writer::chain`]).
-const NO_TUPLE: u32 = u32::MAX;
-
 /// Index of tuple constant `c` in the tuple arenas.
 fn tuple_index(c: Const) -> usize {
     c.0.checked_sub(TUPLE_ID_BASE)
         .expect("expected a tuple constant") as usize
 }
 
-/// What the interner's writers share, behind its mutex: the dedup
-/// index and how far the component arena is filled.  Interning stores
-/// into the arenas, then advances these lengths, then returns the id,
-/// so a panic leaves the space merely smaller, never torn.
-#[derive(Clone, Default)]
-struct Writer {
-    /// Dedup index: a component hash → the newest tuple with that hash.
-    heads: FxHashMap<u64, u32>,
-    /// Tuple index → the next older tuple with the same hash; its
-    /// length is the number of interned tuples.
-    chain: Vec<u32>,
-    /// Filled length of the component arena.
-    components: usize,
+/// The hash a tuple's components are filed under in the interner.
+fn tuple_hash(len: usize, components: impl Iterator<Item = Const>) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(len);
+    components.for_each(|c| h.write_u32(c.0));
+    h.finish()
 }
 
-impl Writer {
-    fn hash(components: &[Const]) -> u64 {
-        let mut h = FxHasher::default();
-        components.hash(&mut h);
-        h.finish()
-    }
+/// What the interner's writers share, behind its mutex: the dedup
+/// table and how far the component arena is filled.  Interning stores
+/// into the arenas, then files the tuple, then returns the id, so a
+/// panic leaves the space merely smaller, never torn.
+#[derive(Clone, Default)]
+struct Writer {
+    /// Dedup table: one slot per interned tuple, holding its index and
+    /// comparing through the component arena; its length is the number
+    /// of interned tuples.
+    table: IdTable,
+    /// Filled length of the component arena.
+    components: usize,
 }
 
 /// The shareable half of a [`VirtualSource`]: the tuple-constant
@@ -188,26 +192,35 @@ impl ProbeSpace {
             .map(|w| Const(w.load(Ordering::Relaxed)))
     }
 
-    /// The tuple id of `components`, if interned.
-    fn lookup(&self, w: &Writer, components: &[Const], hash: u64) -> Option<Const> {
-        let mut i = *w.heads.get(&hash)?;
-        while i != NO_TUPLE {
-            let id = Const(TUPLE_ID_BASE + i);
-            if self.components(id).eq(components.iter().copied()) {
-                return Some(id);
-            }
-            i = w.chain[i as usize];
+    /// Whether tuple `i` has exactly `components`.  The tuple's words
+    /// are one arena slice unless it straddles a chunk boundary, so the
+    /// common case compares that slice directly.
+    fn same_components(&self, i: usize, components: &[Const]) -> bool {
+        let span = self.span(i);
+        if span.len() != components.len() {
+            return false;
         }
-        None
+        let same = |w: &AtomicU32, c: &Const| w.load(Ordering::Relaxed) == c.0;
+        match self.components.segments(span).next() {
+            Some(words) if words.len() == components.len() => {
+                words.iter().zip(components).all(|(w, c)| same(w, c))
+            }
+            Some(_) => self
+                .components(Const(TUPLE_ID_BASE + i as u32))
+                .eq(components.iter().copied()),
+            None => true,
+        }
     }
 
     /// The tuple id of `components`, interned on first sight.
     fn intern_locked(&self, w: &mut Writer, components: &[Const]) -> Const {
-        let hash = Writer::hash(components);
-        if let Some(id) = self.lookup(w, components, hash) {
-            return id;
-        }
-        let i = u32::try_from(w.chain.len())
+        let hash = tuple_hash(components.len(), components.iter().copied());
+        let same = |i: u32| self.same_components(i as usize, components);
+        let vacant = match w.table.probe(hash, same) {
+            Ok(slot) => return Const(TUPLE_ID_BASE + w.table.id(slot)),
+            Err(vacant) => vacant,
+        };
+        let i = u32::try_from(w.table.len())
             .ok()
             .filter(|&i| i < TUPLE_ID_BASE)
             .expect("tuple table exhausted the id space");
@@ -218,7 +231,11 @@ impl ProbeSpace {
         }
         self.ends.slot(i as usize).store(end, Ordering::Relaxed);
         w.components = end as usize;
-        w.chain.push(w.heads.insert(hash, i).unwrap_or(NO_TUPLE));
+        let rehash = |j: u32| {
+            let len = self.span(j as usize).len();
+            tuple_hash(len, self.components(Const(TUPLE_ID_BASE + j)))
+        };
+        w.table.insert(vacant, i, rehash);
         Const(TUPLE_ID_BASE + i)
     }
 
@@ -312,6 +329,18 @@ impl ProbeSpace {
     /// memoized `(relation, key, direction)` results.
     pub fn stats(&self) -> AnswerStats {
         self.memo.stats()
+    }
+
+    /// Interned tuples.
+    pub fn tuples(&self) -> usize {
+        self.write().table.len()
+    }
+
+    /// Heap bytes of the tuple arenas, the dedup table, the memo's slot
+    /// columns and its answer words.
+    pub fn bytes(&self) -> usize {
+        let table = self.write().table.bytes();
+        self.components.bytes() + self.ends.bytes() + table + self.memo.bytes()
     }
 }
 
@@ -1090,6 +1119,64 @@ mod tests {
         src.successors(in_pred, anchor, &mut old, &mut Counters::new());
         assert_eq!(old.len(), 1);
         assert_eq!(src.decode_tuple(old[0]), warm);
+    }
+
+    #[test]
+    fn interner_matches_a_hash_map_model_across_forks() {
+        use std::collections::HashMap;
+        /// A space and its model: components → id, in first-sight order.
+        type Side = (ProbeSpace, HashMap<Vec<Const>, u32>);
+        fn intern(side: &mut Side, t: &[Const]) {
+            let next = TUPLE_ID_BASE + side.1.len() as u32;
+            let want = *side.1.entry(t.to_vec()).or_insert(next);
+            assert_eq!(side.0.intern(t), Const(want), "{t:?}");
+        }
+        fn check(side: &Side) {
+            let (space, model) = side;
+            assert_eq!(space.tuples(), model.len());
+            for (t, &id) in model {
+                let got: Vec<Const> = space.components(Const(id)).collect();
+                assert_eq!(&got, t);
+                assert_eq!(space.intern(t), Const(id), "found, not added");
+            }
+            assert_eq!(space.tuples(), model.len());
+        }
+        let program = parse_program("e(a, b).").unwrap();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        // Widths 0–3 over a small pool: repeats, and tuples that differ
+        // only in width.  Width 40 spans arena chunk boundaries.
+        let tuple = |below: &mut dyn FnMut(u64) -> u64| -> Vec<Const> {
+            let width = [0, 1, 2, 2, 3, 40][below(6) as usize];
+            (0..width).map(|_| Const(below(5) as u32)).collect()
+        };
+        let mut parent: Side = (ProbeSpace::new(&program), HashMap::new());
+        for round in 0..8 {
+            for _ in 0..300 {
+                intern(&mut parent, &tuple(&mut below));
+            }
+            let mut fork: Side = (parent.0.fork(), parent.1.clone());
+            check(&fork);
+            for _ in 0..300 {
+                let t = tuple(&mut below);
+                intern(&mut fork, &t);
+                if below(2) == 0 {
+                    intern(&mut parent, &t);
+                }
+            }
+            // Each side numbers its own new tuples in its own first-
+            // sight order; the fork's never reach the parent.
+            check(&fork);
+            check(&parent);
+            if round % 2 == 1 {
+                parent = fork;
+            }
+        }
     }
 
     #[test]

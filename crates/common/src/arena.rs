@@ -130,6 +130,16 @@ impl<T: Default> Arena<T> {
             .flat_map(|(start, chunk)| (start..).zip(&**chunk))
     }
 
+    /// Heap bytes of the allocated chunks and the big chunks' table.
+    pub fn bytes(&self) -> usize {
+        let big = self.big.get().map_or(&[][..], |table| &table[..]);
+        let chunks = self.small.iter().chain(big).filter_map(OnceLock::get);
+        chunks
+            .map(|chunk| std::mem::size_of_val(&**chunk))
+            .sum::<usize>()
+            + std::mem::size_of_val(big)
+    }
+
     /// An independent copy of every allocated chunk, element by element
     /// through `copy`.  The caller must exclude writers for the copy to
     /// be a consistent snapshot.
@@ -445,6 +455,14 @@ impl AnswerStore {
         }
     }
 
+    /// Heap bytes of the slot columns and of the answer arena's
+    /// chunks, which forks and carrying stores may share.
+    pub fn bytes(&self) -> usize {
+        let columns = self.columns.iter().map(|(_, column)| column.bytes());
+        let answers = self.answers.get().map_or(0, |a| a.words.bytes());
+        self.columns.bytes() + columns.sum::<usize>() + answers
+    }
+
     /// Words in this store's answer arena, live or garbage: with no
     /// patch and no sharing, exactly the entries' answers.
     pub fn words(&self) -> usize {
@@ -541,6 +559,22 @@ mod tests {
             "two big chunks, no small one"
         );
         assert!(arena.get(0).is_none());
+    }
+
+    #[test]
+    fn bytes_count_the_allocated_chunks() {
+        let arena: Arena<AtomicU32> = Arena::default();
+        assert_eq!(arena.bytes(), 0);
+        arena.slot(40).store(1, Ordering::Relaxed);
+        assert_eq!(arena.bytes(), 64 * 4, "chunk 1 only");
+        arena.slot(SMALL).store(1, Ordering::Relaxed);
+        let table = BIG_CHUNKS * std::mem::size_of::<Chunk<AtomicU32>>();
+        assert_eq!(arena.bytes(), (64 + BIG_CHUNK) * 4 + table);
+        let store = AnswerStore::new(4);
+        assert_eq!(store.bytes(), 0);
+        store.record(1, 40, &consts(&[1, 2, 3]));
+        let slots = std::mem::size_of::<Arena<AtomicU64>>();
+        assert_eq!(store.bytes(), 32 * slots + 64 * 8 + 32 * 4);
     }
 
     #[test]

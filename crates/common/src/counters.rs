@@ -27,8 +27,8 @@ pub struct Counters {
     /// store (CSR slice, or a scan of a shard of at most 64 tuples) —
     /// no trie walk.
     pub csr_probes: u64,
-    /// Of the index probes, those that walked a hash-trie index (or
-    /// built one on the spot).
+    /// Of the index probes, those that read a column index (or built
+    /// one on the spot).
     pub trie_probes: u64,
 }
 

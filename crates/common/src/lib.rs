@@ -7,6 +7,9 @@
 //!   answer sets in;
 //! * [`hash`] — an FxHash-style fast hasher and map/set aliases;
 //! * [`intern`] — interned constants, predicates, and variables;
+//! * [`idtable`] — a flat hash table of bare `u32` ids that compares
+//!   and rehashes through the caller's storage: the shard column
+//!   indexes and the §4 tuple interner;
 //! * [`idvec`] — dense tables indexed by interned ids;
 //! * [`json`] — a tiny hand-rolled JSON value type with encoder and
 //!   decoder, shared by the `rq-wire` HTTP API and the bench-summary
@@ -33,6 +36,7 @@
 pub mod arena;
 pub mod counters;
 pub mod hash;
+pub mod idtable;
 pub mod idvec;
 pub mod intern;
 pub mod json;
@@ -44,6 +48,7 @@ pub mod threads;
 pub use arena::{AnswerStats, AnswerStore, Arena};
 pub use counters::Counters;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use idtable::IdTable;
 pub use idvec::{IdLike, IdVec};
 pub use intern::{Const, ConstInterner, ConstValue, NameInterner, Pred, SourceInterner, Var};
 pub use json::{Json, JsonError};

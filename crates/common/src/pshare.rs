@@ -27,11 +27,11 @@
 //! user whose key bytes already live elsewhere stores a bare id: the
 //! shard dedup table files tuple ordinals into its tuple store, and
 //! the constant interner files constant ids into its value vector —
-//! the ids-into-existing-storage layout `ProbeSpace`'s tuple interner
-//! uses too.  [`PMap::from_hashed`] builds a whole map in one pass —
-//! the same trie as filing its entries one at a time — for the
-//! interner at the end of a parse and for a shard's dedup table and
-//! column indexes.
+//! the ids-into-existing-storage layout the shard column indexes and
+//! `ProbeSpace`'s tuple interner use too, flat and not persistent
+//! ([`crate::IdTable`]).  [`PMap::from_hashed`] builds a whole map in
+//! one pass — the same trie as filing its entries one at a time — for
+//! the interner at the end of a parse and for a shard's dedup table.
 //!
 //! Both structures detect unique ownership (`Arc::make_mut`), so the
 //! common single-owner case — bottom-up evaluation filling a fresh

@@ -10,49 +10,53 @@
 //! **Sharding and persistence.**  A [`Database`] holds one `Arc`-shared
 //! [`Relation`] *shard* per predicate.  Cloning a database bumps one
 //! refcount per shard; mutating a shard first detaches it copy-on-write
-//! (`Arc::make_mut`).  Inside a shard, storage is persistent too: tuples
-//! live in a chunked [`PVec`] (appends copy only the tail chunk), and
-//! the dedup table and every built index are [`PMap`] hash tries (path
-//! copying).  Each tuple is stored once, in the `PVec`: the dedup table
-//! files bare tuple ordinals under the tuple's hash, each index files
-//! its posting lists under the hash of their bound columns keyed by
-//! their first ordinal, and both compare by reading the tuple back from
-//! the store — the ids-into-existing-storage layout the constant
-//! interner and `ProbeSpace`'s tuple interner use too.  A shard loaded
-//! from a program's distinct facts shares their chunks with
-//! `Program::facts`, so a loaded fact is stored once across the two.
+//! (`Arc::make_mut`).  Inside a shard, tuples live in a chunked
+//! [`PVec`] (appends copy only the tail chunk) and the dedup table is a
+//! [`PMap`] hash trie (path copying), so both stay O(delta) to extend
+//! after a detach.  Each tuple is stored once, in the `PVec`: the dedup
+//! table files bare tuple ordinals under the tuple's hash, and each
+//! column index is an [`IdTable`] holding, per distinct key of its
+//! bound columns, the key's last ordinal, plus one link per tuple that
+//! chains each key's ordinals in ascending order.  Both compare by
+//! reading the tuple back from the store — the ids-into-existing-
+//! storage layout the constant interner and `ProbeSpace`'s tuple
+//! interner use too.  A shard loaded from a program's distinct facts
+//! shares their chunks with `Program::facts`, so a loaded fact is
+//! stored once across the two.
 //!
 //! **Bulk builds.**  Loading, the dedup table and every index are
 //! built in one pass each: [`Database::from_program`] drops source
 //! duplicates with a transient hash set and hands each predicate's fact
 //! storage to its shard, the dedup table is built on a shard's first
 //! [`Relation::insert`] or [`Relation::contains`] (a shard that is only
-//! read never has one), and [`Relation::build_index`] groups ordinals
-//! by key before filing them.  Both tries come from
-//! [`PMap::from_hashed`], which builds exactly the trie filing the
-//! same entries one at a time would, so every probe and every later
-//! insert behaves as if the structure had grown incrementally.  The net effect
-//! is that publishing a new snapshot epoch after ingesting a handful of
-//! facts costs O(delta), not O(database): untouched shards are shared
-//! wholesale (`Arc::ptr_eq` with the parent epoch), and the touched
-//! shard shares all of its full chunks and all untouched index regions
-//! with its predecessor.
+//! read never has one), and [`Relation::build_index`] files the
+//! ordinals in order into a flat table that allocates once per
+//! doubling, with no transient grouping map.  The dedup trie comes
+//! from [`PMap::from_hashed`], which builds exactly the trie filing the
+//! same entries one at a time would, and an index built in bulk is the
+//! one inserts maintain, so every probe and every later insert behaves
+//! as if the structure had grown incrementally.  The net effect is
+//! that publishing a new snapshot epoch after ingesting a handful of
+//! facts copies only the touched shard's tail chunk, trie paths and
+//! built indexes: untouched shards are shared wholesale
+//! (`Arc::ptr_eq` with the parent epoch), and the touched shard shares
+//! all of its full chunks with its predecessor.
 //!
 //! **Index warmth.**  The index cache lives *inside* the shard, behind
 //! an [`RwLock`] so a fully built relation is `Sync`: the serving layer
 //! (`rq-service`) shares immutable [`Database`] snapshots across query
 //! worker threads.  Because untouched shards are shared by pointer,
 //! their warm indexes survive epoch publication for free; a touched
-//! shard clones its index *maps* cheaply (persistent tries) and then
-//! maintains them incrementally for the delta, so even the dirty shard
-//! never rebuilds an index from scratch.  The publish-time
+//! shard shares each built index by `Arc` until its first insert,
+//! which copies it once (`Arc::make_mut`), and then files the delta
+//! into the copy, so even the dirty shard never rebuilds an index from
+//! scratch.  The publish-time
 //! [`CompactStore`] sits in a [`OnceLock`]: built once, then read with
 //! no lock at all.
 
 use crate::ast::{PredFacts, Program};
 use rq_common::pshare::hash_of;
-use rq_common::{Const, FxHashMap, FxHashSet, IdVec, PMap, PVec, Pred};
-use std::collections::hash_map::Entry;
+use rq_common::{Const, FxHashMap, FxHashSet, IdTable, IdVec, PMap, PVec, Pred};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// A bitmask of bound columns; bit `i` set means column `i` is bound.
@@ -70,7 +74,7 @@ pub(crate) const TUPLES_PER_CHUNK: usize = 256;
 
 /// Largest relation served by a scan when no hash index for the
 /// binding pattern exists yet.  Shards are shared by `Arc` across
-/// every reader of a snapshot, so a trie index built by one query is
+/// every reader of a snapshot, so a column index built by one query is
 /// amortized over all of them; repeated O(n) scans only beat that for
 /// relations small enough that a scan costs about as much as one hash
 /// probe.
@@ -123,29 +127,85 @@ fn key_of(tuple: &[Const], mask: ColMask) -> ([Const; MAX_ARITY], usize) {
     (key, mask.count_ones() as usize)
 }
 
-/// One trie index: each posting list (tuple ordinals, ascending) is
-/// filed under the hash of its bound columns with its first ordinal as
-/// key; equality reads that tuple back from the store.
-type Index = PMap<u32, Vec<u32>>;
+/// The hash `key` is filed under in a column index.
+#[inline]
+fn key_hash(tuple: &[Const], mask: ColMask) -> u64 {
+    let (key, width) = key_of(tuple, mask);
+    hash_of(&key[..width])
+}
 
-/// File tuple `ord` of an arity-strided store in the posting list of
-/// its `mask` columns.
-fn file_ordinal(index: &mut Index, flat: &PVec<Const>, arity: usize, mask: ColMask, ord: u32) {
-    let (key, width) = key_of(tuple_at(flat, arity, ord), mask);
-    let key = &key[..width];
-    let (_, posting) = index.entry_hashed(
-        hash_of(key),
-        |&first| matches(tuple_at(flat, arity, first), mask, key),
-        || (ord, Vec::new()),
-    );
-    posting.push(ord);
+/// One column index: an [`IdTable`] slot per distinct key holding its
+/// last tuple ordinal, and `next`, one link per tuple, chaining each
+/// key's ordinals in ascending order with the last one pointing back
+/// to the first.  Equality and rehashing read the tuple back from the
+/// store, so the index holds no key: 4 bytes per tuple plus at most 8
+/// per distinct key.
+#[derive(Clone, Debug)]
+struct Index {
+    keys: IdTable,
+    next: Vec<u32>,
+}
+
+impl Index {
+    /// The index over a store's first `len` tuples, built in one pass.
+    fn build(flat: &PVec<Const>, arity: usize, mask: ColMask, len: usize) -> Self {
+        let mut index = Self {
+            keys: IdTable::default(),
+            next: Vec::with_capacity(len),
+        };
+        for ord in 0..len as u32 {
+            index.file(flat, arity, mask, ord);
+        }
+        index
+    }
+
+    /// File tuple `ord`, the store's newest, at the end of its key's
+    /// posting list: O(1), since the slot holds the list's last ordinal
+    /// and that ordinal's link its first.
+    fn file(&mut self, flat: &PVec<Const>, arity: usize, mask: ColMask, ord: u32) {
+        debug_assert_eq!(self.next.len(), ord as usize);
+        let tuple = |o: u32| tuple_at(flat, arity, o);
+        let (key, width) = key_of(tuple(ord), mask);
+        let key = &key[..width];
+        match self
+            .keys
+            .probe(hash_of(key), |last| matches(tuple(last), mask, key))
+        {
+            Ok(slot) => {
+                let last = self.keys.id(slot) as usize;
+                self.next.push(self.next[last]);
+                self.next[last] = ord;
+                self.keys.replace(slot, ord);
+            }
+            Err(vacant) => {
+                self.next.push(ord);
+                let rehash = |last| key_hash(tuple(last), mask);
+                self.keys.insert(vacant, ord, rehash);
+            }
+        }
+    }
+
+    /// Append the posting list whose last ordinal is `last` to `out`.
+    fn posting(&self, last: u32, out: &mut Vec<u32>) {
+        let mut ord = self.next[last as usize];
+        out.push(ord);
+        while ord != last {
+            ord = self.next[ord as usize];
+            out.push(ord);
+        }
+    }
+
+    /// Heap bytes of the slots and the links.
+    fn bytes(&self) -> usize {
+        self.keys.bytes() + self.next.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Read-optimized adjacency built once per publish
 /// ([`Relation::build_compact`]): forward/reverse CSR rows for binary
 /// relations, so the traversal engine reads successor sets as plain
 /// slices.  Its presence also lets small shards answer probes by
-/// scanning the tuple store instead of building a trie index.
+/// scanning the tuple store instead of building a column index.
 ///
 /// The store is immutable once built.  [`Relation::insert`] drops it
 /// (the shard is being mutated, so the snapshot is stale);
@@ -177,7 +237,7 @@ struct Csr {
 
 impl Csr {
     /// Dense offset tables stop paying off when the id space is much
-    /// larger than the relation; fall back to the trie indexes then.
+    /// larger than the relation; fall back to the column indexes then.
     fn build(rel: &Relation) -> Option<Self> {
         let width = rel
             .iter()
@@ -206,7 +266,7 @@ impl Csr {
 
     /// The orientation keyed by column `key`, by counting sort: targets
     /// of a key stay in tuple-ordinal order, matching what the
-    /// trie-index probe yields.
+    /// column-index probe yields.
     fn direction(rel: &Relation, key: usize, width: usize) -> (Vec<u32>, Vec<Const>) {
         let mut offsets = vec![0u32; width + 1];
         for t in rel.iter() {
@@ -285,10 +345,10 @@ pub struct Relation {
     /// others: built in one pass on the first [`Self::insert`] or
     /// [`Self::contains`], so a shard that is only read never has one.
     dedup: OnceLock<PMap<u32, ()>>,
-    /// Lazily built indexes, one per bound-column mask.  Persistent
-    /// values, so cloning the cache is cheap and clones keep their
-    /// warmth.
-    indexes: RwLock<FxHashMap<ColMask, Index>>,
+    /// Lazily built indexes, one per bound-column mask.  Each is one
+    /// `Arc`, so a clone shares it and keeps its warmth; the first
+    /// insert into a clone copies each built index once.
+    indexes: RwLock<FxHashMap<ColMask, Arc<Index>>>,
     /// The publish-time compact store ([`CompactStore`]); empty until
     /// built, reset by [`Self::insert`].
     compact: OnceLock<Arc<CompactStore>>,
@@ -421,7 +481,7 @@ impl Relation {
         // makes it stale.  The next publish rebuilds it.
         self.compact.take();
         for (&mask, index) in recover(self.indexes.get_mut()).iter_mut() {
-            file_ordinal(index, &self.flat, self.arity, mask, ord);
+            Arc::make_mut(index).file(&self.flat, self.arity, mask, ord);
         }
         true
     }
@@ -429,13 +489,13 @@ impl Relation {
     /// Append to `out` the ordinals of all tuples whose columns in `mask`
     /// equal `key` (the bound values, in ascending column order), in
     /// ascending order.  Returns `true` when a small shard answered by
-    /// scan rather than through a trie index.
+    /// scan rather than through a column index.
     ///
-    /// Probe routing: an already-built trie index wins (O(1) to the
+    /// Probe routing: an already-built column index wins (O(1) to the
     /// posting list); otherwise a shard of at most
     /// `COLUMNAR_SCAN_MAX` tuples that has a compact store is scanned —
     /// no index construction, identical ordinal order; only when
-    /// neither applies is the trie index built on the spot.
+    /// neither applies is the column index built on the spot.
     pub fn lookup(&self, mask: ColMask, key: &[Const], out: &mut Vec<u32>) -> bool {
         debug_assert_eq!(key.len(), mask.count_ones() as usize);
         debug_assert!(mask_cols(mask).all(|c| c < self.arity));
@@ -472,9 +532,9 @@ impl Relation {
         let Some(index) = indexes.get(&mask) else {
             return false;
         };
-        let same_key = |&first: &u32| matches(self.tuple(first), mask, key);
-        if let Some(ords) = index.get_hashed(hash_of(key), same_key) {
-            out.extend_from_slice(ords);
+        let same_key = |last| matches(self.tuple(last), mask, key);
+        if let Some(last) = index.keys.find(hash_of(key), same_key) {
+            index.posting(last, out);
         }
         true
     }
@@ -491,53 +551,21 @@ impl Relation {
         let mut indexes = recover(self.indexes.write());
         indexes
             .entry(mask)
-            .or_insert_with(|| self.index_in_one_pass(mask));
-    }
-
-    /// The index for `mask`, built in one pass: ordinals are grouped by
-    /// key in a transient map, then the trie is built in bulk
-    /// ([`PMap::from_hashed`]) — the same trie filing them one at a
-    /// time builds, since groups are listed in first-ordinal order and
-    /// each posting list is ascending.
-    fn index_in_one_pass(&self, mask: ColMask) -> Index {
-        /// No further group under the same hash.
-        const END: u32 = u32::MAX;
-        // Each group: its key's hash, first ordinal, posting list, and
-        // the next group whose key has the same 64-bit hash.
-        let mut groups: Vec<(u64, u32, Vec<u32>)> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new();
-        let mut by_hash: FxHashMap<u64, u32> = FxHashMap::default();
-        for ord in 0..self.len as u32 {
-            let (key, width) = key_of(self.tuple(ord), mask);
-            let key = &key[..width];
-            let hash = hash_of(key);
-            let next = groups.len() as u32;
-            let mut g = match by_hash.entry(hash) {
-                Entry::Vacant(slot) => {
-                    slot.insert(next);
-                    next
-                }
-                Entry::Occupied(slot) => *slot.get(),
-            };
-            while g != next && !matches(self.tuple(groups[g as usize].1), mask, key) {
-                if chain[g as usize] == END {
-                    chain[g as usize] = next;
-                }
-                g = chain[g as usize];
-            }
-            if g == next {
-                groups.push((hash, ord, Vec::new()));
-                chain.push(END);
-            }
-            groups[g as usize].2.push(ord);
-        }
-        Index::from_hashed(groups)
+            .or_insert_with(|| Arc::new(Index::build(&self.flat, self.arity, mask, self.len)));
     }
 
     /// Whether the index for `mask` has been built — the warmth probe
     /// used by tests and the serving layer's publish path.
     pub fn has_index(&self, mask: ColMask) -> bool {
         recover(self.indexes.read()).contains_key(&mask)
+    }
+
+    /// Heap bytes of the built column indexes.
+    pub fn index_bytes(&self) -> usize {
+        recover(self.indexes.read())
+            .values()
+            .map(|i| i.bytes())
+            .sum()
     }
 
     /// Build the compact store ([`CompactStore`]) if absent; returns
@@ -615,8 +643,8 @@ impl Clone for Relation {
             len: self.len,
             flat: self.flat.clone(),   // chunk refcount bumps
             dedup: self.dedup.clone(), // root refcount bump, if built
-            // Indexes are persistent tries too: carry the warm cache
-            // over at the cost of one refcount bump per built mask.
+            // Carry the warm cache over at the cost of one refcount
+            // bump per built mask.
             indexes: RwLock::new(recover(self.indexes.read()).clone()),
             // The compact store is immutable; carry it by refcount.
             compact: self.compact.clone(),
@@ -700,6 +728,12 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
+    /// Heap bytes of every shard's built column indexes
+    /// ([`Relation::index_bytes`]).
+    pub fn index_bytes(&self) -> usize {
+        self.relations.iter().map(|r| r.index_bytes()).sum()
+    }
+
     /// Build the first-column and second-column indexes — the two
     /// probes the traversal engine makes — of every binary relation
     /// that has no CSR to serve them: one whose compact store is not
@@ -708,7 +742,7 @@ impl Database {
     /// an immutable snapshot, right after
     /// [`Self::build_compact_stores`], so concurrent readers never
     /// contend on index construction and a shard served by CSR rows
-    /// never pays for two tries it would not probe.  Shards carried
+    /// never pays for two indexes it would not probe.  Shards carried
     /// over from a previous epoch keep what they had, so for them this
     /// is O(1) per shard.
     pub fn prewarm_binary_indexes(&self) {
@@ -1085,8 +1119,8 @@ mod tests {
             let absent = vec![c(99); r.arity()];
             assert_eq!(r.contains(&absent), r.arity() == 0 && !set.is_empty());
             // The indexes were built before the first insert, so each
-            // lookup reads a trie every insert maintained (and, for a
-            // retained clone, one path-copied away from its successor).
+            // lookup reads an index every insert maintained (and, for a
+            // retained clone, one its successor copied on its first insert).
             // Keys range over the constant pool plus one absent value.
             for columns in index_columns(r.arity()) {
                 let mask = mask_of(columns.iter().copied());
@@ -1143,6 +1177,83 @@ mod tests {
             for (version, model) in &retained {
                 check(version, model);
             }
+        }
+    }
+
+    #[test]
+    fn postings_match_a_model_on_every_mask_across_clones() {
+        // Tuples of a small pool, so every mask has multi-ordinal
+        // postings; clones split off and both sides keep inserting.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        /// Each mask's postings, read through the index, against a
+        /// filter of the insertion-ordered `model`; `long` collects the
+        /// masks that had a posting of two or more ordinals.
+        fn check(r: &Relation, model: &[Vec<Const>], long: &mut FxHashSet<ColMask>) {
+            assert_eq!(r.len(), model.len());
+            for mask in 1..1u32 << r.arity() {
+                assert!(r.has_index(mask));
+                let mut keys: Vec<Vec<Const>> = model
+                    .iter()
+                    .map(|t| mask_cols(mask).map(|c| t[c]).collect())
+                    .collect();
+                keys.push(vec![c(99); mask.count_ones() as usize]);
+                for key in keys {
+                    let want: Vec<u32> = (0..model.len() as u32)
+                        .filter(|&o| matches(&model[o as usize], mask, &key))
+                        .collect();
+                    let mut got = Vec::new();
+                    assert!(!r.lookup(mask, &key, &mut got));
+                    assert_eq!(got, want, "mask {mask:#b}, key {key:?}");
+                    if got.len() > 1 {
+                        long.insert(mask);
+                    }
+                }
+            }
+        }
+        for arity in 1..=4usize {
+            let mut r = Relation::new(arity);
+            for mask in 1..1u32 << arity {
+                r.build_index(mask);
+            }
+            let mut model: Vec<Vec<Const>> = Vec::new();
+            let mut insert = |r: &mut Relation, model: &mut Vec<Vec<Const>>, n: usize| {
+                for _ in 0..n {
+                    let t: Vec<Const> = (0..arity).map(|_| c(below(4) as u32)).collect();
+                    let new = !model.contains(&t);
+                    assert_eq!(r.insert(&t), new);
+                    if new {
+                        model.push(t);
+                    }
+                }
+            };
+            insert(&mut r, &mut model, 40);
+            let mut long = FxHashSet::default();
+            for round in 0..6 {
+                let parent_bytes = r.index_bytes();
+                let mut clone = r.clone();
+                let mut clone_model = model.clone();
+                insert(&mut clone, &mut clone_model, 30);
+                // The clone copied its indexes on its first insert;
+                // the parent's stay as they were.
+                check(&r, &model, &mut long);
+                assert_eq!(r.index_bytes(), parent_bytes, "round {round}");
+                check(&clone, &clone_model, &mut long);
+                // The parent grows on too, independently of the clone.
+                insert(&mut r, &mut model, 20);
+                check(&clone, &clone_model, &mut long);
+                if round % 2 == 1 {
+                    (r, model) = (clone, clone_model);
+                }
+            }
+            check(&r, &model, &mut long);
+            // Only the all-columns mask has singleton postings alone.
+            assert_eq!(long.len(), (1 << arity) - 2, "arity {arity}");
         }
     }
 

@@ -1,52 +1,62 @@
-//! Allocation budget of loading a program.
+//! Allocation budgets of loading a program and of building an index.
 //!
 //! Loading is parse + `Database::from_program`, and its cost at scale
-//! is dominated by per-fact and per-token heap allocations.  A counting
-//! global allocator pins the budget, so a change that brings back a
-//! per-key copy (a boxed dedup key, an owned lexer token, a throwaway
-//! lookup string) fails here deterministically.  This file is its own
-//! test binary, and only the thread running a measurement is counted.
+//! is dominated by per-fact and per-token heap allocations; an index
+//! build's by per-key ones.  A counting global allocator pins the
+//! budgets, so a change that brings back a per-key copy (a boxed dedup
+//! key, an owned lexer token, a throwaway lookup string, a posting
+//! list per key) fails here deterministically.  The allocator counts
+//! live bytes too, so an index that grows per tuple fails as well.
+//! This file is its own test binary, and only the thread running a
+//! measurement is counted.
 
-use rq_common::ConstValue;
-use rq_datalog::{parse_program, Database};
+use rq_common::{Const, ConstValue};
+use rq_datalog::{mask_of, parse_program, Database, Relation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated minus bytes freed by counted threads.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note() {
+/// Count one allocation (unless `bytes` is a pure release) that
+/// changes the live bytes by `bytes`.
+fn note(allocation: bool, bytes: i64) {
     if COUNTING.with(Cell::get) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.fetch_add(u64::from(allocation), Ordering::Relaxed);
+        LIVE.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every call forwards to the system allocator unchanged; the
-// counter is a relaxed atomic increment.
+// counters are relaxed atomic adds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -56,11 +66,18 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations (including reallocations) `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (out, allocs, _) = measured(f);
+    (out, allocs)
+}
+
+/// Allocations `f` makes on this thread, and the bytes it leaves live.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
+    let (allocs, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+    (out, allocs, LIVE.load(Ordering::Relaxed) - live)
 }
 
 /// A `side` × `side` grid: an edge to the right and one downwards
@@ -121,4 +138,39 @@ fn loading_stays_within_its_allocation_budget() {
     assert_eq!(consts.value(id), &ConstValue::Str("g50_50".into()));
     let (found, lookup) = allocations(|| consts.get(&ConstValue::Int(5)));
     assert_eq!((found, lookup), (None, 0));
+}
+
+#[test]
+fn an_index_build_allocates_per_table_not_per_key() {
+    // 240,000 4-ary rows, each with its own {0, 1} key: the shape of
+    // the flight relation's (origin, departure) index.
+    const ROWS: u32 = 240_000;
+    let row = |i: u32| [i % 600, 600 + i / 600, i % 7, i % 13].map(Const);
+    let rows: Vec<[Const; 4]> = (0..ROWS).map(row).collect();
+    let rel = Relation::from_rows(4, rows.iter().map(|r| &r[..]));
+    assert_eq!(rel.len(), ROWS as usize);
+    let mask = mask_of([0, 1]);
+
+    let ((), allocs, live) = measured(|| rel.build_index(mask));
+    let per_tuple = live as f64 / f64::from(ROWS);
+    eprintln!("build_index: {allocs} allocations, {per_tuple:.1} live bytes per tuple");
+    // One slot array per doubling, the link vector and the cache entry
+    // (20 here); one posting list per key would be 240,000.
+    assert!(allocs <= 32, "build_index: {allocs} allocations");
+    // 4 bytes of link per tuple plus a 4-byte slot array at most twice
+    // the keys' count, rounded up to a power of two: 12.7 here.
+    assert!(
+        per_tuple <= 24.0,
+        "build_index: {per_tuple:.1} live bytes per tuple"
+    );
+    // The census counts the same bytes, less the cache entry's few.
+    let census = rel.index_bytes() as i64;
+    assert!(
+        (0..1024).contains(&(live - census)),
+        "{live} live, {census} counted"
+    );
+
+    let mut out = Vec::new();
+    rel.lookup(mask, &rows[123_456][..2], &mut out);
+    assert_eq!(out, [123_456]);
 }

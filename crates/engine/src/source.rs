@@ -87,7 +87,7 @@ impl<'a> EdbSource<'a> {
     }
 
     /// One probe with column `bound` fixed to `key`: the CSR `row` if
-    /// the shard has one, else the trie index's matches copied into
+    /// the shard has one, else the column index's matches copied into
     /// `buf`.
     #[inline]
     fn probe<'s>(

@@ -56,6 +56,11 @@ pub struct EpochContextStats {
     pub probe_misses: u64,
     /// Memoized virtual-relation probe results across all plans.
     pub probe_entries: usize,
+    /// Tuples interned across all probe spaces.
+    pub probe_tuples: usize,
+    /// Heap bytes of all probe spaces: tuple arenas, dedup tables,
+    /// memo slot columns and answer words.
+    pub probe_bytes: u64,
     /// All-free queries served through the shared-SCC path.
     pub scc_served: u64,
     /// Machine-memo entries inherited from the previous epoch's context
@@ -215,6 +220,8 @@ impl EpochContext {
             .values()
         {
             probes.merge(&space.stats());
+            stats.probe_tuples += space.tuples();
+            stats.probe_bytes += space.bytes() as u64;
         }
         stats.probe_hits = probes.hits;
         stats.probe_misses = probes.misses;

@@ -276,7 +276,7 @@ pub(crate) struct ServiceCounters {
     /// Index probes served by a compact store (CSR slice or
     /// small-shard scan).
     csr_probes: Counter,
-    /// Index probes that walked (or built) a hash-trie index.
+    /// Index probes that read (or built) a column index.
     trie_probes: Counter,
     /// Dirty plans whose warm memos were repaired in place at publish.
     pub(crate) delta_repairs: Counter,
@@ -387,7 +387,7 @@ impl ServiceCounters {
             ),
             trie_probes: registry.counter(
                 "rq_trie_probes_total",
-                "Index probes that walked (or built) a hash-trie index.",
+                "Index probes that read (or built) a column index.",
             ),
             delta_repairs: registry.counter(
                 "rq_delta_repairs_total",
@@ -618,6 +618,7 @@ impl QueryService {
                 as u64,
             csr_probes: self.counters.csr_probes.value(),
             trie_probes: self.counters.trie_probes.value(),
+            index_bytes: snapshot.db().index_bytes() as u64,
             delta_repairs: self.counters.delta_repairs.value(),
             delta_repaired_rows: self.counters.delta_repaired_rows.value(),
             delta_fallback_cold: self.counters.delta_fallback_cold.value(),

@@ -120,7 +120,7 @@ impl Snapshot {
         let csr_builds = db.build_compact_stores();
         let csr_build_time = build_start.elapsed();
         // CSR or trie, never both: only a binary shard whose store has
-        // no adjacency (ids too sparse) gets its two trie indexes built
+        // no adjacency (ids too sparse) gets its two column indexes built
         // here, so readers still never contend on index construction.
         db.prewarm_binary_indexes();
         let rules_fingerprint = crate::plan::rules_fingerprint(&program);

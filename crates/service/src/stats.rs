@@ -50,9 +50,11 @@ pub struct StatsReport {
     pub csr_build_micros: u64,
     /// Index probes served by a compact store, service lifetime.
     pub csr_probes: u64,
-    /// Index probes that walked (or built) a hash-trie index, service
+    /// Index probes that walked (or built) a column index, service
     /// lifetime.
     pub trie_probes: u64,
+    /// Heap bytes of the current snapshot's built column indexes.
+    pub index_bytes: u64,
     /// Dirty plans whose warm memos were repaired in place at publish,
     /// service lifetime.
     pub delta_repairs: u64,
@@ -73,12 +75,19 @@ impl StatsReport {
     pub fn to_json(&self) -> Json {
         let int = |n: u64| Json::Int(n as i64);
         let memo = |hits: u64, misses: u64, entries: usize| {
-            Json::object([
+            vec![
                 ("hits", int(hits)),
                 ("misses", int(misses)),
                 ("entries", int(entries as u64)),
-            ])
+            ]
         };
+        let mut probe_memo = memo(
+            self.context.probe_hits,
+            self.context.probe_misses,
+            self.context.probe_entries,
+        );
+        probe_memo.push(("tuples", int(self.context.probe_tuples as u64)));
+        probe_memo.push(("bytes", int(self.context.probe_bytes)));
         Json::object([
             ("epoch", int(self.epoch)),
             (
@@ -105,21 +114,14 @@ impl StatsReport {
             (
                 "epoch_context",
                 Json::object([
-                    (
-                        "probe_memo",
-                        memo(
-                            self.context.probe_hits,
-                            self.context.probe_misses,
-                            self.context.probe_entries,
-                        ),
-                    ),
+                    ("probe_memo", Json::object(probe_memo)),
                     (
                         "machine_memo",
-                        memo(
+                        Json::object(memo(
                             self.context.eval_hits,
                             self.context.eval_misses,
                             self.context.eval_entries,
-                        ),
+                        )),
                     ),
                     ("scc_served", int(self.context.scc_served)),
                     (
@@ -138,6 +140,7 @@ impl StatsReport {
                     ("csr_build_micros", int(self.csr_build_micros)),
                     ("csr_probes", int(self.csr_probes)),
                     ("trie_probes", int(self.trie_probes)),
+                    ("index_bytes", int(self.index_bytes)),
                 ]),
             ),
             (
@@ -238,6 +241,11 @@ impl StatsReport {
             clamp(self.context.probe_entries as u64),
         );
         gauge(
+            "rq_epoch_context_probe_bytes",
+            "Heap bytes of this epoch's §4 probe spaces.",
+            clamp(self.context.probe_bytes),
+        );
+        gauge(
             "rq_epoch_context_machine_hits",
             "This epoch's machine-memo hits.",
             clamp(self.context.eval_hits),
@@ -266,6 +274,11 @@ impl StatsReport {
             "rq_epoch_context_probe_spaces_carried",
             "Probe spaces inherited from the previous epoch.",
             clamp(self.context.probe_spaces_carried),
+        );
+        gauge(
+            "rq_storage_index_bytes",
+            "Heap bytes of the current snapshot's built column indexes.",
+            clamp(self.index_bytes),
         );
         if let Some(d) = &self.durability {
             // The `rq_wal_*_total` counters are live registry cells;
@@ -332,10 +345,12 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
+            "epoch context: probe memo {} hits / {} misses ({} entr(ies)) over {} tuple(s) in ~{} bytes, machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
             self.context.probe_hits,
             self.context.probe_misses,
             self.context.probe_entries,
+            self.context.probe_tuples,
+            self.context.probe_bytes,
             self.context.eval_hits,
             self.context.eval_misses,
             self.context.eval_entries,
@@ -345,8 +360,12 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "storage:      {} csr build(s) ({} µs), probes {} csr / {} trie",
-            self.csr_builds, self.csr_build_micros, self.csr_probes, self.trie_probes,
+            "storage:      {} csr build(s) ({} µs), probes {} csr / {} trie, ~{} index bytes",
+            self.csr_builds,
+            self.csr_build_micros,
+            self.csr_probes,
+            self.trie_probes,
+            self.index_bytes,
         )?;
         write!(
             f,
@@ -401,6 +420,8 @@ mod tests {
                 probe_hits: 9,
                 probe_misses: 3,
                 probe_entries: 5,
+                probe_tuples: 13,
+                probe_bytes: 4096,
                 scc_served: 1,
                 eval_carried: 2,
                 probe_spaces_carried: 1,
@@ -409,6 +430,7 @@ mod tests {
             csr_build_micros: 150,
             csr_probes: 40,
             trie_probes: 8,
+            index_bytes: 2048,
             delta_repairs: 3,
             delta_repaired_rows: 12,
             delta_fallback_cold: 1,
@@ -438,11 +460,15 @@ mod tests {
         assert!(text.contains(
             "result cache: 10 hits / 4 misses / 1 evictions / 3 deduped (7 entr(ies), ~1234 bytes)"
         ));
-        assert!(text.contains("probe memo 9 hits / 3 misses (5 entr(ies))"));
+        assert!(text.contains(
+            "probe memo 9 hits / 3 misses (5 entr(ies)) over 13 tuple(s) in ~4096 bytes"
+        ));
         assert!(text.contains("machine memo 6 hits / 2 misses (4 entr(ies))"));
         assert!(text.contains("1 scc-served"));
         assert!(text.contains("carried 2 machine entr(ies) / 1 probe space(s)"));
-        assert!(text.contains("storage:      2 csr build(s) (150 µs), probes 40 csr / 8 trie"));
+        assert!(text.contains(
+            "storage:      2 csr build(s) (150 µs), probes 40 csr / 8 trie, ~2048 index bytes"
+        ));
         assert!(text.contains("delta repair: 3 repair(s) / 12 row(s) patched / 1 cold fallback(s)"));
         assert!(text.contains(
             "durability:   9 wal record(s) (640 bytes), 2 checkpoint(s) / 0 failure(s); recovered epoch 7 (1 replayed, 2 skipped, 1 dropped)"
@@ -472,6 +498,9 @@ mod tests {
             Some(6)
         );
         assert_eq!(ctx.get("scc_served").and_then(Json::as_i64), Some(1));
+        let probe_memo = ctx.get("probe_memo").unwrap();
+        assert_eq!(probe_memo.get("tuples").and_then(Json::as_i64), Some(13));
+        assert_eq!(probe_memo.get("bytes").and_then(Json::as_i64), Some(4096));
         assert_eq!(
             ctx.get("carried")
                 .unwrap()
@@ -483,6 +512,10 @@ mod tests {
         assert_eq!(storage.get("csr_builds").and_then(Json::as_i64), Some(2));
         assert_eq!(storage.get("csr_probes").and_then(Json::as_i64), Some(40));
         assert_eq!(storage.get("trie_probes").and_then(Json::as_i64), Some(8));
+        assert_eq!(
+            storage.get("index_bytes").and_then(Json::as_i64),
+            Some(2048)
+        );
         let repair = json.get("delta_repair").unwrap();
         assert_eq!(repair.get("repairs").and_then(Json::as_i64), Some(3));
         assert_eq!(repair.get("repaired_rows").and_then(Json::as_i64), Some(12));
@@ -528,6 +561,10 @@ mod tests {
         assert!(text.contains("rq_epoch_context_probe_hits 9\n"));
         assert!(text.contains("rq_epoch_context_scc_served 1\n"));
         assert!(text.contains("rq_epoch_context_probe_spaces_carried 1\n"));
+        assert!(text.contains("# TYPE rq_epoch_context_probe_bytes gauge\n"));
+        assert!(text.contains("rq_epoch_context_probe_bytes 4096\n"));
+        assert!(text.contains("# TYPE rq_storage_index_bytes gauge\n"));
+        assert!(text.contains("rq_storage_index_bytes 2048\n"));
         assert!(text.contains("rq_recovery_epoch 7\n"), "{text}");
         assert!(text.contains("rq_recovery_checkpoint_epoch 6\n"));
         assert!(text.contains("rq_recovery_replayed_records 1\n"));

@@ -102,8 +102,10 @@
 //! Serializes [`rq_service::StatsReport`] (the same struct the REPL's
 //! `:stats` prints as text): plan-cache hits/misses and compiled-plan
 //! counts, result-cache hits/misses/evictions/dedup with entry and
-//! byte footprints, and the epoch context's probe/machine-memo
-//! counters including what the last publish carried forward.  The
+//! byte footprints, the epoch context's probe/machine-memo counters
+//! including what the last publish carried forward (and the probe
+//! spaces' interned tuples and heap bytes), and the storage counters
+//! with the heap bytes of the snapshot's built column indexes.  The
 //! result cache's `refused` counts answers it did not keep: first
 //! sights once it holds its admission allowance of 8,192 entries.
 //!
@@ -115,10 +117,12 @@
 //!  "plan_cache":{"hits":3,"misses":1,"chain_programs":1,"nary_plans":0},
 //!  "result_cache":{"hits":2,"misses":2,"evictions":0,"deduped":0,"entries":2,"bytes":208,
 //!                  "refused":0},
-//!  "epoch_context":{"probe_memo":{"hits":0,"misses":0,"entries":0},
+//!  "epoch_context":{"probe_memo":{"hits":0,"misses":0,"entries":0,"tuples":0,"bytes":0},
 //!                   "machine_memo":{"hits":1,"misses":2,"entries":2},
 //!                   "scc_served":0,
-//!                   "carried":{"machine_entries":2,"probe_spaces":0}}}
+//!                   "carried":{"machine_entries":2,"probe_spaces":0}},
+//!  "storage":{"csr_builds":2,"csr_build_micros":41,"csr_probes":3,"trie_probes":0,
+//!             "index_bytes":0}, ...}
 //! ```
 //!
 //! ## `GET /metrics` — Prometheus exposition

@@ -83,9 +83,10 @@ awk '
 ' "$scrape" || fail "exposition format violation"
 
 # Core families: per-endpoint latency histograms, cache hit/miss
-# counters, service counters, and report-derived gauges.  The
-# result cache's refusal counter stays 0: three requests are far below
-# its admission allowance.
+# counters, service counters, and report-derived gauges (the memory
+# census included: column-index and probe-space bytes).  The result
+# cache's refusal counter stays 0: three requests are far below its
+# admission allowance.
 for needle in \
   '# TYPE rq_http_request_seconds histogram' \
   'rq_http_request_seconds_bucket{endpoint="/query",le="+Inf"} 2' \
@@ -105,6 +106,8 @@ for needle in \
   '# TYPE rq_engine_index_probes_total counter' \
   'rq_epoch 1' \
   '# TYPE rq_http_in_flight gauge' \
+  '# TYPE rq_storage_index_bytes gauge' \
+  '# TYPE rq_epoch_context_probe_bytes gauge' \
   '# TYPE rq_csr_builds_total counter' \
   'rq_csr_build_seconds_count 2' \
   '# TYPE rq_csr_probes_total counter' \
