@@ -440,6 +440,11 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, JsonError> {
             _ => break,
         }
     }
+    // Rust's integer and float parsers accept more than JSON does
+    // (`01`, `1.`, `.5`), so the run is checked against the grammar.
+    if !is_json_number(&bytes[start..*at]) {
+        return Err(JsonError::BadNumber(start));
+    }
     let text = std::str::from_utf8(&bytes[start..*at]).expect("ASCII slice");
     if !fractional {
         if let Ok(i) = text.parse::<i64>() {
@@ -449,6 +454,42 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, JsonError> {
     text.parse::<f64>()
         .map(Json::Float)
         .map_err(|_| JsonError::BadNumber(start))
+}
+
+/// Whether `text` is a JSON number (RFC 8259 §6):
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while text.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    match text.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if text.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == text.len()
 }
 
 fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, JsonError> {
@@ -521,10 +562,13 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+/// Exactly four hex digits (RFC 8259 §7); `u32::from_str_radix` would
+/// also take a leading `+`.
 fn parse_hex4(bytes: &[u8], at: &mut usize) -> Option<u32> {
     let slice = bytes.get(*at..*at + 4)?;
-    let text = std::str::from_utf8(slice).ok()?;
-    let code = u32::from_str_radix(text, 16).ok()?;
+    let code = slice
+        .iter()
+        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))?;
     *at += 4;
     Some(code)
 }
@@ -729,5 +773,133 @@ mod tests {
             value.encode_pretty(),
             "{\n  \"bench\": \"t\",\n  \"entries\": [\n    1\n  ]\n}\n"
         );
+    }
+
+    /// A xorshift stream, so every case replays exactly.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Characters that mean something to the parser, control
+    /// characters, and multi-byte scalars.
+    const POOL: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', ' ', '\n', '-', '+', '.', '0', '1', '9', 'e', 'E',
+        'u', 'n', 't', 'r', 'l', 'f', 'a', 's', 'd', '8', 'D', 'c', '\u{0}', '\u{1f}', '\u{7f}',
+        'é', '\u{2028}', '😀',
+    ];
+
+    fn random_string(next: &mut impl FnMut() -> u64) -> String {
+        (0..next() % 8)
+            .map(|_| POOL[(next() % POOL.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A random document with finite floats, its containers nested at
+    /// most `MAX_DEPTH` deep, counting `depth` enclosing levels.
+    fn random_json(next: &mut impl FnMut() -> u64, depth: usize, budget: &mut u32) -> Json {
+        let kinds = if depth == MAX_DEPTH || *budget == 0 {
+            5
+        } else {
+            7
+        };
+        *budget = budget.saturating_sub(1);
+        match next() % kinds {
+            0 => Json::Null,
+            1 => Json::Bool(next() % 2 == 0),
+            2 => Json::Int(next() as i64 >> (next() % 64)),
+            3 => loop {
+                let x = f64::from_bits(next());
+                if x.is_finite() {
+                    break Json::Float(x);
+                }
+            },
+            4 => Json::Str(random_string(next)),
+            5 => Json::Array(
+                (0..next() % 4)
+                    .map(|_| random_json(next, depth + 1, budget))
+                    .collect(),
+            ),
+            _ => Json::Object(
+                (0..next() % 4)
+                    .map(|_| (random_string(next), random_json(next, depth + 1, budget)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn random_documents_round_trip_and_garbage_never_panics() {
+        let mut next = rng(7);
+        for case in 0..2_000 {
+            // A spine of up to MAX_DEPTH containers reaches the depth
+            // limit, which random branching alone almost never does.
+            let spine = (next() % (MAX_DEPTH as u64 + 1)) as usize;
+            let mut value = random_json(&mut next, spine, &mut 40);
+            for level in 0..spine {
+                value = if level % 2 == 0 {
+                    Json::Array(vec![value])
+                } else {
+                    Json::object([("k", value)])
+                };
+            }
+            let text = value.encode();
+            assert_eq!(
+                Json::parse(&text).as_ref(),
+                Ok(&value),
+                "case {case}: {text}"
+            );
+            assert_eq!(Json::parse(&value.encode_pretty()).as_ref(), Ok(&value));
+
+            // One byte of the document replaced, and a string of
+            // meaningful characters: either parses or errs, never panics.
+            let mut bytes = text.into_bytes();
+            let at = (next() % bytes.len() as u64) as usize;
+            bytes[at] = next() as u8;
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            let garbage: String = (0..next() % 32)
+                .map(|_| POOL[(next() % POOL.len() as u64) as usize])
+                .collect();
+            let _ = Json::parse(&garbage);
+        }
+    }
+
+    #[test]
+    fn malformed_numbers_and_escapes_are_rejected() {
+        for (text, error) in [
+            (r#""\u+041""#, JsonError::BadEscape(1)),
+            (r#""\ud83d\u+e00""#, JsonError::BadEscape(1)),
+            (r#"["\u004+"]"#, JsonError::BadEscape(2)),
+            ("01", JsonError::BadNumber(0)),
+            ("-01", JsonError::BadNumber(0)),
+            ("00", JsonError::BadNumber(0)),
+            ("1.", JsonError::BadNumber(0)),
+            ("1.e5", JsonError::BadNumber(0)),
+            ("-.5", JsonError::BadNumber(0)),
+            ("-", JsonError::BadNumber(0)),
+            ("1e", JsonError::BadNumber(0)),
+            ("1e+", JsonError::BadNumber(0)),
+            ("1.2.3", JsonError::BadNumber(0)),
+            ("[1, 01]", JsonError::BadNumber(4)),
+            (r#"{"a": -.5}"#, JsonError::BadNumber(6)),
+        ] {
+            assert_eq!(Json::parse(text), Err(error), "{text}");
+        }
+        for (text, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.5e-3", Json::Float(-0.0005)),
+            ("1E+2", Json::Float(100.0)),
+            (r#""\u00e9\u00C9""#, Json::Str("éÉ".into())),
+        ] {
+            assert_eq!(Json::parse(text), Ok(value), "{text}");
+        }
     }
 }

@@ -26,9 +26,7 @@
 //!   O(delta) instead of O(database);
 //! * [`rows`] — flat answer rows: one sorted, deduplicated row-major
 //!   buffer per answer, the representation the serving stack keeps
-//!   from the engine to the socket;
-//! * [`threads`] — the `RQC_THREADS` thread-count cap every
-//!   parallelism-spawning layer resolves its worker count through.
+//!   from the engine to the socket.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +41,6 @@ pub mod json;
 pub mod obs;
 pub mod pshare;
 pub mod rows;
-pub mod threads;
 
 pub use arena::{AnswerStats, AnswerStore, Arena};
 pub use counters::Counters;
@@ -55,4 +52,3 @@ pub use json::{Json, JsonError};
 pub use obs::{Counter, Gauge, Histogram, Registry};
 pub use pshare::{PMap, PVec};
 pub use rows::{Rows, RowsBuilder};
-pub use threads::{capped_threads, thread_cap};

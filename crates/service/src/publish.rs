@@ -12,8 +12,8 @@
 //! * **Repair** — the read-set is dirty, but the plan's warm state was
 //!   extended semi-naively by the publish delta on detached scratch and
 //!   is complete on the new database;
-//! * **Drop** — dirty, and repair is off, had nothing warm to work on,
-//!   or refused (counted in `rq_delta_fallback_cold_total`).
+//! * **Drop** — dirty, and repair had nothing warm to work on or
+//!   refused (counted in `rq_delta_fallback_cold_total`).
 //!
 //! The same pass installs each Carry / Repair plan's state into the new
 //! snapshot's context through `EpochContext::install`, and the
@@ -90,13 +90,10 @@ struct Patched {
 impl QueryService {
     /// Judge every cached plan against the publish `prev → snap`,
     /// install what survives into `snap`'s context, and return the
-    /// verdict table.  `share_epoch_context: false` turns every install
-    /// off and `delta_repair: false` every would-be Repair into a Drop,
-    /// so the reference configurations keep their meaning.
+    /// verdict table.
     pub(crate) fn transition(&self, prev: &Snapshot, snap: &Snapshot) -> PublishVerdicts {
         let dirty = snap.dirty_preds();
-        let share = self.config.share_epoch_context;
-        let repair = share && self.config.delta_repair && !snap.delta().is_empty();
+        let repair = !snap.delta().is_empty();
         let mut verdicts = PublishVerdicts::default();
         if let Some(plan) = self.plans.peek_program() {
             let id = plan.compiled.id();
@@ -109,7 +106,7 @@ impl QueryService {
             // A repair's scratch memo held the whole plan — clean
             // machines as they were, dirty ones patched — so only an
             // unrepaired plan carries its clean machines from `prev`.
-            if share && !repaired {
+            if !repaired {
                 let _carry = obs::span("ingest.carry_context");
                 snap.context()
                     .install(None, id, prev.context().eval(), |m| !stale.contains(&m));
@@ -128,7 +125,7 @@ impl QueryService {
                 self.repair_nary_plan(prev, snap, slot, &plan)
                     .is_some_and(|patched| self.adopt(snap, patched))
             };
-            if share && clean {
+            if clean {
                 let _carry = obs::span("ingest.carry_context");
                 if let Some(space) = prev.context().peek_probe_space(slot.0, slot.1) {
                     let memo = prev.context().eval();

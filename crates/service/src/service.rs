@@ -27,11 +27,6 @@ pub struct ServiceConfig {
     /// Ignored — a traversal runs on its caller's thread; kept because
     /// the benchmark harness (`bench/src/layers.rs`) still names it.
     pub eval_threads: usize,
-    /// Share the epoch-scoped evaluation context (machine-traversal
-    /// memo + §4 virtual-probe memo + SCC routing) between the queries
-    /// of one snapshot.  On by default; off is the tests' cold
-    /// reference, re-deriving every query from scratch.
-    pub share_epoch_context: bool,
     /// Base evaluation options applied to every query.
     pub options: EvalOptions,
     /// Safety valve for traversals with no computable `m·n` bound
@@ -53,13 +48,6 @@ pub struct ServiceConfig {
     /// one huge all-pairs answer is charged what it costs, not one
     /// slot.
     pub result_cache_bytes: Option<u64>,
-    /// Repair warm epoch state in place at publish time (semi-naive
-    /// delta propagation): dirty plans whose memos can be extended by
-    /// the ingest delta keep their machine memos, §4 probe spaces and
-    /// result-cache rows instead of being dropped and re-derived cold.
-    /// Requires `share_epoch_context`; falling back to the cold path is
-    /// always honest (counted by `rq_delta_fallback_cold_total`).
-    pub delta_repair: bool,
     /// Durability knobs (fsync policy, checkpoint cadence) — consulted
     /// only when the service is opened with a storage backend
     /// ([`QueryService::open`] / [`QueryService::open_backend`]);
@@ -72,12 +60,10 @@ impl Default for ServiceConfig {
         Self {
             threads: 1,
             eval_threads: 1,
-            share_epoch_context: true,
             options: EvalOptions::default(),
             fallback_node_budget: Some(2_000_000),
             result_cache_capacity: Some(crate::results::DEFAULT_CAPACITY),
             result_cache_bytes: Some(256 << 20),
-            delta_repair: true,
             durability: DurabilityConfig::default(),
         }
     }
@@ -878,29 +864,18 @@ impl QueryService {
         // Epoch sharing: every query of this snapshot against this
         // plan shares one tuple interner + virtual-probe memo, and the
         // engine's machine memo, so a batch pays each probe once.
-        let (rows, outcome) = if self.config.share_epoch_context {
-            let space =
-                snapshot
-                    .context()
-                    .probe_space(spec.pred, spec.adornment(), snapshot.program());
-            rq_adorn::evaluate_nary_shared(
-                snapshot.program(),
-                snapshot.db(),
-                &plan,
-                &spec.bound_values(),
-                &options,
-                &space,
-                Some(snapshot.context().eval()),
-            )
-        } else {
-            rq_adorn::evaluate_nary(
-                snapshot.program(),
-                snapshot.db(),
-                &plan,
-                &spec.bound_values(),
-                &options,
-            )
-        };
+        let space = snapshot
+            .context()
+            .probe_space(spec.pred, spec.adornment(), snapshot.program());
+        let (rows, outcome) = rq_adorn::evaluate_nary_shared(
+            snapshot.program(),
+            snapshot.db(),
+            &plan,
+            &spec.bound_values(),
+            &options,
+            &space,
+            Some(snapshot.context().eval()),
+        );
         self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
         let result = CachedResult {
             rows: Arc::new(rows),
@@ -981,9 +956,7 @@ impl QueryService {
                 // systems fall back to the per-source loop, which
                 // reuses — and leaves behind — memoized point answers.
                 let derived = plan.system.derived();
-                if self.config.share_epoch_context
-                    && !plan.system.rhs[&spec.pred].contains_any(&derived)
-                {
+                if !plan.system.rhs[&spec.pred].contains_any(&derived) {
                     snapshot.context().note_scc_served();
                     let options = self.guarded_options(None);
                     let source = EdbSource::new(snapshot.db());
@@ -1041,10 +1014,8 @@ impl QueryService {
     ) -> (Vec<Const>, bool, Counters) {
         let options = self.guarded_options(stop_on_answer);
         let source = EdbSource::new(snapshot.db());
-        let mut evaluator = Evaluator::with_plan(&plan.system, &plan.compiled, &source);
-        if self.config.share_epoch_context {
-            evaluator = evaluator.with_context(snapshot.context().eval());
-        }
+        let evaluator = Evaluator::with_plan(&plan.system, &plan.compiled, &source)
+            .with_context(snapshot.context().eval());
         let (db, fallback) = (snapshot.db(), self.config.fallback_node_budget);
         let outcome = evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback);
         self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
@@ -1416,11 +1387,16 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
 
     #[test]
     fn results_memoize_and_invalidate_on_ingest() {
-        // Repair off: this test pins the baseline drop-on-dirty policy.
+        // This test pins the drop-on-dirty policy.  `nr` is not regular
+        // (e·nr·e), so its repair closures need a second round, which a
+        // one-node fallback budget refuses; the chain plan is repaired
+        // whole or not at all, so tc drops with it, while tc's query
+        // converges under its m·n bound.
+        let program = format!("{TC}\nnr(X,Y) :- e(X,Y).\nnr(X,Y) :- e(X,X1), nr(X1,Y1), e(Y1,Y).");
         let service = QueryService::with_config(
-            rq_datalog::parse_program(TC).unwrap(),
+            rq_datalog::parse_program(&program).unwrap(),
             ServiceConfig {
-                delta_repair: false,
+                fallback_node_budget: Some(1),
                 ..ServiceConfig::default()
             },
         );
@@ -1435,6 +1411,8 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         assert!(!third.from_cache, "dirty-predicate entries must refresh");
         assert_eq!(third.epoch, 1);
         assert_eq!(rendered(&service, &third), vec!["b", "c", "d", "z"]);
+        let report = service.stats_report();
+        assert_eq!((report.delta_repairs, report.delta_fallback_cold), (0, 1));
         // Plans survived the ingest: one program compiled, reused after.
         assert_eq!(service.plan_cache().programs(), 1);
     }

@@ -2,46 +2,49 @@
 //!
 //! * **memo soundness** — a warm-epoch batch (shared machine memo,
 //!   shared virtual-probe memo, shared-SCC all-free routing) answers
-//!   exactly like a cold service that
-//!   re-derives everything per query, on random n-ary programs;
+//!   exactly like a cold reference, a fresh service per query, on
+//!   random n-ary programs;
 //! * **epoch isolation** — publishing a new epoch invalidates every
 //!   context entry whose plan reads a dirtied shard; entries may only
-//!   carry across the publish when their whole read-set was untouched
-//!   (checked with result memoization off and delta repair off, so
-//!   neither the result cache's carry-forward nor an in-place repair
-//!   can mask a stale context);
-//! * **repair soundness** — with delta repair on (the default), a
-//!   warm service that lives through random small ingests answers
-//!   exactly like a cold service rebuilt from scratch on the grown
-//!   program, whether each dirty plan was repaired in place or fell
-//!   back cold;
+//!   carry across the publish when their whole read-set was untouched,
+//!   or enter through a counted repair (checked with result
+//!   memoization off, so the result cache's carry-forward cannot mask
+//!   a stale context);
+//! * **repair soundness** — a warm service that lives through random
+//!   small ingests answers exactly like the cold reference on the
+//!   grown program, whether each dirty plan was repaired in place or
+//!   fell back cold;
 //! * **one fate per plan** — across a publish, a cached plan's
 //!   result-cache entries and its context state (machine memo / probe
 //!   space) are carried, repaired or dropped *together*.
 
 use proptest::prelude::*;
-use rq_common::{FxHashSet, Pred};
+use rq_common::{Const, FxHashSet, Pred};
+use rq_datalog::Program;
 use rq_engine::EvalOptions;
-use rq_service::{QueryService, QuerySpec, ResultKey, ServiceConfig, Snapshot};
+use rq_service::{QueryService, QuerySpec, ResultKey, ServiceAnswer, ServiceConfig, Snapshot};
 use rq_workloads::randprog::{
     random_nary_program, random_program, NaryConfig, RandProgConfig, RecursionStyle,
 };
 
-/// A service that shares nothing between queries: cold per-query
-/// re-derivation, no result memoization.
-fn cold_config() -> ServiceConfig {
-    ServiceConfig {
-        share_epoch_context: false,
-        result_cache_capacity: Some(0),
-        ..ServiceConfig::default()
-    }
+/// The cold reference: `spec` asked of a fresh service over `program`
+/// that caches no answer, so it runs on an empty epoch context — a
+/// fresh probe space and no memo entry.
+fn cold_answer(program: &Program, spec: &QuerySpec) -> ServiceAnswer {
+    QueryService::with_config(program.clone(), warm_config())
+        .query(spec)
+        .unwrap()
 }
 
-/// A service with every sharing mechanism on but the result cache off,
-/// so answers demonstrably come from evaluation through the context.
+/// Every `pred` tuple of `program`'s bottom-up fixpoint, sorted.
+fn fixpoint_rows(program: &Program, pred: Pred) -> Vec<Vec<Const>> {
+    rq_datalog::seminaive_eval(program).unwrap().tuples(pred)
+}
+
+/// A service with the result cache off, so answers demonstrably come
+/// from evaluation through the epoch context.
 fn warm_config() -> ServiceConfig {
     ServiceConfig {
-        share_epoch_context: true,
         result_cache_capacity: Some(0),
         ..ServiceConfig::default()
     }
@@ -58,7 +61,6 @@ proptest! {
     fn warm_batch_equals_cold_sequential(seed in 0u64..200) {
         let np = random_nary_program(&NaryConfig { seed, ..NaryConfig::default() });
         let warm = QueryService::with_config(np.program.clone(), warm_config());
-        let cold = QueryService::with_config(np.program.clone(), cold_config());
         let specs: Vec<_> = np
             .queries
             .iter()
@@ -70,7 +72,7 @@ proptest! {
             let batch = warm.query_batch(&specs);
             for (spec, answer) in specs.iter().zip(batch) {
                 let warm_answer = answer.unwrap();
-                let cold_answer = cold.query(spec).unwrap();
+                let cold_answer = cold_answer(&np.program, spec);
                 prop_assert_eq!(
                     warm_answer.rows.as_ref(),
                     cold_answer.rows.as_ref(),
@@ -89,18 +91,14 @@ proptest! {
     /// Publishing an epoch invalidates every context entry that read a
     /// dirtied shard: answers after an ingest reflect the new facts
     /// even with result memoization off.  Entries are only allowed to
-    /// carry into the new snapshot's context when their plan's whole
-    /// read-set was untouched by the publish — and whatever carried,
-    /// post-publish answers must still match a cold re-derivation.
+    /// enter the new snapshot's context when their plan's whole
+    /// read-set was untouched by the publish, or through a counted
+    /// repair — and whatever entered, post-publish answers must still
+    /// match a cold re-derivation.
     #[test]
     fn publish_invalidates_dirty_read_set_context(seed in 0u64..200) {
         let np = random_nary_program(&NaryConfig { seed, ..NaryConfig::default() });
-        // Repair off: this property pins the baseline isolation rule
-        // (dirty plans contribute *nothing* to the fresh context).
-        let warm = QueryService::with_config(
-            np.program.clone(),
-            ServiceConfig { delta_repair: false, ..warm_config() },
-        );
+        let warm = QueryService::with_config(np.program.clone(), warm_config());
         let specs: Vec<_> = np
             .queries
             .iter()
@@ -109,36 +107,41 @@ proptest! {
         // Warm the context thoroughly.
         warm.query_batch(&specs);
         let old_snapshot = warm.snapshot();
+        let repairs = warm.stats_report().delta_repairs;
         // New edges through fresh constants reshape reachability.
         warm.ingest("b0(n0, n1). b0(n1, n2). b1(n0, n2).").unwrap();
         let fresh = warm.snapshot();
         prop_assert_eq!(fresh.epoch(), old_snapshot.epoch() + 1);
-        // Only clean-read-set plans may carry: every cached plan whose
-        // read-set touches the dirtied b0/b1 must contribute nothing.
+        // A cached plan whose read-set touches the dirtied b0/b1 may
+        // put state into the fresh context only through a counted
+        // repair (each §4 repair installs one probe space).
+        let repaired = warm.stats_report().delta_repairs - repairs;
         let dirty = fresh.dirty_preds();
         let stats = fresh.context().stats();
-        let any_clean_plan = warm
-            .plan_cache()
-            .cached_nary_plans()
+        let plans = warm.plan_cache().cached_nary_plans();
+        let (clean, dirty_plans): (Vec<_>, Vec<_>) = plans
             .iter()
-            .any(|(_, plan)| plan.read_set(fresh.program()).is_disjoint(dirty));
-        if !any_clean_plan {
+            .partition(|(_, plan)| plan.read_set(fresh.program()).is_disjoint(dirty));
+        let dirty_with_state = dirty_plans
+            .iter()
+            .filter(|((pred, adornment), _)| fresh.context().peek_probe_space(*pred, *adornment).is_some())
+            .count();
+        prop_assert!(dirty_with_state as u64 <= repaired, "{} > {}", dirty_with_state, repaired);
+        if clean.is_empty() && repaired == 0 {
             prop_assert_eq!(stats.probe_entries, 0);
             prop_assert_eq!(stats.eval_carried, 0);
         }
-        // Post-publish answers match a cold service over the grown
+        // Post-publish answers match the cold reference over the grown
         // program — a stale probe memo would miss the new facts.
-        let cold = QueryService::with_config(fresh.program().clone(), cold_config());
         for spec in &specs {
             let warm_answer = warm.query(spec).unwrap();
-            let cold_answer = cold.query(spec).unwrap();
+            let cold_answer = cold_answer(fresh.program(), spec);
             prop_assert_eq!(warm_answer.rows.as_ref(), cold_answer.rows.as_ref());
         }
     }
 
-    /// Delta-repair equivalence: a warm service (repair on) that
-    /// absorbs N random small ingests
-    /// answers exactly like a cold service rebuilt from scratch on the
+    /// Delta-repair equivalence: a warm service that absorbs N random
+    /// small ingests answers exactly like the cold reference on the
     /// grown program — with and without result memoization, so both
     /// the repaired context and the swept-and-re-derived result cache
     /// are checked against the oracle.
@@ -174,10 +177,9 @@ proptest! {
                 .collect();
             warm.ingest(&facts).unwrap();
             memoizing.ingest(&facts).unwrap();
-            let cold =
-                QueryService::with_config(warm.snapshot().program().clone(), cold_config());
+            let grown = warm.snapshot();
             for spec in &specs {
-                let oracle = cold.query(spec).unwrap();
+                let oracle = cold_answer(grown.program(), spec);
                 let repaired = warm.query(spec).unwrap();
                 prop_assert_eq!(
                     repaired.rows.as_ref(),
@@ -208,17 +210,23 @@ fn clean_read_set_machine_memo_survives_disjoint_publish() {
     // ingest into e must drop tc's machine memos but carry rc's into
     // the new epoch's context (result memoization is off, so the hits
     // demonstrably come from the carried machine memo, not the result
-    // cache's own carry-forward).
+    // cache's own carry-forward).  `nr` is not regular (e·nr·e), so
+    // its repair closures need a second round, which a one-node
+    // fallback budget refuses; the chain plan is repaired whole or not
+    // at all, so tc drops with it, while both queries converge under
+    // their m·n bound.
     const PROG: &str = "tc(X,Y) :- e(X,Y).\n\
                         tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
                         rc(X,Y) :- f(X,Y).\n\
                         rc(X,Z) :- f(X,Y), rc(Y,Z).\n\
+                        nr(X,Y) :- e(X,Y).\n\
+                        nr(X,Y) :- e(X,X1), nr(X1,Y1), e(Y1,Y).\n\
                         e(a,b). e(b,c). f(m,n). f(n,o).";
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
             result_cache_capacity: Some(0),
-            delta_repair: false,
+            fallback_node_budget: Some(1),
             ..ServiceConfig::default()
         },
     );
@@ -230,6 +238,8 @@ fn clean_read_set_machine_memo_survives_disjoint_publish() {
     assert!(before.eval_entries > 0, "queries warmed the machine memo");
 
     service.ingest("e(c,d).").unwrap();
+    let report = service.stats_report();
+    assert_eq!((report.delta_repairs, report.delta_fallback_cold), (0, 1));
     let snap = service.snapshot();
     let stats = snap.context().stats();
     assert!(stats.eval_carried > 0, "rc machines must carry: {stats:?}");
@@ -264,14 +274,8 @@ fn clean_nary_probe_space_survives_disjoint_publish() {
                         e(a,b). e(b,c).\n\
                         flight(hel,540,ams,690). flight(ams,720,cdg,810).\n\
                         is_deptime(540). is_deptime(720).";
-    let service = QueryService::with_config(
-        rq_datalog::parse_program(PROG).unwrap(),
-        ServiceConfig {
-            result_cache_capacity: Some(0),
-            delta_repair: false,
-            ..ServiceConfig::default()
-        },
-    );
+    let service =
+        QueryService::with_config(rq_datalog::parse_program(PROG).unwrap(), warm_config());
     let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
     let cold = service.query(&q).unwrap();
     assert_eq!(cold.rows.len(), 2);
@@ -290,14 +294,19 @@ fn clean_nary_probe_space_survives_disjoint_publish() {
     assert_eq!(warm.rows.as_ref(), cold.rows.as_ref());
     assert_eq!(warm.epoch, 1);
 
-    // An ingest into flight dirties the plan's read-set: nothing may
-    // carry, and the fresh context re-derives with the new leg.
+    // An ingest into flight dirties the plan's read-set: its state may
+    // enter the fresh context only through a counted repair, and the
+    // answer sees the new leg either way.
+    let repairs = service.stats_report().delta_repairs;
     service
         .ingest("flight(cdg,840,nce,930). is_deptime(840).")
         .unwrap();
+    let repaired = service.stats_report().delta_repairs - repairs;
     let stats = service.snapshot().context().stats();
-    assert_eq!(stats.probe_spaces_carried, 0, "{stats:?}");
-    assert_eq!(stats.eval_carried, 0, "{stats:?}");
+    assert_eq!(stats.probe_spaces_carried, repaired, "{stats:?}");
+    if repaired == 0 {
+        assert_eq!(stats.eval_carried, 0, "{stats:?}");
+    }
     assert_eq!(service.query(&q).unwrap().rows.len(), 3);
 }
 
@@ -385,15 +394,12 @@ fn all_free_regular_queries_take_the_scc_path() {
         rq_datalog::parse_program(TC).unwrap(),
         ServiceConfig::default(),
     );
-    let per_source =
-        QueryService::with_config(rq_datalog::parse_program(TC).unwrap(), cold_config());
     let all = shared.parse_query("tc(X, Y)").unwrap();
     let via_scc = shared.query(&all).unwrap();
-    let via_loop = per_source.query(&all).unwrap();
-    assert_eq!(via_scc.rows.as_ref(), via_loop.rows.as_ref());
+    let program = shared.snapshot().program().clone();
+    assert_eq!(via_scc.rows.to_vecs(), fixpoint_rows(&program, all.pred));
     assert!(via_scc.converged);
     assert_eq!(shared.snapshot().context().stats().scc_served, 1);
-    assert_eq!(per_source.snapshot().context().stats().scc_served, 0);
     // The diagonal rides the same (cached) all-free entry.
     let diag = shared.parse_query("tc(X, X)").unwrap();
     let diag_rows = shared.query(&diag).unwrap();
@@ -411,7 +417,7 @@ fn all_free_regular_queries_take_the_scc_path() {
 fn non_regular_all_free_falls_back_to_per_source() {
     // sg's equation keeps a derived occurrence (sg = flat ∪ up·sg·down
     // is not regular), so the all-free form must use the per-source
-    // loop and still agree with the cold service.
+    // loop and still agree with the bottom-up fixpoint.
     const SG: &str = "sg(X,Y) :- flat(X,Y).\n\
                       sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
                       up(a,a1). up(b,a1). flat(a1,c1). down(c1,d). flat(a,z).";
@@ -419,11 +425,13 @@ fn non_regular_all_free_falls_back_to_per_source() {
         rq_datalog::parse_program(SG).unwrap(),
         ServiceConfig::default(),
     );
-    let cold = QueryService::with_config(rq_datalog::parse_program(SG).unwrap(), cold_config());
     let all = shared.parse_query("sg(X, Y)").unwrap();
     let warm_answer = shared.query(&all).unwrap();
-    let cold_answer = cold.query(&all).unwrap();
-    assert_eq!(warm_answer.rows.as_ref(), cold_answer.rows.as_ref());
+    let program = shared.snapshot().program().clone();
+    assert_eq!(
+        warm_answer.rows.to_vecs(),
+        fixpoint_rows(&program, all.pred)
+    );
     assert_eq!(shared.snapshot().context().stats().scc_served, 0);
     // The per-source loop records its point traversals in the machine
     // memo; a follow-up point query is a context hit even with the
@@ -441,11 +449,10 @@ fn batched_flights_share_probe_work_within_one_epoch() {
         .map(|t| service.parse_query(t).unwrap())
         .collect();
     let first = service.query_batch(&specs);
-    let baseline = QueryService::with_config(workload.program.clone(), cold_config());
     for (spec, answer) in specs.iter().zip(&first) {
         assert_eq!(
             answer.as_ref().unwrap().rows.as_ref(),
-            baseline.query(spec).unwrap().rows.as_ref()
+            cold_answer(&workload.program, spec).rows.as_ref()
         );
     }
     let stats = service.snapshot().context().stats();
@@ -611,10 +618,9 @@ fn check_one_fate_per_plan(
                 (false, false) => tally.dropped += 1,
             }
         }
-        let cold = QueryService::with_config(after.program().clone(), cold_config());
         for spec in &specs {
             let served = service.query(spec).unwrap();
-            let oracle = cold.query(spec).unwrap();
+            let oracle = cold_answer(after.program(), spec);
             let context = format!("seed {seed}, `{facts}`, spec {spec:?}");
             if served.converged {
                 assert_eq!(served.rows.as_ref(), oracle.rows.as_ref(), "{context}");
@@ -639,16 +645,14 @@ fn plan_state_and_result_entries_share_one_fate() {
     // derived predicate is served by it.  So each seed runs a pure
     // chain program (per-predicate fates inside one plan) and a mixed
     // program whose binary and ternary predicates all compile to §4
-    // plans — each under the default configuration and with repair off
-    // (every dirty plan drops).  The chain program also runs with a
-    // one-node fallback budget: its queries still converge under their
-    // m·n bound while every repair refuses.  (§4 queries have no such
-    // bound, so that budget would truncate the answers themselves.)
+    // plans, each under the default configuration.  The chain program
+    // also runs with a one-node fallback budget: its queries still
+    // converge under their m·n bound while any repair whose closures
+    // need a second round refuses, and its dirty plan drops.  §4
+    // queries have no such bound, so that budget would truncate the
+    // answers themselves; their repairs refuse on their own often
+    // enough to exercise the drop.
     let base = ServiceConfig::default();
-    let no_repair = ServiceConfig {
-        delta_repair: false,
-        ..base.clone()
-    };
     let refusing = ServiceConfig {
         fallback_node_budget: Some(1),
         ..base.clone()
@@ -680,12 +684,10 @@ fn plan_state_and_result_entries_share_one_fate() {
             .collect();
         let mixed_text = format!("{}{}", rp.text, np.text);
         let mixed_queries = [chain_queries.clone(), np.queries.clone()].concat();
-        for config in [&base, &no_repair, &refusing] {
+        for config in [&base, &refusing] {
             check_one_fate_per_plan(&rp.text, &chain_queries, config.clone(), seed, &mut chain);
         }
-        for config in [&base, &no_repair] {
-            check_one_fate_per_plan(&mixed_text, &mixed_queries, config.clone(), seed, &mut nary);
-        }
+        check_one_fate_per_plan(&mixed_text, &mixed_queries, base.clone(), seed, &mut nary);
     }
     assert!(
         chain.carried > 0 && chain.repaired > 0 && chain.dropped > 0,

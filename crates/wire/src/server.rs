@@ -5,8 +5,8 @@
 //! `accept`, each serving one connection at a time with keep-alive —
 //! and it is the process's only parallelism: a request, a whole
 //! `/batch` included, is answered on the worker that read it (the
-//! service spawns no threads).  The worker count resolves through the
-//! `RQC_THREADS` cap ([`rq_common::thread_cap`]).
+//! service spawns no threads).  The worker count is
+//! [`WireConfig::workers`] (`rqc serve --threads`).
 
 use crate::api;
 use crate::http::{self, Limits, RequestError};
@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct WireConfig {
     /// Accept-loop worker threads (each serves one connection at a
-    /// time).  `0` means the machine's available parallelism.  Either
-    /// way the count resolves through the `RQC_THREADS` cap, like
-    /// every other thread pool in the workspace.
+    /// time).  `0` means the machine's available parallelism.
     pub workers: usize,
     /// Per-request size limits (header section and body).
     pub limits: Limits,
@@ -150,17 +148,12 @@ impl WireServer {
     }
 
     /// The worker count the accept loop will use: the configured
-    /// number (or available parallelism for `0`), capped by
-    /// `RQC_THREADS`.
+    /// number, or available parallelism for `0`.
     pub fn workers(&self) -> usize {
-        let configured = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.workers
-        };
-        rq_common::capped_threads(configured).max(1)
+        match self.config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
     }
 
     /// Serve until the process exits (the accept loop never stops on
@@ -175,20 +168,24 @@ impl WireServer {
     }
 
     /// Start the accept loop on background threads and return a handle
-    /// for address discovery and clean shutdown.
+    /// for address discovery and clean shutdown.  When the OS refuses a
+    /// worker thread, the workers already started are shut down and the
+    /// error is returned.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.listener.local_addr()?;
         let workers = self.workers();
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut handle = ServerHandle {
+            addr: self.listener.local_addr()?,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(workers),
+        };
         let listener = Arc::new(self.listener);
-        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let listener = Arc::clone(&listener);
             let service = Arc::clone(&self.service);
             let config = self.config.clone();
             let metrics = Arc::clone(&self.metrics);
-            let shutdown = Arc::clone(&shutdown);
-            handles.push(std::thread::spawn(move || {
+            let shutdown = Arc::clone(&handle.shutdown);
+            let spawned = std::thread::Builder::new().spawn(move || {
                 while !shutdown.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
@@ -206,13 +203,16 @@ impl WireServer {
                         }
                     }
                 }
-            }));
+            });
+            match spawned {
+                Ok(worker) => handle.workers.push(worker),
+                Err(e) => {
+                    handle.shutdown();
+                    return Err(e);
+                }
+            }
         }
-        Ok(ServerHandle {
-            addr,
-            shutdown,
-            workers: handles,
-        })
+        Ok(handle)
     }
 }
 

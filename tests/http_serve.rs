@@ -37,10 +37,11 @@ impl Drop for Server {
 }
 
 fn spawn_server() -> Server {
-    spawn_server_with(None)
+    spawn_server_with(None, 2)
 }
 
-fn spawn_server_with(data_dir: Option<&std::path::Path>) -> Server {
+/// `rqc serve --http` with `threads` wire workers.
+fn spawn_server_with(data_dir: Option<&std::path::Path>, threads: usize) -> Server {
     // Written once per test binary: the tests run on parallel threads,
     // and re-writing the file (truncate, then write) while a sibling's
     // server is parsing it could hand that server an empty program.
@@ -58,7 +59,7 @@ fn spawn_server_with(data_dir: Option<&std::path::Path>) -> Server {
         .arg("--http")
         .arg("127.0.0.1:0")
         .arg("--threads")
-        .arg("2");
+        .arg(threads.to_string());
     if let Some(d) = data_dir {
         cmd.arg("--data-dir").arg(d);
     }
@@ -147,81 +148,91 @@ fn rows_as_wire_json(program: &rq_datalog::Program, rows: &rq_common::Rows) -> J
 
 #[test]
 fn healthz_answers_and_batch_matches_serve_session_byte_for_byte() {
-    let server = spawn_server();
+    // Answers must not depend on the wire pool's size: a one-worker
+    // server serves every request on one thread.
+    for threads in [2, 1] {
+        let server = spawn_server_with(None, threads);
+        assert!(
+            server.banner.contains(&format!("{threads} wire worker(s)")),
+            "{}",
+            server.banner
+        );
 
-    // Smoke: the health endpoint answers.
-    let (status, health) = request(&server.addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
-    assert_eq!(health.get("epoch").and_then(Json::as_i64), Some(0));
-    assert!(health.get("uptime_seconds").and_then(Json::as_i64) >= Some(0));
+        // Smoke: the health endpoint answers.
+        let (status, health) = request(&server.addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(health.get("epoch").and_then(Json::as_i64), Some(0));
+        assert!(health.get("uptime_seconds").and_then(Json::as_i64) >= Some(0));
 
-    // Acceptance parity: every query form through POST /batch against
-    // the binary must produce byte-identical rows to the same specs
-    // through a ServeSession over the same program.
-    let texts = [
-        "tc(a, Y)",
-        "tc(X, c)",
-        "tc(X, Y)",
-        "tc(X, X)",
-        "tc(a, d)",
-        "tc(d, a)",
-        "cnx(hel, 540, D, AT)",
-        "cnx(hel, 540, nce, 930)",
-    ];
-    let body = Json::object([(
-        "queries",
-        Json::Array(texts.iter().map(|t| Json::Str(t.to_string())).collect()),
-    )])
-    .encode();
-    let (status, batch) = request(&server.addr, "POST", "/batch", &body);
-    assert_eq!(status, 200, "{batch:?}");
-    let answers = batch.get("answers").and_then(Json::as_array).unwrap();
-    assert_eq!(answers.len(), texts.len());
+        // Acceptance parity: every query form through POST /batch against
+        // the binary must produce byte-identical rows to the same specs
+        // through a ServeSession over the same program.
+        let texts = [
+            "tc(a, Y)",
+            "tc(X, c)",
+            "tc(X, Y)",
+            "tc(X, X)",
+            "tc(a, d)",
+            "tc(d, a)",
+            "cnx(hel, 540, D, AT)",
+            "cnx(hel, 540, nce, 930)",
+        ];
+        let body = Json::object([(
+            "queries",
+            Json::Array(texts.iter().map(|t| Json::Str(t.to_string())).collect()),
+        )])
+        .encode();
+        let (status, batch) = request(&server.addr, "POST", "/batch", &body);
+        assert_eq!(status, 200, "{batch:?}");
+        let answers = batch.get("answers").and_then(Json::as_array).unwrap();
+        assert_eq!(answers.len(), texts.len());
 
-    let session = ServeSession::new(PROGRAM).unwrap();
-    let service = session.service();
-    let snapshot = service.snapshot();
-    let specs: Vec<_> = texts
-        .iter()
-        .map(|t| service.parse_query(t).unwrap())
-        .collect();
-    let direct = service.query_batch(&specs);
-    for ((text, wire_answer), direct_answer) in texts.iter().zip(answers).zip(&direct) {
-        let expected = rows_as_wire_json(snapshot.program(), &direct_answer.as_ref().unwrap().rows);
-        let got = wire_answer.get("rows").expect("rows field");
-        assert_eq!(
-            got.encode(),
-            expected.encode(),
-            "rows for `{text}` must be byte-identical"
+        let session = ServeSession::new(PROGRAM).unwrap();
+        let service = session.service();
+        let snapshot = service.snapshot();
+        let specs: Vec<_> = texts
+            .iter()
+            .map(|t| service.parse_query(t).unwrap())
+            .collect();
+        let direct = service.query_batch(&specs);
+        for ((text, wire_answer), direct_answer) in texts.iter().zip(answers).zip(&direct) {
+            let expected =
+                rows_as_wire_json(snapshot.program(), &direct_answer.as_ref().unwrap().rows);
+            let got = wire_answer.get("rows").expect("rows field");
+            assert_eq!(
+                got.encode(),
+                expected.encode(),
+                "rows for `{text}` on {threads} worker(s) must be byte-identical"
+            );
+        }
+
+        // One query through /query for good measure, then an ingest and
+        // the refreshed answer.
+        let (status, one) = request(&server.addr, "POST", "/query", r#"{"query": "tc(a, Y)"}"#);
+        assert_eq!(status, 200);
+        assert_eq!(one.get("rows").and_then(Json::as_array).unwrap().len(), 3);
+
+        let (status, ingest) = request(&server.addr, "POST", "/ingest", r#"{"facts": "e(d, z)."}"#);
+        assert_eq!(status, 200, "{ingest:?}");
+        assert_eq!(ingest.get("epoch").and_then(Json::as_i64), Some(1));
+
+        let (_, after) = request(&server.addr, "POST", "/query", r#"{"query": "tc(a, Y)"}"#);
+        assert_eq!(after.get("rows").and_then(Json::as_array).unwrap().len(), 4);
+        assert_eq!(after.get("epoch").and_then(Json::as_i64), Some(1));
+
+        // The ingest dirtied only `e`: the cnx plan's probe space carried,
+        // and /stats (the shared StatsReport rendering) says so.
+        let (_, stats) = request(&server.addr, "GET", "/stats", "");
+        let carried = stats
+            .get("epoch_context")
+            .and_then(|c| c.get("carried"))
+            .expect("carried counters in /stats");
+        assert!(
+            carried.get("probe_spaces").and_then(Json::as_i64).unwrap() >= 1,
+            "{stats:?}"
         );
     }
-
-    // One query through /query for good measure, then an ingest and
-    // the refreshed answer.
-    let (status, one) = request(&server.addr, "POST", "/query", r#"{"query": "tc(a, Y)"}"#);
-    assert_eq!(status, 200);
-    assert_eq!(one.get("rows").and_then(Json::as_array).unwrap().len(), 3);
-
-    let (status, ingest) = request(&server.addr, "POST", "/ingest", r#"{"facts": "e(d, z)."}"#);
-    assert_eq!(status, 200, "{ingest:?}");
-    assert_eq!(ingest.get("epoch").and_then(Json::as_i64), Some(1));
-
-    let (_, after) = request(&server.addr, "POST", "/query", r#"{"query": "tc(a, Y)"}"#);
-    assert_eq!(after.get("rows").and_then(Json::as_array).unwrap().len(), 4);
-    assert_eq!(after.get("epoch").and_then(Json::as_i64), Some(1));
-
-    // The ingest dirtied only `e`: the cnx plan's probe space carried,
-    // and /stats (the shared StatsReport rendering) says so.
-    let (_, stats) = request(&server.addr, "GET", "/stats", "");
-    let carried = stats
-        .get("epoch_context")
-        .and_then(|c| c.get("carried"))
-        .expect("carried counters in /stats");
-    assert!(
-        carried.get("probe_spaces").and_then(Json::as_i64).unwrap() >= 1,
-        "{stats:?}"
-    );
 }
 
 #[test]
@@ -232,7 +243,7 @@ fn sigkilled_server_recovers_its_data_dir_and_answers_identically() {
 
     // First life: ingest twice (both acks must say durable), take a
     // reference answer, then SIGKILL without any shutdown courtesy.
-    let server = spawn_server_with(Some(&data_dir));
+    let server = spawn_server_with(Some(&data_dir), 2);
     let (status, ingest) = request(
         &server.addr,
         "POST",
@@ -255,7 +266,7 @@ fn sigkilled_server_recovers_its_data_dir_and_answers_identically() {
 
     // Second life, same data dir: the banner reports the recovery, the
     // epoch survives, and the answer is byte-identical to pre-crash.
-    let server = spawn_server_with(Some(&data_dir));
+    let server = spawn_server_with(Some(&data_dir), 2);
     assert!(
         server.banner.contains("recovered to epoch 2"),
         "no recovery banner in stderr: {}",
