@@ -441,7 +441,7 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, JsonError> {
         }
     }
     // Rust's integer and float parsers accept more than JSON does
-    // (`01`, `1.`, `.5`), so the run is checked against the grammar.
+    // (`01`, `1.`, `-.5`), so the run is checked against the grammar.
     if !is_json_number(&bytes[start..*at]) {
         return Err(JsonError::BadNumber(start));
     }
@@ -811,7 +811,7 @@ mod tests {
         *budget = budget.saturating_sub(1);
         match next() % kinds {
             0 => Json::Null,
-            1 => Json::Bool(next() % 2 == 0),
+            1 => Json::Bool(next().is_multiple_of(2)),
             2 => Json::Int(next() as i64 >> (next() % 64)),
             3 => loop {
                 let x = f64::from_bits(next());
