@@ -53,9 +53,8 @@ impl Rows {
 
     /// One-column rows over `column`, which must already be strictly
     /// ascending (what a sorted traversal answer is).  Takes the buffer
-    /// as is — no per-row allocation — minus its growth slack: rows
-    /// outlive the query in the result cache, and a pushed-to vector
-    /// can hold up to twice what it uses.
+    /// as is — no per-row allocation — minus its growth slack: a
+    /// pushed-to vector can hold up to twice what it uses.
     pub fn from_sorted_column(mut column: Vec<Const>) -> Self {
         debug_assert!(column.windows(2).all(|w| w[0] < w[1]));
         column.shrink_to_fit();

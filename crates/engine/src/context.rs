@@ -256,6 +256,11 @@ impl EvalContext {
             .count()
     }
 
+    /// Heap bytes of the memo's slot columns and answer arena.
+    pub fn bytes(&self) -> usize {
+        self.store.bytes()
+    }
+
     /// Number of memoized answer sets.
     pub fn entries(&self) -> usize {
         self.store.stats().entries

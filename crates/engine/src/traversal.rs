@@ -272,6 +272,9 @@ pub struct EvalOutcome {
     /// complete answer set was already memoized (a root-level hit
     /// counts as one).
     pub memo_teleports: u64,
+    /// Whether the epoch memo held the whole answer at the root, so no
+    /// traversal ran (the counters are then all zero).
+    pub root_hit: bool,
     /// Per-iteration statistics, if requested.
     pub iteration_stats: Vec<IterationStat>,
     /// The recorded graph, if requested.
@@ -599,6 +602,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                     answers,
                     converged: true,
                     memo_teleports: 1,
+                    root_hit: true,
                     ..EvalOutcome::default()
                 };
             }
@@ -862,6 +866,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             converged,
             instances: instances.len() as u64,
             memo_teleports,
+            root_hit: false,
             iteration_stats,
             graph: dump,
         };

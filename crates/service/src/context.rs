@@ -11,7 +11,9 @@
 //! [`crate::Snapshot`] owns one [`EpochContext`]:
 //!
 //! * the engine's [`EvalContext`] — completed machine traversals,
-//!   reused at the root and at machine-instance expansion time;
+//!   reused at the root and at machine-instance expansion time.  It is
+//!   the service's one store of answers: a repeated point query is a
+//!   root hit, answered with no traversal;
 //! * one [`ProbeSpace`] per §4 plan — the tuple interner and
 //!   virtual-probe memo a batch of adorned queries shares, so each
 //!   probe joins the base relations once per epoch instead of once per
@@ -50,6 +52,8 @@ pub struct EpochContextStats {
     pub eval_misses: u64,
     /// Memoized machine-traversal answer sets.
     pub eval_entries: usize,
+    /// Heap bytes of the machine memo: slot columns and answer arena.
+    pub eval_bytes: u64,
     /// §4 virtual-relation probes answered from a shared memo.
     pub probe_hits: u64,
     /// §4 virtual-relation probes that ran their defining join.
@@ -204,6 +208,7 @@ impl EpochContext {
             eval_hits: eval.hits,
             eval_misses: eval.misses,
             eval_entries: eval.entries,
+            eval_bytes: self.eval.bytes() as u64,
             scc_served: self.scc_served.load(Ordering::Relaxed),
             eval_carried: self.eval_carried.load(Ordering::Relaxed),
             probe_spaces_carried: self.probe_spaces_carried.load(Ordering::Relaxed),

@@ -27,18 +27,15 @@
 //!   `adorn → transform → lemma1 → automata` pipeline for everything
 //!   else (one `NaryPlan` per key); compiles once per pattern instead
 //!   of once per query, and survives fact ingestion.
-//! * [`ResultCache`] — `(epoch, spec) → answer rows` memoization in the
-//!   salsa mold: keys embed the revision, so an epoch bump invalidates
-//!   by construction — except that entries whose plan reads only
-//!   *clean* predicates (§4 virtual predicates resolved back to the
-//!   real relations they join) are re-keyed and survive the publish.
-//!   The cache is bounded by an entry cap and a byte budget (LRU) with
-//!   hit/miss/evict/dedup counters.
 //! * [`EpochContext`] — the epoch-scoped evaluation context each
 //!   [`Snapshot`] owns: the engine's machine-traversal memo, one
 //!   shared §4 virtual-probe memo per plan, and the SCC-path counter.
+//!   The machine memo is the service's one store of answers: it holds
+//!   the complete answer set of every converged point traversal, so a
+//!   repeated point query (§3 or §4) is answered without a traversal.
 //!   Intra-epoch sharing is sound because the snapshot is immutable;
-//!   publishing a new epoch invalidates wholesale by construction.
+//!   the publish pass ([`publish`]) carries or repairs the state of
+//!   plans an ingest leaves valid and drops the rest.
 //! * [`QueryService`] — the front end: parsing, single queries, fact
 //!   ingestion, and [`QueryService::query_batch`], which dedups
 //!   identical specs and answers the rest in order on the calling
@@ -62,7 +59,6 @@ pub mod context;
 pub mod durable;
 pub mod plan;
 pub mod publish;
-pub mod results;
 pub mod service;
 pub mod snapshot;
 pub mod spec;
@@ -72,7 +68,6 @@ pub mod text;
 pub use context::{EpochContext, EpochContextStats};
 pub use durable::{DurabilityConfig, DurabilityStats, RecoveryReport};
 pub use plan::{rules_fingerprint, CacheStats, PlanCache};
-pub use results::{CachedResult, ResultCache, ResultKey, SweepDecision};
 pub use service::{QueryService, Route, ServiceAnswer, ServiceConfig, ServiceError};
 pub use snapshot::{Delta, IngestError, Snapshot, SnapshotStore};
 pub use spec::{Adornment, Arg, QuerySpec};

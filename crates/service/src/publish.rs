@@ -16,60 +16,28 @@
 //!   refused (counted in `rq_delta_fallback_cold_total`).
 //!
 //! The same pass installs each Carry / Repair plan's state into the new
-//! snapshot's context through `EpochContext::install`, and the
-//! `PublishVerdicts` it returns is all the result-cache sweep reads —
-//! so a plan's memo, its probe space and its cached answers meet one
-//! fate by construction, not by three predicates that happen to agree.
+//! snapshot's context through `EpochContext::install`, so a plan's
+//! memo and its probe space meet one fate by construction.  The memo
+//! is the service's one store of answers: a query whose plan carried
+//! or was repaired is answered from it on the new epoch without a
+//! traversal, and one whose plan dropped re-derives cold.
 //!
 //! Granularity follows what each memo key can vouch for.  The §3 chain
 //! plan is one compiled unit shared by every binary predicate of the
-//! program, so its fate is decided **per derived predicate** (machine →
-//! predicate → read-set): an ingest into `e` dirties `tc`'s machines
+//! program, so its fate is decided **per machine** (machine → predicate
+//! → read-set): an ingest into `e` dirties `tc`'s machines
 //! while `rc`-over-`f` carries.  Each §4 plan carries, is repaired or
 //! drops **wholesale**, always together with its probe space.
 
 use crate::plan::ProgramPlan;
-use crate::results::{CachedResult, ResultKey, SweepDecision};
 use crate::service::QueryService;
 use crate::snapshot::Snapshot;
-use crate::spec::{Adornment, QuerySpec};
+use crate::spec::Adornment;
 use rq_adorn::{NaryPlan, ProbeSpace, VirtualSource};
 use rq_common::{obs, Const, Counters, FxHashMap, Pred};
 use rq_datalog::Relation;
 use rq_engine::{EdbSource, EvalContext, Evaluator};
 use std::sync::Arc;
-
-/// The fate of every cached plan across one publish.
-#[derive(Debug, Default)]
-pub(crate) struct PublishVerdicts {
-    /// The shared §3 chain plan, per derived predicate.
-    chain: FxHashMap<Pred, SweepDecision>,
-    /// Each §4 plan.
-    nary: FxHashMap<(Pred, Adornment), SweepDecision>,
-}
-
-impl PublishVerdicts {
-    /// What the publish decided for the plan that answers `pred` under
-    /// `adornment` (a binary predicate of a chain program is served by
-    /// the chain plan whatever its adornment).  A key no cached plan
-    /// answers has nothing vouching for it: `Drop`.
-    pub(crate) fn verdict(&self, pred: Pred, adornment: Adornment) -> SweepDecision {
-        self.chain
-            .get(&pred)
-            .or_else(|| self.nary.get(&(pred, adornment)))
-            .copied()
-            .unwrap_or(SweepDecision::Drop)
-    }
-}
-
-/// The table's one rule: clean carries; dirty is repaired or dropped.
-fn fate(clean: bool, repaired: bool) -> SweepDecision {
-    match (clean, repaired) {
-        (true, _) => SweepDecision::Carry,
-        (false, true) => SweepDecision::Repair,
-        (false, false) => SweepDecision::Drop,
-    }
-}
 
 /// A dirty plan's warm state, patched against the publish delta on
 /// detached scratch: racing queries on the already-published snapshot
@@ -88,13 +56,11 @@ struct Patched {
 }
 
 impl QueryService {
-    /// Judge every cached plan against the publish `prev → snap`,
-    /// install what survives into `snap`'s context, and return the
-    /// verdict table.
-    pub(crate) fn transition(&self, prev: &Snapshot, snap: &Snapshot) -> PublishVerdicts {
+    /// Judge every cached plan against the publish `prev → snap` and
+    /// install what survives into `snap`'s context.
+    pub(crate) fn transition(&self, prev: &Snapshot, snap: &Snapshot) {
         let dirty = snap.dirty_preds();
         let repair = !snap.delta().is_empty();
-        let mut verdicts = PublishVerdicts::default();
         if let Some(plan) = self.plans.peek_program() {
             let id = plan.compiled.id();
             let stale = plan.compiled.stale_machines(&plan.system, dirty);
@@ -111,31 +77,22 @@ impl QueryService {
                 snap.context()
                     .install(None, id, prev.context().eval(), |m| !stale.contains(&m));
             }
-            // Both orientations of a predicate are stale or clean together.
-            for (machine, pred) in plan.compiled.machine_preds() {
-                let clean = !stale.contains(&machine);
-                verdicts.chain.insert(pred, fate(clean, repaired));
-            }
         }
         for (slot, plan) in self.plans.cached_nary_plans() {
-            let id = plan.compiled.id();
-            let clean = plan.read_set(snap.program()).is_disjoint(dirty);
-            let repaired = repair && !clean && {
-                let _repair = obs::span("ingest.delta_repair");
-                self.repair_nary_plan(prev, snap, slot, &plan)
-                    .is_some_and(|patched| self.adopt(snap, patched))
-            };
-            if clean {
+            if plan.read_set(snap.program()).is_disjoint(dirty) {
                 let _carry = obs::span("ingest.carry_context");
                 if let Some(space) = prev.context().peek_probe_space(slot.0, slot.1) {
-                    let memo = prev.context().eval();
+                    let (id, memo) = (plan.compiled.id(), prev.context().eval());
                     snap.context()
                         .install(Some((slot, space)), id, memo, |_| true);
                 }
+            } else if repair {
+                let _repair = obs::span("ingest.delta_repair");
+                if let Some(patched) = self.repair_nary_plan(prev, snap, slot, &plan) {
+                    self.adopt(snap, patched);
+                }
             }
-            verdicts.nary.insert(slot, fate(clean, repaired));
         }
-        verdicts
     }
 
     /// Install a finished repair and count it.  `false` — counted as a
@@ -252,37 +209,5 @@ impl QueryService {
             memo,
             rows: outcome.added_rows + patched_rows,
         })
-    }
-
-    /// Re-derive one swept-for-repair spec on the fresh snapshot (warm:
-    /// teleports through the repaired memos, not traversals) and
-    /// re-insert it with a fresh byte charge.  Internal maintenance: it
-    /// bumps neither the query counter nor the cache hit/miss stats, so
-    /// a repeated-variable spec takes its distinct-variable base answer
-    /// from here rather than through `evaluate_spec`'s counted
-    /// `query_on` — and an entry this publish already put back (as
-    /// some diagonal's base) is reused, not evaluated twice.  The one
-    /// exception is a non-regular all-pairs entry, whose per-source
-    /// point sub-queries are served — and counted — as the real
-    /// evaluations they are.
-    pub(crate) fn rederive(&self, snap: &Snapshot, spec: &QuerySpec) -> Option<CachedResult> {
-        let key = ResultKey {
-            epoch: snap.epoch(),
-            spec: spec.clone(),
-        };
-        if let Some(fresh) = self.results.peek(&key) {
-            return Some(fresh);
-        }
-        let result = if spec.has_repeats() {
-            let base = self.rederive(snap, &spec.with_distinct_frees())?;
-            CachedResult {
-                rows: Arc::new(spec.restrict_rows(&base.rows)),
-                ..base
-            }
-        } else {
-            self.evaluate_spec(snap, spec).ok()?.0
-        };
-        self.results.insert(key, result.clone());
-        Some(result)
     }
 }

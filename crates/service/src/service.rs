@@ -1,17 +1,17 @@
-//! The query service: snapshots + plan cache + result cache + a
+//! The query service: snapshots + plan cache + the epoch memo + a
 //! deduplicating batch front end, all keyed on the generalized
 //! [`QuerySpec`].
 
 use crate::durable::{self, BaseProfile, DurabilityConfig, DurableStore, RecoveryReport};
 use crate::plan::{PlanCache, ProgramPlan};
-use crate::results::{CachedResult, ResultCache, ResultKey};
 use crate::snapshot::{IngestError, Snapshot, SnapshotStore};
 use crate::spec::{Arg, QuerySpec};
 use rq_common::obs::{self, Counter, Histogram};
 use rq_common::{Const, Counters, FxHashMap, Pred, Registry, Rows};
 use rq_datalog::{Program, MAX_ARITY};
 use rq_engine::{
-    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, Evaluator,
+    all_pairs_min_side, candidate_sources, evaluate_guarded, EdbSource, EvalOptions, EvalOutcome,
+    Evaluator,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,16 +38,6 @@ pub struct ServiceConfig {
     /// `None` disables the valve (a divergent query then hangs its
     /// worker).
     pub fallback_node_budget: Option<u64>,
-    /// Entry cap for the result cache (`None` = unbounded; `Some(0)`
-    /// turns answer memoization off).  Overflow evicts
-    /// least-recently-used entries; see [`crate::ResultCache::stats`]
-    /// for the eviction counter.
-    pub result_cache_capacity: Option<usize>,
-    /// Byte budget for the result cache over approximate answer
-    /// footprints (`None` = unbounded), complementing the entry cap:
-    /// one huge all-pairs answer is charged what it costs, not one
-    /// slot.
-    pub result_cache_bytes: Option<u64>,
     /// Durability knobs (fsync policy, checkpoint cadence) — consulted
     /// only when the service is opened with a storage backend
     /// ([`QueryService::open`] / [`QueryService::open_backend`]);
@@ -62,8 +52,6 @@ impl Default for ServiceConfig {
             eval_threads: 1,
             options: EvalOptions::default(),
             fallback_node_budget: Some(2_000_000),
-            result_cache_capacity: Some(crate::results::DEFAULT_CAPACITY),
-            result_cache_bytes: Some(256 << 20),
             durability: DurabilityConfig::default(),
         }
     }
@@ -84,14 +72,16 @@ pub struct ServiceAnswer {
     /// by the sufficiency of the `m·n` bound; budget-stopped runs
     /// honestly report `false`).
     pub converged: bool,
-    /// Whether the answer came from the result cache.
+    /// Whether no traversal ran: the epoch memo held the whole answer
+    /// (a root hit of the point or membership query's machine, of the
+    /// base query a diagonal filters, or of every source of a
+    /// per-source all-pairs answer).
     pub from_cache: bool,
-    /// Which pipeline computed the rows (on a cache hit: the run that
-    /// filled the entry).  `None` when none ran — the text entry's
-    /// empty-by-construction answer ([`crate::text`]).
+    /// Which pipeline answered the query.  `None` when none ran — the
+    /// text entry's empty-by-construction answer ([`crate::text`]).
     pub route: Option<Route>,
     /// The paper's unit-cost counters for the run that produced this
-    /// answer; zero when nothing ran for it (a result-cache hit, an
+    /// answer; zero when nothing ran for it (a memo root hit, an
     /// empty-by-construction answer).
     pub counters: Counters,
 }
@@ -207,10 +197,9 @@ impl From<IngestError> for ServiceError {
 pub struct QueryService {
     store: SnapshotStore,
     pub(crate) plans: PlanCache,
-    pub(crate) results: ResultCache,
     pub(crate) config: ServiceConfig,
-    /// Instance-scoped metrics registry: the caches' own counter cells
-    /// are adopted into it at construction, so `:stats`, `GET /stats`
+    /// Instance-scoped metrics registry: the plan cache's own counter
+    /// cells are adopted into it at construction, so `:stats`, `GET /stats`
     /// and `GET /metrics` all read the same cells (no global state —
     /// each service, and each test, gets its own registry).
     metrics: Arc<Registry>,
@@ -218,9 +207,8 @@ pub struct QueryService {
     /// query.
     pub(crate) counters: ServiceCounters,
     started: Instant,
-    /// Serializes publish + cache carry-forward as one unit, so two
-    /// concurrent ingests cannot run their epoch GC out of order (a
-    /// later epoch's GC would drop the earlier epoch's survivors).
+    /// Serializes publish + transition as one unit, so each publish
+    /// pass judges its snapshot against its immediate predecessor.
     ingest_gc: std::sync::Mutex<()>,
     /// The durable storage handle, when the service was opened with
     /// one ([`QueryService::open`] / [`QueryService::open_backend`]).
@@ -229,13 +217,16 @@ pub struct QueryService {
 }
 
 /// Registry handles the service increments on its own hot paths (the
-/// cache hit/miss counters live inside the caches and are *adopted*
-/// into the registry instead).
+/// plan cache's hit/miss counters live inside it and are *adopted* into
+/// the registry instead).
 pub(crate) struct ServiceCounters {
     /// Queries evaluated through [`QueryService::query_on`] and the
     /// batch front end (internal re-entries — diagonal bases, per-source
     /// all-pairs sub-queries — count too: they are real evaluations).
     queries: Counter,
+    /// Batch queries answered by sharing an identical spec's answer in
+    /// the same batch instead of running their own.
+    batch_deduped: Counter,
     /// Successful fact publishes.
     ingests: Counter,
     /// Base tuples retrieved (the paper's unit-cost `t`).
@@ -284,7 +275,7 @@ pub(crate) struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    fn register(registry: &Registry, plans: &PlanCache, results: &ResultCache) -> Self {
+    fn register(registry: &Registry, plans: &PlanCache) -> Self {
         registry.adopt_counter(
             "rq_plan_cache_hits_total",
             "Plan-cache lookups answered from the cache.",
@@ -297,39 +288,12 @@ impl ServiceCounters {
             &[],
             &plans.misses_counter(),
         );
-        let (hits, misses, evictions, deduped, refused) = results.counters();
-        registry.adopt_counter(
-            "rq_result_cache_hits_total",
-            "Result-cache lookups answered from the cache.",
-            &[],
-            &hits,
-        );
-        registry.adopt_counter(
-            "rq_result_cache_misses_total",
-            "Result-cache lookups that fell through to evaluation.",
-            &[],
-            &misses,
-        );
-        registry.adopt_counter(
-            "rq_result_cache_evictions_total",
-            "Memoized results evicted under the entry or byte budget.",
-            &[],
-            &evictions,
-        );
-        registry.adopt_counter(
-            "rq_result_cache_deduped_total",
-            "Duplicate batch queries served from a sibling's answer.",
-            &[],
-            &deduped,
-        );
-        registry.adopt_counter(
-            "rq_result_cache_refused_total",
-            "Evaluated answers not memoized: first sights past the admission allowance.",
-            &[],
-            &refused,
-        );
         Self {
             queries: registry.counter("rq_queries_total", "Queries evaluated by the service."),
+            batch_deduped: registry.counter(
+                "rq_batch_deduped_total",
+                "Duplicate batch queries served from a sibling's answer.",
+            ),
             ingests: registry.counter("rq_ingests_total", "Fact batches published as new epochs."),
             engine_tuples: registry.counter(
                 "rq_engine_tuples_retrieved_total",
@@ -420,14 +384,11 @@ impl QueryService {
 
     fn build(store: SnapshotStore, config: ServiceConfig, durable: Option<DurableStore>) -> Self {
         let plans = PlanCache::new();
-        let results =
-            ResultCache::with_limits(config.result_cache_capacity, config.result_cache_bytes);
         let metrics = Arc::new(Registry::new());
-        let counters = ServiceCounters::register(&metrics, &plans, &results);
+        let counters = ServiceCounters::register(&metrics, &plans);
         let service = Self {
             store,
             plans,
-            results,
             config,
             metrics,
             counters,
@@ -573,11 +534,6 @@ impl QueryService {
         &self.plans
     }
 
-    /// The result cache (for stats and tests).
-    pub fn result_cache(&self) -> &ResultCache {
-        &self.results
-    }
-
     /// The current snapshot.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.store.snapshot()
@@ -594,10 +550,7 @@ impl QueryService {
             plans: self.plans.stats(),
             chain_programs: self.plans.programs(),
             nary_plans: self.plans.nary_plans(),
-            results: self.results.stats(),
-            result_entries: self.results.len(),
-            result_bytes: self.results.bytes(),
-            result_refused: self.results.refused(),
+            batch_deduped: self.counters.batch_deduped.value(),
             context: snapshot.context().stats(),
             csr_builds: self.counters.csr_builds.value(),
             csr_build_micros: (self.counters.csr_build_seconds.snapshot().sum_seconds * 1e6).round()
@@ -635,7 +588,7 @@ impl QueryService {
 
     /// The full Prometheus text exposition: refresh the report-derived
     /// gauges ([`crate::stats::StatsReport::export_prometheus`]) and
-    /// render every family in the registry — live cache counters,
+    /// render every family in the registry — live plan-cache counters,
     /// service counters, and whatever front ends registered.
     pub fn metrics_prometheus(&self) -> String {
         self.stats_report().export_prometheus(&self.metrics)
@@ -646,13 +599,13 @@ impl QueryService {
     /// with the epoch: the publish pass ([`crate::publish`]) gives every
     /// cached plan one verdict — carry (its read-set is clean), repair
     /// (dirty, but patched by the delta) or drop — and the plan's
-    /// machine memo, §4 probe space and result-cache entries all follow
-    /// it, so an ingest into `e` leaves both the answers *and* the
-    /// traversal memos of plans over disjoint predicates hot.
+    /// machine memo and §4 probe space follow it together, so an ingest
+    /// into `e` leaves the memoized answers of plans over disjoint
+    /// predicates hot, and those over `e` repaired.
     pub fn ingest(&self, facts_text: &str) -> Result<Arc<Snapshot>, ServiceError> {
-        // Publish and carry-forward must happen atomically with respect
-        // to other ingests: epoch N's GC only vouches for N-1 entries,
-        // so running two GCs out of order would flush survivors.
+        // Publish and transition must happen atomically with respect to
+        // other ingests: the publish pass judges `snap` against the
+        // epoch it was built on.
         let _gc = self.ingest_gc.lock().expect("ingest lock poisoned");
         let span = obs::span("service.ingest");
         let prev = self.store.snapshot();
@@ -682,17 +635,7 @@ impl QueryService {
             span.note("epoch", snap.epoch());
             span.note("dirty_preds", snap.dirty_preds().len());
         }
-        let verdicts = self.transition(&prev, &snap);
-        let to_rederive = {
-            let _carry = obs::span("ingest.carry_results");
-            self.results.sweep(snap.epoch(), |key| {
-                verdicts.verdict(key.spec.pred, key.spec.adornment())
-            })
-        };
-        // Repair-swept entries come back through the patched memos.
-        for spec in &to_rederive {
-            self.rederive(&snap, spec);
-        }
+        self.transition(&prev, &snap);
         self.counters.ingests.inc();
         self.note_publish(&snap);
         self.maybe_checkpoint(&snap);
@@ -762,51 +705,23 @@ impl QueryService {
     ) -> Result<ServiceAnswer, ServiceError> {
         self.counters.queries.inc();
         let span = obs::span("service.query");
-        let key = ResultKey {
-            epoch: snapshot.epoch(),
-            spec: spec.clone(),
-        };
-        if let Some(hit) = self.results.get(&key) {
-            if span.active() {
-                span.note("result_cache", "hit");
-                span.note("rows", hit.rows.len());
-            }
-            return Ok(ServiceAnswer {
-                epoch: snapshot.epoch(),
-                rows: hit.rows,
-                converged: hit.converged,
-                from_cache: true,
-                route: Some(hit.route),
-                counters: Counters::default(),
-            });
-        }
-        span.note("result_cache", "miss");
-        let (result, counters) = self.evaluate_spec(snapshot, spec)?;
+        let answer = self.evaluate_spec(snapshot, spec)?;
         if span.active() {
-            span.note("rows", result.rows.len());
-            span.note("converged", result.converged);
+            span.note("from_cache", answer.from_cache);
+            span.note("rows", answer.rows.len());
+            span.note("converged", answer.converged);
         }
-        if self.results.admit(spec) {
-            self.results.insert(key, result.clone());
-        }
-        Ok(ServiceAnswer {
-            epoch: snapshot.epoch(),
-            rows: result.rows,
-            converged: result.converged,
-            from_cache: false,
-            route: Some(result.route),
-            counters,
-        })
+        Ok(answer)
     }
 
-    /// Route one spec to the right pipeline: the answer as the result
-    /// cache stores it (rows, convergence, which route ran) and that
-    /// run's unit-cost counters.
-    pub(crate) fn evaluate_spec(
+    /// Route one spec to the right pipeline.  A repeated point query
+    /// runs no traversal: the engine answers it from the epoch memo
+    /// (a root hit), which the answer reports as `from_cache`.
+    fn evaluate_spec(
         &self,
         snapshot: &Snapshot,
         spec: &QuerySpec,
-    ) -> Result<(CachedResult, Counters), ServiceError> {
+    ) -> Result<ServiceAnswer, ServiceError> {
         let arity = snapshot.program().arity(spec.pred);
         if spec.arity() != arity {
             // Specs from `parse_serve_query` are checked at parse time;
@@ -828,17 +743,13 @@ impl QueryService {
             )));
         }
         // Repeated free variables (diagonals and their n-ary
-        // generalizations) filter the distinct-variable base answer;
-        // going through `query_on` warms — and reuses — its cache
-        // entry.
+        // generalizations) filter the distinct-variable base answer.
         if spec.has_repeats() {
             let base = self.query_on(snapshot, &spec.with_distinct_frees())?;
-            let result = CachedResult {
+            return Ok(ServiceAnswer {
                 rows: Arc::new(spec.restrict_rows(&base.rows)),
-                converged: base.converged,
-                route: base.route.expect("an evaluated answer names its route"),
-            };
-            return Ok((result, base.counters));
+                ..base
+            });
         }
         // Binary predicates of binary-chain programs take the §3 fast
         // path; binary predicates of programs outside that class (e.g.
@@ -876,21 +787,23 @@ impl QueryService {
             &space,
             Some(snapshot.context().eval()),
         );
-        self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
-        let result = CachedResult {
+        self.note_outcome(&outcome);
+        Ok(ServiceAnswer {
+            epoch: snapshot.epoch(),
             rows: Arc::new(rows),
             converged: outcome.converged,
-            route: Route::Section4,
-        };
-        Ok((result, outcome.counters))
+            from_cache: outcome.root_hit,
+            route: Some(Route::Section4),
+            counters: outcome.counters,
+        })
     }
 
     /// Fold one traversal's engine-side work into the service's
     /// registry counters.
-    fn note_outcome(&self, memo_teleports: u64, instances: u64, counters: &Counters) {
-        self.counters.engine_teleports.add(memo_teleports);
-        self.counters.engine_instances.add(instances);
-        self.note_counters(counters);
+    fn note_outcome(&self, outcome: &EvalOutcome) {
+        self.counters.engine_teleports.add(outcome.memo_teleports);
+        self.counters.engine_instances.add(outcome.instances);
+        self.note_counters(&outcome.counters);
     }
 
     /// Fold one evaluation's unit-cost [`Counters`] into the registry.
@@ -924,37 +837,36 @@ impl QueryService {
         snapshot: &Snapshot,
         plan: &ProgramPlan,
         spec: &QuerySpec,
-    ) -> Result<(CachedResult, Counters), ServiceError> {
+    ) -> Result<ServiceAnswer, ServiceError> {
         let args = spec.args();
         debug_assert_eq!(args.len(), 2);
-        let (rows, converged, counters) = match (args[0], args[1]) {
+        let (rows, converged, from_cache, counters) = match (args[0], args[1]) {
             (Arg::Bound(a), Arg::Free(_)) => {
-                let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, a, false, None);
-                (Rows::from_sorted_column(answers), converged, counters)
+                let out = self.traverse(snapshot, plan, spec.pred, a, false, None);
+                let rows = Rows::from_sorted_column(out.answers);
+                (rows, out.converged, out.root_hit, out.counters)
             }
             (Arg::Free(_), Arg::Bound(b)) => {
-                let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, b, true, None);
-                (Rows::from_sorted_column(answers), converged, counters)
+                let out = self.traverse(snapshot, plan, spec.pred, b, true, None);
+                let rows = Rows::from_sorted_column(out.answers);
+                (rows, out.converged, out.root_hit, out.counters)
             }
             (Arg::Bound(a), Arg::Bound(b)) => {
                 // Membership: traverse forward from `a`, stopping the
                 // moment `b` is emitted.
-                let (answers, converged, counters) =
-                    self.traverse(snapshot, plan, spec.pred, a, false, Some(b));
-                (Rows::membership(answers.contains(&b)), converged, counters)
+                let out = self.traverse(snapshot, plan, spec.pred, a, false, Some(b));
+                let rows = Rows::membership(out.answers.contains(&b));
+                (rows, out.converged, out.root_hit, out.counters)
             }
             (Arg::Free(_), Arg::Free(_)) => {
                 // All pairs.  For a *regular* equation (no derived
                 // predicate in `e_p` — e.g. every transitive closure),
                 // Tarjan's strong-components condensation shares one
                 // product graph across every source instead of running
-                // one traversal per source; the result lands in the
-                // result cache under this spec's `(epoch, pred)` key
-                // with the cache's usual byte accounting.  Non-regular
-                // systems fall back to the per-source loop, which
-                // reuses — and leaves behind — memoized point answers.
+                // one traversal per source; a repeat runs it again.
+                // Non-regular systems fall back to the per-source loop,
+                // which reuses — and leaves behind — memoized point
+                // answers.
                 let derived = plan.system.derived();
                 if !plan.system.rhs[&spec.pred].contains_any(&derived) {
                     snapshot.context().note_scc_served();
@@ -970,7 +882,7 @@ impl QueryService {
                     for (x, y) in out.pairs {
                         rows.push(&[x, y]);
                     }
-                    (rows.finish(), out.converged, out.counters)
+                    (rows.finish(), out.converged, false, out.counters)
                 } else {
                     let sources = {
                         let source = EdbSource::new(snapshot.db());
@@ -978,31 +890,37 @@ impl QueryService {
                     };
                     let mut rows = Rows::builder(2);
                     let mut converged = true;
+                    // No traversal ran only if every source's answer
+                    // was a memo root hit.
+                    let mut from_cache = !sources.is_empty();
                     let mut counters = Counters::default();
                     for a in sources {
                         let sub = self.query_on(snapshot, &QuerySpec::bound_free(spec.pred, a))?;
                         converged &= sub.converged;
+                        from_cache &= sub.from_cache;
                         counters += sub.counters;
                         for y in sub.constants() {
                             rows.push(&[a, y]);
                         }
                     }
-                    (rows.finish(), converged, counters)
+                    (rows.finish(), converged, from_cache, counters)
                 }
             }
         };
-        let result = CachedResult {
+        Ok(ServiceAnswer {
+            epoch: snapshot.epoch(),
             rows: Arc::new(rows),
             converged,
-            route: Route::BinaryChain,
-        };
-        Ok((result, counters))
+            from_cache,
+            route: Some(Route::BinaryChain),
+            counters,
+        })
     }
 
     /// One §3 traversal (forward or inverse) under the engine's cyclic
     /// guard ([`evaluate_guarded`]: the `m·n` bound of the query's
-    /// direction, else the fallback node budget): sorted answers,
-    /// convergence, and the run's unit-cost counters.
+    /// direction, else the fallback node budget).  The outcome's
+    /// answers are sorted; `root_hit` says the epoch memo held them.
     fn traverse(
         &self,
         snapshot: &Snapshot,
@@ -1011,15 +929,15 @@ impl QueryService {
         constant: Const,
         inverse: bool,
         stop_on_answer: Option<Const>,
-    ) -> (Vec<Const>, bool, Counters) {
+    ) -> EvalOutcome {
         let options = self.guarded_options(stop_on_answer);
         let source = EdbSource::new(snapshot.db());
         let evaluator = Evaluator::with_plan(&plan.system, &plan.compiled, &source)
             .with_context(snapshot.context().eval());
         let (db, fallback) = (snapshot.db(), self.config.fallback_node_budget);
         let outcome = evaluate_guarded(&evaluator, db, pred, constant, inverse, &options, fallback);
-        self.note_outcome(outcome.memo_teleports, outcome.instances, &outcome.counters);
-        (outcome.answers, outcome.converged, outcome.counters)
+        self.note_outcome(&outcome);
+        outcome
     }
 
     /// The configured base options with the membership target applied.
@@ -1052,8 +970,8 @@ impl QueryService {
     /// answered on **one** snapshot (the current epoch at entry), so
     /// results are mutually consistent even while ingestion runs
     /// concurrently.  Identical specs are evaluated **once** and share
-    /// their answer across the batch
-    /// ([`crate::plan::CacheStats::deduped`] counts the copies).
+    /// their answer across the batch (`rq_batch_deduped_total` counts
+    /// the copies).
     /// Output order matches input order.
     pub fn query_batch(&self, queries: &[QuerySpec]) -> Vec<Result<ServiceAnswer, ServiceError>> {
         self.query_batch_on(&self.snapshot(), queries)
@@ -1086,7 +1004,7 @@ impl QueryService {
             .collect();
         let deduped = (queries.len() - unique.len()) as u64;
         if deduped > 0 {
-            self.results.note_deduped(deduped);
+            self.counters.batch_deduped.add(deduped);
         }
         let answers: Vec<Result<ServiceAnswer, ServiceError>> =
             unique.iter().map(|q| self.query_on(snapshot, q)).collect();
@@ -1165,10 +1083,11 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let oracle = rq_datalog::seminaive_eval(service.snapshot().program()).unwrap();
         let tc = service.snapshot().program().pred_by_name("tc").unwrap();
         assert_eq!(out.rows.len(), oracle.tuples(tc).len());
-        // Memoized on repeat.
+        // The memo holds point answers only: a repeat runs the shared
+        // SCC pass again, to the same rows.
         let again = service.query(&q).unwrap();
-        assert!(again.from_cache);
-        assert!(Arc::ptr_eq(&out.rows, &again.rows));
+        assert!(!again.from_cache);
+        assert_eq!(out.rows, again.rows);
     }
 
     #[test]
@@ -1187,11 +1106,11 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         // Underscores are anonymous: `tc(_, _)` is all-pairs.
         let anon = service.parse_query("tc(_, _)").unwrap();
         assert_eq!(anon, QuerySpec::all_free(q.pred, 2));
-        // The diagonal warmed the all-pairs entry as a byproduct.
-        let all = service
-            .query(&service.parse_query("tc(X, Y)").unwrap())
-            .unwrap();
-        assert!(all.from_cache);
+        // The diagonal filters a fresh all-pairs run, which the memo
+        // does not hold: a repeat runs it again.
+        let again = service.query(&q).unwrap();
+        assert!(!again.from_cache);
+        assert_eq!(out.rows, again.rows);
     }
 
     #[test]
@@ -1206,10 +1125,12 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
             vec!["ams,690", "cdg,810", "nce,930"]
         );
         assert!(out.converged);
-        // Repeat hits the cache, plan compiled once.
+        // The repeat is a memo root hit: no traversal, same rows, plan
+        // compiled once.
         let again = service.query(&q).unwrap();
-        assert!(again.from_cache);
-        assert!(Arc::ptr_eq(&out.rows, &again.rows));
+        assert!(again.from_cache && !out.from_cache);
+        assert_eq!(again.counters, Counters::default());
+        assert_eq!(out.rows, again.rows);
         assert_eq!(service.plan_cache().nary_plans(), 1);
         // Fully bound n-ary membership.
         let yes = service
@@ -1235,17 +1156,30 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let after = service.query(&q).unwrap();
         assert!(
             after.from_cache,
-            "delta repair must keep the dirty entry alive"
-        );
-        assert!(
-            !Arc::ptr_eq(&before.rows, &after.rows),
-            "repaired entry must hold refreshed rows"
+            "delta repair must keep the dirty memo entry alive"
         );
         assert_eq!(after.epoch, 1);
         assert_eq!(rendered(&service, &after), vec!["nce,930", "osl,1080"]);
         let report = service.stats_report();
         assert!(report.delta_repairs >= 1, "{report:?}");
         assert_eq!(report.delta_fallback_cold, 0, "{report:?}");
+    }
+
+    #[test]
+    fn nary_entries_survive_a_disjoint_ingest() {
+        // `tc` shares the program with the §4 flights rules, so both
+        // are §4 plans; an ingest into `e` leaves `cnx`'s read-set clean.
+        let service = QueryService::from_source(&format!("{TC}\n{FLIGHTS}")).unwrap();
+        let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
+        let before = service.query(&q).unwrap();
+        assert!(!before.from_cache);
+        service.ingest("e(d, z).").unwrap();
+        let after = service.query(&q).unwrap();
+        assert!(after.from_cache, "a carried plan's memo must still answer");
+        assert_eq!(after.epoch, 1);
+        assert_eq!(after.counters, Counters::default());
+        assert_eq!(after.rows, before.rows);
+        assert_eq!(service.snapshot().context().stats().probe_spaces_carried, 1);
     }
 
     #[test]
@@ -1283,7 +1217,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         expected.dedup();
         assert_eq!(out.rows.to_vecs(), expected);
         assert!(!out.rows.is_empty());
-        // The distinct-variable base entry was warmed along the way.
+        // The distinct-variable base answer was memoized along the way.
         let base = service.query(&service.parse_query("walk(X, Y, T)").unwrap());
         assert!(base.unwrap().from_cache);
     }
@@ -1293,15 +1227,20 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let service = QueryService::from_source(TC).unwrap();
         let q = service.parse_query("tc(a, Y)").unwrap();
         service.query(&q).unwrap();
-        service.query(&q).unwrap(); // result-cache hit
+        service.query(&q).unwrap(); // memo root hit
         service.ingest("e(d,z).").unwrap();
         let text = service.metrics_prometheus();
         assert!(text.contains("# TYPE rq_queries_total counter\n"), "{text}");
         assert!(text.contains("rq_queries_total 2\n"));
         assert!(text.contains("rq_ingests_total 1\n"));
-        // Adopted cells: the caches' own counters, not copies.
-        assert!(text.contains("rq_result_cache_hits_total 1\n"));
-        assert!(text.contains("rq_result_cache_misses_total 1\n"));
+        // The repeat teleported through the memo; nothing was batched.
+        assert!(
+            text.contains("rq_engine_memo_teleports_total 1\n"),
+            "{text}"
+        );
+        assert!(text.contains("rq_batch_deduped_total 0\n"));
+        assert!(!text.contains("rq_result_cache"), "{text}");
+        // Adopted cells: the plan cache's own counters, not copies.
         assert!(text.contains("rq_plan_cache_misses_total 1\n"));
         // Report-derived gauges ride along in the same exposition.
         assert!(text.contains("rq_epoch 1\n"));
@@ -1319,8 +1258,9 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
 
     #[test]
     fn publish_time_rederivation_is_not_counted_as_traffic() {
-        // A diagonal filters its all-pairs base; re-deriving it at
-        // publish must not go through the counted query path.
+        // The publish repairs the warm memo in place; that maintenance
+        // must not go through the counted query path, nor count memo
+        // hits or misses on the new epoch.
         let service = QueryService::from_source(
             "tc(X,Y) :- e(X,Y).\n\
              tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
@@ -1331,23 +1271,22 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let diag = service.parse_query("tc(X, X)").unwrap();
         service.query(&point).unwrap();
         service.query(&diag).unwrap();
-        let traffic = |s: &QueryService| (s.counters.queries.value(), s.results.stats());
-        let before = traffic(&service);
+        let queries = service.counters.queries.value();
         // One dirty fact closes a second cycle through c.
         let snap = service.ingest("e(c,b).").unwrap();
-        assert_eq!(traffic(&service), before, "maintenance counted as traffic");
+        assert_eq!(service.counters.queries.value(), queries);
+        let memo = snap.context().stats();
+        assert_eq!((memo.eval_hits, memo.eval_misses), (0, 0));
+        assert!(memo.eval_entries > 0, "the repaired memo is installed");
         assert_eq!(service.stats_report().delta_repairs, 1);
-        // Every warmed entry — the diagonal, its base, the point query —
-        // is back on the new epoch with the new answers.
-        assert_eq!(service.results.len(), 3);
-        let key = ResultKey {
-            epoch: snap.epoch(),
-            spec: diag.clone(),
-        };
-        let entry = service.results.peek(&key).expect("diagonal re-derived");
-        let served = service.query(&diag).unwrap();
-        assert!(served.from_cache && Arc::ptr_eq(&served.rows, &entry.rows));
+        // The point query is answered from the repaired memo; the
+        // diagonal re-runs its all-pairs base.  Both see the new fact.
+        let served = service.query(&point).unwrap();
+        assert!(served.from_cache);
         assert_eq!(rendered(&service, &served), vec!["a", "b", "c"]);
+        let diagonal = service.query(&diag).unwrap();
+        assert!(!diagonal.from_cache);
+        assert_eq!(rendered(&service, &diagonal), vec!["a", "b", "c"]);
     }
 
     #[test]
@@ -1373,13 +1312,12 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         assert!(spans[query]
             .notes
             .iter()
-            .any(|(k, v)| *k == "result_cache" && v == "miss"));
+            .any(|(k, v)| *k == "from_cache" && v == "false"));
         let ingest = find("service.ingest");
         for child in ["ingest.validate", "ingest.apply", "ingest.compact"] {
             assert_eq!(spans[find(child)].parent, Some(ingest as u32));
         }
         assert!(spans[find("ingest.delta_repair")].parent == Some(ingest as u32));
-        assert!(spans[find("ingest.carry_results")].parent == Some(ingest as u32));
         // Outside a trace, spans cost nothing and record nothing.
         service.query(&q).unwrap();
         assert!(obs::trace_finish().is_empty());
@@ -1403,9 +1341,12 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let q = service.parse_query("tc(a, Y)").unwrap();
         let first = service.query(&q).unwrap();
         assert!(!first.from_cache);
+        assert_ne!(first.counters, Counters::default());
+        // The repeat is a memo root hit: no traversal, no counts.
         let second = service.query(&q).unwrap();
         assert!(second.from_cache);
-        assert!(Arc::ptr_eq(&first.rows, &second.rows));
+        assert_eq!(second.counters, Counters::default());
+        assert_eq!(first.rows, second.rows);
         service.ingest("e(d,z).").unwrap();
         let third = service.query(&q).unwrap();
         assert!(!third.from_cache, "dirty-predicate entries must refresh");
@@ -1438,67 +1379,20 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         let snap = service.ingest("e(c,d).").unwrap();
         assert_eq!(snap.epoch(), 1);
 
-        // rc reads only `f`, which the publish left clean: served from
-        // cache, same Arc, new epoch.
+        // rc reads only `f`, which the publish left clean: its memo
+        // entry carried, so the repeat is a root hit on the new epoch.
         let rc_after = service.query(&rc_q).unwrap();
         assert!(rc_after.from_cache, "clean-predicate entry must survive");
         assert_eq!(rc_after.epoch, 1);
-        assert!(Arc::ptr_eq(&rc_before.rows, &rc_after.rows));
+        assert_eq!(rc_after.counters, Counters::default());
+        assert_eq!(rc_before.rows, rc_after.rows);
 
         // tc reads `e`, which was dirtied — but the delta repair patched
-        // its memos and re-derived the entry, so it is served warm with
-        // the refreshed rows.
+        // its memo entry, so it is served warm with the refreshed rows.
         let tc_after = service.query(&tc_q).unwrap();
         assert!(tc_after.from_cache, "repaired entry must stay alive");
-        assert!(!Arc::ptr_eq(&tc_before.rows, &tc_after.rows));
         assert_eq!(rendered(&service, &tc_after), vec!["b", "c", "d"]);
         assert!(service.stats_report().delta_repairs >= 1);
-    }
-
-    #[test]
-    fn bounded_cache_reports_evictions() {
-        let service = QueryService::with_config(
-            rq_datalog::parse_program(TC).unwrap(),
-            ServiceConfig {
-                result_cache_capacity: Some(2),
-                ..ServiceConfig::default()
-            },
-        );
-        for text in ["tc(a, Y)", "tc(b, Y)", "tc(c, Y)", "tc(X, b)", "tc(X, c)"] {
-            let q = service.parse_query(text).unwrap();
-            service.query(&q).unwrap();
-        }
-        assert!(service.result_cache().len() <= 2);
-        assert!(service.result_cache().stats().evictions >= 3);
-    }
-
-    #[test]
-    fn byte_budget_bounds_the_cache_payload() {
-        let service = QueryService::with_config(
-            rq_datalog::parse_program(TC).unwrap(),
-            ServiceConfig {
-                result_cache_capacity: None,
-                result_cache_bytes: Some(400),
-                ..ServiceConfig::default()
-            },
-        );
-        // An entry is charged 80 B of key (two arguments) + 80 B fixed
-        // + 4 B per cell: 172, 168 and 164 B for the three forward
-        // answers ({b,c,d}, {c,d}, {d}).  The third overflows 400 B and
-        // evicts the first (down to the 7/8 target, 350 B); the 6 x 2
-        // all-pairs answer (208 B) evicts the other two; `tc(X, b)` =
-        // {a} (164 B) then fits beside it.
-        for text in ["tc(a, Y)", "tc(b, Y)", "tc(c, Y)", "tc(X, Y)", "tc(X, b)"] {
-            service.query(&service.parse_query(text).unwrap()).unwrap();
-        }
-        assert_eq!(service.result_cache().bytes(), 208 + 164);
-        assert_eq!(service.result_cache().len(), 2);
-        assert_eq!(service.result_cache().stats().evictions, 3);
-        // Every surface reports that same number.
-        assert_eq!(service.stats_report().result_bytes, 372);
-        assert!(service
-            .metrics_prometheus()
-            .contains("rq_result_cache_bytes 372\n"));
     }
 
     #[test]
@@ -1518,7 +1412,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
         assert_eq!(sizes, vec![3, 2, 3, 3, 3]);
         assert!(batch.iter().all(|r| r.as_ref().unwrap().epoch == 0));
         // The two duplicates of `tc(a, ·)` shared one evaluation.
-        assert_eq!(service.result_cache().stats().deduped, 2);
+        assert_eq!(service.stats_report().batch_deduped, 2);
         assert!(Arc::ptr_eq(
             &batch[0].as_ref().unwrap().rows,
             &batch[2].as_ref().unwrap().rows
@@ -1724,13 +1618,7 @@ is_deptime(540). is_deptime(720). is_deptime(660). is_deptime(840).";
 
     #[test]
     fn nary_queries_share_threads_too() {
-        let service = QueryService::with_config(
-            rq_datalog::parse_program(FLIGHTS).unwrap(),
-            ServiceConfig {
-                result_cache_capacity: Some(0),
-                ..ServiceConfig::default()
-            },
-        );
+        let service = QueryService::from_source(FLIGHTS).unwrap();
         let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
         let batch = vec![q; 8];
         std::thread::scope(|scope| {

@@ -13,7 +13,7 @@
 //! O(delta), no matter how large the rest of the database is.
 //!
 //! Each snapshot records which predicates its publish **dirtied**; the
-//! service layer uses that to keep result-cache entries alive when the
+//! service layer uses that to keep memoized answers alive when the
 //! predicates their plan reads were untouched.  Old snapshots stay
 //! alive until their last reader drops them, so long-running batch
 //! queries are never invalidated mid-flight; they simply answer against

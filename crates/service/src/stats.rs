@@ -31,15 +31,9 @@ pub struct StatsReport {
     pub chain_programs: usize,
     /// Distinct §4 `(pred, adornment)` plans compiled.
     pub nary_plans: usize,
-    /// Result-cache hit/miss/evict/dedup counters.
-    pub results: CacheStats,
-    /// Memoized result entries currently held.
-    pub result_entries: usize,
-    /// Approximate bytes charged to memoized results.
-    pub result_bytes: u64,
-    /// Evaluated answers the result cache did not admit (first sights
-    /// past its admission allowance), service lifetime.
-    pub result_refused: u64,
+    /// Batch queries answered by sharing an identical query's answer
+    /// in the same batch, service lifetime.
+    pub batch_deduped: u64,
     /// The current epoch context's counters (machine memo, §4 probe
     /// memo, SCC routing, cross-epoch carries).
     pub context: EpochContextStats,
@@ -88,6 +82,12 @@ impl StatsReport {
         );
         probe_memo.push(("tuples", int(self.context.probe_tuples as u64)));
         probe_memo.push(("bytes", int(self.context.probe_bytes)));
+        let mut machine_memo = memo(
+            self.context.eval_hits,
+            self.context.eval_misses,
+            self.context.eval_entries,
+        );
+        machine_memo.push(("bytes", int(self.context.eval_bytes)));
         Json::object([
             ("epoch", int(self.epoch)),
             (
@@ -100,29 +100,14 @@ impl StatsReport {
                 ]),
             ),
             (
-                "result_cache",
-                Json::object([
-                    ("hits", int(self.results.hits)),
-                    ("misses", int(self.results.misses)),
-                    ("evictions", int(self.results.evictions)),
-                    ("deduped", int(self.results.deduped)),
-                    ("entries", int(self.result_entries as u64)),
-                    ("bytes", int(self.result_bytes)),
-                    ("refused", int(self.result_refused)),
-                ]),
+                "batch",
+                Json::object([("deduped", int(self.batch_deduped))]),
             ),
             (
                 "epoch_context",
                 Json::object([
                     ("probe_memo", Json::object(probe_memo)),
-                    (
-                        "machine_memo",
-                        Json::object(memo(
-                            self.context.eval_hits,
-                            self.context.eval_misses,
-                            self.context.eval_entries,
-                        )),
-                    ),
+                    ("machine_memo", Json::object(machine_memo)),
                     ("scc_served", int(self.context.scc_served)),
                     (
                         "carried",
@@ -193,12 +178,12 @@ impl StatsReport {
     /// `registry` and render the whole registry in Prometheus text
     /// exposition format.
     ///
-    /// The cache hit/miss counters are deliberately **not** copied
-    /// here — the service adopted the caches' own
+    /// The plan cache's hit/miss counters are deliberately **not**
+    /// copied here — the service adopted its own
     /// [`rq_common::obs::Counter`] cells into the registry at
-    /// construction (`rq_plan_cache_*_total`,
-    /// `rq_result_cache_*_total`), so those families export live
-    /// values with no transcription step.  Only point-in-time values
+    /// construction (`rq_plan_cache_*_total`), and the batch dedup
+    /// count is a live service counter (`rq_batch_deduped_total`), so
+    /// those families export live values with no transcription step.  Only point-in-time values
     /// (sizes, epoch, per-epoch memo counters that reset on publish)
     /// travel through this report as gauges.
     pub fn export_prometheus(&self, registry: &Registry) -> String {
@@ -214,16 +199,6 @@ impl StatsReport {
             "rq_plan_cache_nary_plans",
             "Distinct §4 (pred, adornment) plans compiled.",
             clamp(self.nary_plans as u64),
-        );
-        gauge(
-            "rq_result_cache_entries",
-            "Memoized result entries currently held.",
-            clamp(self.result_entries as u64),
-        );
-        gauge(
-            "rq_result_cache_bytes",
-            "Approximate bytes charged to memoized results.",
-            clamp(self.result_bytes),
         );
         gauge(
             "rq_epoch_context_probe_hits",
@@ -259,6 +234,11 @@ impl StatsReport {
             "rq_epoch_context_machine_entries",
             "This epoch's memoized machine traversals.",
             clamp(self.context.eval_entries as u64),
+        );
+        gauge(
+            "rq_epoch_context_machine_bytes",
+            "Heap bytes of this epoch's machine memo.",
+            clamp(self.context.eval_bytes),
         );
         gauge(
             "rq_epoch_context_scc_served",
@@ -332,20 +312,10 @@ impl std::fmt::Display for StatsReport {
             "plan cache:   {} hits / {} misses ({} chain program(s), {} §4 plan(s))",
             self.plans.hits, self.plans.misses, self.chain_programs, self.nary_plans,
         )?;
+        writeln!(f, "batch:        {} deduped", self.batch_deduped)?;
         writeln!(
             f,
-            "result cache: {} hits / {} misses / {} evictions / {} deduped ({} entr(ies), ~{} bytes), {} refused",
-            self.results.hits,
-            self.results.misses,
-            self.results.evictions,
-            self.results.deduped,
-            self.result_entries,
-            self.result_bytes,
-            self.result_refused,
-        )?;
-        writeln!(
-            f,
-            "epoch context: probe memo {} hits / {} misses ({} entr(ies)) over {} tuple(s) in ~{} bytes, machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
+            "epoch context: probe memo {} hits / {} misses ({} entr(ies)) over {} tuple(s) in ~{} bytes, machine memo {} hits / {} misses ({} entr(ies)) in ~{} bytes, {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
             self.context.probe_hits,
             self.context.probe_misses,
             self.context.probe_entries,
@@ -354,6 +324,7 @@ impl std::fmt::Display for StatsReport {
             self.context.eval_hits,
             self.context.eval_misses,
             self.context.eval_entries,
+            self.context.eval_bytes,
             self.context.scc_served,
             self.context.eval_carried,
             self.context.probe_spaces_carried,
@@ -397,26 +368,15 @@ mod tests {
     fn report() -> StatsReport {
         StatsReport {
             epoch: 3,
-            plans: CacheStats {
-                hits: 5,
-                misses: 2,
-                ..CacheStats::default()
-            },
+            plans: CacheStats { hits: 5, misses: 2 },
             chain_programs: 1,
             nary_plans: 2,
-            results: CacheStats {
-                hits: 10,
-                misses: 4,
-                evictions: 1,
-                deduped: 3,
-            },
-            result_entries: 7,
-            result_bytes: 1234,
-            result_refused: 11,
+            batch_deduped: 3,
             context: EpochContextStats {
                 eval_hits: 6,
                 eval_misses: 2,
                 eval_entries: 4,
+                eval_bytes: 8192,
                 probe_hits: 9,
                 probe_misses: 3,
                 probe_entries: 5,
@@ -457,13 +417,11 @@ mod tests {
         let text = report().to_string();
         assert!(text.contains("epoch 3"));
         assert!(text.contains("plan cache:   5 hits / 2 misses (1 chain program(s), 2 §4 plan(s))"));
-        assert!(text.contains(
-            "result cache: 10 hits / 4 misses / 1 evictions / 3 deduped (7 entr(ies), ~1234 bytes)"
-        ));
+        assert!(text.contains("batch:        3 deduped"));
         assert!(text.contains(
             "probe memo 9 hits / 3 misses (5 entr(ies)) over 13 tuple(s) in ~4096 bytes"
         ));
-        assert!(text.contains("machine memo 6 hits / 2 misses (4 entr(ies))"));
+        assert!(text.contains("machine memo 6 hits / 2 misses (4 entr(ies)) in ~8192 bytes"));
         assert!(text.contains("1 scc-served"));
         assert!(text.contains("carried 2 machine entr(ies) / 1 probe space(s)"));
         assert!(text.contains(
@@ -486,17 +444,13 @@ mod tests {
         let plans = json.get("plan_cache").unwrap();
         assert_eq!(plans.get("hits").and_then(Json::as_i64), Some(5));
         assert_eq!(plans.get("nary_plans").and_then(Json::as_i64), Some(2));
-        let results = json.get("result_cache").unwrap();
-        assert_eq!(results.get("deduped").and_then(Json::as_i64), Some(3));
-        assert_eq!(results.get("bytes").and_then(Json::as_i64), Some(1234));
+        assert_eq!(json.get("result_cache"), None);
+        let batch = json.get("batch").unwrap();
+        assert_eq!(batch.get("deduped").and_then(Json::as_i64), Some(3));
         let ctx = json.get("epoch_context").unwrap();
-        assert_eq!(
-            ctx.get("machine_memo")
-                .unwrap()
-                .get("hits")
-                .and_then(Json::as_i64),
-            Some(6)
-        );
+        let machine_memo = ctx.get("machine_memo").unwrap();
+        assert_eq!(machine_memo.get("hits").and_then(Json::as_i64), Some(6));
+        assert_eq!(machine_memo.get("bytes").and_then(Json::as_i64), Some(8192));
         assert_eq!(ctx.get("scc_served").and_then(Json::as_i64), Some(1));
         let probe_memo = ctx.get("probe_memo").unwrap();
         assert_eq!(probe_memo.get("tuples").and_then(Json::as_i64), Some(13));
@@ -556,13 +510,14 @@ mod tests {
         assert!(text.contains("# TYPE rq_epoch gauge\n"), "{text}");
         assert!(text.contains("rq_epoch 3\n"));
         assert!(text.contains("rq_plan_cache_chain_programs 1\n"));
-        assert!(text.contains("rq_result_cache_entries 7\n"));
-        assert!(text.contains("rq_result_cache_bytes 1234\n"));
+        assert!(!text.contains("rq_result_cache"), "{text}");
         assert!(text.contains("rq_epoch_context_probe_hits 9\n"));
         assert!(text.contains("rq_epoch_context_scc_served 1\n"));
         assert!(text.contains("rq_epoch_context_probe_spaces_carried 1\n"));
         assert!(text.contains("# TYPE rq_epoch_context_probe_bytes gauge\n"));
         assert!(text.contains("rq_epoch_context_probe_bytes 4096\n"));
+        assert!(text.contains("# TYPE rq_epoch_context_machine_bytes gauge\n"));
+        assert!(text.contains("rq_epoch_context_machine_bytes 8192\n"));
         assert!(text.contains("# TYPE rq_storage_index_bytes gauge\n"));
         assert!(text.contains("rq_storage_index_bytes 2048\n"));
         assert!(text.contains("rq_recovery_epoch 7\n"), "{text}");
@@ -578,38 +533,31 @@ mod tests {
     }
 
     #[test]
-    fn refusals_rise_past_the_allowance_and_stay_zero_on_repeats() {
-        let sources = crate::results::ADMISSION_ALLOWANCE + 100;
-        let mut text = String::from("tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n");
-        for i in 0..sources {
-            text.push_str(&format!("e(s{i}, t{i}).\n"));
-        }
-        let query = |service: &crate::QueryService, i: usize| {
-            let spec = service.parse_query(&format!("tc(s{i}, Y)")).unwrap();
-            assert_eq!(service.query(&spec).unwrap().rows.len(), 1);
+    fn machine_memo_bytes_follow_recorded_answers() {
+        let service = crate::QueryService::from_source(
+            "tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\ne(a,b). e(b,c).",
+        )
+        .unwrap();
+        let bytes = |s: &crate::QueryService| {
+            let report = s.stats_report();
+            let json = report.to_json();
+            let memo = json
+                .get("epoch_context")
+                .unwrap()
+                .get("machine_memo")
+                .unwrap();
+            let read = memo.get("bytes").and_then(Json::as_i64).unwrap() as u64;
+            assert_eq!(read, report.context.eval_bytes);
+            let gauge = format!("rq_epoch_context_machine_bytes {read}\n");
+            assert!(s.metrics_prometheus().contains(&gauge), "{gauge}");
+            read
         };
-        let repeated = crate::QueryService::from_source(&text).unwrap();
-        for _ in 0..3 {
-            for i in 0..100 {
-                query(&repeated, i);
-            }
-        }
-        assert_eq!(repeated.stats_report().result_refused, 0);
-        let one_shot = crate::QueryService::from_source(&text).unwrap();
-        for i in 0..sources {
-            query(&one_shot, i);
-        }
-        let report = one_shot.stats_report();
-        assert_eq!(report.result_refused, 100);
-        let results = report.to_json().get("result_cache").unwrap().clone();
-        assert_eq!(results.get("refused").and_then(Json::as_i64), Some(100));
-        let text = one_shot.metrics_prometheus();
-        assert!(
-            text.contains("rq_result_cache_refused_total 100\n"),
-            "{text}"
-        );
-        one_shot.ingest("e(z0, z1).").unwrap();
-        let report = one_shot.stats_report();
-        assert_eq!(report.result_refused, 100, "runs on across a publish");
+        assert_eq!(bytes(&service), 0, "an empty memo holds nothing");
+        let spec = service.parse_query("tc(a, Y)").unwrap();
+        service.query(&spec).unwrap();
+        let held = bytes(&service);
+        assert!(held > 0, "a recorded answer is counted");
+        service.query(&spec).unwrap();
+        assert_eq!(bytes(&service), held, "a root hit records nothing");
     }
 }

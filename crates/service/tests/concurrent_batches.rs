@@ -6,14 +6,14 @@
 //! asked — so concurrency comes from front ends answering requests on
 //! their own threads (the `rq-wire` workers).  What those threads share
 //! is the snapshot's epoch context (the machine-traversal memo, the §4
-//! probe spaces), the plan cache and the result cache; here every one
+//! probe spaces) and the plan cache; here every one
 //! of them takes racing misses and records.  Each thread answers every
 //! batch, starting at a different one, so the same keys are missed and
 //! recorded by several threads at once.
 
 use proptest::prelude::*;
 use rq_common::Const;
-use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceConfig, ServiceError, Snapshot};
+use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceError, Snapshot};
 use rq_workloads::flights;
 use rq_workloads::randprog::{seeded, RecursionStyle};
 use std::sync::Arc;
@@ -29,14 +29,6 @@ type Outcome = Result<(Vec<Vec<Const>>, bool), ServiceError>;
 
 fn outcome(answer: Result<ServiceAnswer, ServiceError>) -> Outcome {
     answer.map(|a| (a.rows.to_vecs(), a.converged))
-}
-
-fn config(memoize: bool) -> ServiceConfig {
-    let mut config = ServiceConfig::default();
-    if !memoize {
-        config.result_cache_capacity = Some(0);
-    }
-    config
 }
 
 /// Answer `batches` from [`THREADS`] threads at once, all on the one
@@ -111,10 +103,8 @@ proptest! {
     fn concurrent_chain_batches_equal_sequential(
         seed in 0u64..400,
         style in 0..3u8,
-        memoize_bit in 0..2u8,
         stride in 0..4usize,
     ) {
-        let memoize = memoize_bit == 1;
         let stride = [1, 5, 7, 11][stride];
         let style = [
             RecursionStyle::Regular,
@@ -122,7 +112,7 @@ proptest! {
             RecursionStyle::Mixed,
         ][style as usize];
         let rp = seeded(seed, style);
-        let shared = QueryService::with_config(rp.program.clone(), config(memoize));
+        let shared = QueryService::new(rp.program.clone());
         let snapshot = shared.snapshot();
         let batches = deal(&chain_specs(&snapshot, &rp.derived), stride);
 
@@ -134,7 +124,7 @@ proptest! {
                 .collect()
         });
 
-        let fresh = QueryService::with_config(rp.program.clone(), config(memoize));
+        let fresh = QueryService::new(rp.program.clone());
         for (i, batch) in batches.iter().enumerate() {
             let sequential: Vec<Outcome> =
                 fresh.query_batch(batch).into_iter().map(outcome).collect();
@@ -162,15 +152,13 @@ proptest! {
         seed in 0u64..1_000,
         airports in 6usize..40,
         per in 2usize..4,
-        memoize_bit in 0..2u8,
     ) {
-        let memoize = memoize_bit == 1;
         let workload = flights::network(airports, per, seed);
         let mut texts = flights::serve_queries(airports, per);
         texts.push("cnx(p0, 360, p1, AT)".to_string());
         texts.push("cnx(S, DT, D, AT)".to_string());
         let batches = deal(&texts, 3);
-        let shared = QueryService::with_config(workload.program.clone(), config(memoize));
+        let shared = QueryService::new(workload.program.clone());
         let snapshot = shared.snapshot();
         let answer_texts = |service: &QueryService, snapshot: &Arc<Snapshot>, batch: &[String]| {
             let texts: Vec<&str> = batch.iter().map(String::as_str).collect();
@@ -184,7 +172,7 @@ proptest! {
         let concurrent =
             answer_concurrently(&batches, |batch| answer_texts(&shared, &snapshot, batch));
 
-        let fresh = QueryService::with_config(workload.program.clone(), config(memoize));
+        let fresh = QueryService::new(workload.program.clone());
         let fresh_snapshot = fresh.snapshot();
         for (i, batch) in batches.iter().enumerate() {
             let sequential = answer_texts(&fresh, &fresh_snapshot, batch);

@@ -7,47 +7,34 @@
 //! * **epoch isolation** — publishing a new epoch invalidates every
 //!   context entry whose plan reads a dirtied shard; entries may only
 //!   carry across the publish when their whole read-set was untouched,
-//!   or enter through a counted repair (checked with result
-//!   memoization off, so the result cache's carry-forward cannot mask
-//!   a stale context);
+//!   or enter through a counted repair;
 //! * **repair soundness** — a warm service that lives through random
 //!   small ingests answers exactly like the cold reference on the
 //!   grown program, whether each dirty plan was repaired in place or
 //!   fell back cold;
 //! * **one fate per plan** — across a publish, a cached plan's
-//!   result-cache entries and its context state (machine memo / probe
+//!   memoized answers and its context state (machine memo / probe
 //!   space) are carried, repaired or dropped *together*.
 
 use proptest::prelude::*;
 use rq_common::{Const, FxHashSet, Pred};
 use rq_datalog::Program;
 use rq_engine::EvalOptions;
-use rq_service::{QueryService, QuerySpec, ResultKey, ServiceAnswer, ServiceConfig, Snapshot};
+use rq_service::{QueryService, QuerySpec, ServiceAnswer, ServiceConfig, Snapshot};
 use rq_workloads::randprog::{
     random_nary_program, random_program, NaryConfig, RandProgConfig, RecursionStyle,
 };
 
-/// The cold reference: `spec` asked of a fresh service over `program`
-/// that caches no answer, so it runs on an empty epoch context — a
-/// fresh probe space and no memo entry.
+/// The cold reference: `spec` asked of a fresh service over
+/// `program`, so it runs on an empty epoch context — a fresh probe
+/// space and no memo entry.
 fn cold_answer(program: &Program, spec: &QuerySpec) -> ServiceAnswer {
-    QueryService::with_config(program.clone(), warm_config())
-        .query(spec)
-        .unwrap()
+    QueryService::new(program.clone()).query(spec).unwrap()
 }
 
 /// Every `pred` tuple of `program`'s bottom-up fixpoint, sorted.
 fn fixpoint_rows(program: &Program, pred: Pred) -> Vec<Vec<Const>> {
     rq_datalog::seminaive_eval(program).unwrap().tuples(pred)
-}
-
-/// A service with the result cache off, so answers demonstrably come
-/// from evaluation through the epoch context.
-fn warm_config() -> ServiceConfig {
-    ServiceConfig {
-        result_cache_capacity: Some(0),
-        ..ServiceConfig::default()
-    }
 }
 
 proptest! {
@@ -60,7 +47,7 @@ proptest! {
     #[test]
     fn warm_batch_equals_cold_sequential(seed in 0u64..200) {
         let np = random_nary_program(&NaryConfig { seed, ..NaryConfig::default() });
-        let warm = QueryService::with_config(np.program.clone(), warm_config());
+        let warm = QueryService::new(np.program.clone());
         let specs: Vec<_> = np
             .queries
             .iter()
@@ -98,7 +85,7 @@ proptest! {
     #[test]
     fn publish_invalidates_dirty_read_set_context(seed in 0u64..200) {
         let np = random_nary_program(&NaryConfig { seed, ..NaryConfig::default() });
-        let warm = QueryService::with_config(np.program.clone(), warm_config());
+        let warm = QueryService::new(np.program.clone());
         let specs: Vec<_> = np
             .queries
             .iter()
@@ -142,25 +129,19 @@ proptest! {
 
     /// Delta-repair equivalence: a warm service that absorbs N random
     /// small ingests answers exactly like the cold reference on the
-    /// grown program — with and without result memoization, so both
-    /// the repaired context and the swept-and-re-derived result cache
-    /// are checked against the oracle.
+    /// grown program, so the repaired context is checked against the
+    /// oracle.
     #[test]
     fn repairing_service_equals_cold_rebuild_after_random_ingests(seed in 0u64..60) {
         let np = random_nary_program(&NaryConfig { seed, ..NaryConfig::default() });
-        let warm = QueryService::with_config(np.program.clone(), warm_config());
-        let memoizing = QueryService::with_config(
-            np.program.clone(),
-            ServiceConfig::default(),
-        );
+        let warm = QueryService::new(np.program.clone());
         let specs: Vec<_> = np
             .queries
             .iter()
             .map(|t| warm.parse_query(t).unwrap())
             .collect();
-        // Warm both services so every publish finds state to repair.
+        // Warm the service so every publish finds state to repair.
         warm.query_batch(&specs);
-        memoizing.query_batch(&specs);
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             x ^= x << 13;
@@ -176,7 +157,6 @@ proptest! {
                 })
                 .collect();
             warm.ingest(&facts).unwrap();
-            memoizing.ingest(&facts).unwrap();
             let grown = warm.snapshot();
             for spec in &specs {
                 let oracle = cold_answer(grown.program(), spec);
@@ -188,18 +168,9 @@ proptest! {
                     round,
                     spec
                 );
-                let cached = memoizing.query(spec).unwrap();
-                prop_assert_eq!(
-                    cached.rows.as_ref(),
-                    oracle.rows.as_ref(),
-                    "round {} result-cache spec {:?}",
-                    round,
-                    spec
-                );
             }
             // Re-warm so the next round's publish repairs fresh state.
             warm.query_batch(&specs);
-            memoizing.query_batch(&specs);
         }
     }
 }
@@ -208,9 +179,7 @@ proptest! {
 fn clean_read_set_machine_memo_survives_disjoint_publish() {
     // Two independent closures: tc reads only e, rc reads only f.  An
     // ingest into e must drop tc's machine memos but carry rc's into
-    // the new epoch's context (result memoization is off, so the hits
-    // demonstrably come from the carried machine memo, not the result
-    // cache's own carry-forward).  `nr` is not regular (e·nr·e), so
+    // the new epoch's context.  `nr` is not regular (e·nr·e), so
     // its repair closures need a second round, which a one-node
     // fallback budget refuses; the chain plan is repaired whole or not
     // at all, so tc drops with it, while both queries converge under
@@ -225,7 +194,6 @@ fn clean_read_set_machine_memo_survives_disjoint_publish() {
     let service = QueryService::with_config(
         rq_datalog::parse_program(PROG).unwrap(),
         ServiceConfig {
-            result_cache_capacity: Some(0),
             fallback_node_budget: Some(1),
             ..ServiceConfig::default()
         },
@@ -274,8 +242,7 @@ fn clean_nary_probe_space_survives_disjoint_publish() {
                         e(a,b). e(b,c).\n\
                         flight(hel,540,ams,690). flight(ams,720,cdg,810).\n\
                         is_deptime(540). is_deptime(720).";
-    let service =
-        QueryService::with_config(rq_datalog::parse_program(PROG).unwrap(), warm_config());
+    let service = QueryService::new(rq_datalog::parse_program(PROG).unwrap());
     let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
     let cold = service.query(&q).unwrap();
     assert_eq!(cold.rows.len(), 2);
@@ -319,13 +286,7 @@ fn dirty_chain_memo_is_repaired_in_place() {
     const PROG: &str = "tc(X,Y) :- e(X,Y).\n\
                         tc(X,Z) :- e(X,Y), tc(Y,Z).\n\
                         e(a,b). e(b,c).";
-    let service = QueryService::with_config(
-        rq_datalog::parse_program(PROG).unwrap(),
-        ServiceConfig {
-            result_cache_capacity: Some(0),
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::new(rq_datalog::parse_program(PROG).unwrap());
     let q = service.parse_query("tc(a, Y)").unwrap();
     assert_eq!(service.query(&q).unwrap().rows.len(), 2);
     let before = service.snapshot().context().stats();
@@ -361,13 +322,7 @@ fn dirty_nary_probe_space_is_repaired_in_place() {
                         cnx(S,DT,D,AT) :- flight(S,DT,D1,AT1), AT1 < DT1, is_deptime(DT1), cnx(D1,DT1,D,AT).\n\
                         flight(hel,540,ams,690). flight(ams,720,cdg,810).\n\
                         is_deptime(540). is_deptime(720).";
-    let service = QueryService::with_config(
-        rq_datalog::parse_program(PROG).unwrap(),
-        ServiceConfig {
-            result_cache_capacity: Some(0),
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::new(rq_datalog::parse_program(PROG).unwrap());
     let q = service.parse_query("cnx(hel, 540, D, AT)").unwrap();
     assert_eq!(service.query(&q).unwrap().rows.len(), 2);
 
@@ -434,8 +389,7 @@ fn non_regular_all_free_falls_back_to_per_source() {
     );
     assert_eq!(shared.snapshot().context().stats().scc_served, 0);
     // The per-source loop records its point traversals in the machine
-    // memo; a follow-up point query is a context hit even with the
-    // result cache cleared of its entry key (fresh spec object).
+    // memo, so a follow-up point query is a context hit.
     assert!(shared.snapshot().context().stats().eval_entries > 0);
 }
 
@@ -443,7 +397,7 @@ fn non_regular_all_free_falls_back_to_per_source() {
 fn batched_flights_share_probe_work_within_one_epoch() {
     let workload = rq_workloads::flights::network(8, 3, 7);
     let texts = rq_workloads::flights::serve_queries(8, 3);
-    let service = QueryService::with_config(workload.program.clone(), warm_config());
+    let service = QueryService::new(workload.program.clone());
     let specs: Vec<_> = texts
         .iter()
         .map(|t| service.parse_query(t).unwrap())
@@ -555,9 +509,10 @@ struct FateTally {
 
 /// Warm `specs` on a service over `text`, then live through three
 /// publishes — one disjoint from every read-set, two dirtying base
-/// relations — checking after each that every warm plan's cache entries
-/// and context state met **one** fate, and that every answer still
-/// equals a cold rebuild.
+/// relations — checking after each that every warm plan's memoized
+/// answers and context state met **one** fate, and that every answer
+/// still equals a cold rebuild.  A spec's answer is memoized when the
+/// service answers it `from_cache`: no traversal ran.
 fn check_one_fate_per_plan(
     text: &str,
     queries: &[String],
@@ -567,15 +522,14 @@ fn check_one_fate_per_plan(
 ) {
     let service = QueryService::with_config(rq_datalog::parse_program(text).unwrap(), config);
     // Constants the generator never drew make a query unparseable.
-    let specs: Vec<QuerySpec> = queries
+    let mut specs: Vec<QuerySpec> = queries
         .iter()
         .filter_map(|t| service.parse_query(t).ok())
         .collect();
+    // One ask per spec: a duplicate's first ask would memoize it.
+    let mut seen = FxHashSet::default();
+    specs.retain(|s| seen.insert(s.clone()));
     service.query_batch(&specs);
-    let entry = |epoch: u64, spec: &QuerySpec| {
-        let spec = spec.clone();
-        service.result_cache().peek(&ResultKey { epoch, spec })
-    };
     let batches = [
         "fresh_rel(n0, n1).".to_string(),
         format!("b{}(n{}, n{}).", seed % 3, seed % 4, 4 + seed % 5),
@@ -584,31 +538,37 @@ fn check_one_fate_per_plan(
     for facts in &batches {
         let probes = plan_probes(&service, &specs);
         let before = service.snapshot();
-        let was_warm: Vec<bool> = probes
+        // The specs the memo answers: those that converge and do not
+        // stop early (a membership that holds is not memoized).
+        let memoized: Vec<Vec<&QuerySpec>> = probes
             .iter()
             .map(|p| {
-                !p.specs.is_empty()
-                    && (p.state)(&before)
-                    && p.specs.iter().all(|s| entry(before.epoch(), s).is_some())
+                let hits = p.specs.iter();
+                hits.filter(|s| service.query(s).unwrap().from_cache)
+                    .collect()
             })
             .collect();
         let after = service.ingest(facts).unwrap();
-        for (probe, _) in probes.iter().zip(was_warm).filter(|(_, warm)| *warm) {
+        for (probe, warm) in probes.iter().zip(&memoized) {
+            if warm.is_empty() || !(probe.state)(&before) {
+                continue;
+            }
             let context = format!("seed {seed}, `{facts}`, plan {}", probe.name);
-            let alive = probe
-                .specs
+            // Read the state before any query can rebuild it.
+            let state = (probe.state)(&after);
+            let alive = warm
                 .iter()
-                .filter(|s| entry(after.epoch(), s).is_some())
+                .filter(|s| service.query(s).unwrap().from_cache)
                 .count();
             assert!(
-                alive == 0 || alive == probe.specs.len(),
-                "{context}: {alive} of {} entries survived",
-                probe.specs.len()
+                alive == 0 || alive == warm.len(),
+                "{context}: {alive} of {} memoized answers survived",
+                warm.len()
             );
             assert_eq!(
                 alive > 0,
-                (probe.state)(&after),
-                "{context}: result entries and context state met different fates"
+                state,
+                "{context}: memoized answers and context state met different fates"
             );
             let clean = probe.read_set.is_disjoint(after.dirty_preds());
             match (clean, alive > 0) {

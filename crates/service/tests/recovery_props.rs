@@ -29,12 +29,9 @@ fn program() -> rq_datalog::Program {
 }
 
 /// Durable test settings: a short checkpoint cadence so workloads
-/// cross checkpoint boundaries, and the memoization toggle under test.
-fn config(memoize: bool) -> ServiceConfig {
+/// cross checkpoint boundaries.
+fn config() -> ServiceConfig {
     let mut config = ServiceConfig::default();
-    if !memoize {
-        config.result_cache_capacity = Some(0);
-    }
     config.durability.checkpoint_interval = 2;
     config
 }
@@ -109,7 +106,7 @@ proptest! {
     /// "restart" (clear the fault, reopen the backend), and compare
     /// the recovered service against the never-crashed oracle's
     /// prefix: same epoch, same interner ids, same database, same
-    /// answers.  Memoizing and non-memoizing.
+    /// answers.
     #[test]
     fn recovery_equals_the_never_crashed_prefix(
         batches in prop::collection::vec(
@@ -117,12 +114,10 @@ proptest! {
             1..6,
         ),
         kill_fraction in 0..=1000u32,
-        memoize_bit in 0..2u8,
     ) {
-        let memoize = memoize_bit == 1;
         // The never-crashed oracle, capturing one snapshot per epoch.
         let oracle = QueryService::open_backend(
-            program(), Arc::new(MemBackend::new()), config(memoize),
+            program(), Arc::new(MemBackend::new()), config(),
         ).unwrap();
         let mut oracle_snaps = vec![oracle.snapshot()];
         for batch in &batches {
@@ -131,14 +126,14 @@ proptest! {
 
         // Learn the clean log length, then pick the crash offset as a
         // fraction of it (offset == length means no crash fires).
-        let total = clean_log_len(&batches, memoize);
+        let total = clean_log_len(&batches);
         let kill = (total as u64).saturating_mul(u64::from(kill_fraction)) / 1000;
 
         // The crashing run: ingest until the injected fault aborts a
         // publish (every later ingest fails on the dead "descriptor").
         let backend = Arc::new(MemBackend::with_fault(kill));
         let crashed = QueryService::open_backend(
-            program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(memoize),
+            program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(),
         ).unwrap();
         let mut acked = 0u64;
         for batch in &batches {
@@ -161,7 +156,7 @@ proptest! {
         // Restart over the same backing store.
         backend.clear_fault();
         let recovered = QueryService::open_backend(
-            program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(memoize),
+            program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(),
         ).unwrap();
         let report = recovered.recovery_report().unwrap().clone();
         prop_assert_eq!(report.recovered_epoch, acked,
@@ -175,7 +170,7 @@ proptest! {
 
         // … answers queries identically (raw ids — byte parity) …
         let prefix_service = QueryService::with_config(
-            oracle_prefix.program().clone(), config(memoize),
+            oracle_prefix.program().clone(), config(),
         );
         prop_assert_eq!(answer(&recovered), answer(&prefix_service));
 
@@ -195,7 +190,7 @@ proptest! {
             drop(resumed);
             drop(recovered);
             let reopened = QueryService::open_backend(
-                program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(memoize),
+                program(), backend.clone() as Arc<dyn rq_store::StorageBackend>, config(),
             ).unwrap();
             let second = reopened.recovery_report().unwrap();
             prop_assert_eq!(second.recovered_epoch, acked + 1,
@@ -209,12 +204,12 @@ proptest! {
 
 /// The clean (never-crashed) write-ahead-log length for `batches`,
 /// measured on a throwaway backend.
-fn clean_log_len(batches: &[Vec<(u8, u8, u8)>], memoize: bool) -> usize {
+fn clean_log_len(batches: &[Vec<(u8, u8, u8)>]) -> usize {
     let backend = Arc::new(MemBackend::new());
     let svc = QueryService::open_backend(
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
-        config(memoize),
+        config(),
     )
     .unwrap();
     for batch in batches {
@@ -230,7 +225,7 @@ fn truncated_tail_record_is_dropped_cleanly_with_a_counter() {
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
         {
-            let mut c = config(true);
+            let mut c = config();
             c.durability.checkpoint_interval = 0; // keep every record in the log
             c
         },
@@ -245,7 +240,7 @@ fn truncated_tail_record_is_dropped_cleanly_with_a_counter() {
         let fresh = Arc::new(MemBackend::new());
         fresh.set_raw_log(backend.raw_log());
         fresh.truncate_log(cut);
-        let recovered = QueryService::open_backend(program(), fresh, config(true)).unwrap();
+        let recovered = QueryService::open_backend(program(), fresh, config()).unwrap();
         let report = recovered.recovery_report().unwrap();
         assert_eq!(report.recovered_epoch, 1, "cut at {cut}");
         assert_eq!(report.replayed_records, 1);
@@ -256,7 +251,7 @@ fn truncated_tail_record_is_dropped_cleanly_with_a_counter() {
     let fresh = Arc::new(MemBackend::new());
     fresh.set_raw_log(backend.raw_log());
     fresh.truncate_log(two);
-    let recovered = QueryService::open_backend(program(), fresh, config(true)).unwrap();
+    let recovered = QueryService::open_backend(program(), fresh, config()).unwrap();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.recovered_epoch, 1);
     assert_eq!(report.dropped_records, 0);
@@ -269,7 +264,7 @@ fn flipped_byte_mid_log_stops_recovery_at_the_last_valid_record() {
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
         {
-            let mut c = config(true);
+            let mut c = config();
             c.durability.checkpoint_interval = 0;
             c
         },
@@ -287,7 +282,7 @@ fn flipped_byte_mid_log_stops_recovery_at_the_last_valid_record() {
         let fresh = Arc::new(MemBackend::new());
         fresh.set_raw_log(backend.raw_log());
         fresh.corrupt_log_byte(offset);
-        let recovered = QueryService::open_backend(program(), fresh, config(true)).unwrap();
+        let recovered = QueryService::open_backend(program(), fresh, config()).unwrap();
         let report = recovered.recovery_report().unwrap();
         assert_eq!(
             report.recovered_epoch, 1,
@@ -309,7 +304,7 @@ fn corrupt_checkpoint_with_a_truncated_log_refuses_to_serve() {
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
         {
-            let mut c = config(true);
+            let mut c = config();
             c.durability.checkpoint_interval = 2; // checkpoint at epoch 2, truncating records 1-2
             c
         },
@@ -328,7 +323,7 @@ fn corrupt_checkpoint_with_a_truncated_log_refuses_to_serve() {
     let Err(err) = QueryService::open_backend(
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
-        config(true),
+        config(),
     ) else {
         panic!("a gapped log must not serve");
     };
@@ -345,7 +340,7 @@ fn checkpoint_plus_tail_recovery_counts_skipped_duplicates() {
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
         {
-            let mut c = config(true);
+            let mut c = config();
             c.durability.checkpoint_interval = 2;
             c
         },
@@ -358,7 +353,7 @@ fn checkpoint_plus_tail_recovery_counts_skipped_duplicates() {
     let recovered = QueryService::open_backend(
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
-        config(true),
+        config(),
     )
     .unwrap();
     let report = recovered.recovery_report().unwrap();
@@ -383,7 +378,7 @@ fn reopening_under_a_different_rule_set_is_refused() {
     let svc = QueryService::open_backend(
         program(),
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
-        config(true),
+        config(),
     )
     .unwrap();
     svc.ingest("e(n1, n2).").unwrap();
@@ -392,7 +387,7 @@ fn reopening_under_a_different_rule_set_is_refused() {
     let Err(err) = QueryService::open_backend(
         other,
         backend.clone() as Arc<dyn rq_store::StorageBackend>,
-        config(true),
+        config(),
     ) else {
         panic!("a foreign rule set must not replay this log");
     };

@@ -384,7 +384,10 @@ mod tests {
         assert_eq!(resp.payload(), text);
         assert!(text.contains("# TYPE rq_queries_total counter\n"), "{text}");
         assert!(text.contains("rq_queries_total 1\n"));
-        assert!(text.contains("rq_result_cache_misses_total 1\n"));
+        assert!(
+            text.contains("rq_epoch_context_machine_misses 1\n"),
+            "{text}"
+        );
         assert!(text.contains("rq_epoch 0\n"));
         // JSON endpoints keep their content type.
         let healthz = handle(&s, "GET", "/healthz", b"");
@@ -554,7 +557,8 @@ mod tests {
         let resp = handle(&s, "GET", "/stats", b"");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, s.stats_report().to_json());
-        assert!(resp.body.get("result_cache").is_some());
+        assert!(resp.body.get("result_cache").is_none());
+        assert!(resp.body.get("batch").is_some());
         assert!(resp.body.get("epoch_context").is_some());
     }
 
@@ -579,7 +583,7 @@ mod tests {
     /// Run `requests` in order against two identical fresh services —
     /// one through the byte responder, one through the reference tree
     /// — and demand the same status and the same bytes every time.
-    /// (Two services, so cache state and `from_cache` evolve alike.)
+    /// (Two services, so memo state and `from_cache` evolve alike.)
     fn assert_byte_identical(requests: &[(&str, &str, &[u8])]) {
         let ours = QueryService::from_source(DIFF).unwrap();
         let theirs = QueryService::from_source(DIFF).unwrap();
@@ -719,13 +723,13 @@ mod tests {
         assert_eq!(answers[1].get("rows").unwrap().encode(), "[]");
         assert_eq!(answers[2].get("holds").and_then(Json::as_bool), Some(false));
         // One evaluation — `tc(c, Y)` — reached the service.
-        assert_eq!(s.result_cache().stats().misses, 1);
-        assert_eq!(s.result_cache().len(), 1);
+        let evaluated = |s: &QueryService| s.metrics_prometheus().contains("rq_queries_total 1\n");
+        assert!(evaluated(&s));
         // The single-query path pins the same way: no pipeline ran.
         let single = s.answer_text(&pinned, "tc(c, brand_new)").unwrap();
         assert!(single.fully_bound && !single.answer.holds());
         assert_eq!(single.answer.route, None);
-        assert_eq!(s.result_cache().stats().misses, 1);
+        assert!(evaluated(&s));
         // On the current snapshot the constant exists and is reachable.
         let now = post(&s, "/query", r#"{"query": "tc(c, brand_new)"}"#);
         assert_eq!(now.body.get("holds").and_then(Json::as_bool), Some(true));

@@ -44,6 +44,13 @@
 //! semantically empty answer (`rows: []`, and `holds: false` when
 //! fully bound) — the same contract as the REPL.
 //!
+//! `from_cache` is `true` when no traversal ran: the epoch's machine
+//! memo held the whole answer (a repeated point or membership query,
+//! the base a diagonal filters, or every source of a per-source
+//! all-pairs answer).  A memo survives a publish that leaves its plan's
+//! read-set clean, and is repaired in place when the publish dirties
+//! it, so a repeat after an ingest can still be `from_cache`.
+//!
 //! Adding `"trace": true` to the body returns the evaluation's span
 //! tree alongside the answer — each node is
 //! `{"name", "start_ns", "dur_ns", "notes", "children"}`, rooted at
@@ -54,8 +61,8 @@
 //! {"query": "tc(a, Y)", "trace": true}
 //!
 //! 200 OK
-//! {"query":"tc(a, Y)", …, "trace":{"name":"service.query","dur_ns":83250,
-//!   "notes":{"result_cache":"miss","rows":"2","converged":"true"},
+//! {"query":"tc(a, Y)", …, "trace":{"name":"service.query","dur_ns":112338,
+//!   "notes":{"from_cache":"false","rows":"2","converged":"true"},
 //!   "children":[{"name":"service.plan",…},{"name":"engine.traverse",…}]}}
 //! ```
 //!
@@ -74,9 +81,10 @@
 //!
 //! The whole batch is answered on **one** snapshot epoch through
 //! [`rq_service::QueryService::query_batch`] — identical specs are
-//! evaluated once, the rest fan out across the service's worker
-//! threads — and per-query errors are reported inline so one bad query
-//! cannot fail its neighbors.
+//! evaluated once, the rest in order on the wire worker that read the
+//! request — and per-query errors are reported inline so one bad query
+//! cannot fail its neighbors.  Here `tc(a, c)` is `from_cache`: the
+//! batch's `tc(a, Y)` memoized every answer from `a` just before it.
 //!
 //! ## `POST /ingest` — publish the next epoch
 //!
@@ -101,27 +109,25 @@
 //!
 //! Serializes [`rq_service::StatsReport`] (the same struct the REPL's
 //! `:stats` prints as text): plan-cache hits/misses and compiled-plan
-//! counts, result-cache hits/misses/evictions/dedup with entry and
-//! byte footprints, the epoch context's probe/machine-memo counters
-//! including what the last publish carried forward (and the probe
-//! spaces' interned tuples and heap bytes), and the storage counters
-//! with the heap bytes of the snapshot's built column indexes.  The
-//! result cache's `refused` counts answers it did not keep: first
-//! sights once it holds its admission allowance of 8,192 entries.
+//! counts, the batch dedup count, the epoch context's probe/machine-memo
+//! counters and heap bytes including what the last publish carried
+//! forward (and the probe spaces' interned tuples), and the storage
+//! counters with the heap bytes of the snapshot's built column indexes.
+//! After the `/batch` and `/ingest` above and one more `tc(a, Y)`,
+//! answered from the repaired memo:
 //!
 //! ```text
 //! GET /stats
 //!
 //! 200 OK
 //! {"epoch":1,
-//!  "plan_cache":{"hits":3,"misses":1,"chain_programs":1,"nary_plans":0},
-//!  "result_cache":{"hits":2,"misses":2,"evictions":0,"deduped":0,"entries":2,"bytes":208,
-//!                  "refused":0},
+//!  "plan_cache":{"hits":2,"misses":1,"chain_programs":1,"nary_plans":0},
+//!  "batch":{"deduped":0},
 //!  "epoch_context":{"probe_memo":{"hits":0,"misses":0,"entries":0,"tuples":0,"bytes":0},
-//!                   "machine_memo":{"hits":1,"misses":2,"entries":2},
+//!                   "machine_memo":{"hits":1,"misses":0,"entries":1,"bytes":12672},
 //!                   "scc_served":0,
-//!                   "carried":{"machine_entries":2,"probe_spaces":0}},
-//!  "storage":{"csr_builds":2,"csr_build_micros":41,"csr_probes":3,"trie_probes":0,
+//!                   "carried":{"machine_entries":1,"probe_spaces":0}},
+//!  "storage":{"csr_builds":3,"csr_build_micros":8,"csr_probes":3,"trie_probes":0,
 //!             "index_bytes":0}, ...}
 //! ```
 //!
@@ -129,12 +135,13 @@
 //!
 //! The whole stack's metrics in Prometheus text format (content type
 //! `text/plain; version=0.0.4`), rendered from **one** instance-scoped
-//! [`rq_common::Registry`]: the caches' own hit/miss counter cells
+//! [`rq_common::Registry`]: the plan cache's own hit/miss counter cells
 //! (adopted at service construction, so `/stats`, `:stats`, and
 //! `/metrics` can never disagree), service counters
-//! (`rq_queries_total`, `rq_ingests_total`, `rq_engine_*_total`),
-//! report-derived gauges (`rq_epoch`, cache sizes, epoch-context memo
-//! counters), and this server's own per-endpoint series:
+//! (`rq_queries_total`, `rq_ingests_total`, `rq_batch_deduped_total`,
+//! `rq_engine_*_total`), report-derived gauges (`rq_epoch`, plan
+//! counts, epoch-context memo counters and bytes), and this server's
+//! own per-endpoint series:
 //!
 //! ```text
 //! GET /metrics

@@ -82,20 +82,18 @@ awk '
   }
 ' "$scrape" || fail "exposition format violation"
 
-# Core families: per-endpoint latency histograms, cache hit/miss
+# Core families: per-endpoint latency histograms, plan-cache
 # counters, service counters, and report-derived gauges (the memory
-# census included: column-index and probe-space bytes).  The result
-# cache's refusal counter stays 0: three requests are far below its
-# admission allowance.
+# census included: column-index, probe-space and machine-memo bytes).
+# The second `tc(a, Y)` runs no traversal: the epoch memo answers it
+# whole, which the engine counts as one memo teleport.
 for needle in \
   '# TYPE rq_http_request_seconds histogram' \
   'rq_http_request_seconds_bucket{endpoint="/query",le="+Inf"} 2' \
   'rq_http_request_seconds_count{endpoint="/query"} 2' \
   'rq_http_requests_total{endpoint="/query"} 2' \
-  'rq_result_cache_hits_total 1' \
-  'rq_result_cache_misses_total 1' \
-  '# TYPE rq_result_cache_refused_total counter' \
-  'rq_result_cache_refused_total 0' \
+  'rq_engine_memo_teleports_total 1' \
+  '# TYPE rq_epoch_context_machine_bytes gauge' \
   '# TYPE rq_plan_cache_hits_total counter' \
   'rq_queries_total 2' \
   'rq_ingests_total 1' \

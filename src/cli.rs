@@ -278,7 +278,7 @@ impl Session {
                 let text = render_rows(self.service.snapshot().program(), &solution.answers);
                 let mut notes = Vec::new();
                 if !solution.converged {
-                    notes.push("warning: iteration bound hit; answers may be incomplete".into());
+                    notes.push(INCOMPLETE.into());
                 }
                 if self.stats {
                     notes.push(format!(
@@ -409,6 +409,10 @@ pub struct ServeSession {
     trace: bool,
 }
 
+/// The note every front end appends to an answer whose traversal did
+/// not converge.
+const INCOMPLETE: &str = "warning: iteration bound hit; answers may be incomplete";
+
 const SERVE_HELP: &str = "\
 serve commands:
   <query>[; <query>...]  answer a batch of queries on one snapshot;
@@ -420,8 +424,8 @@ serve commands:
                          cnx(hel,540,D,AT)    n-ary via the §4 rewrite
   :add <facts>           ingest facts copy-on-write (publishes a new epoch)
   :epoch                 print the current snapshot epoch
-  :stats                 plan/result cache hit rates, sizes, evictions, and
-                         the epoch context's probe/machine memo counters
+  :stats                 plan cache hits, batch dedups, and the epoch
+                         context's probe/machine memo counters and bytes
   :trace on|off          append each batch's span tree (where the time went)
   :help  :quit";
 
@@ -553,6 +557,10 @@ impl ServeSession {
         for (text, answered) in texts.iter().zip(answers) {
             let rendered = match answered {
                 Err(e) => format!("error: {e}"),
+                Ok(answered) if !answered.answer.converged => {
+                    let rendered = render_serve_answer(snapshot.program(), &answered);
+                    format!("{rendered} ({INCOMPLETE})")
+                }
                 Ok(answered) => render_serve_answer(snapshot.program(), &answered),
             };
             out.push(format!("{text}: {rendered}"));
@@ -849,9 +857,9 @@ mod tests {
         assert!(out.text.starts_with("tc(a, Y): b c"), "{}", out.text);
         assert!(out.text.contains("service.query"), "{}", out.text);
         assert!(out.text.contains("engine.traverse"), "{}", out.text);
-        // A cached repeat still traces (and says so).
+        // A memo-answered repeat still traces (and says so).
         let out = s.execute_line("tc(a, Y)").unwrap();
-        assert!(out.text.contains("result_cache=hit"), "{}", out.text);
+        assert!(out.text.contains("from_cache=true"), "{}", out.text);
         assert_eq!(s.execute_line(":trace off").unwrap().text, "trace off");
         let out = s.execute_line("tc(a, Y)").unwrap();
         assert!(!out.text.contains("service.query"), "{}", out.text);
@@ -923,6 +931,33 @@ mod tests {
     }
 
     #[test]
+    fn serve_warns_when_an_answer_may_be_incomplete() {
+        // Mutual recursion Lemma 1 leaves non-linear, over cyclic data:
+        // no m·n bound exists, so the fallback node budget stops it.
+        let program = parse_program(
+            "q1(X,Z) :- a(X,Y), q2(Y,Z).\n\
+             q2(X,Y) :- r2(X,Y).\n\
+             q2(X,Z) :- q1(X,Y), r1(Y,Z).\n\
+             a(s,t). a(t,s). r2(s,t). r2(t,s). r1(t,s). r1(s,t).",
+        )
+        .unwrap();
+        let config = rq_service::ServiceConfig {
+            fallback_node_budget: Some(5_000),
+            ..rq_service::ServiceConfig::default()
+        };
+        let mut s = ServeSession {
+            service: rq_service::QueryService::with_config(program, config),
+            trace: false,
+        };
+        let out = s.execute_line("q1(s, Y)").unwrap().text;
+        assert_eq!(out, format!("q1(s, Y): s ({INCOMPLETE})"));
+        // Converged answers carry no warning.
+        let mut tc = ServeSession::new(TC).unwrap();
+        let out = tc.execute_line("tc(a, Y); tc(a, d)").unwrap().text;
+        assert_eq!(out, "tc(a, Y): b c\ntc(a, d): no");
+    }
+
+    #[test]
     fn serve_reports_per_query_errors_inline() {
         let mut s = ServeSession::new(TC).unwrap();
         let out = s
@@ -949,7 +984,7 @@ mod tests {
         s.execute_line("tc(a, Y)").unwrap();
         let stats = s.execute_line(":stats").unwrap().text;
         assert!(stats.contains("plan cache:"), "{stats}");
-        assert!(stats.contains("result cache: 1 hits"), "{stats}");
+        assert!(stats.contains("machine memo 1 hits / 1 misses"), "{stats}");
         assert!(stats.contains("epoch context:"), "{stats}");
         assert!(stats.contains("machine memo"), "{stats}");
     }

@@ -69,8 +69,8 @@ pub struct Solution {
     /// Answer rows over the query's free positions, sorted.
     pub answers: Vec<Vec<Const>>,
     /// Unit-cost instrumentation of the run that produced the answers
-    /// (zero when none ran: a result-cache hit, an answer that is empty
-    /// by construction).
+    /// (zero when none ran: a memo root hit, an answer that is empty by
+    /// construction).
     pub counters: Counters,
     /// Whether evaluation converged naturally (`false` means an
     /// iteration bound or node budget cut it off).

@@ -346,15 +346,17 @@ fn metrics_scrape_and_traced_query_over_a_real_socket() {
             "sample `{name}` has no preceding # TYPE"
         );
     }
-    // Core families: per-endpoint latency histograms, cache hit/miss
-    // counters, service counters, report gauges.
+    // Core families: per-endpoint latency histograms, the memo's
+    // teleport counter and hit/miss gauges, service counters, report
+    // gauges.
     for needle in [
         "# TYPE rq_http_request_seconds histogram",
         "rq_http_request_seconds_bucket{endpoint=\"/query\",le=\"+Inf\"} 2",
         "rq_http_request_seconds_count{endpoint=\"/query\"} 2",
         "rq_http_requests_total{endpoint=\"/query\"} 2",
-        "rq_result_cache_hits_total 1",
-        "rq_result_cache_misses_total 1",
+        "rq_engine_memo_teleports_total 1",
+        "rq_epoch_context_machine_hits 1",
+        "rq_epoch_context_machine_misses 1",
         "# TYPE rq_plan_cache_misses_total counter",
         "rq_queries_total 2",
         "rq_epoch 0",
