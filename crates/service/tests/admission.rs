@@ -8,9 +8,13 @@
 //! * **answers** — identical to the bottom-up fixpoint, on random
 //!   streams mixing repeats and one-shots past the cap, and across
 //!   ingests that repair a full memo;
-//! * **which repeats run no traversal** — the first 8,192 roots, and
-//!   only those; the rest answer correctly by traversal;
+//! * **which repeats run no traversal** — in a working set twice the
+//!   cap, the first 8,192 roots, and only those; the rest answer
+//!   correctly by traversal;
 //! * **memory** — a stream that never repeats leaves 8,192 entries.
+//!
+//! "The allowance" in the test names is the memo's cap; "each cache"
+//! is the memo alone.
 
 use rq_common::{Const, Counters, FxHashMap};
 use rq_datalog::{parse_program, seminaive_eval, Program};
@@ -148,28 +152,45 @@ fn answers_match_a_cacheless_reference_on_mixed_streams() {
     }
 }
 
+/// A stream that never repeats: every request traverses, and the memo
+/// is left holding its cap of 8,192 roots, the only answer store.
 #[test]
-fn the_memo_cap_hits_its_first_8192_roots_and_traverses_the_rest() {
+fn a_one_shot_stream_leaves_8192_entries_in_each_cache() {
     let service = QueryService::new(program());
-    let text = |i: usize| format!("tc(s{i}, Y)");
-    // A one-shot pass: every source once, each a traversal.
     for i in 0..SOURCES {
-        let answer = ask(&service, &text(i));
-        assert!(!answer.from_cache);
+        let answer = ask(&service, &format!("tc(s{i}, Y)"));
+        assert!(!answer.from_cache, "tc(s{i}, Y)");
         assert_eq!(answer.rows.len(), 1);
     }
     let context = service.snapshot().context().stats();
     assert_eq!(context.eval_entries, DEFAULT_CONTEXT_ENTRIES);
-    // The repeat pass: the first 8,192 roots are memo root hits; the
-    // rest traverse again, to the same one-row answers.
+}
+
+/// A repeating working set twice the memo's cap: from the second pass
+/// on, the first 8,192 roots are memo root hits and run no traversal;
+/// the rest traverse again, to the same answers as the fixpoint.
+#[test]
+fn a_working_set_twice_the_allowance_hits_by_its_fourth_pass() {
+    let service = QueryService::new(program());
+    let keys: Vec<String> = (0..2 * DEFAULT_CONTEXT_ENTRIES)
+        .map(|i| format!("tc(s{i}, Y)"))
+        .collect();
     let oracle = Reference::new(service.snapshot().program());
-    for i in 0..SOURCES {
-        let answer = ask(&service, &text(i));
-        let memoized = i < DEFAULT_CONTEXT_ENTRIES;
-        assert_eq!(answer.from_cache, memoized, "{}", text(i));
-        assert_eq!(answer.counters == Counters::default(), memoized);
-        oracle.check(&service, &text(i), &answer, "repeat pass");
+    let mut hits = Vec::new();
+    for pass in 0..4 {
+        let mut pass_hits = 0;
+        for (i, text) in keys.iter().enumerate() {
+            let answer = ask(&service, text);
+            let memoized = pass > 0 && i < DEFAULT_CONTEXT_ENTRIES;
+            assert_eq!(answer.from_cache, memoized, "pass {pass}: {text}");
+            assert_eq!(answer.counters == Counters::default(), memoized);
+            oracle.check(&service, text, &answer, &format!("pass {pass}"));
+            pass_hits += usize::from(answer.from_cache);
+        }
+        hits.push(pass_hits);
     }
+    let cap = DEFAULT_CONTEXT_ENTRIES;
+    assert_eq!(hits, [0, cap, cap, cap], "root hits per pass");
     let context = service.snapshot().context().stats();
     assert_eq!(context.eval_entries, DEFAULT_CONTEXT_ENTRIES);
 }
